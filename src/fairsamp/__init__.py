@@ -22,8 +22,10 @@ from .analysis import (
 )
 from .bell import (
     BellScenario,
+    BoundReport,
     bell_value,
     beta_max,
+    bound_report,
     deviation_bound,
     epsilon_total,
     filtered_global_state,
@@ -80,6 +82,7 @@ __version__ = "0.1.0"
 __all__ = [
     "AnalyserSpec",
     "BellScenario",
+    "BoundReport",
     "ClassicalFilter",
     "FairSamplingVerdict",
     "FakingSource",
@@ -98,6 +101,7 @@ __all__ = [
     "approximate_epsilon",
     "bell_value",
     "beta_max",
+    "bound_report",
     "canonical_decomposition",
     "check_exact",
     "classical_normal_form",

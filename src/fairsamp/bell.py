@@ -60,15 +60,18 @@ class BellScenario:
                 raise KeyError(f"unknown setting {x!r}")
         return xs
 
-    def joint_raw(self, xs: Sequence[str]) -> dict[tuple[str, ...], float]:
-        """Joint distribution over outcome tuples, no-click included."""
-        xs = self._check_settings(xs)
-        alphabets = [(*dev.outcomes, NOCLICK) for dev in self.devices]
+    def _table(self, xs: tuple[str, ...], alphabets: Sequence[Sequence[str]]) -> dict:
+        """Probability of every outcome tuple in the product of ``alphabets`` at settings ``xs``."""
         dist = {}
         for outs in itertools.product(*alphabets):
             op = tensor([dev.element(x, a) for dev, x, a in zip(self.devices, xs, outs)])
             dist[outs] = max(0.0, expect(op, self.psi))
         return dist
+
+    def joint_raw(self, xs: Sequence[str]) -> dict[tuple[str, ...], float]:
+        """Joint distribution over outcome tuples, no-click included."""
+        xs = self._check_settings(xs)
+        return self._table(xs, [(*dev.outcomes, NOCLICK) for dev in self.devices])
 
     def all_click_probability(self, xs: Sequence[str]) -> float:
         xs = self._check_settings(xs)
@@ -83,11 +86,8 @@ class BellScenario:
             raise ZeroAcceptanceError(
                 f"setting tuple {xs!r} has acceptance {acc:.3e}; erase it from the allowed settings"
             )
-        dist = {}
-        for outs in itertools.product(*(dev.outcomes for dev in self.devices)):
-            op = tensor([dev.element(x, a) for dev, x, a in zip(self.devices, xs, outs)])
-            dist[outs] = max(0.0, expect(op, self.psi)) / acc
-        return dist
+        good = self._table(xs, [dev.outcomes for dev in self.devices])
+        return {outs: p / acc for outs, p in good.items()}
 
 
 def joint_device(devices: Sequence[LossyDevice], sep: str = ",") -> LossyDevice:
@@ -151,21 +151,35 @@ def ideal_scenario(sc: BellScenario, mqs: Sequence[np.ndarray] | None = None) ->
     return BellScenario(ideal, psi_click, sc.bell_coeffs)
 
 
-def postselected_vs_ideal_deviation(sc: BellScenario, ideal: BellScenario) -> float:
-    """Max |post-selected - ideal raw| probability over setting and outcome tuples.
+def _postselected_and_ideal(sc: BellScenario, ideal: BellScenario) -> dict:
+    """Setting tuple -> (post-selected table of ``sc``, raw table of ``ideal``).
 
-    Setting tuples with vanishing acceptance are erased rather than compared.
+    Setting tuples with vanishing acceptance are erased: they have no entry.
     """
-    worst = 0.0
+    tables = {}
     for xs in sc.setting_tuples():
         try:
             ps = sc.joint_postselected(xs)
         except ZeroAcceptanceError:
             continue
-        raw_ideal = ideal.joint_raw(xs)
+        tables[xs] = (ps, ideal.joint_raw(xs))
+    return tables
+
+
+def _max_deviation(tables: Mapping) -> float:
+    worst = 0.0
+    for ps, raw_ideal in tables.values():
         for outs, p in ps.items():
             worst = max(worst, abs(p - raw_ideal[outs]))
     return worst
+
+
+def postselected_vs_ideal_deviation(sc: BellScenario, ideal: BellScenario) -> float:
+    """Max |post-selected - ideal raw| probability over setting and outcome tuples.
+
+    Setting tuples with vanishing acceptance are erased rather than compared.
+    """
+    return _max_deviation(_postselected_and_ideal(sc, ideal))
 
 
 def verify_postselection_equivalence(sc: BellScenario, tol: float = 1e-9) -> float:
@@ -188,11 +202,6 @@ def epsilon_total(eps: Sequence[float]) -> float:
             raise ValueError(f"per-party epsilon {e!r} outside [0, 1)")
         out *= 1.0 - e
     return 1.0 - out
-
-
-def scenario_epsilons(sc: BellScenario, mqs: Sequence[np.ndarray]) -> list[float]:
-    """Per-party approximate fair-sampling deviations for the given references."""
-    return [approximate_epsilon(dev, mq) for dev, mq in zip(sc.devices, mqs)]
 
 
 def bell_value(
@@ -245,11 +254,46 @@ def deviation_bound(eps_tot: float, beta: float) -> float:
     return 2.0 * eps_tot * beta
 
 
+def _bell_settings(sc: BellScenario) -> set[tuple[str, ...]]:
+    """Validate the scenario's Bell coefficients; return the setting tuples they read."""
+    validate_coefficients(sc, sc.bell_coeffs)
+    return {xs for (xs, _) in sc.bell_coeffs}
+
+
 def postselected_bell_value(sc: BellScenario) -> float:
     """Bell functional evaluated on the post-selected distributions."""
     if sc.bell_coeffs is None:
         raise ValueError("scenario declares no Bell coefficients")
-    validate_coefficients(sc, sc.bell_coeffs)
-    needed = {xs for (xs, _) in sc.bell_coeffs}
-    dists = {xs: sc.joint_postselected(xs) for xs in needed}
+    dists = {xs: sc.joint_postselected(xs) for xs in _bell_settings(sc)}
     return bell_value(dists, sc.bell_coeffs)
+
+
+@dataclass
+class BoundReport:
+    """Epsilons and measured deviations of a scenario; Bell fields are None without coefficients."""
+
+    epsilons: list[float]
+    epsilon_total: float
+    measured_joint_deviation: float
+    beta_max: float | None = None
+    measured_bell_deviation: float | None = None
+
+
+def bound_report(sc: BellScenario, mqs: Sequence[np.ndarray]) -> BoundReport:
+    """Epsilons against ``mqs`` and the deviations from the ideal experiment built from them."""
+    eps = [approximate_epsilon(dev, mq) for dev, mq in zip(sc.devices, mqs)]
+    eps_tot = epsilon_total(eps)
+    tables = _postselected_and_ideal(sc, ideal_scenario(sc, mqs))
+    beta = bell_deviation = None
+    if sc.bell_coeffs is not None:
+        needed = _bell_settings(sc)
+        erased = needed - tables.keys()
+        if erased:
+            raise ZeroAcceptanceError(
+                f"Bell coefficients read setting tuples with vanishing acceptance: {sorted(erased)!r}"
+            )
+        beta = beta_max(sc.bell_coeffs)
+        post_value = bell_value({xs: tables[xs][0] for xs in needed}, sc.bell_coeffs)
+        ideal_value = bell_value({xs: tables[xs][1] for xs in needed}, sc.bell_coeffs)
+        bell_deviation = abs(post_value - ideal_value)
+    return BoundReport(eps, eps_tot, _max_deviation(tables), beta, bell_deviation)

@@ -4,16 +4,13 @@ Every command reads and writes UTF-8 JSON.  ``check`` exits 0 when the
 device passes the weak fair-sampling test, 2 when it fails (with the
 deviation reported), and 1 on input errors.  Reports always carry both the
 theoretical bound and the measured quantity so the inequalities can be
-audited externally.  The FAIRSAMP_THREADS environment variable caps the
-worker threads used by demo sweeps.
+audited externally.
 """
 
 from __future__ import annotations
 
 import argparse
-import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 import numpy as np
@@ -22,13 +19,11 @@ from . import adversary, serialize
 from .analysis import approximate_epsilon, check_exact, tv_bound
 from .bell import (
     BellScenario,
-    beta_max,
     bell_value,
+    bound_report,
     deviation_bound,
-    epsilon_total,
     ideal_scenario,
     postselected_vs_ideal_deviation,
-    validate_coefficients,
 )
 from .device import ZeroAcceptanceError, projective_qubit_device
 from .filters import canonical_decomposition, verify_recomposition
@@ -37,14 +32,6 @@ from .optics import AnalyserSpec, analyser_device, analyser_epsilon_closed_form,
 from .sampling import random_fair_sampling_device
 
 DEMOS = ("makarov", "analyser", "chsh-singlet", "prop2-random")
-
-
-def _threads() -> int:
-    raw = os.environ.get("FAIRSAMP_THREADS", "1")
-    try:
-        return max(1, int(raw))
-    except ValueError:
-        return 1
 
 
 def _emit(payload, out_path: str | None) -> None:
@@ -103,39 +90,26 @@ def cmd_decompose(args) -> int:
 
 def _scenario_report(sc: BellScenario, postselect: bool) -> dict:
     report: dict = {"raw": {}, "acceptance": {}}
+    raw, post = {}, {}
     if postselect:
         report["postselected"] = {}
         report["erased"] = []
     for xs in sc.setting_tuples():
         label = ",".join(xs)
-        report["raw"][label] = serialize.distribution_to_json(sc.joint_raw(xs))
+        raw[xs] = sc.joint_raw(xs)
+        report["raw"][label] = serialize.distribution_to_json(raw[xs])
         report["acceptance"][label] = serialize.sig15(sc.all_click_probability(xs))
         if postselect:
             try:
-                report["postselected"][label] = serialize.distribution_to_json(
-                    sc.joint_postselected(xs)
-                )
+                post[xs] = sc.joint_postselected(xs)
             except ZeroAcceptanceError:
                 report["erased"].append(label)
+            else:
+                report["postselected"][label] = serialize.distribution_to_json(post[xs])
     if sc.bell_coeffs is not None:
-        needed = {xs for (xs, _) in sc.bell_coeffs}
-        if postselect:
-            dists = {}
-            usable = True
-            for xs in needed:
-                try:
-                    dists[xs] = sc.joint_postselected(xs)
-                except ZeroAcceptanceError:
-                    usable = False
-            if usable:
-                report["bell_value_postselected"] = serialize.sig15(
-                    bell_value(dists, sc.bell_coeffs)
-                )
-        raw_good = {}
-        for xs in needed:
-            dist = sc.joint_raw(xs)
-            raw_good[xs] = dist
-        report["bell_value_raw"] = serialize.sig15(bell_value(raw_good, sc.bell_coeffs))
+        if postselect and all(xs in post for (xs, _) in sc.bell_coeffs):
+            report["bell_value_postselected"] = serialize.sig15(bell_value(post, sc.bell_coeffs))
+        report["bell_value_raw"] = serialize.sig15(bell_value(raw, sc.bell_coeffs))
     return report
 
 
@@ -174,34 +148,24 @@ def cmd_bound(args) -> int:
             mqs = [shared for _ in sc.devices]
         else:
             mqs = [check_exact(dev, tol=args.tol).quantum_elem for dev in sc.devices]
-        eps = [approximate_epsilon(dev, mq) for dev, mq in zip(sc.devices, mqs)]
-        eps_tot = epsilon_total(eps)
-        report = {
-            "per_party": [
-                {"epsilon": serialize.sig15(e), "tv_bound": serialize.sig15(tv_bound(e))}
-                for e in eps
-            ],
-            "epsilon_total": serialize.sig15(eps_tot),
-            "joint_tv_bound": serialize.sig15(tv_bound(eps_tot)),
-        }
-        ideal = ideal_scenario(sc, mqs)
-        report["measured_joint_deviation"] = serialize.sig15(
-            postselected_vs_ideal_deviation(sc, ideal)
-        )
-        if sc.bell_coeffs is not None:
-            validate_coefficients(sc, sc.bell_coeffs)
-            beta = beta_max(sc.bell_coeffs)
-            needed = {xs for (xs, _) in sc.bell_coeffs}
-            ps = {xs: sc.joint_postselected(xs) for xs in needed}
-            ideal_dists = {xs: ideal.joint_raw(xs) for xs in needed}
-            measured = abs(
-                bell_value(ps, sc.bell_coeffs) - bell_value(ideal_dists, sc.bell_coeffs)
-            )
-            report["beta_max"] = serialize.sig15(beta)
-            report["bell_deviation_bound"] = serialize.sig15(deviation_bound(eps_tot, beta))
-            report["measured_bell_deviation"] = serialize.sig15(measured)
+        br = bound_report(sc, mqs)
     except (OSError, ValueError, KeyError) as exc:
         return _fail(f"error: {exc}")
+    report = {
+        "per_party": [
+            {"epsilon": serialize.sig15(e), "tv_bound": serialize.sig15(tv_bound(e))}
+            for e in br.epsilons
+        ],
+        "epsilon_total": serialize.sig15(br.epsilon_total),
+        "joint_tv_bound": serialize.sig15(tv_bound(br.epsilon_total)),
+        "measured_joint_deviation": serialize.sig15(br.measured_joint_deviation),
+    }
+    if br.beta_max is not None:
+        report["beta_max"] = serialize.sig15(br.beta_max)
+        report["bell_deviation_bound"] = serialize.sig15(
+            deviation_bound(br.epsilon_total, br.beta_max)
+        )
+        report["measured_bell_deviation"] = serialize.sig15(br.measured_bell_deviation)
     _emit(report, args.output)
     return 0
 
@@ -277,8 +241,7 @@ def _demo_analyser(args) -> dict:
         rows = [_analyser_row(eta, delta, args.nmax)]
     else:
         grid = [(eta, delta) for eta in (0.5, 0.8, 0.95) for delta in (0.0, 0.01, 0.1)]
-        with ThreadPoolExecutor(max_workers=_threads()) as pool:
-            rows = list(pool.map(lambda p: _analyser_row(p[0], p[1], args.nmax), grid))
+        rows = [_analyser_row(eta, delta, args.nmax) for eta, delta in grid]
     return {"sweep": rows}
 
 
@@ -306,15 +269,7 @@ def _demo_prop2_random(args) -> dict:
         psi = g @ g.conj().T
         psi /= np.trace(psi).real
         cases.append(BellScenario(devices, psi))
-
-    def deviation(sc: BellScenario) -> float:
-        verdicts = [check_exact(dev) for dev in sc.devices]
-        return postselected_vs_ideal_deviation(
-            sc, ideal_scenario(sc, [v.quantum_elem for v in verdicts])
-        )
-
-    with ThreadPoolExecutor(max_workers=_threads()) as pool:
-        devs = list(pool.map(deviation, cases))
+    devs = [postselected_vs_ideal_deviation(sc, ideal_scenario(sc)) for sc in cases]
     return {
         "scenarios": args.count,
         "seed": args.seed,

@@ -44,11 +44,6 @@ def dagger(m: np.ndarray) -> np.ndarray:
     return np.conj(m).T
 
 
-def is_hermitian(m: np.ndarray, tol: float = HERMITICITY_TOL) -> bool:
-    a = as_operator(m)
-    return bool(np.max(np.abs(a - dagger(a))) <= tol)
-
-
 def assert_hermitian(m, tol: float = HERMITICITY_TOL, name: str = "matrix") -> np.ndarray:
     a = as_operator(m)
     dev = float(np.max(np.abs(a - dagger(a))))

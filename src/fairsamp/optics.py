@@ -124,9 +124,9 @@ class AnalyserSpec:
             raise ValueError("efficiencies must lie in (0, 1]")
         if self.eta1 > self.eta2:
             self.eta1, self.eta2 = self.eta2, self.eta1
+        self.angles = tuple(float(t) for t in self.angles)
         if not self.angles:
             raise ValueError("at least one angle is required")
-        self.angles = tuple(float(t) for t in self.angles)
         if self.n_max < 1:
             raise ValueError("n_max must be at least 1")
 

@@ -18,7 +18,7 @@ import numpy as np
 
 from .analysis import FairSamplingVerdict
 from .bell import BellCoeffs, BellScenario
-from .device import NOCLICK, LossyDevice, LosslessDevice
+from .device import NOCLICK, LossyDevice
 from .filters import FilterDecomposition
 
 
@@ -61,11 +61,6 @@ def device_from_json(obj: Mapping) -> LossyDevice:
     return LossyDevice(int(obj["dim"]), obj["settings"], obj["outcomes"], povm)
 
 
-def lossless_device_to_json(dev: LosslessDevice) -> dict:
-    """Lossless devices export in the plain device format via their completion."""
-    return device_to_json(dev.to_lossy())
-
-
 def decomposition_to_json(decomp: FilterDecomposition) -> tuple[dict, dict]:
     """Returns (filter.json payload, lossless.json payload)."""
     filters = {
@@ -78,7 +73,7 @@ def decomposition_to_json(decomp: FilterDecomposition) -> tuple[dict, dict]:
             for x, f in decomp.filters.items()
         },
     }
-    return filters, lossless_device_to_json(decomp.lossless)
+    return filters, device_to_json(decomp.lossless.to_lossy())
 
 
 def verdict_to_json(verdict: FairSamplingVerdict) -> dict:

@@ -186,6 +186,33 @@ class TestBound:
         )
 
 
+class TestJointStatisticsReuse:
+    """Commands reuse the joint tables they have built instead of recomputing them."""
+
+    @pytest.fixture
+    def joint_calls(self, monkeypatch):
+        from fairsamp.bell import BellScenario
+
+        counts = {"joint_raw": 0, "joint_postselected": 0}
+        for name in counts:
+            original = getattr(BellScenario, name)
+
+            def counted(self, xs, _name=name, _original=original):
+                counts[_name] += 1
+                return _original(self, xs)
+
+            monkeypatch.setattr(BellScenario, name, counted)
+        return counts
+
+    @pytest.mark.parametrize(
+        "argv,expected",
+        [(["simulate", "--postselect"], 8), (["bound"], 4)],
+    )
+    def test_chsh_file(self, chsh_file, joint_calls, capsys, argv, expected):
+        assert main([*argv, str(chsh_file)]) == 0
+        assert joint_calls == {"joint_raw": expected, "joint_postselected": expected}
+
+
 class TestDemo:
     def test_makarov_demo(self, capsys):
         assert main(["demo", "makarov"]) == 0

@@ -114,9 +114,12 @@ class TestAnalyserDevice:
         np.testing.assert_allclose(dev.click_element(x), unfolded.click_element(x), atol=1e-12)
 
     def test_efficiency_normalization_swaps(self):
-        spec = AnalyserSpec(eta1=0.9, eta2=0.6, angles=(0.0,), n_max=2)
+        spec = AnalyserSpec(eta1=0.9, eta2=0.6, angles=np.linspace(0.0, np.pi / 2.0, 3), n_max=2)
         assert spec.eta1 == 0.6 and spec.eta2 == 0.9
         assert spec.delta == pytest.approx(0.4 / 0.1 - 1.0, abs=1e-12)
+        assert spec.angles == (0.0, np.pi / 4.0, np.pi / 2.0)
+        with pytest.raises(ValueError, match="at least one angle"):
+            AnalyserSpec(eta1=0.9, eta2=0.6, angles=np.array([]), n_max=2)
 
 
 class TestSinglePhotonAnalyser:
