@@ -45,6 +45,8 @@ _SOURCE_TABLE: dict[tuple[int, int], tuple[str, str] | None] = {
 
 SETTINGS = ("0", "1")
 OUTCOMES = ("+", "-")
+#: Setting pairs and their CHSH signs: the correlator of ("1", "1") enters negatively.
+_CHSH_SIGNS = {xy: -1.0 if xy == ("1", "1") else 1.0 for xy in itertools.product(SETTINGS, SETTINGS)}
 
 
 def makarov_traced() -> LossyDevice:
@@ -128,6 +130,27 @@ class FakedChshResult:
     sampled_std_error: float | None = None
 
 
+def _click_weights():
+    """Yield (x, y, a, b, w) for every hidden pair (r_A, r_B) the source fills.
+
+    ``w`` is the probability of that hidden pair together with both detectors
+    clicking with outcomes a, b, given settings x, y and uniform hidden
+    values.  Vacuum pairs never click and yield nothing.
+    """
+    branches = makarov_branches().branches
+    source = FakingSource()
+    for x, y in itertools.product(SETTINGS, SETTINGS):
+        for (ra, rb), entry in source.table.items():
+            if entry is None:
+                continue
+            rho_a, rho_b = source.state(ra, rb)
+            for a, b in itertools.product(OUTCOMES, OUTCOMES):
+                p = expect(branches[ra].element(x, a), rho_a) * expect(
+                    branches[rb].element(y, b), rho_b
+                )
+                yield x, y, a, b, p / 16.0
+
+
 def run_faked_chsh(noise: float = 0.0, seed: int | None = None, samples: int | None = None) -> FakedChshResult:
     """Exact post-selected CHSH statistics of the hidden-variable attack.
 
@@ -144,33 +167,15 @@ def run_faked_chsh(noise: float = 0.0, seed: int | None = None, samples: int | N
     """
     if not 0.0 <= noise <= 1.0:
         raise ValueError("noise must lie in [0, 1]")
-    branches = makarov_branches().branches
-    source = FakingSource()
-
-    coincidence: dict[tuple[str, str], float] = {}
-    correlator: dict[tuple[str, str], float] = {}
-    for x, y in itertools.product(SETTINGS, SETTINGS):
-        num = 0.0
-        den = 0.0
-        for (ra, rb), entry in source.table.items():
-            if entry is None:
-                continue
-            rho_a, rho_b = source.state(ra, rb)
-            for a, b in itertools.product(OUTCOMES, OUTCOMES):
-                p = expect(branches[ra].element(x, a), rho_a) * expect(
-                    branches[rb].element(y, b), rho_b
-                )
-                w = p / 16.0
-                den += w
-                num += w * (1.0 if a == b else -1.0)
-        correlator[(x, y)] = (1.0 - noise) * num / den
-        coincidence[(x, y)] = den / 4.0  # uniform settings: P(click, click, X=x, Y=y)
-
-    chsh = sum(
-        (1.0 if (x, y) != ("1", "1") else -1.0) * correlator[(x, y)]
-        for x, y in itertools.product(SETTINGS, SETTINGS)
-    )
-    detection_rate = sum(coincidence.values()) / 4.0
+    num = dict.fromkeys(_CHSH_SIGNS, 0.0)
+    den = dict.fromkeys(_CHSH_SIGNS, 0.0)
+    for x, y, a, b, w in _click_weights():
+        den[(x, y)] += w
+        num[(x, y)] += w * (1.0 if a == b else -1.0)
+    correlator = {xy: (1.0 - noise) * num[xy] / den[xy] for xy in _CHSH_SIGNS}
+    chsh = sum(sign * correlator[xy] for xy, sign in _CHSH_SIGNS.items())
+    # Uniform settings: P(click, click, X=x, Y=y) is den / 4 for each of the four pairs.
+    detection_rate = sum(d / 4.0 for d in den.values()) / 4.0
 
     sampled = std_err = None
     if samples:
@@ -185,47 +190,28 @@ def run_faked_chsh(noise: float = 0.0, seed: int | None = None, samples: int | N
 
 
 def _sample_chsh(noise: float, seed: int | None, samples: int) -> tuple[float, float]:
-    """Monte Carlo rounds of the attack; returns (CHSH estimate, standard error)."""
+    """Monte Carlo rounds of the attack; returns (CHSH estimate, standard error).
+
+    Every round is drawn at once from the enumerated distribution of
+    (x, y, a, b) under uniform hidden values and settings; its last cell
+    holds the rounds in which some detector stays silent.
+    """
     rng = np.random.default_rng(seed)
-    branches = makarov_branches().branches
-    source = FakingSource()
-    sums = {xy: 0.0 for xy in itertools.product(SETTINGS, SETTINGS)}
-    counts = {xy: 0 for xy in sums}
-    for _ in range(samples):
-        ra, rb = rng.integers(1, 5), rng.integers(1, 5)
-        x, y = SETTINGS[rng.integers(2)], SETTINGS[rng.integers(2)]
-        entry = source.state(int(ra), int(rb))
-        if entry is None:
-            continue
-        rho_a, rho_b = entry
-        pa = {a: expect(branches[int(ra)].element(x, a), rho_a) for a in OUTCOMES}
-        pb = {b: expect(branches[int(rb)].element(y, b), rho_b) for b in OUTCOMES}
-        a = _draw_outcome(pa, rng)
-        b = _draw_outcome(pb, rng)
-        if a is None or b is None:
-            continue
-        if noise > 0.0 and rng.random() < noise:
-            a = OUTCOMES[rng.integers(2)]
-            b = OUTCOMES[rng.integers(2)]
-        sums[(x, y)] += 1.0 if a == b else -1.0
-        counts[(x, y)] += 1
-    est = 0.0
-    var = 0.0
-    for xy, n in counts.items():
-        if n == 0:
-            raise ValueError("no successful rounds for some setting pair; increase samples")
-        mean = sums[xy] / n
-        sign = 1.0 if xy != ("1", "1") else -1.0
-        est += sign * mean
-        var += (1.0 - mean**2) / n
-    return est, float(np.sqrt(var))
-
-
-def _draw_outcome(probs: dict[str, float], rng: np.random.Generator) -> str | None:
-    u = rng.random()
-    acc = 0.0
-    for a, p in probs.items():
-        acc += p
-        if u < acc:
-            return a
-    return None
+    outcome_pairs = list(itertools.product(OUTCOMES, OUTCOMES))
+    cells = {cell: i for i, cell in enumerate(itertools.product(_CHSH_SIGNS, outcome_pairs))}
+    probs = np.zeros(len(cells) + 1)
+    for x, y, a, b, w in _click_weights():
+        probs[cells[((x, y), (a, b))]] += w / 4.0  # uniform settings
+    probs[-1] = max(0.0, 1.0 - probs[:-1].sum())
+    drawn = rng.choice(probs.size, size=samples, p=probs)
+    pair, outs = np.divmod(drawn[drawn < len(cells)], len(outcome_pairs))
+    noisy = rng.random(pair.size) < noise
+    outs = np.where(noisy, rng.integers(len(outcome_pairs), size=pair.size), outs)
+    same = np.array([a == b for a, b in outcome_pairs])
+    sums = np.bincount(pair, weights=np.where(same[outs], 1.0, -1.0), minlength=len(_CHSH_SIGNS))
+    counts = np.bincount(pair, minlength=len(_CHSH_SIGNS))
+    if np.any(counts == 0):
+        raise ValueError("no successful rounds for some setting pair; increase samples")
+    means = sums / counts
+    est = float(np.array(list(_CHSH_SIGNS.values())) @ means)
+    return est, float(np.sqrt(np.sum((1.0 - means**2) / counts)))

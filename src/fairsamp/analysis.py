@@ -18,6 +18,8 @@ import numpy as np
 
 from .device import LossyDevice, LosslessDevice, ZeroAcceptanceError, total_variation
 from .linalg import (
+    VERDICT_TOL,
+    ZERO_ACCEPTANCE,
     as_operator,
     dagger,
     eigh_psd,
@@ -27,11 +29,6 @@ from .linalg import (
     support_projector,
     trace_norm,
 )
-
-#: Default tolerance for exact fair-sampling verdicts.
-VERDICT_TOL = 1e-8
-
-SUPPORT_TOL = 1e-8
 
 
 @dataclass
@@ -95,27 +92,23 @@ def check_exact(dev: LossyDevice, tol: float = VERDICT_TOL) -> FairSamplingVerdi
     identity on the full space; homogeneous requires the per-setting scales
     to coincide.  For devices failing the weak test, epsilon reports the
     approximate deviation with respect to the uniform-average reference.
+    Erased settings (click norm at most ZERO_ACCEPTANCE) are left out of the
+    weak test and of epsilon; they keep their entry in ``classical_eff``.
     """
     clicks = [dev.click_element(x) for x in dev.settings]
     norms = [operator_norm(m) for m in clicks]
-    if max(norms) <= 0.0:
+    live = [(m, s) for m, s in zip(clicks, norms) if s > ZERO_ACCEPTANCE]
+    if not live:
         raise ValueError("all click elements vanish; the device never accepts")
     classical_eff = dict(zip(dev.settings, norms))
 
-    weak = _pairwise_proportional(clicks, tol)
+    weak = _pairwise_proportional([m for m, _ in live], tol)
     if weak:
-        i0 = next(i for i, s in enumerate(norms) if s > 0.0)
-        mq = clicks[i0] / norms[i0]
+        mq = live[0][0] / live[0][1]
         epsilon = 0.0
     else:
         mq = default_mq(dev)
-        # Settings that never accept are erased from post-selected data, so they
-        # do not contribute to the reported deviation.
-        live = [x for x, s in zip(dev.settings, norms) if s > 0.0]
-        sub = dev if len(live) == len(dev.settings) else LossyDevice(
-            dev.dim, live, dev.outcomes, {x: dev.povm[x] for x in live}
-        )
-        epsilon = approximate_epsilon(sub, mq)
+        epsilon = approximate_epsilon(dev, mq)
     strong = weak and operator_norm(mq - np.eye(dev.dim)) <= tol
     homogeneous = weak and (max(norms) - min(norms)) <= tol
     return FairSamplingVerdict(
@@ -132,87 +125,91 @@ def check_exact(dev: LossyDevice, tol: float = VERDICT_TOL) -> FairSamplingVerdi
 def default_mq(dev: LossyDevice) -> np.ndarray:
     """Uniform average of the norm-scaled click elements.
 
-    Settings whose click element vanishes carry no shape information (they
-    are erased from post-selected data anyway) and are skipped.
+    Erased settings (click norm at most ZERO_ACCEPTANCE) carry no shape
+    information and are skipped.
     """
     scaled = []
     for x in dev.settings:
         m = dev.click_element(x)
         s = operator_norm(m)
-        if s > 0.0:
+        if s > ZERO_ACCEPTANCE:
             scaled.append(m / s)
     if not scaled:
         raise ValueError("all click elements vanish; no reference operator exists")
     return sum(scaled) / len(scaled)
 
 
-def _conjugated_clicks(dev: LossyDevice, mq: np.ndarray, support_tol: float):
-    """Yield (setting, conjugated click element, its norm) after the support check."""
+def _reference(mq: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Support projector and pseudo-inverse square root of a reference operator."""
     mq = as_operator(mq)
     eigh_psd(mq, name="reference operator")
-    pi = support_projector(mq)
-    _, pinv = sqrt_pinv_sqrt(mq)
+    return support_projector(mq), sqrt_pinv_sqrt(mq)[1]
+
+
+def _conjugated_clicks(dev: LossyDevice, pi: np.ndarray, pinv: np.ndarray):
+    """Yield (setting, mt / s, s) per live setting, for ``mt = pinv @ click @ pinv`` of norm s.
+
+    Erased settings (click norm at most ZERO_ACCEPTANCE) are skipped; a live
+    click element must lie inside the reference support ``pi``.
+    """
     for x in dev.settings:
         mc = dev.click_element(x)
+        norm = operator_norm(mc)
+        if norm <= ZERO_ACCEPTANCE:
+            continue
         res = operator_norm(pi @ mc @ pi - mc)
-        if res > support_tol * max(1.0, operator_norm(mc)):
+        if res > VERDICT_TOL * max(1.0, norm):
             raise ValueError(
                 f"click element for setting {x!r} leaks outside the reference support "
                 f"(residual {res:.3e})"
             )
         mt = pinv @ mc @ pinv
-        yield x, pi, mt, operator_norm(mt)
+        s = operator_norm(mt)
+        if s <= 0.0:
+            raise ZeroAcceptanceError(f"setting {x!r} clicks only outside the reference support")
+        yield x, mt / s, s
 
 
-def approximate_epsilon(dev: LossyDevice, mq: np.ndarray, support_tol: float = SUPPORT_TOL) -> float:
+def approximate_epsilon(dev: LossyDevice, mq: np.ndarray) -> float:
     """Operator-norm deviation of the normalized conjugated click elements.
 
-    For each setting, conjugate the click element by the pseudo-inverse
+    For each live setting, conjugate the click element by the pseudo-inverse
     square root of ``mq``, normalize, and measure the distance to the
     support projector; the maximum over settings is the epsilon of
-    approximate fair sampling.
+    approximate fair sampling.  Erased settings do not contribute.
     """
-    eps = 0.0
-    for x, pi, mt, s in _conjugated_clicks(dev, mq, support_tol):
-        if s <= 0.0:
-            raise ZeroAcceptanceError(f"setting {x!r} has a vanishing conjugated click element")
-        eps = max(eps, operator_norm(pi - mt / s))
-    return eps
+    pi, pinv = _reference(mq)
+    return max((operator_norm(pi - click) for _, click, _ in _conjugated_clicks(dev, pi, pinv)), default=0.0)
 
 
-def ideal_device_from(dev: LossyDevice, mq: np.ndarray, support_tol: float = SUPPORT_TOL) -> LosslessDevice:
+def ideal_device_from(dev: LossyDevice, mq: np.ndarray) -> LosslessDevice:
     """Unit-efficiency device reproducing post-selected statistics up to the epsilon bound.
 
     Each good element is conjugated and normalized like the click element,
     and the per-setting deficit from the support projector is spread
-    uniformly over the outcomes so completeness holds exactly.
+    uniformly over the outcomes so completeness holds exactly.  Only the
+    live settings get a POVM: erased ones never appear in post-selected data.
     """
-    epsilon = approximate_epsilon(dev, mq, support_tol)
+    pi, pinv = _reference(mq)
+    epsilon = 0.0
+    povm: dict[str, dict[str, np.ndarray]] = {}
+    for x, click, s in _conjugated_clicks(dev, pi, pinv):
+        gap = pi - click
+        epsilon = max(epsilon, operator_norm(gap))
+        deficit = gap / len(dev.outcomes)
+        povm[x] = {a: pinv @ dev.element(x, a) @ pinv / s + deficit for a in dev.outcomes}
     if epsilon >= 1.0:
         raise ValueError(f"approximate deviation {epsilon:.3f} >= 1; no ideal device exists")
-    _, pinv = sqrt_pinv_sqrt(mq)
-    pi = support_projector(mq)
-    n_out = len(dev.outcomes)
-    povm: dict[str, dict[str, np.ndarray]] = {}
-    for x in dev.settings:
-        mt_click = pinv @ dev.click_element(x) @ pinv
-        s = operator_norm(mt_click)
-        deficit = (pi - mt_click / s) / n_out
-        povm[x] = {
-            a: pinv @ dev.element(x, a) @ pinv / s + deficit for a in dev.outcomes
-        }
-    return LosslessDevice(dev.dim, dev.settings, dev.outcomes, povm)
+    return LosslessDevice(dev.dim, list(povm), dev.outcomes, povm)
 
 
-def filtered_state(
-    mq: np.ndarray, rho: np.ndarray, threshold: float = 1e-12
-) -> tuple[np.ndarray, float]:
+def filtered_state(mq: np.ndarray, rho: np.ndarray) -> tuple[np.ndarray, float]:
     """Conjugate a state by sqrt(mq) and renormalize; returns (state, acceptance)."""
     sq, _ = sqrt_pinv_sqrt(mq)
     rho = as_operator(rho)
     branch = sq @ rho @ sq
     eq = float(np.trace(branch).real)
-    if eq <= threshold:
+    if eq <= ZERO_ACCEPTANCE:
         raise ZeroAcceptanceError(f"filter acceptance {eq:.3e} vanishes for this state")
     return branch / eq, eq
 
@@ -260,13 +257,9 @@ def imperfect_state_bound(
 
     f_acc = expect(dev_hat.click_element(x), rho_hat)
     g_acc = expect(projected(dev_hat.click_element(x)), rho_good)
-    denom = max(f_acc, g_acc)
-    if denom <= 0.0:
-        raise ZeroAcceptanceError("both acceptance probabilities vanish")
-    bound = 2.0 * (c_norm + eps_prime) / denom
-
-    if f_acc <= 0.0 or g_acc <= 0.0:
+    if min(f_acc, g_acc) <= ZERO_ACCEPTANCE:
         raise ZeroAcceptanceError("one of the post-selected distributions is undefined")
+    bound = 2.0 * (c_norm + eps_prime) / max(f_acc, g_acc)
     p_hat = {a: expect(dev_hat.element(x, a), rho_hat) / f_acc for a in dev_hat.outcomes}
     p_good = {
         a: expect(projected(dev_hat.element(x, a)), rho_good) / g_acc for a in dev_hat.outcomes
@@ -278,7 +271,7 @@ def imperfect_state_bound(
 
 
 def necessary_conditions(
-    eff_table: Mapping[str, Mapping[str, float]], tol: float = 1e-8
+    eff_table: Mapping[str, Mapping[str, float]], tol: float = VERDICT_TOL
 ) -> NecessaryConditions:
     """Consistency checks on observed efficiencies versus remote configurations.
 
@@ -334,9 +327,9 @@ def state_dependent_check(
         sigmas[x] = sigma
 
     traces = {x: float(np.trace(s).real) for x, s in sigmas.items()}
-    if max(traces.values(), default=0.0) <= 0.0:
+    if max(traces.values(), default=0.0) <= ZERO_ACCEPTANCE:
         raise ZeroAcceptanceError("every setting filters the state to zero")
     if not _pairwise_proportional(list(sigmas.values()), tol):
         return StateDependentResult(holds=False, psi_click=None, eq=traces)
-    x0 = next(x for x, t in traces.items() if t > 0.0)
+    x0 = next(x for x, t in traces.items() if t > ZERO_ACCEPTANCE)
     return StateDependentResult(holds=True, psi_click=sigmas[x0] / traces[x0], eq=traces)

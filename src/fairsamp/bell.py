@@ -18,12 +18,24 @@ import numpy as np
 
 from .analysis import approximate_epsilon, check_exact, ideal_device_from
 from .device import NOCLICK, LossyDevice, ZeroAcceptanceError
-from .linalg import as_operator, assert_density, expect, sqrt_pinv_sqrt, tensor
+from .linalg import (
+    COMPLETENESS_TOL, ZERO_ACCEPTANCE, as_operator, assert_density, probability, sqrt_pinv_sqrt, tensor
+)
 
 #: Bell coefficients: (settings tuple, outcomes tuple) -> real weight.
 BellCoeffs = Mapping[tuple[tuple[str, ...], tuple[str, ...]], float]
 
 MAX_JOINT_OUTCOMES = 100_000
+
+#: Joins local setting or outcome labels into one joint label; no local label may contain it.
+LABEL_SEP = ","
+
+
+def _reject_separator(devices: Sequence[LossyDevice]) -> None:
+    for k, dev in enumerate(devices):
+        for label in (*dev.settings, *dev.outcomes):
+            if LABEL_SEP in label:
+                raise ValueError(f"party {k} label {label!r} contains the joint-label separator {LABEL_SEP!r}")
 
 
 @dataclass
@@ -36,6 +48,7 @@ class BellScenario:
 
     def __post_init__(self):
         self.devices = tuple(self.devices)
+        _reject_separator(self.devices)
         self.psi = assert_density(self.psi)
         dims = [dev.dim for dev in self.devices]
         if int(np.prod(dims)) != self.psi.shape[0]:
@@ -65,7 +78,7 @@ class BellScenario:
         dist = {}
         for outs in itertools.product(*alphabets):
             op = tensor([dev.element(x, a) for dev, x, a in zip(self.devices, xs, outs)])
-            dist[outs] = max(0.0, expect(op, self.psi))
+            dist[outs] = probability(op, self.psi, f"outcomes {outs!r} at settings {xs!r}")
         return dist
 
     def joint_raw(self, xs: Sequence[str]) -> dict[tuple[str, ...], float]:
@@ -76,13 +89,13 @@ class BellScenario:
     def all_click_probability(self, xs: Sequence[str]) -> float:
         xs = self._check_settings(xs)
         op = tensor([dev.click_element(x) for dev, x in zip(self.devices, xs)])
-        return max(0.0, expect(op, self.psi))
+        return probability(op, self.psi, f"all-click at settings {xs!r}")
 
     def joint_postselected(self, xs: Sequence[str]) -> dict[tuple[str, ...], float]:
         """Joint distribution over good outcome tuples, conditioned on all parties clicking."""
         xs = self._check_settings(xs)
         acc = self.all_click_probability(xs)
-        if acc <= 1e-12:
+        if acc <= ZERO_ACCEPTANCE:
             raise ZeroAcceptanceError(
                 f"setting tuple {xs!r} has acceptance {acc:.3e}; erase it from the allowed settings"
             )
@@ -90,14 +103,15 @@ class BellScenario:
         return {outs: p / acc for outs, p in good.items()}
 
 
-def joint_device(devices: Sequence[LossyDevice], sep: str = ",") -> LossyDevice:
+def joint_device(devices: Sequence[LossyDevice]) -> LossyDevice:
     """Collect local devices into one device whose good outcomes are all-click tuples.
 
-    Joint labels join the local ones with ``sep``; every pattern containing
+    Joint labels join the local ones with ``LABEL_SEP``; every pattern containing
     at least one local no-click is aggregated into the joint no-click
     element, which therefore equals identity minus the tensor of the local
     click elements.
     """
+    _reject_separator(devices)
     dims = [dev.dim for dev in devices]
     dim = int(np.prod(dims))
     settings = list(itertools.product(*(dev.settings for dev in devices)))
@@ -105,19 +119,18 @@ def joint_device(devices: Sequence[LossyDevice], sep: str = ",") -> LossyDevice:
     povm: dict[str, dict[str, np.ndarray]] = {}
     for xs in settings:
         row = {
-            sep.join(outs): tensor([dev.element(x, a) for dev, x, a in zip(devices, xs, outs)])
+            LABEL_SEP.join(outs): tensor([dev.element(x, a) for dev, x, a in zip(devices, xs, outs)])
             for outs in outcomes
         }
         row[NOCLICK] = np.eye(dim, dtype=complex) - tensor(
             [dev.click_element(x) for dev, x in zip(devices, xs)]
         )
-        povm[sep.join(xs)] = row
-    return LossyDevice(dim, [sep.join(xs) for xs in settings], [sep.join(o) for o in outcomes], povm)
+        povm[LABEL_SEP.join(xs)] = row
+    labels = [LABEL_SEP.join(xs) for xs in settings]
+    return LossyDevice(dim, labels, [LABEL_SEP.join(o) for o in outcomes], povm)
 
 
-def filtered_global_state(
-    mqs: Sequence[np.ndarray], psi: np.ndarray, threshold: float = 1e-12
-) -> tuple[np.ndarray, float]:
+def filtered_global_state(mqs: Sequence[np.ndarray], psi: np.ndarray) -> tuple[np.ndarray, float]:
     """Filter every party's factor by sqrt of its reference click element.
 
     Returns the normalized filtered state and the probability that all local
@@ -128,7 +141,7 @@ def filtered_global_state(
     big = tensor(sqrts)
     branch = big @ psi @ big
     eq = float(np.trace(branch).real)
-    if eq <= threshold:
+    if eq <= ZERO_ACCEPTANCE:
         raise ZeroAcceptanceError(f"global filter acceptance {eq:.3e} vanishes")
     return branch / eq, eq
 
@@ -182,7 +195,7 @@ def postselected_vs_ideal_deviation(sc: BellScenario, ideal: BellScenario) -> fl
     return _max_deviation(_postselected_and_ideal(sc, ideal))
 
 
-def verify_postselection_equivalence(sc: BellScenario, tol: float = 1e-9) -> float:
+def verify_postselection_equivalence(sc: BellScenario, tol: float = COMPLETENESS_TOL) -> float:
     """Check that post-selected statistics match the ideal filtered experiment.
 
     Every party must pass the exact fair-sampling check.  Returns the

@@ -10,6 +10,7 @@ audited externally.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import sys
 from pathlib import Path
 
@@ -18,6 +19,7 @@ import numpy as np
 from . import adversary, serialize
 from .analysis import approximate_epsilon, check_exact, tv_bound
 from .bell import (
+    LABEL_SEP,
     BellScenario,
     bell_value,
     bound_report,
@@ -27,7 +29,7 @@ from .bell import (
 )
 from .device import ZeroAcceptanceError, projective_qubit_device
 from .filters import canonical_decomposition, verify_recomposition
-from .linalg import projector
+from .linalg import VERDICT_TOL, projector, support_projector
 from .optics import AnalyserSpec, analyser_device, analyser_epsilon_closed_form, analyser_mq
 from .sampling import random_fair_sampling_device
 
@@ -54,8 +56,8 @@ def cmd_check(args) -> int:
         verdict = check_exact(dev, tol=args.tol)
         if args.mq is not None:
             mq = serialize.matrix_from_json(serialize.load_json(args.mq))
-            verdict.quantum_elem = mq
-            verdict.epsilon = approximate_epsilon(dev, mq)
+            support, epsilon = support_projector(mq), approximate_epsilon(dev, mq)
+            verdict = dataclasses.replace(verdict, quantum_elem=mq, support=support, epsilon=epsilon)
     except (OSError, ValueError, np.linalg.LinAlgError) as exc:
         return _fail(f"error: {exc}")
     payload = serialize.verdict_to_json(verdict)
@@ -95,7 +97,7 @@ def _scenario_report(sc: BellScenario, postselect: bool) -> dict:
         report["postselected"] = {}
         report["erased"] = []
     for xs in sc.setting_tuples():
-        label = ",".join(xs)
+        label = LABEL_SEP.join(xs)
         raw[xs] = sc.joint_raw(xs)
         report["raw"][label] = serialize.distribution_to_json(raw[xs])
         report["acceptance"][label] = serialize.sig15(sc.all_click_probability(xs))
@@ -130,7 +132,7 @@ def cmd_simulate(args) -> int:
             ideal = ideal_scenario(sc, [v.quantum_elem for v in verdicts])
             report["ideal_deviation"] = serialize.sig15(postselected_vs_ideal_deviation(sc, ideal))
     except ValueError:
-        pass  # dead settings or vanishing acceptance: no ideal experiment to compare against
+        pass  # a device never clicks or the filters never accept: no ideal experiment
     _emit(report, args.output)
     return 0
 
@@ -302,13 +304,13 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     def common(p):
-        p.add_argument("--tol", type=float, default=1e-8, help="decision tolerance")
+        p.add_argument("--tol", type=float, default=VERDICT_TOL, help="decision tolerance")
         p.add_argument("--seed", type=int, default=0, help="seed for randomized checks")
         p.add_argument("-o", "--output", default=None, help="output path (default stdout)")
 
     p = sub.add_parser("check", help="fair-sampling verdict for a device file")
     p.add_argument("device")
-    p.add_argument("--mq", default=None, help="reference operator JSON for the epsilon report")
+    p.add_argument("--mq", default=None, help="reference operator JSON for mq, support and epsilon")
     common(p)
     p.set_defaults(func=cmd_check)
 

@@ -12,16 +12,12 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from .linalg import PSD_TOL, as_operator, assert_density, eigh_psd, expect, projector
+from .linalg import (
+    COMPLETENESS_TOL, ZERO_ACCEPTANCE, as_operator, assert_density, eigh_psd, probability, projector
+)
 
 #: Reserved label for the failed-detection outcome.
 NOCLICK = "noclick"
-
-#: Completeness residual allowed when summing a setting's POVM elements.
-COMPLETENESS_TOL = 1e-9
-
-#: Acceptance probabilities at or below this are treated as "setting erased".
-ZERO_ACCEPTANCE = 1e-12
 
 
 class ZeroAcceptanceError(ValueError):
@@ -48,8 +44,6 @@ class LossyDevice:
         settings: Sequence[str],
         outcomes: Sequence[str],
         povm: Mapping[str, Mapping[str, np.ndarray]],
-        completeness_tol: float = COMPLETENESS_TOL,
-        psd_tol: float = PSD_TOL,
     ):
         self.dim = int(dim)
         self.settings = tuple(str(x) for x in settings)
@@ -73,17 +67,17 @@ class LossyDevice:
                 m = as_operator(povm[x][a])
                 if m.shape[0] != self.dim:
                     raise ValueError(f"element ({x!r}, {a!r}) has dimension {m.shape[0]}, expected {self.dim}")
-                eigh_psd(m, psd_tol=psd_tol, name=f"POVM element ({x!r}, {a!r})")
+                eigh_psd(m, name=f"POVM element ({x!r}, {a!r})")
                 row[a] = m
             good_sum = sum(row.values())
             if NOCLICK in povm[x]:
                 row[NOCLICK] = as_operator(povm[x][NOCLICK])
                 res = float(np.max(np.abs(good_sum + row[NOCLICK] - eye)))
-                if res > completeness_tol:
+                if res > COMPLETENESS_TOL:
                     raise ValueError(f"setting {x!r} violates completeness by {res:.3e}")
             else:
                 row[NOCLICK] = eye - good_sum
-            eigh_psd(row[NOCLICK], psd_tol=psd_tol, name=f"POVM element ({x!r}, noclick)")
+            eigh_psd(row[NOCLICK], name=f"POVM element ({x!r}, noclick)")
             for m in row.values():
                 m.setflags(write=False)
             table[x] = row
@@ -108,16 +102,17 @@ class LossyDevice:
         rho = assert_density(rho)
         if rho.shape[0] != self.dim:
             raise ValueError(f"state dimension {rho.shape[0]} does not match device dimension {self.dim}")
-        return min(1.0, max(0.0, expect(self.click_element(x), rho)))
+        return min(1.0, probability(self.click_element(x), rho, f"click at setting {x!r}"))
 
     def outcome_distribution(self, x: str, rho: np.ndarray) -> dict[str, float]:
         """Raw distribution over good outcomes plus noclick."""
         rho = assert_density(rho)
         if rho.shape[0] != self.dim:
             raise ValueError(f"state dimension {rho.shape[0]} does not match device dimension {self.dim}")
-        probs = {a: max(0.0, expect(self.povm[x][a], rho)) for a in (*self.outcomes, NOCLICK)}
+        labels = (*self.outcomes, NOCLICK)
+        probs = {a: probability(self.povm[x][a], rho, f"outcome {a!r} at setting {x!r}") for a in labels}
         total = sum(probs.values())
-        if abs(total - 1.0) > 1e-9:
+        if abs(total - 1.0) > COMPLETENESS_TOL:
             raise ValueError(f"distribution for setting {x!r} sums to {total!r}")
         return probs
 
@@ -146,8 +141,6 @@ class LosslessDevice:
         settings: Sequence[str],
         outcomes: Sequence[str],
         povm: Mapping[str, Mapping[str, np.ndarray]],
-        sum_tol: float = COMPLETENESS_TOL,
-        psd_tol: float = PSD_TOL,
     ):
         self.dim = int(dim)
         self.settings = tuple(str(x) for x in settings)
@@ -158,12 +151,12 @@ class LosslessDevice:
             row = {}
             for a in self.outcomes:
                 m = as_operator(povm[x][a])
-                eigh_psd(m, psd_tol=psd_tol, name=f"element ({x!r}, {a!r})")
+                eigh_psd(m, name=f"element ({x!r}, {a!r})")
                 m.setflags(write=False)
                 row[a] = m
             s = sum(row.values())
             res = float(np.max(np.abs(s @ s - s)))
-            if res > sum_tol:
+            if res > COMPLETENESS_TOL:
                 raise ValueError(f"outcome sum for setting {x!r} is not a projector (residual {res:.3e})")
             table[x] = row
             supports[x] = s
@@ -173,11 +166,11 @@ class LosslessDevice:
     def element(self, x: str, a: str) -> np.ndarray:
         return self.povm[x][a]
 
-    def common_support(self, tol: float = COMPLETENESS_TOL) -> np.ndarray | None:
+    def common_support(self) -> np.ndarray | None:
         """The shared support projector, or None if it differs across settings."""
         first = self.support[self.settings[0]]
         for x in self.settings[1:]:
-            if np.max(np.abs(self.support[x] - first)) > tol:
+            if np.max(np.abs(self.support[x] - first)) > COMPLETENESS_TOL:
                 return None
         return first
 

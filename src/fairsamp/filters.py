@@ -16,10 +16,8 @@ from typing import Mapping
 import numpy as np
 
 from .device import NOCLICK, LossyDevice, LosslessDevice, ZeroAcceptanceError
-from .linalg import as_operator, dagger, expect, sqrt_pinv_sqrt
+from .linalg import COMPLETENESS_TOL, ZERO_ACCEPTANCE, as_operator, dagger, expect, sqrt_pinv_sqrt
 from .sampling import verification_states
-
-KRAUS_TOL = 1e-9
 
 
 @dataclass(frozen=True)
@@ -33,7 +31,7 @@ class QuantumFilter:
         fc = as_operator(self.kraus_click)
         fn = as_operator(self.kraus_noclick)
         res = np.max(np.abs(dagger(fc) @ fc + dagger(fn) @ fn - np.eye(fc.shape[0])))
-        if res > KRAUS_TOL:
+        if res > COMPLETENESS_TOL:
             raise ValueError(f"Kraus completeness violated by {float(res):.3e}")
 
     @property
@@ -62,14 +60,14 @@ class ClassicalFilter:
 
     def __post_init__(self):
         for x, p in self.accept_prob.items():
-            if not -1e-12 <= p <= 1.0 + 1e-12:
+            if not -ZERO_ACCEPTANCE <= p <= 1.0 + ZERO_ACCEPTANCE:
                 raise ValueError(f"accept_prob[{x!r}] = {p!r} outside [0, 1]")
         if self.transition is not None:
             for x, row in self.transition.items():
                 total = sum(row.values())
-                if total > 1.0 + 1e-9 or any(p < -1e-12 for p in row.values()):
+                if total > 1.0 + COMPLETENESS_TOL or any(p < -ZERO_ACCEPTANCE for p in row.values()):
                     raise ValueError(f"transition row {x!r} is not sub-normalized")
-                if abs(total - self.accept_prob[x]) > 1e-9:
+                if abs(total - self.accept_prob[x]) > COMPLETENESS_TOL:
                     raise ValueError(f"accept_prob[{x!r}] inconsistent with transition row sum")
 
 
@@ -144,7 +142,7 @@ def classical_normal_form(
     kept: list[str] = []
     for x, row in fc.transition.items():
         acc = sum(row.values())
-        if acc <= 1e-12:
+        if acc <= ZERO_ACCEPTANCE:
             warnings.warn(f"setting {x!r} has zero acceptance and is erased", stacklevel=2)
             continue
         kept.append(x)

@@ -14,10 +14,20 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
+# The tolerance policy: every numerical threshold of the package is defined here and only here.
+#: Largest entry of m - m^dagger accepted for a Hermitian input.
 HERMITICITY_TOL = 1e-10
+#: Eigenvalues in [-PSD_TOL, 0) are clamped to 0; a state's trace may miss 1 by this much.
 PSD_TOL = 1e-10
 #: Relative eigenvalue cutoff for rank decisions (scaled by the largest eigenvalue).
 CUTOFF_FACTOR = 1e-9
+#: Residual allowed in POVM and Kraus completeness and in probability sums; a
+#: trace read as a probability may fall this far below 0 before it is an error.
+COMPLETENESS_TOL = 1e-9
+#: A click element or acceptance probability at or below this means the setting is erased.
+ZERO_ACCEPTANCE = 1e-12
+#: Exact fair-sampling decisions: proportionality, reference-support leakage.
+VERDICT_TOL = 1e-8
 #: Hard cap on matrix dimension; dense eigendecompositions only.
 MAX_DIM = 4096
 
@@ -44,67 +54,62 @@ def dagger(m: np.ndarray) -> np.ndarray:
     return np.conj(m).T
 
 
-def assert_hermitian(m, tol: float = HERMITICITY_TOL, name: str = "matrix") -> np.ndarray:
+def assert_hermitian(m, name: str = "matrix") -> np.ndarray:
     a = as_operator(m)
     dev = float(np.max(np.abs(a - dagger(a))))
-    if dev > tol:
-        raise NotHermitianError(f"{name} deviates from Hermiticity by {dev:.3e} (tol {tol:.1e})")
+    if dev > HERMITICITY_TOL:
+        raise NotHermitianError(f"{name} deviates from Hermiticity by {dev:.3e} (tol {HERMITICITY_TOL:.1e})")
     return a
 
 
-def eigh_psd(m, psd_tol: float = PSD_TOL, name: str = "matrix") -> tuple[np.ndarray, np.ndarray]:
+def eigh_psd(m, name: str = "matrix") -> tuple[np.ndarray, np.ndarray]:
     """Eigendecomposition of a PSD-within-tolerance Hermitian matrix.
 
-    Eigenvalues in [-psd_tol, 0) are clamped to 0 so that numerical PSD drift
-    does not abort an analysis; anything below -psd_tol raises.
+    Eigenvalues in [-PSD_TOL, 0) are clamped to 0 so that numerical PSD drift
+    does not abort an analysis; anything below -PSD_TOL raises.
     Returns (eigenvalues ascending, eigenvector columns).
     """
     a = assert_hermitian(m, name=name)
     w, v = np.linalg.eigh(a)
-    if w[0] < -psd_tol:
-        raise NotPositiveError(f"{name} has negative eigenvalue {w[0]:.3e} (tol {psd_tol:.1e})")
+    if w[0] < -PSD_TOL:
+        raise NotPositiveError(f"{name} has negative eigenvalue {w[0]:.3e} (tol {PSD_TOL:.1e})")
     return np.clip(w, 0.0, None), v
 
 
-def assert_density(rho, tol: float = PSD_TOL, name: str = "state") -> np.ndarray:
-    """Validate a density matrix: Hermitian, PSD within tol, unit trace."""
+def assert_density(rho, name: str = "state") -> np.ndarray:
+    """Validate a density matrix: Hermitian, PSD and of unit trace within PSD_TOL."""
     a = as_operator(rho)
-    eigh_psd(a, psd_tol=tol, name=name)
+    eigh_psd(a, name=name)
     tr = float(np.trace(a).real)
-    if abs(tr - 1.0) > 1e-10:
+    if abs(tr - 1.0) > PSD_TOL:
         raise ValueError(f"{name} has trace {tr!r}, expected 1")
     return a
 
 
-def _effective_cutoff(w: np.ndarray, cutoff: float | None) -> float:
-    if cutoff is not None:
-        return cutoff
-    top = float(w[-1]) if w.size else 0.0
-    return CUTOFF_FACTOR * top
+def _above_cutoff(w: np.ndarray) -> np.ndarray:
+    """Mask of the eigenvalues above CUTOFF_FACTOR times the largest one (scale-invariant rank)."""
+    return w > CUTOFF_FACTOR * w.max(initial=0.0)
 
 
-def support_projector(m, cutoff: float | None = None, psd_tol: float = PSD_TOL) -> np.ndarray:
+def support_projector(m) -> np.ndarray:
     """Projector onto the span of eigenvectors with eigenvalue above the cutoff.
 
-    The default cutoff is CUTOFF_FACTOR times the largest eigenvalue, which
-    makes the rank decision scale-invariant.
+    The cutoff is CUTOFF_FACTOR times the largest eigenvalue, which makes the
+    rank decision scale-invariant.
     """
-    w, v = eigh_psd(m, psd_tol=psd_tol, name="support_projector input")
-    keep = w > _effective_cutoff(w, cutoff)
-    vk = v[:, keep]
+    w, v = eigh_psd(m, name="support_projector input")
+    vk = v[:, _above_cutoff(w)]
     return vk @ dagger(vk)
 
 
-def sqrt_pinv_sqrt(
-    m, cutoff: float | None = None, psd_tol: float = PSD_TOL
-) -> tuple[np.ndarray, np.ndarray]:
+def sqrt_pinv_sqrt(m) -> tuple[np.ndarray, np.ndarray]:
     """Square root and pseudo-inverse square root of a PSD matrix.
 
     Spectral mapping with p -> sqrt(p) and p -> 1/sqrt(p) for p above the
     cutoff, and 0 otherwise, so the pseudo-inverse is defined on the support.
     """
-    w, v = eigh_psd(m, psd_tol=psd_tol, name="sqrt input")
-    keep = w > _effective_cutoff(w, cutoff)
+    w, v = eigh_psd(m, name="sqrt input")
+    keep = _above_cutoff(w)
     sq = np.where(keep, np.sqrt(np.where(keep, w, 1.0)), 0.0)
     inv = np.where(keep, 1.0 / np.where(keep, sq, 1.0), 0.0)
     return (v * sq) @ dagger(v), (v * inv) @ dagger(v)
@@ -171,3 +176,11 @@ def projector(vec) -> np.ndarray:
 def expect(op: np.ndarray, rho: np.ndarray) -> float:
     """Real part of Tr(op rho)."""
     return float(np.trace(np.asarray(op) @ np.asarray(rho)).real)
+
+
+def probability(op: np.ndarray, rho: np.ndarray, name: str) -> float:
+    """Tr(op rho) as the probability of ``name``: drift down to -COMPLETENESS_TOL reads as 0."""
+    p = expect(op, rho)
+    if p < -COMPLETENESS_TOL:
+        raise NotPositiveError(f"{name} has negative probability {p:.3e} (tol {COMPLETENESS_TOL:.1e})")
+    return max(0.0, p)

@@ -17,7 +17,7 @@ from typing import Any, Mapping
 import numpy as np
 
 from .analysis import FairSamplingVerdict
-from .bell import BellCoeffs, BellScenario
+from .bell import LABEL_SEP, BellCoeffs, BellScenario
 from .device import NOCLICK, LossyDevice
 from .filters import FilterDecomposition
 
@@ -136,11 +136,11 @@ def scenario_to_json(sc: BellScenario) -> dict:
     return out
 
 
-def distribution_to_json(dist: Mapping, joiner: str = ",") -> dict:
-    """Distributions keyed by outcome tuples flatten to joined string keys."""
+def distribution_to_json(dist: Mapping) -> dict:
+    """Distributions keyed by outcome tuples flatten to ``LABEL_SEP``-joined string keys."""
     out = {}
     for key, p in dist.items():
-        label = joiner.join(key) if isinstance(key, tuple) else str(key)
+        label = LABEL_SEP.join(key) if isinstance(key, tuple) else str(key)
         out[label] = sig15(p)
     return out
 

@@ -95,6 +95,25 @@ class TestApproximateEpsilon:
             assert approximate_epsilon(dev, verdict.quantum_elem) <= 1e-8
 
 
+class TestErasure:
+    """A setting whose click element has norm at most ZERO_ACCEPTANCE is erased."""
+
+    @staticmethod
+    def faint_device(scale):
+        povm = {"x": {"a": 0.5 * np.eye(2)}, "faint": {"a": scale * np.diag([0.0, 1.0])}}
+        return LossyDevice(2, ["x", "faint"], ["a"], povm)
+
+    def test_faint_setting_is_erased(self):
+        dev = self.faint_device(1e-13)
+        assert approximate_epsilon(dev, np.eye(2)) == 0.0
+        assert ideal_device_from(dev, np.eye(2)).settings == ("x",)
+        np.testing.assert_allclose(default_mq(dev), np.eye(2), atol=1e-12)
+
+    def test_weak_setting_is_live(self):
+        dev = self.faint_device(1e-6)
+        assert approximate_epsilon(dev, np.eye(2)) == pytest.approx(1.0, abs=1e-12)
+
+
 class TestDefaultMq:
     def test_exact_device_recovers_reference(self, rng):
         dev = random_fair_sampling_device(3, 2, 2, rng)

@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from fairsamp.adversary import makarov_traced
 from fairsamp.analysis import approximate_epsilon, check_exact
@@ -208,6 +210,12 @@ class TestEpsilonComposition:
                 )
 
 
+    def test_joint_device_rejects_separator_in_labels(self):
+        comma = projective_qubit_device({"z": 0.0}, outcomes=("p,q", "p"))
+        with pytest.raises(ValueError, match="party 1 label 'p,q'"):
+            joint_device([projective_qubit_device({"z": 0.0}), comma])
+
+
 class TestBellFunctional:
     def test_chsh_value_and_beta(self):
         sc = chsh_singlet_scenario()
@@ -275,3 +283,29 @@ class TestBellFunctional:
             ideal_dists = {xs: ideal.joint_raw(xs) for xs in needed}
             measured = abs(bell_value(ps, coeffs_d) - bell_value(ideal_dists, coeffs_d))
             assert measured <= deviation_bound(eps_tot, beta) + 1e-9
+
+
+@settings(max_examples=25, deadline=None)
+@given(
+    eps=st.lists(st.floats(0.0, 0.99), min_size=1, max_size=4),
+    k=st.integers(0, 3),
+    raised=st.floats(0.0, 0.99),
+)
+def test_epsilon_total_is_monotone_and_bracketed(eps, k, raised):
+    total = epsilon_total(eps)
+    assert max(eps) - 1e-12 <= total <= sum(eps) + 1e-12
+    k %= len(eps)
+    bigger = [*eps[:k], max(eps[k], raised), *eps[k + 1:]]
+    assert epsilon_total(bigger) >= total
+
+
+@settings(max_examples=25, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), dims=st.lists(st.integers(2, 3), min_size=1, max_size=3))
+def test_fair_devices_postselect_to_the_ideal_experiment(seed, dims):
+    rng = np.random.default_rng(seed)
+    devices = [
+        random_fair_sampling_device(d, int(rng.integers(2, 4)), int(rng.integers(2, 4)), rng)
+        for d in dims
+    ]
+    sc = BellScenario(devices, random_density(int(np.prod(dims)), rng))
+    assert postselected_vs_ideal_deviation(sc, ideal_scenario(sc)) <= 1e-9

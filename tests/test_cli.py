@@ -35,6 +35,34 @@ def chsh_file(tmp_path):
     return path
 
 
+def silent_device():
+    """Half-efficiency Z measurement at setting "0"; setting "dead" never clicks."""
+    from fairsamp.device import LossyDevice
+
+    return LossyDevice(
+        2,
+        ["0", "dead"],
+        ["+", "-"],
+        {
+            "0": {"+": 0.5 * np.diag([1.0, 0.0]), "-": 0.5 * np.diag([0.0, 1.0])},
+            "dead": {"+": np.zeros((2, 2)), "-": np.zeros((2, 2))},
+        },
+    )
+
+
+@pytest.fixture
+def dead_file(tmp_path):
+    """Singlet measured by the silent device and a lossless Z measurement."""
+    from fairsamp.bell import BellScenario
+    from fairsamp.cli import singlet_state
+    from fairsamp.device import projective_qubit_device
+
+    sc = BellScenario([silent_device(), projective_qubit_device({"0": 0.0})], singlet_state())
+    path = tmp_path / "dead.json"
+    serialize.dump_json(serialize.scenario_to_json(sc), path)
+    return path
+
+
 class TestCheck:
     def test_fair_device_exits_zero(self, traced_file, capsys):
         assert main(["check", str(traced_file)]) == 0
@@ -62,6 +90,24 @@ class TestCheck:
         serialize.dump_json(obj, path)
         assert main(["check", str(path)]) == 1
         assert "completeness" in capsys.readouterr().err
+
+    def test_mq_sets_support(self, unequal_file, tmp_path, capsys):
+        device, _ = unequal_file
+        identity = tmp_path / "identity.json"
+        serialize.dump_json(serialize.matrix_to_json(np.eye(6)), identity)
+        main(["check", str(device), "--mq", str(identity)])
+        payload = json.loads(capsys.readouterr().out)
+        np.testing.assert_array_equal(serialize.matrix_from_json(payload["mq"]), np.eye(6))
+        np.testing.assert_allclose(serialize.matrix_from_json(payload["support"]), np.eye(6), atol=1e-12)
+
+    def test_dead_setting_erased_from_verdict(self, tmp_path, capsys):
+        path = tmp_path / "silent.json"
+        serialize.dump_json(serialize.device_to_json(silent_device()), path)
+        assert main(["check", str(path)]) == 0
+        payload = json.loads(capsys.readouterr().out)
+        assert payload["weak"] and payload["strong"] and not payload["homogeneous"]
+        assert payload["epsilon"] == 0.0
+        assert payload["classical_eff"] == {"0": 0.5, "dead": 0.0}
 
 
 class TestDecompose:
@@ -134,6 +180,29 @@ class TestSimulate:
         assert report["erased"] == ["dead,0"]
         assert "dead,0" not in report["postselected"]
 
+    def test_dead_setting_still_compared_with_ideal(self, dead_file, capsys):
+        assert main(["simulate", str(dead_file), "--postselect"]) == 0
+        report = json.loads(capsys.readouterr().out)
+        assert report["erased"] == ["dead,0"]
+        assert report["ideal_deviation"] <= 1e-9
+
+    def test_separator_in_outcome_label_rejected(self, tmp_path, capsys):
+        from fairsamp.cli import singlet_state
+        from fairsamp.device import LossyDevice
+
+        def device(outcomes):
+            povm = {"z": {outcomes[0]: np.diag([1.0, 0.0]), outcomes[1]: np.diag([0.0, 1.0])}}
+            return serialize.device_to_json(LossyDevice(2, ["z"], outcomes, povm))
+
+        obj = {
+            "parties": [{"device": device(["p,q", "p"])}, {"device": device(["r", "q,r"])}],
+            "state": serialize.matrix_to_json(singlet_state()),
+        }
+        path = tmp_path / "commas.json"
+        serialize.dump_json(obj, path)
+        assert main(["simulate", str(path)]) == 1
+        assert "'p,q'" in capsys.readouterr().err
+
 
 class TestBound:
     def test_exact_scenario_bounds_are_zero(self, chsh_file, capsys):
@@ -184,6 +253,13 @@ class TestBound:
         assert report["bell_deviation_bound"] == pytest.approx(
             2.0 * report["epsilon_total"] * 4.0, abs=1e-12
         )
+
+
+    def test_dead_setting_is_erased(self, dead_file, capsys):
+        assert main(["bound", str(dead_file)]) == 0
+        report = json.loads(capsys.readouterr().out)
+        assert [party["epsilon"] for party in report["per_party"]] == [0.0, 0.0]
+        assert report["measured_joint_deviation"] <= 1e-9
 
 
 class TestJointStatisticsReuse:

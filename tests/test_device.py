@@ -11,7 +11,7 @@ from fairsamp.device import (
     projective_qubit_device,
     total_variation,
 )
-from fairsamp.linalg import projector
+from fairsamp.linalg import NotPositiveError, projector
 from fairsamp.optics import single_photon_analyser
 from fairsamp.sampling import random_density
 
@@ -139,6 +139,16 @@ class TestDistributions:
         dev = LossyDevice(2, ["x"], ["a"], {"x": {"a": np.zeros((2, 2))}})
         with pytest.raises(ZeroAcceptanceError, match="erase"):
             dev.postselected_distribution("x", np.eye(2) / 2.0)
+
+    def test_negative_probability_beyond_tolerance_raises(self):
+        # Element and state each pass the PSD check, yet their negative
+        # eigenvalues add up to a probability below -COMPLETENESS_TOL.
+        dim = 20
+        rho = np.diag([1.0 + (dim - 1) * 0.9e-10] + [-0.9e-10] * (dim - 1))
+        low = np.diag([0.0] + [1.0] * (dim - 1))
+        dev = LossyDevice(dim, ["x"], ["a", "b"], {"x": {"a": low, "b": np.eye(dim) - low}})
+        with pytest.raises(NotPositiveError, match="outcome 'a' at setting 'x'"):
+            dev.outcome_distribution("x", rho)
 
 
 class TestLosslessDevice:
