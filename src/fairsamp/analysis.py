@@ -99,7 +99,7 @@ def check_exact(dev: LossyDevice, tol: float = VERDICT_TOL) -> FairSamplingVerdi
     norms = [operator_norm(m) for m in clicks]
     live = [(m, s) for m, s in zip(clicks, norms) if s > ZERO_ACCEPTANCE]
     if not live:
-        raise ValueError("all click elements vanish; the device never accepts")
+        raise ZeroAcceptanceError("all click elements vanish; the device never accepts")
     classical_eff = dict(zip(dev.settings, norms))
 
     weak = _pairwise_proportional([m for m, _ in live], tol)
@@ -190,6 +190,17 @@ def ideal_device_from(dev: LossyDevice, mq: np.ndarray) -> LosslessDevice:
     uniformly over the outcomes so completeness holds exactly.  Only the
     live settings get a POVM: erased ones never appear in post-selected data.
     """
+    ideal, epsilon = _ideal_device_and_epsilon(dev, mq)
+    if ideal is None:
+        raise ValueError(f"approximate deviation {epsilon:.3f} >= 1; no ideal device exists")
+    return ideal
+
+
+def _ideal_device_and_epsilon(dev: LossyDevice, mq: np.ndarray) -> tuple[LosslessDevice | None, float]:
+    """``ideal_device_from`` and ``approximate_epsilon`` from one conjugation pass.
+
+    The device is None when epsilon >= 1, where no ideal device exists.
+    """
     pi, pinv = _reference(mq)
     epsilon = 0.0
     povm: dict[str, dict[str, np.ndarray]] = {}
@@ -199,8 +210,8 @@ def ideal_device_from(dev: LossyDevice, mq: np.ndarray) -> LosslessDevice:
         deficit = gap / len(dev.outcomes)
         povm[x] = {a: pinv @ dev.element(x, a) @ pinv / s + deficit for a in dev.outcomes}
     if epsilon >= 1.0:
-        raise ValueError(f"approximate deviation {epsilon:.3f} >= 1; no ideal device exists")
-    return LosslessDevice(dev.dim, list(povm), dev.outcomes, povm)
+        return None, epsilon
+    return LosslessDevice(dev.dim, list(povm), dev.outcomes, povm), epsilon
 
 
 def filtered_state(mq: np.ndarray, rho: np.ndarray) -> tuple[np.ndarray, float]:

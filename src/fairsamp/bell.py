@@ -16,10 +16,10 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from .analysis import approximate_epsilon, check_exact, ideal_device_from
-from .device import NOCLICK, LossyDevice, ZeroAcceptanceError
+from .analysis import _ideal_device_and_epsilon, check_exact, ideal_device_from
+from .device import NOCLICK, LosslessDevice, LossyDevice, ZeroAcceptanceError
 from .linalg import (
-    COMPLETENESS_TOL, ZERO_ACCEPTANCE, as_operator, assert_density, probability, sqrt_pinv_sqrt, tensor
+    COMPLETENESS_TOL, ZERO_ACCEPTANCE, as_operator, assert_density, read_probability, sqrt_pinv_sqrt, tensor
 )
 
 #: Bell coefficients: (settings tuple, outcomes tuple) -> real weight.
@@ -73,13 +73,32 @@ class BellScenario:
                 raise KeyError(f"unknown setting {x!r}")
         return xs
 
+    def _contract(self, stacks: Sequence[np.ndarray]) -> np.ndarray:
+        """Re Tr((F_0[a_0] x ... x F_{n-1}[a_{n-1}]) psi) for per-party stacks F_k of shape (m_k, d_k, d_k).
+
+        ``psi`` is reshaped to 2n legs (rows, then columns) and each party's
+        stack is contracted into it in turn, so the cost is about
+        D^2 * m_0 rather than one D x D Kronecker product and trace per
+        outcome tuple.  Party k's row leg is always axis 0 and its column leg
+        axis n - k; the outcome axes collect at the end in party order.
+        """
+        n = self.n_parties
+        t = self.psi.reshape([dev.dim for dev in self.devices] * 2)
+        for k, stack in enumerate(stacks):
+            # Tr(E psi) = sum_ij E[i, j] psi[j, i]: E's row index meets psi's column leg.
+            t = np.tensordot(t, stack, axes=([0, n - k], [2, 1]))
+        return t.real
+
     def _table(self, xs: tuple[str, ...], alphabets: Sequence[Sequence[str]]) -> dict:
         """Probability of every outcome tuple in the product of ``alphabets`` at settings ``xs``."""
-        dist = {}
-        for outs in itertools.product(*alphabets):
-            op = tensor([dev.element(x, a) for dev, x, a in zip(self.devices, xs, outs)])
-            dist[outs] = probability(op, self.psi, f"outcomes {outs!r} at settings {xs!r}")
-        return dist
+        probs = self._contract(
+            [np.stack([dev.element(x, a) for a in alph]) for dev, x, alph in zip(self.devices, xs, alphabets)]
+        )
+        flat = probs.ravel()
+        worst = int(np.argmin(flat))
+        outs = tuple(alph[i] for alph, i in zip(alphabets, np.unravel_index(worst, probs.shape)))
+        read_probability(float(flat[worst]), f"outcomes {outs!r} at settings {xs!r}")
+        return dict(zip(itertools.product(*alphabets), np.maximum(flat, 0.0).tolist()))
 
     def joint_raw(self, xs: Sequence[str]) -> dict[tuple[str, ...], float]:
         """Joint distribution over outcome tuples, no-click included."""
@@ -88,8 +107,8 @@ class BellScenario:
 
     def all_click_probability(self, xs: Sequence[str]) -> float:
         xs = self._check_settings(xs)
-        op = tensor([dev.click_element(x) for dev, x in zip(self.devices, xs)])
-        return probability(op, self.psi, f"all-click at settings {xs!r}")
+        acc = self._contract([dev.click_element(x)[None] for dev, x in zip(self.devices, xs)])
+        return read_probability(float(acc.sum()), f"all-click at settings {xs!r}")
 
     def joint_postselected(self, xs: Sequence[str]) -> dict[tuple[str, ...], float]:
         """Joint distribution over good outcome tuples, conditioned on all parties clicking."""
@@ -159,9 +178,13 @@ def ideal_scenario(sc: BellScenario, mqs: Sequence[np.ndarray] | None = None) ->
             if not verdict.weak:
                 raise ValueError(f"party {k} fails the exact fair-sampling check")
             mqs.append(verdict.quantum_elem)
-    ideal = [ideal_device_from(dev, mq).to_lossy() for dev, mq in zip(sc.devices, mqs)]
+    return _ideal_from(sc, [ideal_device_from(dev, mq) for dev, mq in zip(sc.devices, mqs)], mqs)
+
+
+def _ideal_from(sc: BellScenario, ideal: Sequence[LosslessDevice], mqs: Sequence[np.ndarray]) -> BellScenario:
+    """Scenario measuring the filtered state with the per-party ideal devices ``ideal``."""
     psi_click, _ = filtered_global_state(mqs, sc.psi)
-    return BellScenario(ideal, psi_click, sc.bell_coeffs)
+    return BellScenario([dev.to_lossy() for dev in ideal], psi_click, sc.bell_coeffs)
 
 
 def _postselected_and_ideal(sc: BellScenario, ideal: BellScenario) -> dict:
@@ -294,9 +317,10 @@ class BoundReport:
 
 def bound_report(sc: BellScenario, mqs: Sequence[np.ndarray]) -> BoundReport:
     """Epsilons against ``mqs`` and the deviations from the ideal experiment built from them."""
-    eps = [approximate_epsilon(dev, mq) for dev, mq in zip(sc.devices, mqs)]
-    eps_tot = epsilon_total(eps)
-    tables = _postselected_and_ideal(sc, ideal_scenario(sc, mqs))
+    built = [_ideal_device_and_epsilon(dev, mq) for dev, mq in zip(sc.devices, mqs)]
+    eps = [e for _, e in built]
+    eps_tot = epsilon_total(eps)  # raises for an epsilon >= 1, where no ideal device exists
+    tables = _postselected_and_ideal(sc, _ideal_from(sc, [dev for dev, _ in built], mqs))
     beta = bell_deviation = None
     if sc.bell_coeffs is not None:
         needed = _bell_settings(sc)

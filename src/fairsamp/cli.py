@@ -131,8 +131,10 @@ def cmd_simulate(args) -> int:
         if all(v.weak for v in verdicts):
             ideal = ideal_scenario(sc, [v.quantum_elem for v in verdicts])
             report["ideal_deviation"] = serialize.sig15(postselected_vs_ideal_deviation(sc, ideal))
-    except ValueError:
-        pass  # a device never clicks or the filters never accept: no ideal experiment
+    except ZeroAcceptanceError as exc:
+        sys.stderr.write(f"note: no ideal experiment, ideal_deviation omitted: {exc}\n")
+    except ValueError as exc:
+        return _fail(f"error: {exc}")
     _emit(report, args.output)
     return 0
 

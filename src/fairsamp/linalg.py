@@ -174,13 +174,17 @@ def projector(vec) -> np.ndarray:
 
 
 def expect(op: np.ndarray, rho: np.ndarray) -> float:
-    """Real part of Tr(op rho)."""
-    return float(np.trace(np.asarray(op) @ np.asarray(rho)).real)
+    """Real part of Tr(op rho), read as sum_ij op_ij rho_ji without forming the product."""
+    return float(np.einsum("ij,ji->", np.asarray(op), np.asarray(rho)).real)
+
+
+def read_probability(p: float, name: str) -> float:
+    """``p`` read as the probability of ``name``: drift down to -COMPLETENESS_TOL reads as 0."""
+    if p < -COMPLETENESS_TOL:
+        raise NotPositiveError(f"{name} has negative probability {p:.3e} (tol {COMPLETENESS_TOL:.1e})")
+    return max(0.0, p)
 
 
 def probability(op: np.ndarray, rho: np.ndarray, name: str) -> float:
     """Tr(op rho) as the probability of ``name``: drift down to -COMPLETENESS_TOL reads as 0."""
-    p = expect(op, rho)
-    if p < -COMPLETENESS_TOL:
-        raise NotPositiveError(f"{name} has negative probability {p:.3e} (tol {COMPLETENESS_TOL:.1e})")
-    return max(0.0, p)
+    return read_probability(expect(op, rho), name)

@@ -1,9 +1,11 @@
 """Builders shared between the unit tests and the acceptance suite."""
 
+import itertools
+
 import numpy as np
 
-from fairsamp.device import LossyDevice
-from fairsamp.linalg import projector
+from fairsamp.device import NOCLICK, LossyDevice
+from fairsamp.linalg import probability, projector, tensor
 from fairsamp.sampling import haar_ket, random_fair_sampling_device, random_povm
 
 
@@ -57,3 +59,30 @@ def random_lossy_device(dim, rng, n_outcomes=3, damping=0.85, label="x"):
     return LossyDevice(
         dim, [label], labels, {label: {lab: damping * m for lab, m in zip(labels, elements)}}
     )
+
+
+def kron_table(sc, xs, alphabets):
+    """Reference joint table: one Kronecker product and trace per outcome tuple."""
+    return {
+        outs: probability(
+            tensor([dev.element(x, a) for dev, x, a in zip(sc.devices, xs, outs)]),
+            sc.psi,
+            f"outcomes {outs!r} at settings {xs!r}",
+        )
+        for outs in itertools.product(*alphabets)
+    }
+
+
+def kron_joint_raw(sc, xs):
+    return kron_table(sc, xs, [(*dev.outcomes, NOCLICK) for dev in sc.devices])
+
+
+def kron_all_click_probability(sc, xs):
+    op = tensor([dev.click_element(x) for dev, x in zip(sc.devices, xs)])
+    return probability(op, sc.psi, f"all-click at settings {xs!r}")
+
+
+def kron_joint_postselected(sc, xs):
+    acc = kron_all_click_probability(sc, xs)
+    good = kron_table(sc, xs, [dev.outcomes for dev in sc.devices])
+    return {outs: p / acc for outs, p in good.items()}

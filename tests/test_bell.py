@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import helpers
 from fairsamp.adversary import makarov_traced
 from fairsamp.analysis import approximate_epsilon, check_exact
 from fairsamp.bell import (
@@ -21,9 +22,9 @@ from fairsamp.bell import (
     verify_postselection_equivalence,
 )
 from fairsamp.cli import chsh_coefficients, chsh_singlet_scenario, singlet_state
-from fairsamp.device import NOCLICK, ZeroAcceptanceError, projective_qubit_device
-from fairsamp.linalg import sqrt_pinv_sqrt, tensor
-from fairsamp.sampling import random_density, random_fair_sampling_device
+from fairsamp.device import NOCLICK, LossyDevice, ZeroAcceptanceError, projective_qubit_device
+from fairsamp.linalg import NotPositiveError, sqrt_pinv_sqrt, tensor
+from fairsamp.sampling import random_density, random_fair_sampling_device, random_povm
 
 
 def lossless_z_pair():
@@ -85,6 +86,64 @@ class TestJointRaw:
                 else:
                     for a, p in marginal.items():
                         assert p == pytest.approx(reference[a], abs=1e-9)
+
+
+class TestContraction:
+    """The per-setting-tuple tensor contraction against the Kronecker-product oracle."""
+
+    def test_builds_no_kronecker_product(self, rng, monkeypatch):
+        import fairsamp.bell
+        import fairsamp.linalg
+
+        def forbidden(ops):
+            raise AssertionError("joint tables must not call linalg.tensor")
+
+        sc = random_scenario(rng, n_parties=3, dim_range=(2, 3))
+        monkeypatch.setattr(fairsamp.bell, "tensor", forbidden)
+        monkeypatch.setattr(fairsamp.linalg, "tensor", forbidden)
+        for xs in sc.setting_tuples():
+            sc.joint_raw(xs)
+            sc.all_click_probability(xs)
+            sc.joint_postselected(xs)
+
+    def test_negative_probability_names_outcome_and_settings(self):
+        dev_a = projective_qubit_device({"z": 0.0})
+        dev_b = projective_qubit_device({"z": 0.0})
+        sc = BellScenario([dev_a, dev_b], singlet_state())
+        dev_a.povm["z"]["+"] = -np.diag([1.0, 0.0])
+        with pytest.raises(NotPositiveError, match=r"outcomes \('\+', '-'\) at settings \('z', 'z'\)"):
+            sc.joint_raw(("z", "z"))
+
+
+def random_multisetting_device(rng, dim, n_settings, n_outcomes):
+    """Device whose settings each keep all but the last element of a random POVM as good outcomes."""
+    outcomes = [f"a{i}" for i in range(n_outcomes)]
+    povm = {
+        f"x{s}": dict(zip(outcomes, random_povm(dim, n_outcomes + 1, rng)[:n_outcomes]))
+        for s in range(n_settings)
+    }
+    return LossyDevice(dim, list(povm), outcomes, povm)
+
+
+@settings(max_examples=25, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    parties=st.lists(
+        st.tuples(st.integers(2, 4), st.integers(2, 3), st.integers(2, 3)), min_size=1, max_size=4
+    ),
+)
+def test_joint_tables_match_the_kronecker_oracle(seed, parties):
+    rng = np.random.default_rng(seed)
+    devices = [random_multisetting_device(rng, d, m, k) for d, m, k in parties]
+    sc = BellScenario(devices, random_density(int(np.prod([d for d, _, _ in parties])), rng))
+    xs = tuple(dev.settings[int(rng.integers(len(dev.settings)))] for dev in devices)
+    for table, oracle in (
+        (sc.joint_raw(xs), helpers.kron_joint_raw(sc, xs)),
+        (sc.joint_postselected(xs), helpers.kron_joint_postselected(sc, xs)),
+    ):
+        assert list(table) == list(oracle)
+        assert max(abs(table[outs] - oracle[outs]) for outs in oracle) <= 1e-12
+    assert abs(sc.all_click_probability(xs) - helpers.kron_all_click_probability(sc, xs)) <= 1e-12
 
 
 class TestJointPostselected:
@@ -159,6 +218,13 @@ class TestPostselectionEquivalence:
 
     def test_single_party_case(self, rng):
         sc = random_scenario(rng, n_parties=1)
+        assert verify_postselection_equivalence(sc, tol=1e-9) <= 1e-9
+
+    def test_four_qudit_parties(self):
+        # D = 256: 0.1 s with the contraction, about 15 s with one Kronecker product per outcome tuple.
+        rng = np.random.default_rng(7)
+        devices = [random_fair_sampling_device(4, 2, 3, rng) for _ in range(4)]
+        sc = BellScenario(devices, random_density(256, rng))
         assert verify_postselection_equivalence(sc, tol=1e-9) <= 1e-9
 
     def test_rejects_unfair_device(self):

@@ -186,6 +186,45 @@ class TestSimulate:
         assert report["erased"] == ["dead,0"]
         assert report["ideal_deviation"] <= 1e-9
 
+    def test_no_ideal_experiment_omits_ideal_deviation(self, chsh_file, monkeypatch, capsys):
+        from fairsamp.device import ZeroAcceptanceError
+
+        def no_ideal(sc, ideal):
+            raise ZeroAcceptanceError("global filter acceptance 0.000e+00 vanishes")
+
+        monkeypatch.setattr("fairsamp.cli.postselected_vs_ideal_deviation", no_ideal)
+        assert main(["simulate", str(chsh_file), "--postselect"]) == 0
+        out, err = capsys.readouterr()
+        assert "ideal_deviation" not in json.loads(out)
+        assert err.count("\n") == 1 and "global filter acceptance" in err
+
+    def test_never_clicking_device_omits_ideal_deviation(self, tmp_path, capsys):
+        from fairsamp.bell import BellScenario
+        from fairsamp.cli import singlet_state
+        from fairsamp.device import LossyDevice, projective_qubit_device
+
+        blind = LossyDevice(2, ["0"], ["+", "-"], {"0": {"+": np.zeros((2, 2)), "-": np.zeros((2, 2))}})
+        sc = BellScenario([blind, projective_qubit_device({"0": 0.0})], singlet_state())
+        path = tmp_path / "blind.json"
+        serialize.dump_json(serialize.scenario_to_json(sc), path)
+        assert main(["simulate", str(path), "--postselect"]) == 0
+        out, err = capsys.readouterr()
+        report = json.loads(out)
+        assert report["erased"] == ["0,0"] and "ideal_deviation" not in report
+        assert "never accepts" in err
+
+    def test_other_ideal_errors_exit_one(self, chsh_file, monkeypatch, capsys):
+        from fairsamp.linalg import NotPositiveError
+
+        def broken(sc, ideal):
+            raise NotPositiveError("outcomes ('+', '+') at settings ('0', '0') has negative probability")
+
+        monkeypatch.setattr("fairsamp.cli.postselected_vs_ideal_deviation", broken)
+        assert main(["simulate", str(chsh_file), "--postselect"]) == 1
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert "error: outcomes ('+', '+') at settings ('0', '0')" in err
+
     def test_separator_in_outcome_label_rejected(self, tmp_path, capsys):
         from fairsamp.cli import singlet_state
         from fairsamp.device import LossyDevice
@@ -260,6 +299,21 @@ class TestBound:
         report = json.loads(capsys.readouterr().out)
         assert [party["epsilon"] for party in report["per_party"]] == [0.0, 0.0]
         assert report["measured_joint_deviation"] <= 1e-9
+
+
+    def test_conjugates_each_party_once(self, chsh_file, monkeypatch, capsys):
+        import fairsamp.analysis
+
+        calls = []
+        original = fairsamp.analysis._conjugated_clicks
+
+        def counted(dev, pi, pinv):
+            calls.append(dev)
+            return original(dev, pi, pinv)
+
+        monkeypatch.setattr(fairsamp.analysis, "_conjugated_clicks", counted)
+        assert main(["bound", str(chsh_file)]) == 0
+        assert len(calls) == 2
 
 
 class TestJointStatisticsReuse:

@@ -9,6 +9,7 @@ from fairsamp.linalg import (
     NotHermitianError,
     NotPositiveError,
     as_operator,
+    expect,
     operator_norm,
     partial_trace,
     projector,
@@ -98,6 +99,15 @@ class TestNorms:
         a = random_psd(4, rng)
         b = random_psd(4, rng)
         assert operator_norm(a @ b) <= operator_norm(a) * operator_norm(b) + 1e-10
+
+
+class TestExpect:
+    def test_matches_trace_of_product_for_non_hermitian_op(self, rng):
+        for dim in (1, 3, 8):
+            op = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
+            rho = random_psd(dim, rng)
+            rho /= np.trace(rho).real
+            assert expect(op, rho) == pytest.approx(np.trace(op @ rho).real, abs=1e-12)
 
 
 class TestTensorPartialTrace:
