@@ -216,12 +216,15 @@ def _ideal_device_and_epsilon(dev: LossyDevice, mq: np.ndarray) -> tuple[Lossles
 
 def filtered_state(mq: np.ndarray, rho: np.ndarray) -> tuple[np.ndarray, float]:
     """Conjugate a state by sqrt(mq) and renormalize; returns (state, acceptance)."""
-    sq, _ = sqrt_pinv_sqrt(mq)
-    rho = as_operator(rho)
-    branch = sq @ rho @ sq
+    return _filter(sqrt_pinv_sqrt(mq)[0], rho, "filter acceptance {:.3e} vanishes for this state")
+
+
+def _filter(sq: np.ndarray, rho: np.ndarray, vanishing: str) -> tuple[np.ndarray, float]:
+    """``filtered_state`` for the square-root operator ``sq``; ``vanishing`` formats a vanishing acceptance."""
+    branch = sq @ as_operator(rho) @ sq
     eq = float(np.trace(branch).real)
     if eq <= ZERO_ACCEPTANCE:
-        raise ZeroAcceptanceError(f"filter acceptance {eq:.3e} vanishes for this state")
+        raise ZeroAcceptanceError(vanishing.format(eq))
     return branch / eq, eq
 
 

@@ -16,10 +16,10 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from .analysis import _ideal_device_and_epsilon, check_exact, ideal_device_from
+from .analysis import _filter, _ideal_device_and_epsilon, check_exact, ideal_device_from
 from .device import NOCLICK, LosslessDevice, LossyDevice, ZeroAcceptanceError
 from .linalg import (
-    COMPLETENESS_TOL, ZERO_ACCEPTANCE, as_operator, assert_density, read_probability, sqrt_pinv_sqrt, tensor
+    COMPLETENESS_TOL, ZERO_ACCEPTANCE, assert_density, read_probability, sqrt_pinv_sqrt, tensor
 )
 
 #: Bell coefficients: (settings tuple, outcomes tuple) -> real weight.
@@ -89,8 +89,10 @@ class BellScenario:
             t = np.tensordot(t, stack, axes=([0, n - k], [2, 1]))
         return t.real
 
-    def _table(self, xs: tuple[str, ...], alphabets: Sequence[Sequence[str]]) -> dict:
-        """Probability of every outcome tuple in the product of ``alphabets`` at settings ``xs``."""
+    def joint_raw(self, xs: Sequence[str]) -> dict[tuple[str, ...], float]:
+        """Joint distribution over outcome tuples, no-click included."""
+        xs = self._check_settings(xs)
+        alphabets = [(*dev.outcomes, NOCLICK) for dev in self.devices]
         probs = self._contract(
             [np.stack([dev.element(x, a) for a in alph]) for dev, x, alph in zip(self.devices, xs, alphabets)]
         )
@@ -100,26 +102,38 @@ class BellScenario:
         read_probability(float(flat[worst]), f"outcomes {outs!r} at settings {xs!r}")
         return dict(zip(itertools.product(*alphabets), np.maximum(flat, 0.0).tolist()))
 
-    def joint_raw(self, xs: Sequence[str]) -> dict[tuple[str, ...], float]:
-        """Joint distribution over outcome tuples, no-click included."""
-        xs = self._check_settings(xs)
-        return self._table(xs, [(*dev.outcomes, NOCLICK) for dev in self.devices])
-
     def all_click_probability(self, xs: Sequence[str]) -> float:
-        xs = self._check_settings(xs)
-        acc = self._contract([dev.click_element(x)[None] for dev, x in zip(self.devices, xs)])
-        return read_probability(float(acc.sum()), f"all-click at settings {xs!r}")
+        return _acceptance(self.joint_raw(xs))
 
     def joint_postselected(self, xs: Sequence[str]) -> dict[tuple[str, ...], float]:
         """Joint distribution over good outcome tuples, conditioned on all parties clicking."""
-        xs = self._check_settings(xs)
-        acc = self.all_click_probability(xs)
-        if acc <= ZERO_ACCEPTANCE:
-            raise ZeroAcceptanceError(
-                f"setting tuple {xs!r} has acceptance {acc:.3e}; erase it from the allowed settings"
-            )
-        good = self._table(xs, [dev.outcomes for dev in self.devices])
-        return {outs: p / acc for outs, p in good.items()}
+        return _postselected(xs, self.joint_raw(xs))
+
+
+def _acceptance(raw: Mapping[tuple[str, ...], float]) -> float:
+    """Probability that every party clicks: the sum of the all-click entries of a raw table."""
+    return sum(p for outs, p in raw.items() if NOCLICK not in outs)
+
+
+def _postselected(xs: Sequence[str], raw: Mapping[tuple[str, ...], float]) -> dict[tuple[str, ...], float]:
+    """The all-click entries of ``raw``, the raw table at settings ``xs``, divided by the acceptance."""
+    acc = _acceptance(raw)
+    if acc <= ZERO_ACCEPTANCE:
+        raise ZeroAcceptanceError(
+            f"setting tuple {tuple(xs)!r} has acceptance {acc:.3e}; erase it from the allowed settings"
+        )
+    return {outs: p / acc for outs, p in raw.items() if NOCLICK not in outs}
+
+
+def _postselected_tables(raw: Mapping[tuple[str, ...], Mapping]) -> dict:
+    """Setting tuple -> post-selected table read from its raw table in ``raw``; erased tuples left out."""
+    post = {}
+    for xs, table in raw.items():
+        try:
+            post[xs] = _postselected(xs, table)
+        except ZeroAcceptanceError:
+            pass
+    return post
 
 
 def joint_device(devices: Sequence[LossyDevice]) -> LossyDevice:
@@ -155,14 +169,8 @@ def filtered_global_state(mqs: Sequence[np.ndarray], psi: np.ndarray) -> tuple[n
     Returns the normalized filtered state and the probability that all local
     filters accept simultaneously.
     """
-    psi = as_operator(psi)
-    sqrts = [sqrt_pinv_sqrt(mq)[0] for mq in mqs]
-    big = tensor(sqrts)
-    branch = big @ psi @ big
-    eq = float(np.trace(branch).real)
-    if eq <= ZERO_ACCEPTANCE:
-        raise ZeroAcceptanceError(f"global filter acceptance {eq:.3e} vanishes")
-    return branch / eq, eq
+    sq = tensor([sqrt_pinv_sqrt(mq)[0] for mq in mqs])
+    return _filter(sq, psi, "global filter acceptance {:.3e} vanishes")
 
 
 def ideal_scenario(sc: BellScenario, mqs: Sequence[np.ndarray] | None = None) -> BellScenario:
@@ -187,26 +195,12 @@ def _ideal_from(sc: BellScenario, ideal: Sequence[LosslessDevice], mqs: Sequence
     return BellScenario([dev.to_lossy() for dev in ideal], psi_click, sc.bell_coeffs)
 
 
-def _postselected_and_ideal(sc: BellScenario, ideal: BellScenario) -> dict:
-    """Setting tuple -> (post-selected table of ``sc``, raw table of ``ideal``).
-
-    Setting tuples with vanishing acceptance are erased: they have no entry.
-    """
-    tables = {}
-    for xs in sc.setting_tuples():
-        try:
-            ps = sc.joint_postselected(xs)
-        except ZeroAcceptanceError:
-            continue
-        tables[xs] = (ps, ideal.joint_raw(xs))
-    return tables
-
-
-def _max_deviation(tables: Mapping) -> float:
+def _max_deviation(post: Mapping, ideal_raw: Mapping) -> float:
+    """Max |post-selected - ideal raw| probability over the setting tuples of ``post``."""
     worst = 0.0
-    for ps, raw_ideal in tables.values():
+    for xs, ps in post.items():
         for outs, p in ps.items():
-            worst = max(worst, abs(p - raw_ideal[outs]))
+            worst = max(worst, abs(p - ideal_raw[xs][outs]))
     return worst
 
 
@@ -215,7 +209,8 @@ def postselected_vs_ideal_deviation(sc: BellScenario, ideal: BellScenario) -> fl
 
     Setting tuples with vanishing acceptance are erased rather than compared.
     """
-    return _max_deviation(_postselected_and_ideal(sc, ideal))
+    post = _postselected_tables({xs: sc.joint_raw(xs) for xs in sc.setting_tuples()})
+    return _max_deviation(post, {xs: ideal.joint_raw(xs) for xs in post})
 
 
 def verify_postselection_equivalence(sc: BellScenario, tol: float = COMPLETENESS_TOL) -> float:
@@ -290,18 +285,23 @@ def deviation_bound(eps_tot: float, beta: float) -> float:
     return 2.0 * eps_tot * beta
 
 
-def _bell_settings(sc: BellScenario) -> set[tuple[str, ...]]:
-    """Validate the scenario's Bell coefficients; return the setting tuples they read."""
-    validate_coefficients(sc, sc.bell_coeffs)
-    return {xs for (xs, _) in sc.bell_coeffs}
-
-
 def postselected_bell_value(sc: BellScenario) -> float:
     """Bell functional evaluated on the post-selected distributions."""
     if sc.bell_coeffs is None:
         raise ValueError("scenario declares no Bell coefficients")
-    dists = {xs: sc.joint_postselected(xs) for xs in _bell_settings(sc)}
+    validate_coefficients(sc, sc.bell_coeffs)
+    dists = {xs: sc.joint_postselected(xs) for xs in {xs for (xs, _) in sc.bell_coeffs}}
     return bell_value(dists, sc.bell_coeffs)
+
+
+def _postselected_bell_value(coeffs: BellCoeffs, post: Mapping) -> float:
+    """Bell functional on the post-selected tables ``post``, which lack the erased setting tuples."""
+    erased = {xs for (xs, _) in coeffs} - post.keys()
+    if erased:
+        raise ZeroAcceptanceError(
+            f"Bell coefficients read setting tuples with vanishing acceptance: {sorted(erased)!r}"
+        )
+    return bell_value(post, coeffs)
 
 
 @dataclass
@@ -320,17 +320,13 @@ def bound_report(sc: BellScenario, mqs: Sequence[np.ndarray]) -> BoundReport:
     built = [_ideal_device_and_epsilon(dev, mq) for dev, mq in zip(sc.devices, mqs)]
     eps = [e for _, e in built]
     eps_tot = epsilon_total(eps)  # raises for an epsilon >= 1, where no ideal device exists
-    tables = _postselected_and_ideal(sc, _ideal_from(sc, [dev for dev, _ in built], mqs))
+    post = _postselected_tables({xs: sc.joint_raw(xs) for xs in sc.setting_tuples()})
+    ideal = _ideal_from(sc, [dev for dev, _ in built], mqs)
+    ideal_raw = {xs: ideal.joint_raw(xs) for xs in post}
     beta = bell_deviation = None
     if sc.bell_coeffs is not None:
-        needed = _bell_settings(sc)
-        erased = needed - tables.keys()
-        if erased:
-            raise ZeroAcceptanceError(
-                f"Bell coefficients read setting tuples with vanishing acceptance: {sorted(erased)!r}"
-            )
+        validate_coefficients(sc, sc.bell_coeffs)
         beta = beta_max(sc.bell_coeffs)
-        post_value = bell_value({xs: tables[xs][0] for xs in needed}, sc.bell_coeffs)
-        ideal_value = bell_value({xs: tables[xs][1] for xs in needed}, sc.bell_coeffs)
-        bell_deviation = abs(post_value - ideal_value)
-    return BoundReport(eps, eps_tot, _max_deviation(tables), beta, bell_deviation)
+        post_value = _postselected_bell_value(sc.bell_coeffs, post)
+        bell_deviation = abs(post_value - bell_value(ideal_raw, sc.bell_coeffs))
+    return BoundReport(eps, eps_tot, _max_deviation(post, ideal_raw), beta, bell_deviation)

@@ -21,6 +21,10 @@ from .analysis import approximate_epsilon, check_exact, tv_bound
 from .bell import (
     LABEL_SEP,
     BellScenario,
+    _acceptance,
+    _max_deviation,
+    _postselected_bell_value,
+    _postselected_tables,
     bell_value,
     bound_report,
     deviation_bound,
@@ -90,28 +94,34 @@ def cmd_decompose(args) -> int:
     return 0
 
 
-def _scenario_report(sc: BellScenario, postselect: bool) -> dict:
-    report: dict = {"raw": {}, "acceptance": {}}
-    raw, post = {}, {}
+def _scenario_report(sc: BellScenario, postselect: bool, tol: float) -> dict:
+    """The ``simulate`` report, read from one raw table per setting tuple; omissions noted on stderr."""
+    raw = {xs: sc.joint_raw(xs) for xs in sc.setting_tuples()}
+    post = _postselected_tables(raw)
+    label = LABEL_SEP.join
+    report: dict = {
+        "raw": {label(xs): serialize.distribution_to_json(table) for xs, table in raw.items()},
+        "acceptance": {label(xs): serialize.sig15(_acceptance(table)) for xs, table in raw.items()},
+    }
     if postselect:
-        report["postselected"] = {}
-        report["erased"] = []
-    for xs in sc.setting_tuples():
-        label = LABEL_SEP.join(xs)
-        raw[xs] = sc.joint_raw(xs)
-        report["raw"][label] = serialize.distribution_to_json(raw[xs])
-        report["acceptance"][label] = serialize.sig15(sc.all_click_probability(xs))
+        report["postselected"] = {label(xs): serialize.distribution_to_json(ps) for xs, ps in post.items()}
+        report["erased"] = [label(xs) for xs in raw if xs not in post]
+    if sc.bell_coeffs is not None:
         if postselect:
             try:
-                post[xs] = sc.joint_postselected(xs)
-            except ZeroAcceptanceError:
-                report["erased"].append(label)
-            else:
-                report["postselected"][label] = serialize.distribution_to_json(post[xs])
-    if sc.bell_coeffs is not None:
-        if postselect and all(xs in post for (xs, _) in sc.bell_coeffs):
-            report["bell_value_postselected"] = serialize.sig15(bell_value(post, sc.bell_coeffs))
+                value = _postselected_bell_value(sc.bell_coeffs, post)
+                report["bell_value_postselected"] = serialize.sig15(value)
+            except ZeroAcceptanceError as exc:
+                sys.stderr.write(f"note: bell_value_postselected omitted: {exc}\n")
         report["bell_value_raw"] = serialize.sig15(bell_value(raw, sc.bell_coeffs))
+    try:
+        verdicts = [check_exact(dev, tol=tol) for dev in sc.devices]
+        if all(v.weak for v in verdicts):
+            ideal = ideal_scenario(sc, [v.quantum_elem for v in verdicts])
+            ideal_raw = {xs: ideal.joint_raw(xs) for xs in post}
+            report["ideal_deviation"] = serialize.sig15(_max_deviation(post, ideal_raw))
+    except ZeroAcceptanceError as exc:
+        sys.stderr.write(f"note: no ideal experiment, ideal_deviation omitted: {exc}\n")
     return report
 
 
@@ -123,16 +133,7 @@ def cmd_simulate(args) -> int:
     except (OSError, ValueError, KeyError) as exc:
         return _fail(f"error: cannot load scenario: {exc}")
     try:
-        report = _scenario_report(sc, postselect=args.postselect)
-    except ValueError as exc:
-        return _fail(f"error: {exc}")
-    try:
-        verdicts = [check_exact(dev, tol=args.tol) for dev in sc.devices]
-        if all(v.weak for v in verdicts):
-            ideal = ideal_scenario(sc, [v.quantum_elem for v in verdicts])
-            report["ideal_deviation"] = serialize.sig15(postselected_vs_ideal_deviation(sc, ideal))
-    except ZeroAcceptanceError as exc:
-        sys.stderr.write(f"note: no ideal experiment, ideal_deviation omitted: {exc}\n")
+        report = _scenario_report(sc, args.postselect, args.tol)
     except ValueError as exc:
         return _fail(f"error: {exc}")
     _emit(report, args.output)
@@ -251,11 +252,8 @@ def _demo_analyser(args) -> dict:
 
 def _demo_chsh_singlet(args) -> dict:
     sc = chsh_singlet_scenario()
-    report = _scenario_report(sc, postselect=True)
-    verdicts = [check_exact(dev, tol=args.tol) for dev in sc.devices]
-    ideal = ideal_scenario(sc, [v.quantum_elem for v in verdicts])
-    report["ideal_deviation"] = serialize.sig15(postselected_vs_ideal_deviation(sc, ideal))
-    report["strong_fair_sampling"] = all(v.strong for v in verdicts)
+    report = _scenario_report(sc, True, args.tol)
+    report["strong_fair_sampling"] = all(check_exact(dev, tol=args.tol).strong for dev in sc.devices)
     return report
 
 

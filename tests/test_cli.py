@@ -50,17 +50,28 @@ def silent_device():
     )
 
 
-@pytest.fixture
-def dead_file(tmp_path):
+def dead_scenario_file(tmp_path, bell_coeffs=None):
     """Singlet measured by the silent device and a lossless Z measurement."""
     from fairsamp.bell import BellScenario
     from fairsamp.cli import singlet_state
     from fairsamp.device import projective_qubit_device
 
-    sc = BellScenario([silent_device(), projective_qubit_device({"0": 0.0})], singlet_state())
+    sc = BellScenario([silent_device(), projective_qubit_device({"0": 0.0})], singlet_state(), bell_coeffs)
     path = tmp_path / "dead.json"
     serialize.dump_json(serialize.scenario_to_json(sc), path)
     return path
+
+
+@pytest.fixture
+def dead_file(tmp_path):
+    return dead_scenario_file(tmp_path)
+
+
+@pytest.fixture
+def dead_bell_file(tmp_path):
+    """The dead-setting scenario with Bell coefficients that read the erased tuple ("dead", "0")."""
+    coeffs = {((x, "0"), (a, b)): 1.0 for x in ("0", "dead") for a in "+-" for b in "+-"}
+    return dead_scenario_file(tmp_path, coeffs)
 
 
 class TestCheck:
@@ -186,13 +197,21 @@ class TestSimulate:
         assert report["erased"] == ["dead,0"]
         assert report["ideal_deviation"] <= 1e-9
 
+    def test_bell_value_reading_erased_tuple_is_noted(self, dead_bell_file, capsys):
+        assert main(["simulate", str(dead_bell_file), "--postselect"]) == 0
+        out, err = capsys.readouterr()
+        report = json.loads(out)
+        assert "bell_value_postselected" not in report and "bell_value_raw" in report
+        assert err.count("\n") == 1
+        assert err.startswith("note: bell_value_postselected omitted") and "('dead', '0')" in err
+
     def test_no_ideal_experiment_omits_ideal_deviation(self, chsh_file, monkeypatch, capsys):
         from fairsamp.device import ZeroAcceptanceError
 
-        def no_ideal(sc, ideal):
+        def no_ideal(post, ideal_raw):
             raise ZeroAcceptanceError("global filter acceptance 0.000e+00 vanishes")
 
-        monkeypatch.setattr("fairsamp.cli.postselected_vs_ideal_deviation", no_ideal)
+        monkeypatch.setattr("fairsamp.cli._max_deviation", no_ideal)
         assert main(["simulate", str(chsh_file), "--postselect"]) == 0
         out, err = capsys.readouterr()
         assert "ideal_deviation" not in json.loads(out)
@@ -216,10 +235,10 @@ class TestSimulate:
     def test_other_ideal_errors_exit_one(self, chsh_file, monkeypatch, capsys):
         from fairsamp.linalg import NotPositiveError
 
-        def broken(sc, ideal):
+        def broken(post, ideal_raw):
             raise NotPositiveError("outcomes ('+', '+') at settings ('0', '0') has negative probability")
 
-        monkeypatch.setattr("fairsamp.cli.postselected_vs_ideal_deviation", broken)
+        monkeypatch.setattr("fairsamp.cli._max_deviation", broken)
         assert main(["simulate", str(chsh_file), "--postselect"]) == 1
         out, err = capsys.readouterr()
         assert out == ""
@@ -300,6 +319,12 @@ class TestBound:
         assert [party["epsilon"] for party in report["per_party"]] == [0.0, 0.0]
         assert report["measured_joint_deviation"] <= 1e-9
 
+    def test_bell_coefficients_reading_erased_tuple_exit_one(self, dead_bell_file, capsys):
+        assert main(["bound", str(dead_bell_file)]) == 1
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert "vanishing acceptance" in err and "('dead', '0')" in err
+
 
     def test_conjugates_each_party_once(self, chsh_file, monkeypatch, capsys):
         import fairsamp.analysis
@@ -317,30 +342,29 @@ class TestBound:
 
 
 class TestJointStatisticsReuse:
-    """Commands reuse the joint tables they have built instead of recomputing them."""
+    """Each command contracts the state once per setting tuple, plus once per compared ideal table."""
 
     @pytest.fixture
-    def joint_calls(self, monkeypatch):
+    def contractions(self, monkeypatch):
         from fairsamp.bell import BellScenario
 
-        counts = {"joint_raw": 0, "joint_postselected": 0}
-        for name in counts:
-            original = getattr(BellScenario, name)
+        calls = []
+        original = BellScenario._contract
 
-            def counted(self, xs, _name=name, _original=original):
-                counts[_name] += 1
-                return _original(self, xs)
+        def counted(self, stacks):
+            calls.append(stacks)
+            return original(self, stacks)
 
-            monkeypatch.setattr(BellScenario, name, counted)
-        return counts
+        monkeypatch.setattr(BellScenario, "_contract", counted)
+        return calls
 
     @pytest.mark.parametrize(
         "argv,expected",
-        [(["simulate", "--postselect"], 8), (["bound"], 4)],
+        [(["simulate", "--postselect", "CHSH"], 8), (["bound", "CHSH"], 8), (["demo", "chsh-singlet"], 8)],
     )
-    def test_chsh_file(self, chsh_file, joint_calls, capsys, argv, expected):
-        assert main([*argv, str(chsh_file)]) == 0
-        assert joint_calls == {"joint_raw": expected, "joint_postselected": expected}
+    def test_chsh_file(self, chsh_file, contractions, capsys, argv, expected):
+        assert main([str(chsh_file) if a == "CHSH" else a for a in argv]) == 0
+        assert len(contractions) == expected
 
 
 class TestDemo:
