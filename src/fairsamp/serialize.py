@@ -3,7 +3,9 @@
 Complex matrices serialize as arrays of rows whose entries are two-element
 [real, imag] arrays.  Devices, scenarios, filter decompositions and verdicts
 all build on that matrix format; probabilities are rounded to 15 significant
-digits on output.
+digits on output.  Output text is byte-identical to
+``json.dumps(obj, indent=2, sort_keys=True)``; ``dump_json`` writes float
+blocks and float tables in bulk instead of one value at a time.
 """
 
 from __future__ import annotations
@@ -11,6 +13,9 @@ from __future__ import annotations
 import json
 import os
 import tempfile
+from itertools import chain
+from json.encoder import encode_basestring_ascii
+from math import inf, isfinite
 from pathlib import Path
 from typing import Any, Mapping
 
@@ -23,18 +28,51 @@ from .filters import FilterDecomposition
 
 
 def matrix_to_json(m: np.ndarray) -> list:
-    a = np.asarray(m, dtype=complex)
-    return [[[float(z.real), float(z.imag)] for z in row] for row in a]
+    """Rows of ``[re, im]`` pairs holding every bit of each part, ``-0.0`` included."""
+    a = np.ascontiguousarray(m, dtype=complex)
+    return a.view(np.float64).reshape(a.shape + (2,)).tolist()
+
+
+def _first_index(bad, items) -> int:
+    return next(i for i, item in enumerate(items) if bad(item))
 
 
 def matrix_from_json(obj) -> np.ndarray:
-    rows = []
-    for row in obj:
-        rows.append([complex(entry[0], entry[1]) for entry in row])
-    a = np.array(rows, dtype=complex)
-    if a.ndim != 2 or a.shape[0] != a.shape[1]:
-        raise ValueError(f"matrix JSON has shape {a.shape}, expected square")
-    return a
+    """Parse a square complex matrix written as rows of ``[re, im]`` pairs.
+
+    Each part must be a finite JSON number; every bit of it is kept.  Anything
+    else raises ``ValueError`` naming the first offending row or entry.
+    """
+    if type(obj) is not list or not obj:
+        raise ValueError(f"matrix must be a non-empty list of rows, got {obj!r:.40}")
+    n = len(obj)
+    if set(map(type, obj)) != {list} or set(map(len, obj)) != {n}:
+        i = _first_index(lambda row: type(row) is not list or len(row) != n, obj)
+        raise ValueError(f"row {i} is {obj[i]!r:.40}, expected length {n} (square matrix)")
+    entries = list(chain.from_iterable(obj))
+    if set(map(type, entries)) != {list} or set(map(len, entries)) != {2}:
+        i = _first_index(lambda e: type(e) is not list or len(e) != 2, entries)
+        raise ValueError(f"entry [{i // n}][{i % n}] is {entries[i]!r:.40}, expected [re, im]")
+    parts = list(chain.from_iterable(entries))
+    if not set(map(type, parts)) <= {float, int}:
+        i = _first_index(lambda v: type(v) not in (float, int), parts) // 2
+        raise ValueError(f"entry [{i // n}][{i % n}] is {entries[i]!r:.40}, expected two numbers")
+    try:
+        flat = np.fromiter(parts, dtype=np.float64, count=len(parts))
+    except OverflowError:
+        raise ValueError("matrix holds an integer too large for a float") from None
+    finite = np.isfinite(flat)
+    if not finite.all():
+        i = int(np.argmin(finite)) // 2
+        raise ValueError(f"entry [{i // n}][{i % n}] is {entries[i]!r:.40}, expected finite numbers")
+    return flat.view(np.complex128).reshape(n, n)
+
+
+def _matrix_at(where: str, obj) -> np.ndarray:
+    try:
+        return matrix_from_json(obj)
+    except ValueError as exc:
+        raise ValueError(f"{where}: {exc}") from None
 
 
 def sig15(x: float) -> float:
@@ -56,7 +94,8 @@ def device_to_json(dev: LossyDevice) -> dict:
 
 def device_from_json(obj: Mapping) -> LossyDevice:
     povm = {
-        x: {a: matrix_from_json(m) for a, m in row.items()} for x, row in obj["povm"].items()
+        x: {a: _matrix_at(f"povm[{x!r}][{a!r}]", m) for a, m in row.items()}
+        for x, row in obj["povm"].items()
     }
     return LossyDevice(int(obj["dim"]), obj["settings"], obj["outcomes"], povm)
 
@@ -108,18 +147,18 @@ def scenario_from_json(obj: Mapping, base_dir: str | Path | None = None) -> Bell
     """Parse a scenario whose devices are inline objects or file references."""
     base = Path(base_dir) if base_dir is not None else Path.cwd()
     devices = []
-    for party in obj["parties"]:
+    for i, party in enumerate(obj["parties"]):
         spec = party["device"]
-        if isinstance(spec, str):
-            with open(base / spec, encoding="utf-8") as fh:
-                spec = json.load(fh)
-        dev = device_from_json(spec)
+        try:
+            dev = device_from_json(load_json(base / spec) if isinstance(spec, str) else spec)
+        except ValueError as exc:
+            raise ValueError(f"party {i}: {exc}") from None
         if "dim" in party and int(party["dim"]) != dev.dim:
             raise ValueError(
                 f"party declares dimension {party['dim']} but its device has {dev.dim}"
             )
         devices.append(dev)
-    psi = matrix_from_json(obj["state"])
+    psi = _matrix_at("state", obj["state"])
     coeffs = None
     if "bell" in obj and obj["bell"]:
         coeffs = coeffs_from_json(obj["bell"]["coeffs"])
@@ -145,9 +184,142 @@ def distribution_to_json(dist: Mapping) -> dict:
     return out
 
 
+_INDENT = "  "
+
+
+def _float_text(x: float) -> str:
+    """A float as ``json`` writes it: its repr, with NaN and the infinities spelled out."""
+    if x != x:
+        return "NaN"
+    if x == inf:
+        return "Infinity"
+    if x == -inf:
+        return "-Infinity"
+    return float.__repr__(x)
+
+
+def _float_block(lst: list, level: int) -> str | None:
+    """Text of a rectangular nested list of finite floats at indent ``level``, else None.
+
+    Each nesting level is flattened and type-checked as a whole list.  One
+    ``%`` template, built level by level from the shape, then formats every
+    leaf with ``float.__repr__`` in a single call.  Ragged shapes, empty rows,
+    leaves that are not exactly ``float`` (ints, bools, subclasses),
+    non-finite values and lists that contain their own ancestor return None
+    and take the generic path.
+    """
+    shape = []
+    rows = [lst]
+    ancestors: set[int] = set()
+    while True:
+        n = len(rows[0])
+        if n == 0 or set(map(len, rows)) != {n}:
+            return None
+        shape.append(n)
+        flat = list(chain.from_iterable(rows))
+        kinds = set(map(type, flat))
+        if kinds == {float}:
+            break
+        if kinds != {list}:
+            return None
+        ancestors.update(map(id, rows))
+        if not ancestors.isdisjoint(map(id, flat)):  # circular: json raises, so must we
+            return None
+        rows = flat
+    if not isfinite(sum(flat)):  # a sum overflowing finite terms only costs the fast path
+        return None
+    template = "%r"
+    for depth in reversed(range(len(shape))):
+        inner = "\n" + _INDENT * (level + depth + 1)
+        outer = "\n" + _INDENT * (level + depth)
+        template = "[" + inner + (template + "," + inner) * (shape[depth] - 1) + template + outer + "]"
+    return template % tuple(flat)
+
+
+def _float_table(dct: dict, level: int) -> str | None:
+    """Text of a dict of str keys and finite float values at indent ``level``, else None."""
+    if set(map(type, dct.values())) != {float} or set(map(type, dct)) != {str}:
+        return None
+    keys = sorted(dct)
+    values = list(map(dct.__getitem__, keys))
+    if not isfinite(sum(values)):
+        return None
+    inner = "\n" + _INDENT * (level + 1)
+    pairs = map("%s: %s".__mod__, zip(map(encode_basestring_ascii, keys), map(float.__repr__, values)))
+    return "{" + inner + ("," + inner).join(pairs) + "\n" + _INDENT * level + "}"
+
+
+def _key_text(key) -> str:
+    if isinstance(key, str):
+        return key
+    if isinstance(key, float):
+        return _float_text(key)
+    if key is True:
+        return "true"
+    if key is False:
+        return "false"
+    if key is None:
+        return "null"
+    if isinstance(key, int):
+        return int.__repr__(key)
+    raise TypeError(f"keys must be str, int, float, bool or None, not {key.__class__.__name__}")
+
+
+def _write(o, level: int, out: list[str], markers: set[int]) -> None:
+    """Append the text of ``o`` at indent ``level``, checking types in ``json``'s order."""
+    if isinstance(o, str):
+        out.append(encode_basestring_ascii(o))
+    elif o is None:
+        out.append("null")
+    elif o is True:
+        out.append("true")
+    elif o is False:
+        out.append("false")
+    elif isinstance(o, int):
+        out.append(int.__repr__(o))
+    elif isinstance(o, float):
+        out.append(_float_text(o))
+    elif isinstance(o, (list, tuple, dict)):
+        if not o:
+            out.append("{}" if isinstance(o, dict) else "[]")
+            return
+        if id(o) in markers:
+            raise ValueError("Circular reference detected")
+        if isinstance(o, dict):
+            fast = _float_table(o, level)
+        else:
+            fast = _float_block(o, level) if type(o) is list else None
+        if fast is not None:
+            out.append(fast)
+            return
+        markers.add(id(o))
+        inner = "\n" + _INDENT * (level + 1)
+        if isinstance(o, dict):
+            out.append("{")
+            for i, (key, value) in enumerate(sorted(o.items())):
+                out.append(("," if i else "") + inner + encode_basestring_ascii(_key_text(key)) + ": ")
+                _write(value, level + 1, out, markers)
+            out.append("\n" + _INDENT * level + "}")
+        else:
+            out.append("[")
+            for i, value in enumerate(o):
+                out.append(("," if i else "") + inner)
+                _write(value, level + 1, out, markers)
+            out.append("\n" + _INDENT * level + "]")
+        markers.discard(id(o))
+    else:
+        raise TypeError(f"Object of type {o.__class__.__name__} is not JSON serializable")
+
+
 def dump_json(obj, path: str | Path | None = None) -> str:
-    """Serialize deterministically; write atomically when a path is given."""
-    text = json.dumps(obj, indent=2, sort_keys=True)
+    """Serialize deterministically; write atomically when a path is given.
+
+    The text is that of ``json.dumps(obj, indent=2, sort_keys=True)``, byte
+    for byte; the file gets it plus a newline.
+    """
+    out: list[str] = []
+    _write(obj, 0, out, set())
+    text = "".join(out)
     if path is not None:
         path = Path(path)
         fd, tmp = tempfile.mkstemp(dir=path.parent or Path("."), suffix=".tmp")

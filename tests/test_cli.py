@@ -367,6 +367,95 @@ class TestJointStatisticsReuse:
         assert len(contractions) == expected
 
 
+MALFORMED_ENTRIES = pytest.mark.parametrize(
+    "entry",
+    [[0.5], ["0.5", "0"], 0.5, [0.5, 0.0, 9.0], [float("nan"), 0.0]],
+    ids=["short-pair", "strings", "bare-number", "long-pair", "nan"],
+)
+
+
+class TestMalformedMatrix:
+    """A bad matrix entry exits 1 with a load error that names the matrix and the entry."""
+
+    @pytest.mark.parametrize("command", ["check", "decompose"])
+    @MALFORMED_ENTRIES
+    def test_device_entry(self, tmp_path, capsys, command, entry):
+        obj = serialize.device_to_json(makarov_traced())
+        obj["povm"]["1"]["+"][0][1] = entry
+        path = tmp_path / "bad.json"
+        serialize.dump_json(obj, path)
+        argv = [command, str(path)] + (["-o", str(tmp_path / "dc")] if command == "decompose" else [])
+        assert main(argv) == 1
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.startswith("error: cannot load device: povm['1']['+']: entry [0][1] is ")
+
+    @pytest.mark.parametrize("command", [["simulate", "--postselect"], ["bound"]])
+    @MALFORMED_ENTRIES
+    def test_scenario_state_entry(self, tmp_path, capsys, command, entry):
+        obj = serialize.scenario_to_json(chsh_singlet_scenario())
+        obj["state"][3][0] = entry
+        path = tmp_path / "bad.json"
+        serialize.dump_json(obj, path)
+        assert main([*command, str(path)]) == 1
+        assert capsys.readouterr().err.startswith("error: cannot load scenario: state: entry [3][0] is ")
+
+    def test_scenario_party_entry(self, tmp_path, capsys):
+        obj = serialize.scenario_to_json(chsh_singlet_scenario())
+        obj["parties"][1]["device"]["povm"]["0"]["-"][1][1] = ["0.5", "0"]
+        path = tmp_path / "bad.json"
+        serialize.dump_json(obj, path)
+        assert main(["bound", str(path)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: cannot load scenario: party 1: povm['0']['-']: entry [1][1] is ")
+
+
+def canonical(text: str) -> str:
+    return json.dumps(json.loads(text), indent=2, sort_keys=True) + "\n"
+
+
+class TestOutputIsJsonDumpsText:
+    """Every file and stdout a command writes equals json.dumps(indent=2, sort_keys=True) text."""
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["check", "TRACED"],
+            ["check", "UNEQUAL"],
+            ["check", "UNEQUAL", "--mq", "MQ"],
+            ["simulate", "--postselect", "CHSH"],
+            ["simulate", "CHSH"],
+            ["bound", "CHSH"],
+            ["demo", "makarov"],
+            ["demo", "analyser", "--nmax", "2"],
+            ["demo", "chsh-singlet"],
+            ["demo", "prop2-random", "--count", "3", "--seed", "5"],
+        ],
+    )
+    def test_stdout_and_output_file(self, traced_file, unequal_file, chsh_file, tmp_path, capsys, argv):
+        names = {"TRACED": traced_file, "UNEQUAL": unequal_file[0], "MQ": unequal_file[1], "CHSH": chsh_file}
+        argv = [str(names.get(a, a)) for a in argv]
+        code = main(argv)
+        assert code in (0, 2)
+        out = capsys.readouterr().out
+        assert out == canonical(out)
+        path = tmp_path / "out.json"
+        assert main([*argv, "-o", str(path)]) == code
+        assert capsys.readouterr().out == ""
+        assert path.read_text(encoding="utf-8") == out
+
+    @pytest.mark.parametrize("device", ["TRACED", "UNEQUAL"])
+    def test_decompose_files(self, traced_file, unequal_file, tmp_path, device):
+        path = traced_file if device == "TRACED" else unequal_file[0]
+        out = tmp_path / "dc"
+        assert main(["decompose", str(path), "-o", str(out), "--trials", "5"]) == 0
+        files = sorted(out.iterdir())
+        assert [f.name for f in files] == ["filter.json", "lossless.json", "verification.json"]
+        for f in files:
+            text = f.read_text(encoding="utf-8")
+            assert text == canonical(text)
+
+
 class TestDemo:
     def test_makarov_demo(self, capsys):
         assert main(["demo", "makarov"]) == 0

@@ -4,6 +4,8 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from fairsamp.adversary import makarov_traced
 from fairsamp.analysis import check_exact
@@ -28,6 +30,68 @@ class TestMatrixFormat:
         with pytest.raises(ValueError):
             serialize.matrix_from_json([[[1.0, 0.0], [0.0, 0.0]]])
 
+    @pytest.mark.parametrize(
+        "entry,message",
+        [
+            ([0.5], r"entry \[0\]\[1\] is \[0.5\], expected \[re, im\]"),
+            ([0.5, 0.0, 9.0], r"entry \[0\]\[1\] is \[0.5, 0.0, 9.0\], expected \[re, im\]"),
+            (0.5, r"entry \[0\]\[1\] is 0.5, expected \[re, im\]"),
+            (["0.5", "0"], r"entry \[0\]\[1\] is \['0.5', '0'\], expected two numbers"),
+            ([True, 0.0], r"entry \[0\]\[1\] is \[True, 0.0\], expected two numbers"),
+            ([None, 0.0], r"entry \[0\]\[1\] is \[None, 0.0\], expected two numbers"),
+            ([float("nan"), 0.0], r"entry \[0\]\[1\] is \[nan, 0.0\], expected finite numbers"),
+            ([0.0, float("-inf")], r"entry \[0\]\[1\] is \[0.0, -inf\], expected finite numbers"),
+            ([10**400, 0], r"integer too large"),
+        ],
+        ids=["short-pair", "long-pair", "bare-number", "strings", "bool", "null", "nan", "-inf", "huge-int"],
+    )
+    def test_rejects_malformed_entry(self, entry, message):
+        obj = serialize.matrix_to_json(np.eye(2))
+        obj[0][1] = entry
+        with pytest.raises(ValueError, match=message):
+            serialize.matrix_from_json(obj)
+
+    @pytest.mark.parametrize(
+        "obj,message",
+        [
+            ([], "non-empty list of rows"),
+            ({"0": [[0.0, 0.0]]}, "non-empty list of rows"),
+            ([[[1.0, 0.0]], [[0.0, 0.0]]], r"row 0 is \[\[1.0, 0.0\]\], expected length 2"),
+            ([[[1.0, 0.0], [0.0, 0.0]], "row"], r"row 1 is 'row', expected length 2"),
+        ],
+        ids=["empty", "dict", "short-rows", "row-not-a-list"],
+    )
+    def test_rejects_malformed_rows(self, obj, message):
+        with pytest.raises(ValueError, match=message):
+            serialize.matrix_from_json(obj)
+
+    def test_integers_are_numbers(self):
+        back = serialize.matrix_from_json([[[1, 0], [0, -2]], [[0, 2], [3, 0]]])
+        np.testing.assert_array_equal(back, np.array([[1, -2j], [2j, 3]]))
+
+    @settings(max_examples=50, deadline=None)
+    @given(
+        n=st.integers(1, 4),
+        parts=st.lists(st.floats(allow_nan=False, allow_infinity=False), min_size=32, max_size=32),
+    )
+    def test_round_trip_is_bit_exact(self, n, parts):
+        m = np.array(parts[: 2 * n * n]).view(np.complex128).reshape(n, n)
+        back = serialize.matrix_from_json(json.loads(json.dumps(serialize.matrix_to_json(m))))
+        assert back.dtype == np.complex128 and back.shape == (n, n)
+        assert back.tobytes() == m.tobytes()
+
+    def test_negative_zero_survives(self):
+        m = np.array([[complex(-0.0, 0.0), complex(0.0, -0.0)], [complex(-0.0, -0.0), 1.0]])
+        obj = serialize.matrix_to_json(m)
+        assert json.dumps(obj) == "[[[-0.0, 0.0], [0.0, -0.0]], [[-0.0, -0.0], [1.0, 0.0]]]"
+        assert serialize.matrix_from_json(obj).tobytes() == m.tobytes()
+
+    def test_non_contiguous_input(self):
+        m = (np.arange(16.0) + 1j * np.arange(16.0)).reshape(4, 4).T[::2, ::2]
+        assert serialize.matrix_to_json(m) == [
+            [[float(z.real), float(z.imag)] for z in row] for row in m
+        ]
+
 
 class TestDeviceFormat:
     def test_round_trip(self, rng):
@@ -41,6 +105,12 @@ class TestDeviceFormat:
     def test_noclick_key_present(self):
         obj = serialize.device_to_json(makarov_traced())
         assert set(obj["povm"]["0"]) == {"+", "-", NOCLICK}
+
+    def test_malformed_matrix_names_the_element(self):
+        obj = serialize.device_to_json(makarov_traced())
+        obj["povm"]["1"]["-"][1][0] = [0.5]
+        with pytest.raises(ValueError, match=r"^povm\['1'\]\['-'\]: entry \[1\]\[0\]"):
+            serialize.device_from_json(obj)
 
     def test_device_without_noclick_is_completed(self):
         obj = serialize.device_to_json(makarov_traced())
@@ -66,6 +136,38 @@ class TestScenarioFormat:
         obj["parties"][1]["device"] = "b.json"
         back = serialize.scenario_from_json(obj, base_dir=tmp_path)
         assert back.devices[0].settings == sc.devices[0].settings
+
+    def test_device_file_read_through_load_json(self, tmp_path, monkeypatch):
+        sc = chsh_singlet_scenario()
+        serialize.dump_json(serialize.device_to_json(sc.devices[1]), tmp_path / "b.json")
+        obj = serialize.scenario_to_json(sc)
+        obj["parties"][1]["device"] = "b.json"
+        read = []
+        original = serialize.load_json
+
+        def spy(path):
+            read.append(path)
+            return original(path)
+
+        monkeypatch.setattr(serialize, "load_json", spy)
+        serialize.scenario_from_json(obj, base_dir=tmp_path)
+        assert read == [tmp_path / "b.json"]
+
+    def test_malformed_state_named(self):
+        obj = serialize.scenario_to_json(chsh_singlet_scenario())
+        obj["state"][2][0] = ["0.5", "0"]
+        with pytest.raises(ValueError, match=r"^state: entry \[2\]\[0\]"):
+            serialize.scenario_from_json(obj)
+
+    def test_malformed_party_matrix_named(self, tmp_path):
+        sc = chsh_singlet_scenario()
+        device = serialize.device_to_json(sc.devices[1])
+        device["povm"]["0"]["+"][0][0] = [float("nan"), 0.0]
+        serialize.dump_json(device, tmp_path / "b.json")
+        obj = serialize.scenario_to_json(sc)
+        obj["parties"][1]["device"] = "b.json"
+        with pytest.raises(ValueError, match=r"^party 1: povm\['0'\]\['\+'\]: entry \[0\]\[0\]"):
+            serialize.scenario_from_json(obj, base_dir=tmp_path)
 
     def test_dimension_mismatch_rejected(self):
         sc = chsh_singlet_scenario()
@@ -105,3 +207,92 @@ def test_dump_json_is_deterministic(tmp_path):
     serialize.dump_json(payload, p2)
     assert p1.read_bytes() == p2.read_bytes()
     assert json.loads(p1.read_text()) == payload
+
+
+# --- the writer against its oracle, json.dumps(obj, indent=2, sort_keys=True)
+
+SPECIAL_FLOATS = st.sampled_from(
+    [float("nan"), float("inf"), float("-inf"), -0.0, 0.0, 5e-324, 1e300, -1e300, 0.1, 1e16, 1e-7]
+)
+FLOATS = st.one_of(st.floats(), SPECIAL_FLOATS)
+LEAVES = st.one_of(
+    st.none(),
+    st.booleans(),
+    st.integers(-(10**20), 10**20),
+    FLOATS,
+    FLOATS.map(np.float64),
+    st.text(max_size=8),
+)
+#: One key strategy per dict: sort_keys needs the keys of a dict to be comparable.
+KEYS = st.sampled_from([
+    st.text(max_size=6),
+    st.text(alphabet="\"\\\n\t\x00\x7f é✓😀", max_size=4),
+    st.one_of(st.integers(-5, 5), st.floats(), st.booleans()),
+    st.none(),
+])
+
+
+@st.composite
+def float_blocks(draw):
+    """Rectangular nested float lists, optionally made ragged or given a non-float leaf."""
+    shape = draw(st.lists(st.integers(1, 3), min_size=1, max_size=3))
+    size = int(np.prod(shape))
+    leaves = draw(st.lists(st.one_of(st.floats(allow_nan=False, allow_infinity=False), FLOATS),
+                           min_size=size, max_size=size))
+    flaw = draw(st.sampled_from(["none", "none", "int", "bool", "float64", "ragged", "tuple"]))
+    if flaw in ("int", "bool", "float64"):
+        i = draw(st.integers(0, size - 1))
+        leaves[i] = {"int": 1, "bool": True, "float64": np.float64(leaves[i])}[flaw]
+    block = leaves
+    for n in reversed(shape[1:]):
+        block = [block[k:k + n] for k in range(0, len(block), n)]
+    if flaw == "ragged":
+        block[-1] = block[-1][:-1] if isinstance(block[-1], list) else [block[-1]]
+    if flaw == "tuple" and isinstance(block[0], list):
+        block[0] = tuple(block[0])
+    return block
+
+
+PAYLOADS = st.recursive(
+    st.one_of(LEAVES, float_blocks(), st.dictionaries(st.text(max_size=6), FLOATS, max_size=6)),
+    lambda children: st.one_of(
+        st.lists(children, max_size=4),
+        st.lists(children, max_size=3).map(tuple),
+        KEYS.flatmap(lambda keys: st.dictionaries(keys, children, max_size=4)),
+    ),
+    max_leaves=12,
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(PAYLOADS)
+def test_writer_matches_json_dumps(obj):
+    assert serialize.dump_json(obj) == json.dumps(obj, indent=2, sort_keys=True)
+
+
+@pytest.mark.parametrize(
+    "obj",
+    [
+        [object()],
+        {"a": {1j: 0.0}},
+        {"a": 1.0, 2: 1.0},
+        {"a": np.zeros(2)},
+    ],
+)
+def test_writer_raises_as_json_does(obj):
+    with pytest.raises(TypeError) as expected:
+        json.dumps(obj, indent=2, sort_keys=True)
+    with pytest.raises(TypeError) as got:
+        serialize.dump_json(obj)
+    assert str(got.value) == str(expected.value)
+
+
+def test_writer_rejects_circular_lists():
+    inner = [1.0]
+    outer = [inner, [2.0]]
+    inner.append(outer)
+    loop = []
+    loop.append(loop)
+    for obj in (outer, loop, {"a": loop}):
+        with pytest.raises(ValueError, match="Circular reference detected"):
+            serialize.dump_json(obj)
