@@ -22,10 +22,11 @@ from .linalg import (
     ZERO_ACCEPTANCE,
     as_operator,
     dagger,
-    eigh_psd,
     expect,
     operator_norm,
+    operator_norms,
     sqrt_pinv_sqrt,
+    support_and_pinv_sqrt,
     support_projector,
     trace_norm,
 )
@@ -73,14 +74,17 @@ class StateDependentResult:
     eq: dict[str, float] = field(default_factory=dict)
 
 
-def _pairwise_proportional(mats: Sequence[np.ndarray], tol: float) -> bool:
-    """Norm-scaled residual test: ||A s_B - B s_A|| <= tol * max(s_A, s_B)."""
-    norms = [operator_norm(m) for m in mats]
-    for i in range(len(mats)):
-        for j in range(i + 1, len(mats)):
-            residual = operator_norm(mats[i] * norms[j] - mats[j] * norms[i])
-            if residual > tol * max(norms[i], norms[j]):
-                return False
+def _pairwise_proportional(mats: np.ndarray, norms: np.ndarray, tol: float) -> bool:
+    """Norm-scaled residual test on a ``(k, d, d)`` stack with operator norms ``norms``.
+
+    ``||A s_B - B s_A|| <= tol * max(s_A, s_B)`` for every pair; the residuals
+    against one matrix are taken over the stack of the later ones at once.
+    """
+    for i in range(len(mats) - 1):
+        later = norms[i + 1:]
+        residual = operator_norms(mats[i] * later[:, None, None] - mats[i + 1:] * norms[i])
+        if np.any(residual > tol * np.maximum(norms[i], later)):
+            return False
     return True
 
 
@@ -95,22 +99,23 @@ def check_exact(dev: LossyDevice, tol: float = VERDICT_TOL) -> FairSamplingVerdi
     Erased settings (click norm at most ZERO_ACCEPTANCE) are left out of the
     weak test and of epsilon; they keep their entry in ``classical_eff``.
     """
-    clicks = [dev.click_element(x) for x in dev.settings]
-    norms = [operator_norm(m) for m in clicks]
-    live = [(m, s) for m, s in zip(clicks, norms) if s > ZERO_ACCEPTANCE]
-    if not live:
+    clicks = dev.click_elements()
+    norms = operator_norms(clicks)
+    live = norms > ZERO_ACCEPTANCE
+    if not live.any():
         raise ZeroAcceptanceError("all click elements vanish; the device never accepts")
-    classical_eff = dict(zip(dev.settings, norms))
+    classical_eff = dict(zip(dev.settings, norms.tolist()))
 
-    weak = _pairwise_proportional([m for m, _ in live], tol)
+    weak = _pairwise_proportional(clicks[live], norms[live], tol)
     if weak:
-        mq = live[0][0] / live[0][1]
+        first = int(np.argmax(live))
+        mq = clicks[first] / norms[first]
         epsilon = 0.0
     else:
         mq = default_mq(dev)
         epsilon = approximate_epsilon(dev, mq)
     strong = weak and operator_norm(mq - np.eye(dev.dim)) <= tol
-    homogeneous = weak and (max(norms) - min(norms)) <= tol
+    homogeneous = weak and float(norms.max() - norms.min()) <= tol
     return FairSamplingVerdict(
         weak=weak,
         strong=strong,
@@ -128,46 +133,40 @@ def default_mq(dev: LossyDevice) -> np.ndarray:
     Erased settings (click norm at most ZERO_ACCEPTANCE) carry no shape
     information and are skipped.
     """
-    scaled = []
-    for x in dev.settings:
-        m = dev.click_element(x)
-        s = operator_norm(m)
-        if s > ZERO_ACCEPTANCE:
-            scaled.append(m / s)
-    if not scaled:
+    clicks = dev.click_elements()
+    norms = operator_norms(clicks)
+    live = norms > ZERO_ACCEPTANCE
+    if not live.any():
         raise ValueError("all click elements vanish; no reference operator exists")
-    return sum(scaled) / len(scaled)
-
-
-def _reference(mq: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Support projector and pseudo-inverse square root of a reference operator."""
-    mq = as_operator(mq)
-    eigh_psd(mq, name="reference operator")
-    return support_projector(mq), sqrt_pinv_sqrt(mq)[1]
+    return sum(clicks[live] / norms[live, None, None]) / int(live.sum())
 
 
 def _conjugated_clicks(dev: LossyDevice, pi: np.ndarray, pinv: np.ndarray):
-    """Yield (setting, mt / s, s) per live setting, for ``mt = pinv @ click @ pinv`` of norm s.
+    """(live setting indices, stack of ``mt / s``, norms ``s``) for ``mt = pinv @ click @ pinv``.
 
     Erased settings (click norm at most ZERO_ACCEPTANCE) are skipped; a live
-    click element must lie inside the reference support ``pi``.
+    click element must lie inside the reference support ``pi`` and click
+    somewhere on it.  The first setting, in label order, that fails either
+    test is named in the error.
     """
-    for x in dev.settings:
-        mc = dev.click_element(x)
-        norm = operator_norm(mc)
-        if norm <= ZERO_ACCEPTANCE:
-            continue
-        res = operator_norm(pi @ mc @ pi - mc)
-        if res > VERDICT_TOL * max(1.0, norm):
+    clicks = dev.click_elements()
+    norms = operator_norms(clicks)
+    live = np.flatnonzero(norms > ZERO_ACCEPTANCE)
+    mc, norms = clicks[live], norms[live]
+    leak = operator_norms(pi @ mc @ pi - mc)
+    leaks = leak > VERDICT_TOL * np.maximum(1.0, norms)
+    mt = pinv @ mc @ pinv
+    s = operator_norms(mt)
+    bad = leaks | (s <= 0.0)
+    if bad.any():
+        j = int(np.argmax(bad))
+        x = dev.settings[live[j]]
+        if leaks[j]:
             raise ValueError(
-                f"click element for setting {x!r} leaks outside the reference support "
-                f"(residual {res:.3e})"
+                f"click element for setting {x!r} leaks outside the reference support (residual {leak[j]:.3e})"
             )
-        mt = pinv @ mc @ pinv
-        s = operator_norm(mt)
-        if s <= 0.0:
-            raise ZeroAcceptanceError(f"setting {x!r} clicks only outside the reference support")
-        yield x, mt / s, s
+        raise ZeroAcceptanceError(f"setting {x!r} clicks only outside the reference support")
+    return live, mt / s[:, None, None], s
 
 
 def approximate_epsilon(dev: LossyDevice, mq: np.ndarray) -> float:
@@ -179,7 +178,13 @@ def approximate_epsilon(dev: LossyDevice, mq: np.ndarray) -> float:
     approximate fair sampling.  Erased settings do not contribute.
     """
     pi, pinv = _reference(mq)
-    return max((operator_norm(pi - click) for _, click, _ in _conjugated_clicks(dev, pi, pinv)), default=0.0)
+    _, clicks, _ = _conjugated_clicks(dev, pi, pinv)
+    return float(operator_norms(pi - clicks).max(initial=0.0))
+
+
+def _reference(mq: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Support projector and pseudo-inverse square root of a reference operator."""
+    return support_and_pinv_sqrt(mq, name="reference operator")
 
 
 def ideal_device_from(dev: LossyDevice, mq: np.ndarray) -> LosslessDevice:
@@ -202,15 +207,16 @@ def _ideal_device_and_epsilon(dev: LossyDevice, mq: np.ndarray) -> tuple[Lossles
     The device is None when epsilon >= 1, where no ideal device exists.
     """
     pi, pinv = _reference(mq)
-    epsilon = 0.0
-    povm: dict[str, dict[str, np.ndarray]] = {}
-    for x, click, s in _conjugated_clicks(dev, pi, pinv):
-        gap = pi - click
-        epsilon = max(epsilon, operator_norm(gap))
-        deficit = gap / len(dev.outcomes)
-        povm[x] = {a: pinv @ dev.element(x, a) @ pinv / s + deficit for a in dev.outcomes}
+    live, clicks, norms = _conjugated_clicks(dev, pi, pinv)
+    gaps = pi - clicks
+    epsilon = float(operator_norms(gaps).max(initial=0.0))
     if epsilon >= 1.0:
         return None, epsilon
+    n = len(dev.outcomes)
+    povm = {
+        dev.settings[i]: dict(zip(dev.outcomes, pinv @ dev.stack[i, :n] @ pinv / s + gap / n))
+        for i, gap, s in zip(live, gaps, norms)
+    }
     return LosslessDevice(dev.dim, list(povm), dev.outcomes, povm), epsilon
 
 
@@ -343,7 +349,8 @@ def state_dependent_check(
     traces = {x: float(np.trace(s).real) for x, s in sigmas.items()}
     if max(traces.values(), default=0.0) <= ZERO_ACCEPTANCE:
         raise ZeroAcceptanceError("every setting filters the state to zero")
-    if not _pairwise_proportional(list(sigmas.values()), tol):
+    stacked = np.array(list(sigmas.values()))
+    if not _pairwise_proportional(stacked, operator_norms(stacked), tol):
         return StateDependentResult(holds=False, psi_click=None, eq=traces)
     x0 = next(x for x, t in traces.items() if t > ZERO_ACCEPTANCE)
     return StateDependentResult(holds=True, psi_click=sigmas[x0] / traces[x0], eq=traces)

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from typing import Mapping, Sequence
+from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
@@ -73,34 +73,55 @@ class BellScenario:
                 raise KeyError(f"unknown setting {x!r}")
         return xs
 
-    def _contract(self, stacks: Sequence[np.ndarray]) -> np.ndarray:
-        """Re Tr((F_0[a_0] x ... x F_{n-1}[a_{n-1}]) psi) for per-party stacks F_k of shape (m_k, d_k, d_k).
+    def _contract_step(self, t: np.ndarray, k: int, stack: np.ndarray) -> np.ndarray:
+        """Contract party k's element stack, shape (m_k, d_k, d_k), into the partial tensor ``t``.
 
-        ``psi`` is reshaped to 2n legs (rows, then columns) and each party's
-        stack is contracted into it in turn, so the cost is about
-        D^2 * m_0 rather than one D x D Kronecker product and trace per
-        outcome tuple.  Party k's row leg is always axis 0 and its column leg
-        axis n - k; the outcome axes collect at the end in party order.
+        ``t`` is ``psi`` reshaped to 2n legs (rows, then columns) with parties
+        0..k-1 already contracted, so party k's row leg is axis 0 and its
+        column leg axis n - k; the outcome axes collect at the end in party
+        order.
+        """
+        # Tr(E psi) = sum_ij E[i, j] psi[j, i]: E's row index meets psi's column leg.
+        return np.tensordot(t, stack, axes=([0, self.n_parties - k], [2, 1]))
+
+    def joint_raw_tables(self, tuples: Iterable[Sequence[str]]) -> dict[tuple[str, ...], dict]:
+        """``joint_raw`` of each setting tuple in ``tuples``, keyed by the tuple.
+
+        One walk contracts the parties' element stacks into ``psi`` in party
+        order and keeps the partial contraction of the current setting
+        prefix, so consecutive tuples sharing a prefix share its
+        contractions.  Over all tuples in ``setting_tuples()`` order that is
+        S_0 + S_0 S_1 + ... + S_0 ... S_{n-1} contraction steps for S_k
+        settings of party k, instead of n per tuple; each step has the
+        operands a lone tuple's would, so every table is the same to the bit.
         """
         n = self.n_parties
-        t = self.psi.reshape([dev.dim for dev in self.devices] * 2)
-        for k, stack in enumerate(stacks):
-            # Tr(E psi) = sum_ij E[i, j] psi[j, i]: E's row index meets psi's column leg.
-            t = np.tensordot(t, stack, axes=([0, n - k], [2, 1]))
-        return t.real
+        index = [{x: i for i, x in enumerate(dev.settings)} for dev in self.devices]
+        alphabets = [(*dev.outcomes, NOCLICK) for dev in self.devices]
+        outcome_tuples = list(itertools.product(*alphabets))
+        partial = [self.psi.reshape([dev.dim for dev in self.devices] * 2)] + [None] * n
+        prefix: list[str | None] = [None] * n
+        tables = {}
+        for xs in tuples:
+            xs = self._check_settings(xs)
+            k = 0
+            while k < n and prefix[k] == xs[k]:
+                k += 1
+            for j in range(k, n):
+                partial[j + 1] = self._contract_step(partial[j], j, self.devices[j].stack[index[j][xs[j]]])
+                prefix[j] = xs[j]
+            probs = partial[n].real
+            flat = probs.ravel()
+            worst = int(np.argmin(flat))
+            outs = tuple(alph[i] for alph, i in zip(alphabets, np.unravel_index(worst, probs.shape)))
+            read_probability(float(flat[worst]), f"outcomes {outs!r} at settings {xs!r}")
+            tables[xs] = dict(zip(outcome_tuples, np.maximum(flat, 0.0).tolist()))
+        return tables
 
     def joint_raw(self, xs: Sequence[str]) -> dict[tuple[str, ...], float]:
         """Joint distribution over outcome tuples, no-click included."""
-        xs = self._check_settings(xs)
-        alphabets = [(*dev.outcomes, NOCLICK) for dev in self.devices]
-        probs = self._contract(
-            [np.stack([dev.element(x, a) for a in alph]) for dev, x, alph in zip(self.devices, xs, alphabets)]
-        )
-        flat = probs.ravel()
-        worst = int(np.argmin(flat))
-        outs = tuple(alph[i] for alph, i in zip(alphabets, np.unravel_index(worst, probs.shape)))
-        read_probability(float(flat[worst]), f"outcomes {outs!r} at settings {xs!r}")
-        return dict(zip(itertools.product(*alphabets), np.maximum(flat, 0.0).tolist()))
+        (table,) = self.joint_raw_tables([xs]).values()
+        return table
 
     def all_click_probability(self, xs: Sequence[str]) -> float:
         return _acceptance(self.joint_raw(xs))
@@ -209,8 +230,8 @@ def postselected_vs_ideal_deviation(sc: BellScenario, ideal: BellScenario) -> fl
 
     Setting tuples with vanishing acceptance are erased rather than compared.
     """
-    post = _postselected_tables({xs: sc.joint_raw(xs) for xs in sc.setting_tuples()})
-    return _max_deviation(post, {xs: ideal.joint_raw(xs) for xs in post})
+    post = _postselected_tables(sc.joint_raw_tables(sc.setting_tuples()))
+    return _max_deviation(post, ideal.joint_raw_tables(post))
 
 
 def verify_postselection_equivalence(sc: BellScenario, tol: float = COMPLETENESS_TOL) -> float:
@@ -320,9 +341,9 @@ def bound_report(sc: BellScenario, mqs: Sequence[np.ndarray]) -> BoundReport:
     built = [_ideal_device_and_epsilon(dev, mq) for dev, mq in zip(sc.devices, mqs)]
     eps = [e for _, e in built]
     eps_tot = epsilon_total(eps)  # raises for an epsilon >= 1, where no ideal device exists
-    post = _postselected_tables({xs: sc.joint_raw(xs) for xs in sc.setting_tuples()})
+    post = _postselected_tables(sc.joint_raw_tables(sc.setting_tuples()))
     ideal = _ideal_from(sc, [dev for dev, _ in built], mqs)
-    ideal_raw = {xs: ideal.joint_raw(xs) for xs in post}
+    ideal_raw = ideal.joint_raw_tables(post)
     beta = bell_deviation = None
     if sc.bell_coeffs is not None:
         validate_coefficients(sc, sc.bell_coeffs)

@@ -96,7 +96,7 @@ def cmd_decompose(args) -> int:
 
 def _scenario_report(sc: BellScenario, postselect: bool, tol: float) -> dict:
     """The ``simulate`` report, read from one raw table per setting tuple; omissions noted on stderr."""
-    raw = {xs: sc.joint_raw(xs) for xs in sc.setting_tuples()}
+    raw = sc.joint_raw_tables(sc.setting_tuples())
     post = _postselected_tables(raw)
     label = LABEL_SEP.join
     report: dict = {
@@ -118,7 +118,7 @@ def _scenario_report(sc: BellScenario, postselect: bool, tol: float) -> dict:
         verdicts = [check_exact(dev, tol=tol) for dev in sc.devices]
         if all(v.weak for v in verdicts):
             ideal = ideal_scenario(sc, [v.quantum_elem for v in verdicts])
-            ideal_raw = {xs: ideal.joint_raw(xs) for xs in post}
+            ideal_raw = ideal.joint_raw_tables(post)
             report["ideal_deviation"] = serialize.sig15(_max_deviation(post, ideal_raw))
     except ZeroAcceptanceError as exc:
         sys.stderr.write(f"note: no ideal experiment, ideal_deviation omitted: {exc}\n")

@@ -8,12 +8,20 @@ density matrix.
 
 from __future__ import annotations
 
+from types import MappingProxyType
 from typing import Mapping, Sequence
 
 import numpy as np
 
 from .linalg import (
-    COMPLETENESS_TOL, ZERO_ACCEPTANCE, as_operator, assert_density, eigh_psd, probability, projector
+    COMPLETENESS_TOL,
+    ZERO_ACCEPTANCE,
+    as_operator,
+    assert_density,
+    probability,
+    projector,
+    psd_faults,
+    raise_psd_fault,
 )
 
 #: Reserved label for the failed-detection outcome.
@@ -33,9 +41,15 @@ def total_variation(p: Mapping, q: Mapping) -> float:
 class LossyDevice:
     """POVM-described measurement device with a no-click outcome.
 
-    ``povm`` maps setting -> outcome -> matrix.  The no-click element may be
-    omitted, in which case it is reconstructed from completeness; if present,
-    the full sum must equal the identity within COMPLETENESS_TOL.
+    ``stack`` holds every element in one read-only complex array of shape
+    ``(settings, outcomes + 1, dim, dim)``: settings and good outcomes in
+    label order, the no-click element last.  ``povm`` is a read-only mapping
+    setting -> outcome -> view into ``stack``.  The no-click element may be
+    omitted from the input, in which case it is reconstructed from
+    completeness; if present, the full sum must equal the identity within
+    COMPLETENESS_TOL.  Each setting's block is checked for Hermiticity and
+    positivity at once (``linalg.psd_faults``); errors name the first faulty
+    element in label order, as a check of one element at a time would.
     """
 
     def __init__(
@@ -55,33 +69,39 @@ class LossyDevice:
         if len(set(self.outcomes)) != len(self.outcomes):
             raise ValueError("duplicate outcome labels")
 
+        n = len(self.outcomes)
+        labels = (*self.outcomes, NOCLICK)
         eye = np.eye(self.dim, dtype=complex)
-        table: dict[str, dict[str, np.ndarray]] = {}
-        for x in self.settings:
+        stack = np.empty((len(self.settings), n + 1, self.dim, self.dim), dtype=complex)
+        for x, block in zip(self.settings, stack):
             if x not in povm:
                 raise ValueError(f"missing POVM entries for setting {x!r}")
-            row: dict[str, np.ndarray] = {}
-            for a in self.outcomes:
-                if a not in povm[x]:
+            row = povm[x]
+            for j, a in enumerate(self.outcomes):
+                if a not in row:
                     raise ValueError(f"missing POVM element for ({x!r}, {a!r})")
-                m = as_operator(povm[x][a])
-                if m.shape[0] != self.dim:
-                    raise ValueError(f"element ({x!r}, {a!r}) has dimension {m.shape[0]}, expected {self.dim}")
-                eigh_psd(m, name=f"POVM element ({x!r}, {a!r})")
-                row[a] = m
-            good_sum = sum(row.values())
-            if NOCLICK in povm[x]:
-                row[NOCLICK] = as_operator(povm[x][NOCLICK])
-                res = float(np.max(np.abs(good_sum + row[NOCLICK] - eye)))
+                block[j] = self._operator(x, a, row[a])
+            good_sum = sum(block[:n])
+            if NOCLICK in row:
+                block[n] = self._operator(x, NOCLICK, row[NOCLICK])
+            else:
+                np.subtract(eye, good_sum, out=block[n])
+            herm, lowest = psd_faults(block)
+            raise_psd_fault(herm[:n], lowest[:n], lambda j: f"POVM element ({x!r}, {self.outcomes[j]!r})")
+            if NOCLICK in row:
+                res = float(np.max(np.abs(good_sum + block[n] - eye)))
                 if res > COMPLETENESS_TOL:
                     raise ValueError(f"setting {x!r} violates completeness by {res:.3e}")
-            else:
-                row[NOCLICK] = eye - good_sum
-            eigh_psd(row[NOCLICK], name=f"POVM element ({x!r}, noclick)")
-            for m in row.values():
-                m.setflags(write=False)
-            table[x] = row
-        self.povm = table
+            raise_psd_fault(herm[n:], lowest[n:], lambda j: f"POVM element ({x!r}, noclick)")
+        stack.setflags(write=False)
+        self.stack = stack
+        self.povm = _read_only_povm(self.settings, labels, stack)
+
+    def _operator(self, x: str, a: str, m) -> np.ndarray:
+        m = as_operator(m)
+        if m.shape[0] != self.dim:
+            raise ValueError(f"element ({x!r}, {a!r}) has dimension {m.shape[0]}, expected {self.dim}")
+        return m
 
     def element(self, x: str, a: str) -> np.ndarray:
         return self.povm[x][a]
@@ -90,7 +110,11 @@ class LossyDevice:
         """Sum of the good-outcome elements for setting x."""
         if x not in self.povm:
             raise KeyError(f"unknown setting {x!r}")
-        return sum(self.povm[x][a] for a in self.outcomes)
+        return sum(self.stack[self.settings.index(x), : len(self.outcomes)])
+
+    def click_elements(self) -> np.ndarray:
+        """``click_element`` of every setting in label order, shape ``(settings, dim, dim)``."""
+        return sum(self.stack[:, j] for j in range(len(self.outcomes)))
 
     def noclick_element(self, x: str) -> np.ndarray:
         if x not in self.povm:
@@ -127,11 +151,20 @@ class LossyDevice:
         return {a: raw[a] / acc for a in self.outcomes}
 
 
+def _read_only_povm(settings: Sequence[str], labels: Sequence[str], stack: np.ndarray) -> Mapping:
+    """Read-only mapping setting -> label -> element view of a read-only ``stack``."""
+    return MappingProxyType(
+        {x: MappingProxyType(dict(zip(labels, block))) for x, block in zip(settings, stack)}
+    )
+
+
 class LosslessDevice:
     """Device whose good outcomes sum to a projector for every setting.
 
     Acting on a state supported inside that projector it always produces a
-    good outcome.  ``support`` maps each setting to its projector; it is
+    good outcome.  Elements live in one read-only ``stack`` of shape
+    ``(settings, outcomes, dim, dim)``, with ``povm`` a read-only mapping of
+    views into it.  ``support`` maps each setting to its projector; it is
     validated to be idempotent and to match the outcome sum.
     """
 
@@ -145,22 +178,20 @@ class LosslessDevice:
         self.dim = int(dim)
         self.settings = tuple(str(x) for x in settings)
         self.outcomes = tuple(str(a) for a in outcomes)
-        table: dict[str, dict[str, np.ndarray]] = {}
+        stack = np.empty((len(self.settings), len(self.outcomes), self.dim, self.dim), dtype=complex)
         supports: dict[str, np.ndarray] = {}
-        for x in self.settings:
-            row = {}
-            for a in self.outcomes:
-                m = as_operator(povm[x][a])
-                eigh_psd(m, name=f"element ({x!r}, {a!r})")
-                m.setflags(write=False)
-                row[a] = m
-            s = sum(row.values())
+        for x, block in zip(self.settings, stack):
+            for j, a in enumerate(self.outcomes):
+                block[j] = as_operator(povm[x][a])
+            raise_psd_fault(*psd_faults(block), lambda j: f"element ({x!r}, {self.outcomes[j]!r})")
+            s = sum(block)
             res = float(np.max(np.abs(s @ s - s)))
             if res > COMPLETENESS_TOL:
                 raise ValueError(f"outcome sum for setting {x!r} is not a projector (residual {res:.3e})")
-            table[x] = row
             supports[x] = s
-        self.povm = table
+        stack.setflags(write=False)
+        self.stack = stack
+        self.povm = _read_only_povm(self.settings, self.outcomes, stack)
         self.support = supports
 
     def element(self, x: str, a: str) -> np.ndarray:
@@ -177,10 +208,7 @@ class LosslessDevice:
     def to_lossy(self) -> LossyDevice:
         """Complete each setting with a noclick element 1 - support."""
         eye = np.eye(self.dim, dtype=complex)
-        povm = {
-            x: {**{a: self.povm[x][a] for a in self.outcomes}, NOCLICK: eye - self.support[x]}
-            for x in self.settings
-        }
+        povm = {x: {**self.povm[x], NOCLICK: eye - self.support[x]} for x in self.settings}
         return LossyDevice(self.dim, self.settings, self.outcomes, povm)
 
 

@@ -10,7 +10,7 @@ norms, Kronecker products and partial traces.
 from __future__ import annotations
 
 from functools import reduce
-from typing import Iterable, Sequence
+from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
@@ -54,11 +54,19 @@ def dagger(m: np.ndarray) -> np.ndarray:
     return np.conj(m).T
 
 
-def assert_hermitian(m, name: str = "matrix") -> np.ndarray:
-    a = as_operator(m)
-    dev = float(np.max(np.abs(a - dagger(a))))
+def _check_hermitian(dev: float, name: str) -> None:
     if dev > HERMITICITY_TOL:
         raise NotHermitianError(f"{name} deviates from Hermiticity by {dev:.3e} (tol {HERMITICITY_TOL:.1e})")
+
+
+def _check_positive(lowest: float, name: str) -> None:
+    if lowest < -PSD_TOL:
+        raise NotPositiveError(f"{name} has negative eigenvalue {lowest:.3e} (tol {PSD_TOL:.1e})")
+
+
+def assert_hermitian(m, name: str = "matrix") -> np.ndarray:
+    a = as_operator(m)
+    _check_hermitian(float(np.max(np.abs(a - dagger(a)))), name)
     return a
 
 
@@ -71,9 +79,31 @@ def eigh_psd(m, name: str = "matrix") -> tuple[np.ndarray, np.ndarray]:
     """
     a = assert_hermitian(m, name=name)
     w, v = np.linalg.eigh(a)
-    if w[0] < -PSD_TOL:
-        raise NotPositiveError(f"{name} has negative eigenvalue {w[0]:.3e} (tol {PSD_TOL:.1e})")
+    _check_positive(w[0], name)
     return np.clip(w, 0.0, None), v
+
+
+def psd_faults(stack: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Hermiticity deviation and lowest eigenvalue of every matrix of a ``(k, d, d)`` stack.
+
+    One reduction and one ``eigvalsh`` call cover the whole stack.  The
+    eigenvalues of a matrix that is not Hermitian mean nothing, and
+    ``raise_psd_fault`` reports its Hermiticity before reading them.
+    """
+    herm = np.max(np.abs(stack - np.conj(stack).swapaxes(1, 2)), axis=(1, 2))
+    return herm, np.linalg.eigvalsh(stack)[:, 0]
+
+
+def raise_psd_fault(herm: np.ndarray, lowest: np.ndarray, name: Callable[[int], str]) -> None:
+    """Raise what ``eigh_psd`` raises for the first faulty matrix of a stack, named ``name(index)``.
+
+    ``herm`` and ``lowest`` are ``psd_faults`` of the stack (or of a slice of it).
+    """
+    bad = (herm > HERMITICITY_TOL) | (lowest < -PSD_TOL)
+    if bad.any():
+        j = int(np.argmax(bad))
+        _check_hermitian(herm[j], name(j))
+        _check_positive(lowest[j], name(j))
 
 
 def assert_density(rho, name: str = "state") -> np.ndarray:
@@ -98,8 +128,19 @@ def support_projector(m) -> np.ndarray:
     rank decision scale-invariant.
     """
     w, v = eigh_psd(m, name="support_projector input")
+    return _support_of(w, v)
+
+
+def _support_of(w: np.ndarray, v: np.ndarray) -> np.ndarray:
     vk = v[:, _above_cutoff(w)]
     return vk @ dagger(vk)
+
+
+def _root_factors(w: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """sqrt(p) and 1/sqrt(p) of the eigenvalues above the cutoff, 0 for the others."""
+    keep = _above_cutoff(w)
+    sq = np.where(keep, np.sqrt(np.where(keep, w, 1.0)), 0.0)
+    return sq, np.where(keep, 1.0 / np.where(keep, sq, 1.0), 0.0)
 
 
 def sqrt_pinv_sqrt(m) -> tuple[np.ndarray, np.ndarray]:
@@ -109,10 +150,14 @@ def sqrt_pinv_sqrt(m) -> tuple[np.ndarray, np.ndarray]:
     cutoff, and 0 otherwise, so the pseudo-inverse is defined on the support.
     """
     w, v = eigh_psd(m, name="sqrt input")
-    keep = _above_cutoff(w)
-    sq = np.where(keep, np.sqrt(np.where(keep, w, 1.0)), 0.0)
-    inv = np.where(keep, 1.0 / np.where(keep, sq, 1.0), 0.0)
+    sq, inv = _root_factors(w)
     return (v * sq) @ dagger(v), (v * inv) @ dagger(v)
+
+
+def support_and_pinv_sqrt(m, name: str) -> tuple[np.ndarray, np.ndarray]:
+    """``support_projector(m)`` and ``sqrt_pinv_sqrt(m)[1]`` from one eigendecomposition."""
+    w, v = eigh_psd(m, name=name)
+    return _support_of(w, v), (v * _root_factors(w)[1]) @ dagger(v)
 
 
 def operator_norm(m) -> float:
@@ -121,6 +166,11 @@ def operator_norm(m) -> float:
     if a.ndim != 2:
         raise ValueError("operator_norm expects a matrix")
     return float(np.linalg.norm(a, 2))
+
+
+def operator_norms(stack: np.ndarray) -> np.ndarray:
+    """Largest singular value of every matrix of a ``(k, d, d)`` stack: ``operator_norm``'s SVD, batched."""
+    return np.linalg.norm(stack, 2, axis=(1, 2))
 
 
 def trace_norm(m) -> float:

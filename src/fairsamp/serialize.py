@@ -15,7 +15,7 @@ import os
 import tempfile
 from itertools import chain
 from json.encoder import encode_basestring_ascii
-from math import inf, isfinite
+from math import inf, isfinite, nan
 from pathlib import Path
 from typing import Any, Mapping
 
@@ -92,12 +92,53 @@ def device_to_json(dev: LossyDevice) -> dict:
     }
 
 
-def device_from_json(obj: Mapping) -> LossyDevice:
+def _field(obj: dict, key: str, owner: str = ""):
+    """``obj[key]`` of a JSON object; a missing field raises ``ValueError`` naming it (and ``owner``)."""
+    if key not in obj:
+        raise ValueError(f"missing field {key!r}" + (f" in {owner}" if owner else ""))
+    return obj[key]
+
+
+def _json_object(obj, where: str) -> dict:
+    if type(obj) is not dict:
+        raise ValueError(f"{where} must be a JSON object, got {obj!r:.40}")
+    return obj
+
+
+def _dim_at(where: str, value) -> int:
+    if type(value) is not int or value < 1:
+        raise ValueError(f"{where} must be a positive integer, got {value!r:.40}")
+    return value
+
+
+def _number_at(where: str, value) -> float:
+    try:
+        x = float(value) if type(value) in (int, float) else nan
+    except OverflowError:
+        x = inf
+    if not isfinite(x):
+        raise ValueError(f"{where} must be a finite JSON number, got {value!r:.40}")
+    return x
+
+
+def _labels_at(where: str, value) -> list[str]:
+    if type(value) is not list or not set(map(type, value)) <= {str}:
+        raise ValueError(f"{where} must be a list of strings, got {value!r:.40}")
+    return value
+
+
+def device_from_json(obj) -> LossyDevice:
+    """Parse a device object; a malformed field raises ``ValueError`` naming it."""
+    obj = _json_object(obj, "device")
+    dim = _dim_at("dim", _field(obj, "dim"))
+    settings = _labels_at("settings", _field(obj, "settings"))
+    outcomes = _labels_at("outcomes", _field(obj, "outcomes"))
+    table = _json_object(_field(obj, "povm"), "povm")
     povm = {
-        x: {a: _matrix_at(f"povm[{x!r}][{a!r}]", m) for a, m in row.items()}
-        for x, row in obj["povm"].items()
+        x: {a: _matrix_at(f"povm[{x!r}][{a!r}]", m) for a, m in _json_object(row, f"povm[{x!r}]").items()}
+        for x, row in table.items()
     }
-    return LossyDevice(int(obj["dim"]), obj["settings"], obj["outcomes"], povm)
+    return LossyDevice(dim, settings, outcomes, povm)
 
 
 def decomposition_to_json(decomp: FilterDecomposition) -> tuple[dict, dict]:
@@ -128,12 +169,21 @@ def verdict_to_json(verdict: FairSamplingVerdict) -> dict:
 
 
 def coeffs_from_json(obj) -> BellCoeffs:
+    """Parse a Bell coefficient list; a malformed entry raises ``ValueError`` naming it and its field."""
+    if type(obj) is not list:
+        raise ValueError(f"coeffs must be a list, got {obj!r:.40}")
     coeffs: dict[tuple[tuple[str, ...], tuple[str, ...]], float] = {}
-    for entry in obj:
-        key = (tuple(str(x) for x in entry["x"]), tuple(str(a) for a in entry["a"]))
+    for i, entry in enumerate(obj):
+        where = f"coeffs[{i}]"
+        entry = _json_object(entry, where)
+        key = (
+            tuple(_labels_at(f"{where}.x", _field(entry, "x", where))),
+            tuple(_labels_at(f"{where}.a", _field(entry, "a", where))),
+        )
+        c = _number_at(f"{where}.c", _field(entry, "c", where))
         if key in coeffs:
             raise ValueError(f"duplicate Bell coefficient for {key!r}")
-        coeffs[key] = float(entry["c"])
+        coeffs[key] = c
     return coeffs
 
 
@@ -143,25 +193,29 @@ def coeffs_to_json(coeffs: BellCoeffs) -> list:
     ]
 
 
-def scenario_from_json(obj: Mapping, base_dir: str | Path | None = None) -> BellScenario:
+def scenario_from_json(obj, base_dir: str | Path | None = None) -> BellScenario:
     """Parse a scenario whose devices are inline objects or file references."""
     base = Path(base_dir) if base_dir is not None else Path.cwd()
+    obj = _json_object(obj, "scenario")
+    parties = _field(obj, "parties")
+    if type(parties) is not list:
+        raise ValueError(f"parties must be a list, got {parties!r:.40}")
     devices = []
-    for i, party in enumerate(obj["parties"]):
-        spec = party["device"]
+    for i, party in enumerate(parties):
+        party = _json_object(party, f"party {i}")
         try:
+            spec = _field(party, "device")
             dev = device_from_json(load_json(base / spec) if isinstance(spec, str) else spec)
+            declared = _dim_at("dim", party["dim"]) if "dim" in party else dev.dim
         except ValueError as exc:
             raise ValueError(f"party {i}: {exc}") from None
-        if "dim" in party and int(party["dim"]) != dev.dim:
-            raise ValueError(
-                f"party declares dimension {party['dim']} but its device has {dev.dim}"
-            )
+        if declared != dev.dim:
+            raise ValueError(f"party declares dimension {declared} but its device has {dev.dim}")
         devices.append(dev)
-    psi = _matrix_at("state", obj["state"])
+    psi = _matrix_at("state", _field(obj, "state"))
     coeffs = None
-    if "bell" in obj and obj["bell"]:
-        coeffs = coeffs_from_json(obj["bell"]["coeffs"])
+    if obj.get("bell"):
+        coeffs = coeffs_from_json(_field(_json_object(obj["bell"], "bell"), "coeffs"))
     return BellScenario(devices, psi, coeffs)
 
 
@@ -325,7 +379,8 @@ def dump_json(obj, path: str | Path | None = None) -> str:
         fd, tmp = tempfile.mkstemp(dir=path.parent or Path("."), suffix=".tmp")
         try:
             with os.fdopen(fd, "w", encoding="utf-8") as fh:
-                fh.write(text + "\n")
+                fh.write(text)  # two writes: ``text + "\n"`` would copy a many-MB text
+                fh.write("\n")
             os.replace(tmp, path)
         except BaseException:
             if os.path.exists(tmp):

@@ -5,7 +5,7 @@ import itertools
 import numpy as np
 
 from fairsamp.device import NOCLICK, LossyDevice
-from fairsamp.linalg import probability, projector, tensor
+from fairsamp.linalg import COMPLETENESS_TOL, as_operator, eigh_psd, probability, projector, tensor
 from fairsamp.sampling import haar_ket, random_fair_sampling_device, random_povm
 
 
@@ -86,3 +86,38 @@ def kron_joint_postselected(sc, xs):
     acc = kron_all_click_probability(sc, xs)
     good = kron_table(sc, xs, [dev.outcomes for dev in sc.devices])
     return {outs: p / acc for outs, p in good.items()}
+
+
+def random_multisetting_device(rng, dim, n_settings, n_outcomes):
+    """Device whose settings each keep all but the last element of a random POVM as good outcomes."""
+    outcomes = [f"a{i}" for i in range(n_outcomes)]
+    povm = {
+        f"x{s}": dict(zip(outcomes, random_povm(dim, n_outcomes + 1, rng)[:n_outcomes]))
+        for s in range(n_settings)
+    }
+    return LossyDevice(dim, list(povm), outcomes, povm)
+
+
+def legacy_validate(dim, settings, outcomes, povm):
+    """Reference validation of a ``LossyDevice`` input: one ``eigh_psd`` per element, in label order.
+
+    For each setting the good elements are checked one at a time, then an
+    explicit no-click element's completeness residual, then the no-click
+    element itself.  Raises what the check of the first faulty element raises.
+    """
+    eye = np.eye(dim, dtype=complex)
+    for x in settings:
+        row = {}
+        for a in outcomes:
+            m = as_operator(povm[x][a])
+            eigh_psd(m, name=f"POVM element ({x!r}, {a!r})")
+            row[a] = m
+        good_sum = sum(row.values())
+        if NOCLICK in povm[x]:
+            noclick = as_operator(povm[x][NOCLICK])
+            res = float(np.max(np.abs(good_sum + noclick - eye)))
+            if res > COMPLETENESS_TOL:
+                raise ValueError(f"setting {x!r} violates completeness by {res:.3e}")
+        else:
+            noclick = eye - good_sum
+        eigh_psd(noclick, name=f"POVM element ({x!r}, noclick)")

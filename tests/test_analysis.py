@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import helpers
 from fairsamp.adversary import makarov_traced
@@ -325,3 +327,99 @@ class TestStateDependent:
         filters = {"0": [np.diag([1.0, 0.5])], "1": [np.diag([0.5, 1.0])]}
         res = state_dependent_check(filters, singlet, [2, 2], 0, tol=1e-8)
         assert not res.holds
+
+
+class TestReferenceDecompositions:
+    """The reference operator is eigendecomposed once per epsilon or ideal device."""
+
+    @pytest.fixture
+    def eigh_calls(self, monkeypatch):
+        from fairsamp import linalg
+
+        calls = []
+        original = linalg.eigh_psd
+
+        def counted(m, name="matrix"):
+            calls.append(name)
+            return original(m, name)
+
+        monkeypatch.setattr(linalg, "eigh_psd", counted)
+        return calls
+
+    def test_approximate_epsilon(self, rng, eigh_calls):
+        dev = helpers.perturbed_fair_device(rng)
+        mq = default_mq(dev)
+        eigh_calls.clear()
+        approximate_epsilon(dev, mq)
+        assert eigh_calls == ["reference operator"]
+
+    def test_ideal_device(self, rng, eigh_calls):
+        dev = random_fair_sampling_device(3, 3, 2, rng)
+        mq = check_exact(dev).quantum_elem
+        eigh_calls.clear()
+        ideal_device_from(dev, mq)
+        assert eigh_calls == ["reference operator"]
+
+
+VERDICT_KINDS = ("fair", "strong", "homogeneous", "perturbed")
+
+
+def verdict_device(kind, rng, dim, n_settings, n_outcomes):
+    """A device of the given kind: exact fair sampling, also strong or homogeneous, or pushed off it."""
+    if kind == "perturbed":
+        return helpers.perturbed_fair_device(rng, dim, n_settings, n_outcomes)
+    mq = np.eye(dim) if kind == "strong" else None
+    eff_range = (0.7, 0.7) if kind == "homogeneous" else (0.3, 1.0)
+    return random_fair_sampling_device(dim, n_settings, n_outcomes, rng, eff_range=eff_range, mq=mq)
+
+
+def assert_same_verdict(v, w, labels):
+    """Same flags; epsilon, scales and reference within 1e-9; ``labels`` maps v's settings to w's."""
+    assert (v.weak, v.strong, v.homogeneous) == (w.weak, w.strong, w.homogeneous)
+    assert abs(v.epsilon - w.epsilon) <= 1e-9
+    for x, y in labels.items():
+        assert abs(v.classical_eff[x] - w.classical_eff[y]) <= 1e-9
+
+
+DEVICE_SHAPES = dict(
+    seed=st.integers(0, 2**32 - 1),
+    kind=st.sampled_from(VERDICT_KINDS),
+    dim=st.integers(2, 4),
+    n_settings=st.integers(2, 3),
+    n_outcomes=st.integers(1, 3),
+)
+
+
+@settings(max_examples=30, deadline=None)
+@given(**DEVICE_SHAPES)
+def test_verdict_invariant_under_local_unitary(seed, kind, dim, n_settings, n_outcomes):
+    """Conjugating device and state by one unitary changes no verdict and no statistic."""
+    rng = np.random.default_rng(seed)
+    dev = verdict_device(kind, rng, dim, n_settings, n_outcomes)
+    u = np.linalg.qr(rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim)))[0]
+    povm = {x: {a: u @ dev.element(x, a) @ u.conj().T for a in dev.outcomes} for x in dev.settings}
+    rotated = LossyDevice(dim, dev.settings, dev.outcomes, povm)
+    v, w = check_exact(dev), check_exact(rotated)
+    assert_same_verdict(v, w, {x: x for x in dev.settings})
+    np.testing.assert_allclose(w.quantum_elem, u @ v.quantum_elem @ u.conj().T, atol=1e-9)
+    rho = random_density(dim, rng)
+    for x in dev.settings:
+        p, q = dev.outcome_distribution(x, rho), rotated.outcome_distribution(x, u @ rho @ u.conj().T)
+        assert max(abs(p[a] - q[a]) for a in p) <= 1e-9
+
+
+@settings(max_examples=30, deadline=None)
+@given(**DEVICE_SHAPES)
+def test_verdict_invariant_under_relabelling(seed, kind, dim, n_settings, n_outcomes):
+    """Renaming and reordering settings and outcomes changes no verdict."""
+    rng = np.random.default_rng(seed)
+    dev = verdict_device(kind, rng, dim, n_settings, n_outcomes)
+    new_x = {x: f"s{k}" for k, x in enumerate(reversed(dev.settings))}
+    new_a = {a: f"o{k}" for k, a in enumerate(rng.permutation(dev.outcomes))}
+    povm = {new_x[x]: {new_a[a]: dev.element(x, a) for a in dev.outcomes} for x in dev.settings}
+    order_x = [new_x[dev.settings[k]] for k in rng.permutation(n_settings)]
+    order_a = [new_a[dev.outcomes[k]] for k in rng.permutation(n_outcomes)]
+    relabelled = LossyDevice(dim, order_x, order_a, povm)
+    v, w = check_exact(dev), check_exact(relabelled)
+    assert_same_verdict(v, w, new_x)
+    np.testing.assert_allclose(w.quantum_elem, v.quantum_elem, atol=1e-9)

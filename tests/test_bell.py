@@ -24,7 +24,7 @@ from fairsamp.bell import (
 from fairsamp.cli import chsh_coefficients, chsh_singlet_scenario, singlet_state
 from fairsamp.device import NOCLICK, LossyDevice, ZeroAcceptanceError, projective_qubit_device
 from fairsamp.linalg import NotPositiveError, sqrt_pinv_sqrt, tensor
-from fairsamp.sampling import random_density, random_fair_sampling_device, random_povm
+from fairsamp.sampling import random_density, random_fair_sampling_device
 
 
 def lossless_z_pair():
@@ -107,22 +107,16 @@ class TestContraction:
             sc.joint_postselected(xs)
 
     def test_negative_probability_names_outcome_and_settings(self):
-        dev_a = projective_qubit_device({"z": 0.0})
+        # Party A's element and state each pass the PSD check, yet their negative
+        # eigenvalues add up to a joint probability below -COMPLETENESS_TOL.
+        dim = 20
+        rho_a = np.diag([1.0 + (dim - 1) * 0.9e-10] + [-0.9e-10] * (dim - 1))
+        low = np.diag([0.0] + [1.0] * (dim - 1))
+        dev_a = LossyDevice(dim, ["z"], ["+", "-"], {"z": {"+": low, "-": np.eye(dim) - low}})
         dev_b = projective_qubit_device({"z": 0.0})
-        sc = BellScenario([dev_a, dev_b], singlet_state())
-        dev_a.povm["z"]["+"] = -np.diag([1.0, 0.0])
+        sc = BellScenario([dev_a, dev_b], np.kron(rho_a, np.diag([0.0, 1.0])))
         with pytest.raises(NotPositiveError, match=r"outcomes \('\+', '-'\) at settings \('z', 'z'\)"):
             sc.joint_raw(("z", "z"))
-
-
-def random_multisetting_device(rng, dim, n_settings, n_outcomes):
-    """Device whose settings each keep all but the last element of a random POVM as good outcomes."""
-    outcomes = [f"a{i}" for i in range(n_outcomes)]
-    povm = {
-        f"x{s}": dict(zip(outcomes, random_povm(dim, n_outcomes + 1, rng)[:n_outcomes]))
-        for s in range(n_settings)
-    }
-    return LossyDevice(dim, list(povm), outcomes, povm)
 
 
 @settings(max_examples=25, deadline=None)
@@ -134,7 +128,7 @@ def random_multisetting_device(rng, dim, n_settings, n_outcomes):
 )
 def test_joint_tables_match_the_kronecker_oracle(seed, parties):
     rng = np.random.default_rng(seed)
-    devices = [random_multisetting_device(rng, d, m, k) for d, m, k in parties]
+    devices = [helpers.random_multisetting_device(rng, d, m, k) for d, m, k in parties]
     sc = BellScenario(devices, random_density(int(np.prod([d for d, _, _ in parties])), rng))
     xs = tuple(dev.settings[int(rng.integers(len(dev.settings)))] for dev in devices)
     for table, oracle in (
@@ -144,6 +138,25 @@ def test_joint_tables_match_the_kronecker_oracle(seed, parties):
         assert list(table) == list(oracle)
         assert max(abs(table[outs] - oracle[outs]) for outs in oracle) <= 1e-12
     assert abs(sc.all_click_probability(xs) - helpers.kron_all_click_probability(sc, xs)) <= 1e-12
+
+
+@settings(max_examples=25, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    parties=st.lists(
+        st.tuples(st.integers(1, 3), st.integers(1, 3), st.integers(1, 3)), min_size=1, max_size=4
+    ),
+)
+def test_prefix_shared_walk_is_bit_identical_to_lone_tuples(seed, parties):
+    rng = np.random.default_rng(seed)
+    devices = [helpers.random_multisetting_device(rng, d, m, k) for d, m, k in parties]
+    sc = BellScenario(devices, random_density(int(np.prod([d for d, _, _ in parties])), rng))
+    tuples = list(sc.setting_tuples())
+    lone = {xs: sc.joint_raw(xs) for xs in tuples}
+    assert sc.joint_raw_tables(sc.setting_tuples()) == lone
+    # Any order and any subset: a changed prefix is contracted afresh.
+    picked = [tuples[i] for i in rng.choice(len(tuples), size=int(rng.integers(1, len(tuples) + 1)))]
+    assert sc.joint_raw_tables(picked) == {xs: lone[xs] for xs in picked}
 
 
 class TestJointPostselected:

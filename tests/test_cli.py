@@ -342,29 +342,33 @@ class TestBound:
 
 
 class TestJointStatisticsReuse:
-    """Each command contracts the state once per setting tuple, plus once per compared ideal table."""
+    """Each command walks the setting tuples once per scenario, sharing every setting prefix's contraction."""
 
     @pytest.fixture
     def contractions(self, monkeypatch):
         from fairsamp.bell import BellScenario
 
         calls = []
-        original = BellScenario._contract
+        original = BellScenario._contract_step
 
-        def counted(self, stacks):
-            calls.append(stacks)
-            return original(self, stacks)
+        def counted(self, t, k, stack):
+            calls.append(k)
+            return original(self, t, k, stack)
 
-        monkeypatch.setattr(BellScenario, "_contract", counted)
+        monkeypatch.setattr(BellScenario, "_contract_step", counted)
         return calls
 
+    # Two parties with two settings each: 2 + 2 * 2 = 6 steps per walk, one walk over
+    # the measured scenario and one over the ideal one; a step per party and tuple
+    # would be 2 * 4 = 8 per walk.
     @pytest.mark.parametrize(
         "argv,expected",
-        [(["simulate", "--postselect", "CHSH"], 8), (["bound", "CHSH"], 8), (["demo", "chsh-singlet"], 8)],
+        [(["simulate", "--postselect", "CHSH"], 12), (["bound", "CHSH"], 12), (["demo", "chsh-singlet"], 12)],
     )
     def test_chsh_file(self, chsh_file, contractions, capsys, argv, expected):
         assert main([str(chsh_file) if a == "CHSH" else a for a in argv]) == 0
         assert len(contractions) == expected
+        assert contractions == [0, 1, 1, 0, 1, 1] * 2  # party of each step, in walk order
 
 
 MALFORMED_ENTRIES = pytest.mark.parametrize(
@@ -408,6 +412,47 @@ class TestMalformedMatrix:
         assert main(["bound", str(path)]) == 1
         err = capsys.readouterr().err
         assert err.startswith("error: cannot load scenario: party 1: povm['0']['-']: entry [1][1] is ")
+
+
+class TestMalformedFields:
+    """A malformed JSON field exits 1 with a load error naming it, not a traceback."""
+
+    @pytest.mark.parametrize(
+        "field,value,named",
+        [("dim", None, "dim"), ("povm", [], "povm"), ("settings", "01", "settings"), ("outcomes", [1], "outcomes")],
+    )
+    @pytest.mark.parametrize("command", ["check", "decompose"])
+    def test_device_field(self, tmp_path, capsys, command, field, value, named):
+        obj = serialize.device_to_json(makarov_traced())
+        obj[field] = value
+        path = tmp_path / "bad.json"
+        serialize.dump_json(obj, path)
+        argv = [command, str(path)] + (["-o", str(tmp_path / "dc")] if command == "decompose" else [])
+        assert main(argv) == 1
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.startswith(f"error: cannot load device: {named} must be ")
+
+    @pytest.mark.parametrize("value", [None, "2.5"])
+    @pytest.mark.parametrize("command", [["simulate"], ["simulate", "--postselect"], ["bound"]])
+    def test_coefficient_value(self, tmp_path, capsys, command, value):
+        obj = serialize.scenario_to_json(chsh_singlet_scenario())
+        obj["bell"]["coeffs"][3]["c"] = value
+        path = tmp_path / "bad.json"
+        serialize.dump_json(obj, path)
+        assert main([*command, str(path)]) == 1
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err == f"error: cannot load scenario: coeffs[3].c must be a finite JSON number, got {value!r}\n"
+
+    @pytest.mark.parametrize("command", [["simulate"], ["bound"]])
+    def test_party_device_field(self, tmp_path, capsys, command):
+        obj = serialize.scenario_to_json(chsh_singlet_scenario())
+        obj["parties"][0]["device"]["dim"] = None
+        path = tmp_path / "bad.json"
+        serialize.dump_json(obj, path)
+        assert main([*command, str(path)]) == 1
+        assert capsys.readouterr().err.startswith("error: cannot load scenario: party 0: dim must be ")
 
 
 def canonical(text: str) -> str:

@@ -1,7 +1,13 @@
 """Lossy device construction, raw statistics and post-selection."""
 
+import re
+
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+
+import helpers
 
 from fairsamp.device import (
     NOCLICK,
@@ -13,7 +19,7 @@ from fairsamp.device import (
 )
 from fairsamp.linalg import NotPositiveError, projector
 from fairsamp.optics import single_photon_analyser
-from fairsamp.sampling import random_density
+from fairsamp.sampling import random_density, random_povm
 
 
 @pytest.fixture
@@ -49,6 +55,117 @@ class TestConstruction:
     def test_elements_are_read_only(self, traced):
         with pytest.raises(ValueError):
             traced.element("0", "+")[0, 0] = 9.0
+
+    def test_povm_is_a_read_only_mapping(self, traced):
+        with pytest.raises(TypeError):
+            traced.povm["0"] = {}
+        with pytest.raises(TypeError):
+            traced.povm["0"]["+"] = np.zeros((2, 2))
+
+    def test_input_arrays_are_copied_not_frozen(self):
+        m = 0.3 * np.eye(2, dtype=complex)
+        dev = LossyDevice(2, ["x"], ["a"], {"x": {"a": m}})
+        m[0, 0] = 9.0
+        assert dev.element("x", "a")[0, 0] == 0.3
+
+
+class TestStack:
+    """One read-only (settings, outcomes + 1, dim, dim) array holds every element."""
+
+    def test_layout_noclick_last(self, traced):
+        assert traced.stack.shape == (2, 3, 2, 2)
+        assert not traced.stack.flags.writeable
+        for i, x in enumerate(traced.settings):
+            for j, a in enumerate((*traced.outcomes, NOCLICK)):
+                assert traced.element(x, a) is traced.povm[x][a]
+                assert np.shares_memory(traced.element(x, a), traced.stack)
+                np.testing.assert_array_equal(traced.stack[i, j], traced.element(x, a))
+            np.testing.assert_array_equal(traced.noclick_element(x), traced.stack[i, -1])
+
+    def test_click_elements_stack_the_click_element_of_each_setting(self, rng):
+        dev = helpers.random_multisetting_device(rng, 3, 3, 2)
+        clicks = dev.click_elements()
+        for i, x in enumerate(dev.settings):
+            np.testing.assert_array_equal(clicks[i], dev.click_element(x))
+            np.testing.assert_array_equal(clicks[i], sum(dev.element(x, a) for a in dev.outcomes))
+
+    def test_lossless_device_stacks_its_outcomes(self):
+        dev = LosslessDevice(2, ["x", "y"], ["a"], {"x": {"a": np.diag([1.0, 0.0])}, "y": {"a": np.eye(2)}})
+        assert dev.stack.shape == (2, 1, 2, 2)
+        with pytest.raises(TypeError):
+            dev.povm["x"]["a"] = np.eye(2)
+
+    def test_one_eigvalsh_call_per_setting(self, rng, monkeypatch):
+        calls = []
+        original = np.linalg.eigvalsh
+        monkeypatch.setattr(np.linalg, "eigvalsh", lambda a: calls.append(a.shape) or original(a))
+        dev = helpers.random_multisetting_device(rng, 3, 4, 2)
+        assert calls == [(3, 3, 3)] * 4
+        calls.clear()
+        LosslessDevice(2, ["x", "y"], ["a", "b"], {x: {"a": np.diag([1.0, 0.0]), "b": np.diag([0.0, 1.0])} for x in "xy"})
+        assert calls == [(2, 2, 2)] * 2
+        assert dev.stack.shape == (4, 3, 3, 3)
+
+
+FAULTS = ("none", "hermiticity", "negative", "overfull", "completeness")
+
+
+def _faulty_input(rng, dim, n_settings, n_outcomes, explicit_noclick, faults):
+    """Random device input with ``faults``: (setting, element index, kind) each, element n being no-click."""
+    outcomes = [f"a{j}" for j in range(n_outcomes)]
+    settings_ = [f"x{i}" for i in range(n_settings)]
+    povm = {}
+    for x in settings_:
+        elements = random_povm(dim, n_outcomes + 1, rng)
+        labels = [*outcomes, NOCLICK] if explicit_noclick else outcomes
+        povm[x] = dict(zip(labels, elements))
+    for i, j, kind in faults:
+        row = povm[settings_[i]]
+        label = [*outcomes, NOCLICK][j]
+        if label not in row or kind == "none":
+            continue
+        m = row[label]
+        if kind == "hermiticity":
+            g = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
+            row[label] = m + 1e-6 * (g - g.conj().T)
+        elif kind == "negative":
+            w, v = np.linalg.eigh(m)
+            row[label] = m - (w[0] + 1e-6) * projector(v[:, 0])
+        elif kind == "overfull":
+            row[label] = m + 2.0 * np.eye(dim)
+        else:
+            row[label] = m + 1e-6 * np.eye(dim)
+    return settings_, outcomes, povm
+
+
+def _outcome(call):
+    try:
+        call()
+    except ValueError as exc:
+        return type(exc), re.sub(r"-?\d\.\d+e[-+]\d+", "#", str(exc))
+    return None
+
+
+@settings(max_examples=100, deadline=None)
+@example(seed=0, dim=3, n_settings=1, n_outcomes=2, explicit_noclick=True, faults=[(0, 2, "negative")])
+@example(seed=0, dim=2, n_settings=2, n_outcomes=2, explicit_noclick=False, faults=[(1, 0, "overfull")])
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    dim=st.integers(1, 4),
+    n_settings=st.integers(1, 3),
+    n_outcomes=st.integers(1, 3),
+    explicit_noclick=st.booleans(),
+    faults=st.lists(
+        st.tuples(st.integers(0, 2), st.integers(0, 3), st.sampled_from(FAULTS)), max_size=3
+    ),
+)
+def test_stacked_validation_matches_the_per_element_loop(seed, dim, n_settings, n_outcomes, explicit_noclick, faults):
+    """Same inputs rejected, with the same exception type naming the same element or setting."""
+    rng = np.random.default_rng(seed)
+    faults = [(i % n_settings, min(j, n_outcomes), kind) for i, j, kind in faults]
+    xs, outs, povm = _faulty_input(rng, dim, n_settings, n_outcomes, explicit_noclick, faults)
+    expected = _outcome(lambda: helpers.legacy_validate(dim, xs, outs, povm))
+    assert _outcome(lambda: LossyDevice(dim, xs, outs, povm)) == expected
 
 
 class TestClickElement:

@@ -2,6 +2,10 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+import helpers
 
 from fairsamp.adversary import makarov_branches, makarov_traced
 from fairsamp.device import NOCLICK, LossyDevice, LosslessDevice, projective_qubit_device
@@ -215,3 +219,21 @@ class TestClassicalNormalForm:
                         before = composed_probability(fc, lossless, x, a, rho)
                         after = composed_probability(diag, w, x, a, rho)
                         assert before == pytest.approx(after, abs=1e-10)
+
+
+@settings(max_examples=30, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    dim=st.integers(1, 5),
+    n_settings=st.integers(1, 3),
+    n_outcomes=st.integers(1, 3),
+    fair=st.booleans(),
+)
+def test_canonical_decomposition_recomposes_random_devices(seed, dim, n_settings, n_outcomes, fair):
+    """Filter then lossless measurement reproduces every outcome probability of the device."""
+    rng = np.random.default_rng(seed)
+    if fair:
+        dev = random_fair_sampling_device(dim, n_settings, n_outcomes, rng)
+    else:
+        dev = helpers.random_multisetting_device(rng, dim, n_settings, n_outcomes)
+    assert verify_recomposition(dev, canonical_decomposition(dev), trials=8, seed=seed) <= 1e-9

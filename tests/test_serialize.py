@@ -177,6 +177,103 @@ class TestScenarioFormat:
             serialize.scenario_from_json(obj)
 
 
+MALFORMED_DEVICE_FIELDS = pytest.mark.parametrize(
+    "field,value,message",
+    [
+        ("dim", None, r"^dim must be a positive integer, got None"),
+        ("dim", 2.0, r"^dim must be a positive integer, got 2\.0"),
+        ("dim", True, r"^dim must be a positive integer, got True"),
+        ("dim", 0, r"^dim must be a positive integer, got 0"),
+        ("settings", "01", r"^settings must be a list of strings, got '01'"),
+        ("settings", [0, 1], r"^settings must be a list of strings, got \[0, 1\]"),
+        ("outcomes", None, r"^outcomes must be a list of strings, got None"),
+        ("povm", [], r"^povm must be a JSON object, got \[\]"),
+        ("povm", {"0": []}, r"^povm\['0'\] must be a JSON object, got \[\]"),
+    ],
+)
+
+
+class TestMalformedFields:
+    """A malformed field raises ValueError naming it, never TypeError or a silent coercion."""
+
+    @MALFORMED_DEVICE_FIELDS
+    def test_device_field(self, field, value, message):
+        obj = serialize.device_to_json(makarov_traced())
+        obj[field] = value
+        with pytest.raises(ValueError, match=message):
+            serialize.device_from_json(obj)
+
+    @pytest.mark.parametrize("field", ["dim", "settings", "outcomes", "povm"])
+    def test_missing_device_field(self, field):
+        obj = serialize.device_to_json(makarov_traced())
+        del obj[field]
+        with pytest.raises(ValueError, match=f"^missing field '{field}'"):
+            serialize.device_from_json(obj)
+
+    def test_device_must_be_an_object(self):
+        with pytest.raises(ValueError, match=r"^device must be a JSON object"):
+            serialize.device_from_json([1, 2])
+
+    @MALFORMED_DEVICE_FIELDS
+    def test_inline_party_device_field(self, field, value, message):
+        obj = serialize.scenario_to_json(chsh_singlet_scenario())
+        obj["parties"][1]["device"][field] = value
+        with pytest.raises(ValueError, match="^party 1: " + message[1:]):
+            serialize.scenario_from_json(obj)
+
+    @pytest.mark.parametrize("value", [None, "2", 2.0])
+    def test_party_dim(self, value):
+        obj = serialize.scenario_to_json(chsh_singlet_scenario())
+        obj["parties"][0]["dim"] = value
+        with pytest.raises(ValueError, match=r"^party 0: dim must be a positive integer"):
+            serialize.scenario_from_json(obj)
+
+    @pytest.mark.parametrize("value", [None, "2.5", True, [1.0], float("nan"), float("inf"), 10**400])
+    def test_coefficient_value(self, value):
+        coeffs = serialize.coeffs_to_json(chsh_singlet_scenario().bell_coeffs)
+        coeffs[3]["c"] = value
+        with pytest.raises(ValueError, match=r"^coeffs\[3\]\.c must be a finite JSON number, got "):
+            serialize.coeffs_from_json(coeffs)
+
+    def test_integer_coefficient_is_a_number(self):
+        coeffs = serialize.coeffs_to_json(chsh_singlet_scenario().bell_coeffs)
+        coeffs[0]["c"] = 2
+        assert serialize.coeffs_from_json(coeffs)[(("0", "0"), ("+", "+"))] == 2.0
+
+    @pytest.mark.parametrize(
+        "edit,message",
+        [
+            (lambda c: c[2].pop("a"), r"^missing field 'a' in coeffs\[2\]"),
+            (lambda c: c[2].update(x=["0", 1]), r"^coeffs\[2\]\.x must be a list of strings"),
+            (lambda c: c.__setitem__(1, 5), r"^coeffs\[1\] must be a JSON object"),
+        ],
+        ids=["missing-a", "x-label", "entry"],
+    )
+    def test_coefficient_entry(self, edit, message):
+        coeffs = serialize.coeffs_to_json(chsh_singlet_scenario().bell_coeffs)
+        edit(coeffs)
+        with pytest.raises(ValueError, match=message):
+            serialize.coeffs_from_json(coeffs)
+
+    @pytest.mark.parametrize(
+        "edit,message",
+        [
+            (lambda o: o.__setitem__("parties", {}), r"^parties must be a list"),
+            (lambda o: o["parties"][0].pop("device"), r"^party 0: missing field 'device'"),
+            (lambda o: o["parties"].__setitem__(1, 3), r"^party 1 must be a JSON object"),
+            (lambda o: o.pop("state"), r"^missing field 'state'"),
+            (lambda o: o.__setitem__("bell", [1]), r"^bell must be a JSON object"),
+            (lambda o: o["bell"].__setitem__("coeffs", {}), r"^coeffs must be a list"),
+        ],
+        ids=["parties", "party-device", "party", "state", "bell", "coeffs"],
+    )
+    def test_scenario_structure(self, tmp_path, edit, message):
+        obj = serialize.scenario_to_json(chsh_singlet_scenario())
+        edit(obj)
+        with pytest.raises(ValueError, match=message):
+            serialize.scenario_from_json(obj, base_dir=tmp_path)
+
+
 class TestReportPieces:
     def test_verdict_fields(self):
         payload = serialize.verdict_to_json(check_exact(makarov_traced()))
