@@ -25,6 +25,9 @@ from .linalg import (
 #: Bell coefficients: (settings tuple, outcomes tuple) -> real weight.
 BellCoeffs = Mapping[tuple[tuple[str, ...], tuple[str, ...]], float]
 
+#: Joint tables as arrays: settings tuple -> raw or post-selected table.
+Tables = Mapping[tuple[str, ...], np.ndarray]
+
 MAX_JOINT_OUTCOMES = 100_000
 
 #: Joins local setting or outcome labels into one joint label; no local label may contain it.
@@ -40,7 +43,13 @@ def _reject_separator(devices: Sequence[LossyDevice]) -> None:
 
 @dataclass
 class BellScenario:
-    """Local devices measuring a joint state, one tensor factor per party."""
+    """Local devices measuring a joint state, one tensor factor per party.
+
+    Each key of ``bell_coeffs`` pairs a settings tuple with a good-outcome
+    tuple, one label per party; no-click carries no Bell weight.  The keys
+    are checked, and the coefficients compiled, once, when the scenario is
+    built: to change the coefficients, build a new scenario.
+    """
 
     devices: Sequence[LossyDevice]
     psi: np.ndarray
@@ -56,6 +65,7 @@ class BellScenario:
         n_out = int(np.prod([len(dev.outcomes) + 1 for dev in self.devices]))
         if n_out > MAX_JOINT_OUTCOMES:
             raise ValueError(f"joint outcome table of size {n_out} exceeds {MAX_JOINT_OUTCOMES}")
+        self._functional = None if self.bell_coeffs is None else _compile(self.devices, self.bell_coeffs)
 
     @property
     def n_parties(self) -> int:
@@ -84,23 +94,26 @@ class BellScenario:
         # Tr(E psi) = sum_ij E[i, j] psi[j, i]: E's row index meets psi's column leg.
         return np.tensordot(t, stack, axes=([0, self.n_parties - k], [2, 1]))
 
-    def joint_raw_tables(self, tuples: Iterable[Sequence[str]]) -> dict[tuple[str, ...], dict]:
-        """``joint_raw`` of each setting tuple in ``tuples``, keyed by the tuple.
+    def _raw_arrays(self, tuples: Iterable[Sequence[str]]) -> dict[tuple[str, ...], np.ndarray]:
+        """Raw table of each setting tuple in ``tuples``, keyed by the tuple.
 
-        One walk contracts the parties' element stacks into ``psi`` in party
-        order and keeps the partial contraction of the current setting
-        prefix, so consecutive tuples sharing a prefix share its
-        contractions.  Over all tuples in ``setting_tuples()`` order that is
-        S_0 + S_0 S_1 + ... + S_0 ... S_{n-1} contraction steps for S_k
-        settings of party k, instead of n per tuple; each step has the
-        operands a lone tuple's would, so every table is the same to the bit.
+        A table is one real array of shape ``(m_0 + 1, ..., m_{n-1} + 1)``
+        for m_k good outcomes of party k: axis k runs over party k's good
+        outcomes in label order, then no-click.  One walk contracts the
+        parties' element stacks into ``psi`` in party order and keeps the
+        partial contraction of the current setting prefix, so consecutive
+        tuples sharing a prefix share its contractions.  Over all tuples in
+        ``setting_tuples()`` order that is S_0 + S_0 S_1 + ... + S_0 ... S_{n-1}
+        contraction steps for S_k settings of party k, instead of n per tuple;
+        each step has the operands a lone tuple's would, so every table is
+        the same to the bit.  A probability below ``-COMPLETENESS_TOL``
+        raises, naming its outcomes; smaller negative drift is clamped to 0.
         """
         n = self.n_parties
         index = [{x: i for i, x in enumerate(dev.settings)} for dev in self.devices]
-        alphabets = [(*dev.outcomes, NOCLICK) for dev in self.devices]
-        outcome_tuples = list(itertools.product(*alphabets))
         partial = [self.psi.reshape([dev.dim for dev in self.devices] * 2)] + [None] * n
         prefix: list[str | None] = [None] * n
+        alphabets = self._alphabets()
         tables = {}
         for xs in tuples:
             xs = self._check_settings(xs)
@@ -111,12 +124,27 @@ class BellScenario:
                 partial[j + 1] = self._contract_step(partial[j], j, self.devices[j].stack[index[j][xs[j]]])
                 prefix[j] = xs[j]
             probs = partial[n].real
-            flat = probs.ravel()
-            worst = int(np.argmin(flat))
-            outs = tuple(alph[i] for alph, i in zip(alphabets, np.unravel_index(worst, probs.shape)))
-            read_probability(float(flat[worst]), f"outcomes {outs!r} at settings {xs!r}")
-            tables[xs] = dict(zip(outcome_tuples, np.maximum(flat, 0.0).tolist()))
+            worst = np.unravel_index(int(np.argmin(probs)), probs.shape)
+            outs = tuple(alph[i] for alph, i in zip(alphabets, worst))
+            read_probability(float(probs[worst]), f"outcomes {outs!r} at settings {xs!r}")
+            tables[xs] = np.maximum(probs, 0.0)
         return tables
+
+    def _alphabets(self) -> list[tuple[str, ...]]:
+        """Each party's outcome labels in table order: good outcomes, then no-click."""
+        return [(*dev.outcomes, NOCLICK) for dev in self.devices]
+
+    def joint_raw_tables(self, tuples: Iterable[Sequence[str]]) -> dict[tuple[str, ...], dict]:
+        """``joint_raw`` of each setting tuple in ``tuples``, keyed by the tuple.
+
+        A dict view of the arrays of one prefix-sharing walk over ``tuples``
+        (see ``_raw_arrays``), keyed by outcome tuples in table order.
+        """
+        outcome_tuples = list(itertools.product(*self._alphabets()))
+        return {
+            xs: dict(zip(outcome_tuples, table.ravel().tolist()))
+            for xs, table in self._raw_arrays(tuples).items()
+        }
 
     def joint_raw(self, xs: Sequence[str]) -> dict[tuple[str, ...], float]:
         """Joint distribution over outcome tuples, no-click included."""
@@ -124,29 +152,41 @@ class BellScenario:
         return table
 
     def all_click_probability(self, xs: Sequence[str]) -> float:
-        return _acceptance(self.joint_raw(xs))
+        (table,) = self._raw_arrays([xs]).values()
+        return _acceptance(table)
 
     def joint_postselected(self, xs: Sequence[str]) -> dict[tuple[str, ...], float]:
         """Joint distribution over good outcome tuples, conditioned on all parties clicking."""
-        return _postselected(xs, self.joint_raw(xs))
+        ((xs, table),) = self._raw_arrays([xs]).items()
+        good = itertools.product(*(dev.outcomes for dev in self.devices))
+        return dict(zip(good, _postselected(xs, table).ravel().tolist()))
 
 
-def _acceptance(raw: Mapping[tuple[str, ...], float]) -> float:
-    """Probability that every party clicks: the sum of the all-click entries of a raw table."""
-    return sum(p for outs, p in raw.items() if NOCLICK not in outs)
+def _good(table: np.ndarray) -> np.ndarray:
+    """The all-click block of a raw table: every axis without its last, no-click, entry."""
+    return table[(slice(-1),) * table.ndim]
 
 
-def _postselected(xs: Sequence[str], raw: Mapping[tuple[str, ...], float]) -> dict[tuple[str, ...], float]:
-    """The all-click entries of ``raw``, the raw table at settings ``xs``, divided by the acceptance."""
+def _acceptance(raw: np.ndarray) -> float:
+    """Probability that every party clicks: the sum of the all-click block of a raw table.
+
+    Python's ``sum`` over the block in table order, left to right, as a loop
+    over the outcome tuples would add them.
+    """
+    return sum(_good(raw).ravel().tolist())
+
+
+def _postselected(xs: Sequence[str], raw: np.ndarray) -> np.ndarray:
+    """The all-click block of ``raw``, the raw table at settings ``xs``, divided by the acceptance."""
     acc = _acceptance(raw)
     if acc <= ZERO_ACCEPTANCE:
         raise ZeroAcceptanceError(
             f"setting tuple {tuple(xs)!r} has acceptance {acc:.3e}; erase it from the allowed settings"
         )
-    return {outs: p / acc for outs, p in raw.items() if NOCLICK not in outs}
+    return _good(raw) / acc
 
 
-def _postselected_tables(raw: Mapping[tuple[str, ...], Mapping]) -> dict:
+def _postselected_tables(raw: Tables) -> dict[tuple[str, ...], np.ndarray]:
     """Setting tuple -> post-selected table read from its raw table in ``raw``; erased tuples left out."""
     post = {}
     for xs, table in raw.items():
@@ -213,16 +253,21 @@ def ideal_scenario(sc: BellScenario, mqs: Sequence[np.ndarray] | None = None) ->
 def _ideal_from(sc: BellScenario, ideal: Sequence[LosslessDevice], mqs: Sequence[np.ndarray]) -> BellScenario:
     """Scenario measuring the filtered state with the per-party ideal devices ``ideal``."""
     psi_click, _ = filtered_global_state(mqs, sc.psi)
-    return BellScenario([dev.to_lossy() for dev in ideal], psi_click, sc.bell_coeffs)
+    out = BellScenario([dev.to_lossy() for dev in ideal], psi_click)
+    # An ideal device keeps its device's outcomes but lacks the settings erased from the
+    # verdict, which the coefficients may still name: share the compiled functional as is.
+    out.bell_coeffs, out._functional = sc.bell_coeffs, sc._functional
+    return out
 
 
-def _max_deviation(post: Mapping, ideal_raw: Mapping) -> float:
-    """Max |post-selected - ideal raw| probability over the setting tuples of ``post``."""
-    worst = 0.0
-    for xs, ps in post.items():
-        for outs, p in ps.items():
-            worst = max(worst, abs(p - ideal_raw[xs][outs]))
-    return worst
+def _max_deviation(post: Tables, ideal_raw: Tables) -> float:
+    """Max |post-selected - ideal raw| probability over the setting tuples of ``post``.
+
+    ``post`` holds post-selected tables and ``ideal_raw`` raw tables, keyed by setting tuple.
+    """
+    return max(
+        (float(np.max(np.abs(ps - _good(ideal_raw[xs])))) for xs, ps in post.items()), default=0.0
+    )
 
 
 def postselected_vs_ideal_deviation(sc: BellScenario, ideal: BellScenario) -> float:
@@ -230,8 +275,8 @@ def postselected_vs_ideal_deviation(sc: BellScenario, ideal: BellScenario) -> fl
 
     Setting tuples with vanishing acceptance are erased rather than compared.
     """
-    post = _postselected_tables(sc.joint_raw_tables(sc.setting_tuples()))
-    return _max_deviation(post, ideal.joint_raw_tables(post))
+    post = _postselected_tables(sc._raw_arrays(sc.setting_tuples()))
+    return _max_deviation(post, ideal._raw_arrays(post))
 
 
 def verify_postselection_equivalence(sc: BellScenario, tol: float = COMPLETENESS_TOL) -> float:
@@ -274,15 +319,18 @@ def validate_coefficients(sc: BellScenario, coeffs: BellCoeffs) -> None:
     Only complete (linear) Bell functionals are accepted; a missing entry is
     an error, not an implicit zero.
     """
+    tuples = dict.fromkeys(xs for xs, _ in coeffs)
+    settings = [dev.settings for dev in sc.devices]
+    for xs in tuples:
+        fault = _labels_fault(xs, settings, "setting")
+        if fault:
+            raise KeyError(f"coefficients reference settings {xs!r}: {fault}")
     outcome_tuples = list(itertools.product(*(dev.outcomes for dev in sc.devices)))
-    for xs, _ in coeffs:
-        for dev, x in zip(sc.devices, xs):
-            if x not in dev.settings:
-                raise KeyError(f"coefficients reference unknown setting {x!r}")
-    for xs in {xs for xs, _ in coeffs}:
-        for outs in outcome_tuples:
-            if (xs, outs) not in coeffs:
-                raise ValueError(f"missing coefficient entry for settings {xs!r}, outcomes {outs!r}")
+    keys = set(coeffs)
+    for xs in tuples:
+        if not keys.issuperset((xs, outs) for outs in outcome_tuples):
+            outs = next(outs for outs in outcome_tuples if (xs, outs) not in keys)
+            raise ValueError(f"missing coefficient entry for settings {xs!r}, outcomes {outs!r}")
 
 
 def beta_max(coeffs: BellCoeffs) -> float:
@@ -311,18 +359,85 @@ def postselected_bell_value(sc: BellScenario) -> float:
     if sc.bell_coeffs is None:
         raise ValueError("scenario declares no Bell coefficients")
     validate_coefficients(sc, sc.bell_coeffs)
-    dists = {xs: sc.joint_postselected(xs) for xs in {xs for (xs, _) in sc.bell_coeffs}}
-    return bell_value(dists, sc.bell_coeffs)
+    raw = sc._raw_arrays(sc._functional.tuples)
+    return sc._functional.value({xs: _postselected(xs, table) for xs, table in raw.items()})
 
 
-def _postselected_bell_value(coeffs: BellCoeffs, post: Mapping) -> float:
-    """Bell functional on the post-selected tables ``post``, which lack the erased setting tuples."""
-    erased = {xs for (xs, _) in coeffs} - post.keys()
+def _postselected_bell_value(sc: BellScenario, post: Tables) -> float:
+    """Bell functional of ``sc`` on the post-selected tables ``post``, which lack the erased setting tuples."""
+    erased = set(sc._functional.tuples) - post.keys()
     if erased:
         raise ZeroAcceptanceError(
             f"Bell coefficients read setting tuples with vanishing acceptance: {sorted(erased)!r}"
         )
-    return bell_value(post, coeffs)
+    return sc._functional.value(post)
+
+
+@dataclass(frozen=True)
+class _Functional:
+    """Bell coefficients compiled against a scenario's labels, one entry per coefficient in order.
+
+    ``tuples`` lists the setting tuples the coefficients read, in first-use
+    order; coefficient i reads the table of ``tuples[position[i]]`` at the
+    good-outcome index ``(outcome[0][i], ..., outcome[n-1][i])``.  Good
+    outcomes come before no-click on every axis, so the same indices read a
+    raw table and a post-selected one.
+    """
+
+    tuples: tuple[tuple[str, ...], ...]
+    position: np.ndarray
+    outcome: tuple[np.ndarray, ...]
+    weight: np.ndarray
+
+    def value(self, tables: Tables) -> float:
+        """sum(c * Pr) over ``tables``, which must hold every tuple in ``tuples``.
+
+        The terms are added left to right in coefficient order, as
+        ``bell_value`` adds them, so the two agree to the bit.
+        """
+        if not self.tuples:
+            return 0.0
+        terms = self.weight * np.stack([tables[xs] for xs in self.tuples])[(self.position, *self.outcome)]
+        total = 0.0
+        for term in terms.tolist():
+            total += term
+        return total
+
+
+def _labels_fault(labels, known: Sequence[tuple[str, ...]], kind: str) -> str | None:
+    """Why ``labels`` is not a tuple holding one of ``known[k]`` for each party k, or None when it is."""
+    if type(labels) is not tuple or len(labels) != len(known):
+        return f"expected a tuple of {len(known)} {kind}s, one per party"
+    for k, (label, allowed) in enumerate(zip(labels, known)):
+        if label not in allowed:
+            return f"party {k} has no {kind} {label!r}"
+    return None
+
+
+def _compile(devices: Sequence[LossyDevice], coeffs: BellCoeffs) -> _Functional:
+    """Compile ``coeffs`` against ``devices``; a key that does not fit raises ``ValueError`` naming it.
+
+    Keys are checked in bulk: each distinct setting tuple once, and every
+    outcome tuple by lookup among the good outcome tuples.  Only when that
+    finds a fault are the keys walked in order, to name the first bad one.
+    """
+    settings = [dev.settings for dev in devices]
+    outcomes = [dev.outcomes for dev in devices]
+    good = {outs: i for i, outs in enumerate(itertools.product(*outcomes))}
+    tuples = dict.fromkeys(xs for xs, _ in coeffs)
+    flat = list(map(good.get, (outs for _, outs in coeffs)))
+    if None in flat or any(_labels_fault(xs, settings, "setting") for xs in tuples):
+        for xs, outs in coeffs:
+            fault = _labels_fault(xs, settings, "setting") or _labels_fault(outs, outcomes, "good outcome")
+            if fault:
+                raise ValueError(f"Bell coefficient for settings {xs!r}, outcomes {outs!r}: {fault}")
+    index = {xs: i for i, xs in enumerate(tuples)}
+    return _Functional(
+        tuple(tuples),
+        np.fromiter(map(index.__getitem__, (xs for xs, _ in coeffs)), dtype=np.intp, count=len(coeffs)),
+        np.unravel_index(np.array(flat, dtype=np.intp), [len(dev.outcomes) for dev in devices]),
+        np.fromiter(coeffs.values(), dtype=float, count=len(coeffs)),
+    )
 
 
 @dataclass
@@ -341,13 +456,13 @@ def bound_report(sc: BellScenario, mqs: Sequence[np.ndarray]) -> BoundReport:
     built = [_ideal_device_and_epsilon(dev, mq) for dev, mq in zip(sc.devices, mqs)]
     eps = [e for _, e in built]
     eps_tot = epsilon_total(eps)  # raises for an epsilon >= 1, where no ideal device exists
-    post = _postselected_tables(sc.joint_raw_tables(sc.setting_tuples()))
+    post = _postselected_tables(sc._raw_arrays(sc.setting_tuples()))
     ideal = _ideal_from(sc, [dev for dev, _ in built], mqs)
-    ideal_raw = ideal.joint_raw_tables(post)
+    ideal_raw = ideal._raw_arrays(post)
     beta = bell_deviation = None
     if sc.bell_coeffs is not None:
         validate_coefficients(sc, sc.bell_coeffs)
         beta = beta_max(sc.bell_coeffs)
-        post_value = _postselected_bell_value(sc.bell_coeffs, post)
-        bell_deviation = abs(post_value - bell_value(ideal_raw, sc.bell_coeffs))
+        post_value = _postselected_bell_value(sc, post)
+        bell_deviation = abs(post_value - sc._functional.value(ideal_raw))
     return BoundReport(eps, eps_tot, _max_deviation(post, ideal_raw), beta, bell_deviation)

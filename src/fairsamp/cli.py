@@ -11,6 +11,8 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import functools
+import itertools
 import sys
 from pathlib import Path
 
@@ -25,7 +27,6 @@ from .bell import (
     _max_deviation,
     _postselected_bell_value,
     _postselected_tables,
-    bell_value,
     bound_report,
     deviation_bound,
     ideal_scenario,
@@ -96,29 +97,31 @@ def cmd_decompose(args) -> int:
 
 def _scenario_report(sc: BellScenario, postselect: bool, tol: float) -> dict:
     """The ``simulate`` report, read from one raw table per setting tuple; omissions noted on stderr."""
-    raw = sc.joint_raw_tables(sc.setting_tuples())
+    raw = sc._raw_arrays(sc.setting_tuples())
     post = _postselected_tables(raw)
     label = LABEL_SEP.join
+    raw_labels = [label(outs) for outs in itertools.product(*sc._alphabets())]
     report: dict = {
-        "raw": {label(xs): serialize.distribution_to_json(table) for xs, table in raw.items()},
+        "raw": {label(xs): serialize.table_to_json(raw_labels, table) for xs, table in raw.items()},
         "acceptance": {label(xs): serialize.sig15(_acceptance(table)) for xs, table in raw.items()},
     }
     if postselect:
-        report["postselected"] = {label(xs): serialize.distribution_to_json(ps) for xs, ps in post.items()}
+        good_labels = [label(outs) for outs in itertools.product(*(dev.outcomes for dev in sc.devices))]
+        report["postselected"] = {label(xs): serialize.table_to_json(good_labels, ps) for xs, ps in post.items()}
         report["erased"] = [label(xs) for xs in raw if xs not in post]
     if sc.bell_coeffs is not None:
         if postselect:
             try:
-                value = _postselected_bell_value(sc.bell_coeffs, post)
+                value = _postselected_bell_value(sc, post)
                 report["bell_value_postselected"] = serialize.sig15(value)
             except ZeroAcceptanceError as exc:
                 sys.stderr.write(f"note: bell_value_postselected omitted: {exc}\n")
-        report["bell_value_raw"] = serialize.sig15(bell_value(raw, sc.bell_coeffs))
+        report["bell_value_raw"] = serialize.sig15(sc._functional.value(raw))
     try:
         verdicts = [check_exact(dev, tol=tol) for dev in sc.devices]
         if all(v.weak for v in verdicts):
             ideal = ideal_scenario(sc, [v.quantum_elem for v in verdicts])
-            ideal_raw = ideal.joint_raw_tables(post)
+            ideal_raw = ideal._raw_arrays(post)
             report["ideal_deviation"] = serialize.sig15(_max_deviation(post, ideal_raw))
     except ZeroAcceptanceError as exc:
         sys.stderr.write(f"note: no ideal experiment, ideal_deviation omitted: {exc}\n")
@@ -296,7 +299,9 @@ def cmd_demo(args) -> int:
     return 0
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The command-line parser, built once per process and reused by every ``main`` call."""
     parser = argparse.ArgumentParser(
         prog="fairsamp",
         description="Fair-sampling analysis of lossy measurement devices and Bell experiments",
@@ -312,25 +317,21 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("device")
     p.add_argument("--mq", default=None, help="reference operator JSON for mq, support and epsilon")
     common(p)
-    p.set_defaults(func=cmd_check)
 
     p = sub.add_parser("decompose", help="canonical filter/lossless decomposition")
     p.add_argument("device")
     p.add_argument("--trials", type=int, default=100, help="random states for verification")
     common(p)
-    p.set_defaults(func=cmd_decompose)
 
     p = sub.add_parser("simulate", help="joint statistics of a Bell scenario file")
     p.add_argument("scenario")
     p.add_argument("--postselect", action="store_true", help="include post-selected statistics")
     common(p)
-    p.set_defaults(func=cmd_simulate)
 
     p = sub.add_parser("bound", help="deviation bounds and measured deviations for a scenario")
     p.add_argument("scenario")
     p.add_argument("--mq", default=None, help="reference operator JSON used for every party")
     common(p)
-    p.set_defaults(func=cmd_bound)
 
     p = sub.add_parser("demo", help="reproducible built-in demonstrations")
     p.add_argument("name", choices=DEMOS)
@@ -341,13 +342,20 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--delta", type=float, default=None, help="relative miss-probability excess")
     p.add_argument("--count", type=int, default=20, help="scenario count for prop2-random")
     common(p)
-    p.set_defaults(func=cmd_demo)
     return parser
 
 
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
-    return args.func(args)
+    # Looked up per call, not bound into the cached parser, so a replaced command is the one run.
+    commands = {
+        "check": cmd_check,
+        "decompose": cmd_decompose,
+        "simulate": cmd_simulate,
+        "bound": cmd_bound,
+        "demo": cmd_demo,
+    }
+    return commands[args.command](args)
 
 
 if __name__ == "__main__":

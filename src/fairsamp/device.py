@@ -60,30 +60,16 @@ class LossyDevice:
         povm: Mapping[str, Mapping[str, np.ndarray]],
     ):
         self.dim = int(dim)
-        self.settings = tuple(str(x) for x in settings)
-        self.outcomes = tuple(str(a) for a in outcomes)
-        if NOCLICK in self.outcomes:
-            raise ValueError(f"{NOCLICK!r} is reserved and cannot be a good outcome")
-        if len(set(self.settings)) != len(self.settings):
-            raise ValueError("duplicate setting labels")
-        if len(set(self.outcomes)) != len(self.outcomes):
-            raise ValueError("duplicate outcome labels")
-
+        self.settings, self.outcomes = _labels(settings, outcomes)
         n = len(self.outcomes)
         labels = (*self.outcomes, NOCLICK)
         eye = np.eye(self.dim, dtype=complex)
         stack = np.empty((len(self.settings), n + 1, self.dim, self.dim), dtype=complex)
         for x, block in zip(self.settings, stack):
-            if x not in povm:
-                raise ValueError(f"missing POVM entries for setting {x!r}")
-            row = povm[x]
-            for j, a in enumerate(self.outcomes):
-                if a not in row:
-                    raise ValueError(f"missing POVM element for ({x!r}, {a!r})")
-                block[j] = self._operator(x, a, row[a])
+            row = _fill(block, x, self.outcomes, povm)
             good_sum = sum(block[:n])
             if NOCLICK in row:
-                block[n] = self._operator(x, NOCLICK, row[NOCLICK])
+                block[n] = _operator(self.dim, x, NOCLICK, row[NOCLICK])
             else:
                 np.subtract(eye, good_sum, out=block[n])
             herm, lowest = psd_faults(block)
@@ -96,12 +82,6 @@ class LossyDevice:
         stack.setflags(write=False)
         self.stack = stack
         self.povm = _read_only_povm(self.settings, labels, stack)
-
-    def _operator(self, x: str, a: str, m) -> np.ndarray:
-        m = as_operator(m)
-        if m.shape[0] != self.dim:
-            raise ValueError(f"element ({x!r}, {a!r}) has dimension {m.shape[0]}, expected {self.dim}")
-        return m
 
     def element(self, x: str, a: str) -> np.ndarray:
         return self.povm[x][a]
@@ -151,6 +131,42 @@ class LossyDevice:
         return {a: raw[a] / acc for a in self.outcomes}
 
 
+def _labels(settings: Sequence[str], outcomes: Sequence[str]) -> tuple[tuple[str, ...], tuple[str, ...]]:
+    """Setting and good-outcome labels as tuples of str; duplicates and a good ``noclick`` raise."""
+    settings = tuple(str(x) for x in settings)
+    outcomes = tuple(str(a) for a in outcomes)
+    if NOCLICK in outcomes:
+        raise ValueError(f"{NOCLICK!r} is reserved and cannot be a good outcome")
+    if len(set(settings)) != len(settings):
+        raise ValueError("duplicate setting labels")
+    if len(set(outcomes)) != len(outcomes):
+        raise ValueError("duplicate outcome labels")
+    return settings, outcomes
+
+
+def _operator(dim: int, x: str, a: str, m) -> np.ndarray:
+    m = as_operator(m)
+    if m.shape[0] != dim:
+        raise ValueError(f"element ({x!r}, {a!r}) has dimension {m.shape[0]}, expected {dim}")
+    return m
+
+
+def _fill(block: np.ndarray, x: str, outcomes: Sequence[str], povm: Mapping) -> Mapping:
+    """Copy setting ``x``'s elements for ``outcomes`` from ``povm`` into ``block``, in order; returns ``povm[x]``.
+
+    A missing setting or element, or an element of the wrong dimension, raises
+    ``ValueError`` naming the setting and outcome.
+    """
+    if x not in povm:
+        raise ValueError(f"missing POVM entries for setting {x!r}")
+    row = povm[x]
+    for j, a in enumerate(outcomes):
+        if a not in row:
+            raise ValueError(f"missing POVM element for ({x!r}, {a!r})")
+        block[j] = _operator(block.shape[-1], x, a, row[a])
+    return row
+
+
 def _read_only_povm(settings: Sequence[str], labels: Sequence[str], stack: np.ndarray) -> Mapping:
     """Read-only mapping setting -> label -> element view of a read-only ``stack``."""
     return MappingProxyType(
@@ -165,7 +181,9 @@ class LosslessDevice:
     good outcome.  Elements live in one read-only ``stack`` of shape
     ``(settings, outcomes, dim, dim)``, with ``povm`` a read-only mapping of
     views into it.  ``support`` maps each setting to its projector; it is
-    validated to be idempotent and to match the outcome sum.
+    validated to be idempotent and to match the outcome sum.  Labels and
+    element structure are checked as for ``LossyDevice``: errors name the
+    setting and outcome.
     """
 
     def __init__(
@@ -176,13 +194,11 @@ class LosslessDevice:
         povm: Mapping[str, Mapping[str, np.ndarray]],
     ):
         self.dim = int(dim)
-        self.settings = tuple(str(x) for x in settings)
-        self.outcomes = tuple(str(a) for a in outcomes)
+        self.settings, self.outcomes = _labels(settings, outcomes)
         stack = np.empty((len(self.settings), len(self.outcomes), self.dim, self.dim), dtype=complex)
         supports: dict[str, np.ndarray] = {}
         for x, block in zip(self.settings, stack):
-            for j, a in enumerate(self.outcomes):
-                block[j] = as_operator(povm[x][a])
+            _fill(block, x, self.outcomes, povm)
             raise_psd_fault(*psd_faults(block), lambda j: f"element ({x!r}, {self.outcomes[j]!r})")
             s = sum(block)
             res = float(np.max(np.abs(s @ s - s)))

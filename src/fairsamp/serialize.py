@@ -16,8 +16,9 @@ import tempfile
 from itertools import chain
 from json.encoder import encode_basestring_ascii
 from math import inf, isfinite, nan
+from operator import itemgetter
 from pathlib import Path
-from typing import Any, Mapping
+from typing import Any, Mapping, Sequence
 
 import numpy as np
 
@@ -78,6 +79,11 @@ def _matrix_at(where: str, obj) -> np.ndarray:
 def sig15(x: float) -> float:
     """Round a probability (or any real) to 15 significant digits for reporting."""
     return float(format(float(x), ".15g"))
+
+
+def _sig15_all(values: Sequence[float]) -> list[float]:
+    """``sig15`` of every float in ``values``: the same ``.15g`` rule, in one ``%`` call parsed back."""
+    return list(map(float, ("%.15g " * len(values) % tuple(values)).split()))
 
 
 def device_to_json(dev: LossyDevice) -> dict:
@@ -169,9 +175,41 @@ def verdict_to_json(verdict: FairSamplingVerdict) -> dict:
 
 
 def coeffs_from_json(obj) -> BellCoeffs:
-    """Parse a Bell coefficient list; a malformed entry raises ``ValueError`` naming it and its field."""
+    """Parse a Bell coefficient list; a malformed entry raises ``ValueError`` naming it and its field.
+
+    The entries are type-checked as whole lists; only when that finds a fault
+    are they parsed one at a time, to name the first bad entry.
+    """
     if type(obj) is not list:
         raise ValueError(f"coeffs must be a list, got {obj!r:.40}")
+    coeffs = _coeffs_in_bulk(obj)
+    return coeffs if coeffs is not None else _coeffs_by_entry(obj)
+
+
+def _coeffs_in_bulk(obj: list) -> BellCoeffs | None:
+    """The coefficients of a well-formed entry list, or None if any entry or field is malformed."""
+    if not set(map(type, obj)) <= {dict}:
+        return None
+    try:
+        xs, outs, cs = zip(*map(itemgetter("x", "a", "c"), obj)) if obj else ((), (), ())
+    except KeyError:
+        return None
+    for labels in (xs, outs):
+        if not set(map(type, labels)) <= {list} or not set(map(type, chain.from_iterable(labels))) <= {str}:
+            return None
+    if not set(map(type, cs)) <= {float, int}:
+        return None
+    try:
+        weights = np.fromiter(cs, dtype=np.float64, count=len(cs))
+    except OverflowError:
+        return None
+    coeffs = dict(zip(zip(map(tuple, xs), map(tuple, outs)), weights.tolist()))
+    if len(coeffs) != len(cs) or not np.isfinite(weights).all():
+        return None
+    return coeffs
+
+
+def _coeffs_by_entry(obj: list) -> BellCoeffs:
     coeffs: dict[tuple[tuple[str, ...], tuple[str, ...]], float] = {}
     for i, entry in enumerate(obj):
         where = f"coeffs[{i}]"
@@ -236,6 +274,11 @@ def distribution_to_json(dist: Mapping) -> dict:
         label = LABEL_SEP.join(key) if isinstance(key, tuple) else str(key)
         out[label] = sig15(p)
     return out
+
+
+def table_to_json(labels: Sequence[str], table: np.ndarray) -> dict:
+    """A joint table array as ``distribution_to_json`` writes it; ``labels`` name its entries in C order."""
+    return dict(zip(labels, _sig15_all(table.ravel().tolist())))
 
 
 _INDENT = "  "

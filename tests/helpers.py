@@ -5,7 +5,7 @@ import itertools
 import numpy as np
 
 from fairsamp.device import NOCLICK, LossyDevice
-from fairsamp.linalg import COMPLETENESS_TOL, as_operator, eigh_psd, probability, projector, tensor
+from fairsamp.linalg import COMPLETENESS_TOL, ZERO_ACCEPTANCE, as_operator, eigh_psd, probability, projector, tensor
 from fairsamp.sampling import haar_ket, random_fair_sampling_device, random_povm
 
 
@@ -121,3 +121,39 @@ def legacy_validate(dim, settings, outcomes, povm):
         else:
             noclick = eye - good_sum
         eigh_psd(noclick, name=f"POVM element ({x!r}, noclick)")
+
+
+# Reference reductions over the dict views of joint tables: one Python loop per entry,
+# in table order.  The array path in ``fairsamp.bell`` must equal them to the bit; the
+# matching reference for the Bell functional is the public dict loop ``bell.bell_value``.
+
+
+def dict_acceptance(raw):
+    """Probability that every party clicks: the sum of the all-click entries of a raw table."""
+    return sum(p for outs, p in raw.items() if NOCLICK not in outs)
+
+
+def dict_postselected_tables(raw):
+    """Setting tuple -> all-click entries divided by the acceptance; zero-acceptance tuples left out."""
+    post = {}
+    for xs, table in raw.items():
+        acc = dict_acceptance(table)
+        if acc > ZERO_ACCEPTANCE:
+            post[xs] = {outs: p / acc for outs, p in table.items() if NOCLICK not in outs}
+    return post
+
+
+def dict_max_deviation(post, ideal_raw):
+    """Max |post-selected - ideal raw| probability over the setting tuples of ``post``."""
+    worst = 0.0
+    for xs, ps in post.items():
+        for outs, p in ps.items():
+            worst = max(worst, abs(p - ideal_raw[xs][outs]))
+    return worst
+
+
+def with_dead_setting(dev):
+    """``dev`` plus a setting ``"dead"`` whose good elements are all zero: it never clicks."""
+    povm = {x: {a: dev.element(x, a) for a in dev.outcomes} for x in dev.settings}
+    povm["dead"] = {a: np.zeros((dev.dim, dev.dim)) for a in dev.outcomes}
+    return LossyDevice(dev.dim, [*dev.settings, "dead"], dev.outcomes, povm)

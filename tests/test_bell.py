@@ -1,5 +1,8 @@
 """Joint statistics, post-selection equivalence and multipartite bounds."""
 
+import itertools
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -10,6 +13,10 @@ from fairsamp.adversary import makarov_traced
 from fairsamp.analysis import approximate_epsilon, check_exact
 from fairsamp.bell import (
     BellScenario,
+    _acceptance,
+    _max_deviation,
+    _postselected_bell_value,
+    _postselected_tables,
     bell_value,
     beta_max,
     deviation_bound,
@@ -157,6 +164,44 @@ def test_prefix_shared_walk_is_bit_identical_to_lone_tuples(seed, parties):
     # Any order and any subset: a changed prefix is contracted afresh.
     picked = [tuples[i] for i in rng.choice(len(tuples), size=int(rng.integers(1, len(tuples) + 1)))]
     assert sc.joint_raw_tables(picked) == {xs: lone[xs] for xs in picked}
+
+
+@settings(max_examples=25, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    parties=st.lists(
+        st.tuples(st.integers(1, 3), st.integers(1, 2), st.integers(1, 3)), min_size=1, max_size=4
+    ),
+)
+def test_array_reductions_equal_the_dict_oracle(seed, parties):
+    """Acceptance, post-selection, max deviation and Bell values read from the arrays are the dict loops' floats."""
+    rng = np.random.default_rng(seed)
+    devices = [helpers.random_multisetting_device(rng, d, m, k) for d, m, k in parties]
+    devices[0] = helpers.with_dead_setting(devices[0])
+    dim = int(np.prod([d for d, _, _ in parties]))
+    good = list(itertools.product(*(dev.outcomes for dev in devices)))
+    tuples = list(itertools.product(*(dev.settings for dev in devices)))
+    coeffs = {(xs, outs): float(rng.normal()) for xs in tuples for outs in good}
+    sc = BellScenario(devices, random_density(dim, rng), coeffs)
+    other = BellScenario(devices, random_density(dim, rng))  # stands in for the ideal experiment
+
+    raw, raw_dicts = sc._raw_arrays(tuples), sc.joint_raw_tables(tuples)
+    for xs in tuples:
+        assert _acceptance(raw[xs]) == helpers.dict_acceptance(raw_dicts[xs])
+    post, post_dicts = _postselected_tables(raw), helpers.dict_postselected_tables(raw_dicts)
+    assert list(post) == list(post_dicts) == [xs for xs in tuples if xs[0] != "dead"]
+    for xs, ps in post.items():
+        assert dict(zip(good, ps.ravel().tolist())) == post_dicts[xs]
+    ideal = other._raw_arrays(post)
+    assert _max_deviation(post, ideal) == helpers.dict_max_deviation(post_dicts, other.joint_raw_tables(post))
+
+    assert sc._functional.value(raw) == bell_value(raw_dicts, coeffs)
+    with pytest.raises(ZeroAcceptanceError, match="vanishing acceptance"):
+        _postselected_bell_value(sc, post)
+    live = BellScenario(devices, sc.psi, {key: c for key, c in coeffs.items() if key[0] in post})
+    assert _postselected_bell_value(live, post) == bell_value(post_dicts, live.bell_coeffs)
+    assert postselected_bell_value(live) == bell_value(post_dicts, live.bell_coeffs)
+    assert live._functional.value(ideal) == bell_value(other.joint_raw_tables(post), live.bell_coeffs)
 
 
 class TestJointPostselected:
@@ -314,6 +359,31 @@ class TestBellFunctional:
         with pytest.raises(ValueError, match="missing coefficient"):
             validate_coefficients(sc, coeffs)
         validate_coefficients(sc, chsh_coefficients())
+
+    def test_validation_rejects_settings_tuple_of_wrong_length(self):
+        from fairsamp.bell import validate_coefficients
+
+        long = {(("0", "0", "0"), ("+", "+")): 1.0}
+        with pytest.raises(KeyError, match="expected a tuple of 2 settings"):
+            validate_coefficients(chsh_singlet_scenario(), long)
+
+    @pytest.mark.parametrize(
+        "key,message",
+        [
+            ((("0", "0"), ("+", "zzz")), r"party 1 has no good outcome 'zzz'"),
+            ((("0", "0"), ("+", NOCLICK)), r"party 1 has no good outcome 'noclick'"),
+            ((("0", "0", "0"), ("+", "+")), r"expected a tuple of 2 settings, one per party"),
+            ((("0", "2"), ("+", "+")), r"party 1 has no setting '2'"),
+            ((("0", "0"), ("+",)), r"expected a tuple of 2 good outcomes, one per party"),
+        ],
+        ids=["unknown-outcome", "noclick", "long-settings", "unknown-setting", "short-outcomes"],
+    )
+    def test_coefficient_keys_checked_when_built(self, key, message):
+        sc = chsh_singlet_scenario()
+        coeffs = {**chsh_coefficients(), key: 5.0, (("1", "1"), ("+", "zzz")): 1.0}
+        named = r"^Bell coefficient for settings " + re.escape(repr(key[0])) + ".*: " + message
+        with pytest.raises(ValueError, match=named):
+            BellScenario(sc.devices, sc.psi, coeffs)
 
     def test_deviation_bound_zero_for_exact(self, rng):
         sc = chsh_singlet_scenario()

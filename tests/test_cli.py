@@ -341,6 +341,51 @@ class TestBound:
         assert len(calls) == 2
 
 
+MALFORMED_KEYS = pytest.mark.parametrize(
+    "entry,message",
+    [
+        ({"x": ["0", "0"], "a": ["+", "zzz"], "c": 5.0}, "party 1 has no good outcome 'zzz'"),
+        ({"x": ["0", "0"], "a": ["+", "noclick"], "c": 5.0}, "party 1 has no good outcome 'noclick'"),
+        ({"x": ["0", "0", "0"], "a": ["+", "+"], "c": 1.0}, "expected a tuple of 2 settings"),
+    ],
+    ids=["unknown-outcome", "noclick", "three-settings"],
+)
+
+
+@MALFORMED_KEYS
+@pytest.mark.parametrize("argv", [["simulate"], ["simulate", "--postselect"], ["bound"]], ids=" ".join)
+def test_malformed_coefficient_key_exits_one(tmp_path, capsys, entry, message, argv):
+    obj = serialize.scenario_to_json(chsh_singlet_scenario())
+    obj["bell"]["coeffs"].append(entry)
+    path = tmp_path / "bad.json"
+    serialize.dump_json(obj, path)
+    assert main([*argv, str(path)]) == 1
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith("error: cannot load scenario: Bell coefficient for settings") and message in err
+    assert err.count("\n") == 1
+
+
+def test_scenario_commands_never_build_dict_tables(chsh_file, monkeypatch, capsys):
+    """``simulate``, ``bound`` and the CHSH demo read the joint table arrays, not their dict view."""
+    from fairsamp.bell import BellScenario
+
+    def forbidden(self, tuples):
+        raise AssertionError("the dict view joint_raw_tables was called")
+
+    monkeypatch.setattr(BellScenario, "joint_raw_tables", forbidden)
+    for argv in (["simulate", "--postselect", str(chsh_file)], ["bound", str(chsh_file)], ["demo", "chsh-singlet"]):
+        assert main(argv) == 0
+
+
+def test_parser_is_built_once_and_runs_the_current_commands(chsh_file, monkeypatch, capsys):
+    from fairsamp import cli
+
+    assert cli.build_parser() is cli.build_parser()
+    monkeypatch.setattr(cli, "cmd_bound", lambda args: 7)
+    assert main(["bound", str(chsh_file)]) == 7
+
+
 class TestJointStatisticsReuse:
     """Each command walks the setting tuples once per scenario, sharing every setting prefix's contraction."""
 

@@ -273,6 +273,32 @@ class TestLosslessDevice:
         with pytest.raises(ValueError, match="projector"):
             LosslessDevice(2, ["x"], ["a"], {"x": {"a": 0.5 * np.eye(2)}})
 
+    @pytest.mark.parametrize(
+        "povm,message",
+        [
+            ({}, r"missing POVM entries for setting 'x'"),
+            ({"x": {}}, r"missing POVM element for \('x', 'a'\)"),
+            ({"x": {"a": np.eye(3)}}, r"element \('x', 'a'\) has dimension 3, expected 2"),
+        ],
+        ids=["setting", "element", "dimension"],
+    )
+    def test_structure_errors_name_setting_and_outcome(self, povm, message):
+        with pytest.raises(ValueError, match=message):
+            LosslessDevice(2, ["x"], ["a"], povm)
+
+    @pytest.mark.parametrize(
+        "settings,outcomes,message",
+        [
+            (["x", "x"], ["a"], "duplicate setting"),
+            (["x"], ["a", "a"], "duplicate outcome"),
+            (["x"], ["noclick"], "reserved"),
+        ],
+        ids=["settings", "outcomes", "noclick"],
+    )
+    def test_labels_checked_as_for_lossy_devices(self, settings, outcomes, message):
+        with pytest.raises(ValueError, match=message):
+            LosslessDevice(2, settings, outcomes, {"x": {a: np.eye(2) for a in outcomes}})
+
     def test_to_lossy_completes(self):
         dev = LosslessDevice(2, ["x"], ["a"], {"x": {"a": np.diag([1.0, 0.0])}})
         lossy = dev.to_lossy()
