@@ -99,17 +99,10 @@ def check_exact(dev: LossyDevice, tol: float = VERDICT_TOL) -> FairSamplingVerdi
     Erased settings (click norm at most ZERO_ACCEPTANCE) are left out of the
     weak test and of epsilon; they keep their entry in ``classical_eff``.
     """
-    clicks = dev.click_elements()
-    norms = operator_norms(clicks)
-    live = norms > ZERO_ACCEPTANCE
-    if not live.any():
-        raise ZeroAcceptanceError("all click elements vanish; the device never accepts")
+    norms, mq = _weak_reference(dev, tol)
     classical_eff = dict(zip(dev.settings, norms.tolist()))
-
-    weak = _pairwise_proportional(clicks[live], norms[live], tol)
+    weak = mq is not None
     if weak:
-        first = int(np.argmax(live))
-        mq = clicks[first] / norms[first]
         epsilon = 0.0
     else:
         mq = default_mq(dev)
@@ -125,6 +118,23 @@ def check_exact(dev: LossyDevice, tol: float = VERDICT_TOL) -> FairSamplingVerdi
         support=support_projector(mq),
         epsilon=epsilon,
     )
+
+
+def _weak_reference(dev: LossyDevice, tol: float = VERDICT_TOL) -> tuple[np.ndarray, np.ndarray | None]:
+    """The weak test of ``check_exact``: (click norms, reference ``mq`` or None when the test fails).
+
+    ``mq`` is the first live click element scaled to unit operator norm.  A
+    device whose every click element vanishes raises ``ZeroAcceptanceError``.
+    """
+    clicks = dev.click_elements()
+    norms = operator_norms(clicks)
+    live = norms > ZERO_ACCEPTANCE
+    if not live.any():
+        raise ZeroAcceptanceError("all click elements vanish; the device never accepts")
+    if not _pairwise_proportional(clicks[live], norms[live], tol):
+        return norms, None
+    first = int(np.argmax(live))
+    return norms, clicks[first] / norms[first]
 
 
 def default_mq(dev: LossyDevice) -> np.ndarray:
@@ -177,13 +187,13 @@ def approximate_epsilon(dev: LossyDevice, mq: np.ndarray) -> float:
     support projector; the maximum over settings is the epsilon of
     approximate fair sampling.  Erased settings do not contribute.
     """
-    pi, pinv = _reference(mq)
+    pi, pinv, _ = _reference(mq)
     _, clicks, _ = _conjugated_clicks(dev, pi, pinv)
     return float(operator_norms(pi - clicks).max(initial=0.0))
 
 
-def _reference(mq: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Support projector and pseudo-inverse square root of a reference operator."""
+def _reference(mq: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Support projector, pseudo-inverse square root and square root of a reference operator."""
     return support_and_pinv_sqrt(mq, name="reference operator")
 
 
@@ -195,29 +205,38 @@ def ideal_device_from(dev: LossyDevice, mq: np.ndarray) -> LosslessDevice:
     uniformly over the outcomes so completeness holds exactly.  Only the
     live settings get a POVM: erased ones never appear in post-selected data.
     """
-    ideal, epsilon = _ideal_device_and_epsilon(dev, mq)
+    return _ideal_device_and_root(dev, mq)[0]
+
+
+def _ideal_device_and_root(dev: LossyDevice, mq: np.ndarray) -> tuple[LosslessDevice, np.ndarray]:
+    """``ideal_device_from`` and sqrt(``mq``), the filter of the ideal experiment, from one eigendecomposition."""
+    ideal, epsilon, sq = _ideal_device_and_epsilon(dev, mq)
     if ideal is None:
         raise ValueError(f"approximate deviation {epsilon:.3f} >= 1; no ideal device exists")
-    return ideal
+    return ideal, sq
 
 
-def _ideal_device_and_epsilon(dev: LossyDevice, mq: np.ndarray) -> tuple[LosslessDevice | None, float]:
-    """``ideal_device_from`` and ``approximate_epsilon`` from one conjugation pass.
+def _ideal_device_and_epsilon(
+    dev: LossyDevice, mq: np.ndarray
+) -> tuple[LosslessDevice | None, float, np.ndarray]:
+    """``ideal_device_from``, ``approximate_epsilon`` and sqrt(``mq``) from one conjugation pass.
 
-    The device is None when epsilon >= 1, where no ideal device exists.
+    The device is None when epsilon >= 1, where no ideal device exists.  The
+    square root, the filter of the ideal experiment, comes from the same
+    eigendecomposition of ``mq`` as the conjugation.
     """
-    pi, pinv = _reference(mq)
+    pi, pinv, sq = _reference(mq)
     live, clicks, norms = _conjugated_clicks(dev, pi, pinv)
     gaps = pi - clicks
     epsilon = float(operator_norms(gaps).max(initial=0.0))
     if epsilon >= 1.0:
-        return None, epsilon
+        return None, epsilon, sq
     n = len(dev.outcomes)
     povm = {
         dev.settings[i]: dict(zip(dev.outcomes, pinv @ dev.stack[i, :n] @ pinv / s + gap / n))
         for i, gap, s in zip(live, gaps, norms)
     }
-    return LosslessDevice(dev.dim, list(povm), dev.outcomes, povm), epsilon
+    return LosslessDevice(dev.dim, list(povm), dev.outcomes, povm), epsilon, sq
 
 
 def filtered_state(mq: np.ndarray, rho: np.ndarray) -> tuple[np.ndarray, float]:

@@ -12,11 +12,11 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from typing import Iterable, Mapping, Sequence
+from typing import Collection, Iterable, Mapping, Sequence
 
 import numpy as np
 
-from .analysis import _filter, _ideal_device_and_epsilon, check_exact, ideal_device_from
+from .analysis import _filter, _ideal_device_and_epsilon, _ideal_device_and_root, _weak_reference
 from .device import NOCLICK, LosslessDevice, LossyDevice, ZeroAcceptanceError
 from .linalg import (
     COMPLETENESS_TOL, ZERO_ACCEPTANCE, assert_density, read_probability, sqrt_pinv_sqrt, tensor
@@ -91,8 +91,15 @@ class BellScenario:
         column leg axis n - k; the outcome axes collect at the end in party
         order.
         """
-        # Tr(E psi) = sum_ij E[i, j] psi[j, i]: E's row index meets psi's column leg.
-        return np.tensordot(t, stack, axes=([0, self.n_parties - k], [2, 1]))
+        # Tr(E psi) = sum_ij E[i, j] psi[j, i]: E's row index meets psi's column leg.  This is
+        # np.tensordot(t, stack, axes=([0, n - k], [2, 1])) without its axis bookkeeping: the
+        # same transposes, reshapes and np.dot, so the same bits.
+        col = self.n_parties - k
+        rest = [ax for ax in range(t.ndim) if ax != 0 and ax != col]
+        m, d = stack.shape[0], stack.shape[-1]
+        at = t.transpose(*rest, 0, col).reshape(-1, d * d)
+        bt = stack.transpose(2, 1, 0).reshape(d * d, m)
+        return np.dot(at, bt).reshape(*(t.shape[ax] for ax in rest), m)
 
     def _raw_arrays(self, tuples: Iterable[Sequence[str]]) -> dict[tuple[str, ...], np.ndarray]:
         """Raw table of each setting tuple in ``tuples``, keyed by the tuple.
@@ -230,29 +237,39 @@ def filtered_global_state(mqs: Sequence[np.ndarray], psi: np.ndarray) -> tuple[n
     Returns the normalized filtered state and the probability that all local
     filters accept simultaneously.
     """
-    sq = tensor([sqrt_pinv_sqrt(mq)[0] for mq in mqs])
-    return _filter(sq, psi, "global filter acceptance {:.3e} vanishes")
+    return _filter_globally([sqrt_pinv_sqrt(mq)[0] for mq in mqs], psi)
+
+
+def _filter_globally(roots: Sequence[np.ndarray], psi: np.ndarray) -> tuple[np.ndarray, float]:
+    """``filtered_global_state`` for the parties' square-root filters ``roots``."""
+    return _filter(tensor(roots), psi, "global filter acceptance {:.3e} vanishes")
 
 
 def ideal_scenario(sc: BellScenario, mqs: Sequence[np.ndarray] | None = None) -> BellScenario:
     """Unit-efficiency experiment on the filtered state, built party by party.
 
-    With no explicit references, each device must pass the exact
-    fair-sampling check and its extracted quantum element is used.
+    With no explicit references, each device must pass the weak test of the
+    exact fair-sampling check and its extracted quantum element is used.
+    Each reference is eigendecomposed once, for the ideal device and the
+    filter alike.
     """
     if mqs is None:
         mqs = []
         for k, dev in enumerate(sc.devices):
-            verdict = check_exact(dev)
-            if not verdict.weak:
+            mq = _weak_reference(dev)[1]
+            if mq is None:
                 raise ValueError(f"party {k} fails the exact fair-sampling check")
-            mqs.append(verdict.quantum_elem)
-    return _ideal_from(sc, [ideal_device_from(dev, mq) for dev, mq in zip(sc.devices, mqs)], mqs)
+            mqs.append(mq)
+    built = [_ideal_device_and_root(dev, mq) for dev, mq in zip(sc.devices, mqs)]
+    return _ideal_from(sc, [dev for dev, _ in built], [sq for _, sq in built])
 
 
-def _ideal_from(sc: BellScenario, ideal: Sequence[LosslessDevice], mqs: Sequence[np.ndarray]) -> BellScenario:
-    """Scenario measuring the filtered state with the per-party ideal devices ``ideal``."""
-    psi_click, _ = filtered_global_state(mqs, sc.psi)
+def _ideal_from(sc: BellScenario, ideal: Sequence[LosslessDevice], roots: Sequence[np.ndarray]) -> BellScenario:
+    """Scenario measuring the state filtered by ``roots`` with the per-party ideal devices ``ideal``.
+
+    ``roots`` are the square roots of the parties' reference operators.
+    """
+    psi_click, _ = _filter_globally(roots, sc.psi)
     out = BellScenario([dev.to_lossy() for dev in ideal], psi_click)
     # An ideal device keeps its device's outcomes but lacks the settings erased from the
     # verdict, which the coefficients may still name: share the compiled functional as is.
@@ -355,9 +372,17 @@ def deviation_bound(eps_tot: float, beta: float) -> float:
 
 
 def postselected_bell_value(sc: BellScenario) -> float:
-    """Bell functional evaluated on the post-selected distributions."""
+    """Bell functional evaluated on the post-selected distributions.
+
+    The coefficients of an ideal scenario (``ideal_scenario``) may read
+    setting tuples with a setting erased from its devices; they raise
+    ``ZeroAcceptanceError`` naming those tuples, as the measured scenario's
+    post-selected tables would.
+    """
     if sc.bell_coeffs is None:
         raise ValueError("scenario declares no Bell coefficients")
+    settings = [dev.settings for dev in sc.devices]
+    _raise_erased([xs for xs in sc._functional.tuples if _labels_fault(xs, settings, "setting")])
     validate_coefficients(sc, sc.bell_coeffs)
     raw = sc._raw_arrays(sc._functional.tuples)
     return sc._functional.value({xs: _postselected(xs, table) for xs, table in raw.items()})
@@ -365,12 +390,16 @@ def postselected_bell_value(sc: BellScenario) -> float:
 
 def _postselected_bell_value(sc: BellScenario, post: Tables) -> float:
     """Bell functional of ``sc`` on the post-selected tables ``post``, which lack the erased setting tuples."""
-    erased = set(sc._functional.tuples) - post.keys()
+    _raise_erased(set(sc._functional.tuples) - post.keys())
+    return sc._functional.value(post)
+
+
+def _raise_erased(erased: Collection[tuple[str, ...]]) -> None:
+    """Raise ``ZeroAcceptanceError`` naming the setting tuples ``erased``, if any, that Bell coefficients read."""
     if erased:
         raise ZeroAcceptanceError(
             f"Bell coefficients read setting tuples with vanishing acceptance: {sorted(erased)!r}"
         )
-    return sc._functional.value(post)
 
 
 @dataclass(frozen=True)
@@ -454,10 +483,10 @@ class BoundReport:
 def bound_report(sc: BellScenario, mqs: Sequence[np.ndarray]) -> BoundReport:
     """Epsilons against ``mqs`` and the deviations from the ideal experiment built from them."""
     built = [_ideal_device_and_epsilon(dev, mq) for dev, mq in zip(sc.devices, mqs)]
-    eps = [e for _, e in built]
+    eps = [e for _, e, _ in built]
     eps_tot = epsilon_total(eps)  # raises for an epsilon >= 1, where no ideal device exists
     post = _postselected_tables(sc._raw_arrays(sc.setting_tuples()))
-    ideal = _ideal_from(sc, [dev for dev, _ in built], mqs)
+    ideal = _ideal_from(sc, [dev for dev, _, _ in built], [sq for _, _, sq in built])
     ideal_raw = ideal._raw_arrays(post)
     beta = bell_deviation = None
     if sc.bell_coeffs is not None:

@@ -47,9 +47,10 @@ class LossyDevice:
     setting -> outcome -> view into ``stack``.  The no-click element may be
     omitted from the input, in which case it is reconstructed from
     completeness; if present, the full sum must equal the identity within
-    COMPLETENESS_TOL.  Each setting's block is checked for Hermiticity and
-    positivity at once (``linalg.psd_faults``); errors name the first faulty
-    element in label order, as a check of one element at a time would.
+    COMPLETENESS_TOL.  Every element is checked for Hermiticity and
+    positivity at once (one ``linalg.psd_faults`` call per device); errors
+    name the first faulty element in label order, as a check of one element
+    at a time would.
     """
 
     def __init__(
@@ -59,29 +60,31 @@ class LossyDevice:
         outcomes: Sequence[str],
         povm: Mapping[str, Mapping[str, np.ndarray]],
     ):
-        self.dim = int(dim)
-        self.settings, self.outcomes = _labels(settings, outcomes)
-        n = len(self.outcomes)
-        labels = (*self.outcomes, NOCLICK)
-        eye = np.eye(self.dim, dtype=complex)
-        stack = np.empty((len(self.settings), n + 1, self.dim, self.dim), dtype=complex)
-        for x, block in zip(self.settings, stack):
-            row = _fill(block, x, self.outcomes, povm)
-            good_sum = sum(block[:n])
-            if NOCLICK in row:
-                block[n] = _operator(self.dim, x, NOCLICK, row[NOCLICK])
-            else:
-                np.subtract(eye, good_sum, out=block[n])
-            herm, lowest = psd_faults(block)
-            raise_psd_fault(herm[:n], lowest[:n], lambda j: f"POVM element ({x!r}, {self.outcomes[j]!r})")
-            if NOCLICK in row:
-                res = float(np.max(np.abs(good_sum + block[n] - eye)))
-                if res > COMPLETENESS_TOL:
-                    raise ValueError(f"setting {x!r} violates completeness by {res:.3e}")
-            raise_psd_fault(herm[n:], lowest[n:], lambda j: f"POVM element ({x!r}, noclick)")
+        dim = int(dim)
+        settings, outcomes = _labels(settings, outcomes)
+        n = len(outcomes)
+        eye = np.eye(dim, dtype=complex)
+        stack = np.empty((len(settings), n + 1, dim, dim), dtype=complex)
+        explicit = np.zeros(len(settings), dtype=bool)
+        for i, (x, block) in enumerate(zip(settings, stack)):
+            try:
+                row = _fill(block, x, outcomes, povm)
+                if NOCLICK in row:
+                    block[n] = _operator(dim, x, NOCLICK, row[NOCLICK])
+                    explicit[i] = True
+            except (TypeError, ValueError):
+                _check_lossy(settings[:i], outcomes, stack[:i], explicit[:i])  # earlier settings' faults come first
+                raise
+            if not explicit[i]:
+                np.subtract(eye, sum(block[:n]), out=block[n])
+        _check_lossy(settings, outcomes, stack, explicit)
+        self._finish(dim, settings, outcomes, stack)
+
+    def _finish(self, dim: int, settings: tuple[str, ...], outcomes: tuple[str, ...], stack: np.ndarray) -> None:
+        """Take the validated ``stack`` as this device's elements; it is frozen, not copied."""
         stack.setflags(write=False)
-        self.stack = stack
-        self.povm = _read_only_povm(self.settings, labels, stack)
+        self.dim, self.settings, self.outcomes, self.stack = dim, settings, outcomes, stack
+        self.povm = _read_only_povm(settings, (*outcomes, NOCLICK), stack)
 
     def element(self, x: str, a: str) -> np.ndarray:
         return self.povm[x][a]
@@ -174,6 +177,56 @@ def _read_only_povm(settings: Sequence[str], labels: Sequence[str], stack: np.nd
     )
 
 
+def _check_lossy(
+    settings: Sequence[str], outcomes: Sequence[str], stack: np.ndarray, explicit: np.ndarray, checked_from: int = 0
+) -> None:
+    """Raise what a check of one element at a time, in label order, raises first on a lossy ``stack``.
+
+    Per setting: each good element's Hermiticity and positivity, then the
+    completeness residual if the no-click element was given (``explicit``),
+    then the no-click element.  One ``psd_faults`` call covers each
+    setting's elements from index ``checked_from`` on; those before it were
+    validated already.
+    """
+    n = len(outcomes)
+    eye = np.eye(stack.shape[-1], dtype=complex)
+    residual = np.max(np.abs(sum(stack[:, j] for j in range(n)) + stack[:, n] - eye), axis=(1, 2))
+    incomplete = np.flatnonzero(explicit & (residual > COMPLETENESS_TOL))
+    checked = stack[:, checked_from:]
+    width = checked.shape[1]
+    herm, lowest = psd_faults(checked.reshape(-1, *eye.shape))
+    labels = [*map(repr, outcomes), NOCLICK][checked_from:]
+    # The first incomplete setting's fault comes after its good elements, before its no-click one.
+    stop = incomplete[0] * width + n - checked_from if incomplete.size else herm.size
+    raise_psd_fault(
+        herm[:stop], lowest[:stop], lambda j: f"POVM element ({settings[j // width]!r}, {labels[j % width]})"
+    )
+    if incomplete.size:
+        i = incomplete[0]
+        raise ValueError(f"setting {settings[i]!r} violates completeness by {residual[i]:.3e}")
+
+
+def _check_lossless(settings: Sequence[str], outcomes: Sequence[str], stack: np.ndarray) -> np.ndarray:
+    """Each setting's outcome sum in a lossless ``stack``, raising what a check of one element at a time raises first.
+
+    Per setting, in label order: each element's Hermiticity and positivity,
+    then whether the outcome sum is a projector.  One ``psd_faults`` call
+    covers every element.
+    """
+    n = len(outcomes)
+    dim = stack.shape[-1]
+    sums = sum(stack.swapaxes(0, 1), np.zeros((len(stack), dim, dim), dtype=complex))
+    residual = np.max(np.abs(sums @ sums - sums), axis=(1, 2))
+    bad = np.flatnonzero(residual > COMPLETENESS_TOL)
+    herm, lowest = psd_faults(stack.reshape(-1, dim, dim))
+    stop = (bad[0] + 1) * n if bad.size else herm.size
+    raise_psd_fault(herm[:stop], lowest[:stop], lambda j: f"element ({settings[j // n]!r}, {outcomes[j % n]!r})")
+    if bad.size:
+        i = bad[0]
+        raise ValueError(f"outcome sum for setting {settings[i]!r} is not a projector (residual {residual[i]:.3e})")
+    return sums
+
+
 class LosslessDevice:
     """Device whose good outcomes sum to a projector for every setting.
 
@@ -196,19 +249,17 @@ class LosslessDevice:
         self.dim = int(dim)
         self.settings, self.outcomes = _labels(settings, outcomes)
         stack = np.empty((len(self.settings), len(self.outcomes), self.dim, self.dim), dtype=complex)
-        supports: dict[str, np.ndarray] = {}
-        for x, block in zip(self.settings, stack):
-            _fill(block, x, self.outcomes, povm)
-            raise_psd_fault(*psd_faults(block), lambda j: f"element ({x!r}, {self.outcomes[j]!r})")
-            s = sum(block)
-            res = float(np.max(np.abs(s @ s - s)))
-            if res > COMPLETENESS_TOL:
-                raise ValueError(f"outcome sum for setting {x!r} is not a projector (residual {res:.3e})")
-            supports[x] = s
+        for i, (x, block) in enumerate(zip(self.settings, stack)):
+            try:
+                _fill(block, x, self.outcomes, povm)
+            except (TypeError, ValueError):
+                _check_lossless(self.settings[:i], self.outcomes, stack[:i])  # earlier settings' faults come first
+                raise
+        supports = _check_lossless(self.settings, self.outcomes, stack)
         stack.setflags(write=False)
         self.stack = stack
         self.povm = _read_only_povm(self.settings, self.outcomes, stack)
-        self.support = supports
+        self.support = dict(zip(self.settings, supports))
 
     def element(self, x: str, a: str) -> np.ndarray:
         return self.povm[x][a]
@@ -222,10 +273,22 @@ class LosslessDevice:
         return first
 
     def to_lossy(self) -> LossyDevice:
-        """Complete each setting with a noclick element 1 - support."""
+        """Complete each setting with a noclick element 1 - support.
+
+        The good elements were validated when this device was built; only
+        the no-click elements and completeness are checked, with the errors
+        ``LossyDevice`` raises.
+        """
+        n = len(self.outcomes)
         eye = np.eye(self.dim, dtype=complex)
-        povm = {x: {**self.povm[x], NOCLICK: eye - self.support[x]} for x in self.settings}
-        return LossyDevice(self.dim, self.settings, self.outcomes, povm)
+        stack = np.empty((len(self.settings), n + 1, self.dim, self.dim), dtype=complex)
+        stack[:, :n] = self.stack
+        for x, block in zip(self.settings, stack):
+            np.subtract(eye, self.support[x], out=block[n])
+        _check_lossy(self.settings, self.outcomes, stack, np.ones(len(stack), dtype=bool), checked_from=n)
+        lossy = LossyDevice.__new__(LossyDevice)
+        lossy._finish(self.dim, self.settings, self.outcomes, stack)
+        return lossy
 
 
 def projective_qubit_device(

@@ -154,10 +154,14 @@ def sqrt_pinv_sqrt(m) -> tuple[np.ndarray, np.ndarray]:
     return (v * sq) @ dagger(v), (v * inv) @ dagger(v)
 
 
-def support_and_pinv_sqrt(m, name: str) -> tuple[np.ndarray, np.ndarray]:
-    """``support_projector(m)`` and ``sqrt_pinv_sqrt(m)[1]`` from one eigendecomposition."""
+def support_and_pinv_sqrt(m, name: str) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """``support_projector(m)``, ``sqrt_pinv_sqrt(m)[1]`` and ``sqrt_pinv_sqrt(m)[0]`` from one eigendecomposition.
+
+    Each operator is built as those functions build it, so all three are the same to the bit.
+    """
     w, v = eigh_psd(m, name=name)
-    return _support_of(w, v), (v * _root_factors(w)[1]) @ dagger(v)
+    sq, inv = _root_factors(w)
+    return _support_of(w, v), (v * inv) @ dagger(v), (v * sq) @ dagger(v)
 
 
 def operator_norm(m) -> float:
@@ -169,8 +173,12 @@ def operator_norm(m) -> float:
 
 
 def operator_norms(stack: np.ndarray) -> np.ndarray:
-    """Largest singular value of every matrix of a ``(k, d, d)`` stack: ``operator_norm``'s SVD, batched."""
-    return np.linalg.norm(stack, 2, axis=(1, 2))
+    """Largest singular value of every matrix of a ``(k, d, d)`` stack: ``operator_norm``'s SVD, batched.
+
+    The singular values come in descending order, so the first is the one
+    ``np.linalg.norm(stack, 2, axis=(1, 2))`` picks, from the same LAPACK call.
+    """
+    return np.linalg.svd(stack, compute_uv=False)[:, 0]
 
 
 def trace_norm(m) -> float:

@@ -4,6 +4,16 @@ import itertools
 
 import numpy as np
 
+from fairsamp.analysis import approximate_epsilon, check_exact, ideal_device_from
+from fairsamp.bell import (
+    BellScenario,
+    BoundReport,
+    bell_value,
+    beta_max,
+    epsilon_total,
+    filtered_global_state,
+    validate_coefficients,
+)
 from fairsamp.device import NOCLICK, LossyDevice
 from fairsamp.linalg import COMPLETENESS_TOL, ZERO_ACCEPTANCE, as_operator, eigh_psd, probability, projector, tensor
 from fairsamp.sampling import haar_ket, random_fair_sampling_device, random_povm
@@ -157,3 +167,56 @@ def with_dead_setting(dev):
     povm = {x: {a: dev.element(x, a) for a in dev.outcomes} for x in dev.settings}
     povm["dead"] = {a: np.zeros((dev.dim, dev.dim)) for a in dev.outcomes}
     return LossyDevice(dev.dim, [*dev.settings, "dead"], dev.outcomes, povm)
+
+
+def silent_device():
+    """Half-efficiency Z measurement at setting "0"; setting "dead" never clicks."""
+    return LossyDevice(
+        2,
+        ["0", "dead"],
+        ["+", "-"],
+        {
+            "0": {"+": 0.5 * np.diag([1.0, 0.0]), "-": 0.5 * np.diag([0.0, 1.0])},
+            "dead": {"+": np.zeros((2, 2)), "-": np.zeros((2, 2))},
+        },
+    )
+
+
+# Reference ideal experiment: the public steps composed, each eigendecomposing the reference
+# operator anew and validating every element from scratch.  ``bell.ideal_scenario`` and
+# ``bell.bound_report`` build it in one pass per party and must equal it to the bit.
+
+
+def oracle_to_lossy(dev):
+    """``LosslessDevice.to_lossy`` through ``LossyDevice.__init__``: no-click elements ``1 - support``."""
+    eye = np.eye(dev.dim, dtype=complex)
+    povm = {x: {**dev.povm[x], NOCLICK: eye - dev.support[x]} for x in dev.settings}
+    return LossyDevice(dev.dim, dev.settings, dev.outcomes, povm)
+
+
+def oracle_ideal_scenario(sc, mqs=None):
+    """``check_exact`` -> ``ideal_device_from`` -> ``filtered_global_state`` -> ``oracle_to_lossy``."""
+    if mqs is None:
+        mqs = []
+        for k, dev in enumerate(sc.devices):
+            verdict = check_exact(dev)
+            if not verdict.weak:
+                raise ValueError(f"party {k} fails the exact fair-sampling check")
+            mqs.append(verdict.quantum_elem)
+    ideal = [ideal_device_from(dev, mq) for dev, mq in zip(sc.devices, mqs)]
+    psi_click, _ = filtered_global_state(mqs, sc.psi)
+    return BellScenario([oracle_to_lossy(dev) for dev in ideal], psi_click)
+
+
+def oracle_bound_report(sc, mqs):
+    """``bell.bound_report`` from ``approximate_epsilon``, ``oracle_ideal_scenario`` and the dict loops."""
+    eps = [approximate_epsilon(dev, mq) for dev, mq in zip(sc.devices, mqs)]
+    eps_tot = epsilon_total(eps)
+    post = dict_postselected_tables(sc.joint_raw_tables(sc.setting_tuples()))
+    ideal_raw = oracle_ideal_scenario(sc, mqs).joint_raw_tables(post)
+    beta = bell_deviation = None
+    if sc.bell_coeffs is not None:
+        validate_coefficients(sc, sc.bell_coeffs)
+        beta = beta_max(sc.bell_coeffs)
+        bell_deviation = abs(bell_value(post, sc.bell_coeffs) - bell_value(ideal_raw, sc.bell_coeffs))
+    return BoundReport(eps, eps_tot, dict_max_deviation(post, ideal_raw), beta, bell_deviation)

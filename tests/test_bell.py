@@ -5,7 +5,7 @@ import re
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import helpers
@@ -19,6 +19,7 @@ from fairsamp.bell import (
     _postselected_tables,
     bell_value,
     beta_max,
+    bound_report,
     deviation_bound,
     epsilon_total,
     filtered_global_state,
@@ -458,3 +459,85 @@ def test_fair_devices_postselect_to_the_ideal_experiment(seed, dims):
     ]
     sc = BellScenario(devices, random_density(int(np.prod(dims)), rng))
     assert postselected_vs_ideal_deviation(sc, ideal_scenario(sc)) <= 1e-9
+
+
+class TestIdealScenario:
+    def test_one_eigh_per_reference(self, monkeypatch):
+        sc = chsh_singlet_scenario()
+        calls = []
+        original = np.linalg.eigh
+        monkeypatch.setattr(np.linalg, "eigh", lambda a, *args, **kw: calls.append(a.shape) or original(a, *args, **kw))
+        ideal_scenario(sc)
+        # Each party's reference once (support, pseudo-inverse root and root alike), then the
+        # filtered state's assert_density; the strong test's reference support is never built.
+        assert calls == [(2, 2), (2, 2), (4, 4)]
+
+    def test_bell_value_of_the_ideal_experiment_names_erased_tuples(self):
+        good = list(itertools.product("+-", repeat=2))
+        coeffs = {(xs, outs): 1.0 for xs in (("0", "0"), ("0", "dead")) for outs in good}
+        sc = BellScenario([projective_qubit_device({"0": 0.0}), helpers.silent_device()], singlet_state(), coeffs)
+        message = "Bell coefficients read setting tuples with vanishing acceptance: [('0', 'dead')]"
+        with pytest.raises(ZeroAcceptanceError, match=re.escape(message)):
+            postselected_bell_value(ideal_scenario(sc))
+        with pytest.raises(ZeroAcceptanceError, match=re.escape(message)):
+            bound_report(sc, [check_exact(dev).quantum_elem for dev in sc.devices])
+        live = BellScenario(sc.devices, sc.psi, {key: c for key, c in coeffs.items() if key[0] == ("0", "0")})
+        assert postselected_bell_value(ideal_scenario(live)) == pytest.approx(1.0)
+
+
+def _outcome(call):
+    """``call()``'s result, or the type and message of the ``ValueError`` it raises."""
+    try:
+        return call()
+    except ValueError as exc:
+        return type(exc), str(exc)
+
+
+@settings(max_examples=40, deadline=None)
+@example(seed=0, dims=[2, 2], dead=[True, False], with_coeffs=True, identity_mq=False)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    dims=st.lists(st.integers(1, 3), min_size=1, max_size=3),
+    dead=st.lists(st.booleans(), min_size=3, max_size=3),
+    with_coeffs=st.booleans(),
+    identity_mq=st.booleans(),
+)
+def test_one_pass_ideal_experiment_equals_the_composed_oracle(seed, dims, dead, with_coeffs, identity_mq):
+    """``ideal_scenario`` and ``bound_report`` equal the public steps composed, to the bit."""
+    rng = np.random.default_rng(seed)
+    devices = []
+    for d, silent in zip(dims, dead):
+        dev = random_fair_sampling_device(d, int(rng.integers(1, 3)), int(rng.integers(1, 4)), rng)
+        devices.append(helpers.with_dead_setting(dev) if silent else dev)
+    coeffs = None
+    if with_coeffs:
+        live = itertools.product(*([x for x in dev.settings if x != "dead"] for dev in devices))
+        good = list(itertools.product(*(dev.outcomes for dev in devices)))
+        coeffs = {(xs, outs): float(rng.normal()) for xs in live for outs in good}
+    sc = BellScenario(devices, random_density(int(np.prod(dims)), rng), coeffs)
+
+    ideal, oracle = ideal_scenario(sc), helpers.oracle_ideal_scenario(sc)
+    assert np.array_equal(ideal.psi, oracle.psi)
+    for dev, ref in zip(ideal.devices, oracle.devices):
+        assert (dev.settings, dev.outcomes) == (ref.settings, ref.outcomes)
+        assert np.array_equal(dev.stack, ref.stack)
+        assert not dev.stack.flags.writeable
+
+    mqs = [np.eye(d) if identity_mq else check_exact(dev).quantum_elem for d, dev in zip(dims, devices)]
+    assert _outcome(lambda: bound_report(sc, mqs)) == _outcome(lambda: helpers.oracle_bound_report(sc, mqs))
+
+
+@settings(max_examples=25, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), dims=st.lists(st.integers(1, 3), min_size=1, max_size=3))
+def test_contraction_step_equals_tensordot(seed, dims):
+    rng = np.random.default_rng(seed)
+    devices = [random_fair_sampling_device(d, 1, int(rng.integers(1, 4)), rng) for d in dims]
+    sc = BellScenario(devices, random_density(int(np.prod(dims)), rng))
+    n = len(dims)
+    t = sc.psi.reshape(dims * 2)
+    for k, dev in enumerate(devices):
+        step = sc._contract_step(t, k, dev.stack[0])
+        reference = np.tensordot(t, dev.stack[0], axes=([0, n - k], [2, 1]))
+        assert step.shape == reference.shape
+        assert np.array_equal(step, reference)
+        t = step

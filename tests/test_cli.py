@@ -5,6 +5,7 @@ import json
 import numpy as np
 import pytest
 
+import helpers
 from fairsamp import serialize
 from fairsamp.adversary import makarov_traced
 from fairsamp.cli import chsh_singlet_scenario, main
@@ -35,28 +36,13 @@ def chsh_file(tmp_path):
     return path
 
 
-def silent_device():
-    """Half-efficiency Z measurement at setting "0"; setting "dead" never clicks."""
-    from fairsamp.device import LossyDevice
-
-    return LossyDevice(
-        2,
-        ["0", "dead"],
-        ["+", "-"],
-        {
-            "0": {"+": 0.5 * np.diag([1.0, 0.0]), "-": 0.5 * np.diag([0.0, 1.0])},
-            "dead": {"+": np.zeros((2, 2)), "-": np.zeros((2, 2))},
-        },
-    )
-
-
 def dead_scenario_file(tmp_path, bell_coeffs=None):
     """Singlet measured by the silent device and a lossless Z measurement."""
     from fairsamp.bell import BellScenario
     from fairsamp.cli import singlet_state
     from fairsamp.device import projective_qubit_device
 
-    sc = BellScenario([silent_device(), projective_qubit_device({"0": 0.0})], singlet_state(), bell_coeffs)
+    sc = BellScenario([helpers.silent_device(), projective_qubit_device({"0": 0.0})], singlet_state(), bell_coeffs)
     path = tmp_path / "dead.json"
     serialize.dump_json(serialize.scenario_to_json(sc), path)
     return path
@@ -113,7 +99,7 @@ class TestCheck:
 
     def test_dead_setting_erased_from_verdict(self, tmp_path, capsys):
         path = tmp_path / "silent.json"
-        serialize.dump_json(serialize.device_to_json(silent_device()), path)
+        serialize.dump_json(serialize.device_to_json(helpers.silent_device()), path)
         assert main(["check", str(path)]) == 0
         payload = json.loads(capsys.readouterr().out)
         assert payload["weak"] and payload["strong"] and not payload["homogeneous"]

@@ -95,15 +95,20 @@ class TestStack:
         with pytest.raises(TypeError):
             dev.povm["x"]["a"] = np.eye(2)
 
-    def test_one_eigvalsh_call_per_setting(self, rng, monkeypatch):
+    def test_one_eigvalsh_call_per_device(self, rng, monkeypatch):
         calls = []
         original = np.linalg.eigvalsh
         monkeypatch.setattr(np.linalg, "eigvalsh", lambda a: calls.append(a.shape) or original(a))
         dev = helpers.random_multisetting_device(rng, 3, 4, 2)
-        assert calls == [(3, 3, 3)] * 4
+        assert calls == [(4 * 3, 3, 3)]  # settings * (outcomes + 1) elements
         calls.clear()
-        LosslessDevice(2, ["x", "y"], ["a", "b"], {x: {"a": np.diag([1.0, 0.0]), "b": np.diag([0.0, 1.0])} for x in "xy"})
-        assert calls == [(2, 2, 2)] * 2
+        lossless = LosslessDevice(
+            2, ["x", "y"], ["a", "b"], {x: {"a": np.diag([1.0, 0.0]), "b": np.diag([0.0, 1.0])} for x in "xy"}
+        )
+        assert calls == [(2 * 2, 2, 2)]
+        calls.clear()
+        lossless.to_lossy()
+        assert calls == [(2, 2, 2)]  # only the no-click elements are new
         assert dev.stack.shape == (4, 3, 3, 3)
 
 
@@ -166,6 +171,27 @@ def test_stacked_validation_matches_the_per_element_loop(seed, dim, n_settings, 
     xs, outs, povm = _faulty_input(rng, dim, n_settings, n_outcomes, explicit_noclick, faults)
     expected = _outcome(lambda: helpers.legacy_validate(dim, xs, outs, povm))
     assert _outcome(lambda: LossyDevice(dim, xs, outs, povm)) == expected
+
+
+class TestFaultOrder:
+    """A fault in an earlier setting is named before any fault of a later one, structural or numerical."""
+
+    NEGATIVE = np.diag([1.0, -0.2])
+
+    @pytest.mark.parametrize("cls", [LossyDevice, LosslessDevice])
+    def test_numerical_fault_before_a_later_missing_element(self, cls):
+        with pytest.raises(NotPositiveError, match=r"element \('x', 'a'\)"):
+            cls(2, ["x", "y"], ["a"], {"x": {"a": self.NEGATIVE}, "y": {}})
+
+    @pytest.mark.parametrize("cls", [LossyDevice, LosslessDevice])
+    def test_missing_element_before_a_later_numerical_fault(self, cls):
+        with pytest.raises(ValueError, match=r"missing POVM element for \('x', 'a'\)"):
+            cls(2, ["x", "y"], ["a"], {"x": {}, "y": {"a": self.NEGATIVE}})
+
+    def test_completeness_before_a_later_negative_element(self):
+        povm = {"x": {"a": 0.3 * np.eye(2), NOCLICK: 0.5 * np.eye(2)}, "y": {"a": self.NEGATIVE}}
+        with pytest.raises(ValueError, match="setting 'x' violates completeness"):
+            LossyDevice(2, ["x", "y"], ["a"], povm)
 
 
 class TestClickElement:
@@ -298,6 +324,15 @@ class TestLosslessDevice:
     def test_labels_checked_as_for_lossy_devices(self, settings, outcomes, message):
         with pytest.raises(ValueError, match=message):
             LosslessDevice(2, settings, outcomes, {"x": {a: np.eye(2) for a in outcomes}})
+
+    def test_to_lossy_checks_the_noclick_element(self):
+        # The outcome sum passes the projector test (residual 5e-10), but 1 - sum does not pass the PSD test.
+        dev = LosslessDevice(2, ["x"], ["a"], {"x": {"a": np.diag([1 + 5e-10, 0.0])}})
+        message = "POVM element ('x', noclick) has negative eigenvalue -5.000e-10"
+        with pytest.raises(NotPositiveError, match=re.escape(message)):
+            dev.to_lossy()
+        with pytest.raises(NotPositiveError, match=re.escape(message)):
+            helpers.oracle_to_lossy(dev)
 
     def test_to_lossy_completes(self):
         dev = LosslessDevice(2, ["x"], ["a"], {"x": {"a": np.diag([1.0, 0.0])}})

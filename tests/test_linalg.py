@@ -11,6 +11,7 @@ from fairsamp.linalg import (
     as_operator,
     expect,
     operator_norm,
+    operator_norms,
     partial_trace,
     projector,
     sqrt_pinv_sqrt,
@@ -185,3 +186,17 @@ def test_tensor_partial_trace_roundtrip(seed, d1, d2):
 def test_dimension_cap():
     with pytest.raises(ValueError):
         as_operator(np.eye(5000))
+
+
+@settings(max_examples=50, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    k=st.integers(1, 5),
+    d=st.integers(1, 5),
+    zeros=st.lists(st.booleans(), min_size=5, max_size=5),
+)
+def test_operator_norms_equal_numpy_spectral_norms(seed, k, d, zeros):
+    rng = np.random.default_rng(seed)
+    stack = rng.normal(size=(k, d, d)) + 1j * rng.normal(size=(k, d, d))
+    stack[np.array(zeros[:k])] = 0.0
+    assert np.array_equal(operator_norms(stack), np.linalg.norm(stack, 2, axis=(1, 2)))
