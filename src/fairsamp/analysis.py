@@ -27,7 +27,6 @@ from .linalg import (
     operator_norms,
     sqrt_pinv_sqrt,
     support_and_pinv_sqrt,
-    support_projector,
     trace_norm,
 )
 
@@ -99,42 +98,84 @@ def check_exact(dev: LossyDevice, tol: float = VERDICT_TOL) -> FairSamplingVerdi
     Erased settings (click norm at most ZERO_ACCEPTANCE) are left out of the
     weak test and of epsilon; they keep their entry in ``classical_eff``.
     """
-    norms, mq = _weak_reference(dev, tol)
-    classical_eff = dict(zip(dev.settings, norms.tolist()))
+    return _check_exact(dev, tol)[0]
+
+
+def _check_exact(dev: LossyDevice, tol: float = VERDICT_TOL) -> tuple[FairSamplingVerdict, _Reference]:
+    """``check_exact`` and the ``_Reference`` of the operator it reports.
+
+    The click stack and its norms come from the weak test alone, and the
+    reference is eigendecomposed once: for the support, and on a device
+    failing the weak test for epsilon as well.
+    """
+    clicks, mq = _weak_reference(dev, tol)
+    norms = clicks.norms
     weak = mq is not None
     if weak:
+        ref = _reference(mq, clicks, name="support_projector input")
         epsilon = 0.0
     else:
-        mq = default_mq(dev)
-        epsilon = approximate_epsilon(dev, mq)
+        mq = _default_mq(clicks)
+        ref = _reference(mq, clicks)
+        epsilon = _epsilon(ref)
     strong = weak and operator_norm(mq - np.eye(dev.dim)) <= tol
     homogeneous = weak and float(norms.max() - norms.min()) <= tol
-    return FairSamplingVerdict(
+    verdict = FairSamplingVerdict(
         weak=weak,
         strong=strong,
         homogeneous=homogeneous,
-        classical_eff=classical_eff,
+        classical_eff=dict(zip(dev.settings, norms.tolist())),
         quantum_elem=mq,
-        support=support_projector(mq),
+        support=ref.support,
         epsilon=epsilon,
     )
+    return verdict, ref
 
 
-def _weak_reference(dev: LossyDevice, tol: float = VERDICT_TOL) -> tuple[np.ndarray, np.ndarray | None]:
-    """The weak test of ``check_exact``: (click norms, reference ``mq`` or None when the test fails).
+class _Clicks(NamedTuple):
+    """A device's setting labels, its click stack ``click_elements()`` and their operator norms."""
+
+    settings: tuple[str, ...]
+    stack: np.ndarray
+    norms: np.ndarray
+
+
+def _clicks(dev: LossyDevice) -> _Clicks:
+    clicks = dev.click_elements()
+    return _Clicks(dev.settings, clicks, operator_norms(clicks))
+
+
+class _Reference(NamedTuple):
+    """A reference operator's support, pseudo-inverse square root and square root, with its device's clicks.
+
+    The three operators come from one eigendecomposition of the reference.
+    """
+
+    support: np.ndarray
+    pinv: np.ndarray
+    root: np.ndarray
+    clicks: _Clicks
+
+
+def _reference(mq: np.ndarray, clicks: _Clicks, name: str = "reference operator") -> _Reference:
+    """The ``_Reference`` of ``mq`` for the device whose clicks are ``clicks``; ``name`` labels ``mq`` in errors."""
+    return _Reference(*support_and_pinv_sqrt(mq, name=name), clicks)
+
+
+def _weak_reference(dev: LossyDevice, tol: float = VERDICT_TOL) -> tuple[_Clicks, np.ndarray | None]:
+    """The weak test of ``check_exact``: (the device's clicks, reference ``mq`` or None when the test fails).
 
     ``mq`` is the first live click element scaled to unit operator norm.  A
     device whose every click element vanishes raises ``ZeroAcceptanceError``.
     """
-    clicks = dev.click_elements()
-    norms = operator_norms(clicks)
-    live = norms > ZERO_ACCEPTANCE
+    clicks = _clicks(dev)
+    live = clicks.norms > ZERO_ACCEPTANCE
     if not live.any():
         raise ZeroAcceptanceError("all click elements vanish; the device never accepts")
-    if not _pairwise_proportional(clicks[live], norms[live], tol):
-        return norms, None
+    if not _pairwise_proportional(clicks.stack[live], clicks.norms[live], tol):
+        return clicks, None
     first = int(np.argmax(live))
-    return norms, clicks[first] / norms[first]
+    return clicks, clicks.stack[first] / clicks.norms[first]
 
 
 def default_mq(dev: LossyDevice) -> np.ndarray:
@@ -143,15 +184,17 @@ def default_mq(dev: LossyDevice) -> np.ndarray:
     Erased settings (click norm at most ZERO_ACCEPTANCE) carry no shape
     information and are skipped.
     """
-    clicks = dev.click_elements()
-    norms = operator_norms(clicks)
-    live = norms > ZERO_ACCEPTANCE
+    return _default_mq(_clicks(dev))
+
+
+def _default_mq(clicks: _Clicks) -> np.ndarray:
+    live = clicks.norms > ZERO_ACCEPTANCE
     if not live.any():
         raise ValueError("all click elements vanish; no reference operator exists")
-    return sum(clicks[live] / norms[live, None, None]) / int(live.sum())
+    return sum(clicks.stack[live] / clicks.norms[live, None, None]) / int(live.sum())
 
 
-def _conjugated_clicks(dev: LossyDevice, pi: np.ndarray, pinv: np.ndarray):
+def _conjugated_clicks(clicks: _Clicks, pi: np.ndarray, pinv: np.ndarray):
     """(live setting indices, stack of ``mt / s``, norms ``s``) for ``mt = pinv @ click @ pinv``.
 
     Erased settings (click norm at most ZERO_ACCEPTANCE) are skipped; a live
@@ -159,10 +202,8 @@ def _conjugated_clicks(dev: LossyDevice, pi: np.ndarray, pinv: np.ndarray):
     somewhere on it.  The first setting, in label order, that fails either
     test is named in the error.
     """
-    clicks = dev.click_elements()
-    norms = operator_norms(clicks)
-    live = np.flatnonzero(norms > ZERO_ACCEPTANCE)
-    mc, norms = clicks[live], norms[live]
+    live = np.flatnonzero(clicks.norms > ZERO_ACCEPTANCE)
+    mc, norms = clicks.stack[live], clicks.norms[live]
     leak = operator_norms(pi @ mc @ pi - mc)
     leaks = leak > VERDICT_TOL * np.maximum(1.0, norms)
     mt = pinv @ mc @ pinv
@@ -170,7 +211,7 @@ def _conjugated_clicks(dev: LossyDevice, pi: np.ndarray, pinv: np.ndarray):
     bad = leaks | (s <= 0.0)
     if bad.any():
         j = int(np.argmax(bad))
-        x = dev.settings[live[j]]
+        x = clicks.settings[live[j]]
         if leaks[j]:
             raise ValueError(
                 f"click element for setting {x!r} leaks outside the reference support (residual {leak[j]:.3e})"
@@ -187,14 +228,13 @@ def approximate_epsilon(dev: LossyDevice, mq: np.ndarray) -> float:
     support projector; the maximum over settings is the epsilon of
     approximate fair sampling.  Erased settings do not contribute.
     """
-    pi, pinv, _ = _reference(mq)
-    _, clicks, _ = _conjugated_clicks(dev, pi, pinv)
-    return float(operator_norms(pi - clicks).max(initial=0.0))
+    return _epsilon(_reference(mq, _clicks(dev)))
 
 
-def _reference(mq: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Support projector, pseudo-inverse square root and square root of a reference operator."""
-    return support_and_pinv_sqrt(mq, name="reference operator")
+def _epsilon(ref: _Reference) -> float:
+    """``approximate_epsilon`` against the reference ``ref``."""
+    _, clicks, _ = _conjugated_clicks(ref.clicks, ref.support, ref.pinv)
+    return float(operator_norms(ref.support - clicks).max(initial=0.0))
 
 
 def ideal_device_from(dev: LossyDevice, mq: np.ndarray) -> LosslessDevice:
@@ -205,29 +245,27 @@ def ideal_device_from(dev: LossyDevice, mq: np.ndarray) -> LosslessDevice:
     uniformly over the outcomes so completeness holds exactly.  Only the
     live settings get a POVM: erased ones never appear in post-selected data.
     """
-    return _ideal_device_and_root(dev, mq)[0]
+    return _ideal_device_and_root(dev, _reference(mq, _clicks(dev)))[0]
 
 
-def _ideal_device_and_root(dev: LossyDevice, mq: np.ndarray) -> tuple[LosslessDevice, np.ndarray]:
-    """``ideal_device_from`` and sqrt(``mq``), the filter of the ideal experiment, from one eigendecomposition."""
-    ideal, epsilon, sq = _ideal_device_and_epsilon(dev, mq)
+def _ideal_device_and_root(dev: LossyDevice, ref: _Reference) -> tuple[LosslessDevice, np.ndarray]:
+    """``ideal_device_from`` and the square root of the reference, the filter of the ideal experiment."""
+    ideal, epsilon, sq = _ideal_device_and_epsilon(dev, ref)
     if ideal is None:
         raise ValueError(f"approximate deviation {epsilon:.3f} >= 1; no ideal device exists")
     return ideal, sq
 
 
 def _ideal_device_and_epsilon(
-    dev: LossyDevice, mq: np.ndarray
+    dev: LossyDevice, ref: _Reference
 ) -> tuple[LosslessDevice | None, float, np.ndarray]:
-    """``ideal_device_from``, ``approximate_epsilon`` and sqrt(``mq``) from one conjugation pass.
+    """``ideal_device_from``, ``approximate_epsilon`` and the reference's square root from one conjugation pass.
 
-    The device is None when epsilon >= 1, where no ideal device exists.  The
-    square root, the filter of the ideal experiment, comes from the same
-    eigendecomposition of ``mq`` as the conjugation.
+    The device is None when epsilon >= 1, where no ideal device exists.
     """
-    pi, pinv, sq = _reference(mq)
-    live, clicks, norms = _conjugated_clicks(dev, pi, pinv)
-    gaps = pi - clicks
+    pi, pinv, sq, clicks = ref
+    live, conjugated, norms = _conjugated_clicks(clicks, pi, pinv)
+    gaps = pi - conjugated
     epsilon = float(operator_norms(gaps).max(initial=0.0))
     if epsilon >= 1.0:
         return None, epsilon, sq

@@ -16,7 +16,9 @@ from typing import Collection, Iterable, Mapping, Sequence
 
 import numpy as np
 
-from .analysis import _filter, _ideal_device_and_epsilon, _ideal_device_and_root, _weak_reference
+from .analysis import (
+    _clicks, _filter, _ideal_device_and_epsilon, _ideal_device_and_root, _reference, _Reference, _weak_reference
+)
 from .device import NOCLICK, LosslessDevice, LossyDevice, ZeroAcceptanceError
 from .linalg import (
     COMPLETENESS_TOL, ZERO_ACCEPTANCE, assert_density, read_probability, sqrt_pinv_sqrt, tensor
@@ -251,16 +253,24 @@ def ideal_scenario(sc: BellScenario, mqs: Sequence[np.ndarray] | None = None) ->
     With no explicit references, each device must pass the weak test of the
     exact fair-sampling check and its extracted quantum element is used.
     Each reference is eigendecomposed once, for the ideal device and the
-    filter alike.
+    filter alike, and each device's click stack is normed once.
     """
     if mqs is None:
-        mqs = []
+        weak = []
         for k, dev in enumerate(sc.devices):
-            mq = _weak_reference(dev)[1]
+            clicks, mq = _weak_reference(dev)
             if mq is None:
                 raise ValueError(f"party {k} fails the exact fair-sampling check")
-            mqs.append(mq)
-    built = [_ideal_device_and_root(dev, mq) for dev, mq in zip(sc.devices, mqs)]
+            weak.append((mq, clicks))
+        refs = (_reference(mq, clicks) for mq, clicks in weak)
+    else:
+        refs = (_reference(mq, _clicks(dev)) for dev, mq in zip(sc.devices, mqs))
+    return _ideal_scenario(sc, refs)
+
+
+def _ideal_scenario(sc: BellScenario, refs: Iterable[_Reference]) -> BellScenario:
+    """``ideal_scenario`` against the parties' references ``refs``, taken one party at a time."""
+    built = [_ideal_device_and_root(dev, ref) for dev, ref in zip(sc.devices, refs)]
     return _ideal_from(sc, [dev for dev, _ in built], [sq for _, sq in built])
 
 
@@ -482,7 +492,12 @@ class BoundReport:
 
 def bound_report(sc: BellScenario, mqs: Sequence[np.ndarray]) -> BoundReport:
     """Epsilons against ``mqs`` and the deviations from the ideal experiment built from them."""
-    built = [_ideal_device_and_epsilon(dev, mq) for dev, mq in zip(sc.devices, mqs)]
+    return _bound_report(sc, (_reference(mq, _clicks(dev)) for dev, mq in zip(sc.devices, mqs)))
+
+
+def _bound_report(sc: BellScenario, refs: Iterable[_Reference]) -> BoundReport:
+    """``bound_report`` against the parties' references ``refs``, taken one party at a time."""
+    built = [_ideal_device_and_epsilon(dev, ref) for dev, ref in zip(sc.devices, refs)]
     eps = [e for _, e, _ in built]
     eps_tot = epsilon_total(eps)  # raises for an epsilon >= 1, where no ideal device exists
     post = _postselected_tables(sc._raw_arrays(sc.setting_tuples()))

@@ -19,11 +19,13 @@ from pathlib import Path
 import numpy as np
 
 from . import adversary, serialize
-from .analysis import approximate_epsilon, check_exact, tv_bound
+from .analysis import _check_exact, approximate_epsilon, check_exact, tv_bound
 from .bell import (
     LABEL_SEP,
     BellScenario,
     _acceptance,
+    _bound_report,
+    _ideal_scenario,
     _max_deviation,
     _postselected_bell_value,
     _postselected_tables,
@@ -73,6 +75,8 @@ def cmd_check(args) -> int:
 
 
 def cmd_decompose(args) -> int:
+    if args.trials < 1:
+        return _fail(f"error: --trials must be at least 1, got {args.trials}")
     try:
         dev = serialize.device_from_json(serialize.load_json(args.device))
     except (OSError, ValueError, KeyError) as exc:
@@ -118,9 +122,9 @@ def _scenario_report(sc: BellScenario, postselect: bool, tol: float) -> dict:
                 sys.stderr.write(f"note: bell_value_postselected omitted: {exc}\n")
         report["bell_value_raw"] = serialize.sig15(sc._functional.value(raw))
     try:
-        verdicts = [check_exact(dev, tol=tol) for dev in sc.devices]
-        if all(v.weak for v in verdicts):
-            ideal = ideal_scenario(sc, [v.quantum_elem for v in verdicts])
+        checked = [_check_exact(dev, tol=tol) for dev in sc.devices]
+        if all(verdict.weak for verdict, _ in checked):
+            ideal = _ideal_scenario(sc, [ref for _, ref in checked])
             ideal_raw = ideal._raw_arrays(post)
             report["ideal_deviation"] = serialize.sig15(_max_deviation(post, ideal_raw))
     except ZeroAcceptanceError as exc:
@@ -153,10 +157,9 @@ def cmd_bound(args) -> int:
     try:
         if args.mq is not None:
             shared = serialize.matrix_from_json(serialize.load_json(args.mq))
-            mqs = [shared for _ in sc.devices]
+            br = bound_report(sc, [shared for _ in sc.devices])
         else:
-            mqs = [check_exact(dev, tol=args.tol).quantum_elem for dev in sc.devices]
-        br = bound_report(sc, mqs)
+            br = _bound_report(sc, [_check_exact(dev, tol=args.tol)[1] for dev in sc.devices])
     except (OSError, ValueError, KeyError) as exc:
         return _fail(f"error: {exc}")
     report = {
@@ -261,6 +264,8 @@ def _demo_chsh_singlet(args) -> dict:
 
 
 def _demo_prop2_random(args) -> dict:
+    if args.count < 1:
+        raise ValueError(f"--count must be at least 1, got {args.count}")
     rng = np.random.default_rng(args.seed)
     cases = []
     for _ in range(args.count):

@@ -22,6 +22,7 @@ from .linalg import (
     projector,
     psd_faults,
     raise_psd_fault,
+    read_probability,
 )
 
 #: Reserved label for the failed-detection outcome.
@@ -112,12 +113,17 @@ class LossyDevice:
         return min(1.0, probability(self.click_element(x), rho, f"click at setting {x!r}"))
 
     def outcome_distribution(self, x: str, rho: np.ndarray) -> dict[str, float]:
-        """Raw distribution over good outcomes plus noclick."""
+        """Raw distribution over good outcomes plus noclick, read with one contraction of the setting's elements."""
         rho = assert_density(rho)
         if rho.shape[0] != self.dim:
             raise ValueError(f"state dimension {rho.shape[0]} does not match device dimension {self.dim}")
-        labels = (*self.outcomes, NOCLICK)
-        probs = {a: probability(self.povm[x][a], rho, f"outcome {a!r} at setting {x!r}") for a in labels}
+        if x not in self.povm:
+            raise KeyError(x)
+        values = np.einsum("aij,ji->a", self.stack[self.settings.index(x)], rho).real
+        probs = {
+            a: read_probability(float(p), f"outcome {a!r} at setting {x!r}")
+            for a, p in zip((*self.outcomes, NOCLICK), values)
+        }
         total = sum(probs.values())
         if abs(total - 1.0) > COMPLETENESS_TOL:
             raise ValueError(f"distribution for setting {x!r} sums to {total!r}")

@@ -79,14 +79,18 @@ class TwoModeFock:
         ``values(n, k)`` gives the eigenvalue on the basis state with k
         photons along theta within the n-photon sector.
         """
-        out = np.zeros((self.dim, self.dim), dtype=complex)
+        return self.sector_functions(theta, [values])[0]
+
+    def sector_functions(self, theta: float, values: Sequence) -> list[np.ndarray]:
+        """``sector_function`` for each of ``values``, from one rotation per photon number."""
+        outs = [np.zeros((self.dim, self.dim), dtype=complex) for _ in values]
         for n in range(self.n_max + 1):
             u = self.rotation_sector(theta, n)
-            diag = np.array([values(n, k) for k in range(n + 1)], dtype=float)
-            block = (u * diag) @ u.T
             sl = self.sector_slice(n)
-            out[sl, sl] = block
-        return out
+            for out, f in zip(outs, values):
+                diag = np.array([f(n, k) for k in range(n + 1)], dtype=float)
+                out[sl, sl] = (u * diag) @ u.T
+        return outs
 
     def number_operator(self, theta: float) -> np.ndarray:
         """Photon-number operator of the theta-polarized mode."""
@@ -160,11 +164,14 @@ def analyser_device(spec: AnalyserSpec) -> LossyDevice:
     """
     fock = TwoModeFock(spec.n_max)
     r1, r2 = spec.r1, spec.r2
+    eigenvalues = (
+        lambda n, k: (1.0 - r1**k) * r2 ** (n - k),
+        lambda n, k: r1**k * (1.0 - r2 ** (n - k)),
+        lambda n, k: (1.0 - r1**k) * (1.0 - r2 ** (n - k)),
+    )
     povm: dict[str, dict[str, np.ndarray]] = {}
     for theta in spec.angles:
-        d1 = fock.sector_function(theta, lambda n, k: (1.0 - r1**k) * r2 ** (n - k))
-        d2 = fock.sector_function(theta, lambda n, k: r1**k * (1.0 - r2 ** (n - k)))
-        both = fock.sector_function(theta, lambda n, k: (1.0 - r1**k) * (1.0 - r2 ** (n - k)))
+        d1, d2, both = fock.sector_functions(theta, eigenvalues)
         if spec.fold_both:
             row = {OUTCOME_D1: d1 + both, OUTCOME_D2: d2}
         else:

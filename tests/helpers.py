@@ -4,7 +4,14 @@ import itertools
 
 import numpy as np
 
-from fairsamp.analysis import approximate_epsilon, check_exact, ideal_device_from
+from fairsamp.analysis import (
+    FairSamplingVerdict,
+    _weak_reference,
+    approximate_epsilon,
+    check_exact,
+    default_mq,
+    ideal_device_from,
+)
 from fairsamp.bell import (
     BellScenario,
     BoundReport,
@@ -14,9 +21,25 @@ from fairsamp.bell import (
     filtered_global_state,
     validate_coefficients,
 )
-from fairsamp.device import NOCLICK, LossyDevice
-from fairsamp.linalg import COMPLETENESS_TOL, ZERO_ACCEPTANCE, as_operator, eigh_psd, probability, projector, tensor
-from fairsamp.sampling import haar_ket, random_fair_sampling_device, random_povm
+from fairsamp.device import NOCLICK, LosslessDevice, LossyDevice
+from fairsamp.filters import FilterDecomposition, QuantumFilter
+from fairsamp.linalg import (
+    COMPLETENESS_TOL,
+    VERDICT_TOL,
+    ZERO_ACCEPTANCE,
+    as_operator,
+    assert_density,
+    eigh_psd,
+    expect,
+    operator_norm,
+    probability,
+    projector,
+    sqrt_pinv_sqrt,
+    support_projector,
+    tensor,
+)
+from fairsamp.optics import OUTCOME_BOTH, OUTCOME_D1, OUTCOME_D2, TwoModeFock, _setting_label
+from fairsamp.sampling import haar_ket, random_fair_sampling_device, random_povm, verification_states
 
 
 def perturbed_fair_device(rng, dim=3, n_settings=2, n_outcomes=2, magnitude=0.05):
@@ -220,3 +243,106 @@ def oracle_bound_report(sc, mqs):
         beta = beta_max(sc.bell_coeffs)
         bell_deviation = abs(bell_value(post, sc.bell_coeffs) - bell_value(ideal_raw, sc.bell_coeffs))
     return BoundReport(eps, eps_tot, dict_max_deviation(post, ideal_raw), beta, bell_deviation)
+
+
+# Reference device passes: each recomputes what the one-pass code in ``fairsamp`` shares,
+# one element or outcome at a time.  The one-pass code performs the same floating-point
+# operations and must equal these to the bit.
+
+#: Device kinds for the one-pass properties: exact fair sampling, pushed off it, and
+#: either with an extra setting that never clicks.
+PASS_KINDS = ("fair", "perturbed", "erased-fair", "erased-perturbed")
+
+
+def pass_device(kind, rng, dim, n_settings, n_outcomes):
+    """A device of one of ``PASS_KINDS``."""
+    if kind.endswith("perturbed"):
+        dev = perturbed_fair_device(rng, dim, n_settings, n_outcomes)
+    else:
+        dev = random_fair_sampling_device(dim, n_settings, n_outcomes, rng)
+    return with_dead_setting(dev) if kind.startswith("erased") else dev
+
+
+def oracle_check_exact(dev, tol=VERDICT_TOL):
+    """``check_exact`` from the weak test, ``default_mq``, ``approximate_epsilon`` and ``support_projector``."""
+    clicks, mq = _weak_reference(dev, tol)
+    norms = clicks.norms
+    weak = mq is not None
+    if weak:
+        epsilon = 0.0
+    else:
+        mq = default_mq(dev)
+        epsilon = approximate_epsilon(dev, mq)
+    return FairSamplingVerdict(
+        weak=weak,
+        strong=weak and operator_norm(mq - np.eye(dev.dim)) <= tol,
+        homogeneous=weak and float(norms.max() - norms.min()) <= tol,
+        classical_eff=dict(zip(dev.settings, norms.tolist())),
+        quantum_elem=mq,
+        support=support_projector(mq),
+        epsilon=epsilon,
+    )
+
+
+def oracle_canonical_decomposition(dev):
+    """``canonical_decomposition`` from ``click_element`` per setting and one product per good element."""
+    filters, povm = {}, {}
+    for x in dev.settings:
+        sq_click, pinv_click = sqrt_pinv_sqrt(dev.click_element(x))
+        sq_noclick, _ = sqrt_pinv_sqrt(dev.noclick_element(x))
+        filters[x] = QuantumFilter(sq_click, sq_noclick)
+        povm[x] = {a: pinv_click @ dev.element(x, a) @ pinv_click for a in dev.outcomes}
+    return FilterDecomposition(filters, LosslessDevice(dev.dim, dev.settings, dev.outcomes, povm))
+
+
+def oracle_verify_recomposition(dev, decomp, trials=100, seed=0):
+    """``verify_recomposition`` one outcome at a time, each through ``FilterDecomposition.probability``."""
+    rng = np.random.default_rng(seed)
+    labels = (*dev.outcomes, NOCLICK)
+    worst = 0.0
+    for rho in verification_states(dev.dim, trials, rng):
+        for x in dev.settings:
+            direct = {a: expect(dev.element(x, a), rho) for a in labels}
+            for a in labels:
+                worst = max(worst, abs(decomp.probability(x, a, rho) - direct[a]))
+    return worst
+
+
+def oracle_sector_function(fock, theta, values):
+    """``TwoModeFock.sector_function`` on its own: one rotation per photon number for this operator alone."""
+    out = np.zeros((fock.dim, fock.dim), dtype=complex)
+    for n in range(fock.n_max + 1):
+        u = fock.rotation_sector(theta, n)
+        diag = np.array([values(n, k) for k in range(n + 1)], dtype=float)
+        block = (u * diag) @ u.T
+        sl = fock.sector_slice(n)
+        out[sl, sl] = block
+    return out
+
+
+def oracle_analyser_device(spec):
+    """``analyser_device`` with one ``oracle_sector_function`` call, and so one set of rotations, per outcome."""
+    fock = TwoModeFock(spec.n_max)
+    r1, r2 = spec.r1, spec.r2
+    povm = {}
+    for theta in spec.angles:
+        d1 = oracle_sector_function(fock, theta, lambda n, k: (1.0 - r1**k) * r2 ** (n - k))
+        d2 = oracle_sector_function(fock, theta, lambda n, k: r1**k * (1.0 - r2 ** (n - k)))
+        both = oracle_sector_function(fock, theta, lambda n, k: (1.0 - r1**k) * (1.0 - r2 ** (n - k)))
+        if spec.fold_both:
+            povm[_setting_label(theta)] = {OUTCOME_D1: d1 + both, OUTCOME_D2: d2}
+        else:
+            povm[_setting_label(theta)] = {OUTCOME_D1: d1, OUTCOME_D2: d2, OUTCOME_BOTH: both}
+    outcomes = [OUTCOME_D1, OUTCOME_D2] if spec.fold_both else [OUTCOME_D1, OUTCOME_D2, OUTCOME_BOTH]
+    return LossyDevice(fock.dim, list(povm), outcomes, povm)
+
+
+def oracle_outcome_distribution(dev, x, rho):
+    """``LossyDevice.outcome_distribution`` with one ``probability`` call per outcome."""
+    rho = assert_density(rho)
+    labels = (*dev.outcomes, NOCLICK)
+    probs = {a: probability(dev.povm[x][a], rho, f"outcome {a!r} at setting {x!r}") for a in labels}
+    total = sum(probs.values())
+    if abs(total - 1.0) > COMPLETENESS_TOL:
+        raise ValueError(f"distribution for setting {x!r} sums to {total!r}")
+    return probs

@@ -360,6 +360,20 @@ class TestReferenceDecompositions:
         ideal_device_from(dev, mq)
         assert eigh_calls == ["reference operator"]
 
+    def test_check_exact_on_a_non_fair_device(self, rng, eigh_calls, monkeypatch):
+        """Epsilon and support share one eigendecomposition; the weak test's click norms serve epsilon too."""
+        import fairsamp.analysis
+
+        dev = helpers.perturbed_fair_device(rng)
+        norm_calls = []
+        original = fairsamp.analysis.operator_norms
+        monkeypatch.setattr(fairsamp.analysis, "operator_norms", lambda stack: norm_calls.append(1) or original(stack))
+        eigh_calls.clear()
+        assert not check_exact(dev).weak
+        assert eigh_calls == ["reference operator"]
+        # click norms, one proportionality residual, support leakage, conjugated norms, epsilon
+        assert len(norm_calls) <= 5
+
 
 VERDICT_KINDS = ("fair", "strong", "homogeneous", "perturbed")
 
@@ -423,3 +437,22 @@ def test_verdict_invariant_under_relabelling(seed, kind, dim, n_settings, n_outc
     v, w = check_exact(dev), check_exact(relabelled)
     assert_same_verdict(v, w, new_x)
     np.testing.assert_allclose(w.quantum_elem, v.quantum_elem, atol=1e-9)
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    kind=st.sampled_from(helpers.PASS_KINDS),
+    dim=st.integers(1, 5),
+    n_settings=st.integers(1, 3),
+    n_outcomes=st.integers(1, 3),
+)
+def test_check_exact_equals_the_composed_public_steps(seed, kind, dim, n_settings, n_outcomes):
+    """One weak-test pass and one eigendecomposition give the bits of the public steps called one by one."""
+    rng = np.random.default_rng(seed)
+    dev = helpers.pass_device(kind, rng, dim, n_settings, n_outcomes)
+    v, w = check_exact(dev), helpers.oracle_check_exact(dev)
+    assert (v.weak, v.strong, v.homogeneous, v.epsilon) == (w.weak, w.strong, w.homogeneous, w.epsilon)
+    assert list(v.classical_eff.items()) == list(w.classical_eff.items())
+    assert np.array_equal(v.quantum_elem, w.quantum_elem)
+    assert np.array_equal(v.support, w.support)

@@ -472,6 +472,18 @@ class TestIdealScenario:
         # filtered state's assert_density; the strong test's reference support is never built.
         assert calls == [(2, 2), (2, 2), (4, 4)]
 
+    def test_one_norm_per_click_stack(self, rng, monkeypatch):
+        """The weak test's click norms serve the conjugation too."""
+        import fairsamp.analysis
+
+        devices = [random_fair_sampling_device(3, 3, 2, rng) for _ in range(2)]
+        sc = BellScenario(devices, random_density(9, rng))
+        normed = []
+        original = fairsamp.analysis.operator_norms
+        monkeypatch.setattr(fairsamp.analysis, "operator_norms", lambda stack: normed.append(stack) or original(stack))
+        ideal_scenario(sc)
+        assert [sum(np.array_equal(s, dev.click_elements()) for s in normed) for dev in devices] == [1, 1]
+
     def test_bell_value_of_the_ideal_experiment_names_erased_tuples(self):
         good = list(itertools.product("+-", repeat=2))
         coeffs = {(xs, outs): 1.0 for xs in (("0", "0"), ("0", "dead")) for outs in good}

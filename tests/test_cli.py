@@ -122,6 +122,15 @@ class TestDecompose:
         dev = serialize.device_from_json(json.loads((out / "lossless.json").read_text()))
         assert dev.settings == ("0", "1")
 
+    @pytest.mark.parametrize("trials", ["0", "-3"])
+    def test_trials_below_one_exit_one_before_writing(self, traced_file, tmp_path, capsys, trials):
+        out = tmp_path / "dec"
+        assert main(["decompose", str(traced_file), "--trials", trials, "-o", str(out)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: --trials must be at least 1, got {trials}\n"
+        assert not out.exists()
+
 
 class TestSimulate:
     def test_chsh_singlet_report(self, chsh_file, capsys):
@@ -352,6 +361,16 @@ def test_malformed_coefficient_key_exits_one(tmp_path, capsys, entry, message, a
     assert err.count("\n") == 1
 
 
+@pytest.mark.parametrize("argv", [["simulate", "--postselect"], ["bound"]], ids=["simulate", "bound"])
+def test_one_eigh_per_reference_and_state(chsh_file, monkeypatch, capsys, argv):
+    calls = []
+    original = np.linalg.eigh
+    monkeypatch.setattr(np.linalg, "eigh", lambda a, *args, **kw: calls.append(a.shape) or original(a, *args, **kw))
+    assert main([*argv, str(chsh_file)]) == 0
+    # The state as loaded, each party's reference once (verdict and ideal experiment alike), the filtered state.
+    assert calls == [(4, 4), (2, 2), (2, 2), (4, 4)]
+
+
 def test_scenario_commands_never_build_dict_tables(chsh_file, monkeypatch, capsys):
     """``simulate``, ``bound`` and the CHSH demo read the joint table arrays, not their dict view."""
     from fairsamp.bell import BellScenario
@@ -556,6 +575,13 @@ class TestDemo:
         assert main(["demo", "prop2-random", "--count", "4", "--seed", "9"]) == 0
         report = json.loads(capsys.readouterr().out)
         assert report["max_deviation"] <= 1e-9
+
+    @pytest.mark.parametrize("count", ["0", "-1"])
+    def test_prop2_random_count_below_one_exits_one(self, capsys, count):
+        assert main(["demo", "prop2-random", "--count", count]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: --count must be at least 1, got {count}\n"
 
     def test_outputs_are_byte_stable(self, tmp_path):
         a, b = tmp_path / "a.json", tmp_path / "b.json"

@@ -293,6 +293,19 @@ class TestDistributions:
         with pytest.raises(NotPositiveError, match="outcome 'a' at setting 'x'"):
             dev.outcome_distribution("x", rho)
 
+    def test_negative_probability_names_the_first_negative_outcome(self):
+        # As above, with the negative reading on the second outcome: the one contraction
+        # of all outcomes raises what one probability per outcome raises.
+        dim = 20
+        rho = np.diag([1.0 + (dim - 1) * 0.9e-10] + [-0.9e-10] * (dim - 1))
+        low = np.diag([0.0] + [1.0] * (dim - 1))
+        dev = LossyDevice(dim, ["x"], ["a", "b"], {"x": {"a": np.eye(dim) - low, "b": low}})
+        with pytest.raises(NotPositiveError, match="outcome 'b' at setting 'x'") as stacked:
+            dev.outcome_distribution("x", rho)
+        with pytest.raises(NotPositiveError) as per_outcome:
+            helpers.oracle_outcome_distribution(dev, "x", rho)
+        assert str(stacked.value) == str(per_outcome.value)
+
 
 class TestLosslessDevice:
     def test_sum_must_be_projector(self):
@@ -351,3 +364,21 @@ def test_total_variation():
     assert total_variation({"a": 1.0}, {"a": 1.0}) == 0.0
     assert total_variation({"a": 1.0}, {"b": 1.0}) == pytest.approx(1.0)
     assert total_variation({"a": 0.7, "b": 0.3}, {"a": 0.4, "b": 0.6}) == pytest.approx(0.3)
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    kind=st.sampled_from(helpers.PASS_KINDS),
+    dim=st.integers(1, 5),
+    n_settings=st.integers(1, 3),
+    n_outcomes=st.integers(1, 3),
+)
+def test_outcome_distribution_equals_one_probability_per_outcome(seed, kind, dim, n_settings, n_outcomes):
+    """One contraction of a setting's elements reads the bits of one ``probability`` per outcome."""
+    rng = np.random.default_rng(seed)
+    dev = helpers.pass_device(kind, rng, dim, n_settings, n_outcomes)
+    rho = random_density(dim, rng)
+    for x in dev.settings:
+        stacked = dev.outcome_distribution(x, rho)
+        assert list(stacked.items()) == list(helpers.oracle_outcome_distribution(dev, x, rho).items())

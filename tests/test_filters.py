@@ -122,7 +122,16 @@ class TestRecomposition:
                 m = dc.lossless.element(x, a)
                 return 1.1 * m if (x, a) == ("0", "+") else m
 
-        assert verify_recomposition(dev, FilterDecomposition(dc.filters, Corrupted()), trials=30, seed=5) > 1e-3
+        corrupted = FilterDecomposition(dc.filters, Corrupted())
+        worst = verify_recomposition(dev, corrupted, trials=30, seed=5)
+        assert worst > 1e-3
+        assert worst == helpers.oracle_verify_recomposition(dev, corrupted, trials=30, seed=5)
+
+    @pytest.mark.parametrize("trials", [0, -2])
+    def test_no_states_is_an_error(self, trials):
+        dev = makarov_traced()
+        with pytest.raises(ValueError, match=f"trials must be at least 1, got {trials}"):
+            verify_recomposition(dev, canonical_decomposition(dev), trials=trials)
 
 
 class TestClassicalNormalForm:
@@ -237,3 +246,26 @@ def test_canonical_decomposition_recomposes_random_devices(seed, dim, n_settings
     else:
         dev = helpers.random_multisetting_device(rng, dim, n_settings, n_outcomes)
     assert verify_recomposition(dev, canonical_decomposition(dev), trials=8, seed=seed) <= 1e-9
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    kind=st.sampled_from(helpers.PASS_KINDS),
+    dim=st.integers(1, 5),
+    n_settings=st.integers(1, 3),
+    n_outcomes=st.integers(1, 3),
+    trials=st.integers(1, 6),
+)
+def test_stacked_decomposition_and_verification_equal_the_per_element_loops(
+    seed, kind, dim, n_settings, n_outcomes, trials
+):
+    """Stacked products and contractions give the bits of one product and one trace per element."""
+    rng = np.random.default_rng(seed)
+    dev = helpers.pass_device(kind, rng, dim, n_settings, n_outcomes)
+    dc, per_element = canonical_decomposition(dev), helpers.oracle_canonical_decomposition(dev)
+    for x in dev.settings:
+        assert np.array_equal(dc.filters[x].kraus_click, per_element.filters[x].kraus_click)
+        assert np.array_equal(dc.filters[x].kraus_noclick, per_element.filters[x].kraus_noclick)
+    assert np.array_equal(dc.lossless.stack, per_element.lossless.stack)
+    assert verify_recomposition(dev, dc, trials, seed) == helpers.oracle_verify_recomposition(dev, dc, trials, seed)

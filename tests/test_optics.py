@@ -2,7 +2,10 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import helpers
 from fairsamp.analysis import approximate_epsilon, check_exact, filtered_state
 from fairsamp.device import NOCLICK
 from fairsamp.linalg import operator_norm
@@ -188,3 +191,20 @@ class TestAnalyserMq:
             rho = random_density(fock.dim, rng)
             out, _ = filtered_state(mq, rho)
             assert abs(out[0, 0]) <= 1e-12
+
+
+@settings(max_examples=30, deadline=None)
+@given(
+    eta1=st.floats(0.05, 1.0),
+    eta2=st.floats(0.05, 1.0),
+    angles=st.lists(st.floats(0.0, np.pi), min_size=1, max_size=3),
+    n_max=st.integers(1, 4),
+    fold_both=st.booleans(),
+)
+def test_analyser_device_equals_one_rotation_set_per_outcome(eta1, eta2, angles, n_max, fold_both):
+    """Sharing each rotation among the outcome blocks changes no bit of the device."""
+    spec = AnalyserSpec(eta1=eta1, eta2=eta2, angles=angles, n_max=n_max, fold_both=fold_both)
+    shared, separate = analyser_device(spec), helpers.oracle_analyser_device(spec)
+    assert (shared.settings, shared.outcomes) == (separate.settings, separate.outcomes)
+    assert np.array_equal(shared.stack, separate.stack)
+
