@@ -10,6 +10,7 @@ including adversarial counterexamples.
 from .analysis import (
     FairSamplingVerdict,
     ImperfectStateReport,
+    Reference,
     approximate_epsilon,
     check_exact,
     default_mq,
@@ -17,12 +18,14 @@ from .analysis import (
     ideal_device_from,
     imperfect_state_bound,
     necessary_conditions,
+    reference,
     state_dependent_check,
     tv_bound,
 )
 from .bell import (
     BellScenario,
     BoundReport,
+    JointTables,
     bell_value,
     beta_max,
     bound_report,
@@ -89,10 +92,12 @@ __all__ = [
     "FilterDecomposition",
     "HiddenVariableDevice",
     "ImperfectStateReport",
+    "JointTables",
     "LosslessDevice",
     "LossyDevice",
     "NOCLICK",
     "QuantumFilter",
+    "Reference",
     "TwoModeFock",
     "ZeroAcceptanceError",
     "analyser_device",
@@ -123,6 +128,7 @@ __all__ = [
     "postselected_vs_ideal_deviation",
     "projective_qubit_device",
     "projector",
+    "reference",
     "run_faked_chsh",
     "single_photon_analyser",
     "sqrt_pinv_sqrt",

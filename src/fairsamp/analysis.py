@@ -11,6 +11,7 @@ bounds for imperfectly prepared states.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
 from typing import Mapping, NamedTuple, Sequence
 
@@ -31,6 +32,73 @@ from .linalg import (
 )
 
 
+class _Clicks(NamedTuple):
+    """A device, its click stack ``click_elements()`` and their operator norms."""
+
+    device: LossyDevice
+    stack: np.ndarray
+    norms: np.ndarray
+
+
+def _clicks(dev: LossyDevice) -> _Clicks:
+    clicks = dev.click_elements()
+    return _Clicks(dev, clicks, operator_norms(clicks))
+
+
+class Reference:
+    """A reference operator ``mq`` bound to the device whose click elements it is compared with.
+
+    ``support``, ``pinv`` (the pseudo-inverse square root, which conjugates
+    click elements into the ideal device) and ``root`` (the square root, the
+    local filter) come from one eigendecomposition of ``mq``, made when one
+    of them is first read, each built as ``support_projector`` and
+    ``sqrt_pinv_sqrt`` build it.  ``clicks`` holds the device, its click
+    stack and their operator norms.  The conjugated click elements, and with
+    them epsilon, are computed once too, for ``approximate_epsilon`` and
+    ``ideal_device_from`` alike.  Build one with ``reference(dev, mq)``; a
+    ``FairSamplingVerdict`` carries the one it reports.
+    """
+
+    def __init__(self, mq: np.ndarray | None, clicks: _Clicks):
+        if mq is None:
+            live = clicks.norms > ZERO_ACCEPTANCE
+            if not live.any():
+                raise ValueError("all click elements vanish; no reference operator exists")
+            mq = sum(clicks.stack[live] / clicks.norms[live, None, None]) / int(live.sum())
+        self.mq, self.clicks = mq, clicks
+
+    @functools.cached_property
+    def _decomposition(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        return support_and_pinv_sqrt(self.mq, name="reference operator")
+
+    support = property(lambda self: self._decomposition[0], doc="The support projector of ``mq``.")
+    pinv = property(lambda self: self._decomposition[1], doc="The pseudo-inverse square root of ``mq``.")
+    root = property(lambda self: self._decomposition[2], doc="The square root of ``mq``.")
+
+    @functools.cached_property
+    def _conjugation(self) -> tuple[np.ndarray, np.ndarray, np.ndarray, float]:
+        """(live setting indices, gaps ``support - mt / s``, norms ``s``, epsilon: the largest gap norm).
+
+        ``mt = pinv @ click @ pinv`` for each live setting's click element.
+        """
+        live, conjugated, norms = _conjugated_clicks(self.clicks, self.support, self.pinv)
+        gaps = self.support - conjugated
+        return live, gaps, norms, float(operator_norms(gaps).max(initial=0.0))
+
+
+def reference(dev: LossyDevice, mq: np.ndarray | Reference | None = None) -> Reference:
+    """The ``Reference`` of ``mq`` for ``dev``; of ``default_mq(dev)`` when ``mq`` is None.
+
+    A ``Reference`` built for ``dev`` is returned as it is, with what it has
+    computed already; one built for another device raises ``ValueError``.
+    """
+    if not isinstance(mq, Reference):
+        return Reference(mq, _clicks(dev))
+    if mq.clicks.device is not dev:
+        raise ValueError("the reference was built for another device")
+    return mq
+
+
 @dataclass
 class FairSamplingVerdict:
     """Classification of a device plus the extracted filter data.
@@ -39,7 +107,8 @@ class FairSamplingVerdict:
     element normalized to unit operator norm and ``classical_eff`` collects
     the per-setting acceptance scales; ``epsilon`` is 0.  Otherwise epsilon
     quantifies the best approximate-fair-sampling deviation found for
-    ``quantum_elem`` (the default reference unless one was supplied).
+    ``quantum_elem`` (the default reference unless one was supplied), whose
+    ``Reference`` is ``reference``.
     """
 
     weak: bool
@@ -49,6 +118,7 @@ class FairSamplingVerdict:
     quantum_elem: np.ndarray
     support: np.ndarray
     epsilon: float
+    reference: Reference | None = field(default=None, repr=False)
 
 
 class NecessaryConditions(NamedTuple):
@@ -87,7 +157,9 @@ def _pairwise_proportional(mats: np.ndarray, norms: np.ndarray, tol: float) -> b
     return True
 
 
-def check_exact(dev: LossyDevice, tol: float = VERDICT_TOL) -> FairSamplingVerdict:
+def check_exact(
+    dev: LossyDevice, tol: float = VERDICT_TOL, mq: np.ndarray | Reference | None = None
+) -> FairSamplingVerdict:
     """Decide weak / strong / homogeneous fair sampling at the given tolerance.
 
     Weak holds iff all click elements are pairwise proportional; strong
@@ -97,69 +169,26 @@ def check_exact(dev: LossyDevice, tol: float = VERDICT_TOL) -> FairSamplingVerdi
     approximate deviation with respect to the uniform-average reference.
     Erased settings (click norm at most ZERO_ACCEPTANCE) are left out of the
     weak test and of epsilon; they keep their entry in ``classical_eff``.
+    With ``mq`` (a matrix or a ``Reference``), ``quantum_elem``, ``support``
+    and ``epsilon`` come from that reference instead; the flags stay the device's.
     """
-    return _check_exact(dev, tol)[0]
-
-
-def _check_exact(dev: LossyDevice, tol: float = VERDICT_TOL) -> tuple[FairSamplingVerdict, _Reference]:
-    """``check_exact`` and the ``_Reference`` of the operator it reports.
-
-    The click stack and its norms come from the weak test alone, and the
-    reference is eigendecomposed once: for the support, and on a device
-    failing the weak test for epsilon as well.
-    """
-    clicks, mq = _weak_reference(dev, tol)
+    clicks, weak_mq = _weak_reference(dev, tol)
     norms = clicks.norms
-    weak = mq is not None
-    if weak:
-        ref = _reference(mq, clicks, name="support_projector input")
-        epsilon = 0.0
+    weak = weak_mq is not None
+    if isinstance(mq, Reference):
+        ref = reference(dev, mq)
     else:
-        mq = _default_mq(clicks)
-        ref = _reference(mq, clicks)
-        epsilon = _epsilon(ref)
-    strong = weak and operator_norm(mq - np.eye(dev.dim)) <= tol
-    homogeneous = weak and float(norms.max() - norms.min()) <= tol
-    verdict = FairSamplingVerdict(
+        ref = Reference(weak_mq if mq is None else mq, clicks)
+    return FairSamplingVerdict(
         weak=weak,
-        strong=strong,
-        homogeneous=homogeneous,
+        strong=weak and operator_norm(weak_mq - np.eye(dev.dim)) <= tol,
+        homogeneous=weak and float(norms.max() - norms.min()) <= tol,
         classical_eff=dict(zip(dev.settings, norms.tolist())),
-        quantum_elem=mq,
+        quantum_elem=ref.mq,
         support=ref.support,
-        epsilon=epsilon,
+        epsilon=0.0 if weak and mq is None else approximate_epsilon(dev, ref),
+        reference=ref,
     )
-    return verdict, ref
-
-
-class _Clicks(NamedTuple):
-    """A device's setting labels, its click stack ``click_elements()`` and their operator norms."""
-
-    settings: tuple[str, ...]
-    stack: np.ndarray
-    norms: np.ndarray
-
-
-def _clicks(dev: LossyDevice) -> _Clicks:
-    clicks = dev.click_elements()
-    return _Clicks(dev.settings, clicks, operator_norms(clicks))
-
-
-class _Reference(NamedTuple):
-    """A reference operator's support, pseudo-inverse square root and square root, with its device's clicks.
-
-    The three operators come from one eigendecomposition of the reference.
-    """
-
-    support: np.ndarray
-    pinv: np.ndarray
-    root: np.ndarray
-    clicks: _Clicks
-
-
-def _reference(mq: np.ndarray, clicks: _Clicks, name: str = "reference operator") -> _Reference:
-    """The ``_Reference`` of ``mq`` for the device whose clicks are ``clicks``; ``name`` labels ``mq`` in errors."""
-    return _Reference(*support_and_pinv_sqrt(mq, name=name), clicks)
 
 
 def _weak_reference(dev: LossyDevice, tol: float = VERDICT_TOL) -> tuple[_Clicks, np.ndarray | None]:
@@ -184,14 +213,7 @@ def default_mq(dev: LossyDevice) -> np.ndarray:
     Erased settings (click norm at most ZERO_ACCEPTANCE) carry no shape
     information and are skipped.
     """
-    return _default_mq(_clicks(dev))
-
-
-def _default_mq(clicks: _Clicks) -> np.ndarray:
-    live = clicks.norms > ZERO_ACCEPTANCE
-    if not live.any():
-        raise ValueError("all click elements vanish; no reference operator exists")
-    return sum(clicks.stack[live] / clicks.norms[live, None, None]) / int(live.sum())
+    return reference(dev).mq
 
 
 def _conjugated_clicks(clicks: _Clicks, pi: np.ndarray, pinv: np.ndarray):
@@ -211,7 +233,7 @@ def _conjugated_clicks(clicks: _Clicks, pi: np.ndarray, pinv: np.ndarray):
     bad = leaks | (s <= 0.0)
     if bad.any():
         j = int(np.argmax(bad))
-        x = clicks.settings[live[j]]
+        x = clicks.device.settings[live[j]]
         if leaks[j]:
             raise ValueError(
                 f"click element for setting {x!r} leaks outside the reference support (residual {leak[j]:.3e})"
@@ -220,7 +242,7 @@ def _conjugated_clicks(clicks: _Clicks, pi: np.ndarray, pinv: np.ndarray):
     return live, mt / s[:, None, None], s
 
 
-def approximate_epsilon(dev: LossyDevice, mq: np.ndarray) -> float:
+def approximate_epsilon(dev: LossyDevice, mq: np.ndarray | Reference) -> float:
     """Operator-norm deviation of the normalized conjugated click elements.
 
     For each live setting, conjugate the click element by the pseudo-inverse
@@ -228,66 +250,38 @@ def approximate_epsilon(dev: LossyDevice, mq: np.ndarray) -> float:
     support projector; the maximum over settings is the epsilon of
     approximate fair sampling.  Erased settings do not contribute.
     """
-    return _epsilon(_reference(mq, _clicks(dev)))
+    *_, epsilon = reference(dev, mq)._conjugation
+    return epsilon
 
 
-def _epsilon(ref: _Reference) -> float:
-    """``approximate_epsilon`` against the reference ``ref``."""
-    _, clicks, _ = _conjugated_clicks(ref.clicks, ref.support, ref.pinv)
-    return float(operator_norms(ref.support - clicks).max(initial=0.0))
-
-
-def ideal_device_from(dev: LossyDevice, mq: np.ndarray) -> LosslessDevice:
+def ideal_device_from(dev: LossyDevice, mq: np.ndarray | Reference) -> LosslessDevice:
     """Unit-efficiency device reproducing post-selected statistics up to the epsilon bound.
 
     Each good element is conjugated and normalized like the click element,
     and the per-setting deficit from the support projector is spread
     uniformly over the outcomes so completeness holds exactly.  Only the
     live settings get a POVM: erased ones never appear in post-selected data.
+    The elements are built as one stack, which the device takes as it is.
     """
-    return _ideal_device_and_root(dev, _reference(mq, _clicks(dev)))[0]
-
-
-def _ideal_device_and_root(dev: LossyDevice, ref: _Reference) -> tuple[LosslessDevice, np.ndarray]:
-    """``ideal_device_from`` and the square root of the reference, the filter of the ideal experiment."""
-    ideal, epsilon, sq = _ideal_device_and_epsilon(dev, ref)
-    if ideal is None:
-        raise ValueError(f"approximate deviation {epsilon:.3f} >= 1; no ideal device exists")
-    return ideal, sq
-
-
-def _ideal_device_and_epsilon(
-    dev: LossyDevice, ref: _Reference
-) -> tuple[LosslessDevice | None, float, np.ndarray]:
-    """``ideal_device_from``, ``approximate_epsilon`` and the reference's square root from one conjugation pass.
-
-    The device is None when epsilon >= 1, where no ideal device exists.
-    """
-    pi, pinv, sq, clicks = ref
-    live, conjugated, norms = _conjugated_clicks(clicks, pi, pinv)
-    gaps = pi - conjugated
-    epsilon = float(operator_norms(gaps).max(initial=0.0))
+    ref = reference(dev, mq)
+    live, gaps, norms, epsilon = ref._conjugation
     if epsilon >= 1.0:
-        return None, epsilon, sq
+        raise ValueError(f"approximate deviation {epsilon:.3f} >= 1; no ideal device exists")
     n = len(dev.outcomes)
-    povm = {
-        dev.settings[i]: dict(zip(dev.outcomes, pinv @ dev.stack[i, :n] @ pinv / s + gap / n))
-        for i, gap, s in zip(live, gaps, norms)
-    }
-    return LosslessDevice(dev.dim, list(povm), dev.outcomes, povm), epsilon, sq
+    stack = ref.pinv @ dev.stack[live, :n] @ ref.pinv / norms[:, None, None, None] + gaps[:, None] / n
+    return LosslessDevice(dev.dim, [dev.settings[i] for i in live], dev.outcomes, stack)
 
 
-def filtered_state(mq: np.ndarray, rho: np.ndarray) -> tuple[np.ndarray, float]:
-    """Conjugate a state by sqrt(mq) and renormalize; returns (state, acceptance)."""
-    return _filter(sqrt_pinv_sqrt(mq)[0], rho, "filter acceptance {:.3e} vanishes for this state")
+def filtered_state(mq: np.ndarray | Reference, rho: np.ndarray) -> tuple[np.ndarray, float]:
+    """Conjugate a state by sqrt(mq) and renormalize; returns (state, acceptance).
 
-
-def _filter(sq: np.ndarray, rho: np.ndarray, vanishing: str) -> tuple[np.ndarray, float]:
-    """``filtered_state`` for the square-root operator ``sq``; ``vanishing`` formats a vanishing acceptance."""
+    For a ``Reference``, its ``root`` is the square root.
+    """
+    sq = mq.root if isinstance(mq, Reference) else sqrt_pinv_sqrt(mq)[0]
     branch = sq @ as_operator(rho) @ sq
     eq = float(np.trace(branch).real)
     if eq <= ZERO_ACCEPTANCE:
-        raise ZeroAcceptanceError(vanishing.format(eq))
+        raise ZeroAcceptanceError(f"filter acceptance {eq:.3e} vanishes for this state")
     return branch / eq, eq
 
 

@@ -10,18 +10,17 @@ fair-sampling epsilons.
 
 from __future__ import annotations
 
+import functools
 import itertools
 from dataclasses import dataclass
 from typing import Collection, Iterable, Mapping, Sequence
 
 import numpy as np
 
-from .analysis import (
-    _clicks, _filter, _ideal_device_and_epsilon, _ideal_device_and_root, _reference, _Reference, _weak_reference
-)
-from .device import NOCLICK, LosslessDevice, LossyDevice, ZeroAcceptanceError
+from .analysis import Reference, _weak_reference, approximate_epsilon, ideal_device_from, reference
+from .device import NOCLICK, LossyDevice, ZeroAcceptanceError
 from .linalg import (
-    COMPLETENESS_TOL, ZERO_ACCEPTANCE, assert_density, read_probability, sqrt_pinv_sqrt, tensor
+    COMPLETENESS_TOL, ZERO_ACCEPTANCE, as_operator, assert_density, read_probability, sqrt_pinv_sqrt, tensor
 )
 
 #: Bell coefficients: (settings tuple, outcomes tuple) -> real weight.
@@ -103,28 +102,26 @@ class BellScenario:
         bt = stack.transpose(2, 1, 0).reshape(d * d, m)
         return np.dot(at, bt).reshape(*(t.shape[ax] for ax in rest), m)
 
-    def _raw_arrays(self, tuples: Iterable[Sequence[str]]) -> dict[tuple[str, ...], np.ndarray]:
-        """Raw table of each setting tuple in ``tuples``, keyed by the tuple.
+    def tables(self, tuples: Iterable[Sequence[str]] | None = None) -> JointTables:
+        """The ``JointTables`` of the setting tuples ``tuples``, all of ``setting_tuples()`` by default.
 
-        A table is one real array of shape ``(m_0 + 1, ..., m_{n-1} + 1)``
-        for m_k good outcomes of party k: axis k runs over party k's good
-        outcomes in label order, then no-click.  One walk contracts the
-        parties' element stacks into ``psi`` in party order and keeps the
-        partial contraction of the current setting prefix, so consecutive
-        tuples sharing a prefix share its contractions.  Over all tuples in
-        ``setting_tuples()`` order that is S_0 + S_0 S_1 + ... + S_0 ... S_{n-1}
-        contraction steps for S_k settings of party k, instead of n per tuple;
-        each step has the operands a lone tuple's would, so every table is
-        the same to the bit.  A probability below ``-COMPLETENESS_TOL``
-        raises, naming its outcomes; smaller negative drift is clamped to 0.
+        One walk contracts the parties' element stacks into ``psi`` in party
+        order and keeps the partial contraction of the current setting prefix,
+        so consecutive tuples sharing a prefix share its contractions.  Over all
+        tuples in ``setting_tuples()`` order that is S_0 + S_0 S_1 + ... +
+        S_0 ... S_{n-1} contraction steps for S_k settings of party k, instead
+        of n per tuple; each step has the operands a lone tuple's would, so
+        every table is the same to the bit.  A probability below
+        ``-COMPLETENESS_TOL`` raises, naming its outcomes; smaller negative
+        drift is clamped to 0.
         """
         n = self.n_parties
         index = [{x: i for i, x in enumerate(dev.settings)} for dev in self.devices]
         partial = [self.psi.reshape([dev.dim for dev in self.devices] * 2)] + [None] * n
         prefix: list[str | None] = [None] * n
-        alphabets = self._alphabets()
-        tables = {}
-        for xs in tuples:
+        outcomes = tuple((*dev.outcomes, NOCLICK) for dev in self.devices)
+        raw = {}
+        for xs in self.setting_tuples() if tuples is None else tuples:
             xs = self._check_settings(xs)
             k = 0
             while k < n and prefix[k] == xs[k]:
@@ -134,26 +131,20 @@ class BellScenario:
                 prefix[j] = xs[j]
             probs = partial[n].real
             worst = np.unravel_index(int(np.argmin(probs)), probs.shape)
-            outs = tuple(alph[i] for alph, i in zip(alphabets, worst))
+            outs = tuple(alph[i] for alph, i in zip(outcomes, worst))
             read_probability(float(probs[worst]), f"outcomes {outs!r} at settings {xs!r}")
-            tables[xs] = np.maximum(probs, 0.0)
-        return tables
-
-    def _alphabets(self) -> list[tuple[str, ...]]:
-        """Each party's outcome labels in table order: good outcomes, then no-click."""
-        return [(*dev.outcomes, NOCLICK) for dev in self.devices]
+            raw[xs] = np.maximum(probs, 0.0)
+        return JointTables(outcomes, raw)
 
     def joint_raw_tables(self, tuples: Iterable[Sequence[str]]) -> dict[tuple[str, ...], dict]:
         """``joint_raw`` of each setting tuple in ``tuples``, keyed by the tuple.
 
-        A dict view of the arrays of one prefix-sharing walk over ``tuples``
-        (see ``_raw_arrays``), keyed by outcome tuples in table order.
+        A dict view of the raw tables of one walk over ``tuples`` (see
+        ``tables``), keyed by outcome tuples in table order.
         """
-        outcome_tuples = list(itertools.product(*self._alphabets()))
-        return {
-            xs: dict(zip(outcome_tuples, table.ravel().tolist()))
-            for xs, table in self._raw_arrays(tuples).items()
-        }
+        t = self.tables(tuples)
+        outcome_tuples = list(itertools.product(*t.outcomes))
+        return {xs: dict(zip(outcome_tuples, table.ravel().tolist())) for xs, table in t.raw.items()}
 
     def joint_raw(self, xs: Sequence[str]) -> dict[tuple[str, ...], float]:
         """Joint distribution over outcome tuples, no-click included."""
@@ -161,14 +152,31 @@ class BellScenario:
         return table
 
     def all_click_probability(self, xs: Sequence[str]) -> float:
-        (table,) = self._raw_arrays([xs]).values()
-        return _acceptance(table)
+        (acceptance,) = self.tables([xs]).acceptance.values()
+        return acceptance
 
     def joint_postselected(self, xs: Sequence[str]) -> dict[tuple[str, ...], float]:
         """Joint distribution over good outcome tuples, conditioned on all parties clicking."""
-        ((xs, table),) = self._raw_arrays([xs]).items()
+        t = self.tables([xs])
+        ((xs, acceptance),) = t.acceptance.items()
+        if xs not in t.postselected:
+            raise ZeroAcceptanceError(
+                f"setting tuple {xs!r} has acceptance {acceptance:.3e}; erase it from the allowed settings"
+            )
         good = itertools.product(*(dev.outcomes for dev in self.devices))
-        return dict(zip(good, _postselected(xs, table).ravel().tolist()))
+        return dict(zip(good, t.postselected[xs].ravel().tolist()))
+
+    def bell_value(self, tables: Tables) -> float:
+        """The Bell functional sum(c * Pr) on ``tables``: ``JointTables.raw`` or ``JointTables.postselected``.
+
+        The terms are added as ``bell_value`` adds them, so the two agree to the
+        bit.  A setting tuple the coefficients read that ``tables`` lacks, one
+        erased for zero acceptance, raises ``ZeroAcceptanceError`` naming it.
+        """
+        if self.bell_coeffs is None:
+            raise ValueError("scenario declares no Bell coefficients")
+        _raise_erased(set(self._functional.tuples) - tables.keys())
+        return self._functional.value(tables)
 
 
 def _good(table: np.ndarray) -> np.ndarray:
@@ -176,34 +184,54 @@ def _good(table: np.ndarray) -> np.ndarray:
     return table[(slice(-1),) * table.ndim]
 
 
-def _acceptance(raw: np.ndarray) -> float:
-    """Probability that every party clicks: the sum of the all-click block of a raw table.
+@dataclass(frozen=True, eq=False)
+class JointTables:
+    """Joint tables of one walk over setting tuples (``BellScenario.tables``), keyed by setting tuple.
 
-    Python's ``sum`` over the block in table order, left to right, as a loop
-    over the outcome tuples would add them.
+    ``raw[xs]`` is one real array of shape ``(m_0 + 1, ..., m_{n-1} + 1)`` for
+    m_k good outcomes of party k; ``outcomes[k]`` labels axis k: party k's good
+    outcomes in label order, then no-click.  Good outcomes come first on every
+    axis, so the all-click entries are the block ``raw[xs][:-1, ..., :-1]``.
+    ``acceptance``, ``postselected`` and ``erased`` are read from ``raw`` the
+    first time they are asked for.
     """
-    return sum(_good(raw).ravel().tolist())
 
+    outcomes: tuple[tuple[str, ...], ...]
+    raw: dict[tuple[str, ...], np.ndarray]
 
-def _postselected(xs: Sequence[str], raw: np.ndarray) -> np.ndarray:
-    """The all-click block of ``raw``, the raw table at settings ``xs``, divided by the acceptance."""
-    acc = _acceptance(raw)
-    if acc <= ZERO_ACCEPTANCE:
-        raise ZeroAcceptanceError(
-            f"setting tuple {tuple(xs)!r} has acceptance {acc:.3e}; erase it from the allowed settings"
+    @functools.cached_property
+    def acceptance(self) -> dict[tuple[str, ...], float]:
+        """Probability that every party clicks: the sum of each raw table's all-click block.
+
+        Python's ``sum`` over the block in table order, left to right, as a loop
+        over the outcome tuples would add them.
+        """
+        return {xs: sum(_good(table).ravel().tolist()) for xs, table in self.raw.items()}
+
+    @functools.cached_property
+    def postselected(self) -> dict[tuple[str, ...], np.ndarray]:
+        """Each raw table's all-click block divided by its acceptance; erased tuples are left out.
+
+        A setting tuple whose acceptance is at most ZERO_ACCEPTANCE is erased.
+        """
+        return {
+            xs: _good(self.raw[xs]) / acc for xs, acc in self.acceptance.items() if acc > ZERO_ACCEPTANCE
+        }
+
+    @property
+    def erased(self) -> list[tuple[str, ...]]:
+        """The setting tuples left out of ``postselected``, in walk order."""
+        return [xs for xs in self.raw if xs not in self.postselected]
+
+    def max_deviation(self, ideal: JointTables) -> float:
+        """Max |post-selected - ideal raw| probability over the setting tuples of ``postselected``.
+
+        ``ideal`` holds the raw tables of the ideal experiment for those tuples.
+        """
+        return max(
+            (float(np.max(np.abs(ps - _good(ideal.raw[xs])))) for xs, ps in self.postselected.items()),
+            default=0.0,
         )
-    return _good(raw) / acc
-
-
-def _postselected_tables(raw: Tables) -> dict[tuple[str, ...], np.ndarray]:
-    """Setting tuple -> post-selected table read from its raw table in ``raw``; erased tuples left out."""
-    post = {}
-    for xs, table in raw.items():
-        try:
-            post[xs] = _postselected(xs, table)
-        except ZeroAcceptanceError:
-            pass
-    return post
 
 
 def joint_device(devices: Sequence[LossyDevice]) -> LossyDevice:
@@ -233,53 +261,40 @@ def joint_device(devices: Sequence[LossyDevice]) -> LossyDevice:
     return LossyDevice(dim, labels, [LABEL_SEP.join(o) for o in outcomes], povm)
 
 
-def filtered_global_state(mqs: Sequence[np.ndarray], psi: np.ndarray) -> tuple[np.ndarray, float]:
+def filtered_global_state(mqs: Sequence[np.ndarray | Reference], psi: np.ndarray) -> tuple[np.ndarray, float]:
     """Filter every party's factor by sqrt of its reference click element.
 
     Returns the normalized filtered state and the probability that all local
-    filters accept simultaneously.
+    filters accept simultaneously.  A ``Reference`` in ``mqs`` gives its
+    ``root``.
     """
-    return _filter_globally([sqrt_pinv_sqrt(mq)[0] for mq in mqs], psi)
+    sq = tensor([mq.root if isinstance(mq, Reference) else sqrt_pinv_sqrt(mq)[0] for mq in mqs])
+    branch = sq @ as_operator(psi) @ sq
+    eq = float(np.trace(branch).real)
+    if eq <= ZERO_ACCEPTANCE:
+        raise ZeroAcceptanceError(f"global filter acceptance {eq:.3e} vanishes")
+    return branch / eq, eq
 
 
-def _filter_globally(roots: Sequence[np.ndarray], psi: np.ndarray) -> tuple[np.ndarray, float]:
-    """``filtered_global_state`` for the parties' square-root filters ``roots``."""
-    return _filter(tensor(roots), psi, "global filter acceptance {:.3e} vanishes")
-
-
-def ideal_scenario(sc: BellScenario, mqs: Sequence[np.ndarray] | None = None) -> BellScenario:
+def ideal_scenario(sc: BellScenario, mqs: Sequence[np.ndarray | Reference] | None = None) -> BellScenario:
     """Unit-efficiency experiment on the filtered state, built party by party.
 
     With no explicit references, each device must pass the weak test of the
     exact fair-sampling check and its extracted quantum element is used.
-    Each reference is eigendecomposed once, for the ideal device and the
-    filter alike, and each device's click stack is normed once.
+    A reference is a matrix or a ``Reference`` (a verdict's, say); each is
+    eigendecomposed once, for the ideal device and the filter alike, and each
+    device's click stack is normed once.
     """
     if mqs is None:
-        weak = []
+        mqs = []
         for k, dev in enumerate(sc.devices):
             clicks, mq = _weak_reference(dev)
             if mq is None:
                 raise ValueError(f"party {k} fails the exact fair-sampling check")
-            weak.append((mq, clicks))
-        refs = (_reference(mq, clicks) for mq, clicks in weak)
-    else:
-        refs = (_reference(mq, _clicks(dev)) for dev, mq in zip(sc.devices, mqs))
-    return _ideal_scenario(sc, refs)
-
-
-def _ideal_scenario(sc: BellScenario, refs: Iterable[_Reference]) -> BellScenario:
-    """``ideal_scenario`` against the parties' references ``refs``, taken one party at a time."""
-    built = [_ideal_device_and_root(dev, ref) for dev, ref in zip(sc.devices, refs)]
-    return _ideal_from(sc, [dev for dev, _ in built], [sq for _, sq in built])
-
-
-def _ideal_from(sc: BellScenario, ideal: Sequence[LosslessDevice], roots: Sequence[np.ndarray]) -> BellScenario:
-    """Scenario measuring the state filtered by ``roots`` with the per-party ideal devices ``ideal``.
-
-    ``roots`` are the square roots of the parties' reference operators.
-    """
-    psi_click, _ = _filter_globally(roots, sc.psi)
+            mqs.append(Reference(mq, clicks))
+    refs = [reference(dev, mq) for dev, mq in zip(sc.devices, mqs)]
+    ideal = [ideal_device_from(dev, ref) for dev, ref in zip(sc.devices, refs)]
+    psi_click, _ = filtered_global_state(refs, sc.psi)
     out = BellScenario([dev.to_lossy() for dev in ideal], psi_click)
     # An ideal device keeps its device's outcomes but lacks the settings erased from the
     # verdict, which the coefficients may still name: share the compiled functional as is.
@@ -287,23 +302,13 @@ def _ideal_from(sc: BellScenario, ideal: Sequence[LosslessDevice], roots: Sequen
     return out
 
 
-def _max_deviation(post: Tables, ideal_raw: Tables) -> float:
-    """Max |post-selected - ideal raw| probability over the setting tuples of ``post``.
-
-    ``post`` holds post-selected tables and ``ideal_raw`` raw tables, keyed by setting tuple.
-    """
-    return max(
-        (float(np.max(np.abs(ps - _good(ideal_raw[xs])))) for xs, ps in post.items()), default=0.0
-    )
-
-
 def postselected_vs_ideal_deviation(sc: BellScenario, ideal: BellScenario) -> float:
     """Max |post-selected - ideal raw| probability over setting and outcome tuples.
 
     Setting tuples with vanishing acceptance are erased rather than compared.
     """
-    post = _postselected_tables(sc._raw_arrays(sc.setting_tuples()))
-    return _max_deviation(post, ideal._raw_arrays(post))
+    t = sc.tables()
+    return t.max_deviation(ideal.tables(t.postselected))
 
 
 def verify_postselection_equivalence(sc: BellScenario, tol: float = COMPLETENESS_TOL) -> float:
@@ -384,24 +389,17 @@ def deviation_bound(eps_tot: float, beta: float) -> float:
 def postselected_bell_value(sc: BellScenario) -> float:
     """Bell functional evaluated on the post-selected distributions.
 
-    The coefficients of an ideal scenario (``ideal_scenario``) may read
-    setting tuples with a setting erased from its devices; they raise
-    ``ZeroAcceptanceError`` naming those tuples, as the measured scenario's
-    post-selected tables would.
+    Only the setting tuples the coefficients read are walked.  Those erased
+    for zero acceptance raise ``ZeroAcceptanceError`` naming them; so do
+    those with a setting erased from the devices, as the coefficients of an
+    ideal scenario (``ideal_scenario``) may read.
     """
     if sc.bell_coeffs is None:
         raise ValueError("scenario declares no Bell coefficients")
     settings = [dev.settings for dev in sc.devices]
     _raise_erased([xs for xs in sc._functional.tuples if _labels_fault(xs, settings, "setting")])
     validate_coefficients(sc, sc.bell_coeffs)
-    raw = sc._raw_arrays(sc._functional.tuples)
-    return sc._functional.value({xs: _postselected(xs, table) for xs, table in raw.items()})
-
-
-def _postselected_bell_value(sc: BellScenario, post: Tables) -> float:
-    """Bell functional of ``sc`` on the post-selected tables ``post``, which lack the erased setting tuples."""
-    _raise_erased(set(sc._functional.tuples) - post.keys())
-    return sc._functional.value(post)
+    return sc.bell_value(sc.tables(sc._functional.tuples).postselected)
 
 
 def _raise_erased(erased: Collection[tuple[str, ...]]) -> None:
@@ -490,23 +488,20 @@ class BoundReport:
     measured_bell_deviation: float | None = None
 
 
-def bound_report(sc: BellScenario, mqs: Sequence[np.ndarray]) -> BoundReport:
-    """Epsilons against ``mqs`` and the deviations from the ideal experiment built from them."""
-    return _bound_report(sc, (_reference(mq, _clicks(dev)) for dev, mq in zip(sc.devices, mqs)))
+def bound_report(sc: BellScenario, mqs: Sequence[np.ndarray | Reference]) -> BoundReport:
+    """Epsilons against ``mqs`` and the deviations from the ideal experiment built from them.
 
-
-def _bound_report(sc: BellScenario, refs: Iterable[_Reference]) -> BoundReport:
-    """``bound_report`` against the parties' references ``refs``, taken one party at a time."""
-    built = [_ideal_device_and_epsilon(dev, ref) for dev, ref in zip(sc.devices, refs)]
-    eps = [e for _, e, _ in built]
+    A reference is a matrix or a ``Reference``; each is eigendecomposed and
+    conjugated once, for its epsilon and its ideal device alike.
+    """
+    refs = [reference(dev, mq) for dev, mq in zip(sc.devices, mqs)]
+    eps = [approximate_epsilon(dev, ref) for dev, ref in zip(sc.devices, refs)]
     eps_tot = epsilon_total(eps)  # raises for an epsilon >= 1, where no ideal device exists
-    post = _postselected_tables(sc._raw_arrays(sc.setting_tuples()))
-    ideal = _ideal_from(sc, [dev for dev, _, _ in built], [sq for _, _, sq in built])
-    ideal_raw = ideal._raw_arrays(post)
+    t = sc.tables()
+    ideal = ideal_scenario(sc, refs).tables(t.postselected)
     beta = bell_deviation = None
     if sc.bell_coeffs is not None:
         validate_coefficients(sc, sc.bell_coeffs)
         beta = beta_max(sc.bell_coeffs)
-        post_value = _postselected_bell_value(sc, post)
-        bell_deviation = abs(post_value - sc._functional.value(ideal_raw))
-    return BoundReport(eps, eps_tot, _max_deviation(post, ideal_raw), beta, bell_deviation)
+        bell_deviation = abs(sc.bell_value(t.postselected) - sc.bell_value(ideal.raw))
+    return BoundReport(eps, eps_tot, t.max_deviation(ideal), beta, bell_deviation)

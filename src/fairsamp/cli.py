@@ -10,7 +10,6 @@ audited externally.
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import functools
 import itertools
 import sys
@@ -19,16 +18,10 @@ from pathlib import Path
 import numpy as np
 
 from . import adversary, serialize
-from .analysis import _check_exact, approximate_epsilon, check_exact, tv_bound
+from .analysis import FairSamplingVerdict, approximate_epsilon, check_exact, tv_bound
 from .bell import (
     LABEL_SEP,
     BellScenario,
-    _acceptance,
-    _bound_report,
-    _ideal_scenario,
-    _max_deviation,
-    _postselected_bell_value,
-    _postselected_tables,
     bound_report,
     deviation_bound,
     ideal_scenario,
@@ -36,7 +29,7 @@ from .bell import (
 )
 from .device import ZeroAcceptanceError, projective_qubit_device
 from .filters import canonical_decomposition, verify_recomposition
-from .linalg import VERDICT_TOL, projector, support_projector
+from .linalg import VERDICT_TOL, projector
 from .optics import AnalyserSpec, analyser_device, analyser_epsilon_closed_form, analyser_mq
 from .sampling import random_fair_sampling_device
 
@@ -60,11 +53,8 @@ def cmd_check(args) -> int:
     except (OSError, ValueError, KeyError) as exc:
         return _fail(f"error: cannot load device: {exc}")
     try:
-        verdict = check_exact(dev, tol=args.tol)
-        if args.mq is not None:
-            mq = serialize.matrix_from_json(serialize.load_json(args.mq))
-            support, epsilon = support_projector(mq), approximate_epsilon(dev, mq)
-            verdict = dataclasses.replace(verdict, quantum_elem=mq, support=support, epsilon=epsilon)
+        mq = None if args.mq is None else serialize.matrix_from_json(serialize.load_json(args.mq))
+        verdict = check_exact(dev, tol=args.tol, mq=mq)
     except (OSError, ValueError, np.linalg.LinAlgError) as exc:
         return _fail(f"error: {exc}")
     payload = serialize.verdict_to_json(verdict)
@@ -99,37 +89,40 @@ def cmd_decompose(args) -> int:
     return 0
 
 
-def _scenario_report(sc: BellScenario, postselect: bool, tol: float) -> dict:
-    """The ``simulate`` report, read from one raw table per setting tuple; omissions noted on stderr."""
-    raw = sc._raw_arrays(sc.setting_tuples())
-    post = _postselected_tables(raw)
+def _scenario_report(sc: BellScenario, postselect: bool, tol: float) -> tuple[dict, list[FairSamplingVerdict] | None]:
+    """The ``simulate`` report, read from one walk over the setting tuples, and the parties' verdicts.
+
+    The verdicts are None when a party never clicks.  Omissions are noted on stderr.
+    """
+    t = sc.tables()
     label = LABEL_SEP.join
-    raw_labels = [label(outs) for outs in itertools.product(*sc._alphabets())]
+    raw_labels = [label(outs) for outs in itertools.product(*t.outcomes)]
     report: dict = {
-        "raw": {label(xs): serialize.table_to_json(raw_labels, table) for xs, table in raw.items()},
-        "acceptance": {label(xs): serialize.sig15(_acceptance(table)) for xs, table in raw.items()},
+        "raw": {label(xs): serialize.table_to_json(raw_labels, table) for xs, table in t.raw.items()},
+        "acceptance": {label(xs): serialize.sig15(acc) for xs, acc in t.acceptance.items()},
     }
     if postselect:
         good_labels = [label(outs) for outs in itertools.product(*(dev.outcomes for dev in sc.devices))]
-        report["postselected"] = {label(xs): serialize.table_to_json(good_labels, ps) for xs, ps in post.items()}
-        report["erased"] = [label(xs) for xs in raw if xs not in post]
+        report["postselected"] = {
+            label(xs): serialize.table_to_json(good_labels, ps) for xs, ps in t.postselected.items()
+        }
+        report["erased"] = [label(xs) for xs in t.erased]
     if sc.bell_coeffs is not None:
         if postselect:
             try:
-                value = _postselected_bell_value(sc, post)
-                report["bell_value_postselected"] = serialize.sig15(value)
+                report["bell_value_postselected"] = serialize.sig15(sc.bell_value(t.postselected))
             except ZeroAcceptanceError as exc:
                 sys.stderr.write(f"note: bell_value_postselected omitted: {exc}\n")
-        report["bell_value_raw"] = serialize.sig15(sc._functional.value(raw))
+        report["bell_value_raw"] = serialize.sig15(sc.bell_value(t.raw))
+    verdicts = None
     try:
-        checked = [_check_exact(dev, tol=tol) for dev in sc.devices]
-        if all(verdict.weak for verdict, _ in checked):
-            ideal = _ideal_scenario(sc, [ref for _, ref in checked])
-            ideal_raw = ideal._raw_arrays(post)
-            report["ideal_deviation"] = serialize.sig15(_max_deviation(post, ideal_raw))
+        verdicts = [check_exact(dev, tol=tol) for dev in sc.devices]
+        if all(verdict.weak for verdict in verdicts):
+            ideal = ideal_scenario(sc, [verdict.reference for verdict in verdicts])
+            report["ideal_deviation"] = serialize.sig15(t.max_deviation(ideal.tables(t.postselected)))
     except ZeroAcceptanceError as exc:
         sys.stderr.write(f"note: no ideal experiment, ideal_deviation omitted: {exc}\n")
-    return report
+    return report, verdicts
 
 
 def cmd_simulate(args) -> int:
@@ -140,7 +133,7 @@ def cmd_simulate(args) -> int:
     except (OSError, ValueError, KeyError) as exc:
         return _fail(f"error: cannot load scenario: {exc}")
     try:
-        report = _scenario_report(sc, args.postselect, args.tol)
+        report, _ = _scenario_report(sc, args.postselect, args.tol)
     except ValueError as exc:
         return _fail(f"error: {exc}")
     _emit(report, args.output)
@@ -157,9 +150,10 @@ def cmd_bound(args) -> int:
     try:
         if args.mq is not None:
             shared = serialize.matrix_from_json(serialize.load_json(args.mq))
-            br = bound_report(sc, [shared for _ in sc.devices])
+            mqs = [shared for _ in sc.devices]
         else:
-            br = _bound_report(sc, [_check_exact(dev, tol=args.tol)[1] for dev in sc.devices])
+            mqs = [check_exact(dev, tol=args.tol).reference for dev in sc.devices]
+        br = bound_report(sc, mqs)
     except (OSError, ValueError, KeyError) as exc:
         return _fail(f"error: {exc}")
     report = {
@@ -257,9 +251,8 @@ def _demo_analyser(args) -> dict:
 
 
 def _demo_chsh_singlet(args) -> dict:
-    sc = chsh_singlet_scenario()
-    report = _scenario_report(sc, True, args.tol)
-    report["strong_fair_sampling"] = all(check_exact(dev, tol=args.tol).strong for dev in sc.devices)
+    report, verdicts = _scenario_report(chsh_singlet_scenario(), True, args.tol)
+    report["strong_fair_sampling"] = all(verdict.strong for verdict in verdicts)
     return report
 
 

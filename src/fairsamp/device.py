@@ -183,27 +183,22 @@ def _read_only_povm(settings: Sequence[str], labels: Sequence[str], stack: np.nd
     )
 
 
-def _check_lossy(
-    settings: Sequence[str], outcomes: Sequence[str], stack: np.ndarray, explicit: np.ndarray, checked_from: int = 0
-) -> None:
+def _check_lossy(settings: Sequence[str], outcomes: Sequence[str], stack: np.ndarray, explicit: np.ndarray) -> None:
     """Raise what a check of one element at a time, in label order, raises first on a lossy ``stack``.
 
     Per setting: each good element's Hermiticity and positivity, then the
     completeness residual if the no-click element was given (``explicit``),
-    then the no-click element.  One ``psd_faults`` call covers each
-    setting's elements from index ``checked_from`` on; those before it were
-    validated already.
+    then the no-click element.  One ``psd_faults`` call covers every element.
     """
     n = len(outcomes)
     eye = np.eye(stack.shape[-1], dtype=complex)
     residual = np.max(np.abs(sum(stack[:, j] for j in range(n)) + stack[:, n] - eye), axis=(1, 2))
     incomplete = np.flatnonzero(explicit & (residual > COMPLETENESS_TOL))
-    checked = stack[:, checked_from:]
-    width = checked.shape[1]
-    herm, lowest = psd_faults(checked.reshape(-1, *eye.shape))
-    labels = [*map(repr, outcomes), NOCLICK][checked_from:]
+    herm, lowest = psd_faults(stack.reshape(-1, *eye.shape))
+    labels = [*map(repr, outcomes), NOCLICK]
+    width = n + 1
     # The first incomplete setting's fault comes after its good elements, before its no-click one.
-    stop = incomplete[0] * width + n - checked_from if incomplete.size else herm.size
+    stop = incomplete[0] * width + n if incomplete.size else herm.size
     raise_psd_fault(
         herm[:stop], lowest[:stop], lambda j: f"POVM element ({settings[j // width]!r}, {labels[j % width]})"
     )
@@ -212,25 +207,33 @@ def _check_lossy(
         raise ValueError(f"setting {settings[i]!r} violates completeness by {residual[i]:.3e}")
 
 
-def _check_lossless(settings: Sequence[str], outcomes: Sequence[str], stack: np.ndarray) -> np.ndarray:
-    """Each setting's outcome sum in a lossless ``stack``, raising what a check of one element at a time raises first.
+def _check_lossless(settings: Sequence[str], outcomes: Sequence[str], full: np.ndarray) -> tuple[np.ndarray, ...]:
+    """Complete a lossless stack and check it, raising what a check of one good element at a time raises first.
 
-    Per setting, in label order: each element's Hermiticity and positivity,
-    then whether the outcome sum is a projector.  One ``psd_faults`` call
-    covers every element.
+    ``full`` has shape ``(settings, outcomes + 1, dim, dim)`` with the good
+    elements filled in; each setting's last row is set to the no-click element
+    ``1 - sum``.  Per setting, in label order: each good element's Hermiticity
+    and positivity, then whether the outcome sum is a projector.  One
+    ``psd_faults`` call covers the good and the no-click elements alike.
+    Returns (the outcome sums, the no-click elements' Hermiticity deviations and
+    lowest eigenvalues), the faults that ``to_lossy`` raises.
     """
     n = len(outcomes)
-    dim = stack.shape[-1]
-    sums = sum(stack.swapaxes(0, 1), np.zeros((len(stack), dim, dim), dtype=complex))
+    dim = full.shape[-1]
+    sums = sum(full[:, :n].swapaxes(0, 1), np.zeros((len(full), dim, dim), dtype=complex))
+    np.subtract(np.eye(dim, dtype=complex), sums, out=full[:, n])
     residual = np.max(np.abs(sums @ sums - sums), axis=(1, 2))
     bad = np.flatnonzero(residual > COMPLETENESS_TOL)
-    herm, lowest = psd_faults(stack.reshape(-1, dim, dim))
-    stop = (bad[0] + 1) * n if bad.size else herm.size
-    raise_psd_fault(herm[:stop], lowest[:stop], lambda j: f"element ({settings[j // n]!r}, {outcomes[j % n]!r})")
+    herm, lowest = (f.reshape(len(full), n + 1) for f in psd_faults(full.reshape(-1, dim, dim)))
+    good_herm, good_lowest = herm[:, :n].ravel(), lowest[:, :n].ravel()
+    stop = (bad[0] + 1) * n if bad.size else good_herm.size
+    raise_psd_fault(
+        good_herm[:stop], good_lowest[:stop], lambda j: f"element ({settings[j // n]!r}, {outcomes[j % n]!r})"
+    )
     if bad.size:
         i = bad[0]
         raise ValueError(f"outcome sum for setting {settings[i]!r} is not a projector (residual {residual[i]:.3e})")
-    return sums
+    return sums, herm[:, n], lowest[:, n]
 
 
 class LosslessDevice:
@@ -242,7 +245,8 @@ class LosslessDevice:
     views into it.  ``support`` maps each setting to its projector; it is
     validated to be idempotent and to match the outcome sum.  Labels and
     element structure are checked as for ``LossyDevice``: errors name the
-    setting and outcome.
+    setting and outcome.  ``povm`` may also be that element stack itself, an
+    array of the shape above, which is copied as a mapping's elements are.
     """
 
     def __init__(
@@ -250,22 +254,31 @@ class LosslessDevice:
         dim: int,
         settings: Sequence[str],
         outcomes: Sequence[str],
-        povm: Mapping[str, Mapping[str, np.ndarray]],
+        povm: Mapping[str, Mapping[str, np.ndarray]] | np.ndarray,
     ):
         self.dim = int(dim)
         self.settings, self.outcomes = _labels(settings, outcomes)
-        stack = np.empty((len(self.settings), len(self.outcomes), self.dim, self.dim), dtype=complex)
-        for i, (x, block) in enumerate(zip(self.settings, stack)):
-            try:
-                _fill(block, x, self.outcomes, povm)
-            except (TypeError, ValueError):
-                _check_lossless(self.settings[:i], self.outcomes, stack[:i])  # earlier settings' faults come first
-                raise
-        supports = _check_lossless(self.settings, self.outcomes, stack)
-        stack.setflags(write=False)
-        self.stack = stack
-        self.povm = _read_only_povm(self.settings, self.outcomes, stack)
-        self.support = dict(zip(self.settings, supports))
+        n = len(self.outcomes)
+        # The no-click row is the one ``to_lossy`` adds; it is built and checked with the good elements.
+        full = np.empty((len(self.settings), n + 1, self.dim, self.dim), dtype=complex)
+        if isinstance(povm, np.ndarray):
+            if povm.shape != full[:, :n].shape:
+                raise ValueError(f"element stack has shape {povm.shape}, expected {full[:, :n].shape}")
+            full[:, :n] = povm
+        else:
+            for i, (x, block) in enumerate(zip(self.settings, full)):
+                try:
+                    _fill(block, x, self.outcomes, povm)
+                except (TypeError, ValueError):
+                    _check_lossless(self.settings[:i], self.outcomes, full[:i])  # earlier settings' faults come first
+                    raise
+        sums, noclick_herm, noclick_lowest = _check_lossless(self.settings, self.outcomes, full)
+        self._noclick_faults = noclick_herm, noclick_lowest
+        full.setflags(write=False)
+        self._full = full
+        self.stack = full[:, :n]
+        self.povm = _read_only_povm(self.settings, self.outcomes, self.stack)
+        self.support = dict(zip(self.settings, sums))
 
     def element(self, x: str, a: str) -> np.ndarray:
         return self.povm[x][a]
@@ -281,19 +294,14 @@ class LosslessDevice:
     def to_lossy(self) -> LossyDevice:
         """Complete each setting with a noclick element 1 - support.
 
-        The good elements were validated when this device was built; only
-        the no-click elements and completeness are checked, with the errors
-        ``LossyDevice`` raises.
+        The no-click elements were built and checked with the good ones when
+        this device was; the first faulty one in label order raises here, with
+        the error ``LossyDevice`` raises for it.  Completeness holds by
+        construction: the outcome sums are validated projectors.
         """
-        n = len(self.outcomes)
-        eye = np.eye(self.dim, dtype=complex)
-        stack = np.empty((len(self.settings), n + 1, self.dim, self.dim), dtype=complex)
-        stack[:, :n] = self.stack
-        for x, block in zip(self.settings, stack):
-            np.subtract(eye, self.support[x], out=block[n])
-        _check_lossy(self.settings, self.outcomes, stack, np.ones(len(stack), dtype=bool), checked_from=n)
+        raise_psd_fault(*self._noclick_faults, lambda i: f"POVM element ({self.settings[i]!r}, {NOCLICK})")
         lossy = LossyDevice.__new__(LossyDevice)
-        lossy._finish(self.dim, self.settings, self.outcomes, stack)
+        lossy._finish(self.dim, self.settings, self.outcomes, self._full)
         return lossy
 
 

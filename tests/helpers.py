@@ -1,5 +1,6 @@
 """Builders shared between the unit tests and the acceptance suite."""
 
+import dataclasses
 import itertools
 
 import numpy as np
@@ -263,25 +264,50 @@ def pass_device(kind, rng, dim, n_settings, n_outcomes):
     return with_dead_setting(dev) if kind.startswith("erased") else dev
 
 
-def oracle_check_exact(dev, tol=VERDICT_TOL):
-    """``check_exact`` from the weak test, ``default_mq``, ``approximate_epsilon`` and ``support_projector``."""
-    clicks, mq = _weak_reference(dev, tol)
+def oracle_check_exact(dev, tol=VERDICT_TOL, mq=None):
+    """``check_exact`` from the weak test, ``default_mq``, ``approximate_epsilon`` and ``support_projector``.
+
+    With a reference matrix ``mq``, its ``quantum_elem``, ``support`` and ``epsilon`` replace the
+    device's own, as ``check --mq`` replaced them one public step at a time.
+    """
+    clicks, weak_mq = _weak_reference(dev, tol)
     norms = clicks.norms
-    weak = mq is not None
+    weak = weak_mq is not None
     if weak:
         epsilon = 0.0
+        own = weak_mq
     else:
-        mq = default_mq(dev)
-        epsilon = approximate_epsilon(dev, mq)
-    return FairSamplingVerdict(
+        own = default_mq(dev)
+        epsilon = approximate_epsilon(dev, own)
+    verdict = FairSamplingVerdict(
         weak=weak,
-        strong=weak and operator_norm(mq - np.eye(dev.dim)) <= tol,
+        strong=weak and operator_norm(own - np.eye(dev.dim)) <= tol,
         homogeneous=weak and float(norms.max() - norms.min()) <= tol,
         classical_eff=dict(zip(dev.settings, norms.tolist())),
-        quantum_elem=mq,
-        support=support_projector(mq),
+        quantum_elem=own,
+        support=support_projector(own),
         epsilon=epsilon,
     )
+    if mq is None:
+        return verdict
+    epsilon = approximate_epsilon(dev, mq)
+    return dataclasses.replace(verdict, quantum_elem=mq, support=support_projector(mq), epsilon=epsilon)
+
+
+def oracle_ideal_device_from(dev, mq):
+    """``ideal_device_from`` one live setting and one good element at a time, through the dict constructor."""
+    pi, pinv = support_projector(mq), sqrt_pinv_sqrt(mq)[1]
+    n = len(dev.outcomes)
+    povm = {}
+    for x in dev.settings:
+        click = dev.click_element(x)
+        if operator_norm(click) <= ZERO_ACCEPTANCE:
+            continue
+        mt = pinv @ click @ pinv
+        s = operator_norm(mt)
+        gap = pi - mt / s
+        povm[x] = {a: pinv @ dev.element(x, a) @ pinv / s + gap / n for a in dev.outcomes}
+    return LosslessDevice(dev.dim, list(povm), dev.outcomes, povm)
 
 
 def oracle_canonical_decomposition(dev):

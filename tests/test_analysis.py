@@ -15,6 +15,7 @@ from fairsamp.analysis import (
     ideal_device_from,
     imperfect_state_bound,
     necessary_conditions,
+    reference,
     state_dependent_check,
     tv_bound,
 )
@@ -374,6 +375,23 @@ class TestReferenceDecompositions:
         # click norms, one proportionality residual, support leakage, conjugated norms, epsilon
         assert len(norm_calls) <= 5
 
+    def test_one_reference_serves_every_step(self, rng, eigh_calls):
+        dev = helpers.perturbed_fair_device(rng)
+        eigh_calls.clear()
+        ref = reference(dev, default_mq(dev))
+        approximate_epsilon(dev, ref)
+        ideal_device_from(dev, ref)
+        filtered_state(ref, random_density(dev.dim, rng))
+        assert eigh_calls == ["reference operator"]
+        assert reference(dev, ref) is ref
+        np.testing.assert_array_equal(reference(dev).mq, ref.mq)
+
+    def test_reference_serves_only_its_device(self, rng):
+        dev = helpers.perturbed_fair_device(rng)
+        twin = LossyDevice(dev.dim, dev.settings, dev.outcomes, dev.povm)
+        with pytest.raises(ValueError, match="reference was built for another device"):
+            approximate_epsilon(twin, reference(dev))
+
 
 VERDICT_KINDS = ("fair", "strong", "homogeneous", "perturbed")
 
@@ -439,6 +457,14 @@ def test_verdict_invariant_under_relabelling(seed, kind, dim, n_settings, n_outc
     np.testing.assert_allclose(w.quantum_elem, v.quantum_elem, atol=1e-9)
 
 
+def assert_same_bits(v, w):
+    """Same flags, floats and arrays, to the bit."""
+    assert (v.weak, v.strong, v.homogeneous, v.epsilon) == (w.weak, w.strong, w.homogeneous, w.epsilon)
+    assert list(v.classical_eff.items()) == list(w.classical_eff.items())
+    assert np.array_equal(v.quantum_elem, w.quantum_elem)
+    assert np.array_equal(v.support, w.support)
+
+
 @settings(max_examples=40, deadline=None)
 @given(
     seed=st.integers(0, 2**32 - 1),
@@ -448,11 +474,28 @@ def test_verdict_invariant_under_relabelling(seed, kind, dim, n_settings, n_outc
     n_outcomes=st.integers(1, 3),
 )
 def test_check_exact_equals_the_composed_public_steps(seed, kind, dim, n_settings, n_outcomes):
-    """One weak-test pass and one eigendecomposition give the bits of the public steps called one by one."""
+    """One weak-test pass and one eigendecomposition give the bits of the public steps called one by one.
+
+    The verdict's ``Reference`` gives the bits of its matrix, in ``check_exact`` and every step taking one.
+    """
     rng = np.random.default_rng(seed)
     dev = helpers.pass_device(kind, rng, dim, n_settings, n_outcomes)
-    v, w = check_exact(dev), helpers.oracle_check_exact(dev)
-    assert (v.weak, v.strong, v.homogeneous, v.epsilon) == (w.weak, w.strong, w.homogeneous, w.epsilon)
-    assert list(v.classical_eff.items()) == list(w.classical_eff.items())
-    assert np.array_equal(v.quantum_elem, w.quantum_elem)
-    assert np.array_equal(v.support, w.support)
+    verdict = check_exact(dev)
+    assert_same_bits(verdict, helpers.oracle_check_exact(dev))
+    ref, mq = verdict.reference, verdict.quantum_elem
+    assert ref.mq is mq and ref.support is verdict.support
+
+    # The verdict's reference, passed on as a ``Reference`` or as its matrix.
+    expected = helpers.oracle_check_exact(dev, mq=mq)
+    for reported in (check_exact(dev, mq=ref), check_exact(dev, mq=mq)):
+        assert_same_bits(reported, expected)
+    assert approximate_epsilon(dev, ref) == approximate_epsilon(dev, mq) == expected.epsilon
+    rho = random_density(dim, rng)
+    for a, b in zip(filtered_state(ref, rho), filtered_state(mq, rho)):
+        assert np.array_equal(a, b)
+    if expected.epsilon < 1.0:
+        oracle = helpers.oracle_ideal_device_from(dev, mq)
+        for ideal in (ideal_device_from(dev, ref), ideal_device_from(dev, mq)):
+            assert (ideal.settings, ideal.outcomes) == (oracle.settings, oracle.outcomes)
+            assert np.array_equal(ideal.stack, oracle.stack)
+            assert np.array_equal(ideal.to_lossy().stack, helpers.oracle_to_lossy(oracle).stack)

@@ -10,13 +10,9 @@ from hypothesis import strategies as st
 
 import helpers
 from fairsamp.adversary import makarov_traced
-from fairsamp.analysis import approximate_epsilon, check_exact
+from fairsamp.analysis import approximate_epsilon, check_exact, reference
 from fairsamp.bell import (
     BellScenario,
-    _acceptance,
-    _max_deviation,
-    _postselected_bell_value,
-    _postselected_tables,
     bell_value,
     beta_max,
     bound_report,
@@ -186,23 +182,25 @@ def test_array_reductions_equal_the_dict_oracle(seed, parties):
     sc = BellScenario(devices, random_density(dim, rng), coeffs)
     other = BellScenario(devices, random_density(dim, rng))  # stands in for the ideal experiment
 
-    raw, raw_dicts = sc._raw_arrays(tuples), sc.joint_raw_tables(tuples)
+    t, raw_dicts = sc.tables(tuples), sc.joint_raw_tables(tuples)
     for xs in tuples:
-        assert _acceptance(raw[xs]) == helpers.dict_acceptance(raw_dicts[xs])
-    post, post_dicts = _postselected_tables(raw), helpers.dict_postselected_tables(raw_dicts)
+        assert t.acceptance[xs] == helpers.dict_acceptance(raw_dicts[xs])
+    post, post_dicts = t.postselected, helpers.dict_postselected_tables(raw_dicts)
     assert list(post) == list(post_dicts) == [xs for xs in tuples if xs[0] != "dead"]
+    assert t.erased == [xs for xs in tuples if xs[0] == "dead"]
     for xs, ps in post.items():
         assert dict(zip(good, ps.ravel().tolist())) == post_dicts[xs]
-    ideal = other._raw_arrays(post)
-    assert _max_deviation(post, ideal) == helpers.dict_max_deviation(post_dicts, other.joint_raw_tables(post))
+    ideal = other.tables(post)
+    assert t.max_deviation(ideal) == helpers.dict_max_deviation(post_dicts, other.joint_raw_tables(post))
 
-    assert sc._functional.value(raw) == bell_value(raw_dicts, coeffs)
-    with pytest.raises(ZeroAcceptanceError, match="vanishing acceptance"):
-        _postselected_bell_value(sc, post)
+    assert sc.bell_value(t.raw) == bell_value(raw_dicts, coeffs)
+    for call in (lambda: sc.bell_value(post), lambda: postselected_bell_value(sc)):
+        with pytest.raises(ZeroAcceptanceError, match=r"vanishing acceptance: \[\('dead',"):
+            call()
     live = BellScenario(devices, sc.psi, {key: c for key, c in coeffs.items() if key[0] in post})
-    assert _postselected_bell_value(live, post) == bell_value(post_dicts, live.bell_coeffs)
+    assert live.bell_value(post) == bell_value(post_dicts, live.bell_coeffs)
     assert postselected_bell_value(live) == bell_value(post_dicts, live.bell_coeffs)
-    assert live._functional.value(ideal) == bell_value(other.joint_raw_tables(post), live.bell_coeffs)
+    assert live.bell_value(ideal.raw) == bell_value(other.joint_raw_tables(post), live.bell_coeffs)
 
 
 class TestJointPostselected:
@@ -505,22 +503,38 @@ def _outcome(call):
         return type(exc), str(exc)
 
 
+def _assert_same_ideal(call, oracle_call):
+    """``call()`` and ``oracle_call()`` give the same ideal scenario to the bit, or raise the same ``ValueError``."""
+    ideal, oracle = _outcome(call), _outcome(oracle_call)
+    if isinstance(oracle, tuple):
+        assert ideal == oracle
+        return
+    assert np.array_equal(ideal.psi, oracle.psi)
+    for dev, ref in zip(ideal.devices, oracle.devices, strict=True):
+        assert (dev.settings, dev.outcomes) == (ref.settings, ref.outcomes)
+        assert np.array_equal(dev.stack, ref.stack)
+        assert not dev.stack.flags.writeable
+
+
 @settings(max_examples=40, deadline=None)
-@example(seed=0, dims=[2, 2], dead=[True, False], with_coeffs=True, identity_mq=False)
+@example(seed=0, dims=[2, 2], kinds=["erased-fair", "fair", "fair"], with_coeffs=True, identity_mq=False)
 @given(
     seed=st.integers(0, 2**32 - 1),
     dims=st.lists(st.integers(1, 3), min_size=1, max_size=3),
-    dead=st.lists(st.booleans(), min_size=3, max_size=3),
+    kinds=st.lists(st.sampled_from(helpers.PASS_KINDS), min_size=3, max_size=3),
     with_coeffs=st.booleans(),
     identity_mq=st.booleans(),
 )
-def test_one_pass_ideal_experiment_equals_the_composed_oracle(seed, dims, dead, with_coeffs, identity_mq):
-    """``ideal_scenario`` and ``bound_report`` equal the public steps composed, to the bit."""
+def test_one_pass_ideal_experiment_equals_the_composed_oracle(seed, dims, kinds, with_coeffs, identity_mq):
+    """``ideal_scenario`` and ``bound_report`` equal the public steps composed, to the bit.
+
+    Each takes its references as matrices or as ``Reference`` objects, with the same result.
+    """
     rng = np.random.default_rng(seed)
-    devices = []
-    for d, silent in zip(dims, dead):
-        dev = random_fair_sampling_device(d, int(rng.integers(1, 3)), int(rng.integers(1, 4)), rng)
-        devices.append(helpers.with_dead_setting(dev) if silent else dev)
+    devices = [
+        helpers.pass_device(kind, rng, d, int(rng.integers(1, 3)), int(rng.integers(1, 4)))
+        for d, kind in zip(dims, kinds)
+    ]
     coeffs = None
     if with_coeffs:
         live = itertools.product(*([x for x in dev.settings if x != "dead"] for dev in devices))
@@ -528,15 +542,17 @@ def test_one_pass_ideal_experiment_equals_the_composed_oracle(seed, dims, dead, 
         coeffs = {(xs, outs): float(rng.normal()) for xs in live for outs in good}
     sc = BellScenario(devices, random_density(int(np.prod(dims)), rng), coeffs)
 
-    ideal, oracle = ideal_scenario(sc), helpers.oracle_ideal_scenario(sc)
-    assert np.array_equal(ideal.psi, oracle.psi)
-    for dev, ref in zip(ideal.devices, oracle.devices):
-        assert (dev.settings, dev.outcomes) == (ref.settings, ref.outcomes)
-        assert np.array_equal(dev.stack, ref.stack)
-        assert not dev.stack.flags.writeable
+    _assert_same_ideal(lambda: ideal_scenario(sc), lambda: helpers.oracle_ideal_scenario(sc))
+    verdicts = [check_exact(dev) for dev in devices]
+    verdict_mqs = [v.quantum_elem for v in verdicts]
+    for refs in ([v.reference for v in verdicts], verdict_mqs):
+        _assert_same_ideal(lambda: ideal_scenario(sc, refs), lambda: helpers.oracle_ideal_scenario(sc, verdict_mqs))
 
-    mqs = [np.eye(d) if identity_mq else check_exact(dev).quantum_elem for d, dev in zip(dims, devices)]
-    assert _outcome(lambda: bound_report(sc, mqs)) == _outcome(lambda: helpers.oracle_bound_report(sc, mqs))
+    mqs = [np.eye(d) if identity_mq else mq for d, mq in zip(dims, verdict_mqs)]
+    expected = _outcome(lambda: helpers.oracle_bound_report(sc, mqs))
+    assert _outcome(lambda: bound_report(sc, mqs)) == expected
+    refs = [reference(dev, mq) for dev, mq in zip(devices, mqs)]
+    assert _outcome(lambda: bound_report(sc, refs)) == expected
 
 
 @settings(max_examples=25, deadline=None)

@@ -200,17 +200,22 @@ class TestSimulate:
         assert err.count("\n") == 1
         assert err.startswith("note: bell_value_postselected omitted") and "('dead', '0')" in err
 
-    def test_no_ideal_experiment_omits_ideal_deviation(self, chsh_file, monkeypatch, capsys):
-        from fairsamp.device import ZeroAcceptanceError
+    def test_no_ideal_experiment_omits_ideal_deviation(self, tmp_path, capsys):
+        from fairsamp.bell import BellScenario
+        from fairsamp.device import LossyDevice, projective_qubit_device
 
-        def no_ideal(post, ideal_raw):
-            raise ZeroAcceptanceError("global filter acceptance 0.000e+00 vanishes")
-
-        monkeypatch.setattr("fairsamp.cli._max_deviation", no_ideal)
-        assert main(["simulate", str(chsh_file), "--postselect"]) == 0
+        # Both devices pass the weak test, but party 0's filter keeps only |0>, where the state has no weight.
+        half = LossyDevice(2, ["0"], ["+"], {"0": {"+": 0.5 * np.diag([1.0, 0.0])}})
+        psi = np.kron(np.diag([0.0, 1.0]), np.diag([1.0, 0.0]))
+        path = tmp_path / "orthogonal.json"
+        sc = BellScenario([half, projective_qubit_device({"0": 0.0})], psi)
+        serialize.dump_json(serialize.scenario_to_json(sc), path)
+        assert main(["simulate", str(path), "--postselect"]) == 0
         out, err = capsys.readouterr()
-        assert "ideal_deviation" not in json.loads(out)
-        assert err.count("\n") == 1 and "global filter acceptance" in err
+        report = json.loads(out)
+        assert report["erased"] == ["0,0"] and "ideal_deviation" not in report
+        note = "note: no ideal experiment, ideal_deviation omitted: global filter acceptance 0.000e+00 vanishes\n"
+        assert err == note
 
     def test_never_clicking_device_omits_ideal_deviation(self, tmp_path, capsys):
         from fairsamp.bell import BellScenario
@@ -230,10 +235,10 @@ class TestSimulate:
     def test_other_ideal_errors_exit_one(self, chsh_file, monkeypatch, capsys):
         from fairsamp.linalg import NotPositiveError
 
-        def broken(post, ideal_raw):
+        def broken(sc, refs):
             raise NotPositiveError("outcomes ('+', '+') at settings ('0', '0') has negative probability")
 
-        monkeypatch.setattr("fairsamp.cli._max_deviation", broken)
+        monkeypatch.setattr("fairsamp.cli.ideal_scenario", broken)
         assert main(["simulate", str(chsh_file), "--postselect"]) == 1
         out, err = capsys.readouterr()
         assert out == ""
@@ -361,14 +366,64 @@ def test_malformed_coefficient_key_exits_one(tmp_path, capsys, entry, message, a
     assert err.count("\n") == 1
 
 
-@pytest.mark.parametrize("argv", [["simulate", "--postselect"], ["bound"]], ids=["simulate", "bound"])
-def test_one_eigh_per_reference_and_state(chsh_file, monkeypatch, capsys, argv):
+# A scenario: the state as loaded, each party's reference once (verdict and ideal experiment alike), the
+# filtered state.  ``check --mq`` on a device failing the weak test: the supplied reference alone, for its
+# support and epsilon; the device's own default reference is never built.
+@pytest.mark.parametrize(
+    "argv,code,expected",
+    [
+        (["simulate", "--postselect", "CHSH"], 0, [(4, 4), (2, 2), (2, 2), (4, 4)]),
+        (["bound", "CHSH"], 0, [(4, 4), (2, 2), (2, 2), (4, 4)]),
+        (["check", "UNEQUAL", "--mq", "MQ"], 2, [(6, 6)]),
+    ],
+    ids=["simulate", "bound", "check-mq"],
+)
+def test_one_eigh_per_reference_and_state(chsh_file, unequal_file, monkeypatch, capsys, argv, code, expected):
+    names = {"CHSH": chsh_file, "UNEQUAL": unequal_file[0], "MQ": unequal_file[1]}
     calls = []
     original = np.linalg.eigh
     monkeypatch.setattr(np.linalg, "eigh", lambda a, *args, **kw: calls.append(a.shape) or original(a, *args, **kw))
-    assert main([*argv, str(chsh_file)]) == 0
-    # The state as loaded, each party's reference once (verdict and ideal experiment alike), the filtered state.
-    assert calls == [(4, 4), (2, 2), (2, 2), (4, 4)]
+    assert main([str(names.get(a, a)) for a in argv]) == code
+    assert calls == expected
+
+
+def test_chsh_demo_checks_each_device_once(monkeypatch, capsys):
+    """``strong_fair_sampling`` reads the verdicts the scenario report built for the ideal experiment."""
+    import fairsamp.analysis
+    from fairsamp import cli
+
+    checks, weak_tests = [], []
+    check_exact, weak_reference = cli.check_exact, fairsamp.analysis._weak_reference
+    monkeypatch.setattr(cli, "check_exact", lambda dev, **kw: checks.append(dev) or check_exact(dev, **kw))
+    monkeypatch.setattr(
+        fairsamp.analysis, "_weak_reference", lambda dev, *a: weak_tests.append(dev) or weak_reference(dev, *a)
+    )
+    assert main(["demo", "chsh-singlet"]) == 0
+    assert json.loads(capsys.readouterr().out)["strong_fair_sampling"] is True
+    assert len(checks) == len(weak_tests) == 2
+
+
+def test_cli_uses_only_the_public_api():
+    """``cli.py`` imports no underscore name from fairsamp and reads no underscore attribute, a scenario's included."""
+    import ast
+    from pathlib import Path
+
+    from fairsamp import cli
+
+    tree = ast.parse(Path(cli.__file__).read_text(encoding="utf-8"))
+    imported = [
+        alias.name
+        for node in ast.walk(tree)
+        if isinstance(node, ast.ImportFrom) and (node.level > 0 or (node.module or "").startswith("fairsamp"))
+        for alias in node.names
+    ]
+    assert imported and [name for name in imported if name.startswith("_")] == []
+    private = [
+        (node.lineno, node.attr)
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Attribute) and node.attr.startswith("_") and not node.attr.startswith("__")
+    ]
+    assert private == []
 
 
 def test_scenario_commands_never_build_dict_tables(chsh_file, monkeypatch, capsys):

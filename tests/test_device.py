@@ -105,10 +105,10 @@ class TestStack:
         lossless = LosslessDevice(
             2, ["x", "y"], ["a", "b"], {x: {"a": np.diag([1.0, 0.0]), "b": np.diag([0.0, 1.0])} for x in "xy"}
         )
-        assert calls == [(2 * 2, 2, 2)]
+        assert calls == [(2 * 3, 2, 2)]  # the good elements and the no-click ones to_lossy adds
         calls.clear()
         lossless.to_lossy()
-        assert calls == [(2, 2, 2)]  # only the no-click elements are new
+        assert calls == []  # checked when the lossless device was built
         assert dev.stack.shape == (4, 3, 3, 3)
 
 
@@ -346,6 +346,15 @@ class TestLosslessDevice:
             dev.to_lossy()
         with pytest.raises(NotPositiveError, match=re.escape(message)):
             helpers.oracle_to_lossy(dev)
+
+    def test_takes_an_element_stack(self):
+        povm = {"x": {"a": np.diag([1.0, 0.0]), "b": np.diag([0.0, 1.0])}}
+        stack = np.array([[povm["x"]["a"], povm["x"]["b"]]])
+        from_stack = LosslessDevice(2, ["x"], ["a", "b"], stack)
+        assert np.array_equal(from_stack.stack, LosslessDevice(2, ["x"], ["a", "b"], povm).stack)
+        assert stack.flags.writeable and not np.shares_memory(stack, from_stack.stack)
+        with pytest.raises(ValueError, match=re.escape("element stack has shape (1, 1, 2, 2), expected (1, 2, 2, 2)")):
+            LosslessDevice(2, ["x"], ["a", "b"], stack[:, :1])
 
     def test_to_lossy_completes(self):
         dev = LosslessDevice(2, ["x"], ["a"], {"x": {"a": np.diag([1.0, 0.0])}})
