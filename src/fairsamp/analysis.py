@@ -55,20 +55,24 @@ class Reference:
     ``sqrt_pinv_sqrt`` build it.  ``clicks`` holds the device, its click
     stack and their operator norms.  The conjugated click elements, and with
     them epsilon, are computed once too, for ``approximate_epsilon`` and
-    ``ideal_device_from`` alike.  Build one with ``reference(dev, mq)``; a
-    ``FairSamplingVerdict`` carries the one it reports.
+    ``ideal_device_from`` alike.  Build one with ``reference(dev, mq)``, or
+    one per device of a shared matrix with ``shared_references``; a
+    ``FairSamplingVerdict`` carries the one it reports.  A reference built
+    ``like`` another of the same ``mq`` reads that one's decomposition.
     """
 
-    def __init__(self, mq: np.ndarray | None, clicks: _Clicks):
+    def __init__(self, mq: np.ndarray | None, clicks: _Clicks, like: Reference | None = None):
         if mq is None:
             live = clicks.norms > ZERO_ACCEPTANCE
             if not live.any():
                 raise ValueError("all click elements vanish; no reference operator exists")
             mq = sum(clicks.stack[live] / clicks.norms[live, None, None]) / int(live.sum())
-        self.mq, self.clicks = mq, clicks
+        self.mq, self.clicks, self._like = mq, clicks, like
 
     @functools.cached_property
     def _decomposition(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        if self._like is not None:
+            return self._like._decomposition
         return support_and_pinv_sqrt(self.mq, name="reference operator")
 
     support = property(lambda self: self._decomposition[0], doc="The support projector of ``mq``.")
@@ -97,6 +101,18 @@ def reference(dev: LossyDevice, mq: np.ndarray | Reference | None = None) -> Ref
     if mq.clicks.device is not dev:
         raise ValueError("the reference was built for another device")
     return mq
+
+
+def shared_references(devices: Sequence[LossyDevice], mq: np.ndarray) -> list[Reference]:
+    """The ``Reference`` of the one matrix ``mq`` for each device in ``devices``.
+
+    All of them read one eigendecomposition of ``mq``, made when the first
+    of them needs it.
+    """
+    refs: list[Reference] = []
+    for dev in devices:
+        refs.append(Reference(mq, _clicks(dev), refs[0] if refs else None))
+    return refs
 
 
 @dataclass

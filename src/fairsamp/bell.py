@@ -112,15 +112,17 @@ class BellScenario:
         S_0 ... S_{n-1} contraction steps for S_k settings of party k, instead
         of n per tuple; each step has the operands a lone tuple's would, so
         every table is the same to the bit.  A probability below
-        ``-COMPLETENESS_TOL`` raises, naming its outcomes; smaller negative
-        drift is clamped to 0.
+        ``-COMPLETENESS_TOL`` raises, naming the outcomes of the smallest
+        entry of the first such tuple in walk order; smaller negative drift is
+        clamped to 0.  The tables are slices of one array, checked and clamped
+        at once.
         """
         n = self.n_parties
         index = [{x: i for i, x in enumerate(dev.settings)} for dev in self.devices]
         partial = [self.psi.reshape([dev.dim for dev in self.devices] * 2)] + [None] * n
         prefix: list[str | None] = [None] * n
         outcomes = tuple((*dev.outcomes, NOCLICK) for dev in self.devices)
-        raw = {}
+        keys, probs = [], []
         for xs in self.setting_tuples() if tuples is None else tuples:
             xs = self._check_settings(xs)
             k = 0
@@ -129,12 +131,19 @@ class BellScenario:
             for j in range(k, n):
                 partial[j + 1] = self._contract_step(partial[j], j, self.devices[j].stack[index[j][xs[j]]])
                 prefix[j] = xs[j]
-            probs = partial[n].real
-            worst = np.unravel_index(int(np.argmin(probs)), probs.shape)
+            keys.append(xs)
+            probs.append(partial[n].real)
+        if not keys:
+            return JointTables(outcomes, {})
+        stacked = np.stack(probs)
+        failing = np.flatnonzero(stacked.reshape(len(keys), -1).min(axis=1) < -COMPLETENESS_TOL).tolist()
+        if failing:
+            table = stacked[failing[0]]
+            worst = np.unravel_index(int(np.argmin(table)), table.shape)
             outs = tuple(alph[i] for alph, i in zip(outcomes, worst))
-            read_probability(float(probs[worst]), f"outcomes {outs!r} at settings {xs!r}")
-            raw[xs] = np.maximum(probs, 0.0)
-        return JointTables(outcomes, raw)
+            read_probability(float(table[worst]), f"outcomes {outs!r} at settings {keys[failing[0]]!r}")
+        np.maximum(stacked, 0.0, out=stacked)
+        return JointTables(outcomes, dict(zip(keys, stacked)))
 
     def joint_raw_tables(self, tuples: Iterable[Sequence[str]]) -> dict[tuple[str, ...], dict]:
         """``joint_raw`` of each setting tuple in ``tuples``, keyed by the tuple.

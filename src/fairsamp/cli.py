@@ -18,7 +18,7 @@ from pathlib import Path
 import numpy as np
 
 from . import adversary, serialize
-from .analysis import FairSamplingVerdict, approximate_epsilon, check_exact, tv_bound
+from .analysis import FairSamplingVerdict, approximate_epsilon, check_exact, shared_references, tv_bound
 from .bell import (
     LABEL_SEP,
     BellScenario,
@@ -96,13 +96,15 @@ def _scenario_report(sc: BellScenario, postselect: bool, tol: float) -> tuple[di
     """
     t = sc.tables()
     label = LABEL_SEP.join
-    raw_labels = [label(outs) for outs in itertools.product(*t.outcomes)]
+    raw_labels = serialize.TableLabels(label(outs) for outs in itertools.product(*t.outcomes))
     report: dict = {
         "raw": {label(xs): serialize.table_to_json(raw_labels, table) for xs, table in t.raw.items()},
         "acceptance": {label(xs): serialize.sig15(acc) for xs, acc in t.acceptance.items()},
     }
     if postselect:
-        good_labels = [label(outs) for outs in itertools.product(*(dev.outcomes for dev in sc.devices))]
+        good_labels = serialize.TableLabels(
+            label(outs) for outs in itertools.product(*(dev.outcomes for dev in sc.devices))
+        )
         report["postselected"] = {
             label(xs): serialize.table_to_json(good_labels, ps) for xs, ps in t.postselected.items()
         }
@@ -149,8 +151,7 @@ def cmd_bound(args) -> int:
         return _fail(f"error: cannot load scenario: {exc}")
     try:
         if args.mq is not None:
-            shared = serialize.matrix_from_json(serialize.load_json(args.mq))
-            mqs = [shared for _ in sc.devices]
+            mqs = shared_references(sc.devices, serialize.matrix_from_json(serialize.load_json(args.mq)))
         else:
             mqs = [check_exact(dev, tol=args.tol).reference for dev in sc.devices]
         br = bound_report(sc, mqs)

@@ -36,15 +36,17 @@ def verification_states(dim: int, count: int, rng: np.random.Generator):
         yield (1.0 - w) * pure + w * mm
 
 
-def random_povm(dim: int, n_outcomes: int, rng: np.random.Generator) -> list[np.ndarray]:
-    """Random full POVM: Ginibre blocks whitened so the elements sum to identity."""
-    blocks = []
-    for _ in range(n_outcomes):
-        g = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
-        blocks.append(g @ dagger(g))
-    total = sum(blocks)
-    _, inv_sqrt = sqrt_pinv_sqrt(total)
-    return [inv_sqrt @ b @ inv_sqrt for b in blocks]
+def random_povm(dim: int, n_outcomes: int, rng: np.random.Generator) -> np.ndarray:
+    """Random full POVM, stacked ``(n_outcomes, dim, dim)``: Ginibre blocks whitened to sum to identity.
+
+    One ``rng.normal`` call draws every block, the real then the imaginary
+    part of each in outcome order, as one call per part would.
+    """
+    z = rng.normal(size=(n_outcomes, 2, dim, dim))
+    g = z[:, 0] + 1j * z[:, 1]
+    blocks = g @ np.conj(g).transpose(0, 2, 1)
+    _, inv_sqrt = sqrt_pinv_sqrt(sum(blocks))  # from 0, one block at a time: a per-outcome loop's bits
+    return inv_sqrt @ blocks @ inv_sqrt
 
 
 def random_fair_sampling_device(
@@ -73,6 +75,5 @@ def random_fair_sampling_device(
     lo, hi = eff_range
     for x in settings:
         ec = rng.uniform(lo, hi)
-        lossless = random_povm(dim, n_outcomes, rng)
-        povm[x] = {a: ec * (sq @ n @ sq) for a, n in zip(outcomes, lossless)}
+        povm[x] = dict(zip(outcomes, ec * (sq @ random_povm(dim, n_outcomes, rng) @ sq)))
     return LossyDevice(dim, settings, outcomes, povm)

@@ -5,7 +5,8 @@ Complex matrices serialize as arrays of rows whose entries are two-element
 all build on that matrix format; probabilities are rounded to 15 significant
 digits on output.  Output text is byte-identical to
 ``json.dumps(obj, indent=2, sort_keys=True)``; ``dump_json`` writes float
-blocks and float tables in bulk instead of one value at a time.
+blocks in bulk instead of one value at a time, and copies joint tables
+rendered by ``table_to_json`` as they are.
 """
 
 from __future__ import annotations
@@ -13,12 +14,13 @@ from __future__ import annotations
 import json
 import os
 import tempfile
+from dataclasses import dataclass
 from itertools import chain
 from json.encoder import encode_basestring_ascii
 from math import inf, isfinite, nan
 from operator import itemgetter
 from pathlib import Path
-from typing import Any, Mapping, Sequence
+from typing import Any, Iterable, Mapping
 
 import numpy as np
 
@@ -79,11 +81,6 @@ def _matrix_at(where: str, obj) -> np.ndarray:
 def sig15(x: float) -> float:
     """Round a probability (or any real) to 15 significant digits for reporting."""
     return float(format(float(x), ".15g"))
-
-
-def _sig15_all(values: Sequence[float]) -> list[float]:
-    """``sig15`` of every float in ``values``: the same ``.15g`` rule, in one ``%`` call parsed back."""
-    return list(map(float, ("%.15g " * len(values) % tuple(values)).split()))
 
 
 def device_to_json(dev: LossyDevice) -> dict:
@@ -276,11 +273,6 @@ def distribution_to_json(dist: Mapping) -> dict:
     return out
 
 
-def table_to_json(labels: Sequence[str], table: np.ndarray) -> dict:
-    """A joint table array as ``distribution_to_json`` writes it; ``labels`` name its entries in C order."""
-    return dict(zip(labels, _sig15_all(table.ravel().tolist())))
-
-
 _INDENT = "  "
 
 
@@ -333,17 +325,76 @@ def _float_block(lst: list, level: int) -> str | None:
     return template % tuple(flat)
 
 
-def _float_table(dct: dict, level: int) -> str | None:
-    """Text of a dict of str keys and finite float values at indent ``level``, else None."""
-    if set(map(type, dct.values())) != {float} or set(map(type, dct)) != {str}:
-        return None
-    keys = sorted(dct)
-    values = list(map(dct.__getitem__, keys))
-    if not isfinite(sum(values)):
-        return None
-    inner = "\n" + _INDENT * (level + 1)
-    pairs = map("%s: %s".__mod__, zip(map(encode_basestring_ascii, keys), map(float.__repr__, values)))
-    return "{" + inner + ("," + inner).join(pairs) + "\n" + _INDENT * level + "}"
+#: Exponents of ``%.15g`` text that ``repr`` of the rounded value may not share: 15 (which
+#: ``repr`` writes in full), 308 (which may round past the largest double) and -300 to -324
+#: (subnormals, whose ``repr`` is shorter).  ``e-3`` also matches -30 to -39, whose text
+#: parses back unchanged.
+_REPARSED_EXPONENTS = ("e+15", "e+308", "e-3")
+
+
+def _sig15_text(token: str) -> str:
+    """``_float_text(sig15(x))`` from the ``%.15g`` text ``token`` of ``x``.
+
+    The token is that text already unless it lacks a point (integers, which
+    ``repr`` ends in ``.0``, and the non-finite values) or has one of
+    ``_REPARSED_EXPONENTS``; only those are parsed back.
+    """
+    if "." in token and not any(e in token for e in _REPARSED_EXPONENTS):
+        return token
+    return _float_text(float(token))
+
+
+class TableLabels:
+    """The labels of a joint table's entries in C order, sorted and escaped once for every table they name.
+
+    Labels must be distinct.  ``order`` lists the C-order indices of the
+    entries in sorted label order, as ``sort_keys`` writes them.
+    """
+
+    def __init__(self, labels: Iterable[str]):
+        labels = list(labels)
+        self.order = np.array(sorted(range(len(labels)), key=labels.__getitem__), dtype=np.intp)
+        self._keys = [encode_basestring_ascii(labels[i]).replace("%", "%%") for i in self.order.tolist()]
+        self._format = "%.15g " * len(labels)
+        self._templates: dict[int, str] = {}
+
+    def tokens(self, table: np.ndarray) -> tuple[str, ...]:
+        """The text of ``sig15`` of each entry of ``table``, in sorted label order, from one ``%.15g`` pass."""
+        text = self._format % tuple(table.ravel()[self.order].tolist())
+        tokens = text.split()
+        if text.count(".") != len(tokens) or any(e in text for e in _REPARSED_EXPONENTS):
+            tokens = map(_sig15_text, tokens)
+        return tuple(tokens)
+
+    def template(self, level: int) -> str:
+        """The text of the table at indent ``level``, with a ``%s`` for each entry's value."""
+        if level not in self._templates:
+            inner = "\n" + _INDENT * (level + 1)
+            pairs = ("," + inner).join(key + ": %s" for key in self._keys)
+            self._templates[level] = "{" + inner + pairs + "\n" + _INDENT * level + "}"
+        return self._templates[level]
+
+
+@dataclass(frozen=True, eq=False)
+class RenderedTable:
+    """A joint table rendered for ``dump_json``, which writes it as the dict ``{label: sig15(p)}``."""
+
+    labels: TableLabels
+    tokens: tuple[str, ...]
+
+    def text(self, level: int) -> str:
+        """The table's JSON text at indent ``level``."""
+        return self.labels.template(level) % self.tokens
+
+
+def table_to_json(labels: TableLabels, table: np.ndarray) -> RenderedTable:
+    """The joint table array ``table`` rendered for ``dump_json``; ``labels`` name its entries in C order.
+
+    ``dump_json`` writes it as ``distribution_to_json`` would write the dict
+    of its labelled entries: each value formatted once, with ``sig15``'s
+    ``.15g`` rule, and written as ``float.__repr__`` writes the rounded value.
+    """
+    return RenderedTable(labels, labels.tokens(table))
 
 
 def _key_text(key) -> str:
@@ -376,16 +427,15 @@ def _write(o, level: int, out: list[str], markers: set[int]) -> None:
         out.append(int.__repr__(o))
     elif isinstance(o, float):
         out.append(_float_text(o))
+    elif isinstance(o, RenderedTable):
+        out.append(o.text(level))
     elif isinstance(o, (list, tuple, dict)):
         if not o:
             out.append("{}" if isinstance(o, dict) else "[]")
             return
         if id(o) in markers:
             raise ValueError("Circular reference detected")
-        if isinstance(o, dict):
-            fast = _float_table(o, level)
-        else:
-            fast = _float_block(o, level) if type(o) is list else None
+        fast = _float_block(o, level) if type(o) is list else None
         if fast is not None:
             out.append(fast)
             return
@@ -412,7 +462,8 @@ def dump_json(obj, path: str | Path | None = None) -> str:
     """Serialize deterministically; write atomically when a path is given.
 
     The text is that of ``json.dumps(obj, indent=2, sort_keys=True)``, byte
-    for byte; the file gets it plus a newline.
+    for byte, with each ``RenderedTable`` in ``obj`` read as the dict it
+    stands for; the file gets the text plus a newline.
     """
     out: list[str] = []
     _write(obj, 0, out, set())

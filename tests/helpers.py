@@ -2,6 +2,8 @@
 
 import dataclasses
 import itertools
+import math
+from json.encoder import encode_basestring_ascii
 
 import numpy as np
 
@@ -372,3 +374,55 @@ def oracle_outcome_distribution(dev, x, rho):
     if abs(total - 1.0) > COMPLETENESS_TOL:
         raise ValueError(f"distribution for setting {x!r} sums to {total!r}")
     return probs
+
+
+# --- the random samplers one draw and one element at a time.  The stacked samplers in
+# ``fairsamp.sampling`` draw the same numbers and must equal these to the bit.
+
+
+def loop_random_povm(dim, n_outcomes, rng):
+    """``random_povm`` drawing and whitening one Ginibre block per outcome."""
+    blocks = []
+    for _ in range(n_outcomes):
+        g = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
+        blocks.append(g @ g.conj().T)
+    _, inv_sqrt = sqrt_pinv_sqrt(sum(blocks))
+    return [inv_sqrt @ b @ inv_sqrt for b in blocks]
+
+
+def loop_random_fair_sampling_device(dim, n_settings, n_outcomes, rng, eff_range=(0.3, 1.0)):
+    """``random_fair_sampling_device`` with a random ``mq``, sandwiching one lossless element at a time."""
+    w = rng.uniform(0.2, 1.0, size=dim)
+    w[rng.integers(dim)] = 1.0
+    u = np.linalg.qr(rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim)))[0]
+    sq, _ = sqrt_pinv_sqrt(u @ np.diag(w) @ u.conj().T)
+    outcomes = [f"a{j}" for j in range(n_outcomes)]
+    povm = {}
+    for i in range(n_settings):
+        ec = rng.uniform(*eff_range)
+        povm[f"x{i}"] = {a: ec * (sq @ n @ sq) for a, n in zip(outcomes, loop_random_povm(dim, n_outcomes, rng))}
+    return LossyDevice(dim, list(povm), outcomes, povm)
+
+
+# --- joint tables written the way ``simulate`` wrote them before tables were rendered in one pass:
+# each probability rounded with ``.15g`` and parsed back, then the dict of labelled entries sorted,
+# escaped and written with ``float.__repr__``.  ``serialize.table_to_json`` must write the same text.
+
+
+def legacy_table_to_json(labels, table):
+    """The dict of ``labels`` (C order) to ``sig15`` of each entry of ``table``."""
+    values = table.ravel().tolist()
+    return dict(zip(labels, map(float, ("%.15g " * len(values) % tuple(values)).split())))
+
+
+def legacy_float_table(dct, level):
+    """Text of a dict of str keys and finite float values at indent ``level``, else None."""
+    if set(map(type, dct.values())) != {float} or set(map(type, dct)) != {str}:
+        return None
+    keys = sorted(dct)
+    values = list(map(dct.__getitem__, keys))
+    if not math.isfinite(sum(values)):
+        return None
+    inner = "\n" + "  " * (level + 1)
+    pairs = map("%s: %s".__mod__, zip(map(encode_basestring_ascii, keys), map(float.__repr__, values)))
+    return "{" + inner + ("," + inner).join(pairs) + "\n" + "  " * level + "}"

@@ -16,6 +16,7 @@ from fairsamp.analysis import (
     imperfect_state_bound,
     necessary_conditions,
     reference,
+    shared_references,
     state_dependent_check,
     tv_bound,
 )
@@ -23,7 +24,7 @@ from fairsamp.device import LossyDevice, ZeroAcceptanceError, total_variation
 from fairsamp.filters import canonical_decomposition
 from fairsamp.linalg import expect, projector
 from fairsamp.optics import AnalyserSpec, analyser_device, analyser_mq, single_photon_analyser
-from fairsamp.sampling import random_density, random_fair_sampling_device
+from fairsamp.sampling import random_density, random_fair_sampling_device, random_povm
 
 
 @pytest.fixture
@@ -386,6 +387,18 @@ class TestReferenceDecompositions:
         assert reference(dev, ref) is ref
         np.testing.assert_array_equal(reference(dev).mq, ref.mq)
 
+    def test_shared_references_read_one_decomposition(self, rng, eigh_calls):
+        devices = [helpers.perturbed_fair_device(rng) for _ in range(3)]
+        mq = default_mq(devices[0])
+        eigh_calls.clear()
+        refs = shared_references(devices, mq)
+        eps = [approximate_epsilon(dev, ref) for dev, ref in zip(devices, refs)]
+        assert eigh_calls == ["reference operator"]
+        assert [approximate_epsilon(dev, mq) for dev in devices] == eps
+        own = reference(devices[2], mq)
+        for shared, mine in zip((refs[2].support, refs[2].pinv, refs[2].root), (own.support, own.pinv, own.root)):
+            assert shared.tobytes() == mine.tobytes()
+
     def test_reference_serves_only_its_device(self, rng):
         dev = helpers.perturbed_fair_device(rng)
         twin = LossyDevice(dev.dim, dev.settings, dev.outcomes, dev.povm)
@@ -499,3 +512,22 @@ def test_check_exact_equals_the_composed_public_steps(seed, kind, dim, n_setting
             assert (ideal.settings, ideal.outcomes) == (oracle.settings, oracle.outcomes)
             assert np.array_equal(ideal.stack, oracle.stack)
             assert np.array_equal(ideal.to_lossy().stack, helpers.oracle_to_lossy(oracle).stack)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    dim=st.integers(1, 8),
+    n_settings=st.integers(1, 3),
+    n_outcomes=st.integers(1, 5),
+)
+def test_stacked_samplers_equal_the_loop_to_the_bit(seed, dim, n_settings, n_outcomes):
+    """One ``normal`` call per setting draws what one call per block part drew, and the generator ends alike."""
+    stacked, looped = np.random.default_rng(seed), np.random.default_rng(seed)
+    povm, oracle = random_povm(dim, n_outcomes, stacked), helpers.loop_random_povm(dim, n_outcomes, looped)
+    assert len(povm) == len(oracle) and all(np.array_equal(a, b) for a, b in zip(povm, oracle))
+    dev = random_fair_sampling_device(dim, n_settings, n_outcomes, stacked)
+    twin = helpers.loop_random_fair_sampling_device(dim, n_settings, n_outcomes, looped)
+    assert (dev.settings, dev.outcomes) == (twin.settings, twin.outcomes)
+    assert np.array_equal(dev.stack, twin.stack)
+    assert stacked.random() == looped.random()

@@ -122,6 +122,21 @@ class TestContraction:
         with pytest.raises(NotPositiveError, match=r"outcomes \('\+', '-'\) at settings \('z', 'z'\)"):
             sc.joint_raw(("z", "z"))
 
+    def test_first_failing_tuple_in_walk_order_is_named(self):
+        """Both settings of party A drive a probability below -COMPLETENESS_TOL; the walk's first is named."""
+        dim = 20
+        rho_a = np.diag([1.0 + (dim - 1) * 0.9e-10] + [-0.9e-10] * (dim - 1))
+        mild = np.diag([0.0] * 5 + [1.0] * (dim - 5))  # 15 negative eigenvalues: -1.35e-09
+        deep = np.diag([0.0] + [1.0] * (dim - 1))  # 19 of them: -1.71e-09
+        povm = {x: {"+": low, "-": np.eye(dim) - low} for x, low in (("mild", mild), ("deep", deep))}
+        dev_a = LossyDevice(dim, ["mild", "deep"], ["+", "-"], povm)
+        sc = BellScenario([dev_a, projective_qubit_device({"z": 0.0})], np.kron(rho_a, np.diag([0.0, 1.0])))
+        mild_first = r"outcomes \('\+', '-'\) at settings \('mild', 'z'\) has negative probability -1\.35"
+        with pytest.raises(NotPositiveError, match=mild_first):
+            sc.tables()
+        with pytest.raises(NotPositiveError, match=r"at settings \('deep', 'z'\) has negative probability -1\.71"):
+            sc.tables([("deep", "z"), ("mild", "z")])
+
 
 @settings(max_examples=25, deadline=None)
 @given(

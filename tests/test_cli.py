@@ -141,6 +141,38 @@ class TestSimulate:
         assert report["acceptance"]["0,0"] == pytest.approx(1.0 / 16.0, abs=1e-12)
         assert report["erased"] == []
 
+    def test_exact_tables_are_written_as_their_dicts(self, tmp_path, capsys):
+        """|0><0| x |0><0| under Z (and X) measurements: exact 0.0 and 1.0 entries, written as ``json`` would."""
+        import itertools
+
+        from fairsamp.bell import LABEL_SEP, BellScenario
+        from fairsamp.device import projective_qubit_device
+        from fairsamp.linalg import projector
+
+        zero = projector(np.array([1.0, 0.0], dtype=complex))
+        sc = BellScenario(
+            [projective_qubit_device({"z": 0.0, "x": np.pi / 2.0}, 0.5), projective_qubit_device({"z": 0.0})],
+            np.kron(zero, zero),
+        )
+        path = tmp_path / "product.json"
+        serialize.dump_json(serialize.scenario_to_json(sc), path)
+        assert main(["simulate", str(path), "--postselect"]) == 0
+        out = capsys.readouterr().out
+        t = sc.tables()
+        raw_labels = [LABEL_SEP.join(outs) for outs in itertools.product(*t.outcomes)]
+        good_labels = [LABEL_SEP.join(outs) for outs in itertools.product(*(dev.outcomes for dev in sc.devices))]
+        expected = json.loads(out)
+        expected["raw"] = {
+            LABEL_SEP.join(xs): helpers.legacy_table_to_json(raw_labels, table) for xs, table in t.raw.items()
+        }
+        expected["postselected"] = {
+            LABEL_SEP.join(xs): helpers.legacy_table_to_json(good_labels, table)
+            for xs, table in t.postselected.items()
+        }
+        assert out == json.dumps(expected, indent=2, sort_keys=True) + "\n"
+        assert expected["raw"]["z,z"]["+,+"] == 0.5 and expected["postselected"]["z,z"]["+,+"] == 1.0
+        assert '"-,-": 0.0' in out and '"+,+": 1.0' in out
+
     def test_raw_only_without_flag(self, chsh_file, capsys):
         assert main(["simulate", str(chsh_file)]) == 0
         report = json.loads(capsys.readouterr().out)
@@ -367,19 +399,25 @@ def test_malformed_coefficient_key_exits_one(tmp_path, capsys, entry, message, a
 
 
 # A scenario: the state as loaded, each party's reference once (verdict and ideal experiment alike), the
-# filtered state.  ``check --mq`` on a device failing the weak test: the supplied reference alone, for its
-# support and epsilon; the device's own default reference is never built.
+# filtered state; ``bound --mq`` decomposes the one shared reference once for every party.  ``check --mq``
+# on a device failing the weak test: the supplied reference alone, for its support and epsilon; the
+# device's own default reference is never built.
 @pytest.mark.parametrize(
     "argv,code,expected",
     [
         (["simulate", "--postselect", "CHSH"], 0, [(4, 4), (2, 2), (2, 2), (4, 4)]),
         (["bound", "CHSH"], 0, [(4, 4), (2, 2), (2, 2), (4, 4)]),
+        (["bound", "CHSH", "--mq", "EYE2"], 0, [(4, 4), (2, 2), (4, 4)]),
         (["check", "UNEQUAL", "--mq", "MQ"], 2, [(6, 6)]),
     ],
-    ids=["simulate", "bound", "check-mq"],
+    ids=["simulate", "bound", "bound-mq", "check-mq"],
 )
-def test_one_eigh_per_reference_and_state(chsh_file, unequal_file, monkeypatch, capsys, argv, code, expected):
-    names = {"CHSH": chsh_file, "UNEQUAL": unequal_file[0], "MQ": unequal_file[1]}
+def test_one_eigh_per_reference_and_state(
+    chsh_file, unequal_file, tmp_path, monkeypatch, capsys, argv, code, expected
+):
+    eye2 = tmp_path / "eye2.json"
+    serialize.dump_json(serialize.matrix_to_json(np.eye(2)), eye2)
+    names = {"CHSH": chsh_file, "UNEQUAL": unequal_file[0], "MQ": unequal_file[1], "EYE2": eye2}
     calls = []
     original = np.linalg.eigh
     monkeypatch.setattr(np.linalg, "eigh", lambda a, *args, **kw: calls.append(a.shape) or original(a, *args, **kw))

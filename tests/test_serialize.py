@@ -13,6 +13,7 @@ from fairsamp.cli import chsh_singlet_scenario
 from fairsamp.device import NOCLICK
 from fairsamp.filters import canonical_decomposition
 from fairsamp.sampling import random_density, random_fair_sampling_device
+import helpers
 from fairsamp import serialize
 
 
@@ -393,3 +394,76 @@ def test_writer_rejects_circular_lists():
     for obj in (outer, loop, {"a": loop}):
         with pytest.raises(ValueError, match="Circular reference detected"):
             serialize.dump_json(obj)
+
+
+# --- joint tables rendered in one pass against the dict they stand for
+
+#: Doubles whose ``.15g`` text is not their ``repr`` after rounding: integers (``-0`` included),
+#: the exponent-15 decade, subnormals and their border, the non-finite values.
+TOKEN_EDGES = [
+    0.0, -0.0, 1.0, -1.0, 0.9999999999999999, 1e-16, 123456789012345.6, 999999999999999.9,
+    1e15, -1e15, 1.5e15, 9.999999999999999e15, 1e16, 1e-5, 1e-4, 1.5e-30, 5e-324, -5e-324,
+    2.2250738585072014e-308, 2.225073858507201e-308, 1e-300, 1.7976931348623157e308,
+    float("nan"), float("inf"), float("-inf"),
+]
+ALL_DOUBLES = st.one_of(
+    st.floats(),
+    st.integers(0, 2**64 - 1).map(lambda bits: float(np.uint64(bits).view(np.float64))),
+    st.sampled_from(TOKEN_EDGES),
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(ALL_DOUBLES, min_size=1, max_size=40))
+def test_rendered_entries_read_as_sig15(values):
+    labels = serialize.TableLabels(f"{i:03d}" for i in range(len(values)))
+    expected = tuple(serialize._float_text(serialize.sig15(x)) for x in values)
+    assert labels.tokens(np.array(values)) == expected
+
+
+def test_rendered_edges_read_as_sig15():
+    labels = serialize.TableLabels(f"{i:03d}" for i in range(len(TOKEN_EDGES)))
+    rendered = labels.tokens(np.array(TOKEN_EDGES))
+    assert rendered == tuple(serialize._float_text(serialize.sig15(x)) for x in TOKEN_EDGES)
+    assert rendered[:4] == ("0.0", "-0.0", "1.0", "-1.0")
+    assert rendered[-3:] == ("NaN", "Infinity", "-Infinity")
+
+
+#: Labels needing escapes or a ``%`` left alone, and labels whose sorted order is not their order.
+TABLE_LABELS = st.one_of(st.text(max_size=5), st.sampled_from(["é", '"', "\\", "%", "%s", "b,a", "a,b", "Z", "a"]))
+
+
+@st.composite
+def labelled_tables(draw):
+    shape = draw(st.lists(st.integers(1, 4), min_size=0, max_size=3))
+    size = int(np.prod(shape))
+    labels = draw(st.lists(TABLE_LABELS, min_size=size, max_size=size, unique=True))
+    values = draw(st.lists(st.one_of(st.floats(0.0, 1.0), ALL_DOUBLES), min_size=size, max_size=size))
+    return labels, np.array(values, dtype=float).reshape(shape)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(labelled_tables(), min_size=1, max_size=3))
+def test_rendered_tables_match_json_dumps(tables):
+    rendered = {"raw": {}, "acceptance": 0.5}
+    oracle = {"raw": {}, "acceptance": 0.5}
+    for i, (labels, table) in enumerate(tables):
+        rendered["raw"][f"t{i}"] = serialize.table_to_json(serialize.TableLabels(labels), table)
+        oracle["raw"][f"t{i}"] = dict(zip(labels, map(serialize.sig15, table.ravel().tolist())))
+    text = serialize.dump_json(rendered)
+    assert text == json.dumps(oracle, indent=2, sort_keys=True)
+    for i, (labels, table) in enumerate(tables):
+        legacy = helpers.legacy_float_table(helpers.legacy_table_to_json(labels, table), 2)
+        assert legacy is None or legacy == rendered["raw"][f"t{i}"].text(2)
+
+
+def test_labels_are_sorted_once_for_every_table():
+    labels = serialize.TableLabels(["b", "é", "a", '"'])
+    assert labels.order.tolist() == [3, 2, 0, 1]
+    first = serialize.table_to_json(labels, np.array([0.25, 0.5, 0.0, 1.0]))
+    second = serialize.table_to_json(labels, np.array([0.5, 0.25, 1.0, 1 / 3]))
+    assert serialize.dump_json([first, second]) == json.dumps(
+        [{"b": 0.25, "é": 0.5, "a": 0.0, '"': 1.0}, {"b": 0.5, "é": 0.25, "a": 1.0, '"': 0.333333333333333}],
+        indent=2,
+        sort_keys=True,
+    )
