@@ -35,6 +35,10 @@ from .sampling import random_fair_sampling_device
 
 DEMOS = ("makarov", "analyser", "chsh-singlet", "prop2-random")
 
+#: What reading an input file may raise.  A text nested too deeply raises ``RecursionError``
+#: when it is parsed or when an error message writes the offending value.
+LOAD_ERRORS = (OSError, ValueError, KeyError, RecursionError)
+
 
 def _emit(payload, out_path: str | None) -> None:
     text = serialize.dump_json(payload, out_path)
@@ -50,12 +54,15 @@ def _fail(message: str) -> int:
 def cmd_check(args) -> int:
     try:
         dev = serialize.device_from_json(serialize.load_json(args.device))
-    except (OSError, ValueError, KeyError) as exc:
+    except LOAD_ERRORS as exc:
         return _fail(f"error: cannot load device: {exc}")
     try:
         mq = None if args.mq is None else serialize.matrix_from_json(serialize.load_json(args.mq))
+    except LOAD_ERRORS as exc:
+        return _fail(f"error: {exc}")
+    try:
         verdict = check_exact(dev, tol=args.tol, mq=mq)
-    except (OSError, ValueError, np.linalg.LinAlgError) as exc:
+    except (ValueError, np.linalg.LinAlgError) as exc:
         return _fail(f"error: {exc}")
     payload = serialize.verdict_to_json(verdict)
     if verdict.epsilon < 1.0:
@@ -69,7 +76,7 @@ def cmd_decompose(args) -> int:
         return _fail(f"error: --trials must be at least 1, got {args.trials}")
     try:
         dev = serialize.device_from_json(serialize.load_json(args.device))
-    except (OSError, ValueError, KeyError) as exc:
+    except LOAD_ERRORS as exc:
         return _fail(f"error: cannot load device: {exc}")
     try:
         decomp = canonical_decomposition(dev)
@@ -132,7 +139,7 @@ def cmd_simulate(args) -> int:
         sc = serialize.scenario_from_json(
             serialize.load_json(args.scenario), base_dir=Path(args.scenario).parent
         )
-    except (OSError, ValueError, KeyError) as exc:
+    except LOAD_ERRORS as exc:
         return _fail(f"error: cannot load scenario: {exc}")
     try:
         report, _ = _scenario_report(sc, args.postselect, args.tol)
@@ -147,15 +154,19 @@ def cmd_bound(args) -> int:
         sc = serialize.scenario_from_json(
             serialize.load_json(args.scenario), base_dir=Path(args.scenario).parent
         )
-    except (OSError, ValueError, KeyError) as exc:
+    except LOAD_ERRORS as exc:
         return _fail(f"error: cannot load scenario: {exc}")
     try:
-        if args.mq is not None:
-            mqs = shared_references(sc.devices, serialize.matrix_from_json(serialize.load_json(args.mq)))
+        mq = None if args.mq is None else serialize.matrix_from_json(serialize.load_json(args.mq))
+    except LOAD_ERRORS as exc:
+        return _fail(f"error: {exc}")
+    try:
+        if mq is not None:
+            mqs = shared_references(sc.devices, mq)
         else:
             mqs = [check_exact(dev, tol=args.tol).reference for dev in sc.devices]
         br = bound_report(sc, mqs)
-    except (OSError, ValueError, KeyError) as exc:
+    except (ValueError, KeyError) as exc:
         return _fail(f"error: {exc}")
     report = {
         "per_party": [

@@ -107,9 +107,12 @@ def raise_psd_fault(herm: np.ndarray, lowest: np.ndarray, name: Callable[[int], 
 
 
 def assert_density(rho, name: str = "state") -> np.ndarray:
-    """Validate a density matrix: Hermitian, PSD and of unit trace within PSD_TOL."""
-    a = as_operator(rho)
-    eigh_psd(a, name=name)
+    """Validate a density matrix: Hermitian, PSD and of unit trace within PSD_TOL.
+
+    The Hermiticity and lowest-eigenvalue checks are those of ``eigh_psd``, on eigenvalues alone.
+    """
+    a = assert_hermitian(rho, name=name)
+    _check_positive(np.linalg.eigvalsh(a)[0], name)
     tr = float(np.trace(a).real)
     if abs(tr - 1.0) > PSD_TOL:
         raise ValueError(f"{name} has trace {tr!r}, expected 1")

@@ -6,23 +6,26 @@ all build on that matrix format; probabilities are rounded to 15 significant
 digits on output.  Output text is byte-identical to
 ``json.dumps(obj, indent=2, sort_keys=True)``; ``dump_json`` writes float
 blocks in bulk instead of one value at a time, and copies joint tables
-rendered by ``table_to_json`` as they are.
+rendered by ``table_to_json`` as they are.  ``load_json`` reads input with
+orjson and falls back to ``json`` for any text orjson refuses.
 """
 
 from __future__ import annotations
 
+import io
 import json
 import os
 import tempfile
 from dataclasses import dataclass
 from itertools import chain
 from json.encoder import encode_basestring_ascii
-from math import inf, isfinite, nan
+from math import copysign, inf, isfinite, isinf, nan
 from operator import itemgetter
 from pathlib import Path
 from typing import Any, Iterable, Mapping
 
 import numpy as np
+import orjson
 
 from .analysis import FairSamplingVerdict
 from .bell import LABEL_SEP, BellCoeffs, BellScenario
@@ -78,9 +81,26 @@ def _matrix_at(where: str, obj) -> np.ndarray:
         raise ValueError(f"{where}: {exc}") from None
 
 
+#: The largest double with 15 significant digits.
+LARGEST_SIG15 = 1.79769313486231e308
+
+
+def _parse_sig15(token: str) -> float:
+    """The value of the ``%.15g`` text ``token``.
+
+    Past ``LARGEST_SIG15`` round-to-nearest may overflow (``1.79769313486232e+308``
+    reads as infinity); such a finite value rounds toward zero instead.
+    """
+    y = float(token)
+    return copysign(LARGEST_SIG15, y) if isinf(y) and "n" not in token else y
+
+
 def sig15(x: float) -> float:
-    """Round a probability (or any real) to 15 significant digits for reporting."""
-    return float(format(float(x), ".15g"))
+    """Round a probability (or any real) to 15 significant digits for reporting.
+
+    A finite value stays finite: one that rounds past the largest double gives ``±LARGEST_SIG15``.
+    """
+    return _parse_sig15(format(float(x), ".15g"))
 
 
 def device_to_json(dev: LossyDevice) -> dict:
@@ -326,9 +346,9 @@ def _float_block(lst: list, level: int) -> str | None:
 
 
 #: Exponents of ``%.15g`` text that ``repr`` of the rounded value may not share: 15 (which
-#: ``repr`` writes in full), 308 (which may round past the largest double) and -300 to -324
-#: (subnormals, whose ``repr`` is shorter).  ``e-3`` also matches -30 to -39, whose text
-#: parses back unchanged.
+#: ``repr`` writes in full), 308 (which may round past the largest double, see ``sig15``)
+#: and -300 to -324 (subnormals, whose ``repr`` is shorter).  ``e-3`` also matches -30 to
+#: -39, whose text parses back unchanged.
 _REPARSED_EXPONENTS = ("e+15", "e+308", "e-3")
 
 
@@ -341,7 +361,7 @@ def _sig15_text(token: str) -> str:
     """
     if "." in token and not any(e in token for e in _REPARSED_EXPONENTS):
         return token
-    return _float_text(float(token))
+    return _float_text(_parse_sig15(token))
 
 
 class TableLabels:
@@ -483,6 +503,50 @@ def dump_json(obj, path: str | Path | None = None) -> str:
     return text
 
 
+#: Texts nested deeper than this are read by ``json`` alone.  orjson 3.8 builds nested
+#: containers recursively with no depth limit: about 52 000 nested objects overflow an
+#: 8 MiB C stack and kill the process.  ``json`` raises ``RecursionError`` long before.
+ORJSON_MAX_DEPTH = 1024
+
+_NOT_STRUCTURAL = bytes(sorted(set(range(256)) - set(b'[]{}"')))
+
+
+def _nests_at_most(data: bytes, limit: int) -> bool:
+    """Whether the JSON text ``data`` nests arrays and objects at most ``limit`` deep.
+
+    Exact for valid JSON whose strings hold no bracket; a string holding one
+    makes the answer False.  For invalid JSON the answer means nothing (orjson
+    rejects such a text before it builds anything).  Only brackets and quotes
+    are read: once escaped backslashes and quotes are removed, each
+    bracket-free string leaves a pair of adjacent quotes, and the first string
+    holding a bracket leaves its opening quote unpaired.
+    """
+    if b"\\" in data:
+        data = data.replace(b"\\\\", b"").replace(b'\\"', b"")
+    marks = data.translate(None, _NOT_STRUCTURAL)
+    if marks.count(b'"') != 2 * marks.count(b'""'):
+        return False
+    # Bit 1 is set in '[' (0x5b) and '{' (0x7b), clear in ']' (0x5d) and '}' (0x7d).
+    steps = (np.frombuffer(marks.translate(None, b'"'), np.int8) & 2) - 1
+    return int(steps.cumsum(dtype=np.int64).max(initial=0)) <= limit
+
+
 def load_json(path: str | Path):
-    with open(path, encoding="utf-8") as fh:
-        return json.load(fh)
+    """The JSON value in the UTF-8 file at ``path``, as ``json.load`` reads it.
+
+    The bytes are parsed with ``orjson``, which gives the same values to the
+    bit.  A text orjson refuses (NaN and the infinities, numbers past the
+    largest double, lone surrogates, a BOM, invalid UTF-8, malformed JSON) or
+    one nested deeper than ``ORJSON_MAX_DEPTH`` is read by ``json.load`` as a
+    text file, so it is accepted or rejected with ``json``'s own error.  One
+    difference is kept: an integer outside [-2**63, 2**64) that a double can
+    hold reads as the nearest float, where ``json`` gives an ``int``.
+    """
+    with open(path, "rb") as fh:
+        data = fh.read()
+    if _nests_at_most(data, ORJSON_MAX_DEPTH):
+        try:
+            return orjson.loads(data)
+        except orjson.JSONDecodeError:
+            pass
+    return json.load(io.TextIOWrapper(io.BytesIO(data), encoding="utf-8"))

@@ -426,3 +426,26 @@ def legacy_float_table(dct, level):
     inner = "\n" + "  " * (level + 1)
     pairs = map("%s: %s".__mod__, zip(map(encode_basestring_ascii, keys), map(float.__repr__, values)))
     return "{" + inner + ("," + inner).join(pairs) + "\n" + "  " * level + "}"
+
+
+def record_spectral_calls(monkeypatch) -> list:
+    """Patch ``np.linalg.eigh`` and ``np.linalg.eigvalsh`` to record each call as ``(name, shape)``.
+
+    Every ``eigh`` call is recorded, and every ``eigvalsh`` call on a single
+    matrix (a state's check); the batched POVM checks, on stacks, are not.
+    """
+    calls = []
+    eigh, eigvalsh = np.linalg.eigh, np.linalg.eigvalsh
+
+    def record_eigh(a, *args, **kw):
+        calls.append(("eigh", a.shape))
+        return eigh(a, *args, **kw)
+
+    def record_eigvalsh(a, *args, **kw):
+        if a.ndim == 2:
+            calls.append(("eigvalsh", a.shape))
+        return eigvalsh(a, *args, **kw)
+
+    monkeypatch.setattr(np.linalg, "eigh", record_eigh)
+    monkeypatch.setattr(np.linalg, "eigvalsh", record_eigvalsh)
+    return calls

@@ -477,13 +477,12 @@ def test_fair_devices_postselect_to_the_ideal_experiment(seed, dims):
 class TestIdealScenario:
     def test_one_eigh_per_reference(self, monkeypatch):
         sc = chsh_singlet_scenario()
-        calls = []
-        original = np.linalg.eigh
-        monkeypatch.setattr(np.linalg, "eigh", lambda a, *args, **kw: calls.append(a.shape) or original(a, *args, **kw))
+        calls = helpers.record_spectral_calls(monkeypatch)
         ideal_scenario(sc)
         # Each party's reference once (support, pseudo-inverse root and root alike), then the
-        # filtered state's assert_density; the strong test's reference support is never built.
-        assert calls == [(2, 2), (2, 2), (4, 4)]
+        # filtered state's assert_density, on eigenvalues alone; the strong test's reference
+        # support is never built.
+        assert calls == [("eigh", (2, 2)), ("eigh", (2, 2)), ("eigvalsh", (4, 4))]
 
     def test_one_norm_per_click_stack(self, rng, monkeypatch):
         """The weak test's click norms serve the conjugation too."""

@@ -398,17 +398,20 @@ def test_malformed_coefficient_key_exits_one(tmp_path, capsys, entry, message, a
     assert err.count("\n") == 1
 
 
-# A scenario: the state as loaded, each party's reference once (verdict and ideal experiment alike), the
-# filtered state; ``bound --mq`` decomposes the one shared reference once for every party.  ``check --mq``
-# on a device failing the weak test: the supplied reference alone, for its support and epsilon; the
-# device's own default reference is never built.
+# A scenario: the state as loaded (its eigenvalues alone), each party's reference once (verdict and ideal
+# experiment alike), the filtered state (its eigenvalues alone); ``bound --mq`` decomposes the one shared
+# reference once for every party.  ``check --mq`` on a device failing the weak test: the supplied reference
+# alone, for its support and epsilon; the device's own default reference is never built.
+STATE, QUBIT = ("eigvalsh", (4, 4)), ("eigh", (2, 2))
+
+
 @pytest.mark.parametrize(
     "argv,code,expected",
     [
-        (["simulate", "--postselect", "CHSH"], 0, [(4, 4), (2, 2), (2, 2), (4, 4)]),
-        (["bound", "CHSH"], 0, [(4, 4), (2, 2), (2, 2), (4, 4)]),
-        (["bound", "CHSH", "--mq", "EYE2"], 0, [(4, 4), (2, 2), (4, 4)]),
-        (["check", "UNEQUAL", "--mq", "MQ"], 2, [(6, 6)]),
+        (["simulate", "--postselect", "CHSH"], 0, [STATE, QUBIT, QUBIT, STATE]),
+        (["bound", "CHSH"], 0, [STATE, QUBIT, QUBIT, STATE]),
+        (["bound", "CHSH", "--mq", "EYE2"], 0, [STATE, QUBIT, STATE]),
+        (["check", "UNEQUAL", "--mq", "MQ"], 2, [("eigh", (6, 6))]),
     ],
     ids=["simulate", "bound", "bound-mq", "check-mq"],
 )
@@ -418,9 +421,7 @@ def test_one_eigh_per_reference_and_state(
     eye2 = tmp_path / "eye2.json"
     serialize.dump_json(serialize.matrix_to_json(np.eye(2)), eye2)
     names = {"CHSH": chsh_file, "UNEQUAL": unequal_file[0], "MQ": unequal_file[1], "EYE2": eye2}
-    calls = []
-    original = np.linalg.eigh
-    monkeypatch.setattr(np.linalg, "eigh", lambda a, *args, **kw: calls.append(a.shape) or original(a, *args, **kw))
+    calls = helpers.record_spectral_calls(monkeypatch)
     assert main([str(names.get(a, a)) for a in argv]) == code
     assert calls == expected
 
@@ -588,6 +589,17 @@ class TestMalformedFields:
         assert out == ""
         assert err == f"error: cannot load scenario: coeffs[3].c must be a finite JSON number, got {value!r}\n"
 
+    def test_dim_past_64_bits_reads_as_a_float(self, tmp_path, capsys):
+        """An integer outside [-2**63, 2**64) reads as the nearest float, so ``dim`` is rejected by type."""
+        obj = serialize.device_to_json(makarov_traced())
+        obj["dim"] = 2**64
+        path = tmp_path / "bad.json"
+        serialize.dump_json(obj, path)
+        assert main(["check", str(path)]) == 1
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err == "error: cannot load device: dim must be a positive integer, got 1.8446744073709552e+19\n"
+
     @pytest.mark.parametrize("command", [["simulate"], ["bound"]])
     def test_party_device_field(self, tmp_path, capsys, command):
         obj = serialize.scenario_to_json(chsh_singlet_scenario())
@@ -596,6 +608,32 @@ class TestMalformedFields:
         serialize.dump_json(obj, path)
         assert main([*command, str(path)]) == 1
         assert capsys.readouterr().err.startswith("error: cannot load scenario: party 0: dim must be ")
+
+
+class TestDeepNesting:
+    """A text nested too deeply to read, or to name in an error, exits 1 with a load error, not a traceback."""
+
+    @pytest.mark.parametrize("depth", [1000, 5000])
+    @pytest.mark.parametrize("command", ["check", "decompose", "simulate", "bound"])
+    def test_input_file(self, tmp_path, capsys, command, depth):
+        path = tmp_path / "deep.json"
+        path.write_bytes(b"[" * depth + b"]" * depth)
+        argv = [command, str(path)] + (["-o", str(tmp_path / "dc")] if command == "decompose" else [])
+        assert main(argv) == 1
+        out, err = capsys.readouterr()
+        kind = "device" if command in ("check", "decompose") else "scenario"
+        assert out == ""
+        assert err.startswith(f"error: cannot load {kind}: ") and "recursion" in err and err.count("\n") == 1
+
+    @pytest.mark.parametrize("depth", [1000, 5000])
+    @pytest.mark.parametrize("command", ["check", "bound"])
+    def test_mq_file(self, traced_file, chsh_file, tmp_path, capsys, command, depth):
+        mq = tmp_path / "deep_mq.json"
+        mq.write_bytes(b"[" * depth + b"]" * depth)
+        assert main([command, str(traced_file if command == "check" else chsh_file), "--mq", str(mq)]) == 1
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.startswith("error: ") and "recursion" in err and err.count("\n") == 1
 
 
 def canonical(text: str) -> str:

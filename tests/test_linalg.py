@@ -9,6 +9,7 @@ from fairsamp.linalg import (
     NotHermitianError,
     NotPositiveError,
     as_operator,
+    assert_density,
     expect,
     operator_norm,
     operator_norms,
@@ -24,6 +25,28 @@ from fairsamp.linalg import (
 def random_psd(dim, rng, scale=1.0):
     g = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
     return scale * (g @ g.conj().T)
+
+
+class TestAssertDensity:
+    """The checks of ``eigh_psd`` and the unit trace, read from eigenvalues alone."""
+
+    @pytest.mark.parametrize(
+        "rho,error,message",
+        [
+            ([[0.5, 0.1], [0.0, 0.5]], NotHermitianError, "state deviates from Hermiticity by 1.000e-01 (tol 1.0e-10)"),
+            (np.diag([1.1, -0.1]), NotPositiveError, "state has negative eigenvalue -1.000e-01 (tol 1.0e-10)"),
+            (np.diag([0.5, 0.6]), ValueError, "state has trace 1.1, expected 1"),
+        ],
+        ids=["not-hermitian", "negative", "trace"],
+    )
+    def test_rejects(self, rho, error, message):
+        with pytest.raises(error) as raised:
+            assert_density(rho)
+        assert str(raised.value) == message
+
+    def test_accepts_drift_within_tolerance(self):
+        rho = np.diag([1.0 + 5e-11, -5e-11])
+        np.testing.assert_array_equal(assert_density(rho), rho)
 
 
 class TestSupportProjector:

@@ -467,3 +467,245 @@ def test_labels_are_sorted_once_for_every_table():
         indent=2,
         sort_keys=True,
     )
+
+
+# A finite value that ``%.15g`` rounds past the largest double (``1.79769313486232e+308``) rounds
+# toward zero instead, in ``sig15``, in a rendered table and so in ``dump_json``'s text.
+TOP_DECADE = [float(np.nextafter(1.797693134862315e308, np.inf)), 1.7976931348623157e308]
+
+
+@pytest.mark.parametrize("sign", [1.0, -1.0], ids=["positive", "negative"])
+def test_sig15_keeps_the_largest_doubles_finite(sign):
+    values = [sign * x for x in TOP_DECADE]
+    largest = sign * 1.79769313486231e308
+    assert serialize.LARGEST_SIG15 == 1.79769313486231e308
+    assert [serialize.sig15(x) for x in values] == [largest, largest]
+    assert serialize.sig15(sign * 1.797693134862315e308) == largest  # rounds down, no overflow to mend
+    text = repr(largest)
+    labels = serialize.TableLabels(["a", "b", "c"])
+    table = np.array([*values, sign * np.inf])
+    assert labels.tokens(table) == (text, text, "Infinity" if sign > 0 else "-Infinity")
+    assert serialize.dump_json([serialize.sig15(values[1]), serialize.table_to_json(labels, table)]) == json.dumps(
+        [largest, {"a": largest, "b": largest, "c": sign * np.inf}], indent=2, sort_keys=True
+    )
+
+
+# --- the orjson reader against its oracle, json.load of the file opened as UTF-8 text
+
+
+@pytest.fixture(scope="module")
+def json_file(tmp_path_factory):
+    return tmp_path_factory.mktemp("load_json") / "input.json"
+
+
+def json_load(path):
+    with open(path, encoding="utf-8") as fh:
+        return json.load(fh)
+
+
+def read_outcome(read, path):
+    """``("value", v)`` of ``read(path)``, or ``("error", type, message)`` of what it raises."""
+    try:
+        return ("value", read(path))
+    except Exception as exc:  # the oracle's exceptions are compared, whatever they are
+        return ("error", type(exc), str(exc))
+
+
+def same_value(a, b) -> bool:
+    """Equal JSON values of the same types, floats to the bit and object keys in the same order."""
+    if type(a) is not type(b):
+        return False
+    if type(a) is float:
+        return np.float64(a).tobytes() == np.float64(b).tobytes()
+    if type(a) is list:
+        return len(a) == len(b) and all(map(same_value, a, b))
+    if type(a) is dict:
+        return list(a) == list(b) and all(map(same_value, a.values(), b.values()))
+    return a == b
+
+
+def assert_reads_as_json_does(data: bytes, path):
+    path.write_bytes(data)
+    got, expected = read_outcome(serialize.load_json, path), read_outcome(json_load, path)
+    if expected[0] == "value":
+        assert got[0] == "value" and same_value(got[1], expected[1])
+    else:
+        assert got == expected
+
+
+class Members(list):
+    """A JSON object written as its ``(key, value)`` members, so that a key may repeat."""
+
+
+def json_text(value, ascii_only: bool, sep: str) -> str:
+    if isinstance(value, Members):
+        members = (json.dumps(k, ensure_ascii=ascii_only) + ":" + json_text(v, ascii_only, sep) for k, v in value)
+        return "{" + sep.join(members) + "}"
+    if isinstance(value, list):
+        return "[" + sep.join(json_text(v, ascii_only, sep) for v in value) + "]"
+    return json.dumps(value, ensure_ascii=ascii_only)
+
+
+JSON_STRINGS = st.text(st.one_of(st.characters(), st.sampled_from('é✓😀𐏿"\\/\x00\x1f[]{}')), max_size=6)
+JSON_VALUES = st.recursive(
+    st.one_of(st.none(), st.booleans(), st.integers(-(2**63), 2**64 - 1), ALL_DOUBLES, JSON_STRINGS),
+    lambda children: st.one_of(
+        st.lists(children, max_size=4),
+        st.lists(st.tuples(st.one_of(st.sampled_from(["a", "b", "é", "\ud800"]), JSON_STRINGS), children), max_size=4)
+        .map(Members),
+    ),
+    max_leaves=16,
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(JSON_VALUES, st.booleans(), st.sampled_from([",", ", ", ",\n  ", ",\r\n", "\t,"]))
+def test_reader_matches_json_load(json_file, value, ascii_only, sep):
+    """Texts with every double, non-ASCII and lone-surrogate strings (escaped, or as invalid UTF-8) and repeated keys."""
+    assert_reads_as_json_does(json_text(value, ascii_only, sep).encode("utf-8", "surrogatepass"), json_file)
+
+
+NUMBER_TEXTS = st.from_regex(r"-?(0|[1-9][0-9]{0,39})(\.[0-9]{1,40})?([eE][+-]?[0-9]{1,3})?", fullmatch=True)
+
+
+@settings(max_examples=300, deadline=None)
+@given(NUMBER_TEXTS)
+def test_reader_parses_decimal_text_to_the_bit(json_file, text):
+    json_file.write_text(text)
+    expected = json.loads(text)
+    if type(expected) is int and not -(2**63) <= expected < 2**64:
+        try:
+            expected = float(expected)  # the one deliberate difference, pinned below
+        except OverflowError:
+            pass
+    assert same_value(serialize.load_json(json_file), expected)
+
+
+def nested(depth: int) -> bytes:
+    return b"[" * depth + b"]" * depth
+
+
+ODD_INPUTS = {
+    "nan": b"NaN",
+    "-infinity": b"-Infinity",
+    "non-finite-in-array": b'{"a": [Infinity, 1.5, -Infinity, NaN]}',
+    "1e400": b"1e400",
+    "-1e400-in-object": b'{"c": -1e400}',
+    "underflow": b"[1e-400, -1e-400, 2.4703282292062328e-324]",
+    "huge-integer": b"1" + b"0" * 400,
+    "lone-surrogate": b'"\\ud800"',
+    "surrogate-pair": b'"\\ud83d\\ude00"',
+    "invalid-utf8": b'"\xff"',
+    "utf8-surrogate": b'"\xed\xa0\x80"',
+    "bom": b'\xef\xbb\xbf{"a": 1}',
+    "crlf": b'{\r\n  "a": [1,\r\n    2]\r\n}',
+    "crlf-error": b'{\r\n  "a": [1,\r\n    2,]\r\n}',
+    "cr-error": b'{\r"a":\r[1,\r]}',
+    "form-feed": b"\x0c[1]",
+    "trailing-comma": b"[1,]",
+    "trailing-garbage": b"[1] x",
+    "trailing-nul": b"[1]\x00",
+    "raw-tab-in-string": b'"a\tb"',
+    "bad-escape": b'"\\x"',
+    "leading-zero": b"01",
+    "empty": b"",
+    "blank": b" \n ",
+    "duplicate-keys": b'{"a": 1, "b": 2, "a": 3}',
+    "negative-zero": b"[-0, -0.0, 0e5]",
+    "past-limit-depth": nested(serialize.ORJSON_MAX_DEPTH + 1),
+    "bracket-in-string": b'[["]]]"], [[{"a": "[{"}]]]',
+}
+
+
+@pytest.mark.parametrize("data", list(ODD_INPUTS.values()), ids=list(ODD_INPUTS))
+def test_reader_handles_odd_inputs_as_json_does(json_file, data):
+    """The value, or the exception type and message (positions included), that ``json.load`` gives."""
+    assert_reads_as_json_does(data, json_file)
+
+
+@pytest.mark.parametrize(
+    "text,value",
+    [
+        ("18446744073709551616", 1.8446744073709552e19),
+        ("-9223372036854775809", -9.223372036854776e18),
+        ("[1" + "0" * 30 + "]", [1e30]),
+    ],
+)
+def test_integers_past_64_bits_read_as_floats(json_file, text, value):
+    """The one deliberate difference from ``json``: an integer outside [-2**63, 2**64) reads as the nearest float."""
+    json_file.write_text(text)
+    assert json_load(json_file) != value or type(json_load(json_file)) is not type(value)
+    assert same_value(serialize.load_json(json_file), value)
+
+
+@pytest.mark.parametrize("text", ["18446744073709551615", "-9223372036854775808"])
+def test_integers_within_64_bits_stay_integers(json_file, text):
+    json_file.write_text(text)
+    assert same_value(serialize.load_json(json_file), int(text))
+
+
+def test_deep_texts_never_reach_orjson(json_file, monkeypatch):
+    """orjson 3.8 has no depth limit: a deep enough text overflows the C stack.
+
+    A text at the limit is read by orjson, where ``json`` may raise ``RecursionError``.
+    """
+    seen = []
+    loads = serialize.orjson.loads
+    monkeypatch.setattr(serialize.orjson, "loads", lambda data: seen.append(len(data)) or loads(data))
+    json_file.write_bytes(nested(serialize.ORJSON_MAX_DEPTH + 1))
+    with pytest.raises(RecursionError):
+        serialize.load_json(json_file)
+    json_file.write_bytes(b'["[' + b"[" * 2000 + b'"]')  # a bracket in a string counts as deep
+    assert serialize.load_json(json_file) == ["[" * 2001]
+    assert seen == []
+    json_file.write_bytes(nested(serialize.ORJSON_MAX_DEPTH))
+    value = serialize.load_json(json_file)
+    assert seen == [2 * serialize.ORJSON_MAX_DEPTH]
+    for _ in range(serialize.ORJSON_MAX_DEPTH - 1):
+        (value,) = value
+    assert value == []
+
+
+def test_a_very_deep_text_raises_instead_of_crashing(tmp_path):
+    """Half a million nested objects: json's ``RecursionError``, where orjson 3.8 would kill the process."""
+    import os
+    import subprocess
+    import sys
+    from pathlib import Path
+
+    path = tmp_path / "deep.json"
+    path.write_bytes(b'{"a":' * 500_000 + b"1" + b"}" * 500_000)
+    script = (
+        "import sys\nfrom fairsamp import serialize\n"
+        "try:\n    serialize.load_json(sys.argv[1])\nexcept RecursionError:\n    sys.exit(3)\n"
+    )
+    src = str(Path(serialize.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    result = subprocess.run([sys.executable, "-c", script, str(path)], capture_output=True, timeout=120, env=env)
+    assert result.returncode == 3, result.stderr
+
+
+def json_depth(value) -> int:
+    if isinstance(value, Members):
+        return 1 + max((json_depth(v) for _, v in value), default=0)
+    if isinstance(value, list):
+        return 1 + max(map(json_depth, value), default=0)
+    return 0
+
+
+def has_bracket_string(value) -> bool:
+    if isinstance(value, str):
+        return any(c in value for c in "[]{}")
+    if isinstance(value, Members):
+        return any(has_bracket_string(k) or has_bracket_string(v) for k, v in value)
+    return isinstance(value, list) and any(map(has_bracket_string, value))
+
+
+@settings(max_examples=200, deadline=None)
+@given(JSON_VALUES, st.booleans())
+def test_depth_scan_never_reads_a_text_as_shallower_than_it_is(value, ascii_only):
+    """Exact when no string holds a bracket (quotes and backslashes in strings never count); else deep."""
+    data = json_text(value, ascii_only, ", ").encode("utf-8", "surrogatepass")
+    depth = json_depth(value)
+    assert not serialize._nests_at_most(data, depth - 1)
+    assert serialize._nests_at_most(data, depth) is not has_bracket_string(value)
