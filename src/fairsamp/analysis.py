@@ -59,6 +59,8 @@ class Reference:
     one per device of a shared matrix with ``shared_references``; a
     ``FairSamplingVerdict`` carries the one it reports.  A reference built
     ``like`` another of the same ``mq`` reads that one's decomposition.
+    A matrix whose shape is not the device's ``(dim, dim)`` raises ``ValueError``
+    before anything multiplies it.
     """
 
     def __init__(self, mq: np.ndarray | None, clicks: _Clicks, like: Reference | None = None):
@@ -67,6 +69,10 @@ class Reference:
             if not live.any():
                 raise ValueError("all click elements vanish; no reference operator exists")
             mq = sum(clicks.stack[live] / clicks.norms[live, None, None]) / int(live.sum())
+        elif np.shape(mq) != (clicks.device.dim,) * 2:
+            raise ValueError(
+                f"reference operator has shape {np.shape(mq)}, but the device has dimension {clicks.device.dim}"
+            )
         self.mq, self.clicks, self._like = mq, clicks, like
 
     @functools.cached_property

@@ -1,10 +1,12 @@
 """Command-line entry points: check, decompose, simulate, bound, demo.
 
-Every command reads and writes UTF-8 JSON.  ``check`` exits 0 when the
-device passes the weak fair-sampling test, 2 when it fails (with the
-deviation reported), and 1 on input errors.  Reports always carry both the
-theoretical bound and the measured quantity so the inequalities can be
-audited externally.
+Every command reads and writes UTF-8 JSON, and each command and each demo
+takes only the options it reads.  ``check`` exits 0 when the device passes
+the weak fair-sampling test and 2 when it fails (with the deviation
+reported).  Any command whose input cannot be loaded, or whose computation
+fails on it, prints one ``error:`` line and exits 1.  Reports always carry
+both the theoretical bound and the measured quantity so the inequalities
+can be audited externally.
 """
 
 from __future__ import annotations
@@ -33,10 +35,7 @@ from .linalg import VERDICT_TOL, projector
 from .optics import AnalyserSpec, analyser_device, analyser_epsilon_closed_form, analyser_mq
 from .sampling import random_fair_sampling_device
 
-DEMOS = ("makarov", "analyser", "chsh-singlet", "prop2-random")
-
-#: What reading an input file may raise.  A text nested too deeply raises ``RecursionError``
-#: when it is parsed or when an error message writes the offending value.
+#: What reading an input file may raise.  ``json`` raises ``RecursionError`` for a text nested too deeply.
 LOAD_ERRORS = (OSError, ValueError, KeyError, RecursionError)
 
 
@@ -46,24 +45,25 @@ def _emit(payload, out_path: str | None) -> None:
         sys.stdout.write(text + "\n")
 
 
-def _fail(message: str) -> int:
-    sys.stderr.write(message.rstrip() + "\n")
-    return 1
+def _load(path: str, parse, what: str | None = None):
+    """``parse`` of the JSON value in the file at ``path``.
+
+    A load error raises ``ValueError`` with its text, after ``cannot load <what>: `` when ``what`` is given.
+    """
+    try:
+        return parse(serialize.load_json(path))
+    except LOAD_ERRORS as exc:
+        raise ValueError(f"cannot load {what}: {exc}" if what else str(exc)) from None
+
+
+def _load_scenario(path: str) -> BellScenario:
+    return _load(path, functools.partial(serialize.scenario_from_json, base_dir=Path(path).parent), "scenario")
 
 
 def cmd_check(args) -> int:
-    try:
-        dev = serialize.device_from_json(serialize.load_json(args.device))
-    except LOAD_ERRORS as exc:
-        return _fail(f"error: cannot load device: {exc}")
-    try:
-        mq = None if args.mq is None else serialize.matrix_from_json(serialize.load_json(args.mq))
-    except LOAD_ERRORS as exc:
-        return _fail(f"error: {exc}")
-    try:
-        verdict = check_exact(dev, tol=args.tol, mq=mq)
-    except (ValueError, np.linalg.LinAlgError) as exc:
-        return _fail(f"error: {exc}")
+    dev = _load(args.device, serialize.device_from_json, "device")
+    mq = None if args.mq is None else _load(args.mq, serialize.matrix_from_json)
+    verdict = check_exact(dev, tol=args.tol, mq=mq)
     payload = serialize.verdict_to_json(verdict)
     if verdict.epsilon < 1.0:
         payload["tv_bound"] = serialize.sig15(tv_bound(verdict.epsilon))
@@ -73,16 +73,10 @@ def cmd_check(args) -> int:
 
 def cmd_decompose(args) -> int:
     if args.trials < 1:
-        return _fail(f"error: --trials must be at least 1, got {args.trials}")
-    try:
-        dev = serialize.device_from_json(serialize.load_json(args.device))
-    except LOAD_ERRORS as exc:
-        return _fail(f"error: cannot load device: {exc}")
-    try:
-        decomp = canonical_decomposition(dev)
-        max_dev = verify_recomposition(dev, decomp, trials=args.trials, seed=args.seed)
-    except ValueError as exc:
-        return _fail(f"error: {exc}")
+        raise ValueError(f"--trials must be at least 1, got {args.trials}")
+    dev = _load(args.device, serialize.device_from_json, "device")
+    decomp = canonical_decomposition(dev)
+    max_dev = verify_recomposition(dev, decomp, trials=args.trials, seed=args.seed)
     out_dir = Path(args.output or (Path(args.device).stem + ".decomposition"))
     out_dir.mkdir(parents=True, exist_ok=True)
     filters_json, lossless_json = serialize.decomposition_to_json(decomp)
@@ -135,39 +129,18 @@ def _scenario_report(sc: BellScenario, postselect: bool, tol: float) -> tuple[di
 
 
 def cmd_simulate(args) -> int:
-    try:
-        sc = serialize.scenario_from_json(
-            serialize.load_json(args.scenario), base_dir=Path(args.scenario).parent
-        )
-    except LOAD_ERRORS as exc:
-        return _fail(f"error: cannot load scenario: {exc}")
-    try:
-        report, _ = _scenario_report(sc, args.postselect, args.tol)
-    except ValueError as exc:
-        return _fail(f"error: {exc}")
+    report, _ = _scenario_report(_load_scenario(args.scenario), args.postselect, args.tol)
     _emit(report, args.output)
     return 0
 
 
 def cmd_bound(args) -> int:
-    try:
-        sc = serialize.scenario_from_json(
-            serialize.load_json(args.scenario), base_dir=Path(args.scenario).parent
-        )
-    except LOAD_ERRORS as exc:
-        return _fail(f"error: cannot load scenario: {exc}")
-    try:
-        mq = None if args.mq is None else serialize.matrix_from_json(serialize.load_json(args.mq))
-    except LOAD_ERRORS as exc:
-        return _fail(f"error: {exc}")
-    try:
-        if mq is not None:
-            mqs = shared_references(sc.devices, mq)
-        else:
-            mqs = [check_exact(dev, tol=args.tol).reference for dev in sc.devices]
-        br = bound_report(sc, mqs)
-    except (ValueError, KeyError) as exc:
-        return _fail(f"error: {exc}")
+    sc = _load_scenario(args.scenario)
+    if args.mq is not None:
+        mqs = shared_references(sc.devices, _load(args.mq, serialize.matrix_from_json))
+    else:
+        mqs = [check_exact(dev, tol=args.tol).reference for dev in sc.devices]
+    br = bound_report(sc, mqs)
     report = {
         "per_party": [
             {"epsilon": serialize.sig15(e), "tv_bound": serialize.sig15(tv_bound(e))}
@@ -294,68 +267,70 @@ def _demo_prop2_random(args) -> dict:
 
 
 def cmd_demo(args) -> int:
-    try:
-        if args.name == "makarov":
-            payload = _demo_makarov(args)
-        elif args.name == "analyser":
-            payload = _demo_analyser(args)
-        elif args.name == "chsh-singlet":
-            payload = _demo_chsh_singlet(args)
-        else:
-            payload = _demo_prop2_random(args)
-    except (ValueError, KeyError) as exc:
-        return _fail(f"error: {exc}")
-    _emit(payload, args.output)
+    demos = {
+        "makarov": _demo_makarov,
+        "analyser": _demo_analyser,
+        "chsh-singlet": _demo_chsh_singlet,
+        "prop2-random": _demo_prop2_random,
+    }
+    _emit(demos[args.name](args), args.output)
     return 0
 
 
 @functools.cache
 def build_parser() -> argparse.ArgumentParser:
-    """The command-line parser, built once per process and reused by every ``main`` call."""
+    """The command-line parser, built once per process and reused by every ``main`` call.
+
+    Each command and each demo takes only the options it reads, and ``-o``.
+    """
     parser = argparse.ArgumentParser(
         prog="fairsamp",
         description="Fair-sampling analysis of lossy measurement devices and Bell experiments",
     )
     sub = parser.add_subparsers(dest="command", required=True)
+    shared = {
+        "--tol": dict(type=float, default=VERDICT_TOL, help="decision tolerance"),
+        "--seed": dict(type=int, default=0, help="seed for randomized checks"),
+        "--mq": dict(default=None, help="reference operator JSON used in place of each device's own"),
+    }
 
-    def common(p):
-        p.add_argument("--tol", type=float, default=VERDICT_TOL, help="decision tolerance")
-        p.add_argument("--seed", type=int, default=0, help="seed for randomized checks")
+    def command(parent, name: str, summary: str, *options: str) -> argparse.ArgumentParser:
+        p = parent.add_parser(name, help=summary)
+        for option in options:
+            p.add_argument(option, **shared[option])
         p.add_argument("-o", "--output", default=None, help="output path (default stdout)")
+        return p
 
-    p = sub.add_parser("check", help="fair-sampling verdict for a device file")
+    p = command(sub, "check", "fair-sampling verdict for a device file", "--mq", "--tol")
     p.add_argument("device")
-    p.add_argument("--mq", default=None, help="reference operator JSON for mq, support and epsilon")
-    common(p)
-
-    p = sub.add_parser("decompose", help="canonical filter/lossless decomposition")
+    p = command(sub, "decompose", "canonical filter/lossless decomposition", "--seed")
     p.add_argument("device")
     p.add_argument("--trials", type=int, default=100, help="random states for verification")
-    common(p)
-
-    p = sub.add_parser("simulate", help="joint statistics of a Bell scenario file")
+    p = command(sub, "simulate", "joint statistics of a Bell scenario file", "--tol")
     p.add_argument("scenario")
     p.add_argument("--postselect", action="store_true", help="include post-selected statistics")
-    common(p)
-
-    p = sub.add_parser("bound", help="deviation bounds and measured deviations for a scenario")
+    p = command(sub, "bound", "deviation bounds and measured deviations for a scenario", "--mq", "--tol")
     p.add_argument("scenario")
-    p.add_argument("--mq", default=None, help="reference operator JSON used for every party")
-    common(p)
 
-    p = sub.add_parser("demo", help="reproducible built-in demonstrations")
-    p.add_argument("name", choices=DEMOS)
-    p.add_argument("--noise", type=float, default=0.0, help="outcome noise for the makarov demo")
+    demos = sub.add_parser("demo", help="reproducible built-in demonstrations").add_subparsers(
+        dest="name", required=True
+    )
+    p = command(demos, "makarov", "faked CHSH violation by a detector-blinding adversary", "--tol", "--seed")
+    p.add_argument("--noise", type=float, default=0.0, help="outcome noise")
+    p = command(demos, "analyser", "numeric against closed-form epsilon of mismatched analysers")
     p.add_argument("--nmax", type=int, default=4, help="photon-number truncation")
-    p.add_argument("--eta1", type=float, default=None, help="first detector efficiency")
     p.add_argument("--eta2", type=float, default=None, help="second detector efficiency")
-    p.add_argument("--delta", type=float, default=None, help="relative miss-probability excess")
-    p.add_argument("--count", type=int, default=20, help="scenario count for prop2-random")
-    common(p)
+    pair = p.add_mutually_exclusive_group()
+    pair.add_argument("--eta1", type=float, default=None, help="first detector efficiency")
+    pair.add_argument("--delta", type=float, default=None, help="relative miss-probability excess")
+    command(demos, "chsh-singlet", "post-selected CHSH of a singlet at quarter efficiency", "--tol")
+    p = command(demos, "prop2-random", "ideal-experiment deviations of random fair scenarios", "--seed")
+    p.add_argument("--count", type=int, default=20, help="scenario count")
     return parser
 
 
 def main(argv: list[str] | None = None) -> int:
+    """Run one command; an input or computation error prints ``error: ...`` and returns 1."""
     args = build_parser().parse_args(argv)
     # Looked up per call, not bound into the cached parser, so a replaced command is the one run.
     commands = {
@@ -365,7 +340,11 @@ def main(argv: list[str] | None = None) -> int:
         "bound": cmd_bound,
         "demo": cmd_demo,
     }
-    return commands[args.command](args)
+    try:
+        return commands[args.command](args)
+    except (ValueError, KeyError) as exc:
+        sys.stderr.write(f"error: {exc}".rstrip() + "\n")
+        return 1
 
 
 if __name__ == "__main__":

@@ -40,13 +40,13 @@ class NotPositiveError(ValueError):
     """Input matrix has an eigenvalue below the negative tolerance."""
 
 
-def as_operator(m, max_dim: int = MAX_DIM) -> np.ndarray:
+def as_operator(m) -> np.ndarray:
     """Coerce to a square complex matrix, enforcing the dimension cap."""
     a = np.asarray(m, dtype=complex)
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
         raise ValueError(f"expected a square matrix, got shape {a.shape}")
-    if a.shape[0] > max_dim:
-        raise ValueError(f"dimension {a.shape[0]} exceeds the cap {max_dim}")
+    if a.shape[0] > MAX_DIM:
+        raise ValueError(f"dimension {a.shape[0]} exceeds the cap {MAX_DIM}")
     return a
 
 

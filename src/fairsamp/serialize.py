@@ -39,6 +39,49 @@ def matrix_to_json(m: np.ndarray) -> list:
     return a.view(np.float64).reshape(a.shape + (2,)).tolist()
 
 
+#: How many characters of ``repr`` of an offending value a field error quotes.
+PREVIEW_CHARS = 40
+
+
+def _repr_pieces(value):
+    """The text of ``repr(value)`` for a JSON value, in pieces; a long string yields its first ``PREVIEW_CHARS``."""
+    if type(value) is list:
+        yield "["
+        for i, item in enumerate(value):
+            yield ", " if i else ""
+            yield from _repr_pieces(item)
+        yield "]"
+    elif type(value) is dict:
+        yield "{"
+        for i, (key, item) in enumerate(value.items()):
+            yield ", " if i else ""
+            yield from _repr_pieces(key)
+            yield ": "
+            yield from _repr_pieces(item)
+        yield "}"
+    elif type(value) is str and len(value) > PREVIEW_CHARS:
+        # repr quotes with '"' only when the whole string holds "'" and no '"': the probe's last
+        # character makes repr of the prefix pick the same quote.
+        yield repr(value[:PREVIEW_CHARS] + ("'" if "'" in value and '"' not in value else '"'))
+    else:
+        yield repr(value)
+
+
+def _preview(value) -> str:
+    """``repr(value)[:PREVIEW_CHARS]`` of a JSON value, built no further than that.
+
+    Each nesting level writes a bracket first, so at most ``PREVIEW_CHARS``
+    levels are entered: a huge value costs no more than a short one, and one
+    nested past the recursion limit still gets its preview.
+    """
+    text = ""
+    for piece in _repr_pieces(value):
+        text += piece
+        if len(text) >= PREVIEW_CHARS:
+            break
+    return text[:PREVIEW_CHARS]
+
+
 def _first_index(bad, items) -> int:
     return next(i for i, item in enumerate(items) if bad(item))
 
@@ -50,19 +93,19 @@ def matrix_from_json(obj) -> np.ndarray:
     else raises ``ValueError`` naming the first offending row or entry.
     """
     if type(obj) is not list or not obj:
-        raise ValueError(f"matrix must be a non-empty list of rows, got {obj!r:.40}")
+        raise ValueError(f"matrix must be a non-empty list of rows, got {_preview(obj)}")
     n = len(obj)
     if set(map(type, obj)) != {list} or set(map(len, obj)) != {n}:
         i = _first_index(lambda row: type(row) is not list or len(row) != n, obj)
-        raise ValueError(f"row {i} is {obj[i]!r:.40}, expected length {n} (square matrix)")
+        raise ValueError(f"row {i} is {_preview(obj[i])}, expected length {n} (square matrix)")
     entries = list(chain.from_iterable(obj))
     if set(map(type, entries)) != {list} or set(map(len, entries)) != {2}:
         i = _first_index(lambda e: type(e) is not list or len(e) != 2, entries)
-        raise ValueError(f"entry [{i // n}][{i % n}] is {entries[i]!r:.40}, expected [re, im]")
+        raise ValueError(f"entry [{i // n}][{i % n}] is {_preview(entries[i])}, expected [re, im]")
     parts = list(chain.from_iterable(entries))
     if not set(map(type, parts)) <= {float, int}:
         i = _first_index(lambda v: type(v) not in (float, int), parts) // 2
-        raise ValueError(f"entry [{i // n}][{i % n}] is {entries[i]!r:.40}, expected two numbers")
+        raise ValueError(f"entry [{i // n}][{i % n}] is {_preview(entries[i])}, expected two numbers")
     try:
         flat = np.fromiter(parts, dtype=np.float64, count=len(parts))
     except OverflowError:
@@ -70,7 +113,7 @@ def matrix_from_json(obj) -> np.ndarray:
     finite = np.isfinite(flat)
     if not finite.all():
         i = int(np.argmin(finite)) // 2
-        raise ValueError(f"entry [{i // n}][{i % n}] is {entries[i]!r:.40}, expected finite numbers")
+        raise ValueError(f"entry [{i // n}][{i % n}] is {_preview(entries[i])}, expected finite numbers")
     return flat.view(np.complex128).reshape(n, n)
 
 
@@ -124,13 +167,13 @@ def _field(obj: dict, key: str, owner: str = ""):
 
 def _json_object(obj, where: str) -> dict:
     if type(obj) is not dict:
-        raise ValueError(f"{where} must be a JSON object, got {obj!r:.40}")
+        raise ValueError(f"{where} must be a JSON object, got {_preview(obj)}")
     return obj
 
 
 def _dim_at(where: str, value) -> int:
     if type(value) is not int or value < 1:
-        raise ValueError(f"{where} must be a positive integer, got {value!r:.40}")
+        raise ValueError(f"{where} must be a positive integer, got {_preview(value)}")
     return value
 
 
@@ -140,13 +183,13 @@ def _number_at(where: str, value) -> float:
     except OverflowError:
         x = inf
     if not isfinite(x):
-        raise ValueError(f"{where} must be a finite JSON number, got {value!r:.40}")
+        raise ValueError(f"{where} must be a finite JSON number, got {_preview(value)}")
     return x
 
 
 def _labels_at(where: str, value) -> list[str]:
     if type(value) is not list or not set(map(type, value)) <= {str}:
-        raise ValueError(f"{where} must be a list of strings, got {value!r:.40}")
+        raise ValueError(f"{where} must be a list of strings, got {_preview(value)}")
     return value
 
 
@@ -198,7 +241,7 @@ def coeffs_from_json(obj) -> BellCoeffs:
     are they parsed one at a time, to name the first bad entry.
     """
     if type(obj) is not list:
-        raise ValueError(f"coeffs must be a list, got {obj!r:.40}")
+        raise ValueError(f"coeffs must be a list, got {_preview(obj)}")
     coeffs = _coeffs_in_bulk(obj)
     return coeffs if coeffs is not None else _coeffs_by_entry(obj)
 
@@ -254,7 +297,7 @@ def scenario_from_json(obj, base_dir: str | Path | None = None) -> BellScenario:
     obj = _json_object(obj, "scenario")
     parties = _field(obj, "parties")
     if type(parties) is not list:
-        raise ValueError(f"parties must be a list, got {parties!r:.40}")
+        raise ValueError(f"parties must be a list, got {_preview(parties)}")
     devices = []
     for i, party in enumerate(parties):
         party = _json_object(party, f"party {i}")

@@ -1,5 +1,7 @@
 """Fair-sampling verdicts, the approximate deviation and the companion bounds."""
 
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -404,6 +406,28 @@ class TestReferenceDecompositions:
         twin = LossyDevice(dev.dim, dev.settings, dev.outcomes, dev.povm)
         with pytest.raises(ValueError, match="reference was built for another device"):
             approximate_epsilon(twin, reference(dev))
+
+    @pytest.mark.parametrize("shape", [(2, 2), (4, 4), (3, 2), (3,)])
+    def test_reference_of_another_dimension_is_named(self, rng, shape):
+        """Every step taking a reference matrix compares its shape with the device before multiplying."""
+        from fairsamp.bell import BellScenario, bound_report, ideal_scenario
+
+        dev = helpers.perturbed_fair_device(rng)
+        mq = np.ones(shape)
+        message = "^" + re.escape(f"reference operator has shape {shape}, but the device has dimension 3") + "$"
+        sc = BellScenario([dev, dev], random_density(9, rng))
+        steps = [
+            lambda: reference(dev, mq),
+            lambda: shared_references([dev, dev], mq),
+            lambda: check_exact(dev, mq=mq),
+            lambda: approximate_epsilon(dev, mq),
+            lambda: ideal_device_from(dev, mq),
+            lambda: ideal_scenario(sc, [mq, mq]),
+            lambda: bound_report(sc, [mq, mq]),
+        ]
+        for step in steps:
+            with pytest.raises(ValueError, match=message):
+                step()
 
 
 VERDICT_KINDS = ("fair", "strong", "homogeneous", "perturbed")

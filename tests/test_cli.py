@@ -1,6 +1,10 @@
 """Command-line behavior: exit codes, file outputs and demo stability."""
 
+import argparse
+import ast
+import inspect
 import json
+import textwrap
 
 import numpy as np
 import pytest
@@ -96,6 +100,12 @@ class TestCheck:
         payload = json.loads(capsys.readouterr().out)
         np.testing.assert_array_equal(serialize.matrix_from_json(payload["mq"]), np.eye(6))
         np.testing.assert_allclose(serialize.matrix_from_json(payload["support"]), np.eye(6), atol=1e-12)
+
+    def test_reference_of_another_dimension_exits_one(self, traced_file, tmp_path, capsys):
+        eye3 = tmp_path / "eye3.json"
+        serialize.dump_json(serialize.matrix_to_json(np.eye(3)), eye3)
+        assert main(["check", str(traced_file), "--mq", str(eye3)]) == 1
+        assert capsys.readouterr() == ("", "error: reference operator has shape (3, 3), but the device has dimension 2\n")
 
     def test_dead_setting_erased_from_verdict(self, tmp_path, capsys):
         path = tmp_path / "silent.json"
@@ -344,6 +354,12 @@ class TestBound:
             2.0 * report["epsilon_total"] * 4.0, abs=1e-12
         )
 
+
+    def test_reference_of_another_dimension_exits_one(self, chsh_file, tmp_path, capsys):
+        eye3 = tmp_path / "eye3.json"
+        serialize.dump_json(serialize.matrix_to_json(np.eye(3)), eye3)
+        assert main(["bound", str(chsh_file), "--mq", str(eye3)]) == 1
+        assert capsys.readouterr() == ("", "error: reference operator has shape (3, 3), but the device has dimension 2\n")
 
     def test_dead_setting_is_erased(self, dead_file, capsys):
         assert main(["bound", str(dead_file)]) == 0
@@ -611,7 +627,7 @@ class TestMalformedFields:
 
 
 class TestDeepNesting:
-    """A text nested too deeply to read, or to name in an error, exits 1 with a load error, not a traceback."""
+    """A text nested too deeply to read exits 1 with a load error, not a traceback; a readable one is named by its start."""
 
     @pytest.mark.parametrize("depth", [1000, 5000])
     @pytest.mark.parametrize("command", ["check", "decompose", "simulate", "bound"])
@@ -623,7 +639,10 @@ class TestDeepNesting:
         out, err = capsys.readouterr()
         kind = "device" if command in ("check", "decompose") else "scenario"
         assert out == ""
-        assert err.startswith(f"error: cannot load {kind}: ") and "recursion" in err and err.count("\n") == 1
+        if depth == 1000:
+            assert err == f"error: cannot load {kind}: {kind} must be a JSON object, got {'[' * 40}\n"
+        else:
+            assert err.startswith(f"error: cannot load {kind}: ") and "recursion" in err and err.count("\n") == 1
 
     @pytest.mark.parametrize("depth", [1000, 5000])
     @pytest.mark.parametrize("command", ["check", "bound"])
@@ -633,7 +652,101 @@ class TestDeepNesting:
         assert main([command, str(traced_file if command == "check" else chsh_file), "--mq", str(mq)]) == 1
         out, err = capsys.readouterr()
         assert out == ""
-        assert err.startswith("error: ") and "recursion" in err and err.count("\n") == 1
+        if depth == 1000:
+            assert err == f"error: entry [0][0] is {'[' * 40}, expected [re, im]\n"
+        else:
+            assert err.startswith("error: ") and "recursion" in err and err.count("\n") == 1
+
+
+def subcommands(parser: argparse.ArgumentParser) -> dict[str, argparse.ArgumentParser]:
+    return {
+        name: sub
+        for action in parser._actions
+        if isinstance(action, argparse._SubParsersAction)
+        for name, sub in action.choices.items()
+    }
+
+
+def parsers_and_readers():
+    """(argv prefix, parser, functions that read its arguments) for each command and each demo.
+
+    A command's arguments are read by ``cmd_<command>``; a demo's by ``_demo_<name>`` and by ``cmd_demo``.
+    """
+    from fairsamp import cli
+
+    for command, parser in subcommands(cli.build_parser()).items():
+        demos = subcommands(parser)
+        if not demos:
+            yield [command], parser, [getattr(cli, f"cmd_{command}")]
+        for demo, demo_parser in demos.items():
+            yield [command, demo], demo_parser, [getattr(cli, "_demo_" + demo.replace("-", "_")), cli.cmd_demo]
+
+
+def args_read(fn) -> set[str]:
+    """The attributes ``fn`` reads from its ``args``."""
+    tree = ast.parse(textwrap.dedent(inspect.getsource(fn)))
+    return {
+        node.attr
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name) and node.value.id == "args"
+    }
+
+
+#: The options of each command and demo.  Each also takes ``-o``.
+ACCEPTED = {
+    "check": {"--mq", "--tol"},
+    "decompose": {"--trials", "--seed"},
+    "simulate": {"--postselect", "--tol"},
+    "bound": {"--mq", "--tol"},
+    "demo makarov": {"--noise", "--tol", "--seed"},
+    "demo analyser": {"--nmax", "--eta1", "--eta2", "--delta"},
+    "demo chsh-singlet": {"--tol"},
+    "demo prop2-random": {"--count", "--seed"},
+}
+#: The options every demo took when all of them shared one parser (``-o`` aside).
+ALL_DEMO_OPTIONS = {"--noise", "--nmax", "--eta1", "--eta2", "--delta", "--count", "--tol", "--seed"}
+#: Options once taken without being read, each now rejected: every command also took ``--tol`` and ``--seed``.
+REJECTED = [
+    (command, option)
+    for command, accepted in ACCEPTED.items()
+    for option in sorted((ALL_DEMO_OPTIONS if command.startswith("demo ") else accepted | {"--tol", "--seed"}) - accepted)
+]
+
+
+class TestOptions:
+    """Each command and each demo takes only the options it reads."""
+
+    def test_every_argument_is_read(self):
+        unread = [
+            (" ".join(prefix), action.dest)
+            for prefix, parser, readers in parsers_and_readers()
+            for action in parser._actions
+            if not isinstance(action, (argparse._HelpAction, argparse._SubParsersAction))
+            and action.dest not in set().union(*map(args_read, readers))
+        ]
+        assert unread == []
+
+    def test_each_command_takes_exactly_its_options(self):
+        taken = {
+            " ".join(prefix): {a.option_strings[-1] for a in parser._actions if a.option_strings} - {"--help"}
+            for prefix, parser, _ in parsers_and_readers()
+        }
+        assert taken == {command: accepted | {"--output"} for command, accepted in ACCEPTED.items()}
+        assert len(REJECTED) == 26
+
+    @pytest.mark.parametrize("command,option", REJECTED, ids=[f"{c} {o}" for c, o in REJECTED])
+    def test_unread_option_exits_two(self, capsys, command, option):
+        files = [] if command.startswith("demo ") else ["in.json"]
+        with pytest.raises(SystemExit) as exc:
+            main([*command.split(), *files, option, "1"])
+        assert exc.value.code == 2
+        assert f"error: unrecognized arguments: {option} 1\n" in capsys.readouterr().err
+
+    def test_eta1_and_delta_exclude_each_other(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["demo", "analyser", "--eta1", "0.7", "--delta", "0.1"])
+        assert exc.value.code == 2
+        assert "argument --delta: not allowed with argument --eta1" in capsys.readouterr().err
 
 
 def canonical(text: str) -> str:

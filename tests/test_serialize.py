@@ -4,7 +4,7 @@ import json
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from fairsamp.adversary import makarov_traced
@@ -709,3 +709,50 @@ def test_depth_scan_never_reads_a_text_as_shallower_than_it_is(value, ascii_only
     depth = json_depth(value)
     assert not serialize._nests_at_most(data, depth - 1)
     assert serialize._nests_at_most(data, depth) is not has_bracket_string(value)
+
+
+# --- previews of offending values in field errors
+
+PREVIEW_STRINGS = st.one_of(
+    st.text(st.one_of(st.characters(), st.sampled_from("'\"\\\n\t\x00\x7f\ud800é😀")), max_size=50),
+    st.builds(str.__add__, st.text(max_size=45), st.text(alphabet="'\"", max_size=2)),
+    st.builds(str.__mul__, st.sampled_from(["'", '"', "a", "\\", "\n", "😀"]), st.integers(30, 200)),
+)
+PREVIEW_VALUES = st.recursive(
+    st.one_of(st.none(), st.booleans(), st.integers(-(2**64), 2**64), ALL_DOUBLES, PREVIEW_STRINGS),
+    lambda children: st.one_of(
+        st.lists(children, max_size=5), st.dictionaries(PREVIEW_STRINGS, children, max_size=5)
+    ),
+    max_leaves=20,
+)
+
+
+def wrapped(value, depth: int, kind: str):
+    """``value`` wrapped ``depth`` times in a one-item list or a one-member object."""
+    for _ in range(depth):
+        value = [value] if kind == "list" else {"k": value}
+    return value
+
+
+@settings(max_examples=400, deadline=None)
+@given(PREVIEW_VALUES, st.one_of(st.integers(0, 3), st.integers(0, 500)), st.sampled_from(["list", "dict"]))
+@example({"b": 1, "a": ["x" * 50]}, 0, "list")
+@example("'" * 39 + '"', 0, "list")
+@example("a" * 45 + "'", 0, "list")
+def test_preview_is_the_start_of_repr(value, depth, kind):
+    """Dicts in insertion order, long strings quoted as repr quotes them whole, escapes, nesting."""
+    value = wrapped(value, depth, kind)
+    assert serialize._preview(value) == repr(value)[: serialize.PREVIEW_CHARS]
+
+
+def test_preview_enters_no_more_levels_than_it_writes():
+    assert serialize._preview(wrapped([], 100_000, "list")) == "[" * 40
+    assert serialize._preview(wrapped(0, 100_000, "dict")) == ("{'k': " * 7)[:40]
+
+
+@pytest.mark.parametrize(
+    "parse", [serialize.device_from_json, serialize.scenario_from_json, serialize.matrix_from_json]
+)
+def test_parsers_name_a_value_nested_past_the_recursion_limit(parse):
+    with pytest.raises(ValueError, match=r"(got|is) \[{40}"):
+        parse(wrapped([], 10_000, "list"))
