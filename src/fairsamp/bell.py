@@ -275,14 +275,24 @@ def filtered_global_state(mqs: Sequence[np.ndarray | Reference], psi: np.ndarray
 
     Returns the normalized filtered state and the probability that all local
     filters accept simultaneously.  A ``Reference`` in ``mqs`` gives its
-    ``root``.
+    ``root``.  References whose dimensions do not multiply to the state's
+    raise ``ValueError``.
     """
+    psi = as_operator(psi)
+    dims = [np.shape(mq.mq if isinstance(mq, Reference) else mq)[0] for mq in mqs]
+    if int(np.prod(dims)) != psi.shape[0]:
+        raise ValueError(f"reference dimensions {dims} do not match state dimension {psi.shape[0]}")
     sq = tensor([mq.root if isinstance(mq, Reference) else sqrt_pinv_sqrt(mq)[0] for mq in mqs])
-    branch = sq @ as_operator(psi) @ sq
+    branch = sq @ psi @ sq
     eq = float(np.trace(branch).real)
     if eq <= ZERO_ACCEPTANCE:
         raise ZeroAcceptanceError(f"global filter acceptance {eq:.3e} vanishes")
     return branch / eq, eq
+
+
+def _check_reference_count(sc: BellScenario, mqs: Sequence) -> None:
+    if len(mqs) != sc.n_parties:
+        raise ValueError(f"expected {sc.n_parties} references, one per party, got {len(mqs)}")
 
 
 def ideal_scenario(sc: BellScenario, mqs: Sequence[np.ndarray | Reference] | None = None) -> BellScenario:
@@ -292,7 +302,8 @@ def ideal_scenario(sc: BellScenario, mqs: Sequence[np.ndarray | Reference] | Non
     exact fair-sampling check and its extracted quantum element is used.
     A reference is a matrix or a ``Reference`` (a verdict's, say); each is
     eigendecomposed once, for the ideal device and the filter alike, and each
-    device's click stack is normed once.
+    device's click stack is normed once.  A list of the wrong length raises
+    ``ValueError``.
     """
     if mqs is None:
         mqs = []
@@ -301,10 +312,11 @@ def ideal_scenario(sc: BellScenario, mqs: Sequence[np.ndarray | Reference] | Non
             if mq is None:
                 raise ValueError(f"party {k} fails the exact fair-sampling check")
             mqs.append(Reference(mq, clicks))
+    _check_reference_count(sc, mqs)
     refs = [reference(dev, mq) for dev, mq in zip(sc.devices, mqs)]
     ideal = [ideal_device_from(dev, ref) for dev, ref in zip(sc.devices, refs)]
     psi_click, _ = filtered_global_state(refs, sc.psi)
-    out = BellScenario([dev.to_lossy() for dev in ideal], psi_click)
+    out = BellScenario(ideal, psi_click)
     # An ideal device keeps its device's outcomes but lacks the settings erased from the
     # verdict, which the coefficients may still name: share the compiled functional as is.
     out.bell_coeffs, out._functional = sc.bell_coeffs, sc._functional
@@ -501,8 +513,10 @@ def bound_report(sc: BellScenario, mqs: Sequence[np.ndarray | Reference]) -> Bou
     """Epsilons against ``mqs`` and the deviations from the ideal experiment built from them.
 
     A reference is a matrix or a ``Reference``; each is eigendecomposed and
-    conjugated once, for its epsilon and its ideal device alike.
+    conjugated once, for its epsilon and its ideal device alike.  A list of
+    the wrong length raises ``ValueError``.
     """
+    _check_reference_count(sc, mqs)
     refs = [reference(dev, mq) for dev, mq in zip(sc.devices, mqs)]
     eps = [approximate_epsilon(dev, ref) for dev, ref in zip(sc.devices, refs)]
     eps_tot = epsilon_total(eps)  # raises for an epsilon >= 1, where no ideal device exists

@@ -294,16 +294,17 @@ def build_parser() -> argparse.ArgumentParser:
         "--mq": dict(default=None, help="reference operator JSON used in place of each device's own"),
     }
 
-    def command(parent, name: str, summary: str, *options: str) -> argparse.ArgumentParser:
+    def command(parent, name: str, summary: str, *options: str, output="output path (default stdout)"):
         p = parent.add_parser(name, help=summary)
         for option in options:
             p.add_argument(option, **shared[option])
-        p.add_argument("-o", "--output", default=None, help="output path (default stdout)")
+        p.add_argument("-o", "--output", default=None, help=output)
         return p
 
     p = command(sub, "check", "fair-sampling verdict for a device file", "--mq", "--tol")
     p.add_argument("device")
-    p = command(sub, "decompose", "canonical filter/lossless decomposition", "--seed")
+    out_dir = "output directory (default <device>.decomposition)"
+    p = command(sub, "decompose", "canonical filter/lossless decomposition", "--seed", output=out_dir)
     p.add_argument("device")
     p.add_argument("--trials", type=int, default=100, help="random states for verification")
     p = command(sub, "simulate", "joint statistics of a Bell scenario file", "--tol")
@@ -330,7 +331,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
-    """Run one command; an input or computation error prints ``error: ...`` and returns 1."""
+    """Run one command; an input, output or computation error prints ``error: ...`` and returns 1."""
     args = build_parser().parse_args(argv)
     # Looked up per call, not bound into the cached parser, so a replaced command is the one run.
     commands = {
@@ -342,7 +343,7 @@ def main(argv: list[str] | None = None) -> int:
     }
     try:
         return commands[args.command](args)
-    except (ValueError, KeyError) as exc:
+    except (ValueError, KeyError, OSError) as exc:
         sys.stderr.write(f"error: {exc}".rstrip() + "\n")
         return 1
 

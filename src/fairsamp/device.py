@@ -28,6 +28,9 @@ from .linalg import (
 #: Reserved label for the failed-detection outcome.
 NOCLICK = "noclick"
 
+#: A device's input elements: setting -> outcome -> element, or the good elements in one stack.
+Elements = Mapping[str, Mapping[str, np.ndarray]] | np.ndarray
+
 
 class ZeroAcceptanceError(ValueError):
     """Acceptance probability vanished; the setting must be erased, not renormalized."""
@@ -45,47 +48,33 @@ class LossyDevice:
     ``stack`` holds every element in one read-only complex array of shape
     ``(settings, outcomes + 1, dim, dim)``: settings and good outcomes in
     label order, the no-click element last.  ``povm`` is a read-only mapping
-    setting -> outcome -> view into ``stack``.  The no-click element may be
-    omitted from the input, in which case it is reconstructed from
-    completeness; if present, the full sum must equal the identity within
-    COMPLETENESS_TOL.  Every element is checked for Hermiticity and
-    positivity at once (one ``linalg.psd_faults`` call per device); errors
-    name the first faulty element in label order, as a check of one element
-    at a time would.
+    setting -> outcome -> view into ``stack``.  The input ``povm`` is such a
+    mapping, or the good elements as one stack of shape ``(settings, outcomes,
+    dim, dim)``; either is copied.  A no-click element the input omits (a
+    stack always does) is reconstructed from completeness; if present, the
+    full sum must equal the identity within COMPLETENESS_TOL.  Every element
+    is checked for Hermiticity and positivity at once (one
+    ``linalg.psd_faults`` call per device); errors name the first faulty
+    element in label order, as a check of one element at a time would.
     """
 
-    def __init__(
-        self,
-        dim: int,
-        settings: Sequence[str],
-        outcomes: Sequence[str],
-        povm: Mapping[str, Mapping[str, np.ndarray]],
-    ):
+    def __init__(self, dim: int, settings: Sequence[str], outcomes: Sequence[str], povm: Elements):
         dim = int(dim)
         settings, outcomes = _labels(settings, outcomes)
-        n = len(outcomes)
-        eye = np.eye(dim, dtype=complex)
-        stack = np.empty((len(settings), n + 1, dim, dim), dtype=complex)
-        explicit = np.zeros(len(settings), dtype=bool)
-        for i, (x, block) in enumerate(zip(settings, stack)):
-            try:
-                row = _fill(block, x, outcomes, povm)
-                if NOCLICK in row:
-                    block[n] = _operator(dim, x, NOCLICK, row[NOCLICK])
-                    explicit[i] = True
-            except (TypeError, ValueError):
-                _check_lossy(settings[:i], outcomes, stack[:i], explicit[:i])  # earlier settings' faults come first
-                raise
-            if not explicit[i]:
-                np.subtract(eye, sum(block[:n]), out=block[n])
-        _check_lossy(settings, outcomes, stack, explicit)
+        stack = np.empty((len(settings), len(outcomes) + 1, dim, dim), dtype=complex)
+        given = np.zeros(len(settings), dtype=bool)  # which no-click elements the input holds
+        _fill(
+            stack, settings, outcomes, povm, lambda i: _check_lossy(settings[:i], outcomes, stack[:i], given[:i]), given
+        )
+        _check_lossy(settings, outcomes, stack, given)
         self._finish(dim, settings, outcomes, stack)
 
     def _finish(self, dim: int, settings: tuple[str, ...], outcomes: tuple[str, ...], stack: np.ndarray) -> None:
         """Take the validated ``stack`` as this device's elements; it is frozen, not copied."""
         stack.setflags(write=False)
         self.dim, self.settings, self.outcomes, self.stack = dim, settings, outcomes, stack
-        self.povm = _read_only_povm(settings, (*outcomes, NOCLICK), stack)
+        labels = (*outcomes, NOCLICK)
+        self.povm = MappingProxyType({x: MappingProxyType(dict(zip(labels, row))) for x, row in zip(settings, stack)})
 
     def element(self, x: str, a: str) -> np.ndarray:
         return self.povm[x][a]
@@ -160,40 +149,61 @@ def _operator(dim: int, x: str, a: str, m) -> np.ndarray:
     return m
 
 
-def _fill(block: np.ndarray, x: str, outcomes: Sequence[str], povm: Mapping) -> Mapping:
-    """Copy setting ``x``'s elements for ``outcomes`` from ``povm`` into ``block``, in order; returns ``povm[x]``.
+def _fill(stack: np.ndarray, settings: Sequence[str], outcomes: Sequence[str], povm: Elements, check, given=None):
+    """Copy the good elements of ``povm``, a mapping or a good-element stack, into ``stack[:, :outcomes]``.
 
-    A missing setting or element, or an element of the wrong dimension, raises
-    ``ValueError`` naming the setting and outcome.
+    With ``given``, a mapping's no-click elements are copied into the last row
+    too and flagged there.  A stack of the wrong shape raises
+    ``ValueError``; so does a missing setting or element, or an element of the
+    wrong dimension, naming the setting and outcome, but only after
+    ``check(i)`` has raised any fault of the ``i`` settings copied before it.
     """
-    if x not in povm:
-        raise ValueError(f"missing POVM entries for setting {x!r}")
-    row = povm[x]
-    for j, a in enumerate(outcomes):
-        if a not in row:
-            raise ValueError(f"missing POVM element for ({x!r}, {a!r})")
-        block[j] = _operator(block.shape[-1], x, a, row[a])
-    return row
+    n = len(outcomes)
+    if isinstance(povm, np.ndarray):
+        if povm.shape != stack[:, :n].shape:
+            raise ValueError(f"element stack has shape {povm.shape}, expected {stack[:, :n].shape}")
+        stack[:, :n] = povm
+        return
+    dim = stack.shape[-1]
+    for i, (x, block) in enumerate(zip(settings, stack)):
+        try:
+            if x not in povm:
+                raise ValueError(f"missing POVM entries for setting {x!r}")
+            row = povm[x]
+            for j, a in enumerate(outcomes):
+                if a not in row:
+                    raise ValueError(f"missing POVM element for ({x!r}, {a!r})")
+                block[j] = _operator(dim, x, a, row[a])
+            if given is not None and NOCLICK in row:
+                block[n] = _operator(dim, x, NOCLICK, row[NOCLICK])
+                given[i] = True
+        except (TypeError, ValueError):
+            check(i)  # earlier settings' faults come first
+            raise
 
 
-def _read_only_povm(settings: Sequence[str], labels: Sequence[str], stack: np.ndarray) -> Mapping:
-    """Read-only mapping setting -> label -> element view of a read-only ``stack``."""
-    return MappingProxyType(
-        {x: MappingProxyType(dict(zip(labels, block))) for x, block in zip(settings, stack)}
-    )
+def _complete(stack: np.ndarray, n: int, where: np.ndarray | bool = True) -> np.ndarray:
+    """Set the no-click rows (``where``) of ``stack`` to ``1 - sum`` of the ``n`` good elements; returns the sums."""
+    dim = stack.shape[-1]
+    sums = sum(stack[:, :n].swapaxes(0, 1), np.zeros((len(stack), dim, dim), dtype=complex))
+    np.subtract(np.eye(dim, dtype=complex), sums, out=stack[:, n], where=where)
+    return sums
 
 
-def _check_lossy(settings: Sequence[str], outcomes: Sequence[str], stack: np.ndarray, explicit: np.ndarray) -> None:
-    """Raise what a check of one element at a time, in label order, raises first on a lossy ``stack``.
+def _check_lossy(settings: Sequence[str], outcomes: Sequence[str], stack: np.ndarray, given: np.ndarray) -> None:
+    """Complete a lossy ``stack`` and raise what a check of one element at a time, in label order, raises first.
 
-    Per setting: each good element's Hermiticity and positivity, then the
-    completeness residual if the no-click element was given (``explicit``),
-    then the no-click element.  One ``psd_faults`` call covers every element.
+    The no-click row of each setting not flagged ``given`` is set from
+    completeness.  Per setting: each good element's Hermiticity and
+    positivity, then the completeness residual if the no-click element was
+    given, then the no-click element.  One ``psd_faults`` call covers every
+    element.
     """
     n = len(outcomes)
     eye = np.eye(stack.shape[-1], dtype=complex)
-    residual = np.max(np.abs(sum(stack[:, j] for j in range(n)) + stack[:, n] - eye), axis=(1, 2))
-    incomplete = np.flatnonzero(explicit & (residual > COMPLETENESS_TOL))
+    sums = _complete(stack, n, ~given[:, None, None])
+    residual = np.max(np.abs(sums + stack[:, n] - eye), axis=(1, 2))
+    incomplete = np.flatnonzero(given & (residual > COMPLETENESS_TOL))
     herm, lowest = psd_faults(stack.reshape(-1, *eye.shape))
     labels = [*map(repr, outcomes), NOCLICK]
     width = n + 1
@@ -207,24 +217,21 @@ def _check_lossy(settings: Sequence[str], outcomes: Sequence[str], stack: np.nda
         raise ValueError(f"setting {settings[i]!r} violates completeness by {residual[i]:.3e}")
 
 
-def _check_lossless(settings: Sequence[str], outcomes: Sequence[str], full: np.ndarray) -> tuple[np.ndarray, ...]:
-    """Complete a lossless stack and check it, raising what a check of one good element at a time raises first.
+def _check_lossless(settings: Sequence[str], outcomes: Sequence[str], stack: np.ndarray) -> np.ndarray:
+    """Complete a lossless ``stack`` and raise what a check of one good element at a time raises first.
 
-    ``full`` has shape ``(settings, outcomes + 1, dim, dim)`` with the good
-    elements filled in; each setting's last row is set to the no-click element
-    ``1 - sum``.  Per setting, in label order: each good element's Hermiticity
-    and positivity, then whether the outcome sum is a projector.  One
-    ``psd_faults`` call covers the good and the no-click elements alike.
-    Returns (the outcome sums, the no-click elements' Hermiticity deviations and
-    lowest eigenvalues), the faults that ``to_lossy`` raises.
+    Each setting's no-click row is set to ``1 - sum``.  Per setting, in label
+    order: each good element's Hermiticity and positivity, then whether the
+    outcome sum is a projector; after every setting, the no-click elements,
+    with the error ``LossyDevice`` raises for them.  One ``psd_faults`` call
+    covers the good and the no-click elements alike.  Returns the outcome sums.
     """
     n = len(outcomes)
-    dim = full.shape[-1]
-    sums = sum(full[:, :n].swapaxes(0, 1), np.zeros((len(full), dim, dim), dtype=complex))
-    np.subtract(np.eye(dim, dtype=complex), sums, out=full[:, n])
+    dim = stack.shape[-1]
+    sums = _complete(stack, n)
     residual = np.max(np.abs(sums @ sums - sums), axis=(1, 2))
     bad = np.flatnonzero(residual > COMPLETENESS_TOL)
-    herm, lowest = (f.reshape(len(full), n + 1) for f in psd_faults(full.reshape(-1, dim, dim)))
+    herm, lowest = (f.reshape(len(stack), n + 1) for f in psd_faults(stack.reshape(-1, dim, dim)))
     good_herm, good_lowest = herm[:, :n].ravel(), lowest[:, :n].ravel()
     stop = (bad[0] + 1) * n if bad.size else good_herm.size
     raise_psd_fault(
@@ -233,55 +240,29 @@ def _check_lossless(settings: Sequence[str], outcomes: Sequence[str], full: np.n
     if bad.size:
         i = bad[0]
         raise ValueError(f"outcome sum for setting {settings[i]!r} is not a projector (residual {residual[i]:.3e})")
-    return sums, herm[:, n], lowest[:, n]
+    raise_psd_fault(herm[:, n], lowest[:, n], lambda i: f"POVM element ({settings[i]!r}, {NOCLICK})")
+    return sums
 
 
-class LosslessDevice:
+class LosslessDevice(LossyDevice):
     """Device whose good outcomes sum to a projector for every setting.
 
     Acting on a state supported inside that projector it always produces a
-    good outcome.  Elements live in one read-only ``stack`` of shape
-    ``(settings, outcomes, dim, dim)``, with ``povm`` a read-only mapping of
-    views into it.  ``support`` maps each setting to its projector; it is
-    validated to be idempotent and to match the outcome sum.  Labels and
-    element structure are checked as for ``LossyDevice``: errors name the
-    setting and outcome.  ``povm`` may also be that element stack itself, an
-    array of the shape above, which is copied as a mapping's elements are.
+    good outcome.  It is the lossy device whose no-click element is
+    ``1 - support``, stored and read as any ``LossyDevice`` is.  ``support``
+    maps each setting to its projector; it is validated to be idempotent and
+    to match the outcome sum.  ``povm`` is a mapping or a good-element stack,
+    as for ``LossyDevice``, but a mapping's no-click elements are not read.
     """
 
-    def __init__(
-        self,
-        dim: int,
-        settings: Sequence[str],
-        outcomes: Sequence[str],
-        povm: Mapping[str, Mapping[str, np.ndarray]] | np.ndarray,
-    ):
-        self.dim = int(dim)
-        self.settings, self.outcomes = _labels(settings, outcomes)
-        n = len(self.outcomes)
-        # The no-click row is the one ``to_lossy`` adds; it is built and checked with the good elements.
-        full = np.empty((len(self.settings), n + 1, self.dim, self.dim), dtype=complex)
-        if isinstance(povm, np.ndarray):
-            if povm.shape != full[:, :n].shape:
-                raise ValueError(f"element stack has shape {povm.shape}, expected {full[:, :n].shape}")
-            full[:, :n] = povm
-        else:
-            for i, (x, block) in enumerate(zip(self.settings, full)):
-                try:
-                    _fill(block, x, self.outcomes, povm)
-                except (TypeError, ValueError):
-                    _check_lossless(self.settings[:i], self.outcomes, full[:i])  # earlier settings' faults come first
-                    raise
-        sums, noclick_herm, noclick_lowest = _check_lossless(self.settings, self.outcomes, full)
-        self._noclick_faults = noclick_herm, noclick_lowest
-        full.setflags(write=False)
-        self._full = full
-        self.stack = full[:, :n]
-        self.povm = _read_only_povm(self.settings, self.outcomes, self.stack)
-        self.support = dict(zip(self.settings, sums))
-
-    def element(self, x: str, a: str) -> np.ndarray:
-        return self.povm[x][a]
+    def __init__(self, dim: int, settings: Sequence[str], outcomes: Sequence[str], povm: Elements):
+        dim = int(dim)
+        settings, outcomes = _labels(settings, outcomes)
+        stack = np.empty((len(settings), len(outcomes) + 1, dim, dim), dtype=complex)
+        _fill(stack, settings, outcomes, povm, lambda i: _check_lossless(settings[:i], outcomes, stack[:i]))
+        sums = _check_lossless(settings, outcomes, stack)
+        self._finish(dim, settings, outcomes, stack)
+        self.support = dict(zip(settings, sums))
 
     def common_support(self) -> np.ndarray | None:
         """The shared support projector, or None if it differs across settings."""
@@ -292,17 +273,8 @@ class LosslessDevice:
         return first
 
     def to_lossy(self) -> LossyDevice:
-        """Complete each setting with a noclick element 1 - support.
-
-        The no-click elements were built and checked with the good ones when
-        this device was; the first faulty one in label order raises here, with
-        the error ``LossyDevice`` raises for it.  Completeness holds by
-        construction: the outcome sums are validated projectors.
-        """
-        raise_psd_fault(*self._noclick_faults, lambda i: f"POVM element ({self.settings[i]!r}, {NOCLICK})")
-        lossy = LossyDevice.__new__(LossyDevice)
-        lossy._finish(self.dim, self.settings, self.outcomes, self._full)
-        return lossy
+        """This device itself: it already is the lossy device completed by ``1 - support``."""
+        return self
 
 
 def projective_qubit_device(

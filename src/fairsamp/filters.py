@@ -96,15 +96,14 @@ def canonical_decomposition(dev: LossyDevice) -> FilterDecomposition:
     element's support projector.
     """
     filters: dict[str, QuantumFilter] = {}
-    lossless_povm: dict[str, dict[str, np.ndarray]] = {}
     n = len(dev.outcomes)
-    for x, m_click, elements in zip(dev.settings, dev.click_elements(), dev.stack):
+    stack = np.empty((len(dev.settings), n, dev.dim, dev.dim), dtype=complex)
+    for x, m_click, elements, good in zip(dev.settings, dev.click_elements(), dev.stack, stack):
         sq_click, pinv_click = sqrt_pinv_sqrt(m_click)
         sq_noclick, _ = sqrt_pinv_sqrt(elements[n])
         filters[x] = QuantumFilter(sq_click, sq_noclick)
-        lossless_povm[x] = dict(zip(dev.outcomes, pinv_click @ elements[:n] @ pinv_click))
-    lossless = LosslessDevice(dev.dim, dev.settings, dev.outcomes, lossless_povm)
-    return FilterDecomposition(filters, lossless)
+        good[:] = pinv_click @ elements[:n] @ pinv_click
+    return FilterDecomposition(filters, LosslessDevice(dev.dim, dev.settings, dev.outcomes, stack))
 
 
 def verify_recomposition(

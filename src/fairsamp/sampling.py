@@ -71,9 +71,9 @@ def random_fair_sampling_device(
     sq, _ = sqrt_pinv_sqrt(mq)
     settings = [f"x{i}" for i in range(n_settings)]
     outcomes = [f"a{j}" for j in range(n_outcomes)]
-    povm: dict[str, dict[str, np.ndarray]] = {}
     lo, hi = eff_range
-    for x in settings:
-        ec = rng.uniform(lo, hi)
-        povm[x] = dict(zip(outcomes, ec * (sq @ random_povm(dim, n_outcomes, rng) @ sq)))
-    return LossyDevice(dim, settings, outcomes, povm)
+    stack = np.empty((n_settings, n_outcomes, dim, dim), dtype=complex)
+    for good in stack:
+        ec = rng.uniform(lo, hi)  # drawn before the setting's POVM
+        good[:] = ec * (sq @ random_povm(dim, n_outcomes, rng) @ sq)
+    return LossyDevice(dim, settings, outcomes, stack)

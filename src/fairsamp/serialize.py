@@ -219,7 +219,7 @@ def decomposition_to_json(decomp: FilterDecomposition) -> tuple[dict, dict]:
             for x, f in decomp.filters.items()
         },
     }
-    return filters, device_to_json(decomp.lossless.to_lossy())
+    return filters, device_to_json(decomp.lossless)
 
 
 def verdict_to_json(verdict: FairSamplingVerdict) -> dict:
@@ -526,22 +526,27 @@ def dump_json(obj, path: str | Path | None = None) -> str:
 
     The text is that of ``json.dumps(obj, indent=2, sort_keys=True)``, byte
     for byte, with each ``RenderedTable`` in ``obj`` read as the dict it
-    stands for; the file gets the text plus a newline.
+    stands for; the file gets the text plus a newline.  A failed write
+    leaves no temporary file and raises its ``OSError`` naming ``path``.
     """
     out: list[str] = []
     _write(obj, 0, out, set())
     text = "".join(out)
     if path is not None:
         path = Path(path)
-        fd, tmp = tempfile.mkstemp(dir=path.parent or Path("."), suffix=".tmp")
+        tmp = None
         try:
+            fd, tmp = tempfile.mkstemp(dir=path.parent, suffix=".tmp")
             with os.fdopen(fd, "w", encoding="utf-8") as fh:
                 fh.write(text)  # two writes: ``text + "\n"`` would copy a many-MB text
                 fh.write("\n")
             os.replace(tmp, path)
-        except BaseException:
-            if os.path.exists(tmp):
+        except BaseException as exc:
+            if tmp is not None and os.path.exists(tmp):
                 os.unlink(tmp)
+            if isinstance(exc, OSError) and exc.errno is not None:
+                # Name the path asked for, not the temporary file written beside it.
+                raise type(exc)(exc.errno, exc.strerror, str(path)) from None
             raise
     return text
 

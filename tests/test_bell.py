@@ -508,6 +508,21 @@ class TestIdealScenario:
         live = BellScenario(sc.devices, sc.psi, {key: c for key, c in coeffs.items() if key[0] == ("0", "0")})
         assert postselected_bell_value(ideal_scenario(live)) == pytest.approx(1.0)
 
+    @pytest.mark.parametrize("count", [1, 3])
+    def test_one_reference_per_party_or_an_error_before_any_work(self, monkeypatch, count):
+        sc = chsh_singlet_scenario()
+        mqs = [check_exact(sc.devices[0]).quantum_elem] * count
+        calls = helpers.record_spectral_calls(monkeypatch)
+        message = f"expected 2 references, one per party, got {count}"
+        with pytest.raises(ValueError, match=re.escape(message)):
+            ideal_scenario(sc, mqs)
+        with pytest.raises(ValueError, match=re.escape(message)):
+            bound_report(sc, mqs)
+        message = f"reference dimensions {[2] * count} do not match state dimension 4"
+        with pytest.raises(ValueError, match=re.escape(message)):
+            filtered_global_state(mqs, sc.psi)
+        assert calls == []
+
 
 def _outcome(call):
     """``call()``'s result, or the type and message of the ``ValueError`` it raises."""

@@ -2,7 +2,9 @@
 
 import argparse
 import ast
+import errno
 import inspect
+import os
 import json
 import textwrap
 
@@ -140,6 +142,36 @@ class TestDecompose:
         assert captured.out == ""
         assert captured.err == f"error: --trials must be at least 1, got {trials}\n"
         assert not out.exists()
+
+    def test_help_describes_the_output_directory(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["decompose", "-h"])
+        assert exc.value.code == 0
+        text = " ".join(capsys.readouterr().out.split())
+        assert "-o OUTPUT, --output OUTPUT output directory (default <device>.decomposition)" in text
+
+
+class TestUnwritableOutput:
+    """An output that cannot be written exits 1 with one ``error:`` line naming the path given."""
+
+    @pytest.mark.parametrize(
+        "command,target,code",
+        [
+            ("check", "missing_dir/x.json", errno.ENOENT),
+            ("check", "afile/x.json", errno.ENOTDIR),
+            ("check", "adir", errno.EISDIR),
+            ("decompose", "afile", errno.EEXIST),
+        ],
+        ids=["missing directory", "file as directory", "directory as file", "file as output directory"],
+    )
+    def test_exits_one_naming_the_path(self, traced_file, tmp_path, monkeypatch, capsys, command, target, code):
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "afile").write_text("")
+        (tmp_path / "adir").mkdir()
+        (tmp_path / "adir" / "keep").write_text("")
+        assert main([command, str(traced_file), "-o", target]) == 1
+        assert capsys.readouterr() == ("", f"error: [Errno {code}] {os.strerror(code)}: {target!r}\n")
+        assert not list(tmp_path.rglob("*.tmp"))
 
 
 class TestSimulate:

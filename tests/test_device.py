@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 
 import helpers
 
+from fairsamp.analysis import check_exact, ideal_device_from
 from fairsamp.device import (
     NOCLICK,
     LossyDevice,
@@ -17,6 +18,7 @@ from fairsamp.device import (
     projective_qubit_device,
     total_variation,
 )
+from fairsamp.filters import canonical_decomposition
 from fairsamp.linalg import NotPositiveError, projector
 from fairsamp.optics import single_photon_analyser
 from fairsamp.sampling import random_density, random_povm
@@ -91,7 +93,8 @@ class TestStack:
 
     def test_lossless_device_stacks_its_outcomes(self):
         dev = LosslessDevice(2, ["x", "y"], ["a"], {"x": {"a": np.diag([1.0, 0.0])}, "y": {"a": np.eye(2)}})
-        assert dev.stack.shape == (2, 1, 2, 2)
+        assert dev.stack.shape == (2, 2, 2, 2)  # a lossy device's stack: the no-click row 1 - support last
+        np.testing.assert_array_equal(dev.povm["x"][NOCLICK], np.eye(2) - dev.support["x"])
         with pytest.raises(TypeError):
             dev.povm["x"]["a"] = np.eye(2)
 
@@ -171,6 +174,60 @@ def test_stacked_validation_matches_the_per_element_loop(seed, dim, n_settings, 
     xs, outs, povm = _faulty_input(rng, dim, n_settings, n_outcomes, explicit_noclick, faults)
     expected = _outcome(lambda: helpers.legacy_validate(dim, xs, outs, povm))
     assert _outcome(lambda: LossyDevice(dim, xs, outs, povm)) == expected
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    dim=st.integers(1, 4),
+    n_settings=st.integers(1, 3),
+    n_outcomes=st.integers(1, 3),
+    faults=st.lists(
+        st.tuples(st.integers(0, 2), st.integers(0, 2), st.sampled_from(FAULTS)), max_size=2
+    ),
+)
+def test_a_good_element_stack_builds_what_its_mapping_builds(seed, dim, n_settings, n_outcomes, faults):
+    """The same elements to the bit, or the same error; the stack is copied, neither frozen nor shared."""
+    rng = np.random.default_rng(seed)
+    faults = [(i % n_settings, j % n_outcomes, kind) for i, j, kind in faults]
+    xs, outs, povm = _faulty_input(rng, dim, n_settings, n_outcomes, False, faults)
+    stack = np.array([[povm[x][a] for a in outs] for x in xs], dtype=complex)
+
+    def build(elements):
+        try:
+            return LossyDevice(dim, xs, outs, elements)
+        except ValueError as exc:
+            return type(exc), str(exc)
+
+    from_mapping, from_stack = build(povm), build(stack)
+    if isinstance(from_mapping, tuple):
+        assert from_stack == from_mapping
+        return
+    assert (from_stack.settings, from_stack.outcomes) == (from_mapping.settings, from_mapping.outcomes)
+    assert np.array_equal(from_stack.stack, from_mapping.stack)
+    assert stack.flags.writeable and not np.shares_memory(stack, from_stack.stack)
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    kind=st.sampled_from(helpers.PASS_KINDS),
+    dim=st.integers(1, 4),
+    n_settings=st.integers(1, 3),
+    n_outcomes=st.integers(1, 3),
+)
+def test_lossless_devices_are_their_own_lossy_completion(seed, kind, dim, n_settings, n_outcomes):
+    """Lossless devices of random devices are lossy devices with no-click rows ``1 - support``, to the bit."""
+    rng = np.random.default_rng(seed)
+    dev = helpers.pass_device(kind, rng, dim, n_settings, n_outcomes)
+    built = [canonical_decomposition(dev).lossless]
+    verdict = check_exact(dev)
+    if verdict.epsilon < 1.0:
+        built.append(ideal_device_from(dev, verdict.reference))
+    for lossless in built:
+        assert isinstance(lossless, LossyDevice)
+        assert lossless.to_lossy() is lossless
+        assert np.array_equal(lossless.stack, helpers.oracle_to_lossy(lossless).stack)
 
 
 class TestFaultOrder:
@@ -340,12 +397,12 @@ class TestLosslessDevice:
 
     def test_to_lossy_checks_the_noclick_element(self):
         # The outcome sum passes the projector test (residual 5e-10), but 1 - sum does not pass the PSD test.
-        dev = LosslessDevice(2, ["x"], ["a"], {"x": {"a": np.diag([1 + 5e-10, 0.0])}})
+        good = np.diag([1 + 5e-10, 0.0])
         message = "POVM element ('x', noclick) has negative eigenvalue -5.000e-10"
         with pytest.raises(NotPositiveError, match=re.escape(message)):
-            dev.to_lossy()
+            LosslessDevice(2, ["x"], ["a"], {"x": {"a": good}})
         with pytest.raises(NotPositiveError, match=re.escape(message)):
-            helpers.oracle_to_lossy(dev)
+            LossyDevice(2, ["x"], ["a"], {"x": {"a": good, NOCLICK: np.eye(2) - good}})
 
     def test_takes_an_element_stack(self):
         povm = {"x": {"a": np.diag([1.0, 0.0]), "b": np.diag([0.0, 1.0])}}
