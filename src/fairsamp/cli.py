@@ -74,11 +74,11 @@ def cmd_check(args) -> int:
 def cmd_decompose(args) -> int:
     if args.trials < 1:
         raise ValueError(f"--trials must be at least 1, got {args.trials}")
+    out_dir = Path(args.output or (Path(args.device).stem + ".decomposition"))
+    out_dir.mkdir(parents=True, exist_ok=True)  # an unusable output fails before any work
     dev = _load(args.device, serialize.device_from_json, "device")
     decomp = canonical_decomposition(dev)
     max_dev = verify_recomposition(dev, decomp, trials=args.trials, seed=args.seed)
-    out_dir = Path(args.output or (Path(args.device).stem + ".decomposition"))
-    out_dir.mkdir(parents=True, exist_ok=True)
     filters_json, lossless_json = serialize.decomposition_to_json(decomp)
     serialize.dump_json(filters_json, out_dir / "filter.json")
     serialize.dump_json(lossless_json, out_dir / "lossless.json")

@@ -31,6 +31,17 @@ VERDICT_TOL = 1e-8
 #: Hard cap on matrix dimension; dense eigendecompositions only.
 MAX_DIM = 4096
 
+# Bounds of Python's float text format, not tolerances: serialize's float-block writer reads them.
+#: Magnitudes at which orjson and ``float.__repr__`` spell a finite double differently.  Both
+#: write the shortest digits that read back as the value, and both write them positionally in
+#: ``[POSITIONAL_FROM, EXPONENT_FROM)`` and as ``d.ddde-XX`` below ``PADDED_EXPONENT_FROM``.
+#: In ``[PADDED_EXPONENT_FROM, POSITIONAL_FROM)`` repr pads a one-digit exponent to two
+#: (``3.49e-06``, ``1e-05``) where orjson writes ``3.49e-6`` or, from 1e-5, ``0.00001``; from
+#: ``EXPONENT_FROM`` on repr signs the exponent (``1e+16``) and orjson does not (``1e16``).
+PADDED_EXPONENT_FROM = 1e-9
+POSITIONAL_FROM = 1e-4
+EXPONENT_FROM = 1e16
+
 
 class NotHermitianError(ValueError):
     """Input matrix is not Hermitian within tolerance."""

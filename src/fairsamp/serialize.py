@@ -6,12 +6,17 @@ all build on that matrix format; probabilities are rounded to 15 significant
 digits on output.  Output text is byte-identical to
 ``json.dumps(obj, indent=2, sort_keys=True)``; ``dump_json`` writes float
 blocks in bulk instead of one value at a time, and copies joint tables
-rendered by ``table_to_json`` as they are.  ``load_json`` reads input with
-orjson and falls back to ``json`` for any text orjson refuses.
+rendered by ``table_to_json`` as they are.  A float block takes its digits
+from one ``orjson.dumps`` call: orjson writes the same shortest round-trip
+digits as ``float.__repr__``, and spells them alike except at magnitudes in
+``[1e-9, 1e-4)`` and from ``1e16`` on; only values there are written with
+``float.__repr__``.  ``load_json`` reads input with orjson and falls back to
+``json`` for any text orjson refuses.
 """
 
 from __future__ import annotations
 
+import errno
 import io
 import json
 import os
@@ -31,6 +36,7 @@ from .analysis import FairSamplingVerdict
 from .bell import LABEL_SEP, BellCoeffs, BellScenario
 from .device import NOCLICK, LossyDevice
 from .filters import FilterDecomposition
+from .linalg import EXPONENT_FROM, PADDED_EXPONENT_FROM, POSITIONAL_FROM
 
 
 def matrix_to_json(m: np.ndarray) -> list:
@@ -353,12 +359,22 @@ def _float_text(x: float) -> str:
 def _float_block(lst: list, level: int) -> str | None:
     """Text of a rectangular nested list of finite floats at indent ``level``, else None.
 
-    Each nesting level is flattened and type-checked as a whole list.  One
-    ``%`` template, built level by level from the shape, then formats every
-    leaf with ``float.__repr__`` in a single call.  Ragged shapes, empty rows,
-    leaves that are not exactly ``float`` (ints, bools, subclasses),
-    non-finite values and lists that contain their own ancestor return None
-    and take the generic path.
+    Each nesting level is flattened and type-checked as a whole list.  The
+    digits of every leaf come from one ``orjson.dumps`` of the flat list.
+    orjson (with Ryu) and ``float.__repr__`` (with David Gay's dtoa) both
+    write the shortest digits that read back as the value, the nearest such
+    digits where several qualify, and spell them alike for ``±0.0`` and every magnitude outside
+    ``[PADDED_EXPONENT_FROM, POSITIONAL_FROM)`` and ``[EXPONENT_FROM, inf)``.
+    orjson spells each value inside those ranges with an ``e`` or a
+    ``0.0000``; when its text holds either, a mask over the magnitudes finds
+    the values in the ranges and ``float.__repr__`` writes them.  One ``%s``
+    template, built level by level from the shape, then fills in every token
+    at once.
+
+    Ragged shapes, empty rows, leaves that are not exactly ``float`` (ints,
+    bools, subclasses), non-finite values (orjson writes them as ``null``)
+    and lists that contain their own ancestor return None and take the
+    generic path, which writes or rejects them as ``json`` does.
     """
     shape = []
     rows = [lst]
@@ -367,6 +383,12 @@ def _float_block(lst: list, level: int) -> str | None:
         n = len(rows[0])
         if n == 0 or set(map(len, rows)) != {n}:
             return None
+        if type(rows[0][0]) is list:
+            # Circular: json raises, so must we.  Checked before flattening, and skipped for
+            # rows of floats, the most numerous: an ancestor among them fails the type check.
+            if not ancestors.isdisjoint(map(id, rows)):
+                return None
+            ancestors.update(map(id, rows))
         shape.append(n)
         flat = list(chain.from_iterable(rows))
         kinds = set(map(type, flat))
@@ -374,18 +396,22 @@ def _float_block(lst: list, level: int) -> str | None:
             break
         if kinds != {list}:
             return None
-        ancestors.update(map(id, rows))
-        if not ancestors.isdisjoint(map(id, flat)):  # circular: json raises, so must we
-            return None
         rows = flat
-    if not isfinite(sum(flat)):  # a sum overflowing finite terms only costs the fast path
+    text = orjson.dumps(flat).decode()
+    if "n" in text:  # null: NaN or an infinity
         return None
-    template = "%r"
+    tokens = text[1:-1].split(",")
+    if "e" in text or "0.0000" in text:
+        mags = np.abs(np.array(flat))
+        apart = ((mags >= PADDED_EXPONENT_FROM) & (mags < POSITIONAL_FROM)) | (mags >= EXPONENT_FROM)
+        for i in np.flatnonzero(apart).tolist():
+            tokens[i] = float.__repr__(flat[i])
+    template = "%s"
     for depth in reversed(range(len(shape))):
         inner = "\n" + _INDENT * (level + depth + 1)
         outer = "\n" + _INDENT * (level + depth)
         template = "[" + inner + (template + "," + inner) * (shape[depth] - 1) + template + outer + "]"
-    return template % tuple(flat)
+    return template % tuple(tokens)
 
 
 #: Exponents of ``%.15g`` text that ``repr`` of the rounded value may not share: 15 (which
@@ -526,14 +552,19 @@ def dump_json(obj, path: str | Path | None = None) -> str:
 
     The text is that of ``json.dumps(obj, indent=2, sort_keys=True)``, byte
     for byte, with each ``RenderedTable`` in ``obj`` read as the dict it
-    stands for; the file gets the text plus a newline.  A failed write
-    leaves no temporary file and raises its ``OSError`` naming ``path``.
+    stands for; the file gets the text plus a newline.  A ``path`` that
+    names a directory raises ``IsADirectoryError`` before anything is
+    written.  A failed write leaves no temporary file and raises its
+    ``OSError`` naming ``path``.
     """
     out: list[str] = []
     _write(obj, 0, out, set())
     text = "".join(out)
     if path is not None:
         path = Path(path)
+        if path.is_dir():
+            # os.replace onto "." fails with EBUSY, which does not say that it is a directory.
+            raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR), str(path))
         tmp = None
         try:
             fd, tmp = tempfile.mkstemp(dir=path.parent, suffix=".tmp")

@@ -143,6 +143,17 @@ class TestDecompose:
         assert captured.err == f"error: --trials must be at least 1, got {trials}\n"
         assert not out.exists()
 
+    def test_unusable_output_fails_before_any_work(self, traced_file, tmp_path, monkeypatch, capsys):
+        def no_work(*args):
+            raise AssertionError("decompose worked before creating its output directory")
+
+        monkeypatch.setattr(serialize, "load_json", no_work)
+        monkeypatch.setattr("fairsamp.cli.canonical_decomposition", no_work)
+        out = tmp_path / "afile"
+        out.write_text("")
+        assert main(["decompose", str(traced_file), "-o", str(out)]) == 1
+        assert capsys.readouterr() == ("", f"error: [Errno {errno.EEXIST}] {os.strerror(errno.EEXIST)}: {str(out)!r}\n")
+
     def test_help_describes_the_output_directory(self, capsys):
         with pytest.raises(SystemExit) as exc:
             main(["decompose", "-h"])
@@ -161,8 +172,15 @@ class TestUnwritableOutput:
             ("check", "afile/x.json", errno.ENOTDIR),
             ("check", "adir", errno.EISDIR),
             ("decompose", "afile", errno.EEXIST),
+            ("check", ".", errno.EISDIR),
         ],
-        ids=["missing directory", "file as directory", "directory as file", "file as output directory"],
+        ids=[
+            "missing directory",
+            "file as directory",
+            "directory as file",
+            "file as output directory",
+            "current directory as file",
+        ],
     )
     def test_exits_one_naming_the_path(self, traced_file, tmp_path, monkeypatch, capsys, command, target, code):
         monkeypatch.chdir(tmp_path)

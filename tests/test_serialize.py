@@ -3,6 +3,7 @@
 import json
 
 import numpy as np
+import orjson
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
@@ -394,6 +395,90 @@ def test_writer_rejects_circular_lists():
     for obj in (outer, loop, {"a": loop}):
         with pytest.raises(ValueError, match="Circular reference detected"):
             serialize.dump_json(obj)
+
+
+def _circular_blocks():
+    """Circular lists that are rectangular at every level the float-block scan reads."""
+    row_then_loop = [[0.5, 0.25]]
+    row_then_loop.append(row_then_loop)  # the loop sits beside a row of floats
+    wide = []
+    wide.extend([wide] * 3)
+    deep = [[[0.5]]]
+    deep[0].append(deep)  # rows of lists, the second one the block itself
+    return {"row then loop": row_then_loop, "wide": wide, "deep": deep}
+
+
+@pytest.mark.parametrize("name", list(_circular_blocks()))
+def test_writer_rejects_circular_blocks(name):
+    obj = _circular_blocks()[name]
+    for payload in (obj, [obj], {"a": obj}):
+        with pytest.raises(ValueError, match="Circular reference detected"):
+            json.dumps(payload, indent=2, sort_keys=True)
+        with pytest.raises(ValueError, match="Circular reference detected"):
+            serialize.dump_json(payload)
+
+
+@pytest.mark.parametrize("depth", [0, 3, 8, 40])
+def test_deep_float_blocks_match_json_dumps(depth):
+    """A float block of any depth takes the fast path and is written as ``json`` writes it."""
+    block = [[0.5, -0.0, 3.49e-6], [1e16, 0.1, 2.0]]
+    for _ in range(depth):
+        block = [block]
+    assert serialize._float_block(block, 0) is not None
+    for payload in (block, {"a": block}, [block, block]):
+        assert serialize.dump_json(payload) == json.dumps(payload, indent=2, sort_keys=True)
+
+
+def test_orjson_spells_floats_as_float_blocks_assume():
+    """The float-block writer trusts orjson's tokens outside the ranges that its bounds name, and
+    looks for an ``e`` or a ``0.0000`` in orjson's text to learn that some value lies inside; an
+    orjson that spells these otherwise fails here first."""
+    bounds = [serialize.PADDED_EXPONENT_FROM, serialize.POSITIONAL_FROM, serialize.EXPONENT_FROM]
+    assert orjson.dumps(bounds) == b"[1e-9,0.0001,1e16]"
+    assert orjson.dumps(serialize.POSITIONAL_FROM) == b"0.0001" and orjson.dumps(serialize.EXPONENT_FROM) == b"1e16"
+    below = [9.999999999999999e-10, 1.5e-17, 5e-324, 9.999999999999999e-5, 9.999999999999998e15, 1e15, 0.0, -0.0]
+    assert orjson.dumps(below) == b"[9.999999999999999e-10,1.5e-17,5e-324,0.00009999999999999999,9999999999999998.0,1000000000000000.0,0.0,-0.0]"
+    assert orjson.dumps([1e-5, 3.49e-6, -2.5e300]) == b"[0.00001,3.49e-6,-2.5e300]"
+    assert orjson.dumps([float("nan"), float("inf"), float("-inf")]) == b"[null,null,null]"
+
+
+def _writer_doubles() -> tuple[np.ndarray, np.ndarray]:
+    """Seeded finite doubles: random bit patterns and hard cases of both signs, and the bands around each spelling bound."""
+    rng = np.random.default_rng(20261019)
+    random_bits = rng.integers(0, 2**64, size=160_000, dtype=np.uint64).view(np.float64)
+    powers_of_two = np.ldexp(1.0, np.arange(-1074, 1024))
+    powers_of_ten = np.array([float(f"1e{k}") for k in range(-323, 309)])
+    edges = np.concatenate([powers_of_two, powers_of_ten, [2.2250738585072014e-308, 2.225073858507201e-308]])
+    subnormals = rng.integers(1, 2**52, size=2_000, dtype=np.uint64).view(np.float64)
+    bands = np.concatenate([rng.uniform(lo, hi, size=1_000) for lo, hi in BOUND_BANDS])
+    hard = np.concatenate([edges, np.nextafter(edges, 0.0), np.nextafter(edges, np.inf), subnormals, bands, [0.0]])
+    return np.concatenate([random_bits[np.isfinite(random_bits)], hard, -hard]), np.concatenate([bands, -bands])
+
+
+#: Magnitudes around each bound of ``serialize.PADDED_EXPONENT_FROM``, ``1e-5`` (where orjson
+#: turns positional), ``serialize.POSITIONAL_FROM`` and ``serialize.EXPONENT_FROM``.
+BOUND_BANDS = ((9e-10, 1.1e-9), (9e-6, 1.1e-5), (9e-5, 1.1e-4), (9e15, 1.1e16))
+
+
+def test_float_blocks_match_json_dumps_on_hard_doubles():
+    """Seeded: about 190 000 doubles in float blocks against ``json.dumps``.
+
+    All of them in blocks of every depth up to 3 at indent levels 0 to 4, and
+    each one near a spelling bound in a block of its own, where orjson's text
+    holds no other value to reveal that some value needs ``repr``.
+    """
+    values, bands = _writer_doubles()
+    values = np.random.default_rng(1019).permutation(values)
+    shapes = [(-1,), (-1, 2), (-1, 3, 2), (-1, 2, 3), (-1, 6)]
+    for level, part in enumerate(np.array_split(values, len(shapes))):
+        block = np.concatenate([part, np.zeros(-part.size % 6)]).reshape(shapes[level]).tolist()
+        assert serialize._float_block(block, level) is not None
+        payload = block
+        for _ in range(level):
+            payload = {"m": payload}
+        assert serialize.dump_json(payload) == json.dumps(payload, indent=2, sort_keys=True)
+    singles = {f"{i:05d}": [x] for i, x in enumerate(bands.tolist())}
+    assert serialize.dump_json(singles) == json.dumps(singles, indent=2, sort_keys=True)
 
 
 # --- joint tables rendered in one pass against the dict they stand for
