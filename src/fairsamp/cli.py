@@ -74,6 +74,8 @@ def cmd_check(args) -> int:
 def cmd_decompose(args) -> int:
     if args.trials < 1:
         raise ValueError(f"--trials must be at least 1, got {args.trials}")
+    if args.seed < 0:
+        raise ValueError(f"--seed must be non-negative, got {args.seed}")
     out_dir = Path(args.output or (Path(args.device).stem + ".decomposition"))
     out_dir.mkdir(parents=True, exist_ok=True)  # an unusable output fails before any work
     dev = _load(args.device, serialize.device_from_json, "device")
@@ -193,7 +195,7 @@ def _demo_makarov(args) -> dict:
     hv = adversary.makarov_branches()
     traced = check_exact(hv.traced(), tol=args.tol)
     full = check_exact(hv.adversary_device(), tol=args.tol)
-    result = adversary.run_faked_chsh(noise=args.noise, seed=args.seed)
+    result = adversary.run_faked_chsh(noise=args.noise)
     return {
         "traced_verdict": serialize.verdict_to_json(traced),
         "adversary_verdict": serialize.verdict_to_json(full),
@@ -244,6 +246,8 @@ def _demo_chsh_singlet(args) -> dict:
 def _demo_prop2_random(args) -> dict:
     if args.count < 1:
         raise ValueError(f"--count must be at least 1, got {args.count}")
+    if args.seed < 0:
+        raise ValueError(f"--seed must be non-negative, got {args.seed}")
     rng = np.random.default_rng(args.seed)
     cases = []
     for _ in range(args.count):
@@ -316,7 +320,7 @@ def build_parser() -> argparse.ArgumentParser:
     demos = sub.add_parser("demo", help="reproducible built-in demonstrations").add_subparsers(
         dest="name", required=True
     )
-    p = command(demos, "makarov", "faked CHSH violation by a detector-blinding adversary", "--tol", "--seed")
+    p = command(demos, "makarov", "faked CHSH violation by a detector-blinding adversary", "--tol")
     p.add_argument("--noise", type=float, default=0.0, help="outcome noise")
     p = command(demos, "analyser", "numeric against closed-form epsilon of mismatched analysers")
     p.add_argument("--nmax", type=int, default=4, help="photon-number truncation")

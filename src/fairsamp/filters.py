@@ -52,7 +52,8 @@ class ClassicalFilter:
 
     ``transition`` maps a requested setting to a sub-normalized distribution
     over actually-used settings; ``accept_prob`` gives the total acceptance
-    per setting.  A diagonal filter has transition None.
+    per setting.  A diagonal filter has transition None; any other has one
+    row for each setting of ``accept_prob`` and no more.
     """
 
     accept_prob: Mapping[str, float]
@@ -63,6 +64,12 @@ class ClassicalFilter:
             if not -ZERO_ACCEPTANCE <= p <= 1.0 + ZERO_ACCEPTANCE:
                 raise ValueError(f"accept_prob[{x!r}] = {p!r} outside [0, 1]")
         if self.transition is not None:
+            for x in self.transition:
+                if x not in self.accept_prob:
+                    raise ValueError(f"transition row {x!r} names a setting absent from accept_prob")
+            for x in self.accept_prob:
+                if x not in self.transition:
+                    raise ValueError(f"accept_prob setting {x!r} has no transition row")
             for x, row in self.transition.items():
                 total = sum(row.values())
                 if total > 1.0 + COMPLETENESS_TOL or any(p < -ZERO_ACCEPTANCE for p in row.values()):

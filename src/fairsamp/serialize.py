@@ -6,12 +6,19 @@ all build on that matrix format; probabilities are rounded to 15 significant
 digits on output.  Output text is byte-identical to
 ``json.dumps(obj, indent=2, sort_keys=True)``; ``dump_json`` writes float
 blocks in bulk instead of one value at a time, and copies joint tables
-rendered by ``table_to_json`` as they are.  A float block takes its digits
-from one ``orjson.dumps`` call: orjson writes the same shortest round-trip
-digits as ``float.__repr__``, and spells them alike except at magnitudes in
-``[1e-9, 1e-4)`` and from ``1e16`` on; only values there are written with
-``float.__repr__``.  ``load_json`` reads input with orjson and falls back to
-``json`` for any text orjson refuses.
+rendered by ``table_to_json`` as they are.  Every float block is written
+from a float64 array: a ``MatrixBlock`` holds one, and a nested list of
+floats is copied into one.  Its digits come from one ``orjson.dumps`` call:
+orjson writes the same shortest round-trip digits as ``float.__repr__``, and
+spells them alike except at magnitudes in ``[1e-9, 1e-4)`` and from ``1e16``
+on; only values there are written with ``float.__repr__``.  ``load_json``
+reads input with orjson and falls back to ``json`` for any text orjson
+refuses.
+
+``device_to_json``, ``scenario_to_json``, ``matrix_to_json`` and
+``coeffs_to_json`` return plain JSON values.  ``verdict_to_json`` and
+``decomposition_to_json`` return payloads for ``dump_json`` whose matrices
+are ``MatrixBlock``s, as ``simulate`` reports hold ``RenderedTable``s.
 """
 
 from __future__ import annotations
@@ -41,8 +48,7 @@ from .linalg import EXPONENT_FROM, PADDED_EXPONENT_FROM, POSITIONAL_FROM
 
 def matrix_to_json(m: np.ndarray) -> list:
     """Rows of ``[re, im]`` pairs holding every bit of each part, ``-0.0`` included."""
-    a = np.ascontiguousarray(m, dtype=complex)
-    return a.view(np.float64).reshape(a.shape + (2,)).tolist()
+    return matrix_block(m).values.tolist()
 
 
 #: How many characters of ``repr`` of an offending value a field error quotes.
@@ -152,16 +158,21 @@ def sig15(x: float) -> float:
     return _parse_sig15(format(float(x), ".15g"))
 
 
-def device_to_json(dev: LossyDevice) -> dict:
+def _device_payload(dev: LossyDevice, encode) -> dict:
+    """The fields of a device object, each POVM element written by ``encode``."""
     return {
         "dim": dev.dim,
         "settings": list(dev.settings),
         "outcomes": list(dev.outcomes),
         "povm": {
-            x: {a: matrix_to_json(dev.element(x, a)) for a in (*dev.outcomes, NOCLICK)}
+            x: {a: encode(dev.element(x, a)) for a in (*dev.outcomes, NOCLICK)}
             for x in dev.settings
         },
     }
+
+
+def device_to_json(dev: LossyDevice) -> dict:
+    return _device_payload(dev, matrix_to_json)
 
 
 def _field(obj: dict, key: str, owner: str = ""):
@@ -214,29 +225,30 @@ def device_from_json(obj) -> LossyDevice:
 
 
 def decomposition_to_json(decomp: FilterDecomposition) -> tuple[dict, dict]:
-    """Returns (filter.json payload, lossless.json payload)."""
+    """Returns (filter.json payload, lossless.json payload), for ``dump_json``; matrices are ``MatrixBlock``s."""
     filters = {
         "dim": decomp.lossless.dim,
         "kraus": {
             x: {
-                "click": matrix_to_json(f.kraus_click),
-                "noclick": matrix_to_json(f.kraus_noclick),
+                "click": matrix_block(f.kraus_click),
+                "noclick": matrix_block(f.kraus_noclick),
             }
             for x, f in decomp.filters.items()
         },
     }
-    return filters, device_to_json(decomp.lossless)
+    return filters, _device_payload(decomp.lossless, matrix_block)
 
 
 def verdict_to_json(verdict: FairSamplingVerdict) -> dict:
+    """The verdict's report fields, for ``dump_json``; ``mq`` and ``support`` are ``MatrixBlock``s."""
     return {
         "weak": verdict.weak,
         "strong": verdict.strong,
         "homogeneous": verdict.homogeneous,
         "epsilon": sig15(verdict.epsilon),
         "classical_eff": {x: sig15(v) for x, v in verdict.classical_eff.items()},
-        "mq": matrix_to_json(verdict.quantum_elem),
-        "support": matrix_to_json(verdict.support),
+        "mq": matrix_block(verdict.quantum_elem),
+        "support": matrix_block(verdict.support),
     }
 
 
@@ -317,9 +329,8 @@ def scenario_from_json(obj, base_dir: str | Path | None = None) -> BellScenario:
             raise ValueError(f"party declares dimension {declared} but its device has {dev.dim}")
         devices.append(dev)
     psi = _matrix_at("state", _field(obj, "state"))
-    coeffs = None
-    if obj.get("bell"):
-        coeffs = coeffs_from_json(_field(_json_object(obj["bell"], "bell"), "coeffs"))
+    bell = obj.get("bell")  # absent or null: no Bell functional
+    coeffs = None if bell is None else coeffs_from_json(_field(_json_object(bell, "bell"), "coeffs", "bell"))
     return BellScenario(devices, psi, coeffs)
 
 
@@ -356,25 +367,45 @@ def _float_text(x: float) -> str:
     return float.__repr__(x)
 
 
+def _array_block(values: np.ndarray, level: int) -> str | None:
+    """Text of the C-contiguous float64 array ``values`` at indent ``level``, as ``json`` writes ``values.tolist()``.
+
+    None if an axis is empty or a value is not finite: the generic path
+    writes those.  The digits of every value come from one ``orjson.dumps``
+    of the flat array.  orjson (with Ryu) and ``float.__repr__`` (with David
+    Gay's dtoa) both write the shortest digits that read back as the value,
+    the nearest such digits where several qualify, and spell them alike for
+    ``±0.0`` and every magnitude outside ``[PADDED_EXPONENT_FROM,
+    POSITIONAL_FROM)`` and ``[EXPONENT_FROM, inf)``; ``float.__repr__``
+    writes the values a mask over the magnitudes finds in those ranges.  One
+    ``%s`` template, built level by level from the shape, then fills in
+    every token at once.
+    """
+    flat = values.ravel()
+    if flat.size == 0 or not np.isfinite(flat).all():
+        return None
+    tokens = orjson.dumps(flat, option=orjson.OPT_SERIALIZE_NUMPY).decode()[1:-1].split(",")
+    mags = np.abs(flat)
+    apart = np.flatnonzero(((mags >= PADDED_EXPONENT_FROM) & (mags < POSITIONAL_FROM)) | (mags >= EXPONENT_FROM))
+    for i, x in zip(apart.tolist(), flat[apart].tolist()):
+        tokens[i] = float.__repr__(x)
+    template = "%s"
+    for depth in reversed(range(values.ndim)):
+        inner = "\n" + _INDENT * (level + depth + 1)
+        outer = "\n" + _INDENT * (level + depth)
+        template = "[" + inner + (template + "," + inner) * (values.shape[depth] - 1) + template + outer + "]"
+    return template % tuple(tokens)
+
+
 def _float_block(lst: list, level: int) -> str | None:
     """Text of a rectangular nested list of finite floats at indent ``level``, else None.
 
-    Each nesting level is flattened and type-checked as a whole list.  The
-    digits of every leaf come from one ``orjson.dumps`` of the flat list.
-    orjson (with Ryu) and ``float.__repr__`` (with David Gay's dtoa) both
-    write the shortest digits that read back as the value, the nearest such
-    digits where several qualify, and spell them alike for ``±0.0`` and every magnitude outside
-    ``[PADDED_EXPONENT_FROM, POSITIONAL_FROM)`` and ``[EXPONENT_FROM, inf)``.
-    orjson spells each value inside those ranges with an ``e`` or a
-    ``0.0000``; when its text holds either, a mask over the magnitudes finds
-    the values in the ranges and ``float.__repr__`` writes them.  One ``%s``
-    template, built level by level from the shape, then fills in every token
-    at once.
-
-    Ragged shapes, empty rows, leaves that are not exactly ``float`` (ints,
-    bools, subclasses), non-finite values (orjson writes them as ``null``)
-    and lists that contain their own ancestor return None and take the
-    generic path, which writes or rejects them as ``json`` does.
+    Each nesting level is flattened and type-checked as a whole list; the
+    leaves, copied into an array of the block's shape, are written by
+    ``_array_block``.  Ragged shapes, empty rows, leaves that are not
+    exactly ``float`` (ints, bools, subclasses), non-finite values and lists
+    that contain their own ancestor return None and take the generic path,
+    which writes or rejects them as ``json`` does.
     """
     shape = []
     rows = [lst]
@@ -397,21 +428,35 @@ def _float_block(lst: list, level: int) -> str | None:
         if kinds != {list}:
             return None
         rows = flat
-    text = orjson.dumps(flat).decode()
-    if "n" in text:  # null: NaN or an infinity
-        return None
-    tokens = text[1:-1].split(",")
-    if "e" in text or "0.0000" in text:
-        mags = np.abs(np.array(flat))
-        apart = ((mags >= PADDED_EXPONENT_FROM) & (mags < POSITIONAL_FROM)) | (mags >= EXPONENT_FROM)
-        for i in np.flatnonzero(apart).tolist():
-            tokens[i] = float.__repr__(flat[i])
-    template = "%s"
-    for depth in reversed(range(len(shape))):
-        inner = "\n" + _INDENT * (level + depth + 1)
-        outer = "\n" + _INDENT * (level + depth)
-        template = "[" + inner + (template + "," + inner) * (shape[depth] - 1) + template + outer + "]"
-    return template % tuple(tokens)
+    return _array_block(np.fromiter(flat, dtype=np.float64, count=len(flat)).reshape(shape), level)
+
+
+@dataclass(frozen=True, eq=False)
+class MatrixBlock:
+    """A complex matrix for ``dump_json``, which writes it as ``matrix_to_json`` of the matrix.
+
+    ``values`` is the matrix's C-contiguous float64 ``(..., 2)`` view of real
+    and imaginary parts; it shares memory with the matrix whenever that is
+    already C-contiguous complex128, so a change to the matrix before the
+    write shows in the text.
+    """
+
+    values: np.ndarray
+
+    def text(self, level: int) -> str:
+        """The matrix's JSON text at indent ``level``."""
+        text = _array_block(self.values, level)
+        if text is None:
+            out: list[str] = []
+            _write(self.values.tolist(), level, out, set())
+            text = "".join(out)
+        return text
+
+
+def matrix_block(m: np.ndarray) -> MatrixBlock:
+    """``m`` wrapped for ``dump_json``, which writes it as it writes ``matrix_to_json(m)``."""
+    a = np.ascontiguousarray(m, dtype=complex)
+    return MatrixBlock(a.view(np.float64).reshape(a.shape + (2,)))
 
 
 #: Exponents of ``%.15g`` text that ``repr`` of the rounded value may not share: 15 (which
@@ -516,7 +561,7 @@ def _write(o, level: int, out: list[str], markers: set[int]) -> None:
         out.append(int.__repr__(o))
     elif isinstance(o, float):
         out.append(_float_text(o))
-    elif isinstance(o, RenderedTable):
+    elif isinstance(o, (RenderedTable, MatrixBlock)):
         out.append(o.text(level))
     elif isinstance(o, (list, tuple, dict)):
         if not o:
@@ -552,10 +597,10 @@ def dump_json(obj, path: str | Path | None = None) -> str:
 
     The text is that of ``json.dumps(obj, indent=2, sort_keys=True)``, byte
     for byte, with each ``RenderedTable`` in ``obj`` read as the dict it
-    stands for; the file gets the text plus a newline.  A ``path`` that
-    names a directory raises ``IsADirectoryError`` before anything is
-    written.  A failed write leaves no temporary file and raises its
-    ``OSError`` naming ``path``.
+    stands for and each ``MatrixBlock`` as the nested list; the file gets
+    the text plus a newline.  A ``path`` that names a directory raises
+    ``IsADirectoryError`` before anything is written.  A failed write leaves
+    no temporary file and raises its ``OSError`` naming ``path``.
     """
     out: list[str] = []
     _write(obj, 0, out, set())

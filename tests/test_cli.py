@@ -143,6 +143,16 @@ class TestDecompose:
         assert captured.err == f"error: --trials must be at least 1, got {trials}\n"
         assert not out.exists()
 
+    def test_negative_seed_exits_one_before_any_work(self, traced_file, tmp_path, monkeypatch, capsys):
+        def no_work(*args):
+            raise AssertionError("decompose read its device before checking --seed")
+
+        monkeypatch.setattr(serialize, "load_json", no_work)
+        out = tmp_path / "dec"
+        assert main(["decompose", str(traced_file), "--seed", "-5", "-o", str(out)]) == 1
+        assert capsys.readouterr() == ("", "error: --seed must be non-negative, got -5\n")
+        assert not out.exists()
+
     def test_unusable_output_fails_before_any_work(self, traced_file, tmp_path, monkeypatch, capsys):
         def no_work(*args):
             raise AssertionError("decompose worked before creating its output directory")
@@ -655,6 +665,17 @@ class TestMalformedFields:
         assert out == ""
         assert err == f"error: cannot load scenario: coeffs[3].c must be a finite JSON number, got {value!r}\n"
 
+    @pytest.mark.parametrize("command", [["simulate"], ["bound"]])
+    def test_falsy_bell(self, tmp_path, capsys, command):
+        obj = serialize.scenario_to_json(chsh_singlet_scenario())
+        obj["bell"] = []
+        path = tmp_path / "bad.json"
+        serialize.dump_json(obj, path)
+        assert main([*command, str(path)]) == 1
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err == "error: cannot load scenario: bell must be a JSON object, got []\n"
+
     def test_dim_past_64_bits_reads_as_a_float(self, tmp_path, capsys):
         """An integer outside [-2**63, 2**64) reads as the nearest float, so ``dim`` is rejected by type."""
         obj = serialize.device_to_json(makarov_traced())
@@ -748,7 +769,7 @@ ACCEPTED = {
     "decompose": {"--trials", "--seed"},
     "simulate": {"--postselect", "--tol"},
     "bound": {"--mq", "--tol"},
-    "demo makarov": {"--noise", "--tol", "--seed"},
+    "demo makarov": {"--noise", "--tol"},
     "demo analyser": {"--nmax", "--eta1", "--eta2", "--delta"},
     "demo chsh-singlet": {"--tol"},
     "demo prop2-random": {"--count", "--seed"},
@@ -782,7 +803,7 @@ class TestOptions:
             for prefix, parser, _ in parsers_and_readers()
         }
         assert taken == {command: accepted | {"--output"} for command, accepted in ACCEPTED.items()}
-        assert len(REJECTED) == 26
+        assert len(REJECTED) == 27
 
     @pytest.mark.parametrize("command,option", REJECTED, ids=[f"{c} {o}" for c, o in REJECTED])
     def test_unread_option_exits_two(self, capsys, command, option):
@@ -876,6 +897,10 @@ class TestDemo:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err == f"error: --count must be at least 1, got {count}\n"
+
+    def test_prop2_random_negative_seed_exits_one(self, capsys):
+        assert main(["demo", "prop2-random", "--seed", "-1"]) == 1
+        assert capsys.readouterr() == ("", "error: --seed must be non-negative, got -1\n")
 
     def test_outputs_are_byte_stable(self, tmp_path):
         a, b = tmp_path / "a.json", tmp_path / "b.json"

@@ -194,6 +194,18 @@ class TestClassicalNormalForm:
         for x in w.settings:
             np.testing.assert_allclose(w.support[x], np.eye(2), atol=1e-9)
 
+    @pytest.mark.parametrize(
+        "accept,transition,message",
+        [
+            ({"0": 0.5}, {"0": {"0": 0.5}, "1": {"1": 0.5}}, "transition row '1' names a setting absent from accept_prob"),
+            ({"0": 0.5, "1": 0.5}, {"0": {"0": 0.5}}, "accept_prob setting '1' has no transition row"),
+        ],
+        ids=["row-without-acceptance", "acceptance-without-row"],
+    )
+    def test_settings_must_match(self, accept, transition, message):
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            ClassicalFilter(accept_prob=accept, transition=transition)
+
     def test_zero_acceptance_setting_erased(self):
         lossless = self.lossless_pair()
         fc = ClassicalFilter(

@@ -129,6 +129,15 @@ class TestScenarioFormat:
         assert np.max(np.abs(back.psi - sc.psi)) <= 1e-15
         assert back.bell_coeffs == sc.bell_coeffs
 
+    @pytest.mark.parametrize("bell", ["absent", None])
+    def test_absent_or_null_bell_means_no_functional(self, bell):
+        obj = serialize.scenario_to_json(chsh_singlet_scenario())
+        if bell == "absent":
+            del obj["bell"]
+        else:
+            obj["bell"] = bell
+        assert serialize.scenario_from_json(obj).bell_coeffs is None
+
     def test_device_file_reference(self, tmp_path):
         sc = chsh_singlet_scenario()
         serialize.dump_json(serialize.device_to_json(sc.devices[0]), tmp_path / "a.json")
@@ -265,9 +274,17 @@ class TestMalformedFields:
             (lambda o: o["parties"].__setitem__(1, 3), r"^party 1 must be a JSON object"),
             (lambda o: o.pop("state"), r"^missing field 'state'"),
             (lambda o: o.__setitem__("bell", [1]), r"^bell must be a JSON object"),
+            (lambda o: o.__setitem__("bell", []), r"^bell must be a JSON object, got \[\]$"),
+            (lambda o: o.__setitem__("bell", 0), r"^bell must be a JSON object, got 0$"),
+            (lambda o: o.__setitem__("bell", ""), r"^bell must be a JSON object, got ''$"),
+            (lambda o: o.__setitem__("bell", False), r"^bell must be a JSON object, got False$"),
+            (lambda o: o.__setitem__("bell", {}), r"^missing field 'coeffs' in bell$"),
             (lambda o: o["bell"].__setitem__("coeffs", {}), r"^coeffs must be a list"),
         ],
-        ids=["parties", "party-device", "party", "state", "bell", "coeffs"],
+        ids=[
+            "parties", "party-device", "party", "state", "bell", "bell-empty-list", "bell-zero",
+            "bell-empty-string", "bell-false", "bell-empty-object", "coeffs",
+        ],
     )
     def test_scenario_structure(self, tmp_path, edit, message):
         obj = serialize.scenario_to_json(chsh_singlet_scenario())
@@ -430,16 +447,21 @@ def test_deep_float_blocks_match_json_dumps(depth):
 
 
 def test_orjson_spells_floats_as_float_blocks_assume():
-    """The float-block writer trusts orjson's tokens outside the ranges that its bounds name, and
-    looks for an ``e`` or a ``0.0000`` in orjson's text to learn that some value lies inside; an
-    orjson that spells these otherwise fails here first."""
+    """The float-block writer takes orjson's tokens for a float64 array, and trusts them outside the
+    ranges that its bounds name; inside them it writes ``repr``.  An orjson that spells these
+    otherwise, or spells an array's values otherwise than the same floats in a list, fails here first."""
     bounds = [serialize.PADDED_EXPONENT_FROM, serialize.POSITIONAL_FROM, serialize.EXPONENT_FROM]
-    assert orjson.dumps(bounds) == b"[1e-9,0.0001,1e16]"
-    assert orjson.dumps(serialize.POSITIONAL_FROM) == b"0.0001" and orjson.dumps(serialize.EXPONENT_FROM) == b"1e16"
     below = [9.999999999999999e-10, 1.5e-17, 5e-324, 9.999999999999999e-5, 9.999999999999998e15, 1e15, 0.0, -0.0]
-    assert orjson.dumps(below) == b"[9.999999999999999e-10,1.5e-17,5e-324,0.00009999999999999999,9999999999999998.0,1000000000000000.0,0.0,-0.0]"
-    assert orjson.dumps([1e-5, 3.49e-6, -2.5e300]) == b"[0.00001,3.49e-6,-2.5e300]"
-    assert orjson.dumps([float("nan"), float("inf"), float("-inf")]) == b"[null,null,null]"
+    inside = [1e-5, 3.49e-6, -2.5e300]
+    spelled = {
+        b"[1e-9,0.0001,1e16]": bounds,
+        b"[9.999999999999999e-10,1.5e-17,5e-324,0.00009999999999999999,9999999999999998.0,1000000000000000.0,0.0,-0.0]": below,
+        b"[0.00001,3.49e-6,-2.5e300]": inside,
+    }
+    for text, values in spelled.items():
+        assert orjson.dumps(values) == text
+        assert orjson.dumps(np.array(values), option=orjson.OPT_SERIALIZE_NUMPY) == text
+    assert orjson.dumps(serialize.POSITIONAL_FROM) == b"0.0001" and orjson.dumps(serialize.EXPONENT_FROM) == b"1e16"
 
 
 def _writer_doubles() -> tuple[np.ndarray, np.ndarray]:
@@ -460,12 +482,18 @@ def _writer_doubles() -> tuple[np.ndarray, np.ndarray]:
 BOUND_BANDS = ((9e-10, 1.1e-9), (9e-6, 1.1e-5), (9e-5, 1.1e-4), (9e15, 1.1e16))
 
 
+def _nested(payload, level: int):
+    for _ in range(level):
+        payload = {"m": payload}
+    return payload
+
+
 def test_float_blocks_match_json_dumps_on_hard_doubles():
     """Seeded: about 190 000 doubles in float blocks against ``json.dumps``.
 
     All of them in blocks of every depth up to 3 at indent levels 0 to 4, and
-    each one near a spelling bound in a block of its own, where orjson's text
-    holds no other value to reveal that some value needs ``repr``.
+    again as the parts of complex matrices in ``MatrixBlock``s at those
+    levels; and each one near a spelling bound in a block of its own.
     """
     values, bands = _writer_doubles()
     values = np.random.default_rng(1019).permutation(values)
@@ -473,12 +501,31 @@ def test_float_blocks_match_json_dumps_on_hard_doubles():
     for level, part in enumerate(np.array_split(values, len(shapes))):
         block = np.concatenate([part, np.zeros(-part.size % 6)]).reshape(shapes[level]).tolist()
         assert serialize._float_block(block, level) is not None
-        payload = block
-        for _ in range(level):
-            payload = {"m": payload}
+        payload = _nested(block, level)
         assert serialize.dump_json(payload) == json.dumps(payload, indent=2, sort_keys=True)
+    for level, part in enumerate(np.array_split(values, 5)):
+        n = int(np.sqrt(part.size // 2))
+        matrix = part[: 2 * n * n].view(np.complex128).reshape(n, n)
+        written = serialize.dump_json(_nested(serialize.matrix_block(matrix), level))
+        assert written == json.dumps(_nested(serialize.matrix_to_json(matrix), level), indent=2, sort_keys=True)
     singles = {f"{i:05d}": [x] for i, x in enumerate(bands.tolist())}
     assert serialize.dump_json(singles) == json.dumps(singles, indent=2, sort_keys=True)
+
+
+@pytest.mark.parametrize(
+    "matrix",
+    [
+        np.array([[complex(np.nan, -0.0), complex(np.inf, 1.0)], [complex(-np.inf, np.nan), -0.0]]),
+        np.zeros((0, 0)),
+        np.zeros((2, 0)),
+        np.arange(6.0).reshape(2, 3)[:, ::2],
+    ],
+    ids=["non-finite", "empty", "empty-rows", "non-contiguous"],
+)
+def test_matrix_blocks_are_written_as_their_lists(matrix):
+    for level in range(3):
+        written = serialize.dump_json(_nested(serialize.matrix_block(matrix), level))
+        assert written == json.dumps(_nested(serialize.matrix_to_json(matrix), level), indent=2, sort_keys=True)
 
 
 # --- joint tables rendered in one pass against the dict they stand for
