@@ -24,7 +24,7 @@ from .linalg import (
     as_operator,
     dagger,
     expect,
-    operator_norm,
+    norms_exceed,
     operator_norms,
     sqrt_pinv_sqrt,
     support_and_pinv_sqrt,
@@ -173,10 +173,20 @@ def _pairwise_proportional(mats: np.ndarray, norms: np.ndarray, tol: float) -> b
     """
     for i in range(len(mats) - 1):
         later = norms[i + 1:]
-        residual = operator_norms(mats[i] * later[:, None, None] - mats[i + 1:] * norms[i])
-        if np.any(residual > tol * np.maximum(norms[i], later)):
+        residual = mats[i] * later[:, None, None] - mats[i + 1:] * norms[i]
+        if norms_exceed(residual, tol * np.maximum(norms[i], later)).any():
             return False
     return True
+
+
+def check_tolerance(tol: float, name: str = "tol") -> None:
+    """Raise ``ValueError`` naming ``name`` unless the decision tolerance ``tol`` is finite and non-negative.
+
+    Every comparison with a NaN tolerance is false, so no residual would be found too large; an
+    infinite one would pass every test and a negative one fail every test.
+    """
+    if not 0.0 <= tol < np.inf:
+        raise ValueError(f"{name} must be a finite non-negative number, got {tol!r}")
 
 
 def check_exact(
@@ -194,6 +204,7 @@ def check_exact(
     With ``mq`` (a matrix or a ``Reference``), ``quantum_elem``, ``support``
     and ``epsilon`` come from that reference instead; the flags stay the device's.
     """
+    check_tolerance(tol)
     clicks, weak_mq = _weak_reference(dev, tol)
     norms = clicks.norms
     weak = weak_mq is not None
@@ -203,7 +214,7 @@ def check_exact(
         ref = Reference(weak_mq if mq is None else mq, clicks)
     return FairSamplingVerdict(
         weak=weak,
-        strong=weak and operator_norm(weak_mq - np.eye(dev.dim)) <= tol,
+        strong=weak and not norms_exceed((weak_mq - np.eye(dev.dim))[None], tol)[0],
         homogeneous=weak and float(norms.max() - norms.min()) <= tol,
         classical_eff=dict(zip(dev.settings, norms.tolist())),
         quantum_elem=ref.mq,
@@ -248,8 +259,8 @@ def _conjugated_clicks(clicks: _Clicks, pi: np.ndarray, pinv: np.ndarray):
     """
     live = np.flatnonzero(clicks.norms > ZERO_ACCEPTANCE)
     mc, norms = clicks.stack[live], clicks.norms[live]
-    leak = operator_norms(pi @ mc @ pi - mc)
-    leaks = leak > VERDICT_TOL * np.maximum(1.0, norms)
+    residual = pi @ mc @ pi - mc
+    leaks = norms_exceed(residual, VERDICT_TOL * np.maximum(1.0, norms))
     mt = pinv @ mc @ pinv
     s = operator_norms(mt)
     bad = leaks | (s <= 0.0)
@@ -257,8 +268,9 @@ def _conjugated_clicks(clicks: _Clicks, pi: np.ndarray, pinv: np.ndarray):
         j = int(np.argmax(bad))
         x = clicks.device.settings[live[j]]
         if leaks[j]:
+            leak = operator_norms(residual[j:j + 1])[0]
             raise ValueError(
-                f"click element for setting {x!r} leaks outside the reference support (residual {leak[j]:.3e})"
+                f"click element for setting {x!r} leaks outside the reference support (residual {leak:.3e})"
             )
         raise ZeroAcceptanceError(f"setting {x!r} clicks only outside the reference support")
     return live, mt / s[:, None, None], s
@@ -374,6 +386,7 @@ def necessary_conditions(
     strong fair sampling forces every row to be constant.  These are
     necessary conditions only.
     """
+    check_tolerance(tol)
     settings = list(eff_table)
     if not settings:
         raise ValueError("empty efficiency table")
@@ -401,6 +414,7 @@ def state_dependent_check(
     which case the common normalized state and the per-setting acceptance
     scalars are returned.
     """
+    check_tolerance(tol)
     psi = as_operator(psi)
     dims = [int(d) for d in party_dims]
     if int(np.prod(dims)) != psi.shape[0]:

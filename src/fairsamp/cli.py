@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import argparse
 import functools
+import gc
 import itertools
 import sys
 from pathlib import Path
@@ -20,7 +21,14 @@ from pathlib import Path
 import numpy as np
 
 from . import adversary, serialize
-from .analysis import FairSamplingVerdict, approximate_epsilon, check_exact, shared_references, tv_bound
+from .analysis import (
+    FairSamplingVerdict,
+    approximate_epsilon,
+    check_exact,
+    check_tolerance,
+    shared_references,
+    tv_bound,
+)
 from .bell import (
     LABEL_SEP,
     BellScenario,
@@ -49,11 +57,19 @@ def _load(path: str, parse, what: str | None = None):
     """``parse`` of the JSON value in the file at ``path``.
 
     A load error raises ``ValueError`` with its text, after ``cannot load <what>: `` when ``what`` is given.
+    The cyclic garbage collector is paused meanwhile, and left as the caller had it: the parsed tree of
+    lists holds no cycle, and reference counting frees it once ``parse`` has converted it, so a
+    collection set off by its many lists would walk them for nothing.
     """
+    enabled = gc.isenabled()
+    gc.disable()
     try:
         return parse(serialize.load_json(path))
     except LOAD_ERRORS as exc:
         raise ValueError(f"cannot load {what}: {exc}" if what else str(exc)) from None
+    finally:
+        if enabled:
+            gc.enable()
 
 
 def _load_scenario(path: str) -> BellScenario:
@@ -62,7 +78,7 @@ def _load_scenario(path: str) -> BellScenario:
 
 def cmd_check(args) -> int:
     dev = _load(args.device, serialize.device_from_json, "device")
-    mq = None if args.mq is None else _load(args.mq, serialize.matrix_from_json)
+    mq = None if args.mq is None else _load(args.mq, serialize.matrix_from_json, "mq")
     verdict = check_exact(dev, tol=args.tol, mq=mq)
     payload = serialize.verdict_to_json(verdict)
     if verdict.epsilon < 1.0:
@@ -139,7 +155,7 @@ def cmd_simulate(args) -> int:
 def cmd_bound(args) -> int:
     sc = _load_scenario(args.scenario)
     if args.mq is not None:
-        mqs = shared_references(sc.devices, _load(args.mq, serialize.matrix_from_json))
+        mqs = shared_references(sc.devices, _load(args.mq, serialize.matrix_from_json, "mq"))
     else:
         mqs = [check_exact(dev, tol=args.tol).reference for dev in sc.devices]
     br = bound_report(sc, mqs)
@@ -346,6 +362,8 @@ def main(argv: list[str] | None = None) -> int:
         "demo": cmd_demo,
     }
     try:
+        if "tol" in args:
+            check_tolerance(args.tol, "--tol")
         return commands[args.command](args)
     except (ValueError, KeyError, OSError) as exc:
         sys.stderr.write(f"error: {exc}".rstrip() + "\n")

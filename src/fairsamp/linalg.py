@@ -30,6 +30,12 @@ ZERO_ACCEPTANCE = 1e-12
 VERDICT_TOL = 1e-8
 #: Hard cap on matrix dimension; dense eigendecompositions only.
 MAX_DIM = 4096
+#: Smallest matrix dimension at which ``psd_faults`` and ``norms_exceed`` screen before their
+#: spectral call; below it the screen saves nothing and the spectral call runs alone.
+SCREEN_FROM_DIM = 8
+#: Relative slack of ``norms_exceed``'s Frobenius screen, far wider than its rounding (at most
+#: about ``MAX_DIM**2`` times the unit roundoff, 2e-9) and than the SVD's.
+NORM_SCREEN_SLACK = 1e-6
 
 # Bounds of Python's float text format, not tolerances: serialize's float-block writer reads them.
 #: Magnitudes at which orjson and ``float.__repr__`` spell a finite double differently.  Both
@@ -97,12 +103,47 @@ def eigh_psd(m, name: str = "matrix") -> tuple[np.ndarray, np.ndarray]:
 def psd_faults(stack: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Hermiticity deviation and lowest eigenvalue of every matrix of a ``(k, d, d)`` stack.
 
-    One reduction and one ``eigvalsh`` call cover the whole stack.  The
-    eigenvalues of a matrix that is not Hermitian mean nothing, and
+    One reduction and at most one ``eigvalsh`` call cover the whole stack.
+    The eigenvalues of a matrix that is not Hermitian mean nothing, and
     ``raise_psd_fault`` reports its Hermiticity before reading them.
+
+    From dimension ``SCREEN_FROM_DIM`` on, ``_psd_floors`` first tries to
+    certify the whole stack with one Cholesky factorisation; when it does,
+    each "lowest eigenvalue" is a floor above ``-PSD_TOL`` that ``eigvalsh``'s
+    value would not fall below, and ``eigvalsh`` is not called.  Either way
+    ``lowest < -PSD_TOL`` marks exactly the matrices ``eigvalsh`` would, and
+    a matrix so marked carries ``eigvalsh``'s value.
     """
     herm = np.max(np.abs(stack - np.conj(stack).swapaxes(1, 2)), axis=(1, 2))
-    return herm, np.linalg.eigvalsh(stack)[:, 0]
+    floors = _psd_floors(stack) if stack.shape[-1] >= SCREEN_FROM_DIM else None
+    return herm, np.linalg.eigvalsh(stack)[:, 0] if floors is None else floors
+
+
+def _psd_floors(stack: np.ndarray) -> np.ndarray | None:
+    """Certified floors ``>= -PSD_TOL`` under the lowest eigenvalue of every matrix, or None.
+
+    Cholesky reads the lower triangle, as ``eigvalsh`` does.  If it factors
+    ``B = A + (PSD_TOL / 2) I`` as ``L L^dagger``, then ``B + E`` is positive
+    semidefinite for a backward error ``|E| <= gamma_(d+1) |L| |L^dagger|``
+    (Higham, Accuracy and Stability of Numerical Algorithms, ch. 10), so
+    ``||E||_2 <= gamma_(d+1) ||L||_F^2``, at most about ``d^2 eps ||A||_2``.
+    The bound taken, ``4 (d + 1) eps ||L||_F^2``, covers that with room for
+    complex arithmetic and for the shift's own rounding, and the lowest
+    eigenvalue of ``A`` is at least ``-(PSD_TOL / 2 + bound)``.  The stack is
+    certified only when every bound is at most ``PSD_TOL / 8``: ``eigvalsh``'s
+    own error is of the same order, so its lowest eigenvalue stays above
+    ``-PSD_TOL`` with room to spare.  A stack that does not factor, or whose
+    bound is larger (or not finite), returns None.
+    """
+    d = stack.shape[-1]
+    try:
+        factor = np.linalg.cholesky(stack + (PSD_TOL / 2) * np.eye(d))
+    except np.linalg.LinAlgError:
+        return None
+    bound = 4 * (d + 1) * np.finfo(float).eps * np.sum(factor.real**2 + factor.imag**2, axis=(1, 2))
+    if not np.all(bound <= PSD_TOL / 8):
+        return None
+    return -(PSD_TOL / 2 + bound)
 
 
 def raise_psd_fault(herm: np.ndarray, lowest: np.ndarray, name: Callable[[int], str]) -> None:
@@ -193,6 +234,33 @@ def operator_norms(stack: np.ndarray) -> np.ndarray:
     ``np.linalg.norm(stack, 2, axis=(1, 2))`` picks, from the same LAPACK call.
     """
     return np.linalg.svd(stack, compute_uv=False)[:, 0]
+
+
+def norms_exceed(stack: np.ndarray, limits) -> np.ndarray:
+    """``operator_norms(stack) > limits`` for a ``(k, d, d)`` stack, with the SVD only where it must decide.
+
+    From dimension ``SCREEN_FROM_DIM`` on, the squared Frobenius norm ``F^2``
+    decides first, from ``F^2 / d <= ||R||_2^2 <= F^2``: ``NORM_SCREEN_SLACK``
+    covers the rounding of ``F^2`` and of the SVD, and ``2 d^2`` times the
+    smallest normal double the squares that underflow.  An entry is decided
+    there when both bounds lie on one side of its ``limits^2``, that is not
+    negative, not NaN and, for "above", a normal double.  The SVD runs for
+    the other entries, and for every entry below the gate.
+    """
+    d = stack.shape[-1]
+    if d < SCREEN_FROM_DIM:
+        return operator_norms(stack) > limits
+    limits = np.broadcast_to(np.asarray(limits, dtype=float), stack.shape[:1])
+    tiny = np.finfo(float).tiny
+    sq = np.sum(stack.real**2 + stack.imag**2, axis=(1, 2))
+    limit_sq = limits**2
+    screened = np.isfinite(sq) & (limits >= 0)
+    above = screened & (limit_sq >= tiny) & (sq * (1 - NORM_SCREEN_SLACK) / d > limit_sq)
+    below = screened & (sq * (1 + NORM_SCREEN_SLACK) + 2 * d * d * tiny <= limit_sq)
+    open_ = np.flatnonzero(~(above | below))
+    if open_.size:
+        above[open_] = operator_norms(stack[open_]) > limits[open_]
+    return above
 
 
 def trace_norm(m) -> float:

@@ -9,7 +9,6 @@ import numpy as np
 
 from fairsamp.analysis import (
     FairSamplingVerdict,
-    _weak_reference,
     approximate_epsilon,
     check_exact,
     default_mq,
@@ -28,6 +27,7 @@ from fairsamp.device import NOCLICK, LosslessDevice, LossyDevice
 from fairsamp.filters import FilterDecomposition, QuantumFilter
 from fairsamp.linalg import (
     COMPLETENESS_TOL,
+    PSD_TOL,
     VERDICT_TOL,
     ZERO_ACCEPTANCE,
     as_operator,
@@ -35,6 +35,7 @@ from fairsamp.linalg import (
     eigh_psd,
     expect,
     operator_norm,
+    operator_norms,
     probability,
     projector,
     sqrt_pinv_sqrt,
@@ -269,12 +270,18 @@ def pass_device(kind, rng, dim, n_settings, n_outcomes):
 def oracle_check_exact(dev, tol=VERDICT_TOL, mq=None):
     """``check_exact`` from the weak test, ``default_mq``, ``approximate_epsilon`` and ``support_projector``.
 
-    With a reference matrix ``mq``, its ``quantum_elem``, ``support`` and ``epsilon`` replace the
-    device's own, as ``check --mq`` replaced them one public step at a time.
+    The weak test takes one SVD per pair of live click elements.  With a reference matrix ``mq``, its
+    ``quantum_elem``, ``support`` and ``epsilon`` replace the device's own, as ``check --mq`` replaced
+    them one public step at a time.
     """
-    clicks, weak_mq = _weak_reference(dev, tol)
-    norms = clicks.norms
-    weak = weak_mq is not None
+    clicks = dev.click_elements()
+    norms = operator_norms(clicks)
+    live = np.flatnonzero(norms > ZERO_ACCEPTANCE)
+    weak = all(
+        operator_norm(clicks[i] * norms[j] - clicks[j] * norms[i]) <= tol * max(norms[i], norms[j])
+        for i, j in itertools.combinations(live, 2)
+    )
+    weak_mq = clicks[live[0]] / norms[live[0]] if weak else None
     if weak:
         epsilon = 0.0
         own = weak_mq
@@ -426,6 +433,34 @@ def legacy_float_table(dct, level):
     inner = "\n" + "  " * (level + 1)
     pairs = map("%s: %s".__mod__, zip(map(encode_basestring_ascii, keys), map(float.__repr__, values)))
     return "{" + inner + ("," + inner).join(pairs) + "\n" + "  " * level + "}"
+
+
+#: Lowest eigenvalues planted on each side of ``-PSD_TOL``, at the positivity screen's shift and at 0.
+PLANTED_LOWEST = (-PSD_TOL * (1 + 1e-3), -PSD_TOL * (1 - 1e-3), -PSD_TOL / 2, 0.0)
+
+
+def eigvalsh_psd_faults(stack):
+    """``linalg.psd_faults`` with no screen: the Hermiticity reduction and one ``eigvalsh`` call, at every size."""
+    herm = np.max(np.abs(stack - np.conj(stack).swapaxes(1, 2)), axis=(1, 2))
+    return herm, np.linalg.eigvalsh(stack)[:, 0]
+
+
+def planted_lowest(m, target):
+    """Hermitian ``m`` with its lowest eigenvalue moved to ``target``, its eigenvectors kept."""
+    w, v = np.linalg.eigh(m)
+    return m + (target - w[0]) * projector(v[:, 0])
+
+
+def record_linalg_calls(monkeypatch, *names) -> list:
+    """Patch each ``np.linalg`` function of ``names`` to record every call as ``(name, shape)``."""
+    calls = []
+
+    def recorder(name, original):
+        return lambda a: calls.append((name, a.shape)) or original(a)
+
+    for name in names:
+        monkeypatch.setattr(np.linalg, name, recorder(name, getattr(np.linalg, name)))
+    return calls
 
 
 def record_spectral_calls(monkeypatch) -> list:

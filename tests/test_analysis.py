@@ -24,7 +24,7 @@ from fairsamp.analysis import (
 )
 from fairsamp.device import LossyDevice, ZeroAcceptanceError, total_variation
 from fairsamp.filters import canonical_decomposition
-from fairsamp.linalg import expect, projector
+from fairsamp.linalg import SCREEN_FROM_DIM, expect, operator_norms, projector
 from fairsamp.optics import AnalyserSpec, analyser_device, analyser_mq, single_photon_analyser
 from fairsamp.sampling import random_density, random_fair_sampling_device, random_povm
 
@@ -70,6 +70,27 @@ class TestCheckExact:
     def test_traced_makarov_looks_strong_homogeneous(self):
         verdict = check_exact(makarov_traced())
         assert verdict.weak and verdict.strong and verdict.homogeneous
+
+    @pytest.mark.parametrize("dim", [3, SCREEN_FROM_DIM])
+    def test_strong_on_both_sides_of_the_screen_gate(self, rng, dim):
+        assert check_exact(random_fair_sampling_device(dim, 3, 2, rng, mq=np.eye(dim))).strong
+        assert not check_exact(random_fair_sampling_device(dim, 3, 2, rng)).strong
+
+    def test_zero_tolerance(self):
+        """Exactly proportional click elements pass at tol 0; unequal detectors still fail."""
+        assert check_exact(single_photon_analyser(0.8, 0.0, [0.0, 0.0]), tol=0.0).weak
+        assert not check_exact(single_photon_analyser(0.8, 0.1, [0.0, np.pi / 4.0]), tol=0.0).weak
+
+    @pytest.mark.parametrize("dim", [3, SCREEN_FROM_DIM])
+    def test_leak_names_the_setting_and_its_exact_residual(self, rng, dim):
+        dev = random_fair_sampling_device(dim, 2, 2, rng)
+        mq = np.diag([1.0] * (dim - 1) + [0.0])  # click elements have full support; mq lacks the last direction
+        clicks = dev.click_elements()
+        residual = operator_norms(mq @ clicks @ mq - clicks)[0]
+        message = f"click element for setting 'x0' leaks outside the reference support (residual {residual:.3e})"
+        with pytest.raises(ValueError) as raised:
+            approximate_epsilon(dev, mq)
+        assert str(raised.value) == message
 
 
 class TestApproximateEpsilon:
@@ -333,6 +354,23 @@ class TestStateDependent:
         assert not res.holds
 
 
+#: Each public decision taking a tolerance, called on a valid input.
+TOLERANT = {
+    "check_exact": lambda tol: check_exact(single_photon_analyser(0.8, 0.1, [0.0]), tol=tol),
+    "necessary_conditions": lambda tol: necessary_conditions({"0": {"r": 0.5}}, tol=tol),
+    "state_dependent_check": lambda tol: state_dependent_check({"0": [np.eye(2)]}, np.eye(4) / 4, [2, 2], 0, tol=tol),
+}
+
+
+@pytest.mark.parametrize("tol", [np.nan, np.inf, -np.inf, -1.0, -1e-300])
+@pytest.mark.parametrize("decide", TOLERANT.values(), ids=TOLERANT.keys())
+def test_rejects_a_tolerance_that_is_not_finite_and_non_negative(decide, tol):
+    with pytest.raises(ValueError) as raised:
+        decide(tol)
+    assert str(raised.value) == f"tol must be a finite non-negative number, got {tol!r}"
+    decide(0.0)
+
+
 class TestReferenceDecompositions:
     """The reference operator is eigendecomposed once per epsilon or ideal device."""
 
@@ -506,7 +544,7 @@ def assert_same_bits(v, w):
 @given(
     seed=st.integers(0, 2**32 - 1),
     kind=st.sampled_from(helpers.PASS_KINDS),
-    dim=st.integers(1, 5),
+    dim=st.sampled_from([1, 2, 3, 4, 5, SCREEN_FROM_DIM, 10]),
     n_settings=st.integers(1, 3),
     n_outcomes=st.integers(1, 3),
 )

@@ -3,6 +3,7 @@
 import argparse
 import ast
 import errno
+import gc
 import inspect
 import os
 import json
@@ -16,6 +17,7 @@ from fairsamp import serialize
 from fairsamp.adversary import makarov_traced
 from fairsamp.cli import chsh_singlet_scenario, main
 from fairsamp.optics import AnalyserSpec, analyser_device, analyser_mq
+from fairsamp.sampling import random_fair_sampling_device
 
 
 @pytest.fixture
@@ -724,9 +726,79 @@ class TestDeepNesting:
         out, err = capsys.readouterr()
         assert out == ""
         if depth == 1000:
-            assert err == f"error: entry [0][0] is {'[' * 40}, expected [re, im]\n"
+            assert err == f"error: cannot load mq: entry [0][0] is {'[' * 40}, expected [re, im]\n"
         else:
-            assert err.startswith("error: ") and "recursion" in err and err.count("\n") == 1
+            assert err.startswith("error: cannot load mq: ") and "recursion" in err and err.count("\n") == 1
+
+
+#: Each command and demo taking ``--tol``, its inputs named by the fixture that writes them.
+TOL_ARGV = {
+    "check": ["check", "DEVICE"],
+    "simulate": ["simulate", "SCENARIO"],
+    "bound": ["bound", "SCENARIO"],
+    "makarov": ["demo", "makarov"],
+    "chsh-singlet": ["demo", "chsh-singlet"],
+}
+
+
+class TestTolerance:
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf", "-1", "-1e-300"])
+    @pytest.mark.parametrize("argv", TOL_ARGV.values(), ids=TOL_ARGV.keys())
+    def test_rejected_before_any_work(self, traced_file, chsh_file, monkeypatch, capsys, argv, value):
+        def no_work(*args, **kwargs):
+            raise AssertionError("worked before checking --tol")
+
+        monkeypatch.setattr(serialize, "load_json", no_work)
+        monkeypatch.setattr("fairsamp.cli.check_exact", no_work)
+        files = {"DEVICE": str(traced_file), "SCENARIO": str(chsh_file)}
+        assert main([files.get(arg, arg) for arg in argv] + [f"--tol={value}"]) == 1
+        assert capsys.readouterr() == ("", f"error: --tol must be a finite non-negative number, got {float(value)!r}\n")
+
+    @pytest.mark.parametrize("argv", TOL_ARGV.values(), ids=TOL_ARGV.keys())
+    def test_zero_accepted(self, traced_file, chsh_file, capsys, argv):
+        files = {"DEVICE": str(traced_file), "SCENARIO": str(chsh_file)}
+        assert main([files.get(arg, arg) for arg in argv] + ["--tol", "0"]) == 0
+        assert capsys.readouterr().err == ""
+
+
+class TestGcPause:
+    """Reading an input pauses the cyclic garbage collector and leaves it as the caller had it."""
+
+    @pytest.mark.parametrize("enabled", [True, False])
+    @pytest.mark.parametrize("case", ["good", "malformed", "missing", "deep"])
+    def test_leaves_gc_as_found(self, traced_file, tmp_path, capsys, case, enabled):
+        path = traced_file if case == "good" else tmp_path / "input.json"
+        if case == "malformed":
+            path.write_text("{not json")
+        elif case == "deep":
+            path.write_bytes(b"[" * 5000 + b"]" * 5000)
+        was = gc.isenabled()
+        (gc.enable if enabled else gc.disable)()
+        try:
+            code = main(["check", str(path)])
+            assert gc.isenabled() is enabled
+        finally:
+            (gc.enable if was else gc.disable)()
+        assert code == (0 if case == "good" else 1)
+
+    def test_no_automatic_collection_while_checking_a_large_device(self, tmp_path, capsys):
+        path = tmp_path / "large.json"
+        dev = random_fair_sampling_device(64, 3, 3, np.random.default_rng(5))
+        serialize.dump_json(serialize.device_to_json(dev), path)
+        assert path.stat().st_size > 2_000_000 and gc.isenabled()
+        started = []
+
+        def record(phase, info):
+            if phase == "start":
+                started.append(info["generation"])
+
+        gc.collect()
+        gc.callbacks.append(record)
+        try:
+            assert main(["check", str(path)]) == 0
+        finally:
+            gc.callbacks.remove(record)
+        assert started == []
 
 
 def subcommands(parser: argparse.ArgumentParser) -> dict[str, argparse.ArgumentParser]:

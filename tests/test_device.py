@@ -19,7 +19,7 @@ from fairsamp.device import (
     total_variation,
 )
 from fairsamp.filters import canonical_decomposition
-from fairsamp.linalg import NotPositiveError, projector
+from fairsamp.linalg import SCREEN_FROM_DIM, NotPositiveError, projector
 from fairsamp.optics import single_photon_analyser
 from fairsamp.sampling import random_density, random_povm
 
@@ -114,6 +114,20 @@ class TestStack:
         assert calls == []  # checked when the lossless device was built
         assert dev.stack.shape == (4, 3, 3, 3)
 
+    def test_one_cholesky_call_above_the_gate(self, rng, monkeypatch):
+        """A valid device is certified by the screen alone; a faulty one is checked by one ``eigvalsh`` call."""
+        calls = helpers.record_linalg_calls(monkeypatch, "cholesky", "eigvalsh")
+        dim = SCREEN_FROM_DIM
+        povm = {x: dict(zip("ab", random_povm(dim, 3, rng)[:2])) for x in ("x", "y")}
+        LossyDevice(dim, ["x", "y"], ["a", "b"], povm)
+        assert calls == [("cholesky", (2 * 3, dim, dim))]
+        calls.clear()
+        povm["y"]["b"] = helpers.planted_lowest(povm["y"]["b"], -1e-6)
+        message = "POVM element ('y', 'b') has negative eigenvalue -1.000e-06"
+        with pytest.raises(NotPositiveError, match=re.escape(message)):
+            LossyDevice(dim, ["x", "y"], ["a", "b"], povm)
+        assert calls == [("cholesky", (2 * 3, dim, dim)), ("eigvalsh", (2 * 3, dim, dim))]
+
 
 FAULTS = ("none", "hermiticity", "negative", "overfull", "completeness")
 
@@ -174,6 +188,71 @@ def test_stacked_validation_matches_the_per_element_loop(seed, dim, n_settings, 
     xs, outs, povm = _faulty_input(rng, dim, n_settings, n_outcomes, explicit_noclick, faults)
     expected = _outcome(lambda: helpers.legacy_validate(dim, xs, outs, povm))
     assert _outcome(lambda: LossyDevice(dim, xs, outs, povm)) == expected
+
+
+def _planted_lossy(rng, dim, n_settings, n_outcomes, plants):
+    """Good-element stack of a random device with each ``(setting, element, lowest)`` of ``plants`` planted.
+
+    Element ``n_outcomes`` is the no-click one: its completion gets the planted lowest eigenvalue by
+    raising the first good element along that eigenvector.
+    """
+    stack = np.array([random_povm(dim, n_outcomes + 1, rng)[:n_outcomes] for _ in range(n_settings)])
+    for i, j, target in plants:
+        if j < n_outcomes:
+            stack[i, j] = helpers.planted_lowest(stack[i, j], target)
+        else:
+            w, v = np.linalg.eigh(np.eye(dim) - stack[i].sum(axis=0))
+            stack[i, 0] += (w[0] - target) * projector(v[:, 0])
+    return stack
+
+
+def _planted_lossless(rng, dim, n_settings, n_outcomes, plants):
+    """Good-element stack of projectors onto disjoint sets of basis vectors, with ``plants`` on their kernels."""
+    stack = np.zeros((n_settings, n_outcomes, dim, dim), dtype=complex)
+    for i in range(n_settings):
+        basis = np.linalg.qr(rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim)))[0]
+        owner = rng.integers(0, n_outcomes + 1, size=dim)  # outcome n_outcomes: outside the support
+        for j in range(n_outcomes):
+            stack[i, j] = basis[:, owner == j] @ basis[:, owner == j].conj().T
+        for j, target in ((j, t) for s, j, t in plants if s == i and j < n_outcomes):
+            kernel = np.flatnonzero(owner != j)
+            if kernel.size:
+                stack[i, j] += target * projector(basis[:, kernel[0]])
+    return stack
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    lossless=st.booleans(),
+    dim=st.sampled_from([3, 5, SCREEN_FROM_DIM, 12]),
+    n_settings=st.integers(1, 3),
+    n_outcomes=st.integers(1, 3),
+    plants=st.lists(
+        st.tuples(st.integers(0, 2), st.integers(0, 3), st.sampled_from(helpers.PLANTED_LOWEST)), max_size=3
+    ),
+)
+def test_screened_validation_raises_what_eigvalsh_raises(seed, lossless, dim, n_settings, n_outcomes, plants):
+    """The same error text, number included, or none, as a validation with ``eigvalsh`` at every size."""
+    import fairsamp.device
+
+    rng = np.random.default_rng(seed)
+    plants = [(i % n_settings, min(j, n_outcomes), t) for i, j, t in plants]
+    cls, build = (LosslessDevice, _planted_lossless) if lossless else (LossyDevice, _planted_lossy)
+    stack = build(rng, dim, n_settings, n_outcomes, plants)
+    xs, outs = [f"x{i}" for i in range(n_settings)], [f"a{j}" for j in range(n_outcomes)]
+
+    def outcome():
+        try:
+            cls(dim, xs, outs, stack)
+        except ValueError as exc:
+            return type(exc), str(exc)
+        return None
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(fairsamp.device, "psd_faults", helpers.eigvalsh_psd_faults)
+        expected = outcome()
+    assert outcome() == expected
 
 
 @settings(max_examples=60, deadline=None)

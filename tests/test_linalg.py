@@ -5,16 +5,22 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import helpers
+
 from fairsamp.linalg import (
+    PSD_TOL,
+    SCREEN_FROM_DIM,
     NotHermitianError,
     NotPositiveError,
     as_operator,
     assert_density,
     expect,
+    norms_exceed,
     operator_norm,
     operator_norms,
     partial_trace,
     projector,
+    psd_faults,
     sqrt_pinv_sqrt,
     support_projector,
     tensor,
@@ -25,6 +31,11 @@ from fairsamp.linalg import (
 def random_psd(dim, rng, scale=1.0):
     g = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
     return scale * (g @ g.conj().T)
+
+
+def random_unitary(dim, rng):
+    q, _ = np.linalg.qr(rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim)))
+    return q
 
 
 class TestAssertDensity:
@@ -223,3 +234,78 @@ def test_operator_norms_equal_numpy_spectral_norms(seed, k, d, zeros):
     stack = rng.normal(size=(k, d, d)) + 1j * rng.normal(size=(k, d, d))
     stack[np.array(zeros[:k])] = 0.0
     assert np.array_equal(operator_norms(stack), np.linalg.norm(stack, 2, axis=(1, 2)))
+
+
+class TestPsdScreen:
+    """Above the size gate a Cholesky screen may stand in for ``eigvalsh``; it decides as ``eigvalsh`` does."""
+
+    @settings(max_examples=80, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        d=st.sampled_from([2, 5, SCREEN_FROM_DIM, 12, 24]),
+        k=st.integers(1, 4),
+        plants=st.lists(st.one_of(st.just(0.0), st.sampled_from(helpers.PLANTED_LOWEST)), min_size=4, max_size=4),
+        scale=st.sampled_from([1e-2, 1.0, 1e3]),
+    )
+    def test_decides_as_eigvalsh(self, seed, d, k, plants, scale):
+        """Scale 1e3 leaves the rounding bound too wide to certify; 1e-2 and 1 do not."""
+        rng = np.random.default_rng(seed)
+        stack = np.array([helpers.planted_lowest(random_psd(d, rng, scale / d), t) for t in plants[:k]])
+        herm, lowest = psd_faults(stack)
+        oracle_herm, oracle_lowest = helpers.eigvalsh_psd_faults(stack)
+        np.testing.assert_array_equal(herm, oracle_herm)
+        np.testing.assert_array_equal(lowest < -PSD_TOL, oracle_lowest < -PSD_TOL)
+        if (oracle_lowest < -PSD_TOL).any():
+            np.testing.assert_array_equal(lowest, oracle_lowest)  # a fault is reported with eigvalsh's value
+
+    @pytest.mark.parametrize("scale,certified", [(1.0, True), (1e3, False)])
+    def test_certifies_or_falls_back(self, monkeypatch, scale, certified):
+        rng = np.random.default_rng(7)
+        stack = np.array([random_psd(SCREEN_FROM_DIM, rng, scale / SCREEN_FROM_DIM) for _ in range(3)])
+        calls = helpers.record_linalg_calls(monkeypatch, "cholesky", "eigvalsh")
+        psd_faults(stack)
+        assert [name for name, _ in calls] == (["cholesky"] if certified else ["cholesky", "eigvalsh"])
+
+    def test_below_the_gate_eigvalsh_alone(self, monkeypatch):
+        monkeypatch.setattr(np.linalg, "cholesky", lambda a: pytest.fail("screened below the gate"))
+        stack = np.array([np.eye(SCREEN_FROM_DIM - 1)])
+        assert psd_faults(stack)[1].tolist() == [1.0]
+
+
+def _planted_norm_stack(rng, k, d, sigmas, full_rank):
+    """``k`` random ``d x d`` matrices with largest singular values ``sigmas``: rank 1, or full rank."""
+    out = np.zeros((k, d, d), dtype=complex)
+    for i, sigma in enumerate(sigmas):
+        spectrum = np.zeros(d)
+        if full_rank:
+            spectrum = sigma * rng.uniform(0.0, 1.0, size=d)
+        spectrum[0] = sigma
+        out[i] = random_unitary(d, rng) * spectrum @ random_unitary(d, rng)
+    return out
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    d=st.sampled_from([2, 4, SCREEN_FROM_DIM, 12, 28]),
+    limits=st.lists(st.sampled_from([0.0, 1e-8, 1.0, 3e5]), min_size=4, max_size=4),
+    factors=st.lists(st.sampled_from([0.0, 1e-3, 1 - 1e-9, 1.0, 1 + 1e-9, 1e3]), min_size=4, max_size=4),
+    full_rank=st.booleans(),
+)
+def test_norms_exceed_is_the_svd_decision(seed, d, limits, factors, full_rank):
+    """Largest singular values planted at, near and far from each limit, 0 included."""
+    rng = np.random.default_rng(seed)
+    sigmas = [max(limit, 1e-8) * f for limit, f in zip(limits, factors)]
+    stack = _planted_norm_stack(rng, 4, d, sigmas, full_rank)
+    expected = operator_norms(stack) > np.array(limits)
+    np.testing.assert_array_equal(norms_exceed(stack, np.array(limits)), expected)
+    np.testing.assert_array_equal([norms_exceed(stack[i:i + 1], limits[i])[0] for i in range(4)], expected)
+
+
+@pytest.mark.parametrize("limit", [-1.0, np.nan, np.inf, 1e-200, 0.0])
+def test_norms_exceed_out_of_range_limits(limit):
+    """A negative, NaN, infinite or tiny limit still gets the SVD's answer."""
+    rng = np.random.default_rng(3)
+    d = SCREEN_FROM_DIM
+    stack = np.array([random_psd(d, rng), np.zeros((d, d)), 1e-150 * np.eye(d)])
+    np.testing.assert_array_equal(norms_exceed(stack, limit), operator_norms(stack) > limit)
