@@ -14,7 +14,6 @@ from fairsamp import (
     BellScenario,
     LossyDevice,
     approximate_epsilon,
-    bell_value,
     beta_max,
     check_exact,
     deviation_bound,
@@ -24,13 +23,13 @@ from fairsamp import (
     single_photon_analyser,
     tv_bound,
 )
-from fairsamp.bell import postselected_bell_value
 from fairsamp.cli import chsh_coefficients, chsh_singlet_scenario, singlet_state
 
 sc = chsh_singlet_scenario()
+tables = sc.tables()
 print("acceptance probability per setting pair:",
-      {",".join(xs): round(sc.all_click_probability(xs), 6) for xs in sc.setting_tuples()})
-value = postselected_bell_value(sc)
+      {",".join(xs): round(acc, 6) for xs, acc in tables.acceptance.items()})
+value = sc.bell_value(tables.postselected)
 print(f"post-selected CHSH: {value:.12f}  (2*sqrt(2) = {2*np.sqrt(2):.12f})")
 
 verdicts = [check_exact(dev) for dev in sc.devices]
@@ -64,12 +63,10 @@ print(f"\nper-party epsilon: {eps[0]:.6f}, {eps[1]:.6f} -> composed {eps_tot:.6f
 print(f"joint total-variation bound: {tv_bound(eps_tot):.6f}")
 
 ideal_noisy = ideal_scenario(noisy, mqs)
-needed = {xs for (xs, _) in coeffs}
-ps = {xs: noisy.joint_postselected(xs) for xs in needed}
-ideal_dists = {xs: ideal_noisy.joint_raw(xs) for xs in needed}
-measured = abs(bell_value(ps, coeffs) - bell_value(ideal_dists, coeffs))
+postselected = noisy.bell_value(noisy.tables().postselected)
+measured = abs(postselected - ideal_noisy.bell_value(ideal_noisy.tables().raw))
 beta = beta_max(coeffs)
-print(f"post-selected CHSH with mismatch: {bell_value(ps, coeffs):.6f}")
+print(f"post-selected CHSH with mismatch: {postselected:.6f}")
 print(f"|CHSH_postselected - CHSH_ideal| = {measured:.6f} "
       f"<= {deviation_bound(eps_tot, beta):.6f} (bound, beta_max={beta:g})")
 assert measured <= deviation_bound(eps_tot, beta)

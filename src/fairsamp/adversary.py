@@ -6,7 +6,8 @@ quarter-efficiency CHSH device, while the finer description acting on the
 qubit together with the r register manifestly fails fair sampling.  Paired
 with a source that reads both hidden values, post-selection yields
 deterministic correlations saturating the algebraic CHSH bound from purely
-separable states.
+separable states.  Every derived quantity is read from the branches' own
+element stacks, labels and dimension and from the source table.
 """
 
 from __future__ import annotations
@@ -18,7 +19,7 @@ from typing import Mapping
 import numpy as np
 
 from .device import LossyDevice, projective_qubit_device
-from .linalg import expect, projector, tensor
+from .linalg import projector
 
 _KETS = {
     "0": np.array([1.0, 0.0], dtype=complex),
@@ -56,52 +57,49 @@ def makarov_traced() -> LossyDevice:
 
 @dataclass
 class HiddenVariableDevice:
-    """Uniform mixture of four single-shot projective branches."""
+    """Mixture of single-shot branches, each drawn with probability ``branch_prob``.
+
+    The branches share ``dim``, ``settings`` and ``outcomes``, which the device carries too.
+    """
 
     branches: Mapping[int, LossyDevice]
     branch_prob: float = 0.25
 
+    def __post_init__(self):
+        if not self.branches:
+            raise ValueError("a hidden-variable device needs at least one branch")
+        (r0, first), *rest = self.branches.items()
+        self.dim, self.settings, self.outcomes = shape = first.dim, first.settings, first.outcomes
+        for r, dev in rest:
+            got = (dev.dim, dev.settings, dev.outcomes)
+            if got != shape:
+                raise ValueError(f"branch {r!r} has (dim, settings, outcomes) {got}, branch {r0!r} {shape}")
+
     def traced(self) -> LossyDevice:
         """Average the branches over the hidden variable."""
-        first = next(iter(self.branches.values()))
-        povm = {
-            x: {
-                a: self.branch_prob * sum(dev.element(x, a) for dev in self.branches.values())
-                for a in first.outcomes
-            }
-            for x in first.settings
-        }
-        return LossyDevice(first.dim, first.settings, first.outcomes, povm)
+        n = len(self.outcomes)
+        stack = self.branch_prob * sum(dev.stack[:, :n] for dev in self.branches.values())
+        return LossyDevice(self.dim, self.settings, self.outcomes, stack)
 
     def adversary_device(self) -> LossyDevice:
-        """The finer description: POVM on qubit tensor the 4-level r register."""
-        r_dim = len(self.branches)
-        dim = 2 * r_dim
-        povm: dict[str, dict[str, np.ndarray]] = {}
-        for x in SETTINGS:
-            row = {}
-            for a in OUTCOMES:
-                total = np.zeros((dim, dim), dtype=complex)
-                for i, r in enumerate(sorted(self.branches)):
-                    reg = np.zeros((r_dim, r_dim), dtype=complex)
-                    reg[i, i] = 1.0
-                    total += tensor([self.branches[r].element(x, a), reg])
-                row[a] = total
-            povm[x] = row
-        return LossyDevice(dim, SETTINGS, OUTCOMES, povm)
+        """The finer description: ``kron(element, |i><i|)`` summed over the branches i in sorted order.
+
+        With R branches, branch i fills the diagonal slice ``[i::R, i::R]`` of the ``dim * R`` space.
+        """
+        n, r_dim = len(self.outcomes), len(self.branches)
+        dim = self.dim * r_dim
+        stack = np.zeros((len(self.settings), n, dim, dim), dtype=complex)
+        for i, r in enumerate(sorted(self.branches)):
+            stack[..., i::r_dim, i::r_dim] += self.branches[r].stack[:, :n]
+        return LossyDevice(dim, self.settings, self.outcomes, stack)
 
 
 def makarov_branches() -> HiddenVariableDevice:
     """The four hidden branches: each clicks for one setting and one outcome only."""
-    zero = np.zeros((2, 2), dtype=complex)
-    branches = {}
-    for r in (1, 2, 3, 4):
-        povm = {x: {a: zero for a in OUTCOMES} for x in SETTINGS}
-        for (rr, x), (a, ket) in _BRANCH_ARMING.items():
-            if rr == r:
-                povm[x] = {**povm[x], a: projector(_KETS[ket])}
-        branches[r] = LossyDevice(2, SETTINGS, OUTCOMES, povm)
-    return HiddenVariableDevice(branches)
+    stacks = {r: np.zeros((len(SETTINGS), len(OUTCOMES), 2, 2), dtype=complex) for r in (1, 2, 3, 4)}
+    for (r, x), (a, ket) in _BRANCH_ARMING.items():
+        stacks[r][SETTINGS.index(x), OUTCOMES.index(a)] = projector(_KETS[ket])
+    return HiddenVariableDevice({r: LossyDevice(2, SETTINGS, OUTCOMES, s) for r, s in stacks.items()})
 
 
 @dataclass(frozen=True)
@@ -130,25 +128,22 @@ class FakedChshResult:
     sampled_std_error: float | None = None
 
 
-def _click_weights():
-    """Yield (x, y, a, b, w) for every hidden pair (r_A, r_B) the source fills.
+def _click_table(hv: HiddenVariableDevice, source) -> np.ndarray:
+    """``W[x, y, a, b]``: probability that both detectors click with outcomes a, b, given settings x, y.
 
-    ``w`` is the probability of that hidden pair together with both detectors
-    clicking with outcomes a, b, given settings x, y and uniform hidden
-    values.  Vacuum pairs never click and yield nothing.
+    The hidden pair is uniform over ``source.table``; ``source.state`` gives
+    the two wings' states, or None for the vacuum, which never clicks.
     """
-    branches = makarov_branches().branches
-    source = FakingSource()
-    for x, y in itertools.product(SETTINGS, SETTINGS):
-        for (ra, rb), entry in source.table.items():
-            if entry is None:
-                continue
-            rho_a, rho_b = source.state(ra, rb)
-            for a, b in itertools.product(OUTCOMES, OUTCOMES):
-                p = expect(branches[ra].element(x, a), rho_a) * expect(
-                    branches[rb].element(y, b), rho_b
-                )
-                yield x, y, a, b, p / 16.0
+    n = len(hv.outcomes)
+    clicks = np.zeros((len(hv.settings),) * 2 + (n,) * 2)
+    for ra, rb in source.table:
+        states = source.state(ra, rb)
+        if states is not None:
+            pa, pb = (
+                np.einsum("xaij,ji->xa", hv.branches[r].stack[:, :n], rho).real for r, rho in zip((ra, rb), states)
+            )
+            clicks += np.einsum("xa,yb->xyab", pa, pb)
+    return clicks / len(source.table)
 
 
 def run_faked_chsh(noise: float = 0.0, seed: int | None = None, samples: int | None = None) -> FakedChshResult:
@@ -162,24 +157,27 @@ def run_faked_chsh(noise: float = 0.0, seed: int | None = None, samples: int | N
     probability per round that both detectors click and the round used one
     designated setting pair; it is the same for all four pairs.
 
-    With ``samples`` set, a Monte Carlo estimate of the CHSH value with the
-    given seed is attached for cross-checking the enumeration.
+    With ``samples`` (at least 1) set, a Monte Carlo estimate of the CHSH
+    value with the given seed is attached for cross-checking the enumeration.
     """
     if not 0.0 <= noise <= 1.0:
         raise ValueError("noise must lie in [0, 1]")
-    num = dict.fromkeys(_CHSH_SIGNS, 0.0)
-    den = dict.fromkeys(_CHSH_SIGNS, 0.0)
-    for x, y, a, b, w in _click_weights():
-        den[(x, y)] += w
-        num[(x, y)] += w * (1.0 if a == b else -1.0)
-    correlator = {xy: (1.0 - noise) * num[xy] / den[xy] for xy in _CHSH_SIGNS}
+    if samples is not None and samples < 1:
+        raise ValueError(f"samples must be None or at least 1, got {samples!r}")
+    hv = makarov_branches()
+    clicks = _click_table(hv, FakingSource())
+    same = 2.0 * np.eye(len(hv.outcomes)) - 1.0  # +1 for equal outcomes, -1 otherwise
+    pairs = list(itertools.product(hv.settings, repeat=2))
+    num = np.einsum("xyab,ab->xy", clicks, same).ravel().tolist()
+    den = clicks.sum(axis=(2, 3)).ravel().tolist()
+    correlator = {xy: (1.0 - noise) * nu / de for xy, nu, de in zip(pairs, num, den)}
     chsh = sum(sign * correlator[xy] for xy, sign in _CHSH_SIGNS.items())
-    # Uniform settings: P(click, click, X=x, Y=y) is den / 4 for each of the four pairs.
-    detection_rate = sum(d / 4.0 for d in den.values()) / 4.0
+    # Uniform settings: P(click, click, X=x, Y=y) is den / (number of pairs) for each pair.
+    detection_rate = sum(d / len(pairs) for d in den) / len(pairs)
 
     sampled = std_err = None
-    if samples:
-        sampled, std_err = _sample_chsh(noise, seed, samples)
+    if samples is not None:
+        sampled, std_err = _sample_chsh(clicks, noise, seed, samples)
     return FakedChshResult(
         chsh=chsh,
         detection_rate=detection_rate,
@@ -189,27 +187,24 @@ def run_faked_chsh(noise: float = 0.0, seed: int | None = None, samples: int | N
     )
 
 
-def _sample_chsh(noise: float, seed: int | None, samples: int) -> tuple[float, float]:
-    """Monte Carlo rounds of the attack; returns (CHSH estimate, standard error).
+def _sample_chsh(clicks: np.ndarray, noise: float, seed: int | None, samples: int) -> tuple[float, float]:
+    """Monte Carlo rounds of the attack on click table ``clicks``; returns (CHSH estimate, standard error).
 
-    Every round is drawn at once from the enumerated distribution of
-    (x, y, a, b) under uniform hidden values and settings; its last cell
-    holds the rounds in which some detector stays silent.
+    Every round is drawn at once from the distribution of (x, y, a, b) under
+    uniform settings, one cell per entry of ``clicks`` in order; the last
+    cell holds the rounds in which some detector stays silent.
     """
     rng = np.random.default_rng(seed)
-    outcome_pairs = list(itertools.product(OUTCOMES, OUTCOMES))
-    cells = {cell: i for i, cell in enumerate(itertools.product(_CHSH_SIGNS, outcome_pairs))}
-    probs = np.zeros(len(cells) + 1)
-    for x, y, a, b, w in _click_weights():
-        probs[cells[((x, y), (a, b))]] += w / 4.0  # uniform settings
+    n_pairs, n_outs = clicks.shape[0] * clicks.shape[1], clicks.shape[2] * clicks.shape[3]
+    probs = np.append(clicks.ravel() / n_pairs, 0.0)
     probs[-1] = max(0.0, 1.0 - probs[:-1].sum())
     drawn = rng.choice(probs.size, size=samples, p=probs)
-    pair, outs = np.divmod(drawn[drawn < len(cells)], len(outcome_pairs))
+    pair, outs = np.divmod(drawn[drawn < clicks.size], n_outs)
     noisy = rng.random(pair.size) < noise
-    outs = np.where(noisy, rng.integers(len(outcome_pairs), size=pair.size), outs)
-    same = np.array([a == b for a, b in outcome_pairs])
-    sums = np.bincount(pair, weights=np.where(same[outs], 1.0, -1.0), minlength=len(_CHSH_SIGNS))
-    counts = np.bincount(pair, minlength=len(_CHSH_SIGNS))
+    outs = np.where(noisy, rng.integers(n_outs, size=pair.size), outs)
+    same = (2.0 * np.eye(clicks.shape[2]) - 1.0).ravel()  # +1 for equal outcomes, -1 otherwise
+    sums = np.bincount(pair, weights=same[outs], minlength=n_pairs)
+    counts = np.bincount(pair, minlength=n_pairs)
     if np.any(counts == 0):
         raise ValueError("no successful rounds for some setting pair; increase samples")
     means = sums / counts

@@ -202,7 +202,8 @@ def _check_lossy(settings: Sequence[str], outcomes: Sequence[str], stack: np.nda
     n = len(outcomes)
     eye = np.eye(stack.shape[-1], dtype=complex)
     sums = _complete(stack, n, ~given[:, None, None])
-    residual = np.max(np.abs(sums + stack[:, n] - eye), axis=(1, 2))
+    with np.errstate(invalid="ignore"):  # a non-finite element is reported as its own fault below
+        residual = np.max(np.abs(sums + stack[:, n] - eye), axis=(1, 2))
     incomplete = np.flatnonzero(given & (residual > COMPLETENESS_TOL))
     herm, lowest = psd_faults(stack.reshape(-1, *eye.shape))
     labels = [*map(repr, outcomes), NOCLICK]
@@ -229,7 +230,8 @@ def _check_lossless(settings: Sequence[str], outcomes: Sequence[str], stack: np.
     n = len(outcomes)
     dim = stack.shape[-1]
     sums = _complete(stack, n)
-    residual = np.max(np.abs(sums @ sums - sums), axis=(1, 2))
+    with np.errstate(invalid="ignore", over="ignore"):  # a non-finite element is reported as its own fault below
+        residual = np.max(np.abs(sums @ sums - sums), axis=(1, 2))
     bad = np.flatnonzero(residual > COMPLETENESS_TOL)
     herm, lowest = (f.reshape(len(stack), n + 1) for f in psd_faults(stack.reshape(-1, dim, dim)))
     good_herm, good_lowest = herm[:, :n].ravel(), lowest[:, :n].ravel()

@@ -9,6 +9,7 @@ norms, Kronecker products and partial traces.
 
 from __future__ import annotations
 
+import math
 from functools import reduce
 from typing import Callable, Iterable, Sequence
 
@@ -72,6 +73,9 @@ def dagger(m: np.ndarray) -> np.ndarray:
 
 
 def _check_hermitian(dev: float, name: str) -> None:
+    """Raise for a Hermiticity deviation ``dev`` (``_hermiticity``'s value) above the tolerance, or NaN."""
+    if np.isnan(dev):
+        raise ValueError(f"{name} has a non-finite entry")
     if dev > HERMITICITY_TOL:
         raise NotHermitianError(f"{name} deviates from Hermiticity by {dev:.3e} (tol {HERMITICITY_TOL:.1e})")
 
@@ -81,9 +85,24 @@ def _check_positive(lowest: float, name: str) -> None:
         raise NotPositiveError(f"{name} has negative eigenvalue {lowest:.3e} (tol {PSD_TOL:.1e})")
 
 
+def _hermiticity(stack: np.ndarray) -> np.ndarray:
+    """Largest entry of ``|m - m^dagger|`` per matrix of a ``(k, d, d)`` stack, NaN if it has a non-finite entry.
+
+    A non-finite entry always makes the deviation non-finite, so only such
+    matrices are searched for one; a finite matrix whose deviation overflows
+    keeps ``inf``.
+    """
+    with np.errstate(invalid="ignore", over="ignore"):
+        herm = np.max(np.abs(stack - np.conj(stack).swapaxes(1, 2)), axis=(1, 2))
+    if not math.isfinite(herm.max(initial=0.0)):
+        odd = np.flatnonzero(~np.isfinite(herm))
+        herm[odd[~np.isfinite(stack[odd]).all(axis=(1, 2))]] = np.nan
+    return herm
+
+
 def assert_hermitian(m, name: str = "matrix") -> np.ndarray:
     a = as_operator(m)
-    _check_hermitian(float(np.max(np.abs(a - dagger(a)))), name)
+    _check_hermitian(_hermiticity(a[None])[0], name)
     return a
 
 
@@ -105,7 +124,9 @@ def psd_faults(stack: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
     One reduction and at most one ``eigvalsh`` call cover the whole stack.
     The eigenvalues of a matrix that is not Hermitian mean nothing, and
-    ``raise_psd_fault`` reports its Hermiticity before reading them.
+    ``raise_psd_fault`` reports its Hermiticity before reading them.  A
+    matrix whose deviation is not finite (NaN for a non-finite entry, see
+    ``_hermiticity``) is never passed to LAPACK; its lowest eigenvalue reads NaN.
 
     From dimension ``SCREEN_FROM_DIM`` on, ``_psd_floors`` first tries to
     certify the whole stack with one Cholesky factorisation; when it does,
@@ -114,7 +135,12 @@ def psd_faults(stack: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     ``lowest < -PSD_TOL`` marks exactly the matrices ``eigvalsh`` would, and
     a matrix so marked carries ``eigvalsh``'s value.
     """
-    herm = np.max(np.abs(stack - np.conj(stack).swapaxes(1, 2)), axis=(1, 2))
+    herm = _hermiticity(stack)
+    if not math.isfinite(herm.max(initial=0.0)):
+        finite = np.isfinite(herm)
+        lowest = np.full(herm.shape, np.nan)
+        lowest[finite] = psd_faults(stack[finite])[1]
+        return herm, lowest
     floors = _psd_floors(stack) if stack.shape[-1] >= SCREEN_FROM_DIM else None
     return herm, np.linalg.eigvalsh(stack)[:, 0] if floors is None else floors
 
@@ -151,7 +177,7 @@ def raise_psd_fault(herm: np.ndarray, lowest: np.ndarray, name: Callable[[int], 
 
     ``herm`` and ``lowest`` are ``psd_faults`` of the stack (or of a slice of it).
     """
-    bad = (herm > HERMITICITY_TOL) | (lowest < -PSD_TOL)
+    bad = ~(herm <= HERMITICITY_TOL) | (lowest < -PSD_TOL)
     if bad.any():
         j = int(np.argmax(bad))
         _check_hermitian(herm[j], name(j))

@@ -155,12 +155,24 @@ def _setting_label(theta: float) -> str:
     return format(theta, ".12g")
 
 
+def _setting_labels(angles: Sequence[float]) -> list[str]:
+    """The setting label of each angle; two angles that share a label raise ``ValueError`` naming both."""
+    seen: dict[str, float] = {}
+    for theta in angles:
+        label = _setting_label(theta)
+        if label in seen:
+            raise ValueError(f"angles {seen[label]!r} and {theta!r} share the setting label {label!r}")
+        seen[label] = theta
+    return list(seen)
+
+
 def analyser_device(spec: AnalyserSpec) -> LossyDevice:
     """Four-outcome analyser POVM per angle: first-only, second-only, both, noclick.
 
     All four elements are simultaneously diagonal in the angle occupation
     basis, with eigenvalues built from the per-detector miss probabilities
-    r1^k and r2^(n-k).
+    r1^k and r2^(n-k).  Each angle is one setting, labelled with 12
+    significant digits; two angles with one label raise ``ValueError``.
     """
     fock = TwoModeFock(spec.n_max)
     r1, r2 = spec.r1, spec.r2
@@ -169,16 +181,13 @@ def analyser_device(spec: AnalyserSpec) -> LossyDevice:
         lambda n, k: r1**k * (1.0 - r2 ** (n - k)),
         lambda n, k: (1.0 - r1**k) * (1.0 - r2 ** (n - k)),
     )
-    povm: dict[str, dict[str, np.ndarray]] = {}
+    labels = _setting_labels(spec.angles)
+    rows = []
     for theta in spec.angles:
         d1, d2, both = fock.sector_functions(theta, eigenvalues)
-        if spec.fold_both:
-            row = {OUTCOME_D1: d1 + both, OUTCOME_D2: d2}
-        else:
-            row = {OUTCOME_D1: d1, OUTCOME_D2: d2, OUTCOME_BOTH: both}
-        povm[_setting_label(theta)] = row
+        rows.append([d1 + both, d2] if spec.fold_both else [d1, d2, both])
     outcomes = [OUTCOME_D1, OUTCOME_D2] if spec.fold_both else [OUTCOME_D1, OUTCOME_D2, OUTCOME_BOTH]
-    return LossyDevice(fock.dim, list(povm), outcomes, povm)
+    return LossyDevice(fock.dim, labels, outcomes, np.array(rows))
 
 
 def single_photon_analyser(eta: float, delta: float, angles: Sequence[float]) -> LossyDevice:
@@ -187,7 +196,7 @@ def single_photon_analyser(eta: float, delta: float, angles: Sequence[float]) ->
     ``eta`` is the better detector's efficiency and ``delta`` the relative
     miss-probability excess of the other one, so the click element at every
     angle is eta - (1 - eta) * delta on the theta-polarized photon and eta on
-    the orthogonal one.
+    the orthogonal one.  Angles are labelled as in ``analyser_device``.
     """
     if not 0.0 < eta <= 1.0:
         raise ValueError("eta must lie in (0, 1]")
@@ -196,15 +205,14 @@ def single_photon_analyser(eta: float, delta: float, angles: Sequence[float]) ->
     eta_theta = 1.0 - (1.0 - eta) * (1.0 + delta)
     if eta_theta < 0.0:
         raise ValueError(f"eta={eta}, delta={delta} give a negative click probability")
-    povm: dict[str, dict[str, np.ndarray]] = {}
+    angles = list(angles)
+    labels = _setting_labels(angles)
+    rows = []
     for theta in angles:
         along = np.array([np.cos(theta), np.sin(theta)], dtype=complex)
         perp = np.array([-np.sin(theta), np.cos(theta)], dtype=complex)
-        povm[_setting_label(theta)] = {
-            OUTCOME_D1: eta_theta * np.outer(along, along.conj()),
-            OUTCOME_D2: eta * np.outer(perp, perp.conj()),
-        }
-    return LossyDevice(2, list(povm), [OUTCOME_D1, OUTCOME_D2], povm)
+        rows.append([eta_theta * np.outer(along, along.conj()), eta * np.outer(perp, perp.conj())])
+    return LossyDevice(2, labels, [OUTCOME_D1, OUTCOME_D2], np.reshape(rows, (len(labels), 2, 2, 2)))
 
 
 def analyser_mq(eta2: float, n_max: int) -> np.ndarray:

@@ -484,3 +484,39 @@ def record_spectral_calls(monkeypatch) -> list:
     monkeypatch.setattr(np.linalg, "eigh", record_eigh)
     monkeypatch.setattr(np.linalg, "eigvalsh", record_eigvalsh)
     return calls
+
+
+def oracle_click_table(hv, source):
+    """``adversary._click_table`` as a loop over labels: one ``expect`` per branch element and source state.
+
+    Adds each hidden pair's weight ``p / len(source.table)`` to its cell, as
+    the per-label generator of the attack's statistics did.
+    """
+    settings, outcomes = hv.settings, hv.outcomes
+    table = np.zeros((len(settings),) * 2 + (len(outcomes),) * 2)
+    for (i, x), (j, y) in itertools.product(enumerate(settings), repeat=2):
+        for ra, rb in source.table:
+            states = source.state(ra, rb)
+            if states is None:
+                continue
+            rho_a, rho_b = states
+            for (k, a), (m, b) in itertools.product(enumerate(outcomes), repeat=2):
+                p = expect(hv.branches[ra].element(x, a), rho_a) * expect(hv.branches[rb].element(y, b), rho_b)
+                table[i, j, k, m] += p / len(source.table)
+    return table
+
+
+def oracle_adversary_device(hv):
+    """``HiddenVariableDevice.adversary_device`` as a loop over labels: ``kron(element, |i><i|)`` per branch."""
+    r_dim = len(hv.branches)
+    povm = {}
+    for x in hv.settings:
+        povm[x] = {}
+        for a in hv.outcomes:
+            total = np.zeros((hv.dim * r_dim,) * 2, dtype=complex)
+            for i, r in enumerate(sorted(hv.branches)):
+                reg = np.zeros((r_dim, r_dim), dtype=complex)
+                reg[i, i] = 1.0
+                total += tensor([hv.branches[r].element(x, a), reg])
+            povm[x][a] = total
+    return LossyDevice(hv.dim * r_dim, hv.settings, hv.outcomes, povm)

@@ -1,17 +1,22 @@
 """Hidden-variable detector, purification consistency and the faked violation."""
 
+from dataclasses import dataclass
+
 import numpy as np
 import pytest
 
+import helpers
 from fairsamp.adversary import (
     FakingSource,
+    HiddenVariableDevice,
+    _click_table,
     makarov_branches,
     makarov_traced,
     run_faked_chsh,
 )
 from fairsamp.analysis import check_exact
-from fairsamp.device import NOCLICK
-from fairsamp.sampling import random_density
+from fairsamp.device import NOCLICK, LossyDevice
+from fairsamp.sampling import random_density, random_povm
 
 
 class TestTracedDevice:
@@ -90,6 +95,21 @@ class TestFakedChsh:
         with pytest.raises(ValueError):
             run_faked_chsh(noise=1.5)
 
+    @pytest.mark.parametrize("samples", [0, -3])
+    def test_samples_domain(self, samples):
+        with pytest.raises(ValueError, match=rf"^samples must be None or at least 1, got {samples}$"):
+            run_faked_chsh(samples=samples)
+
+    def test_click_table_matches_the_per_label_oracle_bit_for_bit(self):
+        hv, source = makarov_branches(), FakingSource()
+        table = _click_table(hv, source)
+        assert table.shape == (2, 2, 2, 2)
+        assert table.tobytes() == helpers.oracle_click_table(hv, source).tobytes()
+
+    def test_adversary_device_matches_the_kron_oracle_bit_for_bit(self):
+        hv = makarov_branches()
+        assert hv.adversary_device().stack.tobytes() == helpers.oracle_adversary_device(hv).stack.tobytes()
+
 
 def test_attack_efficiency_table_passes_necessary_conditions():
     """Observed efficiencies stay consistent with fair sampling even under attack.
@@ -155,3 +175,89 @@ class TestFakingSource:
                         hits += 1
                         assert pa * pb == pytest.approx(1.0, abs=1e-12)
             assert hits == 1
+
+
+QUTRIT_SETTINGS, QUTRIT_OUTCOMES = ("a", "b", "c"), ("u", "v")
+
+
+def qutrit_branch(rng, dim=3, settings=QUTRIT_SETTINGS, outcomes=QUTRIT_OUTCOMES):
+    """Random branch: per setting, all but the last element of a random POVM are the good outcomes."""
+    stack = np.array([random_povm(dim, len(outcomes) + 1, rng)[: len(outcomes)] for _ in settings])
+    return LossyDevice(dim, settings, outcomes, stack)
+
+
+@dataclass(frozen=True)
+class StateTable:
+    """A source given by its table: (r_A, r_B) -> the two wings' density matrices, or None for the vacuum."""
+
+    table: dict
+
+    def state(self, r_a, r_b):
+        return self.table[(r_a, r_b)]
+
+
+class TestGeneralisedModel:
+    """A non-Makarov model: three qutrit branches, three settings, two outcomes and a source of its own."""
+
+    @pytest.fixture
+    def model(self, rng):
+        hv = HiddenVariableDevice({7: qutrit_branch(rng), 2: qutrit_branch(rng), 5: qutrit_branch(rng)}, 1.0 / 3.0)
+        keys = [(ra, rb) for ra in (7, 2, 5) for rb in (7, 2, 5)]
+        vacuum = {(7, 2), (2, 5), (5, 5)}
+        table = {key: None if key in vacuum else (random_density(3, rng), random_density(3, rng)) for key in keys}
+        return hv, StateTable(table)
+
+    def test_labels_and_dimension_come_from_the_branches(self, model):
+        hv, _ = model
+        assert (hv.dim, hv.settings, hv.outcomes) == (3, QUTRIT_SETTINGS, QUTRIT_OUTCOMES)
+
+    def test_traced_is_the_per_label_mixture(self, model):
+        hv, _ = model
+        traced = hv.traced()
+        assert (traced.dim, traced.settings, traced.outcomes) == (3, QUTRIT_SETTINGS, QUTRIT_OUTCOMES)
+        for x in QUTRIT_SETTINGS:
+            for a in QUTRIT_OUTCOMES:
+                mixture = hv.branch_prob * sum(dev.element(x, a) for dev in hv.branches.values())
+                assert np.array_equal(traced.element(x, a), mixture)
+
+    def test_adversary_device_marginalizes_to_traced(self, model, rng):
+        hv, _ = model
+        adv, traced = hv.adversary_device(), hv.traced()
+        assert adv.dim == 9
+        assert adv.stack.tobytes() == helpers.oracle_adversary_device(hv).stack.tobytes()
+        rho = random_density(3, rng)
+        joint = np.kron(rho, np.eye(3) / 3.0)
+        for x in QUTRIT_SETTINGS:
+            for a in (*QUTRIT_OUTCOMES, NOCLICK):
+                p_adv = np.trace(adv.element(x, a) @ joint).real
+                assert p_adv == pytest.approx(np.trace(traced.element(x, a) @ rho).real, abs=1e-12)
+
+    def test_click_table_matches_the_per_label_oracle(self, model):
+        hv, source = model
+        table = _click_table(hv, source)
+        assert table.shape == (3, 3, 2, 2)
+        np.testing.assert_allclose(table, helpers.oracle_click_table(hv, source), rtol=1e-13, atol=1e-16)
+        assert np.all(table >= 0.0)
+        assert np.all(table.sum(axis=(2, 3)) <= 6.0 / 9.0 + 1e-12)  # three of the nine hidden pairs are vacuum
+
+
+class TestBranchValidation:
+    @pytest.mark.parametrize(
+        "other,attr",
+        [
+            (dict(dim=2), "dim"),
+            (dict(settings=("b", "a", "c")), "settings"),
+            (dict(outcomes=("u", "w")), "outcomes"),
+            (dict(outcomes=("v", "u")), "outcomes"),
+        ],
+    )
+    def test_mismatched_branch_raises_naming_it(self, rng, other, attr):
+        branches = {r: qutrit_branch(rng, **(other if r >= 3 else {})) for r in (1, 2, 3, 4)}
+        with pytest.raises(ValueError, match=r"^branch 3 has \(dim, settings, outcomes\) .*, branch 1 ") as raised:
+            HiddenVariableDevice(branches)
+        bad = branches[3]
+        assert repr(getattr(bad, attr)) in str(raised.value)
+
+    def test_no_branch_raises(self):
+        with pytest.raises(ValueError, match="at least one branch"):
+            HiddenVariableDevice({})

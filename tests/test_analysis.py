@@ -78,7 +78,7 @@ class TestCheckExact:
 
     def test_zero_tolerance(self):
         """Exactly proportional click elements pass at tol 0; unequal detectors still fail."""
-        assert check_exact(single_photon_analyser(0.8, 0.0, [0.0, 0.0]), tol=0.0).weak
+        assert check_exact(single_photon_analyser(0.8, 0.0, [0.0, np.pi / 4.0]), tol=0.0).weak
         assert not check_exact(single_photon_analyser(0.8, 0.1, [0.0, np.pi / 4.0]), tol=0.0).weak
 
     @pytest.mark.parametrize("dim", [3, SCREEN_FROM_DIM])

@@ -330,6 +330,62 @@ class TestFaultOrder:
             LossyDevice(2, ["x", "y"], ["a"], povm)
 
 
+@pytest.mark.filterwarnings("error")
+class TestNonFiniteElements:
+    """A NaN or infinite entry is a fault of its element, reported in label order; LAPACK never sees it."""
+
+    PREFIX = {LossyDevice: "POVM element", LosslessDevice: "element"}
+
+    @staticmethod
+    def element(dim, value, at):
+        m = np.eye(dim, dtype=complex) / 2.0
+        m[at] = value
+        return m
+
+    @pytest.fixture
+    def finite_lapack(self, monkeypatch):
+        """Fail any ``eigvalsh`` or ``cholesky`` call given a non-finite entry."""
+        for name in ("eigvalsh", "cholesky"):
+            original = getattr(np.linalg, name)
+
+            def checked(a, *args, _original=original, **kw):
+                assert np.isfinite(a).all(), "LAPACK was given a non-finite entry"
+                return _original(a, *args, **kw)
+
+            monkeypatch.setattr(np.linalg, name, checked)
+
+    @pytest.mark.parametrize("cls", [LossyDevice, LosslessDevice])
+    @pytest.mark.parametrize("dim", [2, SCREEN_FROM_DIM + 1])
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf, 1j * np.inf, complex(np.nan, 1.0)])
+    @pytest.mark.parametrize("at", [(0, 0), (0, 1)], ids=["diagonal", "off-diagonal"])
+    def test_names_the_element(self, finite_lapack, cls, dim, value, at):
+        with pytest.raises(ValueError) as raised:
+            cls(dim, ["x"], ["a"], {"x": {"a": self.element(dim, value, at)}})
+        assert str(raised.value) == f"{self.PREFIX[cls]} ('x', 'a') has a non-finite entry"
+
+    @pytest.mark.parametrize("dim", [2, SCREEN_FROM_DIM + 1])
+    def test_given_noclick_element(self, finite_lapack, dim):
+        povm = {"x": {"a": np.eye(dim) / 2.0, NOCLICK: self.element(dim, np.nan, (1, 1))}}
+        with pytest.raises(ValueError, match=r"^POVM element \('x', noclick\) has a non-finite entry$"):
+            LossyDevice(dim, ["x"], ["a"], povm)
+
+    @pytest.mark.parametrize("cls", [LossyDevice, LosslessDevice])
+    @pytest.mark.parametrize("dim", [2, SCREEN_FROM_DIM + 1])
+    def test_label_order_with_positivity_faults(self, finite_lapack, cls, dim):
+        negative = np.diag([1.0] + [-0.2] * (dim - 1))
+        nan = self.element(dim, np.nan, (0, 0))
+        with pytest.raises(NotPositiveError, match=r"element \('x', 'a'\)"):
+            cls(dim, ["x", "y"], ["a"], {"x": {"a": negative}, "y": {"a": nan}})
+        with pytest.raises(ValueError, match=r"element \('x', 'a'\) has a non-finite entry$"):
+            cls(dim, ["x", "y"], ["a"], {"x": {"a": nan}, "y": {"a": negative}})
+
+    @pytest.mark.parametrize("dim", [2, SCREEN_FROM_DIM + 1])
+    def test_a_stack_is_checked_too(self, finite_lapack, dim):
+        stack = np.array([[np.eye(dim) / 2.0], [self.element(dim, np.inf, (1, 1))]])
+        with pytest.raises(ValueError, match=r"^POVM element \('y', 'a'\) has a non-finite entry$"):
+            LossyDevice(dim, ["x", "y"], ["a"], stack)
+
+
 class TestClickElement:
     def test_lossless_projective(self, lossless_z):
         np.testing.assert_allclose(lossless_z.click_element("z"), np.eye(2), atol=1e-12)

@@ -14,6 +14,8 @@ from fairsamp.linalg import (
     NotPositiveError,
     as_operator,
     assert_density,
+    assert_hermitian,
+    eigh_psd,
     expect,
     norms_exceed,
     operator_norm,
@@ -58,6 +60,34 @@ class TestAssertDensity:
     def test_accepts_drift_within_tolerance(self):
         rho = np.diag([1.0 + 5e-11, -5e-11])
         np.testing.assert_array_equal(assert_density(rho), rho)
+
+
+class TestNonFinite:
+    """A matrix with a NaN or infinite entry is rejected by name before any eigensolver sees it."""
+
+    @pytest.mark.parametrize("check", [assert_hermitian, eigh_psd, assert_density])
+    @pytest.mark.parametrize("value", [np.nan, np.inf, complex(0.0, np.nan)])
+    def test_single_matrix_checks_reject(self, check, value):
+        m = np.diag([0.5, 0.5]).astype(complex)
+        m[1, 1] = value
+        with pytest.raises(ValueError, match=r"^rho has a non-finite entry$"):
+            check(m, name="rho")
+
+    def test_overflowing_deviation_of_a_finite_matrix_stays_a_hermiticity_fault(self):
+        with pytest.raises(NotHermitianError, match="deviates from Hermiticity by inf"):
+            assert_hermitian(np.array([[0.0, 1e308], [-1e308, 0.0]]))
+
+    @pytest.mark.parametrize("d", [2, SCREEN_FROM_DIM + 1])
+    def test_psd_faults_reads_nan_for_the_matrix_and_spectra_for_the_rest(self, d):
+        rng = np.random.default_rng(3)
+        stack = np.array([random_psd(d, rng, 1.0 / d) for _ in range(3)])
+        stack[1, 0, d - 1] = np.inf
+        herm, lowest = psd_faults(stack)
+        assert np.isnan(herm[1]) and np.isnan(lowest[1])
+        finite = [0, 2]
+        oracle_herm, oracle_lowest = helpers.eigvalsh_psd_faults(stack[finite])
+        np.testing.assert_array_equal(herm[finite], oracle_herm)
+        assert np.all(lowest[finite] > -PSD_TOL) and np.all(oracle_lowest > -PSD_TOL)
 
 
 class TestSupportProjector:

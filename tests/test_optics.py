@@ -18,6 +18,7 @@ from fairsamp.optics import (
     sector_deviation_profile,
     single_photon_analyser,
 )
+from fairsamp.optics import _setting_label
 from fairsamp.sampling import random_density
 
 
@@ -197,7 +198,7 @@ class TestAnalyserMq:
 @given(
     eta1=st.floats(0.05, 1.0),
     eta2=st.floats(0.05, 1.0),
-    angles=st.lists(st.floats(0.0, np.pi), min_size=1, max_size=3),
+    angles=st.lists(st.floats(0.0, np.pi), min_size=1, max_size=3, unique_by=_setting_label),
     n_max=st.integers(1, 4),
     fold_both=st.booleans(),
 )
@@ -208,3 +209,28 @@ def test_analyser_device_equals_one_rotation_set_per_outcome(eta1, eta2, angles,
     assert (shared.settings, shared.outcomes) == (separate.settings, separate.outcomes)
     assert np.array_equal(shared.stack, separate.stack)
 
+
+
+class TestSharedSettingLabels:
+    """Two angles with one setting label (12 significant digits) raise instead of collapsing into one setting."""
+
+    @pytest.mark.parametrize(
+        "angles,message",
+        [
+            ([0.0, 0.0, 1e-13], "angles 0.0 and 0.0 share the setting label '0'"),
+            ([0.1, 0.2, 0.1 + 1e-15], "angles 0.1 and 0.100000000000001 share the setting label '0.1'"),
+        ],
+    )
+    def test_single_photon_analyser(self, angles, message):
+        with pytest.raises(ValueError) as raised:
+            single_photon_analyser(0.8, 0.1, angles)
+        assert str(raised.value) == message
+
+    @pytest.mark.parametrize("fold_both", [False, True])
+    def test_analyser_device(self, fold_both):
+        with pytest.raises(ValueError, match=r"^angles 0.3 and 0.3 share the setting label '0.3'$"):
+            analyser_device(AnalyserSpec(0.7, 0.8, (0.3, 0.3), 1, fold_both=fold_both))
+
+    def test_distinct_labels_keep_every_angle(self):
+        assert single_photon_analyser(0.8, 0.1, [0.0, 1e-13]).settings == ("0", "1e-13")
+        assert analyser_device(AnalyserSpec(0.7, 0.8, (0.3, 0.3 + 1e-11), 1)).settings == ("0.3", "0.30000000001")
