@@ -57,13 +57,12 @@ def makarov_traced() -> LossyDevice:
 
 @dataclass
 class HiddenVariableDevice:
-    """Mixture of single-shot branches, each drawn with probability ``branch_prob``.
+    """Mixture of single-shot branches, drawn uniformly: each with probability ``branch_prob``.
 
     The branches share ``dim``, ``settings`` and ``outcomes``, which the device carries too.
     """
 
     branches: Mapping[int, LossyDevice]
-    branch_prob: float = 0.25
 
     def __post_init__(self):
         if not self.branches:
@@ -74,6 +73,11 @@ class HiddenVariableDevice:
             got = (dev.dim, dev.settings, dev.outcomes)
             if got != shape:
                 raise ValueError(f"branch {r!r} has (dim, settings, outcomes) {got}, branch {r0!r} {shape}")
+
+    @property
+    def branch_prob(self) -> float:
+        """The probability of each branch: the hidden variable is uniform over the branches."""
+        return 1.0 / len(self.branches)
 
     def traced(self) -> LossyDevice:
         """Average the branches over the hidden variable."""

@@ -28,6 +28,7 @@ from .linalg import (
     operator_norms,
     sqrt_pinv_sqrt,
     support_and_pinv_sqrt,
+    tensor,
     trace_norm,
 )
 
@@ -306,17 +307,26 @@ def ideal_device_from(dev: LossyDevice, mq: np.ndarray | Reference) -> LosslessD
     return LosslessDevice(dev.dim, [dev.settings[i] for i in live], dev.outcomes, stack)
 
 
+def _filter(mqs: Sequence[np.ndarray | Reference], rho: np.ndarray, vanishes: str) -> tuple[np.ndarray, float]:
+    """``rho`` conjugated by the tensor product of the square roots of ``mqs`` and normalized, and the acceptance.
+
+    A ``Reference`` gives its ``root``.  An acceptance at most ZERO_ACCEPTANCE
+    raises ``ZeroAcceptanceError`` with ``vanishes`` formatted with it.
+    """
+    sq = tensor([mq.root if isinstance(mq, Reference) else sqrt_pinv_sqrt(mq)[0] for mq in mqs])
+    branch = sq @ rho @ sq
+    eq = float(np.trace(branch).real)
+    if eq <= ZERO_ACCEPTANCE:
+        raise ZeroAcceptanceError(vanishes.format(eq))
+    return branch / eq, eq
+
+
 def filtered_state(mq: np.ndarray | Reference, rho: np.ndarray) -> tuple[np.ndarray, float]:
     """Conjugate a state by sqrt(mq) and renormalize; returns (state, acceptance).
 
     For a ``Reference``, its ``root`` is the square root.
     """
-    sq = mq.root if isinstance(mq, Reference) else sqrt_pinv_sqrt(mq)[0]
-    branch = sq @ as_operator(rho) @ sq
-    eq = float(np.trace(branch).real)
-    if eq <= ZERO_ACCEPTANCE:
-        raise ZeroAcceptanceError(f"filter acceptance {eq:.3e} vanishes for this state")
-    return branch / eq, eq
+    return _filter([mq], as_operator(rho), "filter acceptance {:.3e} vanishes for this state")
 
 
 def tv_bound(epsilon: float) -> float:
@@ -351,24 +361,18 @@ def imperfect_state_bound(
     if eps_prime >= 1.0:
         raise ValueError("the state has no weight on the calibrated block")
 
-    # Normalized good-block state, embedded in the full space.
+    # Normalized good-block state, embedded in the full space: zero outside the block, so no operator needs projecting.
     rho_good = np.zeros_like(rho_hat)
     rho_good[:g, :g] = rho_hat[:g, :g] / (1.0 - eps_prime)
 
-    def projected(m: np.ndarray) -> np.ndarray:
-        out = np.zeros_like(m)
-        out[:g, :g] = m[:g, :g]
-        return out
-
-    f_acc = expect(dev_hat.click_element(x), rho_hat)
-    g_acc = expect(projected(dev_hat.click_element(x)), rho_good)
+    click = dev_hat.click_element(x)
+    f_acc = expect(click, rho_hat)
+    g_acc = expect(click, rho_good)
     if min(f_acc, g_acc) <= ZERO_ACCEPTANCE:
         raise ZeroAcceptanceError("one of the post-selected distributions is undefined")
     bound = 2.0 * (c_norm + eps_prime) / max(f_acc, g_acc)
     p_hat = {a: expect(dev_hat.element(x, a), rho_hat) / f_acc for a in dev_hat.outcomes}
-    p_good = {
-        a: expect(projected(dev_hat.element(x, a)), rho_good) / g_acc for a in dev_hat.outcomes
-    }
+    p_good = {a: expect(dev_hat.element(x, a), rho_good) / g_acc for a in dev_hat.outcomes}
     measured = total_variation(p_hat, p_good)
     return ImperfectStateReport(
         eps_prime=eps_prime, coherence_trace_norm=c_norm, tv_bound=bound, tv_measured=measured
@@ -384,14 +388,22 @@ def necessary_conditions(
     setting x given remote configuration r.  Fair sampling forces the table
     to factorize (rank one, tested through the second singular value);
     strong fair sampling forces every row to be constant.  These are
-    necessary conditions only.
+    necessary conditions only.  Every row must be non-empty and name the
+    first row's remote configurations, no fewer and no more, or
+    ``ValueError`` names the setting and the configuration.
     """
     check_tolerance(tol)
     settings = list(eff_table)
     if not settings:
         raise ValueError("empty efficiency table")
-    remotes = list(eff_table[settings[0]])
-    matrix = np.array([[eff_table[x][r] for r in remotes] for x in settings], dtype=float)
+    first = eff_table[settings[0]]
+    for x in settings:
+        if not eff_table[x]:
+            raise ValueError(f"setting {x!r} has no remote configuration")
+        odd = [r for r in (*first, *eff_table[x]) if (r in first) != (r in eff_table[x])]
+        if odd:
+            raise ValueError(f"settings {settings[0]!r} and {x!r} differ in remote configuration {odd[0]!r}")
+    matrix = np.array([[eff_table[x][r] for r in first] for x in settings], dtype=float)
     svals = np.linalg.svd(matrix, compute_uv=False)
     scale = svals[0] if svals[0] > 0.0 else 1.0
     weak_ok = bool(len(svals) < 2 or svals[1] <= tol * scale)
@@ -419,17 +431,13 @@ def state_dependent_check(
     dims = [int(d) for d in party_dims]
     if int(np.prod(dims)) != psi.shape[0]:
         raise ValueError("party dimensions do not match the state")
-    before = int(np.prod(dims[:party])) if party else 1
-    after = int(np.prod(dims[party + 1:])) if party + 1 < len(dims) else 1
-
-    def embed(k: np.ndarray) -> np.ndarray:
-        return np.kron(np.kron(np.eye(before), k), np.eye(after))
+    before, after = np.eye(int(np.prod(dims[:party]))), np.eye(int(np.prod(dims[party + 1:])))
 
     sigmas: dict[str, np.ndarray] = {}
     for x, kraus_list in filter_click.items():
         sigma = np.zeros_like(psi)
         for k in kraus_list:
-            ke = embed(as_operator(k))
+            ke = tensor([before, k, after])
             sigma = sigma + ke @ psi @ dagger(ke)
         sigmas[x] = sigma
 

@@ -17,11 +17,9 @@ from typing import Collection, Iterable, Mapping, Sequence
 
 import numpy as np
 
-from .analysis import Reference, _weak_reference, approximate_epsilon, ideal_device_from, reference
+from .analysis import Reference, _filter, _weak_reference, approximate_epsilon, ideal_device_from, reference
 from .device import NOCLICK, LossyDevice, ZeroAcceptanceError
-from .linalg import (
-    COMPLETENESS_TOL, ZERO_ACCEPTANCE, as_operator, assert_density, read_probability, sqrt_pinv_sqrt, tensor
-)
+from .linalg import COMPLETENESS_TOL, ZERO_ACCEPTANCE, as_operator, assert_density, read_probability, tensor
 
 #: Bell coefficients: (settings tuple, outcomes tuple) -> real weight.
 BellCoeffs = Mapping[tuple[tuple[str, ...], tuple[str, ...]], float]
@@ -145,20 +143,11 @@ class BellScenario:
         np.maximum(stacked, 0.0, out=stacked)
         return JointTables(outcomes, dict(zip(keys, stacked)))
 
-    def joint_raw_tables(self, tuples: Iterable[Sequence[str]]) -> dict[tuple[str, ...], dict]:
-        """``joint_raw`` of each setting tuple in ``tuples``, keyed by the tuple.
-
-        A dict view of the raw tables of one walk over ``tuples`` (see
-        ``tables``), keyed by outcome tuples in table order.
-        """
-        t = self.tables(tuples)
-        outcome_tuples = list(itertools.product(*t.outcomes))
-        return {xs: dict(zip(outcome_tuples, table.ravel().tolist())) for xs, table in t.raw.items()}
-
     def joint_raw(self, xs: Sequence[str]) -> dict[tuple[str, ...], float]:
-        """Joint distribution over outcome tuples, no-click included."""
-        (table,) = self.joint_raw_tables([xs]).values()
-        return table
+        """Joint distribution over outcome tuples, no-click included, keyed in table order."""
+        t = self.tables([xs])
+        (table,) = t.raw.values()
+        return dict(zip(itertools.product(*t.outcomes), table.ravel().tolist()))
 
     def all_click_probability(self, xs: Sequence[str]) -> float:
         (acceptance,) = self.tables([xs]).acceptance.values()
@@ -282,17 +271,14 @@ def filtered_global_state(mqs: Sequence[np.ndarray | Reference], psi: np.ndarray
     dims = [np.shape(mq.mq if isinstance(mq, Reference) else mq)[0] for mq in mqs]
     if int(np.prod(dims)) != psi.shape[0]:
         raise ValueError(f"reference dimensions {dims} do not match state dimension {psi.shape[0]}")
-    sq = tensor([mq.root if isinstance(mq, Reference) else sqrt_pinv_sqrt(mq)[0] for mq in mqs])
-    branch = sq @ psi @ sq
-    eq = float(np.trace(branch).real)
-    if eq <= ZERO_ACCEPTANCE:
-        raise ZeroAcceptanceError(f"global filter acceptance {eq:.3e} vanishes")
-    return branch / eq, eq
+    return _filter(mqs, psi, "global filter acceptance {:.3e} vanishes")
 
 
-def _check_reference_count(sc: BellScenario, mqs: Sequence) -> None:
+def _references(sc: BellScenario, mqs: Sequence[np.ndarray | Reference]) -> list[Reference]:
+    """The ``Reference`` of each party's entry of ``mqs``; a list of the wrong length raises ``ValueError``."""
     if len(mqs) != sc.n_parties:
         raise ValueError(f"expected {sc.n_parties} references, one per party, got {len(mqs)}")
+    return [reference(dev, mq) for dev, mq in zip(sc.devices, mqs)]
 
 
 def ideal_scenario(sc: BellScenario, mqs: Sequence[np.ndarray | Reference] | None = None) -> BellScenario:
@@ -312,8 +298,7 @@ def ideal_scenario(sc: BellScenario, mqs: Sequence[np.ndarray | Reference] | Non
             if mq is None:
                 raise ValueError(f"party {k} fails the exact fair-sampling check")
             mqs.append(Reference(mq, clicks))
-    _check_reference_count(sc, mqs)
-    refs = [reference(dev, mq) for dev, mq in zip(sc.devices, mqs)]
+    refs = _references(sc, mqs)
     ideal = [ideal_device_from(dev, ref) for dev, ref in zip(sc.devices, refs)]
     psi_click, _ = filtered_global_state(refs, sc.psi)
     out = BellScenario(ideal, psi_click)
@@ -516,8 +501,7 @@ def bound_report(sc: BellScenario, mqs: Sequence[np.ndarray | Reference]) -> Bou
     conjugated once, for its epsilon and its ideal device alike.  A list of
     the wrong length raises ``ValueError``.
     """
-    _check_reference_count(sc, mqs)
-    refs = [reference(dev, mq) for dev, mq in zip(sc.devices, mqs)]
+    refs = _references(sc, mqs)
     eps = [approximate_epsilon(dev, ref) for dev, ref in zip(sc.devices, refs)]
     eps_tot = epsilon_total(eps)  # raises for an epsilon >= 1, where no ideal device exists
     t = sc.tables()

@@ -41,7 +41,7 @@ from .device import ZeroAcceptanceError, projective_qubit_device
 from .filters import canonical_decomposition, verify_recomposition
 from .linalg import VERDICT_TOL, projector
 from .optics import AnalyserSpec, analyser_device, analyser_epsilon_closed_form, analyser_mq
-from .sampling import random_fair_sampling_device
+from .sampling import random_density, random_fair_sampling_device
 
 #: What reading an input file may raise.  ``json`` raises ``RecursionError`` for a text nested too deeply.
 LOAD_ERRORS = (OSError, ValueError, KeyError, RecursionError)
@@ -135,14 +135,19 @@ def _scenario_report(sc: BellScenario, postselect: bool, tol: float) -> tuple[di
             except ZeroAcceptanceError as exc:
                 sys.stderr.write(f"note: bell_value_postselected omitted: {exc}\n")
         report["bell_value_raw"] = serialize.sig15(sc.bell_value(t.raw))
-    verdicts = None
+    verdicts = why = None
     try:
         verdicts = [check_exact(dev, tol=tol) for dev in sc.devices]
-        if all(verdict.weak for verdict in verdicts):
+        unfair = [k for k, verdict in enumerate(verdicts) if not verdict.weak]
+        if unfair:
+            why = f"party {unfair[0]} fails the exact fair-sampling check"
+        else:
             ideal = ideal_scenario(sc, [verdict.reference for verdict in verdicts])
             report["ideal_deviation"] = serialize.sig15(t.max_deviation(ideal.tables(t.postselected)))
     except ZeroAcceptanceError as exc:
-        sys.stderr.write(f"note: no ideal experiment, ideal_deviation omitted: {exc}\n")
+        why = exc
+    if why is not None:
+        sys.stderr.write(f"note: no ideal experiment, ideal_deviation omitted: {why}\n")
     return report, verdicts
 
 
@@ -273,10 +278,7 @@ def _demo_prop2_random(args) -> dict:
             random_fair_sampling_device(d, int(rng.integers(2, 4)), int(rng.integers(2, 4)), rng)
             for d in dims
         ]
-        g = rng.normal(size=(int(np.prod(dims)),) * 2) + 1j * rng.normal(size=(int(np.prod(dims)),) * 2)
-        psi = g @ g.conj().T
-        psi /= np.trace(psi).real
-        cases.append(BellScenario(devices, psi))
+        cases.append(BellScenario(devices, random_density(int(np.prod(dims)), rng)))
     devs = [postselected_vs_ideal_deviation(sc, ideal_scenario(sc)) for sc in cases]
     return {
         "scenarios": args.count,

@@ -11,6 +11,7 @@ than ``n_max`` photons, never approximated.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 from math import comb, factorial, sqrt
 from typing import Sequence
@@ -24,6 +25,22 @@ OUTCOME_D2 = "D2"
 OUTCOME_BOTH = "both"
 
 
+def _photon_cap(n_max) -> int:
+    """``n_max`` as an int; a non-integer raises ``TypeError`` and one below 1 ``ValueError``."""
+    n_max = operator.index(n_max)
+    if n_max < 1:
+        raise ValueError("n_max must be at least 1")
+    return n_max
+
+
+def _check_mismatch(eta: float, delta: float) -> None:
+    """Require the better detector's efficiency ``eta`` in (0, 1] and the miss excess ``delta`` >= 0; NaN fails."""
+    if not 0.0 < eta <= 1.0:
+        raise ValueError("eta must lie in (0, 1]")
+    if not delta >= 0.0:
+        raise ValueError("delta must be nonnegative")
+
+
 class TwoModeFock:
     """Occupation basis (n_H, n_V) with n_H + n_V <= n_max.
 
@@ -32,9 +49,7 @@ class TwoModeFock:
     """
 
     def __init__(self, n_max: int):
-        if n_max < 1:
-            raise ValueError("n_max must be at least 1")
-        self.n_max = int(n_max)
+        self.n_max = _photon_cap(n_max)
         self.basis = [
             (k, n - k) for n in range(self.n_max + 1) for k in range(n + 1)
         ]
@@ -47,11 +62,6 @@ class TwoModeFock:
 
     def total_numbers(self) -> np.ndarray:
         return np.array([a + b for a, b in self.basis])
-
-    def vacuum_projector(self) -> np.ndarray:
-        p = np.zeros((self.dim, self.dim), dtype=complex)
-        p[0, 0] = 1.0
-        return p
 
     def rotation_sector(self, theta: float, n: int) -> np.ndarray:
         """Unitary taking the n-photon angle basis to the H/V occupation basis.
@@ -73,16 +83,12 @@ class TwoModeFock:
                 )
         return u
 
-    def sector_function(self, theta: float, values) -> np.ndarray:
-        """Operator diagonal in the angle basis: f(n, k) on k theta-photons out of n.
-
-        ``values(n, k)`` gives the eigenvalue on the basis state with k
-        photons along theta within the n-photon sector.
-        """
-        return self.sector_functions(theta, [values])[0]
-
     def sector_functions(self, theta: float, values: Sequence) -> list[np.ndarray]:
-        """``sector_function`` for each of ``values``, from one rotation per photon number."""
+        """Operators diagonal in the angle basis, one per function in ``values``, from one rotation per photon number.
+
+        ``f(n, k)`` for ``f`` in ``values`` gives its operator's eigenvalue on the
+        basis state with k photons along theta within the n-photon sector.
+        """
         outs = [np.zeros((self.dim, self.dim), dtype=complex) for _ in values]
         for n in range(self.n_max + 1):
             u = self.rotation_sector(theta, n)
@@ -94,7 +100,7 @@ class TwoModeFock:
 
     def number_operator(self, theta: float) -> np.ndarray:
         """Photon-number operator of the theta-polarized mode."""
-        return self.sector_function(theta, lambda n, k: float(k))
+        return self.sector_functions(theta, [lambda n, k: float(k)])[0]
 
     def ket(self, n_theta: int, n_perp: int, theta: float = 0.0) -> np.ndarray:
         """State vector with the given occupations of the theta and perpendicular modes."""
@@ -131,8 +137,7 @@ class AnalyserSpec:
         self.angles = tuple(float(t) for t in self.angles)
         if not self.angles:
             raise ValueError("at least one angle is required")
-        if self.n_max < 1:
-            raise ValueError("n_max must be at least 1")
+        self.n_max = _photon_cap(self.n_max)
 
     @property
     def r1(self) -> float:
@@ -198,10 +203,7 @@ def single_photon_analyser(eta: float, delta: float, angles: Sequence[float]) ->
     angle is eta - (1 - eta) * delta on the theta-polarized photon and eta on
     the orthogonal one.  Angles are labelled as in ``analyser_device``.
     """
-    if not 0.0 < eta <= 1.0:
-        raise ValueError("eta must lie in (0, 1]")
-    if delta < 0.0:
-        raise ValueError("delta must be nonnegative")
+    _check_mismatch(eta, delta)
     eta_theta = 1.0 - (1.0 - eta) * (1.0 + delta)
     if eta_theta < 0.0:
         raise ValueError(f"eta={eta}, delta={delta} give a negative click probability")
@@ -236,10 +238,7 @@ def analyser_epsilon_closed_form(eta: float, delta: float) -> float:
     and for the truncated multi-photon analyser against 1 - r^N: the
     per-sector deviation (r1^n - r2^n) / (1 - r2^n) is maximal at n = 1.
     """
-    if eta <= 0.0:
-        raise ValueError("eta must be positive")
-    if delta < 0.0:
-        raise ValueError("delta must be nonnegative")
+    _check_mismatch(eta, delta)
     return (1.0 - eta) * delta / eta
 
 

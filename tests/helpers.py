@@ -165,6 +165,13 @@ def legacy_validate(dim, settings, outcomes, povm):
 # matching reference for the Bell functional is the public dict loop ``bell.bell_value``.
 
 
+def dict_raw_tables(sc, tuples):
+    """Setting tuple -> ``joint_raw`` dict of each tuple in ``tuples``: a dict view of one walk (``sc.tables``)."""
+    t = sc.tables(tuples)
+    outcome_tuples = list(itertools.product(*t.outcomes))
+    return {xs: dict(zip(outcome_tuples, table.ravel().tolist())) for xs, table in t.raw.items()}
+
+
 def dict_acceptance(raw):
     """Probability that every party clicks: the sum of the all-click entries of a raw table."""
     return sum(p for outs, p in raw.items() if NOCLICK not in outs)
@@ -239,8 +246,8 @@ def oracle_bound_report(sc, mqs):
     """``bell.bound_report`` from ``approximate_epsilon``, ``oracle_ideal_scenario`` and the dict loops."""
     eps = [approximate_epsilon(dev, mq) for dev, mq in zip(sc.devices, mqs)]
     eps_tot = epsilon_total(eps)
-    post = dict_postselected_tables(sc.joint_raw_tables(sc.setting_tuples()))
-    ideal_raw = oracle_ideal_scenario(sc, mqs).joint_raw_tables(post)
+    post = dict_postselected_tables(dict_raw_tables(sc, sc.setting_tuples()))
+    ideal_raw = dict_raw_tables(oracle_ideal_scenario(sc, mqs), post)
     beta = bell_deviation = None
     if sc.bell_coeffs is not None:
         validate_coefficients(sc, sc.bell_coeffs)
@@ -344,7 +351,7 @@ def oracle_verify_recomposition(dev, decomp, trials=100, seed=0):
 
 
 def oracle_sector_function(fock, theta, values):
-    """``TwoModeFock.sector_function`` on its own: one rotation per photon number for this operator alone."""
+    """One operator of ``TwoModeFock.sector_functions`` on its own: one rotation per photon number for it alone."""
     out = np.zeros((fock.dim, fock.dim), dtype=complex)
     for n in range(fock.n_max + 1):
         u = fock.rotation_sector(theta, n)

@@ -201,7 +201,7 @@ class TestGeneralisedModel:
 
     @pytest.fixture
     def model(self, rng):
-        hv = HiddenVariableDevice({7: qutrit_branch(rng), 2: qutrit_branch(rng), 5: qutrit_branch(rng)}, 1.0 / 3.0)
+        hv = HiddenVariableDevice({7: qutrit_branch(rng), 2: qutrit_branch(rng), 5: qutrit_branch(rng)})
         keys = [(ra, rb) for ra in (7, 2, 5) for rb in (7, 2, 5)]
         vacuum = {(7, 2), (2, 5), (5, 5)}
         table = {key: None if key in vacuum else (random_density(3, rng), random_density(3, rng)) for key in keys}
@@ -219,6 +219,18 @@ class TestGeneralisedModel:
             for a in QUTRIT_OUTCOMES:
                 mixture = hv.branch_prob * sum(dev.element(x, a) for dev in hv.branches.values())
                 assert np.array_equal(traced.element(x, a), mixture)
+
+    def test_branches_are_drawn_uniformly(self, model):
+        hv, _ = model
+        assert hv.branch_prob == 1.0 / 3.0 and makarov_branches().branch_prob == 0.25
+        for x in QUTRIT_SETTINGS:
+            for a in QUTRIT_OUTCOMES:
+                uniform = (1.0 / 3.0) * sum(dev.element(x, a) for dev in hv.branches.values())
+                assert np.array_equal(hv.traced().element(x, a), uniform)
+        with pytest.raises(AttributeError):
+            hv.branch_prob = 0.25
+        with pytest.raises(TypeError):
+            HiddenVariableDevice(dict(hv.branches), 0.25)
 
     def test_adversary_device_marginalizes_to_traced(self, model, rng):
         hv, _ = model

@@ -319,6 +319,18 @@ class TestNecessaryConditions:
         res = necessary_conditions(table, tol=1e-8)
         assert res.weak_consistent
 
+    @pytest.mark.parametrize(
+        "table,message",
+        [
+            ({"x": {}}, "setting 'x' has no remote configuration"),
+            ({"x": {"r": 0.5, "s": 0.5}, "y": {"s": 0.5}}, "settings 'x' and 'y' differ in remote configuration 'r'"),
+            ({"x": {"r": 0.5}, "y": {"r": 0.5, "s": 0.5}}, "settings 'x' and 'y' differ in remote configuration 's'"),
+        ],
+    )
+    def test_malformed_table_names_setting_and_configuration(self, table, message):
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            necessary_conditions(table)
+
 
 class TestStateDependent:
     def test_setting_independent_filter(self, rng):

@@ -172,10 +172,10 @@ def test_prefix_shared_walk_is_bit_identical_to_lone_tuples(seed, parties):
     sc = BellScenario(devices, random_density(int(np.prod([d for d, _, _ in parties])), rng))
     tuples = list(sc.setting_tuples())
     lone = {xs: sc.joint_raw(xs) for xs in tuples}
-    assert sc.joint_raw_tables(sc.setting_tuples()) == lone
+    assert helpers.dict_raw_tables(sc, sc.setting_tuples()) == lone
     # Any order and any subset: a changed prefix is contracted afresh.
     picked = [tuples[i] for i in rng.choice(len(tuples), size=int(rng.integers(1, len(tuples) + 1)))]
-    assert sc.joint_raw_tables(picked) == {xs: lone[xs] for xs in picked}
+    assert helpers.dict_raw_tables(sc, picked) == {xs: lone[xs] for xs in picked}
 
 
 @settings(max_examples=25, deadline=None)
@@ -197,7 +197,7 @@ def test_array_reductions_equal_the_dict_oracle(seed, parties):
     sc = BellScenario(devices, random_density(dim, rng), coeffs)
     other = BellScenario(devices, random_density(dim, rng))  # stands in for the ideal experiment
 
-    t, raw_dicts = sc.tables(tuples), sc.joint_raw_tables(tuples)
+    t, raw_dicts = sc.tables(tuples), helpers.dict_raw_tables(sc, tuples)
     for xs in tuples:
         assert t.acceptance[xs] == helpers.dict_acceptance(raw_dicts[xs])
     post, post_dicts = t.postselected, helpers.dict_postselected_tables(raw_dicts)
@@ -206,7 +206,7 @@ def test_array_reductions_equal_the_dict_oracle(seed, parties):
     for xs, ps in post.items():
         assert dict(zip(good, ps.ravel().tolist())) == post_dicts[xs]
     ideal = other.tables(post)
-    assert t.max_deviation(ideal) == helpers.dict_max_deviation(post_dicts, other.joint_raw_tables(post))
+    assert t.max_deviation(ideal) == helpers.dict_max_deviation(post_dicts, helpers.dict_raw_tables(other, post))
 
     assert sc.bell_value(t.raw) == bell_value(raw_dicts, coeffs)
     for call in (lambda: sc.bell_value(post), lambda: postselected_bell_value(sc)):
@@ -215,7 +215,7 @@ def test_array_reductions_equal_the_dict_oracle(seed, parties):
     live = BellScenario(devices, sc.psi, {key: c for key, c in coeffs.items() if key[0] in post})
     assert live.bell_value(post) == bell_value(post_dicts, live.bell_coeffs)
     assert postselected_bell_value(live) == bell_value(post_dicts, live.bell_coeffs)
-    assert live.bell_value(ideal.raw) == bell_value(other.joint_raw_tables(post), live.bell_coeffs)
+    assert live.bell_value(ideal.raw) == bell_value(helpers.dict_raw_tables(other, post), live.bell_coeffs)
 
 
 class TestJointPostselected:

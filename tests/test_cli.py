@@ -336,6 +336,22 @@ class TestSimulate:
         assert report["erased"] == ["0,0"] and "ideal_deviation" not in report
         assert "never accepts" in err
 
+    def test_party_failing_the_weak_test_is_noted(self, tmp_path, capsys):
+        from fairsamp.bell import BellScenario
+        from fairsamp.cli import singlet_state
+        from fairsamp.device import projective_qubit_device
+        from fairsamp.optics import single_photon_analyser
+
+        mismatched = single_photon_analyser(0.8, 0.3, [0.0, np.pi / 4.0])
+        sc = BellScenario([mismatched, projective_qubit_device({"0": 0.0})], singlet_state())
+        path = tmp_path / "unfair.json"
+        serialize.dump_json(serialize.scenario_to_json(sc), path)
+        assert main(["simulate", str(path), "--postselect"]) == 0
+        out, err = capsys.readouterr()
+        report = json.loads(out)
+        assert set(report) == {"raw", "acceptance", "postselected", "erased"}
+        assert err == "note: no ideal experiment, ideal_deviation omitted: party 0 fails the exact fair-sampling check\n"
+
     def test_other_ideal_errors_exit_one(self, chsh_file, monkeypatch, capsys):
         from fairsamp.linalg import NotPositiveError
 
@@ -544,13 +560,15 @@ def test_cli_uses_only_the_public_api():
 
 
 def test_scenario_commands_never_build_dict_tables(chsh_file, monkeypatch, capsys):
-    """``simulate``, ``bound`` and the CHSH demo read the joint table arrays, not their dict view."""
+    """``simulate``, ``bound`` and the CHSH demo read the joint table arrays, not their dict views."""
     from fairsamp.bell import BellScenario
 
-    def forbidden(self, tuples):
-        raise AssertionError("the dict view joint_raw_tables was called")
+    for name in ("joint_raw", "joint_postselected", "all_click_probability"):
 
-    monkeypatch.setattr(BellScenario, "joint_raw_tables", forbidden)
+        def forbidden(self, xs, name=name):
+            raise AssertionError(f"the dict view {name} was called")
+
+        monkeypatch.setattr(BellScenario, name, forbidden)
     for argv in (["simulate", "--postselect", str(chsh_file)], ["bound", str(chsh_file)], ["demo", "chsh-singlet"]):
         assert main(argv) == 0
 

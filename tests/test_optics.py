@@ -63,6 +63,17 @@ class TestTwoModeFock:
         with pytest.raises(ValueError, match="exceeds the truncation"):
             TwoModeFock(2).ket(2, 1)
 
+    def test_photon_cap_must_be_an_integer(self):
+        for n_max in (1.5, 2.0, np.float64(2.0)):
+            with pytest.raises(TypeError):
+                TwoModeFock(n_max)
+            with pytest.raises(TypeError):
+                AnalyserSpec(eta1=0.8, eta2=0.9, angles=(0.0,), n_max=n_max)
+        with pytest.raises(ValueError, match="n_max must be at least 1"):
+            AnalyserSpec(eta1=0.8, eta2=0.9, angles=(0.0,), n_max=np.int64(0))
+        assert TwoModeFock(np.int64(2)).dim == 6
+        assert AnalyserSpec(eta1=0.8, eta2=0.9, angles=(0.0,), n_max=np.int32(2)).n_max == 2
+
 
 class TestAnalyserDevice:
     def test_vacuum_never_clicks(self):
@@ -157,6 +168,21 @@ class TestClosedForm:
     def test_eta_zero_rejected(self):
         with pytest.raises(ValueError):
             analyser_epsilon_closed_form(0.0, 0.1)
+
+    @pytest.mark.parametrize(
+        "eta,delta,message",
+        [
+            (1.5, 0.1, r"eta must lie in \(0, 1\]"),
+            (float("nan"), 0.1, r"eta must lie in \(0, 1\]"),
+            (0.8, -0.1, "delta must be nonnegative"),
+            (0.8, float("nan"), "delta must be nonnegative"),
+        ],
+    )
+    def test_out_of_range_or_nan_rejected(self, eta, delta, message):
+        with pytest.raises(ValueError, match=message):
+            analyser_epsilon_closed_form(eta, delta)
+        with pytest.raises(ValueError, match=message):
+            single_photon_analyser(eta, delta, [0.0])
 
     def test_grid_against_numerics(self):
         for eta in (0.5, 0.8, 0.95):

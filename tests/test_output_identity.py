@@ -1,0 +1,50 @@
+"""``tools/output_identity.py`` on a reduced command list: no difference for one tree, and an edited line found."""
+
+import importlib.util
+import shutil
+import sys
+from pathlib import Path
+
+import pytest
+
+import fairsamp
+from fairsamp import serialize
+from fairsamp.adversary import makarov_traced
+
+ROOT = Path(__file__).resolve().parent.parent
+SRC = Path(fairsamp.__file__).resolve().parent.parent
+
+
+@pytest.fixture(scope="module")
+def tool():
+    spec = importlib.util.spec_from_file_location("output_identity", ROOT / "tools" / "output_identity.py")
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = module  # its dataclass looks the module up by name
+    spec.loader.exec_module(module)
+    return module
+
+
+@pytest.fixture
+def runs(tool, tmp_path):
+    device = tmp_path / "traced.json"
+    serialize.dump_json(serialize.device_to_json(makarov_traced()), device)
+    return [tool.cli_run("demo", "chsh-singlet"), tool.cli_run("decompose", str(device), "--trials", "2")]
+
+
+def test_a_tree_against_itself_reports_no_difference(tool, runs, tmp_path):
+    assert tool.compare(SRC, SRC, runs, tmp_path / "work") == []
+
+
+def test_an_edited_line_is_reported(tool, runs, tmp_path):
+    edited = tmp_path / "edited"
+    shutil.copytree(SRC / "fairsamp", edited / "fairsamp", ignore=shutil.ignore_patterns("__pycache__"))
+    cli = edited / "fairsamp" / "cli.py"
+    text = cli.read_text()
+    assert text.count('"seed": args.seed}') == 1
+    cli.write_text(text.replace('"seed": args.seed}', '"seed": args.seed + 1}'))
+    (difference,) = tool.compare(SRC, edited, runs, tmp_path / "work")
+    device = tmp_path / "traced.json"
+    assert difference == (
+        f"decompose {device} --trials 2: file traced.decomposition/verification.json differs, "
+        """line 3: parent b'  "seed": 0,', change b'  "seed": 1,'"""
+    )

@@ -1,0 +1,144 @@
+"""Compare what two fairsamp source trees print and write, command by command.
+
+Usage (from the repository root):
+
+    python tools/output_identity.py --parent ../parent/src --change src [--seeds 1 2]
+
+The inputs are built once, under the parent tree, by the benchmark's own
+set-ups in ``perfbench/workloads.py``: the bell-large scenario files and the
+device-verdict device files of each seed.  On those files it runs
+``simulate``, ``simulate --postselect`` and ``bound`` (scenarios) or
+``check`` and ``decompose --trials 10`` (devices), then seven ``demo``
+invocations and the scripts in ``demos/``.  Each command runs in a fresh
+interpreter under each tree's ``PYTHONPATH``, with one BLAS thread, in an
+empty working directory of its own.  Its stdout, stderr, exit code and every
+file it writes there are compared; the working directory's path is replaced
+by ``<out>`` in stdout and stderr first, since ``decompose`` prints the
+directory it wrote.  Every difference is printed on one line, and the exit
+code is 1 when there is one, 0 otherwise.
+"""
+
+from __future__ import annotations
+
+import argparse
+import os
+import subprocess
+import sys
+import tempfile
+from dataclasses import dataclass
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
+#: Runs ``fairsamp.cli.main`` on the interpreter's arguments.
+CLI = "import sys; from fairsamp.cli import main; sys.exit(main(sys.argv[1:]))"
+#: Writes the inputs of workload ``sys.argv[1]`` for seed ``sys.argv[2]`` into the directory ``sys.argv[3]``.
+BUILD = (
+    "import sys; from pathlib import Path; import workloads; "
+    "getattr(workloads, sys.argv[1])(int(sys.argv[2]), Path(sys.argv[3]))"
+)
+DEMOS = (
+    ["makarov"],
+    ["makarov", "--noise", "0.1"],
+    ["analyser", "--nmax", "2"],
+    ["analyser", "--eta2", "0.9", "--delta", "0.05", "--nmax", "3"],
+    ["analyser", "--eta1", "0.7", "--nmax", "2"],
+    ["chsh-singlet"],
+    ["prop2-random", "--seed", "3", "--count", "5"],
+)
+#: Seconds one command may take before the comparison stops.
+TIMEOUT_S = 600
+
+
+@dataclass(frozen=True)
+class Run:
+    """One command: its name in the report and the interpreter's arguments."""
+
+    name: str
+    args: tuple[str, ...]
+
+
+def cli_run(*argv: str) -> Run:
+    return Run(" ".join(argv), ("-c", CLI, *argv))
+
+
+def environment(src: Path) -> dict[str, str]:
+    return {**os.environ, "PYTHONPATH": str(src.resolve()), **{var: "1" for var in BLAS_THREAD_VARS}}
+
+
+def build_inputs(parent: Path, seeds: list[int], inputs: Path) -> list[Run]:
+    """Write each seed's workload inputs under ``inputs`` with the parent tree, and list the runs on them."""
+    env = {**environment(parent), "PYTHONPATH": os.pathsep.join([str(parent.resolve()), str(ROOT / "perfbench")])}
+    runs = []
+    for seed in seeds:
+        for setup, commands in (
+            ("setup_bell_large", (["simulate"], ["simulate", "--postselect"], ["bound"])),
+            ("setup_device_verdict", (["check"], ["decompose", "--trials", "10"])),
+        ):
+            where = inputs / f"seed{seed}" / setup
+            where.mkdir(parents=True)
+            subprocess.run([sys.executable, "-c", BUILD, setup, str(seed), str(where)], env=env, check=True)
+            for path in sorted(where.glob("*.json")):
+                runs.extend(cli_run(command[0], str(path), *command[1:]) for command in commands)
+    runs.extend(cli_run("demo", *argv) for argv in DEMOS)
+    runs.extend(Run(f"demos/{script.name}", (str(script),)) for script in sorted((ROOT / "demos").glob("*.py")))
+    return runs
+
+
+def observe(src: Path, run: Run, cwd: Path) -> dict[str, bytes]:
+    """What ``run`` leaves under ``src``: stdout, stderr and exit code, then each file it wrote in ``cwd``."""
+    cwd.mkdir(parents=True)
+    done = subprocess.run(
+        [sys.executable, *run.args], cwd=cwd, env=environment(src), capture_output=True, timeout=TIMEOUT_S
+    )
+    here = str(cwd).encode()
+    seen = {
+        "stdout": done.stdout.replace(here, b"<out>"),
+        "stderr": done.stderr.replace(here, b"<out>"),
+        "exit code": str(done.returncode).encode(),
+    }
+    for path in sorted(p for p in cwd.rglob("*") if p.is_file()):
+        seen[f"file {path.relative_to(cwd)}"] = path.read_bytes()
+    return seen
+
+
+def first_difference(a: bytes, b: bytes) -> str:
+    """The first line on which ``a`` and ``b`` differ, from each, as ``parent ... change ...``."""
+    lines = a.splitlines(), b.splitlines()
+    i = next((i for i, (x, y) in enumerate(zip(*lines)) if x != y), min(map(len, lines)))
+    parent, change = (repr(side[i][:120]) if i < len(side) else "(no line)" for side in lines)
+    return f"line {i + 1}: parent {parent}, change {change}"
+
+
+def compare(parent: Path, change: Path, runs: list[Run], work: Path) -> list[str]:
+    """One line per difference between the two trees' observations of each run."""
+    differences = []
+    for i, run in enumerate(runs):
+        seen = {side: observe(src, run, work / side / str(i)) for side, src in (("parent", parent), ("change", change))}
+        for key in sorted(seen["parent"].keys() | seen["change"].keys()):
+            a, b = (seen[side].get(key) for side in ("parent", "change"))
+            if a is None or b is None:
+                differences.append(f"{run.name}: {key} only in {'change' if a is None else 'parent'}")
+            elif a != b:
+                differences.append(f"{run.name}: {key} differs, {first_difference(a, b)}")
+    return differences
+
+
+def main(argv: list[str] | None = None) -> int:
+    p = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    p.add_argument("--parent", type=Path, required=True, help="the parent tree's src/ directory")
+    p.add_argument("--change", type=Path, required=True, help="the changed tree's src/ directory")
+    p.add_argument("--seeds", type=int, nargs="+", default=[1, 2], help="workload seeds of the inputs")
+    args = p.parse_args(argv)
+    with tempfile.TemporaryDirectory(prefix="output-identity-") as tmp:
+        inputs = Path(tmp) / "inputs"
+        runs = build_inputs(args.parent, args.seeds, inputs)
+        differences = [line.replace(str(inputs), "<in>") for line in compare(args.parent, args.change, runs, Path(tmp))]
+    for line in differences:
+        print(line)
+    print(f"{len(runs)} runs, {len(differences)} differences")
+    return 1 if differences else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
