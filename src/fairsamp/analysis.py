@@ -19,6 +19,7 @@ import numpy as np
 
 from .device import LossyDevice, LosslessDevice, ZeroAcceptanceError, total_variation
 from .linalg import (
+    COMPLETENESS_TOL,
     VERDICT_TOL,
     ZERO_ACCEPTANCE,
     as_operator,
@@ -389,8 +390,9 @@ def necessary_conditions(
     to factorize (rank one, tested through the second singular value);
     strong fair sampling forces every row to be constant.  These are
     necessary conditions only.  Every row must be non-empty and name the
-    first row's remote configurations, no fewer and no more, or
-    ``ValueError`` names the setting and the configuration.
+    first row's remote configurations, no fewer and no more, and every entry
+    must be a finite probability, in [-COMPLETENESS_TOL, 1 + COMPLETENESS_TOL],
+    or ``ValueError`` names the setting and the configuration.
     """
     check_tolerance(tol)
     settings = list(eff_table)
@@ -404,6 +406,13 @@ def necessary_conditions(
         if odd:
             raise ValueError(f"settings {settings[0]!r} and {x!r} differ in remote configuration {odd[0]!r}")
     matrix = np.array([[eff_table[x][r] for r in first] for x in settings], dtype=float)
+    bad = np.argwhere(~((matrix >= -COMPLETENESS_TOL) & (matrix <= 1.0 + COMPLETENESS_TOL)))  # NaN included
+    if bad.size:
+        i, j = bad[0]
+        raise ValueError(
+            f"setting {settings[i]!r} at remote configuration {list(first)[j]!r} has efficiency "
+            f"{float(matrix[i, j])!r}, not a probability (tol {COMPLETENESS_TOL:.1e})"
+        )
     svals = np.linalg.svd(matrix, compute_uv=False)
     scale = svals[0] if svals[0] > 0.0 else 1.0
     weak_ok = bool(len(svals) < 2 or svals[1] <= tol * scale)
@@ -424,19 +433,28 @@ def state_dependent_check(
     accepting branch on the chosen party's factor.  The check passes when
     the filtered (unnormalized) global states are pairwise proportional, in
     which case the common normalized state and the per-setting acceptance
-    scalars are returned.
+    scalars are returned.  A ``party`` outside ``range(len(party_dims))``,
+    or a Kraus operator that is not ``party_dims[party]`` square, raises
+    ``ValueError`` naming the party or the setting.
     """
     check_tolerance(tol)
     psi = as_operator(psi)
     dims = [int(d) for d in party_dims]
     if int(np.prod(dims)) != psi.shape[0]:
         raise ValueError("party dimensions do not match the state")
+    if not 0 <= party < len(dims):
+        raise ValueError(f"party {party} is not one of the {len(dims)} parties of party_dims")
     before, after = np.eye(int(np.prod(dims[:party]))), np.eye(int(np.prod(dims[party + 1:])))
 
     sigmas: dict[str, np.ndarray] = {}
     for x, kraus_list in filter_click.items():
         sigma = np.zeros_like(psi)
         for k in kraus_list:
+            if np.shape(k) != (dims[party],) * 2:
+                raise ValueError(
+                    f"setting {x!r} has a Kraus operator of shape {np.shape(k)}; "
+                    f"party {party} has dimension {dims[party]}"
+                )
             ke = tensor([before, k, after])
             sigma = sigma + ke @ psi @ dagger(ke)
         sigmas[x] = sigma

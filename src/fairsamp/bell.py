@@ -352,23 +352,21 @@ def bell_value(
 
 
 def validate_coefficients(sc: BellScenario, coeffs: BellCoeffs) -> None:
-    """Require a coefficient for every good outcome tuple of every setting used.
+    """Require a coefficient for every good outcome tuple of every setting tuple used.
 
-    Only complete (linear) Bell functionals are accepted; a missing entry is
-    an error, not an implicit zero.
+    The compiled functional decides: the scenario's own coefficients are read
+    from it, others are compiled against the devices, so a bad key raises what
+    building the scenario with it raises.  The first missing entry (tuples in
+    first-use order, outcomes in product order) raises ``ValueError``.
     """
-    tuples = dict.fromkeys(xs for xs, _ in coeffs)
-    settings = [dev.settings for dev in sc.devices]
-    for xs in tuples:
-        fault = _labels_fault(xs, settings, "setting")
-        if fault:
-            raise KeyError(f"coefficients reference settings {xs!r}: {fault}")
-    outcome_tuples = list(itertools.product(*(dev.outcomes for dev in sc.devices)))
-    keys = set(coeffs)
-    for xs in tuples:
-        if not keys.issuperset((xs, outs) for outs in outcome_tuples):
-            outs = next(outs for outs in outcome_tuples if (xs, outs) not in keys)
-            raise ValueError(f"missing coefficient entry for settings {xs!r}, outcomes {outs!r}")
+    f = sc._functional if coeffs is sc.bell_coeffs else _compile(sc.devices, coeffs)
+    shape = [len(dev.outcomes) for dev in sc.devices]
+    short = np.flatnonzero(np.bincount(f.position, minlength=len(f.tuples)) < np.prod(shape))
+    if short.size:
+        present = np.zeros(shape, dtype=bool)
+        present[tuple(axis[f.position == short[0]] for axis in f.outcome)] = True
+        outs = tuple(dev.outcomes[i] for dev, i in zip(sc.devices, np.argwhere(~present)[0]))
+        raise ValueError(f"missing coefficient entry for settings {f.tuples[short[0]]!r}, outcomes {outs!r}")
 
 
 def beta_max(coeffs: BellCoeffs) -> float:

@@ -21,7 +21,6 @@ from fairsamp.bell import (
     beta_max,
     epsilon_total,
     filtered_global_state,
-    validate_coefficients,
 )
 from fairsamp.device import NOCLICK, LosslessDevice, LossyDevice
 from fairsamp.filters import FilterDecomposition, QuantumFilter
@@ -76,6 +75,25 @@ def perturbed_fair_device(rng, dim=3, n_settings=2, n_outcomes=2, magnitude=0.05
         except ValueError:
             scale *= 0.5
     return base
+
+
+def random_unitary(dim, angle, rng):
+    """exp(i * angle * H) for a random Hermitian H of unit operator norm."""
+    g = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
+    w, v = np.linalg.eigh(g + g.conj().T)
+    return (v * np.exp(1j * angle * w / np.max(np.abs(w)))) @ v.conj().T
+
+
+def rotated_device(dev, angle, rng):
+    """``dev`` with its last setting's good elements conjugated by ``random_unitary(dev.dim, angle, rng)``.
+
+    Conjugation keeps every element positive and the click element below the identity, so the result is a
+    valid device whose click elements are no longer proportional: it samples unfairly, with a small epsilon.
+    """
+    u = random_unitary(dev.dim, angle, rng)
+    good = dev.stack[:, :-1].copy()
+    good[-1] = u @ good[-1] @ u.conj().T
+    return LossyDevice(dev.dim, dev.settings, dev.outcomes, good)
 
 
 def block_structured_state(rng, good_dim, bad_dim, eps_prime, components=3):
@@ -242,6 +260,24 @@ def oracle_ideal_scenario(sc, mqs=None):
     return BellScenario([oracle_to_lossy(dev) for dev in ideal], psi_click)
 
 
+def oracle_validate_coefficients(sc, coeffs):
+    """The label and key-set walk that ``bell.validate_coefficients`` made before it read the compiled functional.
+
+    A settings tuple that does not fit the devices raises ``KeyError``.  Otherwise the first missing entry,
+    setting tuples in first-use order and outcome tuples in product order, raises ``ValueError``.
+    """
+    tuples = dict.fromkeys(xs for xs, _ in coeffs)
+    for xs in tuples:
+        if len(xs) != sc.n_parties or any(x not in dev.settings for dev, x in zip(sc.devices, xs)):
+            raise KeyError(f"coefficients reference settings {xs!r}")
+    outcome_tuples = list(itertools.product(*(dev.outcomes for dev in sc.devices)))
+    keys = set(coeffs)
+    for xs in tuples:
+        for outs in outcome_tuples:
+            if (xs, outs) not in keys:
+                raise ValueError(f"missing coefficient entry for settings {xs!r}, outcomes {outs!r}")
+
+
 def oracle_bound_report(sc, mqs):
     """``bell.bound_report`` from ``approximate_epsilon``, ``oracle_ideal_scenario`` and the dict loops."""
     eps = [approximate_epsilon(dev, mq) for dev, mq in zip(sc.devices, mqs)]
@@ -250,7 +286,7 @@ def oracle_bound_report(sc, mqs):
     ideal_raw = dict_raw_tables(oracle_ideal_scenario(sc, mqs), post)
     beta = bell_deviation = None
     if sc.bell_coeffs is not None:
-        validate_coefficients(sc, sc.bell_coeffs)
+        oracle_validate_coefficients(sc, sc.bell_coeffs)
         beta = beta_max(sc.bell_coeffs)
         bell_deviation = abs(bell_value(post, sc.bell_coeffs) - bell_value(ideal_raw, sc.bell_coeffs))
     return BoundReport(eps, eps_tot, dict_max_deviation(post, ideal_raw), beta, bell_deviation)

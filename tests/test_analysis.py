@@ -331,6 +331,27 @@ class TestNecessaryConditions:
         with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
             necessary_conditions(table)
 
+    @pytest.mark.parametrize(
+        "table,message",
+        [
+            ({"x": {"r": -3.0}, "y": {"r": 7.0}}, "setting 'x' at remote configuration 'r' has efficiency -3.0"),
+            ({"x": {"r": 0.5}, "y": {"r": 7.0}}, "setting 'y' at remote configuration 'r' has efficiency 7.0"),
+            ({"x": {"r": 0.5, "s": np.nan}}, "setting 'x' at remote configuration 's' has efficiency nan"),
+            ({"x": {"r": 0.5}, "y": {"r": np.inf}}, "setting 'y' at remote configuration 'r' has efficiency inf"),
+            ({"x": {"r": -np.inf}}, "setting 'x' at remote configuration 'r' has efficiency -inf"),
+            ({"x": {"r": 1.0 + 1e-8}}, "setting 'x' at remote configuration 'r' has efficiency 1.00000001"),
+            ({"x": {"r": -1e-8}}, "setting 'x' at remote configuration 'r' has efficiency -1e-08"),
+        ],
+        ids=["both-out-of-range", "above-one", "nan", "inf", "minus-inf", "above-tolerance", "below-tolerance"],
+    )
+    def test_entry_that_is_not_a_probability_names_setting_and_configuration(self, table, message):
+        with pytest.raises(ValueError, match=f"{re.escape(message)}, not a probability"):
+            necessary_conditions(table)
+
+    def test_drift_within_the_completeness_tolerance_is_accepted(self):
+        res = necessary_conditions({"x": {"r": -1e-10, "s": 1.0 + 1e-10}, "y": {"r": 0.0, "s": 1.0}})
+        assert res.weak_consistent and not res.strong_consistent
+
 
 class TestStateDependent:
     def test_setting_independent_filter(self, rng):
@@ -364,6 +385,22 @@ class TestStateDependent:
         filters = {"0": [np.diag([1.0, 0.5])], "1": [np.diag([0.5, 1.0])]}
         res = state_dependent_check(filters, singlet, [2, 2], 0, tol=1e-8)
         assert not res.holds
+
+    @pytest.mark.parametrize("party", [2, -1, 5])
+    def test_party_outside_the_party_dimensions_is_named(self, party):
+        with pytest.raises(ValueError, match=f"^party {party} is not one of the 2 parties of party_dims$"):
+            state_dependent_check({"0": [np.eye(2)]}, np.eye(4) / 4, [2, 2], party)
+
+    @pytest.mark.parametrize(
+        "kraus,shape",
+        [(np.eye(3), "(3, 3)"), (np.ones(2), "(2,)"), (np.ones((2, 3)), "(2, 3)")],
+        ids=["3x3", "vector", "2x3"],
+    )
+    def test_kraus_operator_of_the_wrong_shape_names_the_setting(self, kraus, shape):
+        filters = {"0": [np.eye(2)], "1": [np.eye(2), kraus]}
+        message = f"setting '1' has a Kraus operator of shape {shape}; party 1 has dimension 2"
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            state_dependent_check(filters, np.eye(4) / 4, [2, 2], 1)
 
 
 #: Each public decision taking a tolerance, called on a valid input.

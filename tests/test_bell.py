@@ -10,9 +10,10 @@ from hypothesis import strategies as st
 
 import helpers
 from fairsamp.adversary import makarov_traced
-from fairsamp.analysis import approximate_epsilon, check_exact, reference
+from fairsamp.analysis import approximate_epsilon, check_exact, reference, tv_bound
 from fairsamp.bell import (
     BellScenario,
+    BoundReport,
     bell_value,
     beta_max,
     bound_report,
@@ -23,6 +24,7 @@ from fairsamp.bell import (
     joint_device,
     postselected_bell_value,
     postselected_vs_ideal_deviation,
+    validate_coefficients,
     verify_postselection_equivalence,
 )
 from fairsamp.cli import chsh_coefficients, chsh_singlet_scenario, singlet_state
@@ -378,8 +380,38 @@ class TestBellFunctional:
         from fairsamp.bell import validate_coefficients
 
         long = {(("0", "0", "0"), ("+", "+")): 1.0}
-        with pytest.raises(KeyError, match="expected a tuple of 2 settings"):
+        with pytest.raises(ValueError, match="expected a tuple of 2 settings"):
             validate_coefficients(chsh_singlet_scenario(), long)
+
+    @pytest.mark.parametrize(
+        "key", [(("0", "0"), ("+", "zzz")), (("0", "0"), ("+", NOCLICK)), (("0", "2"), ("+", "+"))]
+    )
+    def test_foreign_coefficients_raise_what_building_the_scenario_raises(self, key):
+        sc = chsh_singlet_scenario()
+        coeffs = {**chsh_coefficients(), key: 1.0}  # complete, plus one key that does not fit
+        with pytest.raises(ValueError) as built:
+            BellScenario(sc.devices, sc.psi, coeffs)
+        with pytest.raises(ValueError) as validated:
+            validate_coefficients(sc, coeffs)
+        assert str(validated.value) == str(built.value)
+
+    def test_own_coefficients_are_read_from_the_compiled_functional(self, monkeypatch):
+        import fairsamp.bell as bell
+
+        sc = chsh_singlet_scenario()
+        coeffs = dict(chsh_coefficients())
+        coeffs.pop((("1", "0"), ("-", "+")))
+        partial = BellScenario(sc.devices, sc.psi, coeffs)
+
+        def walked(*args):
+            raise AssertionError("validate_coefficients walked the coefficient keys")
+
+        monkeypatch.setattr(bell, "_compile", walked)
+        monkeypatch.setattr(bell, "_labels_fault", walked)
+        validate_coefficients(sc, sc.bell_coeffs)
+        missing = r"^missing coefficient entry for settings \('1', '0'\), outcomes \('-', '\+'\)$"
+        with pytest.raises(ValueError, match=missing):
+            validate_coefficients(partial, partial.bell_coeffs)
 
     @pytest.mark.parametrize(
         "key,message",
@@ -598,3 +630,73 @@ def test_contraction_step_equals_tensordot(seed, dims):
         assert step.shape == reference.shape
         assert np.array_equal(step, reference)
         t = step
+
+
+#: Setting and outcome labels for the coefficient-key properties: no joint-label separator.
+LABELS = st.text(alphabet="ab+-01", min_size=1, max_size=3)
+
+
+@st.composite
+def relabelled_scenario(draw):
+    """Two or three dimension-1 fair devices with drawn labels, and a random state: keys are all that matters."""
+    seed = draw(st.integers(0, 2**32 - 1))
+    rng = np.random.default_rng(seed)
+    devices = []
+    for _ in range(draw(st.integers(2, 3))):
+        settings = draw(st.lists(LABELS, min_size=1, max_size=2, unique=True))
+        outcomes = draw(st.lists(LABELS, min_size=1, max_size=3, unique=True))
+        fair = random_fair_sampling_device(1, len(settings), len(outcomes), rng)
+        devices.append(LossyDevice(1, settings, outcomes, fair.stack[:, :-1]))
+    return devices, rng
+
+
+@settings(max_examples=40, deadline=None)
+@given(labelled=relabelled_scenario())
+def test_first_missing_coefficient_is_the_old_walks(labelled):
+    """``validate_coefficients`` and ``bound_report`` name the key the label and key-set walk named first.
+
+    The full key set is shuffled, so setting tuples are first used in random order, and each key is
+    dropped with a random rate up to one half; a tuple that loses every key is no longer read and so
+    not incomplete.
+    """
+    devices, rng = labelled
+    settings_tuples = itertools.product(*(d.settings for d in devices))
+    keys = list(itertools.product(settings_tuples, itertools.product(*(d.outcomes for d in devices))))
+    keys = [keys[i] for i in rng.permutation(len(keys))]
+    dropped = rng.random(len(keys)) < rng.uniform(0.0, 0.5)
+    coeffs = {key: float(rng.normal()) for key, drop in zip(keys, dropped) if not drop}
+    sc = BellScenario(devices, random_density(int(np.prod([d.dim for d in devices])), rng), coeffs)
+    expected = _outcome(lambda: helpers.oracle_validate_coefficients(sc, coeffs))
+    assert _outcome(lambda: validate_coefficients(sc, sc.bell_coeffs)) == expected
+    assert _outcome(lambda: validate_coefficients(sc, dict(coeffs))) == expected
+    report = _outcome(lambda: bound_report(sc, [check_exact(dev).reference for dev in devices]))
+    if expected is None:
+        assert isinstance(report, BoundReport)
+    else:
+        assert report == expected
+
+
+@settings(max_examples=30, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    dims=st.lists(st.sampled_from([2, 3]), min_size=2, max_size=2),
+    angle=st.floats(0.01, 0.15),
+)
+def test_measured_deviations_of_near_fair_devices_stay_within_the_bounds(seed, dims, angle):
+    """Bell deviation <= 2 * eps_total * beta_max and joint deviation <= eps_total / (1 - eps_total).
+
+    Party 0 has one setting rotated off fair sampling; the references are the default ones ``bound`` uses.
+    """
+    rng = np.random.default_rng(seed)
+    fair = [random_fair_sampling_device(d, 2, 2, rng) for d in dims]
+    devices = [helpers.rotated_device(fair[0], angle, rng), fair[1]]
+    coeffs = {
+        (xs, outs): float(rng.uniform(-1.0, 1.0))
+        for xs in itertools.product(*(d.settings for d in devices))
+        for outs in itertools.product(*(d.outcomes for d in devices))
+    }
+    sc = BellScenario(devices, random_density(int(np.prod(dims)), rng), coeffs)
+    report = bound_report(sc, [check_exact(dev).reference for dev in devices])
+    assert report.epsilon_total > 0.0
+    assert report.measured_bell_deviation <= deviation_bound(report.epsilon_total, report.beta_max)
+    assert report.measured_joint_deviation <= tv_bound(report.epsilon_total)

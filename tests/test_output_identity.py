@@ -1,6 +1,7 @@
 """``tools/output_identity.py`` on a reduced command list: no difference for one tree, and an edited line found."""
 
 import importlib.util
+import json
 import shutil
 import sys
 from pathlib import Path
@@ -10,6 +11,7 @@ import pytest
 import fairsamp
 from fairsamp import serialize
 from fairsamp.adversary import makarov_traced
+from fairsamp.cli import chsh_singlet_scenario
 
 ROOT = Path(__file__).resolve().parent.parent
 SRC = Path(fairsamp.__file__).resolve().parent.parent
@@ -48,3 +50,18 @@ def test_an_edited_line_is_reported(tool, runs, tmp_path):
         f"decompose {device} --trials 2: file traced.decomposition/verification.json differs, "
         """line 3: parent b'  "seed": 0,', change b'  "seed": 1,'"""
     )
+
+
+def test_incomplete_copy_lacks_the_middle_coefficient_and_bound_names_it(tool, tmp_path):
+    path = tmp_path / "chsh.json"
+    serialize.dump_json(serialize.scenario_to_json(chsh_singlet_scenario()), path)
+    copy = tool.without_one_coefficient(path)
+    assert copy == tmp_path / "chsh.incomplete.json"
+    original, partial = (json.loads(p.read_text()) for p in (path, copy))
+    dropped = original["bell"]["coeffs"].pop(8)
+    assert partial == original
+    seen = tool.observe(SRC, tool.cli_run("bound", str(copy)), tmp_path / "work")
+    assert seen["exit code"] == b"1"
+    assert seen["stderr"] == (
+        f"error: missing coefficient entry for settings {tuple(dropped['x'])!r}, outcomes {tuple(dropped['a'])!r}\n"
+    ).encode()

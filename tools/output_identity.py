@@ -9,7 +9,10 @@ set-ups in ``perfbench/workloads.py``: the bell-large scenario files and the
 device-verdict device files of each seed.  On those files it runs
 ``simulate``, ``simulate --postselect`` and ``bound`` (scenarios) or
 ``check`` and ``decompose --trials 10`` (devices), then seven ``demo``
-invocations and the scripts in ``demos/``.  Each command runs in a fresh
+invocations and the scripts in ``demos/``.  Each scenario file also gets a
+copy with its middle Bell coefficient entry removed, on which
+``simulate --postselect`` (the partial Bell value) and ``bound`` (the
+missing-entry error) run.  Each command runs in a fresh
 interpreter under each tree's ``PYTHONPATH``, with one BLAS thread, in an
 empty working directory of its own.  Its stdout, stderr, exit code and every
 file it writes there are compared; the working directory's path is replaced
@@ -21,6 +24,7 @@ code is 1 when there is one, 0 otherwise.
 from __future__ import annotations
 
 import argparse
+import json
 import os
 import subprocess
 import sys
@@ -46,6 +50,8 @@ DEMOS = (
     ["chsh-singlet"],
     ["prop2-random", "--seed", "3", "--count", "5"],
 )
+#: Commands run on a scenario file with one coefficient entry removed.
+INCOMPLETE_COMMANDS = (["simulate", "--postselect"], ["bound"])
 #: Seconds one command may take before the comparison stops.
 TIMEOUT_S = 600
 
@@ -66,6 +72,16 @@ def environment(src: Path) -> dict[str, str]:
     return {**os.environ, "PYTHONPATH": str(src.resolve()), **{var: "1" for var in BLAS_THREAD_VARS}}
 
 
+def without_one_coefficient(path: Path) -> Path:
+    """Write, beside scenario ``path``, a copy with its middle Bell coefficient entry removed, and return it."""
+    scenario = json.loads(path.read_text())
+    coeffs = scenario["bell"]["coeffs"]
+    del coeffs[len(coeffs) // 2]
+    copy = path.with_name(f"{path.stem}.incomplete.json")
+    copy.write_text(json.dumps(scenario))
+    return copy
+
+
 def build_inputs(parent: Path, seeds: list[int], inputs: Path) -> list[Run]:
     """Write each seed's workload inputs under ``inputs`` with the parent tree, and list the runs on them."""
     env = {**environment(parent), "PYTHONPATH": os.pathsep.join([str(parent.resolve()), str(ROOT / "perfbench")])}
@@ -80,6 +96,9 @@ def build_inputs(parent: Path, seeds: list[int], inputs: Path) -> list[Run]:
             subprocess.run([sys.executable, "-c", BUILD, setup, str(seed), str(where)], env=env, check=True)
             for path in sorted(where.glob("*.json")):
                 runs.extend(cli_run(command[0], str(path), *command[1:]) for command in commands)
+                if setup == "setup_bell_large":
+                    incomplete = str(without_one_coefficient(path))
+                    runs.extend(cli_run(command[0], incomplete, *command[1:]) for command in INCOMPLETE_COMMANDS)
     runs.extend(cli_run("demo", *argv) for argv in DEMOS)
     runs.extend(Run(f"demos/{script.name}", (str(script),)) for script in sorted((ROOT / "demos").glob("*.py")))
     return runs
