@@ -64,7 +64,7 @@ print(f"joint total-variation bound: {tv_bound(eps_tot):.6f}")
 
 ideal_noisy = ideal_scenario(noisy, mqs)
 postselected = noisy.bell_value(noisy.tables().postselected)
-measured = abs(postselected - ideal_noisy.bell_value(ideal_noisy.tables().raw))
+measured = abs(postselected - noisy.bell_value(ideal_noisy.tables().raw))
 beta = beta_max(coeffs)
 print(f"post-selected CHSH with mismatch: {postselected:.6f}")
 print(f"|CHSH_postselected - CHSH_ideal| = {measured:.6f} "

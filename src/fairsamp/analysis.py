@@ -23,6 +23,7 @@ from .linalg import (
     VERDICT_TOL,
     ZERO_ACCEPTANCE,
     as_operator,
+    assert_density,
     dagger,
     expect,
     norms_exceed,
@@ -308,11 +309,27 @@ def ideal_device_from(dev: LossyDevice, mq: np.ndarray | Reference) -> LosslessD
     return LosslessDevice(dev.dim, [dev.settings[i] for i in live], dev.outcomes, stack)
 
 
-def _filter(mqs: Sequence[np.ndarray | Reference], rho: np.ndarray, vanishes: str) -> tuple[np.ndarray, float]:
+def _checked_state(mqs: Sequence[np.ndarray | Reference], rho) -> np.ndarray:
+    """``rho`` checked with ``assert_density``, after the dimensions of ``mqs`` are checked to multiply to its own.
+
+    A mismatch raises ``ValueError`` before any spectral work.
+    """
+    rho = as_operator(rho)
+    dims = [np.shape(mq.mq if isinstance(mq, Reference) else mq)[0] for mq in mqs]
+    if int(np.prod(dims)) != rho.shape[0]:
+        raise ValueError(f"reference dimensions {dims} do not match state dimension {rho.shape[0]}")
+    return assert_density(rho)
+
+
+def _filter(
+    mqs: Sequence[np.ndarray | Reference], rho: np.ndarray, vanishes: str = "global filter acceptance {:.3e} vanishes"
+) -> tuple[np.ndarray, float]:
     """``rho`` conjugated by the tensor product of the square roots of ``mqs`` and normalized, and the acceptance.
 
+    ``rho`` must be a state whose dimension the references fit (``_checked_state``).
     A ``Reference`` gives its ``root``.  An acceptance at most ZERO_ACCEPTANCE
-    raises ``ZeroAcceptanceError`` with ``vanishes`` formatted with it.
+    raises ``ZeroAcceptanceError`` with ``vanishes``, the global filter's text
+    unless given, formatted with it.
     """
     sq = tensor([mq.root if isinstance(mq, Reference) else sqrt_pinv_sqrt(mq)[0] for mq in mqs])
     branch = sq @ rho @ sq
@@ -325,9 +342,11 @@ def _filter(mqs: Sequence[np.ndarray | Reference], rho: np.ndarray, vanishes: st
 def filtered_state(mq: np.ndarray | Reference, rho: np.ndarray) -> tuple[np.ndarray, float]:
     """Conjugate a state by sqrt(mq) and renormalize; returns (state, acceptance).
 
-    For a ``Reference``, its ``root`` is the square root.
+    For a ``Reference``, its ``root`` is the square root.  A reference whose
+    dimension is not the state's, or a ``rho`` that is not a density matrix,
+    raises ``ValueError``.
     """
-    return _filter([mq], as_operator(rho), "filter acceptance {:.3e} vanishes for this state")
+    return _filter([mq], _checked_state([mq], rho), "filter acceptance {:.3e} vanishes for this state")
 
 
 def tv_bound(epsilon: float) -> float:
@@ -346,9 +365,10 @@ def imperfect_state_bound(
     columns spanning the calibrated space.  The report contains the weight
     on the orthogonal block, the trace norm of the coherence block, the
     resulting bound and the actually measured total-variation distance
-    between the two post-selected distributions.
+    between the two post-selected distributions.  A ``rho_hat`` that is not
+    a density matrix raises ``ValueError``.
     """
-    rho_hat = as_operator(rho_hat)
+    rho_hat = assert_density(rho_hat)
     d = rho_hat.shape[0]
     g = int(good_dim)
     if not 0 < g < d:

@@ -12,14 +12,16 @@ from __future__ import annotations
 
 import functools
 import itertools
+import math
 from dataclasses import dataclass
-from typing import Collection, Iterable, Mapping, Sequence
+from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
-from .analysis import Reference, _filter, _weak_reference, approximate_epsilon, ideal_device_from, reference
+from .analysis import Reference, _checked_state, _filter, _weak_reference, approximate_epsilon
+from .analysis import ideal_device_from, reference
 from .device import NOCLICK, LossyDevice, ZeroAcceptanceError
-from .linalg import COMPLETENESS_TOL, ZERO_ACCEPTANCE, as_operator, assert_density, read_probability, tensor
+from .linalg import COMPLETENESS_TOL, ZERO_ACCEPTANCE, assert_density, read_probability, tensor
 
 #: Bell coefficients: (settings tuple, outcomes tuple) -> real weight.
 BellCoeffs = Mapping[tuple[tuple[str, ...], tuple[str, ...]], float]
@@ -40,14 +42,14 @@ def _reject_separator(devices: Sequence[LossyDevice]) -> None:
                 raise ValueError(f"party {k} label {label!r} contains the joint-label separator {LABEL_SEP!r}")
 
 
-@dataclass
+@dataclass(frozen=True, eq=False)
 class BellScenario:
     """Local devices measuring a joint state, one tensor factor per party.
 
     Each key of ``bell_coeffs`` pairs a settings tuple with a good-outcome
-    tuple, one label per party; no-click carries no Bell weight.  The keys
-    are checked, and the coefficients compiled, once, when the scenario is
-    built: to change the coefficients, build a new scenario.
+    tuple, one label per party; no-click carries no Bell weight, and weights
+    must be finite.  The coefficients are compiled against these devices when
+    the scenario is built, and a scenario is frozen: build a new one to change it.
     """
 
     devices: Sequence[LossyDevice]
@@ -55,16 +57,17 @@ class BellScenario:
     bell_coeffs: BellCoeffs | None = None
 
     def __post_init__(self):
-        self.devices = tuple(self.devices)
+        object.__setattr__(self, "devices", tuple(self.devices))
         _reject_separator(self.devices)
-        self.psi = assert_density(self.psi)
+        object.__setattr__(self, "psi", assert_density(self.psi))
         dims = [dev.dim for dev in self.devices]
         if int(np.prod(dims)) != self.psi.shape[0]:
             raise ValueError(f"local dimensions {dims} do not match state dimension {self.psi.shape[0]}")
         n_out = int(np.prod([len(dev.outcomes) + 1 for dev in self.devices]))
         if n_out > MAX_JOINT_OUTCOMES:
             raise ValueError(f"joint outcome table of size {n_out} exceeds {MAX_JOINT_OUTCOMES}")
-        self._functional = None if self.bell_coeffs is None else _compile(self.devices, self.bell_coeffs)
+        coeffs = self.bell_coeffs
+        object.__setattr__(self, "_functional", None if coeffs is None else _compile(self.devices, coeffs))
 
     @property
     def n_parties(self) -> int:
@@ -167,13 +170,12 @@ class BellScenario:
     def bell_value(self, tables: Tables) -> float:
         """The Bell functional sum(c * Pr) on ``tables``: ``JointTables.raw`` or ``JointTables.postselected``.
 
-        The terms are added as ``bell_value`` adds them, so the two agree to the
-        bit.  A setting tuple the coefficients read that ``tables`` lacks, one
-        erased for zero acceptance, raises ``ZeroAcceptanceError`` naming it.
+        Another scenario's tables with these outcomes, as ``ideal_scenario(self)``'s, are read alike.  The
+        terms are added as ``bell_value`` adds them, so the two agree to the bit.  Setting tuples the
+        coefficients read that ``tables`` lacks, erased for zero acceptance, raise ``ZeroAcceptanceError``.
         """
-        if self.bell_coeffs is None:
+        if self._functional is None:
             raise ValueError("scenario declares no Bell coefficients")
-        _raise_erased(set(self._functional.tuples) - tables.keys())
         return self._functional.value(tables)
 
 
@@ -265,13 +267,9 @@ def filtered_global_state(mqs: Sequence[np.ndarray | Reference], psi: np.ndarray
     Returns the normalized filtered state and the probability that all local
     filters accept simultaneously.  A ``Reference`` in ``mqs`` gives its
     ``root``.  References whose dimensions do not multiply to the state's
-    raise ``ValueError``.
+    raise ``ValueError`` before ``psi`` is checked as a density matrix.
     """
-    psi = as_operator(psi)
-    dims = [np.shape(mq.mq if isinstance(mq, Reference) else mq)[0] for mq in mqs]
-    if int(np.prod(dims)) != psi.shape[0]:
-        raise ValueError(f"reference dimensions {dims} do not match state dimension {psi.shape[0]}")
-    return _filter(mqs, psi, "global filter acceptance {:.3e} vanishes")
+    return _filter(mqs, _checked_state(mqs, psi))
 
 
 def _references(sc: BellScenario, mqs: Sequence[np.ndarray | Reference]) -> list[Reference]:
@@ -289,7 +287,7 @@ def ideal_scenario(sc: BellScenario, mqs: Sequence[np.ndarray | Reference] | Non
     A reference is a matrix or a ``Reference`` (a verdict's, say); each is
     eigendecomposed once, for the ideal device and the filter alike, and each
     device's click stack is normed once.  A list of the wrong length raises
-    ``ValueError``.
+    ``ValueError``.  The ideal scenario has no Bell coefficients; ``sc.bell_value`` reads its tables.
     """
     if mqs is None:
         mqs = []
@@ -300,12 +298,8 @@ def ideal_scenario(sc: BellScenario, mqs: Sequence[np.ndarray | Reference] | Non
             mqs.append(Reference(mq, clicks))
     refs = _references(sc, mqs)
     ideal = [ideal_device_from(dev, ref) for dev, ref in zip(sc.devices, refs)]
-    psi_click, _ = filtered_global_state(refs, sc.psi)
-    out = BellScenario(ideal, psi_click)
-    # An ideal device keeps its device's outcomes but lacks the settings erased from the
-    # verdict, which the coefficients may still name: share the compiled functional as is.
-    out.bell_coeffs, out._functional = sc.bell_coeffs, sc._functional
-    return out
+    psi_click, _ = _filter(refs, sc.psi)  # sc.psi is checked and fits the references
+    return BellScenario(ideal, psi_click)
 
 
 def postselected_vs_ideal_deviation(sc: BellScenario, ideal: BellScenario) -> float:
@@ -375,8 +369,10 @@ def beta_max(coeffs: BellCoeffs) -> float:
     The maximum over unconstrained conditional distributions is attained at
     deterministic assignments, independently for each setting tuple, so it
     is the larger of |sum of per-setting maxima| and |sum of per-setting
-    minima|.  The coefficients must cover the full outcome alphabet.
+    minima|.  The coefficients must cover the full outcome alphabet.  The
+    first weight that is not finite raises ``ValueError`` naming its key.
     """
+    _reject_nonfinite(coeffs)
     by_setting: dict[tuple[str, ...], list[float]] = {}
     for (xs, _), c in coeffs.items():
         by_setting.setdefault(xs, []).append(c)
@@ -393,25 +389,13 @@ def deviation_bound(eps_tot: float, beta: float) -> float:
 def postselected_bell_value(sc: BellScenario) -> float:
     """Bell functional evaluated on the post-selected distributions.
 
-    Only the setting tuples the coefficients read are walked.  Those erased
-    for zero acceptance raise ``ZeroAcceptanceError`` naming them; so do
-    those with a setting erased from the devices, as the coefficients of an
-    ideal scenario (``ideal_scenario``) may read.
+    Only the setting tuples the coefficients read are walked; those erased
+    for zero acceptance raise ``ZeroAcceptanceError`` naming them.
     """
     if sc.bell_coeffs is None:
         raise ValueError("scenario declares no Bell coefficients")
-    settings = [dev.settings for dev in sc.devices]
-    _raise_erased([xs for xs in sc._functional.tuples if _labels_fault(xs, settings, "setting")])
     validate_coefficients(sc, sc.bell_coeffs)
     return sc.bell_value(sc.tables(sc._functional.tuples).postselected)
-
-
-def _raise_erased(erased: Collection[tuple[str, ...]]) -> None:
-    """Raise ``ZeroAcceptanceError`` naming the setting tuples ``erased``, if any, that Bell coefficients read."""
-    if erased:
-        raise ZeroAcceptanceError(
-            f"Bell coefficients read setting tuples with vanishing acceptance: {sorted(erased)!r}"
-        )
 
 
 @dataclass(frozen=True)
@@ -431,11 +415,14 @@ class _Functional:
     weight: np.ndarray
 
     def value(self, tables: Tables) -> float:
-        """sum(c * Pr) over ``tables``, which must hold every tuple in ``tuples``.
+        """sum(c * Pr) over ``tables``; tuples it lacks raise ``ZeroAcceptanceError`` naming them, sorted.
 
         The terms are added left to right in coefficient order, as
         ``bell_value`` adds them, so the two agree to the bit.
         """
+        erased = sorted(set(self.tuples) - tables.keys())
+        if erased:
+            raise ZeroAcceptanceError(f"Bell coefficients read setting tuples with vanishing acceptance: {erased!r}")
         if not self.tuples:
             return 0.0
         terms = self.weight * np.stack([tables[xs] for xs in self.tuples])[(self.position, *self.outcome)]
@@ -455,8 +442,16 @@ def _labels_fault(labels, known: Sequence[tuple[str, ...]], kind: str) -> str | 
     return None
 
 
+def _reject_nonfinite(coeffs: BellCoeffs) -> None:
+    """Raise ``ValueError`` naming the first key of ``coeffs`` whose weight is not finite."""
+    for (xs, outs), c in coeffs.items():
+        if not math.isfinite(c):
+            fault = f"weight {float(c)!r} is not finite"
+            raise ValueError(f"Bell coefficient for settings {xs!r}, outcomes {outs!r}: {fault}")
+
+
 def _compile(devices: Sequence[LossyDevice], coeffs: BellCoeffs) -> _Functional:
-    """Compile ``coeffs`` against ``devices``; a key that does not fit raises ``ValueError`` naming it.
+    """Compile ``coeffs`` against ``devices``; a key that does not fit, then a weight that is not finite, raises.
 
     Keys are checked in bulk: each distinct setting tuple once, and every
     outcome tuple by lookup among the good outcome tuples.  Only when that
@@ -472,12 +467,15 @@ def _compile(devices: Sequence[LossyDevice], coeffs: BellCoeffs) -> _Functional:
             fault = _labels_fault(xs, settings, "setting") or _labels_fault(outs, outcomes, "good outcome")
             if fault:
                 raise ValueError(f"Bell coefficient for settings {xs!r}, outcomes {outs!r}: {fault}")
+    weight = np.fromiter(coeffs.values(), dtype=float, count=len(coeffs))
+    if not np.isfinite(weight).all():
+        _reject_nonfinite(coeffs)
     index = {xs: i for i, xs in enumerate(tuples)}
     return _Functional(
         tuple(tuples),
         np.fromiter(map(index.__getitem__, (xs for xs, _ in coeffs)), dtype=np.intp, count=len(coeffs)),
         np.unravel_index(np.array(flat, dtype=np.intp), [len(dev.outcomes) for dev in devices]),
-        np.fromiter(coeffs.values(), dtype=float, count=len(coeffs)),
+        weight,
     )
 
 
@@ -496,17 +494,18 @@ def bound_report(sc: BellScenario, mqs: Sequence[np.ndarray | Reference]) -> Bou
     """Epsilons against ``mqs`` and the deviations from the ideal experiment built from them.
 
     A reference is a matrix or a ``Reference``; each is eigendecomposed and
-    conjugated once, for its epsilon and its ideal device alike.  A list of
-    the wrong length raises ``ValueError``.
+    conjugated once, for its epsilon and its ideal device alike.  It raises, in
+    order, for a list of the wrong length, incomplete coefficients (before any
+    epsilon, table or ideal device), an epsilon >= 1, an erased tuple read.
     """
     refs = _references(sc, mqs)
+    beta = None
+    if sc.bell_coeffs is not None:
+        validate_coefficients(sc, sc.bell_coeffs)
+        beta = beta_max(sc.bell_coeffs)
     eps = [approximate_epsilon(dev, ref) for dev, ref in zip(sc.devices, refs)]
     eps_tot = epsilon_total(eps)  # raises for an epsilon >= 1, where no ideal device exists
     t = sc.tables()
     ideal = ideal_scenario(sc, refs).tables(t.postselected)
-    beta = bell_deviation = None
-    if sc.bell_coeffs is not None:
-        validate_coefficients(sc, sc.bell_coeffs)
-        beta = beta_max(sc.bell_coeffs)
-        bell_deviation = abs(sc.bell_value(t.postselected) - sc.bell_value(ideal.raw))
+    bell_deviation = None if beta is None else abs(sc.bell_value(t.postselected) - sc.bell_value(ideal.raw))
     return BoundReport(eps, eps_tot, t.max_deviation(ideal), beta, bell_deviation)

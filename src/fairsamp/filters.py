@@ -9,6 +9,7 @@ a diagonal normal form without changing the composed statistics.
 
 from __future__ import annotations
 
+import math
 import warnings
 from dataclasses import dataclass
 from typing import Mapping
@@ -22,7 +23,10 @@ from .sampling import verification_states
 
 @dataclass(frozen=True)
 class QuantumFilter:
-    """Two-outcome Kraus pair: kraus_click fires on acceptance, kraus_noclick on loss."""
+    """Two-outcome Kraus pair: kraus_click fires on acceptance, kraus_noclick on loss.
+
+    A non-finite entry raises ``ValueError`` naming its operator.
+    """
 
     kraus_click: np.ndarray
     kraus_noclick: np.ndarray
@@ -30,6 +34,9 @@ class QuantumFilter:
     def __post_init__(self):
         fc = as_operator(self.kraus_click)
         fn = as_operator(self.kraus_noclick)
+        for name, k in (("kraus_click", fc), ("kraus_noclick", fn)):
+            if not np.isfinite(k).all():
+                raise ValueError(f"{name} has a non-finite entry")
         res = np.max(np.abs(dagger(fc) @ fc + dagger(fn) @ fn - np.eye(fc.shape[0])))
         if res > COMPLETENESS_TOL:
             raise ValueError(f"Kraus completeness violated by {float(res):.3e}")
@@ -53,7 +60,7 @@ class ClassicalFilter:
     ``transition`` maps a requested setting to a sub-normalized distribution
     over actually-used settings; ``accept_prob`` gives the total acceptance
     per setting.  A diagonal filter has transition None; any other has one
-    row for each setting of ``accept_prob`` and no more.
+    row for each setting of ``accept_prob`` and no more, and finite entries.
     """
 
     accept_prob: Mapping[str, float]
@@ -71,6 +78,9 @@ class ClassicalFilter:
                 if x not in self.transition:
                     raise ValueError(f"accept_prob setting {x!r} has no transition row")
             for x, row in self.transition.items():
+                for y, p in row.items():
+                    if not math.isfinite(p):
+                        raise ValueError(f"transition row {x!r} has entry {float(p)!r} at setting {y!r}, not finite")
                 total = sum(row.values())
                 if total > 1.0 + COMPLETENESS_TOL or any(p < -ZERO_ACCEPTANCE for p in row.values()):
                     raise ValueError(f"transition row {x!r} is not sub-normalized")

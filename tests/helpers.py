@@ -279,14 +279,18 @@ def oracle_validate_coefficients(sc, coeffs):
 
 
 def oracle_bound_report(sc, mqs):
-    """``bell.bound_report`` from ``approximate_epsilon``, ``oracle_ideal_scenario`` and the dict loops."""
+    """``bell.bound_report`` from ``approximate_epsilon``, ``oracle_ideal_scenario`` and the dict loops.
+
+    The coefficients are checked for completeness first, before any epsilon.
+    """
+    if sc.bell_coeffs is not None:
+        oracle_validate_coefficients(sc, sc.bell_coeffs)
     eps = [approximate_epsilon(dev, mq) for dev, mq in zip(sc.devices, mqs)]
     eps_tot = epsilon_total(eps)
     post = dict_postselected_tables(dict_raw_tables(sc, sc.setting_tuples()))
     ideal_raw = dict_raw_tables(oracle_ideal_scenario(sc, mqs), post)
     beta = bell_deviation = None
     if sc.bell_coeffs is not None:
-        oracle_validate_coefficients(sc, sc.bell_coeffs)
         beta = beta_max(sc.bell_coeffs)
         bell_deviation = abs(bell_value(post, sc.bell_coeffs) - bell_value(ideal_raw, sc.bell_coeffs))
     return BoundReport(eps, eps_tot, dict_max_deviation(post, ideal_raw), beta, bell_deviation)

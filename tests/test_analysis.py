@@ -22,9 +22,9 @@ from fairsamp.analysis import (
     state_dependent_check,
     tv_bound,
 )
-from fairsamp.device import LossyDevice, ZeroAcceptanceError, total_variation
+from fairsamp.device import LossyDevice, ZeroAcceptanceError, projective_qubit_device, total_variation
 from fairsamp.filters import canonical_decomposition
-from fairsamp.linalg import SCREEN_FROM_DIM, expect, operator_norms, projector
+from fairsamp.linalg import SCREEN_FROM_DIM, expect, operator_norm, operator_norms, projector
 from fairsamp.optics import AnalyserSpec, analyser_device, analyser_mq, single_photon_analyser
 from fairsamp.sampling import random_density, random_fair_sampling_device, random_povm
 
@@ -218,6 +218,27 @@ class TestFilteredState:
         with pytest.raises(ZeroAcceptanceError):
             filtered_state(np.diag([0.0, 1.0]), np.diag([1.0, 0.0]))
 
+    @pytest.mark.parametrize(
+        "rho,message",
+        [
+            (np.full((2, 2), np.nan), r"^state has a non-finite entry$"),
+            (np.diag([2.0, -1.0]), r"^state has negative eigenvalue -1\.000e\+00"),
+            (np.eye(2), r"^state has trace 2\.0, expected 1$"),
+        ],
+        ids=["nan", "negative", "trace-2"],
+    )
+    def test_rejects_what_is_not_a_state(self, rho, message):
+        with pytest.raises(ValueError, match=message):
+            filtered_state(np.eye(2), rho)
+
+    def test_reference_must_fit_the_state(self, rng):
+        message = r"^reference dimensions \[2\] do not match state dimension 3$"
+        with pytest.raises(ValueError, match=message):
+            filtered_state(np.eye(2), random_density(3, rng))
+        dev = projective_qubit_device({"z": 0.0})
+        with pytest.raises(ValueError, match=message):
+            filtered_state(reference(dev, np.eye(2)), random_density(3, rng))
+
 
 class TestTvBound:
     @pytest.mark.parametrize("eps,expected", [(0.0, 0.0), (0.1, 0.1 / 0.9), (0.5, 1.0)])
@@ -271,6 +292,18 @@ class TestImperfectState:
         report = imperfect_state_bound(helpers.random_lossy_device(4, rng), rho_hat, good_dim=2, x="x")
         assert report.coherence_trace_norm <= np.sqrt(0.04 * 0.96) + 1e-12
         assert report.eps_prime == pytest.approx(0.04, abs=1e-10)
+
+    @pytest.mark.parametrize(
+        "bad,message",
+        [(np.nan, r"^state has a non-finite entry$"), (-0.5, r"^state has negative eigenvalue")],
+        ids=["nan", "negative"],
+    )
+    def test_rejects_what_is_not_a_state(self, rng, bad, message):
+        rho_hat = helpers.block_structured_state(rng, 2, 2, eps_prime=0.04)
+        rho_hat[3, 3] += bad
+        rho_hat[0, 0] -= bad
+        with pytest.raises(ValueError, match=message):
+            imperfect_state_bound(helpers.random_lossy_device(4, rng), rho_hat, good_dim=2, x="x")
 
     def test_measured_within_bound(self, rng):
         for eps_prime in (0.01, 0.05, 0.1):
@@ -642,3 +675,25 @@ def test_stacked_samplers_equal_the_loop_to_the_bit(seed, dim, n_settings, n_out
     assert (dev.settings, dev.outcomes) == (twin.settings, twin.outcomes)
     assert np.array_equal(dev.stack, twin.stack)
     assert stacked.random() == looped.random()
+
+
+@settings(max_examples=30, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    kind=st.sampled_from(helpers.PASS_KINDS),
+    dim=st.integers(1, 4),
+    n_settings=st.integers(1, 3),
+    n_outcomes=st.integers(1, 3),
+)
+def test_reference_roots_are_local_probabilistic_filters(seed, kind, dim, n_settings, n_outcomes):
+    """The default and the weak reference have ``||root||_2 <= 1``, to 1e-12.
+
+    So ``root``, the filter's accepting Kraus operator, is a local probabilistic map: it never accepts
+    with probability above 1.
+    """
+    rng = np.random.default_rng(seed)
+    dev = helpers.pass_device(kind, rng, dim, n_settings, n_outcomes)
+    verdict = check_exact(dev)
+    refs = [reference(dev), verdict.reference] if verdict.weak else [reference(dev)]
+    for ref in refs:
+        assert operator_norm(ref.root) <= 1.0 + 1e-12

@@ -1,5 +1,6 @@
 """Joint statistics, post-selection equivalence and multipartite bounds."""
 
+import dataclasses
 import itertools
 import re
 
@@ -273,6 +274,18 @@ class TestFilteredGlobalState:
         )
         np.testing.assert_allclose(out, rebuilt / np.trace(rebuilt).real, atol=1e-10)
 
+    @pytest.mark.parametrize(
+        "psi,message",
+        [
+            (np.full((4, 4), np.nan), r"^state has a non-finite entry$"),
+            (np.diag([2.0, -1.0, 0.0, 0.0]), r"^state has negative eigenvalue -1\.000e\+00"),
+        ],
+        ids=["nan", "negative"],
+    )
+    def test_rejects_what_is_not_a_state(self, psi, message):
+        with pytest.raises(ValueError, match=message):
+            filtered_global_state([np.eye(2), np.eye(2)], psi)
+
 
 class TestPostselectionEquivalence:
     def test_random_exact_fs_scenarios(self, rng):
@@ -431,6 +444,28 @@ class TestBellFunctional:
         with pytest.raises(ValueError, match=named):
             BellScenario(sc.devices, sc.psi, coeffs)
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, np.float64(np.nan)], ids=["nan", "inf", "-inf", "np-nan"])
+    @pytest.mark.parametrize("position", [0, 5], ids=["first-key", "later-key"])
+    def test_non_finite_weight_named_when_built_and_by_beta_max(self, position, bad):
+        sc = chsh_singlet_scenario()
+        coeffs = dict(chsh_coefficients())
+        xs, outs = key = list(coeffs)[position]
+        coeffs[key] = bad
+        message = f"Bell coefficient for settings {xs!r}, outcomes {outs!r}: weight {float(bad)!r} is not finite"
+        for call in (
+            lambda: BellScenario(sc.devices, sc.psi, coeffs),
+            lambda: validate_coefficients(sc, coeffs),
+            lambda: beta_max(coeffs),
+        ):
+            with pytest.raises(ValueError, match="^" + re.escape(message) + "$"):
+                call()
+
+    def test_non_finite_weight_named_after_bad_labels(self):
+        sc = chsh_singlet_scenario()
+        coeffs = {**chsh_coefficients(), (("0", "0"), ("+", "+")): np.nan, (("1", "1"), ("+", "zzz")): 1.0}
+        with pytest.raises(ValueError, match=r"party 1 has no good outcome 'zzz'$"):
+            BellScenario(sc.devices, sc.psi, coeffs)
+
     def test_deviation_bound_zero_for_exact(self, rng):
         sc = chsh_singlet_scenario()
         verdicts = [check_exact(dev) for dev in sc.devices]
@@ -534,11 +569,19 @@ class TestIdealScenario:
         sc = BellScenario([projective_qubit_device({"0": 0.0}), helpers.silent_device()], singlet_state(), coeffs)
         message = "Bell coefficients read setting tuples with vanishing acceptance: [('0', 'dead')]"
         with pytest.raises(ZeroAcceptanceError, match=re.escape(message)):
-            postselected_bell_value(ideal_scenario(sc))
+            sc.bell_value(ideal_scenario(sc).tables().raw)
         with pytest.raises(ZeroAcceptanceError, match=re.escape(message)):
             bound_report(sc, [check_exact(dev).quantum_elem for dev in sc.devices])
         live = BellScenario(sc.devices, sc.psi, {key: c for key, c in coeffs.items() if key[0] == ("0", "0")})
-        assert postselected_bell_value(ideal_scenario(live)) == pytest.approx(1.0)
+        assert live.bell_value(ideal_scenario(live).tables().raw) == pytest.approx(1.0)
+
+    def test_declares_no_coefficients_and_is_read_by_the_measured_functional(self):
+        sc = chsh_singlet_scenario()
+        ideal = ideal_scenario(sc)
+        assert sc.bell_coeffs is not None and ideal.bell_coeffs is None
+        with pytest.raises(ValueError, match="^scenario declares no Bell coefficients$"):
+            ideal.bell_value(ideal.tables().raw)
+        assert sc.bell_value(ideal.tables().raw) == pytest.approx(postselected_bell_value(sc), abs=1e-12)
 
     @pytest.mark.parametrize("count", [1, 3])
     def test_one_reference_per_party_or_an_error_before_any_work(self, monkeypatch, count):
@@ -554,6 +597,46 @@ class TestIdealScenario:
         with pytest.raises(ValueError, match=re.escape(message)):
             filtered_global_state(mqs, sc.psi)
         assert calls == []
+
+
+@pytest.mark.parametrize("name", [*(f.name for f in dataclasses.fields(BellScenario)), "_functional"])
+def test_scenario_fields_cannot_be_reassigned(name):
+    sc = chsh_singlet_scenario()
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        setattr(sc, name, getattr(sc, name))
+
+
+class TestBoundReportOrder:
+    MISSING = r"^missing coefficient entry for settings \('0', '0'\), outcomes \('\+', '-'\)$"
+
+    @staticmethod
+    def scenario(click):
+        """Party 0 clicks with ``click`` alone at setting "0"; the coefficients lack ("+", "-") there."""
+        devices = [LossyDevice(2, ["0"], ["+"], {"0": {"+": click}}), projective_qubit_device({"0": 0.0})]
+        coeffs = {(("0", "0"), ("+", "+")): 1.0}
+        return BellScenario(devices, singlet_state(), coeffs)
+
+    def test_completeness_checked_before_any_epsilon_table_or_ideal_device(self, monkeypatch):
+        import fairsamp.bell as bell
+
+        def fail(*args, **kwargs):
+            raise AssertionError("bound_report worked before it checked the coefficients")
+
+        sc = self.scenario(0.5 * np.eye(2))
+        monkeypatch.setattr(bell, "approximate_epsilon", fail)
+        monkeypatch.setattr(bell, "ideal_scenario", fail)
+        monkeypatch.setattr(BellScenario, "tables", fail)
+        with pytest.raises(ValueError, match=self.MISSING):
+            bound_report(sc, [np.eye(2), np.eye(2)])
+
+    def test_missing_entry_named_before_an_epsilon_of_one(self):
+        sc = self.scenario(np.diag([1.0, 0.0]))  # against the identity, epsilon is 1
+        assert approximate_epsilon(sc.devices[0], np.eye(2)) == 1.0
+        with pytest.raises(ValueError, match=self.MISSING):
+            bound_report(sc, [np.eye(2), np.eye(2)])
+        complete = BellScenario(sc.devices, sc.psi, {**sc.bell_coeffs, (("0", "0"), ("+", "-")): 1.0})
+        with pytest.raises(ValueError, match=r"^per-party epsilon 1\.0 outside \[0, 1\)$"):
+            bound_report(complete, [np.eye(2), np.eye(2)])
 
 
 def _outcome(call):
@@ -679,17 +762,18 @@ def test_first_missing_coefficient_is_the_old_walks(labelled):
 @settings(max_examples=30, deadline=None)
 @given(
     seed=st.integers(0, 2**32 - 1),
-    dims=st.lists(st.sampled_from([2, 3]), min_size=2, max_size=2),
+    dims=st.lists(st.sampled_from([2, 3]), min_size=2, max_size=3),
     angle=st.floats(0.01, 0.15),
 )
 def test_measured_deviations_of_near_fair_devices_stay_within_the_bounds(seed, dims, angle):
     """Bell deviation <= 2 * eps_total * beta_max and joint deviation <= eps_total / (1 - eps_total).
 
-    Party 0 has one setting rotated off fair sampling; the references are the default ones ``bound`` uses.
+    Two or three parties; party 0 has one setting rotated off fair sampling, and the references are
+    the default ones ``bound`` uses.
     """
     rng = np.random.default_rng(seed)
     fair = [random_fair_sampling_device(d, 2, 2, rng) for d in dims]
-    devices = [helpers.rotated_device(fair[0], angle, rng), fair[1]]
+    devices = [helpers.rotated_device(fair[0], angle, rng), *fair[1:]]
     coeffs = {
         (xs, outs): float(rng.uniform(-1.0, 1.0))
         for xs in itertools.product(*(d.settings for d in devices))
@@ -700,3 +784,27 @@ def test_measured_deviations_of_near_fair_devices_stay_within_the_bounds(seed, d
     assert report.epsilon_total > 0.0
     assert report.measured_bell_deviation <= deviation_bound(report.epsilon_total, report.beta_max)
     assert report.measured_joint_deviation <= tv_bound(report.epsilon_total)
+
+
+@settings(max_examples=30, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), dims=st.lists(st.integers(1, 3), min_size=2, max_size=3))
+def test_strongly_fair_devices_postselect_to_the_unfiltered_state(seed, dims):
+    """Every click element a multiple of the identity: the ideal experiment measures ``psi`` itself.
+
+    Its raw tables are the post-selected tables, no-click entries 0, to 1e-12.
+    """
+    rng = np.random.default_rng(seed)
+    devices = [
+        random_fair_sampling_device(d, int(rng.integers(1, 3)), int(rng.integers(1, 4)), rng, mq=np.eye(d))
+        for d in dims
+    ]
+    sc = BellScenario(devices, random_density(int(np.prod(dims)), rng))
+    ideal = ideal_scenario(sc)
+    assert np.max(np.abs(ideal.psi - sc.psi)) <= 1e-12
+    t = sc.tables()
+    raw = ideal.tables(t.postselected).raw
+    assert list(raw) == list(t.postselected) == list(t.raw)
+    for xs, ps in t.postselected.items():
+        expected = np.zeros(raw[xs].shape)
+        expected[(slice(-1),) * len(dims)] = ps
+        assert np.max(np.abs(raw[xs] - expected)) <= 1e-12

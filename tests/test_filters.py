@@ -31,6 +31,14 @@ class TestQuantumFilter:
         f = QuantumFilter(np.sqrt(0.25) * np.eye(2), np.sqrt(0.75) * np.eye(2))
         assert f.acceptance(random_density(2, rng)) == pytest.approx(0.25, abs=1e-12)
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, complex(0.0, np.nan)])
+    @pytest.mark.parametrize("name", ["kraus_click", "kraus_noclick"])
+    def test_non_finite_entry_names_its_operator(self, name, bad):
+        kraus = {"kraus_click": np.sqrt(0.25) * np.eye(2, dtype=complex), "kraus_noclick": np.sqrt(0.75) * np.eye(2, dtype=complex)}
+        kraus[name][1, 0] = bad
+        with pytest.raises(ValueError, match=f"^{name} has a non-finite entry$"):
+            QuantumFilter(**kraus)
+
 
 class TestCanonicalDecomposition:
     def test_lossless_device_is_fixed_point(self, rng):
@@ -205,6 +213,15 @@ class TestClassicalNormalForm:
     def test_settings_must_match(self, accept, transition, message):
         with pytest.raises(ValueError, match=f"^{message}$"):
             ClassicalFilter(accept_prob=accept, transition=transition)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_transition_entry_names_row_and_setting(self, bad):
+        transition = {"x": {"x": 0.25, "y": 0.25}, "z": {"x": 0.1, "y": bad}}
+        message = rf"^transition row 'z' has entry {bad!r} at setting 'y', not finite$"
+        with pytest.raises(ValueError, match=message):
+            ClassicalFilter({"x": 0.5, "z": 0.1}, transition)
+        with pytest.raises(ValueError, match=r"^transition row 'x' has entry nan at setting 'y', not finite$"):
+            ClassicalFilter({"x": 0.5}, {"x": {"y": float("nan")}})
 
     def test_zero_acceptance_setting_erased(self):
         lossless = self.lossless_pair()

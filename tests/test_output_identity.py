@@ -6,6 +6,7 @@ import shutil
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import fairsamp
@@ -65,3 +66,22 @@ def test_incomplete_copy_lacks_the_middle_coefficient_and_bound_names_it(tool, t
     assert seen["stderr"] == (
         f"error: missing coefficient entry for settings {tuple(dropped['x'])!r}, outcomes {tuple(dropped['a'])!r}\n"
     ).encode()
+
+
+def test_dead_setting_copy_is_erased_by_simulate_and_bound_alike(tool, tmp_path):
+    path = tmp_path / "chsh.json"
+    serialize.dump_json(serialize.scenario_to_json(chsh_singlet_scenario()), path)
+    copy = tool.with_dead_setting(path)
+    assert copy == tmp_path / "chsh.dead.json"
+    sc = serialize.scenario_from_json(json.loads(copy.read_text()))
+    assert sc.devices[0].settings == ("0", "1", "dead")
+    assert np.array_equal(sc.devices[0].noclick_element("dead"), np.eye(2))
+    dead = [key for key in sc.bell_coeffs if key[0][0] == "dead"]
+    assert len(dead) == 2 * 4 and len(sc.bell_coeffs) == 16 + len(dead)
+    erased = "Bell coefficients read setting tuples with vanishing acceptance: [('dead', '0'), ('dead', '1')]"
+    simulated = tool.observe(SRC, tool.cli_run("simulate", str(copy), "--postselect"), tmp_path / "simulate")
+    assert simulated["exit code"] == b"0"
+    assert simulated["stderr"] == f"note: bell_value_postselected omitted: {erased}\n".encode()
+    bounded = tool.observe(SRC, tool.cli_run("bound", str(copy)), tmp_path / "bound")
+    assert bounded["exit code"] == b"1"
+    assert bounded["stderr"] == f"error: {erased}\n".encode()

@@ -9,10 +9,19 @@ set-ups in ``perfbench/workloads.py``: the bell-large scenario files and the
 device-verdict device files of each seed.  On those files it runs
 ``simulate``, ``simulate --postselect`` and ``bound`` (scenarios) or
 ``check`` and ``decompose --trials 10`` (devices), then seven ``demo``
-invocations and the scripts in ``demos/``.  Each scenario file also gets a
-copy with its middle Bell coefficient entry removed, on which
-``simulate --postselect`` (the partial Bell value) and ``bound`` (the
-missing-entry error) run.  Each command runs in a fresh
+invocations and the scripts in ``demos/``.  Each scenario file also gets two
+copies, on which ``simulate --postselect`` and ``bound`` run:
+
+- ``<name>.incomplete.json`` has its middle Bell coefficient entry removed:
+  ``simulate`` prints the partial Bell value and ``bound`` the missing-entry
+  error;
+- ``<name>.dead.json`` gives party 0 an extra setting ``dead`` whose good
+  elements are all zero (its no-click element is the identity), and a
+  coefficient of 1 for every good outcome tuple of every setting tuple with
+  ``dead``: ``simulate`` notes that it omits the post-selected Bell value and
+  ``bound`` fails, both with the one error that names the erased tuples.
+
+Each command runs in a fresh
 interpreter under each tree's ``PYTHONPATH``, with one BLAS thread, in an
 empty working directory of its own.  Its stdout, stderr, exit code and every
 file it writes there are compared; the working directory's path is replaced
@@ -24,6 +33,7 @@ code is 1 when there is one, 0 otherwise.
 from __future__ import annotations
 
 import argparse
+import itertools
 import json
 import os
 import subprocess
@@ -50,8 +60,8 @@ DEMOS = (
     ["chsh-singlet"],
     ["prop2-random", "--seed", "3", "--count", "5"],
 )
-#: Commands run on a scenario file with one coefficient entry removed.
-INCOMPLETE_COMMANDS = (["simulate", "--postselect"], ["bound"])
+#: Commands run on each copy of a scenario file: one coefficient entry removed, or a dead setting added.
+COPY_COMMANDS = (["simulate", "--postselect"], ["bound"])
 #: Seconds one command may take before the comparison stops.
 TIMEOUT_S = 600
 
@@ -82,6 +92,29 @@ def without_one_coefficient(path: Path) -> Path:
     return copy
 
 
+def with_dead_setting(path: Path) -> Path:
+    """Write, beside scenario ``path``, a copy in which party 0 has a setting ``dead`` that never clicks; return it.
+
+    The copy's Bell coefficients weigh every good outcome tuple of every setting tuple with ``dead`` by 1.
+    """
+    scenario = json.loads(path.read_text())
+    devices = [party["device"] for party in scenario["parties"]]
+    first, dim = devices[0], devices[0]["dim"]
+    identity = [[[float(i == j), 0.0] for j in range(dim)] for i in range(dim)]
+    zero = [[[0.0, 0.0]] * dim for _ in range(dim)]
+    first["settings"].append("dead")
+    first["povm"]["dead"] = {**{a: zero for a in first["outcomes"]}, "noclick": identity}
+    outcomes = list(itertools.product(*(dev["outcomes"] for dev in devices)))
+    scenario["bell"]["coeffs"].extend(
+        {"x": ["dead", *xs], "a": list(outs), "c": 1.0}
+        for xs in itertools.product(*(dev["settings"] for dev in devices[1:]))
+        for outs in outcomes
+    )
+    copy = path.with_name(f"{path.stem}.dead.json")
+    copy.write_text(json.dumps(scenario))
+    return copy
+
+
 def build_inputs(parent: Path, seeds: list[int], inputs: Path) -> list[Run]:
     """Write each seed's workload inputs under ``inputs`` with the parent tree, and list the runs on them."""
     env = {**environment(parent), "PYTHONPATH": os.pathsep.join([str(parent.resolve()), str(ROOT / "perfbench")])}
@@ -97,8 +130,8 @@ def build_inputs(parent: Path, seeds: list[int], inputs: Path) -> list[Run]:
             for path in sorted(where.glob("*.json")):
                 runs.extend(cli_run(command[0], str(path), *command[1:]) for command in commands)
                 if setup == "setup_bell_large":
-                    incomplete = str(without_one_coefficient(path))
-                    runs.extend(cli_run(command[0], incomplete, *command[1:]) for command in INCOMPLETE_COMMANDS)
+                    for copy in (without_one_coefficient(path), with_dead_setting(path)):
+                        runs.extend(cli_run(command[0], str(copy), *command[1:]) for command in COPY_COMMANDS)
     runs.extend(cli_run("demo", *argv) for argv in DEMOS)
     runs.extend(Run(f"demos/{script.name}", (str(script),)) for script in sorted((ROOT / "demos").glob("*.py")))
     return runs
