@@ -12,8 +12,8 @@ from __future__ import annotations
 
 import functools
 import itertools
-import math
 from dataclasses import dataclass
+from types import MappingProxyType
 from typing import Iterable, Mapping, Sequence
 
 import numpy as np
@@ -48,8 +48,9 @@ class BellScenario:
 
     Each key of ``bell_coeffs`` pairs a settings tuple with a good-outcome
     tuple, one label per party; no-click carries no Bell weight, and weights
-    must be finite.  The coefficients are compiled against these devices when
-    the scenario is built, and a scenario is frozen: build a new one to change it.
+    must be finite.  The scenario keeps a read-only copy of the coefficients,
+    compiled against these devices when it is built, and a scenario is frozen:
+    build a new one to change it.  A scenario needs at least one party.
     """
 
     devices: Sequence[LossyDevice]
@@ -58,6 +59,8 @@ class BellScenario:
 
     def __post_init__(self):
         object.__setattr__(self, "devices", tuple(self.devices))
+        if not self.devices:
+            raise ValueError("a Bell scenario needs at least one party")
         _reject_separator(self.devices)
         object.__setattr__(self, "psi", assert_density(self.psi))
         dims = [dev.dim for dev in self.devices]
@@ -66,7 +69,8 @@ class BellScenario:
         n_out = int(np.prod([len(dev.outcomes) + 1 for dev in self.devices]))
         if n_out > MAX_JOINT_OUTCOMES:
             raise ValueError(f"joint outcome table of size {n_out} exceeds {MAX_JOINT_OUTCOMES}")
-        coeffs = self.bell_coeffs
+        coeffs = None if self.bell_coeffs is None else MappingProxyType(dict(self.bell_coeffs))
+        object.__setattr__(self, "bell_coeffs", coeffs)
         object.__setattr__(self, "_functional", None if coeffs is None else _compile(self.devices, coeffs))
 
     @property
@@ -351,8 +355,11 @@ def validate_coefficients(sc: BellScenario, coeffs: BellCoeffs) -> None:
     The compiled functional decides: the scenario's own coefficients are read
     from it, others are compiled against the devices, so a bad key raises what
     building the scenario with it raises.  The first missing entry (tuples in
-    first-use order, outcomes in product order) raises ``ValueError``.
+    first-use order, outcomes in product order) raises ``ValueError``, as
+    ``coeffs`` of None does.
     """
+    if coeffs is None:
+        raise ValueError("no Bell coefficients to validate")
     f = sc._functional if coeffs is sc.bell_coeffs else _compile(sc.devices, coeffs)
     shape = [len(dev.outcomes) for dev in sc.devices]
     short = np.flatnonzero(np.bincount(f.position, minlength=len(f.tuples)) < np.prod(shape))
@@ -372,13 +379,12 @@ def beta_max(coeffs: BellCoeffs) -> float:
     minima|.  The coefficients must cover the full outcome alphabet.  The
     first weight that is not finite raises ``ValueError`` naming its key.
     """
-    _reject_nonfinite(coeffs)
-    by_setting: dict[tuple[str, ...], list[float]] = {}
-    for (xs, _), c in coeffs.items():
-        by_setting.setdefault(xs, []).append(c)
-    hi = sum(max(cs) for cs in by_setting.values())
-    lo = sum(min(cs) for cs in by_setting.values())
-    return max(abs(hi), abs(lo))
+    tuples, position, weight = _grouped(coeffs)
+    hi, lo = np.full(len(tuples), -np.inf), np.full(len(tuples), np.inf)
+    np.maximum.at(hi, position, weight)
+    np.minimum.at(lo, position, weight)
+    # A tie of 0.0 and -0.0 may keep either zero; abs erases the difference.
+    return max(abs(sum(hi.tolist())), abs(sum(lo.tolist())))
 
 
 def deviation_bound(eps_tot: float, beta: float) -> float:
@@ -411,8 +417,8 @@ class _Functional:
 
     tuples: tuple[tuple[str, ...], ...]
     position: np.ndarray
-    outcome: tuple[np.ndarray, ...]
     weight: np.ndarray
+    outcome: tuple[np.ndarray, ...]
 
     def value(self, tables: Tables) -> float:
         """sum(c * Pr) over ``tables``; tuples it lacks raise ``ZeroAcceptanceError`` naming them, sorted.
@@ -442,12 +448,19 @@ def _labels_fault(labels, known: Sequence[tuple[str, ...]], kind: str) -> str | 
     return None
 
 
-def _reject_nonfinite(coeffs: BellCoeffs) -> None:
-    """Raise ``ValueError`` naming the first key of ``coeffs`` whose weight is not finite."""
-    for (xs, outs), c in coeffs.items():
-        if not math.isfinite(c):
-            fault = f"weight {float(c)!r} is not finite"
-            raise ValueError(f"Bell coefficient for settings {xs!r}, outcomes {outs!r}: {fault}")
+def _grouped(coeffs: BellCoeffs) -> tuple[tuple[tuple[str, ...], ...], np.ndarray, np.ndarray]:
+    """The setting tuples ``coeffs`` reads in first-use order, each coefficient's position among them, the weights.
+
+    The first weight that is not finite raises ``ValueError`` naming its key.
+    """
+    index: dict[tuple[str, ...], int] = {}
+    position = np.fromiter((index.setdefault(xs, len(index)) for xs, _ in coeffs), dtype=np.intp, count=len(coeffs))
+    weight = np.fromiter(coeffs.values(), dtype=float, count=len(coeffs))
+    bad = np.flatnonzero(~np.isfinite(weight))
+    if bad.size:
+        (xs, outs), c = next(itertools.islice(coeffs.items(), int(bad[0]), None))
+        raise ValueError(f"Bell coefficient for settings {xs!r}, outcomes {outs!r}: weight {float(c)!r} is not finite")
+    return tuple(index), position, weight
 
 
 def _compile(devices: Sequence[LossyDevice], coeffs: BellCoeffs) -> _Functional:
@@ -460,23 +473,13 @@ def _compile(devices: Sequence[LossyDevice], coeffs: BellCoeffs) -> _Functional:
     settings = [dev.settings for dev in devices]
     outcomes = [dev.outcomes for dev in devices]
     good = {outs: i for i, outs in enumerate(itertools.product(*outcomes))}
-    tuples = dict.fromkeys(xs for xs, _ in coeffs)
     flat = list(map(good.get, (outs for _, outs in coeffs)))
-    if None in flat or any(_labels_fault(xs, settings, "setting") for xs in tuples):
+    if None in flat or any(_labels_fault(xs, settings, "setting") for xs in {xs for xs, _ in coeffs}):
         for xs, outs in coeffs:
             fault = _labels_fault(xs, settings, "setting") or _labels_fault(outs, outcomes, "good outcome")
             if fault:
                 raise ValueError(f"Bell coefficient for settings {xs!r}, outcomes {outs!r}: {fault}")
-    weight = np.fromiter(coeffs.values(), dtype=float, count=len(coeffs))
-    if not np.isfinite(weight).all():
-        _reject_nonfinite(coeffs)
-    index = {xs: i for i, xs in enumerate(tuples)}
-    return _Functional(
-        tuple(tuples),
-        np.fromiter(map(index.__getitem__, (xs for xs, _ in coeffs)), dtype=np.intp, count=len(coeffs)),
-        np.unravel_index(np.array(flat, dtype=np.intp), [len(dev.outcomes) for dev in devices]),
-        weight,
-    )
+    return _Functional(*_grouped(coeffs), np.unravel_index(np.array(flat, dtype=np.intp), list(map(len, outcomes))))
 
 
 @dataclass

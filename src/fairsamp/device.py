@@ -15,6 +15,7 @@ import numpy as np
 
 from .linalg import (
     COMPLETENESS_TOL,
+    MAX_DIM,
     ZERO_ACCEPTANCE,
     as_operator,
     assert_density,
@@ -59,7 +60,7 @@ class LossyDevice:
     """
 
     def __init__(self, dim: int, settings: Sequence[str], outcomes: Sequence[str], povm: Elements):
-        dim = int(dim)
+        dim = _dimension(dim)
         settings, outcomes = _labels(settings, outcomes)
         stack = np.empty((len(settings), len(outcomes) + 1, dim, dim), dtype=complex)
         given = np.zeros(len(settings), dtype=bool)  # which no-click elements the input holds
@@ -127,6 +128,17 @@ class LossyDevice:
                 f"setting {x!r} has acceptance {acc:.3e}; erase it from the allowed settings"
             )
         return {a: raw[a] / acc for a in self.outcomes}
+
+
+def _dimension(dim) -> int:
+    """``dim`` as an int; one outside ``[1, MAX_DIM]`` raises ``ValueError`` naming it.
+
+    Checked before any element is allocated: a stack input never passes through ``as_operator``.
+    """
+    dim = int(dim)
+    if not 1 <= dim <= MAX_DIM:
+        raise ValueError(f"device dimension {dim} outside [1, {MAX_DIM}]")
+    return dim
 
 
 def _labels(settings: Sequence[str], outcomes: Sequence[str]) -> tuple[tuple[str, ...], tuple[str, ...]]:
@@ -258,7 +270,7 @@ class LosslessDevice(LossyDevice):
     """
 
     def __init__(self, dim: int, settings: Sequence[str], outcomes: Sequence[str], povm: Elements):
-        dim = int(dim)
+        dim = _dimension(dim)
         settings, outcomes = _labels(settings, outcomes)
         stack = np.empty((len(settings), len(outcomes) + 1, dim, dim), dtype=complex)
         _fill(stack, settings, outcomes, povm, lambda i: _check_lossless(settings[:i], outcomes, stack[:i]))

@@ -19,6 +19,7 @@ from typing import Sequence
 import numpy as np
 
 from .device import LossyDevice
+from .linalg import MAX_DIM
 
 OUTCOME_D1 = "D1"
 OUTCOME_D2 = "D2"
@@ -26,10 +27,17 @@ OUTCOME_BOTH = "both"
 
 
 def _photon_cap(n_max) -> int:
-    """``n_max`` as an int; a non-integer raises ``TypeError`` and one below 1 ``ValueError``."""
+    """``n_max`` as an int; a non-integer raises ``TypeError`` and one below 1 ``ValueError``.
+
+    So does one whose two-mode dimension ``(n_max + 1)(n_max + 2) / 2`` exceeds ``MAX_DIM``, before
+    any basis or operator is built.
+    """
     n_max = operator.index(n_max)
     if n_max < 1:
         raise ValueError("n_max must be at least 1")
+    dim = (n_max + 1) * (n_max + 2) // 2
+    if dim > MAX_DIM:
+        raise ValueError(f"n_max {n_max} gives dimension {dim}, above the cap {MAX_DIM}")
     return n_max
 
 

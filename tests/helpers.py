@@ -18,7 +18,6 @@ from fairsamp.bell import (
     BellScenario,
     BoundReport,
     bell_value,
-    beta_max,
     epsilon_total,
     filtered_global_state,
 )
@@ -278,6 +277,23 @@ def oracle_validate_coefficients(sc, coeffs):
                 raise ValueError(f"missing coefficient entry for settings {xs!r}, outcomes {outs!r}")
 
 
+def oracle_beta_max(coeffs):
+    """``bell.beta_max`` as a walk over the coefficient dict: per-setting maxima and minima of lists of weights.
+
+    The first weight that is not finite raises ``ValueError`` naming its key.
+    """
+    for (xs, outs), c in coeffs.items():
+        if not math.isfinite(c):
+            fault = f"weight {float(c)!r} is not finite"
+            raise ValueError(f"Bell coefficient for settings {xs!r}, outcomes {outs!r}: {fault}")
+    by_setting: dict[tuple[str, ...], list[float]] = {}
+    for (xs, _), c in coeffs.items():
+        by_setting.setdefault(xs, []).append(c)
+    hi = sum(max(cs) for cs in by_setting.values())
+    lo = sum(min(cs) for cs in by_setting.values())
+    return max(abs(hi), abs(lo))
+
+
 def oracle_bound_report(sc, mqs):
     """``bell.bound_report`` from ``approximate_epsilon``, ``oracle_ideal_scenario`` and the dict loops.
 
@@ -291,7 +307,7 @@ def oracle_bound_report(sc, mqs):
     ideal_raw = dict_raw_tables(oracle_ideal_scenario(sc, mqs), post)
     beta = bell_deviation = None
     if sc.bell_coeffs is not None:
-        beta = beta_max(sc.bell_coeffs)
+        beta = oracle_beta_max(sc.bell_coeffs)
         bell_deviation = abs(bell_value(post, sc.bell_coeffs) - bell_value(ideal_raw, sc.bell_coeffs))
     return BoundReport(eps, eps_tot, dict_max_deviation(post, ideal_raw), beta, bell_deviation)
 

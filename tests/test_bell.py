@@ -10,6 +10,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import helpers
+from fairsamp import serialize
 from fairsamp.adversary import makarov_traced
 from fairsamp.analysis import approximate_epsilon, check_exact, reference, tv_bound
 from fairsamp.bell import (
@@ -389,6 +390,11 @@ class TestBellFunctional:
             validate_coefficients(sc, coeffs)
         validate_coefficients(sc, chsh_coefficients())
 
+    def test_validating_no_coefficients_raises_value_error(self):
+        for sc in (chsh_singlet_scenario(), lossless_z_pair()):
+            with pytest.raises(ValueError, match="^no Bell coefficients to validate$"):
+                validate_coefficients(sc, None)
+
     def test_validation_rejects_settings_tuple_of_wrong_length(self):
         from fairsamp.bell import validate_coefficients
 
@@ -604,6 +610,56 @@ def test_scenario_fields_cannot_be_reassigned(name):
     sc = chsh_singlet_scenario()
     with pytest.raises(dataclasses.FrozenInstanceError):
         setattr(sc, name, getattr(sc, name))
+
+
+def test_scenario_keeps_a_read_only_copy_of_its_coefficients():
+    """Mutating the dict a scenario was built from changes none of what the scenario reports."""
+    chsh = chsh_singlet_scenario()
+    coeffs = chsh_coefficients()
+    sc = BellScenario(chsh.devices, chsh.psi, coeffs)
+
+    def reported():
+        beta = bound_report(sc, [np.eye(2)] * 2).beta_max
+        return postselected_bell_value(sc), beta, serialize.scenario_to_json(sc)["bell"]
+
+    before = reported()
+    for key in coeffs:
+        coeffs[key] *= 10.0
+    assert reported() == before
+    assert before[:2] == (2.8284271247461907, 4.0)
+    key = next(iter(coeffs))
+    with pytest.raises(TypeError):
+        sc.bell_coeffs[key] = 1.0
+    assert sc.bell_coeffs[key] == coeffs[key] / 10.0
+
+
+@pytest.mark.parametrize("coeffs", [None, {}])
+def test_a_scenario_needs_at_least_one_party(coeffs):
+    with pytest.raises(ValueError, match="^a Bell scenario needs at least one party$"):
+        BellScenario([], np.eye(1), coeffs)
+
+
+#: Weights for the ``beta_max`` property: ties and signed zeros drawn often, any finite double too.
+WEIGHTS = st.one_of(st.sampled_from([0.0, -0.0, 1.0, -1.0, 0.5]), st.floats(allow_nan=False, allow_infinity=False))
+
+
+@st.composite
+def coefficient_maps(draw):
+    """Coefficients over 1-3 parties with 1-3 settings and outcomes each: a drawn subset of the keys in drawn order."""
+    parties = range(draw(st.integers(1, 3)))
+    settings_ = [[str(i) for i in range(draw(st.integers(1, 3)))] for _ in parties]
+    outcomes = [[str(i) for i in range(draw(st.integers(1, 3)))] for _ in parties]
+    keys = list(itertools.product(itertools.product(*settings_), itertools.product(*outcomes)))
+    kept = draw(st.lists(st.sampled_from(keys), min_size=1, max_size=len(keys), unique=True))
+    return dict(zip(kept, draw(st.lists(WEIGHTS, min_size=len(kept), max_size=len(kept)))))
+
+
+@settings(max_examples=100, deadline=None)
+@example(coeffs={(("0",), ("0",)): -0.0, (("0",), ("1",)): 0.0, (("1",), ("0",)): 0.0, (("1",), ("1",)): -0.0})
+@example(coeffs={(("0", "0"), ("0", "0")): 1e308, (("0", "1"), ("0", "0")): 1e308, (("1", "0"), ("0", "0")): -1e308})
+@given(coeffs=coefficient_maps())
+def test_beta_max_is_the_dict_walk_to_the_bit(coeffs):
+    assert beta_max(coeffs).hex() == helpers.oracle_beta_max(coeffs).hex()
 
 
 class TestBoundReportOrder:

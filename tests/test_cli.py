@@ -708,6 +708,15 @@ class TestMalformedFields:
         assert err == "error: cannot load device: dim must be a positive integer, got 1.8446744073709552e+19\n"
 
     @pytest.mark.parametrize("command", [["simulate"], ["bound"]])
+    def test_scenario_without_parties(self, tmp_path, capsys, command):
+        path = tmp_path / "bad.json"
+        serialize.dump_json({"parties": [], "state": [[[1.0, 0.0]]]}, path)
+        assert main([*command, str(path)]) == 1
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err == "error: cannot load scenario: a Bell scenario needs at least one party\n"
+
+    @pytest.mark.parametrize("command", [["simulate"], ["bound"]])
     def test_party_device_field(self, tmp_path, capsys, command):
         obj = serialize.scenario_to_json(chsh_singlet_scenario())
         obj["parties"][0]["device"]["dim"] = None

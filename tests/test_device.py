@@ -19,7 +19,7 @@ from fairsamp.device import (
     total_variation,
 )
 from fairsamp.filters import canonical_decomposition
-from fairsamp.linalg import SCREEN_FROM_DIM, NotPositiveError, projector
+from fairsamp.linalg import MAX_DIM, SCREEN_FROM_DIM, NotPositiveError, projector
 from fairsamp.optics import single_photon_analyser
 from fairsamp.sampling import random_density, random_povm
 
@@ -53,6 +53,15 @@ class TestConstruction:
     def test_reserved_label(self):
         with pytest.raises(ValueError):
             LossyDevice(2, ["x"], [NOCLICK], {"x": {NOCLICK: np.eye(2)}})
+
+    @pytest.mark.parametrize("cls", [LossyDevice, LosslessDevice])
+    @pytest.mark.parametrize("dim", [0, -1, MAX_DIM + 1])
+    def test_dimension_outside_the_cap_rejected(self, cls, dim):
+        """A stack input never passes through ``as_operator``, so the device checks ``dim`` itself."""
+        stack = np.empty((0, 1, max(dim, 0), max(dim, 0)), dtype=complex)  # zero settings: nothing allocated
+        for povm in (stack, {}):
+            with pytest.raises(ValueError, match=re.escape(f"device dimension {dim} outside [1, {MAX_DIM}]")):
+                cls(dim, [], ["a"], povm)
 
     def test_elements_are_read_only(self, traced):
         with pytest.raises(ValueError):

@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 import helpers
 from fairsamp.analysis import approximate_epsilon, check_exact, filtered_state
 from fairsamp.device import NOCLICK
-from fairsamp.linalg import operator_norm
+from fairsamp.linalg import MAX_DIM, operator_norm
 from fairsamp.optics import (
     AnalyserSpec,
     TwoModeFock,
@@ -73,6 +73,15 @@ class TestTwoModeFock:
             AnalyserSpec(eta1=0.8, eta2=0.9, angles=(0.0,), n_max=np.int64(0))
         assert TwoModeFock(np.int64(2)).dim == 6
         assert AnalyserSpec(eta1=0.8, eta2=0.9, angles=(0.0,), n_max=np.int32(2)).n_max == 2
+
+
+    def test_photon_cap_keeps_the_dimension_within_max_dim(self):
+        assert TwoModeFock(89).dim == 4095 <= MAX_DIM
+        message = f"n_max 90 gives dimension 4186, above the cap {MAX_DIM}"
+        with pytest.raises(ValueError, match=message):
+            TwoModeFock(90)
+        with pytest.raises(ValueError, match=message):
+            AnalyserSpec(eta1=0.8, eta2=0.9, angles=(0.0,), n_max=90)
 
 
 class TestAnalyserDevice:

@@ -85,3 +85,23 @@ def test_dead_setting_copy_is_erased_by_simulate_and_bound_alike(tool, tmp_path)
     bounded = tool.observe(SRC, tool.cli_run("bound", str(copy)), tmp_path / "bound")
     assert bounded["exit code"] == b"1"
     assert bounded["stderr"] == f"error: {erased}\n".encode()
+
+
+def test_identity_reference_is_written_beside_the_scenario_and_read_by_bound(tool, tmp_path):
+    path = tmp_path / "chsh.json"
+    serialize.dump_json(serialize.scenario_to_json(chsh_singlet_scenario()), path)
+    eye = tool.identity_reference(path)
+    assert eye == tmp_path / "eye2.json"
+    assert np.array_equal(serialize.matrix_from_json(json.loads(eye.read_text())), np.eye(2))
+    seen = tool.observe(SRC, tool.cli_run("bound", str(path), "--mq", str(eye)), tmp_path / "work")
+    assert (seen["exit code"], seen["stderr"]) == (b"0", b"")
+    report = json.loads(seen["stdout"])
+    assert (report["epsilon_total"], report["beta_max"]) == (0.0, 4.0)  # the click elements are I / 4
+
+
+def test_identity_reference_needs_one_party_dimension(tool, tmp_path):
+    path = tmp_path / "mixed.json"
+    path.write_text(json.dumps({"parties": [{"dim": 2}, {"dim": 3}]}))
+    with pytest.raises(ValueError, match=r"mixed\.json has parties of dimensions \[2, 3\]$"):
+        tool.identity_reference(path)
+    assert not list(tmp_path.glob("eye*.json"))

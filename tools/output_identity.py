@@ -9,8 +9,11 @@ set-ups in ``perfbench/workloads.py``: the bell-large scenario files and the
 device-verdict device files of each seed.  On those files it runs
 ``simulate``, ``simulate --postselect`` and ``bound`` (scenarios) or
 ``check`` and ``decompose --trials 10`` (devices), then seven ``demo``
-invocations and the scripts in ``demos/``.  Each scenario file also gets two
-copies, on which ``simulate --postselect`` and ``bound`` run:
+invocations and the scripts in ``demos/``.  Each scenario file's parties
+share one dimension d; ``eye<d>.json``, the identity of that dimension, is
+written beside it, and ``bound --mq eye<d>.json`` runs on it too.  Each
+scenario file also gets two copies, on which ``simulate --postselect`` and
+``bound`` run:
 
 - ``<name>.incomplete.json`` has its middle Bell coefficient entry removed:
   ``simulate`` prints the partial Bell value and ``bound`` the missing-entry
@@ -82,6 +85,24 @@ def environment(src: Path) -> dict[str, str]:
     return {**os.environ, "PYTHONPATH": str(src.resolve()), **{var: "1" for var in BLAS_THREAD_VARS}}
 
 
+def identity_json(dim: int) -> list:
+    """The ``dim`` x ``dim`` identity as a JSON matrix of ``[re, im]`` pairs."""
+    return [[[float(i == j), 0.0] for j in range(dim)] for i in range(dim)]
+
+
+def identity_reference(path: Path) -> Path:
+    """Write ``eye<d>.json``, the identity of scenario ``path``'s party dimension d, beside it, and return it.
+
+    Parties of different dimensions raise ``ValueError``: one matrix cannot serve them all.
+    """
+    dims = sorted({party["dim"] for party in json.loads(path.read_text())["parties"]})
+    if len(dims) != 1:
+        raise ValueError(f"{path} has parties of dimensions {dims}")
+    eye = path.with_name(f"eye{dims[0]}.json")
+    eye.write_text(json.dumps(identity_json(dims[0])))
+    return eye
+
+
 def without_one_coefficient(path: Path) -> Path:
     """Write, beside scenario ``path``, a copy with its middle Bell coefficient entry removed, and return it."""
     scenario = json.loads(path.read_text())
@@ -100,10 +121,9 @@ def with_dead_setting(path: Path) -> Path:
     scenario = json.loads(path.read_text())
     devices = [party["device"] for party in scenario["parties"]]
     first, dim = devices[0], devices[0]["dim"]
-    identity = [[[float(i == j), 0.0] for j in range(dim)] for i in range(dim)]
     zero = [[[0.0, 0.0]] * dim for _ in range(dim)]
     first["settings"].append("dead")
-    first["povm"]["dead"] = {**{a: zero for a in first["outcomes"]}, "noclick": identity}
+    first["povm"]["dead"] = {**{a: zero for a in first["outcomes"]}, "noclick": identity_json(dim)}
     outcomes = list(itertools.product(*(dev["outcomes"] for dev in devices)))
     scenario["bell"]["coeffs"].extend(
         {"x": ["dead", *xs], "a": list(outs), "c": 1.0}
@@ -130,6 +150,7 @@ def build_inputs(parent: Path, seeds: list[int], inputs: Path) -> list[Run]:
             for path in sorted(where.glob("*.json")):
                 runs.extend(cli_run(command[0], str(path), *command[1:]) for command in commands)
                 if setup == "setup_bell_large":
+                    runs.append(cli_run("bound", str(path), "--mq", str(identity_reference(path))))
                     for copy in (without_one_coefficient(path), with_dead_setting(path)):
                         runs.extend(cli_run(command[0], str(copy), *command[1:]) for command in COPY_COMMANDS)
     runs.extend(cli_run("demo", *argv) for argv in DEMOS)
