@@ -25,11 +25,10 @@ from .analysis import (
 )
 from .bell import (
     BellScenario,
-    BoundReport,
     JointTables,
+    ScenarioAnalysis,
     bell_value,
     beta_max,
-    bound_report,
     deviation_bound,
     epsilon_total,
     filtered_global_state,
@@ -86,7 +85,6 @@ __version__ = "0.1.0"
 __all__ = [
     "AnalyserSpec",
     "BellScenario",
-    "BoundReport",
     "ClassicalFilter",
     "FairSamplingVerdict",
     "FakingSource",
@@ -99,6 +97,7 @@ __all__ = [
     "NOCLICK",
     "QuantumFilter",
     "Reference",
+    "ScenarioAnalysis",
     "TwoModeFock",
     "ZeroAcceptanceError",
     "analyser_device",
@@ -107,7 +106,6 @@ __all__ = [
     "approximate_epsilon",
     "bell_value",
     "beta_max",
-    "bound_report",
     "canonical_decomposition",
     "check_exact",
     "classical_normal_form",

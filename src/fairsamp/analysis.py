@@ -297,13 +297,16 @@ def ideal_device_from(dev: LossyDevice, mq: np.ndarray | Reference) -> LosslessD
     Each good element is conjugated and normalized like the click element,
     and the per-setting deficit from the support projector is spread
     uniformly over the outcomes so completeness holds exactly.  Only the
-    live settings get a POVM: erased ones never appear in post-selected data.
+    live settings get a POVM: erased ones never appear in post-selected data,
+    and a device with none raises ``ZeroAcceptanceError``.
     The elements are built as one stack, which the device takes as it is.
     """
     ref = reference(dev, mq)
     live, gaps, norms, epsilon = ref._conjugation
     if epsilon >= 1.0:
         raise ValueError(f"approximate deviation {epsilon:.3f} >= 1; no ideal device exists")
+    if not live.size:
+        raise ZeroAcceptanceError("all click elements vanish; the device never accepts")
     n = len(dev.outcomes)
     stack = ref.pinv @ dev.stack[live, :n] @ ref.pinv / norms[:, None, None, None] + gaps[:, None] / n
     return LosslessDevice(dev.dim, [dev.settings[i] for i in live], dev.outcomes, stack)

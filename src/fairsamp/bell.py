@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import functools
 import itertools
+import math
 from dataclasses import dataclass
 from types import MappingProxyType
 from typing import Iterable, Mapping, Sequence
@@ -178,9 +179,12 @@ class BellScenario:
         terms are added as ``bell_value`` adds them, so the two agree to the bit.  Setting tuples the
         coefficients read that ``tables`` lacks, erased for zero acceptance, raise ``ZeroAcceptanceError``.
         """
+        return self._compiled().value(tables)
+
+    def _compiled(self) -> _Functional:
         if self._functional is None:
             raise ValueError("scenario declares no Bell coefficients")
-        return self._functional.value(tables)
+        return self._functional
 
 
 def _good(table: np.ndarray) -> np.ndarray:
@@ -361,10 +365,9 @@ def validate_coefficients(sc: BellScenario, coeffs: BellCoeffs) -> None:
     if coeffs is None:
         raise ValueError("no Bell coefficients to validate")
     f = sc._functional if coeffs is sc.bell_coeffs else _compile(sc.devices, coeffs)
-    shape = [len(dev.outcomes) for dev in sc.devices]
-    short = np.flatnonzero(np.bincount(f.position, minlength=len(f.tuples)) < np.prod(shape))
+    short = np.flatnonzero(np.bincount(f.position, minlength=len(f.tuples)) < math.prod(f.shape))
     if short.size:
-        present = np.zeros(shape, dtype=bool)
+        present = np.zeros(f.shape, dtype=bool)
         present[tuple(axis[f.position == short[0]] for axis in f.outcome)] = True
         outs = tuple(dev.outcomes[i] for dev, i in zip(sc.devices, np.argwhere(~present)[0]))
         raise ValueError(f"missing coefficient entry for settings {f.tuples[short[0]]!r}, outcomes {outs!r}")
@@ -378,8 +381,13 @@ def beta_max(coeffs: BellCoeffs) -> float:
     is the larger of |sum of per-setting maxima| and |sum of per-setting
     minima|.  The coefficients must cover the full outcome alphabet.  The
     first weight that is not finite raises ``ValueError`` naming its key.
+    A scenario's compiled functional makes the same reduction, to the bit.
     """
-    tuples, position, weight = _grouped(coeffs)
+    return _algebraic_bound(*_grouped(coeffs))
+
+
+def _algebraic_bound(tuples: Sequence[tuple[str, ...]], position: np.ndarray, weight: np.ndarray) -> float:
+    """``beta_max`` of weights grouped by setting tuple: per-tuple extremes added in first-use order."""
     hi, lo = np.full(len(tuples), -np.inf), np.full(len(tuples), np.inf)
     np.maximum.at(hi, position, weight)
     np.minimum.at(lo, position, weight)
@@ -398,10 +406,9 @@ def postselected_bell_value(sc: BellScenario) -> float:
     Only the setting tuples the coefficients read are walked; those erased
     for zero acceptance raise ``ZeroAcceptanceError`` naming them.
     """
-    if sc.bell_coeffs is None:
-        raise ValueError("scenario declares no Bell coefficients")
+    functional = sc._compiled()
     validate_coefficients(sc, sc.bell_coeffs)
-    return sc.bell_value(sc.tables(sc._functional.tuples).postselected)
+    return functional.value(sc.tables(functional.tuples).postselected)
 
 
 @dataclass(frozen=True)
@@ -412,13 +419,52 @@ class _Functional:
     order; coefficient i reads the table of ``tuples[position[i]]`` at the
     good-outcome index ``(outcome[0][i], ..., outcome[n-1][i])``.  Good
     outcomes come before no-click on every axis, so the same indices read a
-    raw table and a post-selected one.
+    raw table and a post-selected one.  ``shape`` counts each party's good
+    outcomes.
     """
 
     tuples: tuple[tuple[str, ...], ...]
     position: np.ndarray
     weight: np.ndarray
     outcome: tuple[np.ndarray, ...]
+    shape: tuple[int, ...]
+
+    def beta_max(self) -> float:
+        """``beta_max`` of the coefficients this was compiled from, to the bit, without walking them again."""
+        return _algebraic_bound(self.tuples, self.position, self.weight)
+
+    def local_bound(self) -> float:
+        """The largest |sum c * P| over deterministic local strategies on good outcomes, as ``beta_max`` takes it.
+
+        A strategy gives each party one good outcome per setting the
+        coefficients read.  The weights, laid out by party as (settings x
+        outcomes) axes, are contracted with one-hot tables of every strategy
+        of all parties but the one with the most strategies, fewest first;
+        each strategy's value is then that party's best row maximum (minimum)
+        per setting.  A table of more than ``MAX_JOINT_OUTCOMES`` entries
+        raises ``ValueError`` before any is built.
+        """
+        if not self.tuples:
+            return 0.0
+        reads: list[dict[str, int]] = [{} for _ in self.shape]  # each party's settings read, in first-use order
+        setting = np.array([[read.setdefault(x, len(read)) for read, x in zip(reads, xs)] for xs in self.tuples])
+        order = sorted(range(len(reads)), key=lambda k: self.shape[k] ** len(reads[k]))
+        blocks = [(len(reads[k]), self.shape[k]) for k in order]  # (settings read, outcomes)
+        strategies = [m**s for s, m in blocks]
+        widths = [s * m for s, m in blocks]
+        size = max(math.prod(strategies[: k + 1]) * math.prod(widths[k + 1 :]) for k in range(-1, len(blocks) - 1))
+        if size > MAX_JOINT_OUTCOMES:
+            raise ValueError(f"local strategy table of size {size} exceeds {MAX_JOINT_OUTCOMES}")
+        table = np.zeros(np.ravel(blocks))
+        table[tuple(a for k in order for a in (setting[self.position, k], self.outcome[k]))] = self.weight
+        table = table.reshape(1, -1)  # one row per strategy of the parties contracted so far
+        for (s, m), count in zip(blocks[:-1], strategies):
+            choice = np.arange(count)[:, None] // m ** np.arange(s) % m  # each strategy's outcome per setting
+            one_hot = (choice[:, :, None] == np.arange(m)).reshape(count, s * m).astype(float)
+            rows, width = len(table), table.shape[1] // (s * m)
+            table = np.matmul(one_hot, table.reshape(rows, s * m, width)).reshape(rows * count, width)
+        table = table.reshape(len(table), *blocks[-1])
+        return max(abs(float(table.max(axis=2).sum(axis=1).max())), abs(float(table.min(axis=2).sum(axis=1).min())))
 
     def value(self, tables: Tables) -> float:
         """sum(c * Pr) over ``tables``; tuples it lacks raise ``ZeroAcceptanceError`` naming them, sorted.
@@ -479,36 +525,62 @@ def _compile(devices: Sequence[LossyDevice], coeffs: BellCoeffs) -> _Functional:
             fault = _labels_fault(xs, settings, "setting") or _labels_fault(outs, outcomes, "good outcome")
             if fault:
                 raise ValueError(f"Bell coefficient for settings {xs!r}, outcomes {outs!r}: {fault}")
-    return _Functional(*_grouped(coeffs), np.unravel_index(np.array(flat, dtype=np.intp), list(map(len, outcomes))))
+    shape = tuple(map(len, outcomes))
+    return _Functional(*_grouped(coeffs), np.unravel_index(np.array(flat, dtype=np.intp), shape), shape)
 
 
-@dataclass
-class BoundReport:
-    """Epsilons and measured deviations of a scenario; Bell fields are None without coefficients."""
+class ScenarioAnalysis:
+    """What ``simulate`` and ``bound`` report on a scenario, each piece computed the first time it is read.
 
-    epsilons: list[float]
-    epsilon_total: float
-    measured_joint_deviation: float
-    beta_max: float | None = None
-    measured_bell_deviation: float | None = None
-
-
-def bound_report(sc: BellScenario, mqs: Sequence[np.ndarray | Reference]) -> BoundReport:
-    """Epsilons against ``mqs`` and the deviations from the ideal experiment built from them.
-
-    A reference is a matrix or a ``Reference``; each is eigendecomposed and
-    conjugated once, for its epsilon and its ideal device alike.  It raises, in
-    order, for a list of the wrong length, incomplete coefficients (before any
-    epsilon, table or ideal device), an epsilon >= 1, an erased tuple read.
+    ``mqs`` holds one reference per party, a matrix or a ``Reference``, each
+    decomposed once for its epsilon and ideal device alike; a list of the
+    wrong length raises at once.  Without references, reading an epsilon or
+    the ideal experiment raises ``ValueError``; without coefficients, so does
+    a Bell piece.  Read as ``bound`` reads them, epsilons first, the pieces
+    raise in this order: incomplete coefficients (before any epsilon, table or
+    ideal device), an epsilon >= 1, a Bell functional reading an erased tuple.
+    A positive ``certified_margin`` (|post-selected Bell value| minus
+    ``bell_deviation_bound`` and ``local_bound``) means the ideal experiment
+    on the filtered state, not the measured one, violates the local bound.
     """
-    refs = _references(sc, mqs)
-    beta = None
-    if sc.bell_coeffs is not None:
-        validate_coefficients(sc, sc.bell_coeffs)
-        beta = beta_max(sc.bell_coeffs)
-    eps = [approximate_epsilon(dev, ref) for dev, ref in zip(sc.devices, refs)]
-    eps_tot = epsilon_total(eps)  # raises for an epsilon >= 1, where no ideal device exists
-    t = sc.tables()
-    ideal = ideal_scenario(sc, refs).tables(t.postselected)
-    bell_deviation = None if beta is None else abs(sc.bell_value(t.postselected) - sc.bell_value(ideal.raw))
-    return BoundReport(eps, eps_tot, t.max_deviation(ideal), beta, bell_deviation)
+
+    def __init__(self, sc: BellScenario, mqs: Sequence[np.ndarray | Reference] | None = None):
+        self.scenario = sc
+        self.references = None if mqs is None else _references(sc, mqs)
+
+    def _refs(self) -> list[Reference]:
+        if self.references is None:
+            raise ValueError("no references given: no epsilon or ideal experiment")
+        return self.references
+
+    @functools.cached_property
+    def epsilons(self) -> list[float]:
+        """Each party's epsilon; Bell coefficients are checked for completeness first, as ``beta_max`` needs."""
+        if self.scenario.bell_coeffs is not None:
+            self.beta_max  # raises for incomplete coefficients, before any epsilon is computed
+        return [approximate_epsilon(dev, ref) for dev, ref in zip(self.scenario.devices, self._refs())]
+
+    @functools.cached_property
+    def beta_max(self) -> float:
+        """``beta_max`` of the scenario's coefficients, read from its compiled functional; incomplete ones raise."""
+        functional = self.scenario._compiled()
+        validate_coefficients(self.scenario, self.scenario.bell_coeffs)
+        return functional.beta_max()
+
+    tables = functools.cached_property(lambda self: self.scenario.tables())
+    # The module's epsilon_total: it raises for an epsilon >= 1, where no ideal device exists.
+    epsilon_total = functools.cached_property(lambda self: epsilon_total(self.epsilons))
+    #: The raw tables of the ideal experiment for the setting tuples ``tables.postselected`` keeps.
+    ideal_tables = functools.cached_property(
+        lambda self: ideal_scenario(self.scenario, self._refs()).tables(self.tables.postselected)
+    )
+    joint_deviation = functools.cached_property(lambda self: self.tables.max_deviation(self.ideal_tables))
+    bell_value_raw = functools.cached_property(lambda self: self.scenario.bell_value(self.tables.raw))
+    bell_value_postselected = functools.cached_property(lambda self: self.scenario.bell_value(self.tables.postselected))
+    bell_value_ideal = functools.cached_property(lambda self: self.scenario.bell_value(self.ideal_tables.raw))
+    bell_deviation = functools.cached_property(lambda self: abs(self.bell_value_postselected - self.bell_value_ideal))
+    bell_deviation_bound = functools.cached_property(lambda self: deviation_bound(self.epsilon_total, self.beta_max))
+    local_bound = functools.cached_property(lambda self: self.scenario._compiled().local_bound())
+    certified_margin = functools.cached_property(
+        lambda self: abs(self.bell_value_postselected) - self.bell_deviation_bound - self.local_bound
+    )

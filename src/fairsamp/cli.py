@@ -29,14 +29,7 @@ from .analysis import (
     shared_references,
     tv_bound,
 )
-from .bell import (
-    LABEL_SEP,
-    BellScenario,
-    bound_report,
-    deviation_bound,
-    ideal_scenario,
-    postselected_vs_ideal_deviation,
-)
+from .bell import LABEL_SEP, BellScenario, ScenarioAnalysis, ideal_scenario, postselected_vs_ideal_deviation
 from .device import ZeroAcceptanceError, projective_qubit_device
 from .filters import canonical_decomposition, verify_recomposition
 from .linalg import VERDICT_TOL, projector
@@ -109,11 +102,20 @@ def cmd_decompose(args) -> int:
 
 
 def _scenario_report(sc: BellScenario, postselect: bool, tol: float) -> tuple[dict, list[FairSamplingVerdict] | None]:
-    """The ``simulate`` report, read from one walk over the setting tuples, and the parties' verdicts.
+    """The ``simulate`` report of the analysis against the parties' verdicts at ``tol``, and the verdicts.
 
     The verdicts are None when a party never clicks.  Omissions are noted on stderr.
     """
-    t = sc.tables()
+    verdicts = why = None
+    try:
+        verdicts = [check_exact(dev, tol=tol) for dev in sc.devices]
+        unfair = [k for k, verdict in enumerate(verdicts) if not verdict.weak]
+        if unfair:
+            why = f"party {unfair[0]} fails the exact fair-sampling check"
+    except ZeroAcceptanceError as exc:
+        why = exc
+    analysis = ScenarioAnalysis(sc, None if why is not None else [verdict.reference for verdict in verdicts])
+    t = analysis.tables
     label = LABEL_SEP.join
     raw_labels = serialize.TableLabels(label(outs) for outs in itertools.product(*t.outcomes))
     report: dict = {
@@ -131,21 +133,15 @@ def _scenario_report(sc: BellScenario, postselect: bool, tol: float) -> tuple[di
     if sc.bell_coeffs is not None:
         if postselect:
             try:
-                report["bell_value_postselected"] = serialize.sig15(sc.bell_value(t.postselected))
+                report["bell_value_postselected"] = serialize.sig15(analysis.bell_value_postselected)
             except ZeroAcceptanceError as exc:
                 sys.stderr.write(f"note: bell_value_postselected omitted: {exc}\n")
-        report["bell_value_raw"] = serialize.sig15(sc.bell_value(t.raw))
-    verdicts = why = None
-    try:
-        verdicts = [check_exact(dev, tol=tol) for dev in sc.devices]
-        unfair = [k for k, verdict in enumerate(verdicts) if not verdict.weak]
-        if unfair:
-            why = f"party {unfair[0]} fails the exact fair-sampling check"
-        else:
-            ideal = ideal_scenario(sc, [verdict.reference for verdict in verdicts])
-            report["ideal_deviation"] = serialize.sig15(t.max_deviation(ideal.tables(t.postselected)))
-    except ZeroAcceptanceError as exc:
-        why = exc
+        report["bell_value_raw"] = serialize.sig15(analysis.bell_value_raw)
+    if why is None:
+        try:
+            report["ideal_deviation"] = serialize.sig15(analysis.joint_deviation)
+        except ZeroAcceptanceError as exc:
+            why = exc
     if why is not None:
         sys.stderr.write(f"note: no ideal experiment, ideal_deviation omitted: {why}\n")
     return report, verdicts
@@ -163,22 +159,26 @@ def cmd_bound(args) -> int:
         mqs = shared_references(sc.devices, _load(args.mq, serialize.matrix_from_json, "mq"))
     else:
         mqs = [check_exact(dev, tol=args.tol).reference for dev in sc.devices]
-    br = bound_report(sc, mqs)
+    analysis = ScenarioAnalysis(sc, mqs)
     report = {
         "per_party": [
             {"epsilon": serialize.sig15(e), "tv_bound": serialize.sig15(tv_bound(e))}
-            for e in br.epsilons
+            for e in analysis.epsilons
         ],
-        "epsilon_total": serialize.sig15(br.epsilon_total),
-        "joint_tv_bound": serialize.sig15(tv_bound(br.epsilon_total)),
-        "measured_joint_deviation": serialize.sig15(br.measured_joint_deviation),
+        "epsilon_total": serialize.sig15(analysis.epsilon_total),
+        "joint_tv_bound": serialize.sig15(tv_bound(analysis.epsilon_total)),
+        "measured_joint_deviation": serialize.sig15(analysis.joint_deviation),
     }
-    if br.beta_max is not None:
-        report["beta_max"] = serialize.sig15(br.beta_max)
-        report["bell_deviation_bound"] = serialize.sig15(
-            deviation_bound(br.epsilon_total, br.beta_max)
-        )
-        report["measured_bell_deviation"] = serialize.sig15(br.measured_bell_deviation)
+    if sc.bell_coeffs is not None:
+        report["beta_max"] = serialize.sig15(analysis.beta_max)
+        report["bell_deviation_bound"] = serialize.sig15(analysis.bell_deviation_bound)
+        report["measured_bell_deviation"] = serialize.sig15(analysis.bell_deviation)
+        try:
+            report["local_bound"] = serialize.sig15(analysis.local_bound)
+        except ValueError as exc:  # too many local strategies to enumerate
+            sys.stderr.write(f"note: local_bound and certified_margin omitted: {exc}\n")
+        else:
+            report["certified_margin"] = serialize.sig15(analysis.certified_margin)
     _emit(report, args.output)
     return 0
 

@@ -142,9 +142,11 @@ def _dimension(dim) -> int:
 
 
 def _labels(settings: Sequence[str], outcomes: Sequence[str]) -> tuple[tuple[str, ...], tuple[str, ...]]:
-    """Setting and good-outcome labels as tuples of str; duplicates and a good ``noclick`` raise."""
+    """Setting and good-outcome labels as tuples of str; no setting, duplicates and a good ``noclick`` raise."""
     settings = tuple(str(x) for x in settings)
     outcomes = tuple(str(a) for a in outcomes)
+    if not settings:
+        raise ValueError("a device needs at least one setting; the setting list is empty")
     if NOCLICK in outcomes:
         raise ValueError(f"{NOCLICK!r} is reserved and cannot be a good outcome")
     if len(set(settings)) != len(settings):

@@ -16,7 +16,6 @@ from fairsamp.analysis import (
 )
 from fairsamp.bell import (
     BellScenario,
-    BoundReport,
     bell_value,
     epsilon_total,
     filtered_global_state,
@@ -235,7 +234,7 @@ def silent_device():
 
 # Reference ideal experiment: the public steps composed, each eigendecomposing the reference
 # operator anew and validating every element from scratch.  ``bell.ideal_scenario`` and
-# ``bell.bound_report`` build it in one pass per party and must equal it to the bit.
+# ``bell.ScenarioAnalysis`` build it in one pass per party and must equal it to the bit.
 
 
 def oracle_to_lossy(dev):
@@ -295,9 +294,10 @@ def oracle_beta_max(coeffs):
 
 
 def oracle_bound_report(sc, mqs):
-    """``bell.bound_report`` from ``approximate_epsilon``, ``oracle_ideal_scenario`` and the dict loops.
+    """What ``bound`` reads from ``bell.ScenarioAnalysis``, from ``oracle_ideal_scenario`` and the dict loops.
 
-    The coefficients are checked for completeness first, before any epsilon.
+    The coefficients are checked for completeness first, before any epsilon.  Returns the fields of
+    ``bound_figures``.
     """
     if sc.bell_coeffs is not None:
         oracle_validate_coefficients(sc, sc.bell_coeffs)
@@ -309,7 +309,35 @@ def oracle_bound_report(sc, mqs):
     if sc.bell_coeffs is not None:
         beta = oracle_beta_max(sc.bell_coeffs)
         bell_deviation = abs(bell_value(post, sc.bell_coeffs) - bell_value(ideal_raw, sc.bell_coeffs))
-    return BoundReport(eps, eps_tot, dict_max_deviation(post, ideal_raw), beta, bell_deviation)
+    return eps, eps_tot, dict_max_deviation(post, ideal_raw), beta, bell_deviation
+
+
+def bound_figures(analysis):
+    """The epsilons, their total, the joint deviation, ``beta_max`` and the Bell deviation, read in ``bound``'s order.
+
+    The Bell fields are None for a scenario without coefficients.
+    """
+    figures = [analysis.epsilons, analysis.epsilon_total, analysis.joint_deviation]
+    if analysis.scenario.bell_coeffs is None:
+        return (*figures, None, None)
+    return (*figures, analysis.beta_max, analysis.bell_deviation)
+
+
+def oracle_local_bound(sc):
+    """``sc``'s functional maximised in absolute value over each product of deterministic local strategies in turn.
+
+    Each party's strategy gives one of its device's good outcomes for each of its settings.
+    """
+    local = [list(itertools.product(dev.outcomes, repeat=len(dev.settings))) for dev in sc.devices]
+    best_hi, best_lo = -math.inf, math.inf
+    for strategy in itertools.product(*local):
+        chosen = [dict(zip(dev.settings, choice)) for dev, choice in zip(sc.devices, strategy)]
+        value = 0.0
+        for (xs, outs), c in sc.bell_coeffs.items():
+            if all(pick[x] == a for pick, x, a in zip(chosen, xs, outs)):
+                value += c
+        best_hi, best_lo = max(best_hi, value), min(best_lo, value)
+    return max(abs(best_hi), abs(best_lo))
 
 
 # Reference device passes: each recomputes what the one-pass code in ``fairsamp`` shares,

@@ -195,6 +195,12 @@ class TestIdealDevice:
         with pytest.raises(ValueError, match=">= 1"):
             ideal_device_from(adv, default_mq(adv))
 
+    def test_device_that_never_clicks_has_no_ideal_device(self):
+        """Every setting is erased, and a device needs at least one: the error says why there is none."""
+        blind = LossyDevice(2, ["0"], ["+"], {"0": {"+": np.zeros((2, 2))}})
+        with pytest.raises(ZeroAcceptanceError, match="^all click elements vanish; the device never accepts$"):
+            ideal_device_from(blind, np.eye(2))
+
 
 class TestFilteredState:
     def test_identity_reference(self, rng):
@@ -530,7 +536,7 @@ class TestReferenceDecompositions:
     @pytest.mark.parametrize("shape", [(2, 2), (4, 4), (3, 2), (3,)])
     def test_reference_of_another_dimension_is_named(self, rng, shape):
         """Every step taking a reference matrix compares its shape with the device before multiplying."""
-        from fairsamp.bell import BellScenario, bound_report, ideal_scenario
+        from fairsamp.bell import BellScenario, ScenarioAnalysis, ideal_scenario
 
         dev = helpers.perturbed_fair_device(rng)
         mq = np.ones(shape)
@@ -543,7 +549,7 @@ class TestReferenceDecompositions:
             lambda: approximate_epsilon(dev, mq),
             lambda: ideal_device_from(dev, mq),
             lambda: ideal_scenario(sc, [mq, mq]),
-            lambda: bound_report(sc, [mq, mq]),
+            lambda: ScenarioAnalysis(sc, [mq, mq]).epsilons,
         ]
         for step in steps:
             with pytest.raises(ValueError, match=message):

@@ -15,10 +15,9 @@ from fairsamp.adversary import makarov_traced
 from fairsamp.analysis import approximate_epsilon, check_exact, reference, tv_bound
 from fairsamp.bell import (
     BellScenario,
-    BoundReport,
+    ScenarioAnalysis,
     bell_value,
     beta_max,
-    bound_report,
     deviation_bound,
     epsilon_total,
     filtered_global_state,
@@ -31,7 +30,7 @@ from fairsamp.bell import (
 )
 from fairsamp.cli import chsh_coefficients, chsh_singlet_scenario, singlet_state
 from fairsamp.device import NOCLICK, LossyDevice, ZeroAcceptanceError, projective_qubit_device
-from fairsamp.linalg import NotPositiveError, sqrt_pinv_sqrt, tensor
+from fairsamp.linalg import COMPLETENESS_TOL, NotPositiveError, sqrt_pinv_sqrt, tensor
 from fairsamp.sampling import random_density, random_fair_sampling_device
 
 
@@ -577,7 +576,7 @@ class TestIdealScenario:
         with pytest.raises(ZeroAcceptanceError, match=re.escape(message)):
             sc.bell_value(ideal_scenario(sc).tables().raw)
         with pytest.raises(ZeroAcceptanceError, match=re.escape(message)):
-            bound_report(sc, [check_exact(dev).quantum_elem for dev in sc.devices])
+            helpers.bound_figures(ScenarioAnalysis(sc, [check_exact(dev).quantum_elem for dev in sc.devices]))
         live = BellScenario(sc.devices, sc.psi, {key: c for key, c in coeffs.items() if key[0] == ("0", "0")})
         assert live.bell_value(ideal_scenario(live).tables().raw) == pytest.approx(1.0)
 
@@ -598,7 +597,7 @@ class TestIdealScenario:
         with pytest.raises(ValueError, match=re.escape(message)):
             ideal_scenario(sc, mqs)
         with pytest.raises(ValueError, match=re.escape(message)):
-            bound_report(sc, mqs)
+            ScenarioAnalysis(sc, mqs)
         message = f"reference dimensions {[2] * count} do not match state dimension 4"
         with pytest.raises(ValueError, match=re.escape(message)):
             filtered_global_state(mqs, sc.psi)
@@ -619,7 +618,7 @@ def test_scenario_keeps_a_read_only_copy_of_its_coefficients():
     sc = BellScenario(chsh.devices, chsh.psi, coeffs)
 
     def reported():
-        beta = bound_report(sc, [np.eye(2)] * 2).beta_max
+        beta = ScenarioAnalysis(sc, [np.eye(2)] * 2).beta_max
         return postselected_bell_value(sc), beta, serialize.scenario_to_json(sc)["bell"]
 
     before = reported()
@@ -659,10 +658,81 @@ def coefficient_maps(draw):
 @example(coeffs={(("0", "0"), ("0", "0")): 1e308, (("0", "1"), ("0", "0")): 1e308, (("1", "0"), ("0", "0")): -1e308})
 @given(coeffs=coefficient_maps())
 def test_beta_max_is_the_dict_walk_to_the_bit(coeffs):
-    assert beta_max(coeffs).hex() == helpers.oracle_beta_max(coeffs).hex()
+    """``beta_max`` of the mapping, and of a scenario's functional compiled from it, is the dict walk's."""
+    expected = helpers.oracle_beta_max(coeffs).hex()
+    assert beta_max(coeffs).hex() == expected
+    devices = []
+    for k in range(len(next(iter(coeffs))[0])):
+        settings_ = list(dict.fromkeys(xs[k] for xs, _ in coeffs))
+        outcomes = list(dict.fromkeys(outs[k] for _, outs in coeffs))
+        uniform = np.full((len(settings_), len(outcomes), 1, 1), 1 / len(outcomes))
+        devices.append(LossyDevice(1, settings_, outcomes, uniform))
+    sc = BellScenario(devices, np.eye(1), coeffs)
+    assert sc._functional.beta_max().hex() == expected
 
 
-class TestBoundReportOrder:
+def test_beta_max_of_an_analysis_is_read_from_the_compiled_functional(monkeypatch):
+    """The coefficient mapping is walked once, when the scenario is built, and not again for ``beta_max``."""
+    import fairsamp.bell as bell
+
+    sc = chsh_singlet_scenario()
+
+    def walked(*args):
+        raise AssertionError("the coefficient mapping was walked again")
+
+    monkeypatch.setattr(bell, "_grouped", walked)
+    analysis = ScenarioAnalysis(sc, [check_exact(dev).reference for dev in sc.devices])
+    assert (analysis.beta_max, analysis.local_bound) == (4.0, 2.0)
+
+
+class TestLocalBound:
+    def test_chsh_local_bound_is_two_and_the_singlet_exceeds_it(self):
+        sc = chsh_singlet_scenario()
+        analysis = ScenarioAnalysis(sc)
+        assert sc._functional.local_bound() == analysis.local_bound == 2.0
+        assert abs(analysis.bell_value_postselected) > analysis.local_bound + 0.8
+
+    def test_no_coefficients_read_nothing_and_none_declared_raise(self):
+        empty = BellScenario(lossless_z_pair().devices, singlet_state(), {})
+        assert ScenarioAnalysis(empty).local_bound == 0.0
+        with pytest.raises(ValueError, match="^scenario declares no Bell coefficients$"):
+            ScenarioAnalysis(lossless_z_pair()).local_bound
+
+    def test_the_party_with_the_most_strategies_is_reduced_and_the_rest_capped(self):
+        """17 two-outcome settings are 2**17 strategies: reduced, not enumerated, unless every party has as many."""
+        many = projective_qubit_device({str(k): k * np.pi / 17.0 for k in range(17)})
+        one = projective_qubit_device({"0": 0.0})
+        for devices, bound in (([many, one], 17.0), ([one, many], 17.0), ([many, many], None)):
+            keys = itertools.product(*(d.settings for d in devices), "+-", "+-")
+            coeffs = {((x, y), (a, b)): 1.0 for x, y, a, b in keys}
+            analysis = ScenarioAnalysis(BellScenario(devices, singlet_state(), coeffs))
+            if bound is not None:
+                assert analysis.local_bound == bound  # each setting of the 17 adds its one weight of 1
+                continue
+            with pytest.raises(ValueError, match=r"^local strategy table of size 4456448 exceeds 100000$"):
+                analysis.local_bound
+
+
+@settings(max_examples=30, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), dims=st.lists(st.integers(1, 3), min_size=2, max_size=3))
+def test_product_state_under_strongly_fair_devices_stays_within_the_local_bound(seed, dims):
+    """Click elements proportional to the identity post-select a product state to product statistics."""
+    rng = np.random.default_rng(seed)
+    devices = [
+        random_fair_sampling_device(d, int(rng.integers(1, 4)), int(rng.integers(1, 4)), rng, mq=np.eye(d))
+        for d in dims
+    ]
+    coeffs = {
+        (xs, outs): float(rng.uniform(-1.0, 1.0))
+        for xs in itertools.product(*(d.settings for d in devices))
+        for outs in itertools.product(*(d.outcomes for d in devices))
+    }
+    sc = BellScenario(devices, tensor([random_density(d, rng) for d in dims]), coeffs)
+    analysis = ScenarioAnalysis(sc)
+    assert abs(analysis.bell_value_postselected) <= analysis.local_bound + COMPLETENESS_TOL
+
+
+class TestScenarioAnalysisOrder:
     MISSING = r"^missing coefficient entry for settings \('0', '0'\), outcomes \('\+', '-'\)$"
 
     @staticmethod
@@ -676,23 +746,31 @@ class TestBoundReportOrder:
         import fairsamp.bell as bell
 
         def fail(*args, **kwargs):
-            raise AssertionError("bound_report worked before it checked the coefficients")
+            raise AssertionError("the analysis worked before it checked the coefficients")
 
         sc = self.scenario(0.5 * np.eye(2))
         monkeypatch.setattr(bell, "approximate_epsilon", fail)
         monkeypatch.setattr(bell, "ideal_scenario", fail)
         monkeypatch.setattr(BellScenario, "tables", fail)
         with pytest.raises(ValueError, match=self.MISSING):
-            bound_report(sc, [np.eye(2), np.eye(2)])
+            ScenarioAnalysis(sc, [np.eye(2), np.eye(2)]).epsilons
 
     def test_missing_entry_named_before_an_epsilon_of_one(self):
         sc = self.scenario(np.diag([1.0, 0.0]))  # against the identity, epsilon is 1
         assert approximate_epsilon(sc.devices[0], np.eye(2)) == 1.0
         with pytest.raises(ValueError, match=self.MISSING):
-            bound_report(sc, [np.eye(2), np.eye(2)])
+            helpers.bound_figures(ScenarioAnalysis(sc, [np.eye(2), np.eye(2)]))
         complete = BellScenario(sc.devices, sc.psi, {**sc.bell_coeffs, (("0", "0"), ("+", "-")): 1.0})
         with pytest.raises(ValueError, match=r"^per-party epsilon 1\.0 outside \[0, 1\)$"):
-            bound_report(complete, [np.eye(2), np.eye(2)])
+            helpers.bound_figures(ScenarioAnalysis(complete, [np.eye(2), np.eye(2)]))
+
+    def test_without_references_only_the_measured_pieces_exist(self):
+        sc = chsh_singlet_scenario()
+        analysis = ScenarioAnalysis(sc)
+        for piece in ("epsilons", "ideal_tables", "joint_deviation", "bell_deviation"):
+            with pytest.raises(ValueError, match="^no references given: no epsilon or ideal experiment$"):
+                getattr(analysis, piece)
+        assert analysis.bell_value_postselected == postselected_bell_value(sc)
 
 
 def _outcome(call):
@@ -726,7 +804,7 @@ def _assert_same_ideal(call, oracle_call):
     identity_mq=st.booleans(),
 )
 def test_one_pass_ideal_experiment_equals_the_composed_oracle(seed, dims, kinds, with_coeffs, identity_mq):
-    """``ideal_scenario`` and ``bound_report`` equal the public steps composed, to the bit.
+    """``ideal_scenario`` and ``ScenarioAnalysis`` equal the public steps composed, to the bit.
 
     Each takes its references as matrices or as ``Reference`` objects, with the same result.
     """
@@ -750,9 +828,9 @@ def test_one_pass_ideal_experiment_equals_the_composed_oracle(seed, dims, kinds,
 
     mqs = [np.eye(d) if identity_mq else mq for d, mq in zip(dims, verdict_mqs)]
     expected = _outcome(lambda: helpers.oracle_bound_report(sc, mqs))
-    assert _outcome(lambda: bound_report(sc, mqs)) == expected
+    assert _outcome(lambda: helpers.bound_figures(ScenarioAnalysis(sc, mqs))) == expected
     refs = [reference(dev, mq) for dev, mq in zip(devices, mqs)]
-    assert _outcome(lambda: bound_report(sc, refs)) == expected
+    assert _outcome(lambda: helpers.bound_figures(ScenarioAnalysis(sc, refs))) == expected
 
 
 @settings(max_examples=25, deadline=None)
@@ -792,7 +870,7 @@ def relabelled_scenario(draw):
 @settings(max_examples=40, deadline=None)
 @given(labelled=relabelled_scenario())
 def test_first_missing_coefficient_is_the_old_walks(labelled):
-    """``validate_coefficients`` and ``bound_report`` name the key the label and key-set walk named first.
+    """``validate_coefficients`` and ``ScenarioAnalysis`` name the key the label and key-set walk named first.
 
     The full key set is shuffled, so setting tuples are first used in random order, and each key is
     dropped with a random rate up to one half; a tuple that loses every key is no longer read and so
@@ -808,11 +886,12 @@ def test_first_missing_coefficient_is_the_old_walks(labelled):
     expected = _outcome(lambda: helpers.oracle_validate_coefficients(sc, coeffs))
     assert _outcome(lambda: validate_coefficients(sc, sc.bell_coeffs)) == expected
     assert _outcome(lambda: validate_coefficients(sc, dict(coeffs))) == expected
-    report = _outcome(lambda: bound_report(sc, [check_exact(dev).reference for dev in devices]))
+    analysis = ScenarioAnalysis(sc, [check_exact(dev).reference for dev in devices])
+    figures = _outcome(lambda: helpers.bound_figures(analysis))
     if expected is None:
-        assert isinstance(report, BoundReport)
+        assert figures[0] == analysis.epsilons
     else:
-        assert report == expected
+        assert figures == expected
 
 
 @settings(max_examples=30, deadline=None)
@@ -836,10 +915,10 @@ def test_measured_deviations_of_near_fair_devices_stay_within_the_bounds(seed, d
         for outs in itertools.product(*(d.outcomes for d in devices))
     }
     sc = BellScenario(devices, random_density(int(np.prod(dims)), rng), coeffs)
-    report = bound_report(sc, [check_exact(dev).reference for dev in devices])
-    assert report.epsilon_total > 0.0
-    assert report.measured_bell_deviation <= deviation_bound(report.epsilon_total, report.beta_max)
-    assert report.measured_joint_deviation <= tv_bound(report.epsilon_total)
+    analysis = ScenarioAnalysis(sc, [check_exact(dev).reference for dev in devices])
+    assert analysis.epsilon_total > 0.0
+    assert analysis.bell_deviation <= deviation_bound(analysis.epsilon_total, analysis.beta_max)
+    assert analysis.joint_deviation <= tv_bound(analysis.epsilon_total)
 
 
 @settings(max_examples=30, deadline=None)
@@ -864,3 +943,20 @@ def test_strongly_fair_devices_postselect_to_the_unfiltered_state(seed, dims):
         expected = np.zeros(raw[xs].shape)
         expected[(slice(-1),) * len(dims)] = ps
         assert np.max(np.abs(raw[xs] - expected)) <= 1e-12
+
+
+@settings(max_examples=40, deadline=None)
+@given(labelled=relabelled_scenario(), integral=st.booleans())
+def test_local_bound_is_the_brute_force_over_product_strategies(labelled, integral):
+    """Random 2-3 party functionals, keys dropped at random (incomplete ones too), ties when ``integral``."""
+    devices, rng = labelled
+    settings_tuples = itertools.product(*(d.settings for d in devices))
+    keys = list(itertools.product(settings_tuples, itertools.product(*(d.outcomes for d in devices))))
+    kept = [key for key, keep in zip(keys, rng.random(len(keys)) < rng.uniform(0.3, 1.0)) if keep]
+    weights = rng.integers(-2, 3, len(kept)).astype(float) if integral else rng.normal(size=len(kept))
+    sc = BellScenario(devices, np.eye(1), dict(zip(kept, weights.tolist())))
+    expected = helpers.oracle_local_bound(sc)
+    if integral:
+        assert sc._functional.local_bound() == expected
+    else:
+        assert sc._functional.local_bound() == pytest.approx(expected, rel=1e-12, abs=1e-12)

@@ -358,7 +358,7 @@ class TestSimulate:
         def broken(sc, refs):
             raise NotPositiveError("outcomes ('+', '+') at settings ('0', '0') has negative probability")
 
-        monkeypatch.setattr("fairsamp.cli.ideal_scenario", broken)
+        monkeypatch.setattr("fairsamp.bell.ideal_scenario", broken)
         assert main(["simulate", str(chsh_file), "--postselect"]) == 1
         out, err = capsys.readouterr()
         assert out == ""
@@ -451,6 +451,73 @@ class TestBound:
         assert out == ""
         assert "vanishing acceptance" in err and "('dead', '0')" in err
 
+
+    @pytest.mark.parametrize("eta,delta,margin", [(0.8, 0.05, 0.6873), (0.8, 0.2, 0.2680), (0.5, 0.1, -0.2821)])
+    def test_certified_margin_of_mismatched_analysers(self, tmp_path, capsys, eta, delta, margin):
+        """Singlet, single-photon analysers at (0, pi/4) and (pi/8, 3 pi/8), CHSH with its minus sign on (0, 1)."""
+        import itertools
+
+        from fairsamp.bell import BellScenario
+        from fairsamp.cli import singlet_state
+        from fairsamp.optics import single_photon_analyser
+
+        a = single_photon_analyser(eta, delta, [0.0, np.pi / 4.0])
+        b = single_photon_analyser(eta, delta, [np.pi / 8.0, 3.0 * np.pi / 8.0])
+        sign = {"D1": 1.0, "D2": -1.0}
+        coeffs = {
+            ((x, y), (oa, ob)): (-1.0 if (i, j) == (0, 1) else 1.0) * sign[oa] * sign[ob]
+            for (i, x), (j, y) in itertools.product(enumerate(a.settings), enumerate(b.settings))
+            for oa, ob in itertools.product(a.outcomes, b.outcomes)
+        }
+        path = tmp_path / "analysers.json"
+        serialize.dump_json(serialize.scenario_to_json(BellScenario([a, b], singlet_state(), coeffs)), path)
+        assert main(["bound", str(path)]) == 0
+        out, err = capsys.readouterr()
+        report = json.loads(out)
+        assert (report["local_bound"], err) == (2.0, "")
+        assert report["certified_margin"] == pytest.approx(margin, abs=5e-5)
+
+    def test_too_many_local_strategies_omit_the_local_keys_with_a_note(self, tmp_path, capsys):
+        from fairsamp.bell import BellScenario
+        from fairsamp.cli import singlet_state
+        from fairsamp.device import projective_qubit_device
+
+        many = projective_qubit_device({str(k): k * np.pi / 17.0 for k in range(17)})
+        coeffs = {((x, y), (a, b)): 1.0 for x in many.settings for y in many.settings for a in "+-" for b in "+-"}
+        sc = BellScenario([many, many], singlet_state(), coeffs)
+        path = tmp_path / "many.json"
+        serialize.dump_json(serialize.scenario_to_json(sc), path)
+        assert main(["bound", str(path)]) == 0
+        out, err = capsys.readouterr()
+        report = json.loads(out)
+        assert "beta_max" in report and not {"local_bound", "certified_margin"} & set(report)
+        note = "note: local_bound and certified_margin omitted: local strategy table of size 4456448 exceeds 100000\n"
+        assert err == note
+
+    def test_never_clicking_party_fails_alike_with_and_without_a_reference(self, tmp_path, capsys):
+        from fairsamp.bell import BellScenario
+        from fairsamp.cli import singlet_state
+        from fairsamp.device import LossyDevice, projective_qubit_device
+
+        blind = LossyDevice(2, ["0"], ["+", "-"], {"0": {"+": np.zeros((2, 2)), "-": np.zeros((2, 2))}})
+        path, eye = tmp_path / "blind.json", tmp_path / "eye2.json"
+        sc = BellScenario([blind, projective_qubit_device({"0": 0.0})], singlet_state())
+        serialize.dump_json(serialize.scenario_to_json(sc), path)
+        serialize.dump_json(serialize.matrix_to_json(np.eye(2)), eye)
+        for argv in (["bound", str(path)], ["bound", str(path), "--mq", str(eye)]):
+            assert main(argv) == 1
+            assert capsys.readouterr() == ("", "error: all click elements vanish; the device never accepts\n")
+
+    def test_walks_the_coefficient_mapping_once(self, chsh_file, monkeypatch, capsys):
+        """When the scenario is compiled; ``beta_max`` and ``local_bound`` read the compiled functional."""
+        import fairsamp.bell
+
+        walks = []
+        original = fairsamp.bell._grouped
+        monkeypatch.setattr(fairsamp.bell, "_grouped", lambda coeffs: walks.append(coeffs) or original(coeffs))
+        assert main(["bound", str(chsh_file)]) == 0
+        report = json.loads(capsys.readouterr().out)
+        assert (len(walks), report["beta_max"], report["local_bound"]) == (1, 4.0, 2.0)
 
     def test_conjugates_each_party_once(self, chsh_file, monkeypatch, capsys):
         import fairsamp.analysis

@@ -63,6 +63,13 @@ class TestConstruction:
             with pytest.raises(ValueError, match=re.escape(f"device dimension {dim} outside [1, {MAX_DIM}]")):
                 cls(dim, [], ["a"], povm)
 
+    @pytest.mark.parametrize("cls", [LossyDevice, LosslessDevice])
+    def test_no_settings_rejected(self, cls):
+        """A device without settings measures nothing; it is refused for a stack and a mapping alike."""
+        for povm in (np.empty((0, 1, 2, 2), dtype=complex), {}):
+            with pytest.raises(ValueError, match="^a device needs at least one setting; the setting list is empty$"):
+                cls(2, [], ["a"], povm)
+
     def test_elements_are_read_only(self, traced):
         with pytest.raises(ValueError):
             traced.element("0", "+")[0, 0] = 9.0

@@ -97,6 +97,8 @@ def test_identity_reference_is_written_beside_the_scenario_and_read_by_bound(too
     assert (seen["exit code"], seen["stderr"]) == (b"0", b"")
     report = json.loads(seen["stdout"])
     assert (report["epsilon_total"], report["beta_max"]) == (0.0, 4.0)  # the click elements are I / 4
+    assert report["local_bound"] == 2.0
+    assert report["certified_margin"] == pytest.approx(2.0 * np.sqrt(2.0) - 2.0, abs=1e-9)  # no deviation to subtract
 
 
 def test_identity_reference_needs_one_party_dimension(tool, tmp_path):
