@@ -13,11 +13,8 @@ import numpy as np
 from fairsamp import (
     BellScenario,
     LossyDevice,
-    approximate_epsilon,
-    beta_max,
+    ScenarioAnalysis,
     check_exact,
-    deviation_bound,
-    epsilon_total,
     ideal_scenario,
     postselected_vs_ideal_deviation,
     single_photon_analyser,
@@ -56,17 +53,13 @@ coeffs = {(xs, tuple("D1" if o == "+" else "D2" for o in outs)): c
           for (xs, outs), c in chsh_coefficients().items()}
 noisy = BellScenario([analyser_at(angles_a), analyser_at(angles_b)], singlet_state(), coeffs)
 
-mqs = [np.eye(2), np.eye(2)]
-eps = [approximate_epsilon(dev, mq) for dev, mq in zip(noisy.devices, mqs)]
-eps_tot = epsilon_total(eps)
+analysis = ScenarioAnalysis(noisy, [np.eye(2), np.eye(2)])
+eps, eps_tot = analysis.epsilons, analysis.epsilon_total
 print(f"\nper-party epsilon: {eps[0]:.6f}, {eps[1]:.6f} -> composed {eps_tot:.6f}")
 print(f"joint total-variation bound: {tv_bound(eps_tot):.6f}")
 
-ideal_noisy = ideal_scenario(noisy, mqs)
-postselected = noisy.bell_value(noisy.tables().postselected)
-measured = abs(postselected - noisy.bell_value(ideal_noisy.tables().raw))
-beta = beta_max(coeffs)
-print(f"post-selected CHSH with mismatch: {postselected:.6f}")
+measured, bound = analysis.bell_deviation, analysis.bell_deviation_bound
+print(f"post-selected CHSH with mismatch: {analysis.bell_value_postselected:.6f}")
 print(f"|CHSH_postselected - CHSH_ideal| = {measured:.6f} "
-      f"<= {deviation_bound(eps_tot, beta):.6f} (bound, beta_max={beta:g})")
-assert measured <= deviation_bound(eps_tot, beta)
+      f"<= {bound:.6f} (bound, beta_max={analysis.beta_max:g})")
+assert measured <= bound

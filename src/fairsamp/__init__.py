@@ -19,7 +19,6 @@ from .analysis import (
     imperfect_state_bound,
     necessary_conditions,
     reference,
-    shared_references,
     state_dependent_check,
     tv_bound,
 )
@@ -129,7 +128,6 @@ __all__ = [
     "projector",
     "reference",
     "run_faked_chsh",
-    "shared_references",
     "single_photon_analyser",
     "sqrt_pinv_sqrt",
     "state_dependent_check",

@@ -35,19 +35,6 @@ from .linalg import (
 )
 
 
-class _Clicks(NamedTuple):
-    """A device, its click stack ``click_elements()`` and their operator norms."""
-
-    device: LossyDevice
-    stack: np.ndarray
-    norms: np.ndarray
-
-
-def _clicks(dev: LossyDevice) -> _Clicks:
-    clicks = dev.click_elements()
-    return _Clicks(dev, clicks, operator_norms(clicks))
-
-
 class Reference:
     """A reference operator ``mq`` bound to the device whose click elements it is compared with.
 
@@ -55,33 +42,27 @@ class Reference:
     click elements into the ideal device) and ``root`` (the square root, the
     local filter) come from one eigendecomposition of ``mq``, made when one
     of them is first read, each built as ``support_projector`` and
-    ``sqrt_pinv_sqrt`` build it.  ``clicks`` holds the device, its click
-    stack and their operator norms.  The conjugated click elements, and with
+    ``sqrt_pinv_sqrt`` build it.  The conjugated click elements, and with
     them epsilon, are computed once too, for ``approximate_epsilon`` and
-    ``ideal_device_from`` alike.  Build one with ``reference(dev, mq)``, or
-    one per device of a shared matrix with ``shared_references``; a
-    ``FairSamplingVerdict`` carries the one it reports.  A reference built
-    ``like`` another of the same ``mq`` reads that one's decomposition.
-    A matrix whose shape is not the device's ``(dim, dim)`` raises ``ValueError``
-    before anything multiplies it.
+    ``ideal_device_from`` alike.  Build one with ``reference(dev, mq)``; a
+    ``FairSamplingVerdict`` carries the one it reports.  A matrix whose
+    shape is not the device's ``(dim, dim)`` raises ``ValueError`` before
+    anything multiplies it.
     """
 
-    def __init__(self, mq: np.ndarray | None, clicks: _Clicks, like: Reference | None = None):
+    def __init__(self, mq: np.ndarray | None, device: LossyDevice):
         if mq is None:
-            live = clicks.norms > ZERO_ACCEPTANCE
+            clicks, norms = device.click_elements(), device.click_norms
+            live = norms > ZERO_ACCEPTANCE
             if not live.any():
                 raise ValueError("all click elements vanish; no reference operator exists")
-            mq = sum(clicks.stack[live] / clicks.norms[live, None, None]) / int(live.sum())
-        elif np.shape(mq) != (clicks.device.dim,) * 2:
-            raise ValueError(
-                f"reference operator has shape {np.shape(mq)}, but the device has dimension {clicks.device.dim}"
-            )
-        self.mq, self.clicks, self._like = mq, clicks, like
+            mq = sum(clicks[live] / norms[live, None, None]) / int(live.sum())
+        elif np.shape(mq) != (device.dim,) * 2:
+            raise ValueError(f"reference operator has shape {np.shape(mq)}, but the device has dimension {device.dim}")
+        self.mq, self.device = mq, device
 
     @functools.cached_property
     def _decomposition(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        if self._like is not None:
-            return self._like._decomposition
         return support_and_pinv_sqrt(self.mq, name="reference operator")
 
     support = property(lambda self: self._decomposition[0], doc="The support projector of ``mq``.")
@@ -94,7 +75,7 @@ class Reference:
 
         ``mt = pinv @ click @ pinv`` for each live setting's click element.
         """
-        live, conjugated, norms = _conjugated_clicks(self.clicks, self.support, self.pinv)
+        live, conjugated, norms = _conjugated_clicks(self.device, self.support, self.pinv)
         gaps = self.support - conjugated
         return live, gaps, norms, float(operator_norms(gaps).max(initial=0.0))
 
@@ -106,22 +87,10 @@ def reference(dev: LossyDevice, mq: np.ndarray | Reference | None = None) -> Ref
     computed already; one built for another device raises ``ValueError``.
     """
     if not isinstance(mq, Reference):
-        return Reference(mq, _clicks(dev))
-    if mq.clicks.device is not dev:
+        return Reference(mq, dev)
+    if mq.device is not dev:
         raise ValueError("the reference was built for another device")
     return mq
-
-
-def shared_references(devices: Sequence[LossyDevice], mq: np.ndarray) -> list[Reference]:
-    """The ``Reference`` of the one matrix ``mq`` for each device in ``devices``.
-
-    All of them read one eigendecomposition of ``mq``, made when the first
-    of them needs it.
-    """
-    refs: list[Reference] = []
-    for dev in devices:
-        refs.append(Reference(mq, _clicks(dev), refs[0] if refs else None))
-    return refs
 
 
 @dataclass
@@ -208,13 +177,10 @@ def check_exact(
     and ``epsilon`` come from that reference instead; the flags stay the device's.
     """
     check_tolerance(tol)
-    clicks, weak_mq = _weak_reference(dev, tol)
-    norms = clicks.norms
+    weak_mq = _weak_reference(dev, tol)
+    norms = dev.click_norms
     weak = weak_mq is not None
-    if isinstance(mq, Reference):
-        ref = reference(dev, mq)
-    else:
-        ref = Reference(weak_mq if mq is None else mq, clicks)
+    ref = reference(dev, weak_mq if mq is None else mq)
     return FairSamplingVerdict(
         weak=weak,
         strong=weak and not norms_exceed((weak_mq - np.eye(dev.dim))[None], tol)[0],
@@ -227,20 +193,20 @@ def check_exact(
     )
 
 
-def _weak_reference(dev: LossyDevice, tol: float = VERDICT_TOL) -> tuple[_Clicks, np.ndarray | None]:
-    """The weak test of ``check_exact``: (the device's clicks, reference ``mq`` or None when the test fails).
+def _weak_reference(dev: LossyDevice, tol: float = VERDICT_TOL) -> np.ndarray | None:
+    """The weak test of ``check_exact``: the reference ``mq``, or None when the test fails.
 
     ``mq`` is the first live click element scaled to unit operator norm.  A
     device whose every click element vanishes raises ``ZeroAcceptanceError``.
     """
-    clicks = _clicks(dev)
-    live = clicks.norms > ZERO_ACCEPTANCE
+    clicks, norms = dev.click_elements(), dev.click_norms
+    live = norms > ZERO_ACCEPTANCE
     if not live.any():
         raise ZeroAcceptanceError("all click elements vanish; the device never accepts")
-    if not _pairwise_proportional(clicks.stack[live], clicks.norms[live], tol):
-        return clicks, None
+    if not _pairwise_proportional(clicks[live], norms[live], tol):
+        return None
     first = int(np.argmax(live))
-    return clicks, clicks.stack[first] / clicks.norms[first]
+    return clicks[first] / norms[first]
 
 
 def default_mq(dev: LossyDevice) -> np.ndarray:
@@ -252,7 +218,7 @@ def default_mq(dev: LossyDevice) -> np.ndarray:
     return reference(dev).mq
 
 
-def _conjugated_clicks(clicks: _Clicks, pi: np.ndarray, pinv: np.ndarray):
+def _conjugated_clicks(dev: LossyDevice, pi: np.ndarray, pinv: np.ndarray):
     """(live setting indices, stack of ``mt / s``, norms ``s``) for ``mt = pinv @ click @ pinv``.
 
     Erased settings (click norm at most ZERO_ACCEPTANCE) are skipped; a live
@@ -260,8 +226,8 @@ def _conjugated_clicks(clicks: _Clicks, pi: np.ndarray, pinv: np.ndarray):
     somewhere on it.  The first setting, in label order, that fails either
     test is named in the error.
     """
-    live = np.flatnonzero(clicks.norms > ZERO_ACCEPTANCE)
-    mc, norms = clicks.stack[live], clicks.norms[live]
+    live = np.flatnonzero(dev.click_norms > ZERO_ACCEPTANCE)
+    mc, norms = dev.click_elements()[live], dev.click_norms[live]
     residual = pi @ mc @ pi - mc
     leaks = norms_exceed(residual, VERDICT_TOL * np.maximum(1.0, norms))
     mt = pinv @ mc @ pinv
@@ -269,7 +235,7 @@ def _conjugated_clicks(clicks: _Clicks, pi: np.ndarray, pinv: np.ndarray):
     bad = leaks | (s <= 0.0)
     if bad.any():
         j = int(np.argmax(bad))
-        x = clicks.device.settings[live[j]]
+        x = dev.settings[live[j]]
         if leaks[j]:
             leak = operator_norms(residual[j:j + 1])[0]
             raise ValueError(

@@ -300,10 +300,10 @@ def ideal_scenario(sc: BellScenario, mqs: Sequence[np.ndarray | Reference] | Non
     if mqs is None:
         mqs = []
         for k, dev in enumerate(sc.devices):
-            clicks, mq = _weak_reference(dev)
+            mq = _weak_reference(dev)
             if mq is None:
                 raise ValueError(f"party {k} fails the exact fair-sampling check")
-            mqs.append(Reference(mq, clicks))
+            mqs.append(mq)
     refs = _references(sc, mqs)
     ideal = [ideal_device_from(dev, ref) for dev, ref in zip(sc.devices, refs)]
     psi_click, _ = _filter(refs, sc.psi)  # sc.psi is checked and fits the references

@@ -26,7 +26,6 @@ from .analysis import (
     approximate_epsilon,
     check_exact,
     check_tolerance,
-    shared_references,
     tv_bound,
 )
 from .bell import LABEL_SEP, BellScenario, ScenarioAnalysis, ideal_scenario, postselected_vs_ideal_deviation
@@ -156,7 +155,7 @@ def cmd_simulate(args) -> int:
 def cmd_bound(args) -> int:
     sc = _load_scenario(args.scenario)
     if args.mq is not None:
-        mqs = shared_references(sc.devices, _load(args.mq, serialize.matrix_from_json, "mq"))
+        mqs = [_load(args.mq, serialize.matrix_from_json, "mq")] * sc.n_parties
     else:
         mqs = [check_exact(dev, tol=args.tol).reference for dev in sc.devices]
     analysis = ScenarioAnalysis(sc, mqs)

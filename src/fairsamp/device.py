@@ -8,6 +8,7 @@ density matrix.
 
 from __future__ import annotations
 
+import functools
 from types import MappingProxyType
 from typing import Mapping, Sequence
 
@@ -19,6 +20,7 @@ from .linalg import (
     ZERO_ACCEPTANCE,
     as_operator,
     assert_density,
+    operator_norms,
     probability,
     projector,
     psd_faults,
@@ -49,11 +51,13 @@ class LossyDevice:
     ``stack`` holds every element in one read-only complex array of shape
     ``(settings, outcomes + 1, dim, dim)``: settings and good outcomes in
     label order, the no-click element last.  ``povm`` is a read-only mapping
-    setting -> outcome -> view into ``stack``.  The input ``povm`` is such a
-    mapping, or the good elements as one stack of shape ``(settings, outcomes,
-    dim, dim)``; either is copied.  A no-click element the input omits (a
-    stack always does) is reconstructed from completeness; if present, the
-    full sum must equal the identity within COMPLETENESS_TOL.  Every element
+    setting -> outcome -> view into ``stack``.  ``click_elements()`` and
+    ``click_norms`` are computed once, when first read, and are read-only
+    too.  The input ``povm`` is such a mapping, or the good elements as one
+    stack of shape ``(settings, outcomes, dim, dim)``; either is copied.  A
+    no-click element the input omits (a stack always does) is reconstructed
+    from completeness; if present, the full sum must equal the identity
+    within COMPLETENESS_TOL.  Every element
     is checked for Hermiticity and positivity at once (one
     ``linalg.psd_faults`` call per device); errors name the first faulty
     element in label order, as a check of one element at a time would.
@@ -77,23 +81,41 @@ class LossyDevice:
         labels = (*outcomes, NOCLICK)
         self.povm = MappingProxyType({x: MappingProxyType(dict(zip(labels, row))) for x, row in zip(settings, stack)})
 
+    def _index(self, x: str, a: str = NOCLICK) -> int:
+        """Row of setting ``x`` in ``stack``; an unknown setting, or outcome ``a``, raises ``KeyError`` naming it."""
+        if x not in self.povm:
+            raise KeyError(f"unknown setting {x!r}")
+        if a not in self.povm[x]:
+            raise KeyError(f"unknown outcome {a!r}")
+        return self.settings.index(x)
+
     def element(self, x: str, a: str) -> np.ndarray:
+        self._index(x, a)  # an unknown label raises, named
         return self.povm[x][a]
 
     def click_element(self, x: str) -> np.ndarray:
-        """Sum of the good-outcome elements for setting x."""
-        if x not in self.povm:
-            raise KeyError(f"unknown setting {x!r}")
-        return sum(self.stack[self.settings.index(x), : len(self.outcomes)])
+        """Sum of the good-outcome elements for setting x: its row of ``click_elements()``."""
+        return self.click_elements()[self._index(x)]
 
     def click_elements(self) -> np.ndarray:
-        """``click_element`` of every setting in label order, shape ``(settings, dim, dim)``."""
-        return sum(self.stack[:, j] for j in range(len(self.outcomes)))
+        """``click_element`` of every setting in label order, shape ``(settings, dim, dim)``; read-only, summed once."""
+        return self._click_stack
+
+    @functools.cached_property
+    def _click_stack(self) -> np.ndarray:
+        clicks = _click_sums(self.stack, len(self.outcomes))
+        clicks.setflags(write=False)
+        return clicks
+
+    @functools.cached_property
+    def click_norms(self) -> np.ndarray:
+        """Operator norms of ``click_elements()``, in label order; read-only, taken once, by one batched SVD."""
+        norms = operator_norms(self._click_stack)
+        norms.setflags(write=False)
+        return norms
 
     def noclick_element(self, x: str) -> np.ndarray:
-        if x not in self.povm:
-            raise KeyError(f"unknown setting {x!r}")
-        return self.povm[x][NOCLICK]
+        return self.element(x, NOCLICK)
 
     def efficiency(self, x: str, rho: np.ndarray) -> float:
         """Probability of any good outcome for setting x on state rho."""
@@ -107,9 +129,7 @@ class LossyDevice:
         rho = assert_density(rho)
         if rho.shape[0] != self.dim:
             raise ValueError(f"state dimension {rho.shape[0]} does not match device dimension {self.dim}")
-        if x not in self.povm:
-            raise KeyError(x)
-        values = np.einsum("aij,ji->a", self.stack[self.settings.index(x)], rho).real
+        values = np.einsum("aij,ji->a", self.stack[self._index(x)], rho).real
         probs = {
             a: read_probability(float(p), f"outcome {a!r} at setting {x!r}")
             for a, p in zip((*self.outcomes, NOCLICK), values)
@@ -196,11 +216,15 @@ def _fill(stack: np.ndarray, settings: Sequence[str], outcomes: Sequence[str], p
             raise
 
 
+def _click_sums(stack: np.ndarray, n: int) -> np.ndarray:
+    """Each setting's sum of its ``n`` good elements in ``stack``, added left to right."""
+    return sum(stack[:, :n].swapaxes(0, 1), np.zeros((len(stack), *stack.shape[2:]), dtype=complex))
+
+
 def _complete(stack: np.ndarray, n: int, where: np.ndarray | bool = True) -> np.ndarray:
     """Set the no-click rows (``where``) of ``stack`` to ``1 - sum`` of the ``n`` good elements; returns the sums."""
-    dim = stack.shape[-1]
-    sums = sum(stack[:, :n].swapaxes(0, 1), np.zeros((len(stack), dim, dim), dtype=complex))
-    np.subtract(np.eye(dim, dtype=complex), sums, out=stack[:, n], where=where)
+    sums = _click_sums(stack, n)
+    np.subtract(np.eye(stack.shape[-1], dtype=complex), sums, out=stack[:, n], where=where)
     return sums
 
 

@@ -62,7 +62,6 @@ class TwoModeFock:
             (k, n - k) for n in range(self.n_max + 1) for k in range(n + 1)
         ]
         self.dim = len(self.basis)
-        self.index = {pair: i for i, pair in enumerate(self.basis)}
 
     def sector_slice(self, n: int) -> slice:
         start = n * (n + 1) // 2

@@ -323,6 +323,12 @@ def bound_figures(analysis):
     return (*figures, analysis.beta_max, analysis.bell_deviation)
 
 
+def partial_transpose(rho, dims, party=-1):
+    """``rho`` on parties of dimensions ``dims`` with the factor ``party`` transposed: one reshape, one axis swap."""
+    n = len(dims)
+    return np.swapaxes(np.reshape(rho, (*dims, *dims)), party % n, n + party % n).reshape(np.shape(rho))
+
+
 def oracle_local_bound(sc):
     """``sc``'s functional maximised in absolute value over each product of deterministic local strategies in turn.
 

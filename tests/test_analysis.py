@@ -18,7 +18,6 @@ from fairsamp.analysis import (
     imperfect_state_bound,
     necessary_conditions,
     reference,
-    shared_references,
     state_dependent_check,
     tv_bound,
 )
@@ -515,18 +514,6 @@ class TestReferenceDecompositions:
         assert reference(dev, ref) is ref
         np.testing.assert_array_equal(reference(dev).mq, ref.mq)
 
-    def test_shared_references_read_one_decomposition(self, rng, eigh_calls):
-        devices = [helpers.perturbed_fair_device(rng) for _ in range(3)]
-        mq = default_mq(devices[0])
-        eigh_calls.clear()
-        refs = shared_references(devices, mq)
-        eps = [approximate_epsilon(dev, ref) for dev, ref in zip(devices, refs)]
-        assert eigh_calls == ["reference operator"]
-        assert [approximate_epsilon(dev, mq) for dev in devices] == eps
-        own = reference(devices[2], mq)
-        for shared, mine in zip((refs[2].support, refs[2].pinv, refs[2].root), (own.support, own.pinv, own.root)):
-            assert shared.tobytes() == mine.tobytes()
-
     def test_reference_serves_only_its_device(self, rng):
         dev = helpers.perturbed_fair_device(rng)
         twin = LossyDevice(dev.dim, dev.settings, dev.outcomes, dev.povm)
@@ -544,7 +531,6 @@ class TestReferenceDecompositions:
         sc = BellScenario([dev, dev], random_density(9, rng))
         steps = [
             lambda: reference(dev, mq),
-            lambda: shared_references([dev, dev], mq),
             lambda: check_exact(dev, mq=mq),
             lambda: approximate_epsilon(dev, mq),
             lambda: ideal_device_from(dev, mq),

@@ -558,13 +558,13 @@ class TestIdealScenario:
 
     def test_one_norm_per_click_stack(self, rng, monkeypatch):
         """The weak test's click norms serve the conjugation too."""
-        import fairsamp.analysis
+        import fairsamp.device
 
         devices = [random_fair_sampling_device(3, 3, 2, rng) for _ in range(2)]
         sc = BellScenario(devices, random_density(9, rng))
         normed = []
-        original = fairsamp.analysis.operator_norms
-        monkeypatch.setattr(fairsamp.analysis, "operator_norms", lambda stack: normed.append(stack) or original(stack))
+        original = fairsamp.device.operator_norms
+        monkeypatch.setattr(fairsamp.device, "operator_norms", lambda stack: normed.append(stack) or original(stack))
         ideal_scenario(sc)
         assert [sum(np.array_equal(s, dev.click_elements()) for s in normed) for dev in devices] == [1, 1]
 
@@ -960,3 +960,79 @@ def test_local_bound_is_the_brute_force_over_product_strategies(labelled, integr
         assert sc._functional.local_bound() == expected
     else:
         assert sc._functional.local_bound() == pytest.approx(expected, rel=1e-12, abs=1e-12)
+
+
+def chsh_over(devices, minus=(1, 1)):
+    """CHSH weights +-(-1)^(k + l) over two parties' settings i, j and outcomes k, l in label order; - at (i, j) = minus."""
+    a, b = devices
+    return {
+        ((x, y), (oa, ob)): (-1.0 if (i, j) == minus else 1.0) * (-1.0) ** (k + l)
+        for (i, x), (j, y) in itertools.product(enumerate(a.settings), enumerate(b.settings))
+        for (k, oa), (l, ob) in itertools.product(enumerate(a.outcomes), enumerate(b.outcomes))
+    }
+
+
+@settings(max_examples=60, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), dims=st.lists(st.sampled_from([0, 1, 2, 3, 4]), min_size=2, max_size=2))
+def test_strong_fair_sampling_keeps_chsh_within_tsirelson(seed, dims):
+    """Flat losses post-select the lossless statistics: |S_post| <= 2 sqrt 2 on any state.
+
+    A dimension of 0 draws a projective qubit device at random angles with one flat efficiency;
+    any other a random device with click elements proportional to the identity.
+    """
+    rng = np.random.default_rng(seed)
+    devices = [
+        projective_qubit_device(dict(zip("01", rng.uniform(-np.pi, np.pi, 2))), float(rng.uniform(0.05, 1.0)))
+        if d == 0
+        else random_fair_sampling_device(d, 2, 2, rng, mq=np.eye(d))
+        for d in dims
+    ]
+    sc = BellScenario(devices, random_density(int(np.prod([dev.dim for dev in devices])), rng), chsh_over(devices))
+    assert abs(ScenarioAnalysis(sc).bell_value_postselected) <= 2.0 * np.sqrt(2.0) + COMPLETENESS_TOL
+
+
+@pytest.mark.parametrize("efficiency", [0.05, 0.25, 1.0])
+def test_singlet_at_the_tsirelson_angles_reaches_tsirelson(efficiency):
+    value = ScenarioAnalysis(chsh_singlet_scenario(efficiency)).bell_value_postselected
+    assert abs(value) == pytest.approx(2.0 * np.sqrt(2.0), abs=1e-12)
+
+
+def analyser_chsh_analysis(eta, delta, jitter=(0.0, 0.0, 0.0, 0.0), noise=0.0):
+    """``bound``'s analysis of a singlet mixed with ``noise`` of white noise, seen by single-photon analysers.
+
+    The angles are (0, pi/4) and (pi/8, 3 pi/8) plus ``jitter``; the references are the verdicts' own.
+    """
+    from fairsamp.optics import single_photon_analyser
+
+    angles = np.array([0.0, np.pi / 4.0, np.pi / 8.0, 3.0 * np.pi / 8.0]) + jitter
+    devices = [single_photon_analyser(eta, delta, angles[:2]), single_photon_analyser(eta, delta, angles[2:])]
+    psi = (1.0 - noise) * singlet_state() + noise * np.eye(4) / 4.0
+    sc = BellScenario(devices, psi, chsh_over(devices, minus=(0, 1)))  # with - at (1, 1), S is 0 at these angles
+    return ScenarioAnalysis(sc, [check_exact(dev).reference for dev in devices])
+
+
+def lowest_partial_transpose_eigenvalue(analysis):
+    psi = ideal_scenario(analysis.scenario, analysis.references).psi
+    return float(np.linalg.eigvalsh(helpers.partial_transpose(psi, (2, 2)))[0])
+
+
+@pytest.mark.parametrize("eta, delta, margin", [(0.8, 0.05, 0.6873), (0.8, 0.2, 0.2680)])
+def test_positive_margins_of_mismatched_analysers_come_with_an_npt_filtered_state(eta, delta, margin):
+    analysis = analyser_chsh_analysis(eta, delta)
+    assert analysis.certified_margin == pytest.approx(margin, abs=5e-5)
+    assert lowest_partial_transpose_eigenvalue(analysis) == pytest.approx(-0.5, abs=1e-3)
+
+
+@settings(max_examples=40, deadline=None)
+@example(eta=0.8, delta=0.2, jitter=(0.0, 0.0, 0.0, 0.0), noise=0.0)
+@given(
+    eta=st.floats(0.5, 1.0),
+    delta=st.floats(0.0, 0.3),
+    jitter=st.tuples(*[st.floats(-0.3, 0.3)] * 4),
+    noise=st.floats(0.0, 0.4),
+)
+def test_a_positive_margin_certifies_an_npt_filtered_state(eta, delta, jitter, noise):
+    """On two qubits a positive certified margin implies a negative partial-transpose eigenvalue (not conversely)."""
+    analysis = analyser_chsh_analysis(eta, delta, jitter, noise)
+    if analysis.certified_margin > 0.0:
+        assert lowest_partial_transpose_eigenvalue(analysis) < 0.0

@@ -571,7 +571,7 @@ STATE, QUBIT = ("eigvalsh", (4, 4)), ("eigh", (2, 2))
     [
         (["simulate", "--postselect", "CHSH"], 0, [STATE, QUBIT, QUBIT, STATE]),
         (["bound", "CHSH"], 0, [STATE, QUBIT, QUBIT, STATE]),
-        (["bound", "CHSH", "--mq", "EYE2"], 0, [STATE, QUBIT, STATE]),
+        (["bound", "CHSH", "--mq", "EYE2"], 0, [STATE, QUBIT, QUBIT, STATE]),
         (["check", "UNEQUAL", "--mq", "MQ"], 2, [("eigh", (6, 6))]),
     ],
     ids=["simulate", "bound", "bound-mq", "check-mq"],

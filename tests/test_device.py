@@ -19,7 +19,7 @@ from fairsamp.device import (
     total_variation,
 )
 from fairsamp.filters import canonical_decomposition
-from fairsamp.linalg import MAX_DIM, SCREEN_FROM_DIM, NotPositiveError, projector
+from fairsamp.linalg import MAX_DIM, SCREEN_FROM_DIM, NotPositiveError, operator_norms, projector
 from fairsamp.optics import single_photon_analyser
 from fairsamp.sampling import random_density, random_povm
 
@@ -420,6 +420,49 @@ class TestClickElement:
     def test_unknown_setting(self, traced):
         with pytest.raises(KeyError):
             traced.click_element("weird")
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    dim=st.integers(1, 8),
+    n_settings=st.integers(1, 4),
+    n_outcomes=st.integers(1, 4),
+)
+def test_click_elements_are_summed_once_left_to_right_and_read_only(seed, dim, n_settings, n_outcomes):
+    dev = helpers.random_multisetting_device(np.random.default_rng(seed), dim, n_settings, n_outcomes)
+    clicks = dev.click_elements()
+    for i, x in enumerate(dev.settings):
+        expected = sum(dev.stack[i, :n_outcomes]).tobytes()
+        assert clicks[i].tobytes() == dev.click_element(x).tobytes() == expected
+    assert dev.click_elements() is clicks and dev.click_norms is dev.click_norms
+    assert dev.click_norms.tobytes() == operator_norms(clicks).tobytes()
+    for array in (clicks, dev.click_element(dev.settings[-1]), dev.click_norms):
+        with pytest.raises(ValueError, match="read-only"):
+            array[0] = 0.0
+
+
+RHO = np.eye(2) / 2.0
+
+
+@pytest.mark.parametrize(
+    "method, args, message",
+    [
+        ("element", ("z", "+"), "unknown setting 'z'"),
+        ("element", ("0", "q"), "unknown outcome 'q'"),
+        ("click_element", ("z",), "unknown setting 'z'"),
+        ("noclick_element", ("z",), "unknown setting 'z'"),
+        ("efficiency", ("z", RHO), "unknown setting 'z'"),
+        ("outcome_distribution", ("z", RHO), "unknown setting 'z'"),
+        ("postselected_distribution", ("z", RHO), "unknown setting 'z'"),
+    ],
+    ids=["element-setting", "element-outcome", "click", "noclick", "efficiency", "raw", "postselected"],
+)
+def test_unknown_labels_raise_a_key_error_naming_them(method, args, message):
+    dev = projective_qubit_device({"0": 0.0}, 0.5)
+    with pytest.raises(KeyError) as raised:
+        getattr(dev, method)(*args)
+    assert raised.value.args == (message,)
 
 
 class TestEfficiency:

@@ -215,9 +215,9 @@ class TestAnalyserMq:
         mq = analyser_mq(0.8, 2)
         fock = TwoModeFock(2)
         diag = np.real(np.diag(mq))
-        assert diag[fock.index[(0, 0)]] == pytest.approx(0.0, abs=1e-15)
-        assert diag[fock.index[(1, 0)]] == pytest.approx(0.8, abs=1e-15)
-        assert diag[fock.index[(0, 2)]] == pytest.approx(0.96, abs=1e-15)
+        assert diag[fock.basis.index((0, 0))] == pytest.approx(0.0, abs=1e-15)
+        assert diag[fock.basis.index((1, 0))] == pytest.approx(0.8, abs=1e-15)
+        assert diag[fock.basis.index((0, 2))] == pytest.approx(0.96, abs=1e-15)
 
     def test_filtered_states_have_no_vacuum(self, rng):
         n_max = 3
