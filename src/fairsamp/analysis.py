@@ -52,11 +52,8 @@ class Reference:
 
     def __init__(self, mq: np.ndarray | None, device: LossyDevice):
         if mq is None:
-            clicks, norms = device.click_elements(), device.click_norms
-            live = norms > ZERO_ACCEPTANCE
-            if not live.any():
-                raise ValueError("all click elements vanish; no reference operator exists")
-            mq = sum(clicks[live] / norms[live, None, None]) / int(live.sum())
+            live = device.live
+            mq = sum(device.click_elements()[live] / device.click_norms[live, None, None]) / live.size
         elif np.shape(mq) != (device.dim,) * 2:
             raise ValueError(f"reference operator has shape {np.shape(mq)}, but the device has dimension {device.dim}")
         self.mq, self.device = mq, device
@@ -77,7 +74,7 @@ class Reference:
         """
         live, conjugated, norms = _conjugated_clicks(self.device, self.support, self.pinv)
         gaps = self.support - conjugated
-        return live, gaps, norms, float(operator_norms(gaps).max(initial=0.0))
+        return live, gaps, norms, float(operator_norms(gaps).max())
 
 
 def reference(dev: LossyDevice, mq: np.ndarray | Reference | None = None) -> Reference:
@@ -171,8 +168,9 @@ def check_exact(
     identity on the full space; homogeneous requires the per-setting scales
     to coincide.  For devices failing the weak test, epsilon reports the
     approximate deviation with respect to the uniform-average reference.
-    Erased settings (click norm at most ZERO_ACCEPTANCE) are left out of the
-    weak test and of epsilon; they keep their entry in ``classical_eff``.
+    Erased settings (not in ``dev.live``) are left out of the weak test and
+    of epsilon; they keep their entry in ``classical_eff``.  A device with
+    no live setting raises ``ZeroAcceptanceError``.
     With ``mq`` (a matrix or a ``Reference``), ``quantum_elem``, ``support``
     and ``epsilon`` come from that reference instead; the flags stay the device's.
     """
@@ -197,15 +195,12 @@ def _weak_reference(dev: LossyDevice, tol: float = VERDICT_TOL) -> np.ndarray | 
     """The weak test of ``check_exact``: the reference ``mq``, or None when the test fails.
 
     ``mq`` is the first live click element scaled to unit operator norm.  A
-    device whose every click element vanishes raises ``ZeroAcceptanceError``.
+    device with no live setting raises ``ZeroAcceptanceError``.
     """
-    clicks, norms = dev.click_elements(), dev.click_norms
-    live = norms > ZERO_ACCEPTANCE
-    if not live.any():
-        raise ZeroAcceptanceError("all click elements vanish; the device never accepts")
+    clicks, norms, live = dev.click_elements(), dev.click_norms, dev.live
     if not _pairwise_proportional(clicks[live], norms[live], tol):
         return None
-    first = int(np.argmax(live))
+    first = live[0]
     return clicks[first] / norms[first]
 
 
@@ -213,7 +208,8 @@ def default_mq(dev: LossyDevice) -> np.ndarray:
     """Uniform average of the norm-scaled click elements.
 
     Erased settings (click norm at most ZERO_ACCEPTANCE) carry no shape
-    information and are skipped.
+    information and are skipped; a device with no live setting raises
+    ``ZeroAcceptanceError``.
     """
     return reference(dev).mq
 
@@ -221,12 +217,11 @@ def default_mq(dev: LossyDevice) -> np.ndarray:
 def _conjugated_clicks(dev: LossyDevice, pi: np.ndarray, pinv: np.ndarray):
     """(live setting indices, stack of ``mt / s``, norms ``s``) for ``mt = pinv @ click @ pinv``.
 
-    Erased settings (click norm at most ZERO_ACCEPTANCE) are skipped; a live
-    click element must lie inside the reference support ``pi`` and click
-    somewhere on it.  The first setting, in label order, that fails either
-    test is named in the error.
+    Only ``dev.live`` is read; a live click element must lie inside the
+    reference support ``pi`` and click somewhere on it.  The first setting,
+    in label order, that fails either test is named in the error.
     """
-    live = np.flatnonzero(dev.click_norms > ZERO_ACCEPTANCE)
+    live = dev.live
     mc, norms = dev.click_elements()[live], dev.click_norms[live]
     residual = pi @ mc @ pi - mc
     leaks = norms_exceed(residual, VERDICT_TOL * np.maximum(1.0, norms))
@@ -251,7 +246,8 @@ def approximate_epsilon(dev: LossyDevice, mq: np.ndarray | Reference) -> float:
     For each live setting, conjugate the click element by the pseudo-inverse
     square root of ``mq``, normalize, and measure the distance to the
     support projector; the maximum over settings is the epsilon of
-    approximate fair sampling.  Erased settings do not contribute.
+    approximate fair sampling.  Erased settings do not contribute; a device
+    with no live setting raises ``ZeroAcceptanceError``.
     """
     *_, epsilon = reference(dev, mq)._conjugation
     return epsilon
@@ -271,8 +267,6 @@ def ideal_device_from(dev: LossyDevice, mq: np.ndarray | Reference) -> LosslessD
     live, gaps, norms, epsilon = ref._conjugation
     if epsilon >= 1.0:
         raise ValueError(f"approximate deviation {epsilon:.3f} >= 1; no ideal device exists")
-    if not live.size:
-        raise ZeroAcceptanceError("all click elements vanish; the device never accepts")
     n = len(dev.outcomes)
     stack = ref.pinv @ dev.stack[live, :n] @ ref.pinv / norms[:, None, None, None] + gaps[:, None] / n
     return LosslessDevice(dev.dim, [dev.settings[i] for i in live], dev.outcomes, stack)

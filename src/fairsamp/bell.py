@@ -81,15 +81,6 @@ class BellScenario:
     def setting_tuples(self):
         return itertools.product(*(dev.settings for dev in self.devices))
 
-    def _check_settings(self, xs: Sequence[str]) -> tuple[str, ...]:
-        xs = tuple(xs)
-        if len(xs) != self.n_parties:
-            raise ValueError(f"expected {self.n_parties} settings, got {len(xs)}")
-        for dev, x in zip(self.devices, xs):
-            if x not in dev.settings:
-                raise KeyError(f"unknown setting {x!r}")
-        return xs
-
     def _contract_step(self, t: np.ndarray, k: int, stack: np.ndarray) -> np.ndarray:
         """Contract party k's element stack, shape (m_k, d_k, d_k), into the partial tensor ``t``.
 
@@ -124,18 +115,20 @@ class BellScenario:
         at once.
         """
         n = self.n_parties
-        index = [{x: i for i, x in enumerate(dev.settings)} for dev in self.devices]
         partial = [self.psi.reshape([dev.dim for dev in self.devices] * 2)] + [None] * n
-        prefix: list[str | None] = [None] * n
+        prefix: list[object] = [object()] * n  # matches no label, None included
         outcomes = tuple((*dev.outcomes, NOCLICK) for dev in self.devices)
         keys, probs = [], []
         for xs in self.setting_tuples() if tuples is None else tuples:
-            xs = self._check_settings(xs)
+            xs = tuple(xs)
+            if len(xs) != n:
+                raise ValueError(f"expected {n} settings, got {len(xs)}")
             k = 0
             while k < n and prefix[k] == xs[k]:
                 k += 1
             for j in range(k, n):
-                partial[j + 1] = self._contract_step(partial[j], j, self.devices[j].stack[index[j][xs[j]]])
+                dev = self.devices[j]
+                partial[j + 1] = self._contract_step(partial[j], j, dev.stack[dev._index(xs[j])])
                 prefix[j] = xs[j]
             keys.append(xs)
             probs.append(partial[n].real)

@@ -9,7 +9,6 @@ density matrix.
 from __future__ import annotations
 
 import functools
-from types import MappingProxyType
 from typing import Mapping, Sequence
 
 import numpy as np
@@ -50,11 +49,11 @@ class LossyDevice:
 
     ``stack`` holds every element in one read-only complex array of shape
     ``(settings, outcomes + 1, dim, dim)``: settings and good outcomes in
-    label order, the no-click element last.  ``povm`` is a read-only mapping
-    setting -> outcome -> view into ``stack``.  ``click_elements()`` and
-    ``click_norms`` are computed once, when first read, and are read-only
-    too.  The input ``povm`` is such a mapping, or the good elements as one
-    stack of shape ``(settings, outcomes, dim, dim)``; either is copied.  A
+    label order, the no-click element last; everything else is read from it.
+    ``click_elements()``, ``click_norms`` and ``live`` are computed once,
+    when first read, and are read-only too.  The input ``povm`` is a mapping
+    setting -> outcome -> element, or the good elements as one stack of
+    shape ``(settings, outcomes, dim, dim)``; either is copied.  A
     no-click element the input omits (a stack always does) is reconstructed
     from completeness; if present, the full sum must equal the identity
     within COMPLETENESS_TOL.  Every element
@@ -78,20 +77,14 @@ class LossyDevice:
         """Take the validated ``stack`` as this device's elements; it is frozen, not copied."""
         stack.setflags(write=False)
         self.dim, self.settings, self.outcomes, self.stack = dim, settings, outcomes, stack
-        labels = (*outcomes, NOCLICK)
-        self.povm = MappingProxyType({x: MappingProxyType(dict(zip(labels, row))) for x, row in zip(settings, stack)})
 
-    def _index(self, x: str, a: str = NOCLICK) -> int:
-        """Row of setting ``x`` in ``stack``; an unknown setting, or outcome ``a``, raises ``KeyError`` naming it."""
-        if x not in self.povm:
-            raise KeyError(f"unknown setting {x!r}")
-        if a not in self.povm[x]:
-            raise KeyError(f"unknown outcome {a!r}")
-        return self.settings.index(x)
+    def _index(self, x: str) -> int:
+        """Row of setting ``x`` in ``stack``; an unknown setting raises ``KeyError`` naming it."""
+        return _position(self.settings, x, "setting")
 
     def element(self, x: str, a: str) -> np.ndarray:
-        self._index(x, a)  # an unknown label raises, named
-        return self.povm[x][a]
+        """Outcome ``a``'s element at setting ``x``, a view into ``stack``; unknown labels raise ``KeyError``."""
+        return self.stack[self._index(x), _position((*self.outcomes, NOCLICK), a, "outcome")]
 
     def click_element(self, x: str) -> np.ndarray:
         """Sum of the good-outcome elements for setting x: its row of ``click_elements()``."""
@@ -113,6 +106,18 @@ class LossyDevice:
         norms = operator_norms(self._click_stack)
         norms.setflags(write=False)
         return norms
+
+    @functools.cached_property
+    def live(self) -> np.ndarray:
+        """Indices of the settings whose click norm exceeds ZERO_ACCEPTANCE, read-only; the rest are erased.
+
+        A device with no live setting never accepts and raises ``ZeroAcceptanceError``.
+        """
+        live = np.flatnonzero(self.click_norms > ZERO_ACCEPTANCE)
+        if not live.size:
+            raise ZeroAcceptanceError("all click elements vanish; the device never accepts")
+        live.setflags(write=False)
+        return live
 
     def noclick_element(self, x: str) -> np.ndarray:
         return self.element(x, NOCLICK)
@@ -148,6 +153,14 @@ class LossyDevice:
                 f"setting {x!r} has acceptance {acc:.3e}; erase it from the allowed settings"
             )
         return {a: raw[a] / acc for a in self.outcomes}
+
+
+def _position(labels: tuple[str, ...], label: str, kind: str) -> int:
+    """Index of ``label`` in ``labels``; one not there raises ``KeyError`` naming it as an unknown ``kind``."""
+    try:
+        return labels.index(label)
+    except ValueError:
+        raise KeyError(f"unknown {kind} {label!r}") from None
 
 
 def _dimension(dim) -> int:
@@ -256,14 +269,14 @@ def _check_lossy(settings: Sequence[str], outcomes: Sequence[str], stack: np.nda
         raise ValueError(f"setting {settings[i]!r} violates completeness by {residual[i]:.3e}")
 
 
-def _check_lossless(settings: Sequence[str], outcomes: Sequence[str], stack: np.ndarray) -> np.ndarray:
+def _check_lossless(settings: Sequence[str], outcomes: Sequence[str], stack: np.ndarray) -> None:
     """Complete a lossless ``stack`` and raise what a check of one good element at a time raises first.
 
     Each setting's no-click row is set to ``1 - sum``.  Per setting, in label
     order: each good element's Hermiticity and positivity, then whether the
     outcome sum is a projector; after every setting, the no-click elements,
     with the error ``LossyDevice`` raises for them.  One ``psd_faults`` call
-    covers the good and the no-click elements alike.  Returns the outcome sums.
+    covers the good and the no-click elements alike.
     """
     n = len(outcomes)
     dim = stack.shape[-1]
@@ -281,7 +294,6 @@ def _check_lossless(settings: Sequence[str], outcomes: Sequence[str], stack: np.
         i = bad[0]
         raise ValueError(f"outcome sum for setting {settings[i]!r} is not a projector (residual {residual[i]:.3e})")
     raise_psd_fault(herm[:, n], lowest[:, n], lambda i: f"POVM element ({settings[i]!r}, {NOCLICK})")
-    return sums
 
 
 class LosslessDevice(LossyDevice):
@@ -289,10 +301,10 @@ class LosslessDevice(LossyDevice):
 
     Acting on a state supported inside that projector it always produces a
     good outcome.  It is the lossy device whose no-click element is
-    ``1 - support``, stored and read as any ``LossyDevice`` is.  ``support``
-    maps each setting to its projector; it is validated to be idempotent and
-    to match the outcome sum.  ``povm`` is a mapping or a good-element stack,
-    as for ``LossyDevice``, but a mapping's no-click elements are not read.
+    ``1 - support``, stored and read as any ``LossyDevice`` is: each
+    setting's support projector is its click element, validated to be
+    idempotent.  ``povm`` is a mapping or a good-element stack, as for
+    ``LossyDevice``, but a mapping's no-click elements are not read.
     """
 
     def __init__(self, dim: int, settings: Sequence[str], outcomes: Sequence[str], povm: Elements):
@@ -300,17 +312,13 @@ class LosslessDevice(LossyDevice):
         settings, outcomes = _labels(settings, outcomes)
         stack = np.empty((len(settings), len(outcomes) + 1, dim, dim), dtype=complex)
         _fill(stack, settings, outcomes, povm, lambda i: _check_lossless(settings[:i], outcomes, stack[:i]))
-        sums = _check_lossless(settings, outcomes, stack)
+        _check_lossless(settings, outcomes, stack)
         self._finish(dim, settings, outcomes, stack)
-        self.support = dict(zip(settings, sums))
 
     def common_support(self) -> np.ndarray | None:
-        """The shared support projector, or None if it differs across settings."""
-        first = self.support[self.settings[0]]
-        for x in self.settings[1:]:
-            if np.max(np.abs(self.support[x] - first)) > COMPLETENESS_TOL:
-                return None
-        return first
+        """The shared support projector, or None if the click elements differ across settings."""
+        clicks = self.click_elements()
+        return None if np.max(np.abs(clicks - clicks[0])) > COMPLETENESS_TOL else clicks[0]
 
     def to_lossy(self) -> LossyDevice:
         """This device itself: it already is the lossy device completed by ``1 - support``."""

@@ -240,8 +240,20 @@ def silent_device():
 def oracle_to_lossy(dev):
     """``LosslessDevice.to_lossy`` through ``LossyDevice.__init__``: no-click elements ``1 - support``."""
     eye = np.eye(dev.dim, dtype=complex)
-    povm = {x: {**dev.povm[x], NOCLICK: eye - dev.support[x]} for x in dev.settings}
+    povm = {
+        x: {**{a: dev.element(x, a) for a in dev.outcomes}, NOCLICK: eye - dev.click_element(x)} for x in dev.settings
+    }
     return LossyDevice(dev.dim, dev.settings, dev.outcomes, povm)
+
+
+def oracle_common_support(dev):
+    """``LosslessDevice.common_support`` as the loop over a per-setting ``support`` mapping it replaced."""
+    support = {x: sum(dev.stack[i, :len(dev.outcomes)]) for i, x in enumerate(dev.settings)}
+    first = support[dev.settings[0]]
+    for x in dev.settings[1:]:
+        if np.max(np.abs(support[x] - first)) > COMPLETENESS_TOL:
+            return None
+    return first
 
 
 def oracle_ideal_scenario(sc, mqs=None):
@@ -473,7 +485,7 @@ def oracle_outcome_distribution(dev, x, rho):
     """``LossyDevice.outcome_distribution`` with one ``probability`` call per outcome."""
     rho = assert_density(rho)
     labels = (*dev.outcomes, NOCLICK)
-    probs = {a: probability(dev.povm[x][a], rho, f"outcome {a!r} at setting {x!r}") for a in labels}
+    probs = {a: probability(dev.element(x, a), rho, f"outcome {a!r} at setting {x!r}") for a in labels}
     total = sum(probs.values())
     if abs(total - 1.0) > COMPLETENESS_TOL:
         raise ValueError(f"distribution for setting {x!r} sums to {total!r}")

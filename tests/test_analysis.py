@@ -21,6 +21,8 @@ from fairsamp.analysis import (
     state_dependent_check,
     tv_bound,
 )
+from fairsamp.bell import BellScenario, ideal_scenario
+from fairsamp.cli import singlet_state
 from fairsamp.device import LossyDevice, ZeroAcceptanceError, projective_qubit_device, total_variation
 from fairsamp.filters import canonical_decomposition
 from fairsamp.linalg import SCREEN_FROM_DIM, expect, operator_norm, operator_norms, projector
@@ -138,6 +140,30 @@ class TestErasure:
     def test_weak_setting_is_live(self):
         dev = self.faint_device(1e-6)
         assert approximate_epsilon(dev, np.eye(2)) == pytest.approx(1.0, abs=1e-12)
+
+
+def _in_a_scenario(dev):
+    return ideal_scenario(BellScenario([dev, projective_qubit_device({"0": 0.0})], singlet_state()))
+
+
+NEVER_CLICKS = {
+    "default_mq": default_mq,
+    "reference": reference,
+    "check_exact": check_exact,
+    "approximate_epsilon": lambda dev: approximate_epsilon(dev, np.eye(2)),
+    "ideal_device_from": lambda dev: ideal_device_from(dev, np.eye(2)),
+    "ideal_scenario": _in_a_scenario,
+}
+
+
+@pytest.mark.parametrize("call", NEVER_CLICKS.values(), ids=NEVER_CLICKS.keys())
+def test_a_device_that_never_clicks_raises_one_error_everywhere(call):
+    """Each step reads ``dev.live``, so none can take a device without a live setting; one dead setting is erased."""
+    blind = LossyDevice(2, ["x"], ["a"], {"x": {"a": np.zeros((2, 2))}})
+    with pytest.raises(ZeroAcceptanceError) as raised:
+        call(blind)
+    assert raised.value.args == ("all click elements vanish; the device never accepts",)
+    call(helpers.silent_device())
 
 
 class TestDefaultMq:
@@ -516,7 +542,7 @@ class TestReferenceDecompositions:
 
     def test_reference_serves_only_its_device(self, rng):
         dev = helpers.perturbed_fair_device(rng)
-        twin = LossyDevice(dev.dim, dev.settings, dev.outcomes, dev.povm)
+        twin = LossyDevice(dev.dim, dev.settings, dev.outcomes, dev.stack[:, :-1])
         with pytest.raises(ValueError, match="reference was built for another device"):
             approximate_epsilon(twin, reference(dev))
 

@@ -78,6 +78,22 @@ class TestJointRaw:
         for xs in sc.setting_tuples():
             assert sum(sc.joint_raw(xs).values()) == pytest.approx(1.0, abs=1e-9)
 
+    @pytest.mark.parametrize(
+        "read",
+        [
+            lambda sc: sc.tables([("0", "1"), ("0", "z")]),
+            lambda sc: sc.tables([("z", "0")]),
+            lambda sc: sc.joint_raw(("0", "z")),
+        ],
+        ids=["behind-a-shared-prefix", "first-party", "joint-raw"],
+    )
+    def test_unknown_setting_is_named_by_the_device(self, read):
+        """The walk reads each party's row by the device's own lookup, so a bad label raises its ``KeyError``."""
+        dev = projective_qubit_device({"0": 0.0, "1": np.pi / 4.0})
+        with pytest.raises(KeyError) as raised:
+            read(BellScenario([dev, dev], singlet_state()))
+        assert raised.value.args == ("unknown setting 'z'",)
+
     def test_no_signalling_marginals(self, rng):
         sc = random_scenario(rng, n_parties=2)
         dev_a, dev_b = sc.devices

@@ -74,12 +74,6 @@ class TestConstruction:
         with pytest.raises(ValueError):
             traced.element("0", "+")[0, 0] = 9.0
 
-    def test_povm_is_a_read_only_mapping(self, traced):
-        with pytest.raises(TypeError):
-            traced.povm["0"] = {}
-        with pytest.raises(TypeError):
-            traced.povm["0"]["+"] = np.zeros((2, 2))
-
     def test_input_arrays_are_copied_not_frozen(self):
         m = 0.3 * np.eye(2, dtype=complex)
         dev = LossyDevice(2, ["x"], ["a"], {"x": {"a": m}})
@@ -95,7 +89,6 @@ class TestStack:
         assert not traced.stack.flags.writeable
         for i, x in enumerate(traced.settings):
             for j, a in enumerate((*traced.outcomes, NOCLICK)):
-                assert traced.element(x, a) is traced.povm[x][a]
                 assert np.shares_memory(traced.element(x, a), traced.stack)
                 np.testing.assert_array_equal(traced.stack[i, j], traced.element(x, a))
             np.testing.assert_array_equal(traced.noclick_element(x), traced.stack[i, -1])
@@ -110,9 +103,7 @@ class TestStack:
     def test_lossless_device_stacks_its_outcomes(self):
         dev = LosslessDevice(2, ["x", "y"], ["a"], {"x": {"a": np.diag([1.0, 0.0])}, "y": {"a": np.eye(2)}})
         assert dev.stack.shape == (2, 2, 2, 2)  # a lossy device's stack: the no-click row 1 - support last
-        np.testing.assert_array_equal(dev.povm["x"][NOCLICK], np.eye(2) - dev.support["x"])
-        with pytest.raises(TypeError):
-            dev.povm["x"]["a"] = np.eye(2)
+        np.testing.assert_array_equal(dev.element("x", NOCLICK), np.eye(2) - dev.click_element("x"))
 
     def test_one_eigvalsh_call_per_device(self, rng, monkeypatch):
         calls = []
@@ -440,6 +431,40 @@ def test_click_elements_are_summed_once_left_to_right_and_read_only(seed, dim, n
     for array in (clicks, dev.click_element(dev.settings[-1]), dev.click_norms):
         with pytest.raises(ValueError, match="read-only"):
             array[0] = 0.0
+
+
+@settings(max_examples=30, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    dim=st.integers(2, 4),
+    n_settings=st.integers(1, 3),
+    n_outcomes=st.integers(1, 3),
+    dead=st.booleans(),
+)
+def test_lossless_click_elements_are_the_support_projectors(seed, dim, n_settings, n_outcomes, dead):
+    """A lossless device's click stack is summed as any device's, and ``common_support`` reads it as the loop did.
+
+    A dead setting gives the canonical lossless device a zero support, so the supports differ.
+    """
+    rng = np.random.default_rng(seed)
+    dev = helpers.random_multisetting_device(rng, dim, n_settings, n_outcomes)
+    fair = helpers.perturbed_fair_device(rng, dim, n_settings, n_outcomes)
+    if dead:
+        dev, fair = helpers.with_dead_setting(dev), helpers.with_dead_setting(fair)
+    for lossless in (canonical_decomposition(dev).lossless, ideal_device_from(fair, check_exact(fair).reference)):
+        clicks = lossless.click_elements()
+        for i in range(len(lossless.settings)):
+            assert clicks[i].tobytes() == sum(lossless.stack[i, :n_outcomes]).tobytes()
+        expected, common = helpers.oracle_common_support(lossless), lossless.common_support()
+        assert (common is None) == (expected is None)
+        assert common is None or common.tobytes() == expected.tobytes()
+
+
+def test_live_holds_the_settings_that_click_once_and_read_only():
+    dev = helpers.silent_device()
+    assert dev.live.tolist() == [0] and dev.live is dev.live
+    with pytest.raises(ValueError, match="read-only"):
+        dev.live[0] = 1
 
 
 RHO = np.eye(2) / 2.0

@@ -61,7 +61,7 @@ class TestCanonicalDecomposition:
             2, ["x"], ["+", "-"], {"x": {"+": np.diag([1.0, 0.0]), "-": np.zeros((2, 2))}}
         )
         dc = canonical_decomposition(dev)
-        np.testing.assert_allclose(dc.lossless.support["x"], np.diag([1.0, 0.0]), atol=1e-10)
+        np.testing.assert_allclose(dc.lossless.click_element("x"), np.diag([1.0, 0.0]), atol=1e-10)
         np.testing.assert_allclose(dc.lossless.element("x", "+"), np.diag([1.0, 0.0]), atol=1e-10)
 
     def test_kraus_completeness_invariant(self, rng):
@@ -200,7 +200,7 @@ class TestClassicalNormalForm:
         )
         _, w = classical_normal_form(fc, lossless)
         for x in w.settings:
-            np.testing.assert_allclose(w.support[x], np.eye(2), atol=1e-9)
+            np.testing.assert_allclose(w.click_element(x), np.eye(2), atol=1e-9)
 
     @pytest.mark.parametrize(
         "accept,transition,message",

@@ -174,6 +174,19 @@ class TestClosedForm:
     def test_values(self, eta, delta, expected):
         assert analyser_epsilon_closed_form(eta, delta) == pytest.approx(expected, abs=1e-12)
 
+    @pytest.mark.parametrize(
+        "eta,delta,closed,default",
+        [(0.8, 0.05, 0.0125, 0.008855131835), (0.8, 0.2, 0.05, 0.035621883366), (0.5, 0.1, 0.1, 0.071809564345)],
+    )
+    def test_closed_form_reads_the_identity_not_the_default_reference(self, eta, delta, closed, default):
+        """``bound`` without ``--mq`` reads the verdict's, uniform-average, reference: about 0.71 of the closed form."""
+        dev = single_photon_analyser(eta, delta, (0.0, np.pi / 4.0))
+        against_identity, verdict = approximate_epsilon(dev, np.eye(2)), check_exact(dev)
+        assert analyser_epsilon_closed_form(eta, delta) == pytest.approx(closed, abs=1e-12)
+        assert against_identity == pytest.approx(closed, abs=1e-12)
+        assert not verdict.weak and verdict.epsilon == pytest.approx(default, abs=1e-12)
+        assert 0.70 < verdict.epsilon / against_identity < 0.72
+
     def test_eta_zero_rejected(self):
         with pytest.raises(ValueError):
             analyser_epsilon_closed_form(0.0, 0.1)
