@@ -418,8 +418,11 @@ def state_dependent_check(
     which case the common normalized state and the per-setting acceptance
     scalars are returned.  A ``party`` outside ``range(len(party_dims))``,
     or a Kraus operator that is not ``party_dims[party]`` square, raises
-    ``ValueError`` naming the party or the setting.
+    ``ValueError`` naming the party or the setting, and so does a map with
+    no setting, before any other check.
     """
+    if not filter_click:
+        raise ValueError("filter_click holds no setting")
     check_tolerance(tol)
     psi = as_operator(psi)
     dims = [int(d) for d in party_dims]

@@ -82,59 +82,51 @@ class BellScenario:
         return itertools.product(*(dev.settings for dev in self.devices))
 
     def _contract_step(self, t: np.ndarray, k: int, stack: np.ndarray) -> np.ndarray:
-        """Contract party k's element stack, shape (m_k, d_k, d_k), into the partial tensor ``t``.
+        """Contract party k's element stack, shape (S_k, m_k + 1, d_k, d_k), into ``t`` for every setting prefix.
 
-        ``t`` is ``psi`` reshaped to 2n legs (rows, then columns) with parties
-        0..k-1 already contracted, so party k's row leg is axis 0 and its
-        column leg axis n - k; the outcome axes collect at the end in party
-        order.
+        Axis 0 of ``t`` runs over the setting prefixes of parties 0..k-1; the rest are ``psi``'s 2n legs
+        (rows, then columns) with those parties contracted: party k's row leg is axis 1, its column leg
+        axis 1 + n - k, and the outcome axes collect at the end.  Axis 0 of the result runs over
+        (prefix, setting) pairs in ``setting_tuples()`` order.
         """
-        # Tr(E psi) = sum_ij E[i, j] psi[j, i]: E's row index meets psi's column leg.  This is
-        # np.tensordot(t, stack, axes=([0, n - k], [2, 1])) without its axis bookkeeping: the
-        # same transposes, reshapes and np.dot, so the same bits.
-        col = self.n_parties - k
-        rest = [ax for ax in range(t.ndim) if ax != 0 and ax != col]
-        m, d = stack.shape[0], stack.shape[-1]
-        at = t.transpose(*rest, 0, col).reshape(-1, d * d)
-        bt = stack.transpose(2, 1, 0).reshape(d * d, m)
-        return np.dot(at, bt).reshape(*(t.shape[ax] for ax in rest), m)
+        # Tr(E psi) = sum_ij E[i, j] psi[j, i]: E's row index meets psi's column leg.  Each
+        # (prefix, setting) slice of the matmul is np.tensordot(t[p], stack[x], axes=([0, n - k], [2, 1]))
+        # without its axis bookkeeping: the same transposes, reshapes and np.dot operands, so the same bits.
+        col = 1 + self.n_parties - k
+        rest = [ax for ax in range(2, t.ndim) if ax != col]
+        s, m, d = stack.shape[0], stack.shape[1], stack.shape[-1]
+        at = t.transpose(0, *rest, 1, col).reshape(len(t), 1, -1, d * d)
+        bt = stack.transpose(0, 3, 2, 1).reshape(s, d * d, m)
+        return np.matmul(at, bt).reshape(len(t) * s, *(t.shape[ax] for ax in rest), m)
 
     def tables(self, tuples: Iterable[Sequence[str]] | None = None) -> JointTables:
         """The ``JointTables`` of the setting tuples ``tuples``, all of ``setting_tuples()`` by default.
 
-        One walk contracts the parties' element stacks into ``psi`` in party
-        order and keeps the partial contraction of the current setting prefix,
-        so consecutive tuples sharing a prefix share its contractions.  Over all
-        tuples in ``setting_tuples()`` order that is S_0 + S_0 S_1 + ... +
-        S_0 ... S_{n-1} contraction steps for S_k settings of party k, instead
-        of n per tuple; each step has the operands a lone tuple's would, so
-        every table is the same to the bit.  A probability below
-        ``-COMPLETENESS_TOL`` raises, naming the outcomes of the smallest
-        entry of the first such tuple in walk order; smaller negative drift is
-        clamped to 0.  The tables are slices of one array, checked and clamped
-        at once.
+        Every label is resolved first, so a tuple of the wrong length or with an
+        unknown setting raises before any contraction, naming the first faulty
+        tuple's first faulty party.  Then each party's whole element stack is
+        contracted into ``psi`` once, n steps whatever ``tuples`` holds, and the
+        tables asked for are picked from the result; each has the operands a
+        lone tuple's contraction would, so the same bits.  A probability below
+        ``-COMPLETENESS_TOL`` raises, naming the outcomes of the smallest entry
+        of the first such tuple asked for; smaller negative drift is clamped to
+        0.  The tables are slices of one array, checked and clamped at once.
         """
         n = self.n_parties
-        partial = [self.psi.reshape([dev.dim for dev in self.devices] * 2)] + [None] * n
-        prefix: list[object] = [object()] * n  # matches no label, None included
         outcomes = tuple((*dev.outcomes, NOCLICK) for dev in self.devices)
-        keys, probs = [], []
+        keys, rows = [], []
         for xs in self.setting_tuples() if tuples is None else tuples:
             xs = tuple(xs)
             if len(xs) != n:
                 raise ValueError(f"expected {n} settings, got {len(xs)}")
-            k = 0
-            while k < n and prefix[k] == xs[k]:
-                k += 1
-            for j in range(k, n):
-                dev = self.devices[j]
-                partial[j + 1] = self._contract_step(partial[j], j, dev.stack[dev._index(xs[j])])
-                prefix[j] = xs[j]
             keys.append(xs)
-            probs.append(partial[n].real)
+            rows.append([dev._index(x) for dev, x in zip(self.devices, xs)])
         if not keys:
             return JointTables(outcomes, {})
-        stacked = np.stack(probs)
+        t = self.psi.reshape([dev.dim for dev in self.devices] * 2)[None]
+        for k, dev in enumerate(self.devices):
+            t = self._contract_step(t, k, dev.stack)
+        stacked = t.real[np.ravel_multi_index(np.transpose(rows), [len(dev.settings) for dev in self.devices])]
         failing = np.flatnonzero(stacked.reshape(len(keys), -1).min(axis=1) < -COMPLETENESS_TOL).tolist()
         if failing:
             table = stacked[failing[0]]
@@ -187,7 +179,7 @@ def _good(table: np.ndarray) -> np.ndarray:
 
 @dataclass(frozen=True, eq=False)
 class JointTables:
-    """Joint tables of one walk over setting tuples (``BellScenario.tables``), keyed by setting tuple.
+    """Joint tables of setting tuples (``BellScenario.tables``), keyed by setting tuple in the order asked for.
 
     ``raw[xs]`` is one real array of shape ``(m_0 + 1, ..., m_{n-1} + 1)`` for
     m_k good outcomes of party k; ``outcomes[k]`` labels axis k: party k's good
@@ -221,7 +213,7 @@ class JointTables:
 
     @property
     def erased(self) -> list[tuple[str, ...]]:
-        """The setting tuples left out of ``postselected``, in walk order."""
+        """The setting tuples left out of ``postselected``, in the order of ``raw``."""
         return [xs for xs in self.raw if xs not in self.postselected]
 
     def max_deviation(self, ideal: JointTables) -> float:
@@ -396,7 +388,7 @@ def deviation_bound(eps_tot: float, beta: float) -> float:
 def postselected_bell_value(sc: BellScenario) -> float:
     """Bell functional evaluated on the post-selected distributions.
 
-    Only the setting tuples the coefficients read are walked; those erased
+    Only the tables of the setting tuples the coefficients read are taken; those erased
     for zero acceptance raise ``ZeroAcceptanceError`` naming them.
     """
     functional = sc._compiled()

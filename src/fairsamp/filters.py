@@ -59,8 +59,9 @@ class ClassicalFilter:
 
     ``transition`` maps a requested setting to a sub-normalized distribution
     over actually-used settings; ``accept_prob`` gives the total acceptance
-    per setting.  A diagonal filter has transition None; any other has one
-    row for each setting of ``accept_prob`` and no more, and finite entries.
+    per setting.  Both are probabilities up to ``COMPLETENESS_TOL`` of drift.
+    A diagonal filter has transition None; any other has one row for each
+    setting of ``accept_prob`` and no more, and finite entries.
     """
 
     accept_prob: Mapping[str, float]
@@ -68,7 +69,7 @@ class ClassicalFilter:
 
     def __post_init__(self):
         for x, p in self.accept_prob.items():
-            if not -ZERO_ACCEPTANCE <= p <= 1.0 + ZERO_ACCEPTANCE:
+            if not -COMPLETENESS_TOL <= p <= 1.0 + COMPLETENESS_TOL:
                 raise ValueError(f"accept_prob[{x!r}] = {p!r} outside [0, 1]")
         if self.transition is not None:
             for x in self.transition:
@@ -82,7 +83,7 @@ class ClassicalFilter:
                     if not math.isfinite(p):
                         raise ValueError(f"transition row {x!r} has entry {float(p)!r} at setting {y!r}, not finite")
                 total = sum(row.values())
-                if total > 1.0 + COMPLETENESS_TOL or any(p < -ZERO_ACCEPTANCE for p in row.values()):
+                if total > 1.0 + COMPLETENESS_TOL or any(p < -COMPLETENESS_TOL for p in row.values()):
                     raise ValueError(f"transition row {x!r} is not sub-normalized")
                 if abs(total - self.accept_prob[x]) > COMPLETENESS_TOL:
                     raise ValueError(f"accept_prob[{x!r}] inconsistent with transition row sum")
@@ -97,8 +98,7 @@ class FilterDecomposition:
 
     def probability(self, x: str, a: str, rho: np.ndarray) -> float:
         """Outcome probability of the recomposed device (filter, then measurement)."""
-        filt = self.filters[x]
-        branch = filt.click_branch(rho)
+        branch = _row(self.filters, x).click_branch(rho)
         if a == NOCLICK:
             return 1.0 - float(np.trace(branch).real)
         return expect(self.lossless.element(x, a), branch)
@@ -187,5 +187,13 @@ def composed_probability(
 ) -> float:
     """Unnormalized Pr(a, accept | x) of a classical filter followed by a device."""
     if fc.transition is None:
-        return fc.accept_prob[x] * expect(lossless.element(x, a), rho)
-    return sum(p * expect(lossless.element(xp, a), rho) for xp, p in fc.transition[x].items())
+        return _row(fc.accept_prob, x) * expect(lossless.element(x, a), rho)
+    return sum(p * expect(lossless.element(xp, a), rho) for xp, p in _row(fc.transition, x).items())
+
+
+def _row(rows: Mapping, x: str):
+    """``rows[x]``; a setting not there raises ``KeyError`` naming it, as a device's lookup does."""
+    try:
+        return rows[x]
+    except KeyError:
+        raise KeyError(f"unknown setting {x!r}") from None

@@ -16,6 +16,7 @@ from fairsamp.analysis import (
 )
 from fairsamp.bell import (
     BellScenario,
+    JointTables,
     bell_value,
     epsilon_total,
     filtered_global_state,
@@ -35,6 +36,7 @@ from fairsamp.linalg import (
     operator_norms,
     probability,
     projector,
+    read_probability,
     sqrt_pinv_sqrt,
     support_projector,
     tensor,
@@ -182,7 +184,7 @@ def legacy_validate(dim, settings, outcomes, povm):
 
 
 def dict_raw_tables(sc, tuples):
-    """Setting tuple -> ``joint_raw`` dict of each tuple in ``tuples``: a dict view of one walk (``sc.tables``)."""
+    """Setting tuple -> ``joint_raw`` dict of each tuple in ``tuples``: a dict view of one ``sc.tables`` call."""
     t = sc.tables(tuples)
     outcome_tuples = list(itertools.product(*t.outcomes))
     return {xs: dict(zip(outcome_tuples, table.ravel().tolist())) for xs, table in t.raw.items()}
@@ -268,6 +270,70 @@ def oracle_ideal_scenario(sc, mqs=None):
     ideal = [ideal_device_from(dev, mq) for dev, mq in zip(sc.devices, mqs)]
     psi_click, _ = filtered_global_state(mqs, sc.psi)
     return BellScenario([oracle_to_lossy(dev) for dev in ideal], psi_click)
+
+
+def _oracle_contract_step(sc, t, k, stack):
+    """Contract party k's element stack for one setting, shape (m_k, d_k, d_k), into the partial tensor ``t``.
+
+    ``t`` is ``psi`` reshaped to 2n legs (rows, then columns) with parties
+    0..k-1 already contracted, so party k's row leg is axis 0 and its
+    column leg axis n - k; the outcome axes collect at the end in party
+    order.
+    """
+    # Tr(E psi) = sum_ij E[i, j] psi[j, i]: E's row index meets psi's column leg.  This is
+    # np.tensordot(t, stack, axes=([0, n - k], [2, 1])) without its axis bookkeeping: the
+    # same transposes, reshapes and np.dot, so the same bits.
+    col = sc.n_parties - k
+    rest = [ax for ax in range(t.ndim) if ax != 0 and ax != col]
+    m, d = stack.shape[0], stack.shape[-1]
+    at = t.transpose(*rest, 0, col).reshape(-1, d * d)
+    bt = stack.transpose(2, 1, 0).reshape(d * d, m)
+    return np.dot(at, bt).reshape(*(t.shape[ax] for ax in rest), m)
+
+
+def oracle_prefix_walk(sc, tuples=None):
+    """``BellScenario.tables`` as the prefix walk it replaced: one contraction per party and setting prefix.
+
+    The walk contracts the parties' element stacks into ``psi`` in party
+    order and keeps the partial contraction of the current setting prefix,
+    so consecutive tuples sharing a prefix share its contractions.  Over all
+    tuples in ``setting_tuples()`` order that is S_0 + S_0 S_1 + ... +
+    S_0 ... S_{n-1} contraction steps for S_k settings of party k, instead
+    of n per tuple; each step has the operands a lone tuple's would, so
+    every table is the same to the bit.  A probability below
+    ``-COMPLETENESS_TOL`` raises, naming the outcomes of the smallest
+    entry of the first such tuple in walk order; smaller negative drift is
+    clamped to 0.
+    """
+    n = sc.n_parties
+    partial = [sc.psi.reshape([dev.dim for dev in sc.devices] * 2)] + [None] * n
+    prefix = [object()] * n  # matches no label, None included
+    outcomes = tuple((*dev.outcomes, NOCLICK) for dev in sc.devices)
+    keys, probs = [], []
+    for xs in sc.setting_tuples() if tuples is None else tuples:
+        xs = tuple(xs)
+        if len(xs) != n:
+            raise ValueError(f"expected {n} settings, got {len(xs)}")
+        k = 0
+        while k < n and prefix[k] == xs[k]:
+            k += 1
+        for j in range(k, n):
+            dev = sc.devices[j]
+            partial[j + 1] = _oracle_contract_step(sc, partial[j], j, dev.stack[dev._index(xs[j])])
+            prefix[j] = xs[j]
+        keys.append(xs)
+        probs.append(partial[n].real)
+    if not keys:
+        return JointTables(outcomes, {})
+    stacked = np.stack(probs)
+    failing = np.flatnonzero(stacked.reshape(len(keys), -1).min(axis=1) < -COMPLETENESS_TOL).tolist()
+    if failing:
+        table = stacked[failing[0]]
+        worst = np.unravel_index(int(np.argmin(table)), table.shape)
+        outs = tuple(alph[i] for alph, i in zip(outcomes, worst))
+        read_probability(float(table[worst]), f"outcomes {outs!r} at settings {keys[failing[0]]!r}")
+    np.maximum(stacked, 0.0, out=stacked)
+    return JointTables(outcomes, dict(zip(keys, stacked)))
 
 
 def oracle_validate_coefficients(sc, coeffs):

@@ -455,6 +455,11 @@ class TestStateDependent:
         with pytest.raises(ValueError, match=f"^party {party} is not one of the 2 parties of party_dims$"):
             state_dependent_check({"0": [np.eye(2)]}, np.eye(4) / 4, [2, 2], party)
 
+    @pytest.mark.parametrize("psi", [np.eye(4) / 4, np.eye(3) / 3], ids=["fitting-state", "misfit-state"])
+    def test_empty_filter_map_is_an_input_error(self, psi):
+        with pytest.raises(ValueError, match="^filter_click holds no setting$"):
+            state_dependent_check({}, psi, [2, 2], 0)
+
     @pytest.mark.parametrize(
         "kraus,shape",
         [(np.eye(3), "(3, 3)"), (np.ones(2), "(2,)"), (np.ones((2, 3)), "(2, 3)")],

@@ -852,17 +852,99 @@ def test_one_pass_ideal_experiment_equals_the_composed_oracle(seed, dims, kinds,
 @settings(max_examples=25, deadline=None)
 @given(seed=st.integers(0, 2**32 - 1), dims=st.lists(st.integers(1, 3), min_size=1, max_size=3))
 def test_contraction_step_equals_tensordot(seed, dims):
+    """Every (prefix, setting) slice of the batched step is ``np.tensordot`` of the prefix's partial, to the bit."""
     rng = np.random.default_rng(seed)
-    devices = [random_fair_sampling_device(d, 1, int(rng.integers(1, 4)), rng) for d in dims]
+    devices = [
+        random_fair_sampling_device(d, int(rng.integers(1, 4)), int(rng.integers(1, 4)), rng) for d in dims
+    ]
     sc = BellScenario(devices, random_density(int(np.prod(dims)), rng))
     n = len(dims)
-    t = sc.psi.reshape(dims * 2)
+    t = sc.psi.reshape(dims * 2)[None]
     for k, dev in enumerate(devices):
-        step = sc._contract_step(t, k, dev.stack[0])
-        reference = np.tensordot(t, dev.stack[0], axes=([0, n - k], [2, 1]))
-        assert step.shape == reference.shape
-        assert np.array_equal(step, reference)
+        step = sc._contract_step(t, k, dev.stack)
+        s = len(dev.settings)
+        assert len(step) == len(t) * s
+        for p, x in itertools.product(range(len(t)), range(s)):
+            reference = np.tensordot(t[p], dev.stack[x], axes=([0, n - k], [2, 1]))
+            assert step[p * s + x].shape == reference.shape
+            assert np.array_equal(step[p * s + x], reference)
         t = step
+
+
+@st.composite
+def tuple_requests(draw):
+    """A scenario of 1-4 parties, one with a dead setting, and a random request: a subset in any order, repeats included."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    parties = draw(
+        st.lists(st.tuples(st.integers(1, 4), st.integers(1, 3), st.integers(1, 3)), min_size=1, max_size=4)
+    )
+    devices = [helpers.random_multisetting_device(rng, d, m, k) for d, m, k in parties]
+    dead = draw(st.integers(0, len(devices) - 1))
+    devices[dead] = helpers.with_dead_setting(devices[dead])
+    sc = BellScenario(devices, random_density(int(np.prod([d for d, _, _ in parties])), rng))
+    tuples = list(sc.setting_tuples())
+    picked = draw(st.lists(st.sampled_from(tuples), max_size=2 * len(tuples)))
+    return sc, draw(st.sampled_from([None, picked]))
+
+
+@settings(max_examples=60, deadline=None)
+@given(request=tuple_requests())
+def test_tables_equal_the_prefix_walk_to_the_bit(request):
+    """One contraction per party gives every table the prefix walk gave, keyed in the same order, to the bit."""
+    sc, tuples = request
+    got, oracle = sc.tables(tuples), helpers.oracle_prefix_walk(sc, tuples)
+    assert got.outcomes == oracle.outcomes
+    assert list(got.raw) == list(oracle.raw)
+    for xs, table in oracle.raw.items():
+        assert got.raw[xs].dtype == table.dtype and got.raw[xs].shape == table.shape
+        assert got.raw[xs].tobytes() == table.tobytes()
+
+
+class TestOneContractionPerParty:
+    @pytest.fixture
+    def steps(self, monkeypatch):
+        calls = []
+        original = BellScenario._contract_step
+
+        def counted(self, t, k, stack):
+            calls.append(k)
+            return original(self, t, k, stack)
+
+        monkeypatch.setattr(BellScenario, "_contract_step", counted)
+        return calls
+
+    @pytest.mark.parametrize("n_parties", [1, 2, 3])
+    def test_n_steps_whatever_the_tuples(self, steps, n_parties):
+        rng = np.random.default_rng(n_parties)
+        sc = BellScenario(
+            [helpers.random_multisetting_device(rng, 2, 3, 2) for _ in range(n_parties)],
+            random_density(2**n_parties, rng),
+        )
+        tuples = list(sc.setting_tuples())
+        for request in (None, tuples, tuples[:1], tuples[::-1] * 2):
+            steps.clear()
+            sc.tables(request)
+            assert steps == list(range(n_parties))
+
+    @pytest.mark.parametrize(
+        "tuples,error,message",
+        [
+            ([("0", "1"), ("0",)], ValueError, "expected 2 settings, got 1"),
+            ([("0", "1"), ("0", "z")], KeyError, "unknown setting 'z'"),
+            ([("y", "z"), ("0", "0", "0")], KeyError, "unknown setting 'y'"),
+            ([("0", "0", "0"), ("z", "0")], ValueError, "expected 2 settings, got 3"),
+        ],
+        ids=["short", "unknown-second-party", "first-faulty-party", "first-faulty-tuple"],
+    )
+    def test_bad_labels_raise_before_any_contraction(self, monkeypatch, tuples, error, message):
+        def fail(self, t, k, stack):
+            raise AssertionError("contracted before the labels were checked")
+
+        monkeypatch.setattr(BellScenario, "_contract_step", fail)
+        dev = projective_qubit_device({"0": 0.0, "1": np.pi / 4.0})
+        with pytest.raises(error) as raised:
+            BellScenario([dev, dev], singlet_state()).tables(tuples)
+        assert raised.value.args == (message,)
 
 
 #: Setting and outcome labels for the coefficient-key properties: no joint-label separator.

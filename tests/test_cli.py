@@ -649,7 +649,7 @@ def test_parser_is_built_once_and_runs_the_current_commands(chsh_file, monkeypat
 
 
 class TestJointStatisticsReuse:
-    """Each command walks the setting tuples once per scenario, sharing every setting prefix's contraction."""
+    """Each command reads the joint tables once per scenario, contracting each party once."""
 
     @pytest.fixture
     def contractions(self, monkeypatch):
@@ -665,17 +665,16 @@ class TestJointStatisticsReuse:
         monkeypatch.setattr(BellScenario, "_contract_step", counted)
         return calls
 
-    # Two parties with two settings each: 2 + 2 * 2 = 6 steps per walk, one walk over
-    # the measured scenario and one over the ideal one; a step per party and tuple
-    # would be 2 * 4 = 8 per walk.
+    # Two parties: one step per party per walk, one walk over the measured scenario
+    # and one over the ideal one.
     @pytest.mark.parametrize(
         "argv,expected",
-        [(["simulate", "--postselect", "CHSH"], 12), (["bound", "CHSH"], 12), (["demo", "chsh-singlet"], 12)],
+        [(["simulate", "--postselect", "CHSH"], 4), (["bound", "CHSH"], 4), (["demo", "chsh-singlet"], 4)],
     )
     def test_chsh_file(self, chsh_file, contractions, capsys, argv, expected):
         assert main([str(chsh_file) if a == "CHSH" else a for a in argv]) == 0
         assert len(contractions) == expected
-        assert contractions == [0, 1, 1, 0, 1, 1] * 2  # party of each step, in walk order
+        assert contractions == [0, 1] * 2  # party of each step, in walk order
 
 
 MALFORMED_ENTRIES = pytest.mark.parametrize(

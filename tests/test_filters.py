@@ -223,6 +223,33 @@ class TestClassicalNormalForm:
         with pytest.raises(ValueError, match=r"^transition row 'x' has entry nan at setting 'y', not finite$"):
             ClassicalFilter({"x": 0.5}, {"x": {"y": float("nan")}})
 
+    @pytest.mark.parametrize(
+        "accept,transition",
+        [
+            ({"x": 1 + 5e-10}, None),
+            ({"x": 1 + 5e-10}, {"x": {"x": 1 + 5e-10}}),
+            ({"x": -5e-10}, None),
+            ({"x": 0.5 - 5e-10}, {"x": {"x": 0.5, "y": -5e-10}}),
+        ],
+        ids=["acceptance-above-one", "acceptance-and-row-above-one", "acceptance-below-zero", "entry-below-zero"],
+    )
+    def test_drift_within_the_probability_tolerance_builds(self, accept, transition):
+        assert ClassicalFilter(accept, transition).accept_prob == accept
+
+    @pytest.mark.parametrize(
+        "accept,transition,message",
+        [
+            ({"x": 1 + 2e-9}, None, "accept_prob['x'] = 1.000000002 outside [0, 1]"),
+            ({"x": -2e-9}, None, "accept_prob['x'] = -2e-09 outside [0, 1]"),
+            ({"x": 0.5 - 2e-9}, {"x": {"x": 0.5, "y": -2e-9}}, "transition row 'x' is not sub-normalized"),
+        ],
+        ids=["acceptance-above-one", "acceptance-below-zero", "entry-below-zero"],
+    )
+    def test_drift_beyond_the_probability_tolerance_raises(self, accept, transition, message):
+        with pytest.raises(ValueError) as raised:
+            ClassicalFilter(accept, transition)
+        assert raised.value.args == (message,)
+
     def test_zero_acceptance_setting_erased(self):
         lossless = self.lossless_pair()
         fc = ClassicalFilter(
@@ -257,6 +284,26 @@ class TestClassicalNormalForm:
                         before = composed_probability(fc, lossless, x, a, rho)
                         after = composed_probability(diag, w, x, a, rho)
                         assert before == pytest.approx(after, abs=1e-10)
+
+
+@pytest.mark.parametrize(
+    "read",
+    [
+        lambda dev, lossless, rho: dev.element("z", "+"),
+        lambda dev, lossless, rho: canonical_decomposition(dev).probability("z", "+", rho),
+        lambda dev, lossless, rho: composed_probability(ClassicalFilter({"0": 0.5, "1": 0.5}), lossless, "z", "+", rho),
+        lambda dev, lossless, rho: composed_probability(
+            ClassicalFilter({"0": 0.5, "1": 0.5}, {"0": {"0": 0.5}, "1": {"1": 0.5}}), lossless, "z", "+", rho
+        ),
+    ],
+    ids=["device", "decomposition", "diagonal-filter", "transition-filter"],
+)
+def test_unknown_setting_is_named_as_the_device_names_it(read):
+    dev = projective_qubit_device({"0": 0.0, "1": np.pi / 2.0})
+    lossless = LosslessDevice(2, dev.settings, dev.outcomes, dev.stack[:, :-1])
+    with pytest.raises(KeyError) as raised:
+        read(dev, lossless, np.eye(2) / 2)
+    assert raised.value.args == ("unknown setting 'z'",)
 
 
 @settings(max_examples=30, deadline=None)
