@@ -12,7 +12,6 @@ import numpy as np
 
 from fairsamp import (
     BellScenario,
-    LossyDevice,
     ScenarioAnalysis,
     check_exact,
     ideal_scenario,
@@ -20,7 +19,7 @@ from fairsamp import (
     single_photon_analyser,
     tv_bound,
 )
-from fairsamp.cli import chsh_coefficients, chsh_singlet_scenario, singlet_state
+from fairsamp.bell import chsh_coefficients, chsh_singlet_scenario, singlet_state
 
 sc = chsh_singlet_scenario()
 tables = sc.tables()
@@ -38,20 +37,9 @@ print("max deviation from the ideal filtered experiment:",
 # 5% in miss probability, so fair sampling only holds approximately.
 # Polarization angles are half the Bloch angles used above.
 delta = 0.05
-angles_a = {"0": 0.0, "1": np.pi / 4.0}
-angles_b = {"0": -3.0 * np.pi / 8.0, "1": 3.0 * np.pi / 8.0}
-
-
-def analyser_at(angles):
-    raw = single_photon_analyser(0.8, delta, list(angles.values()))
-    povm = {lab: {a: raw.element(s, a) for a in raw.outcomes}
-            for lab, s in zip(angles, raw.settings)}
-    return LossyDevice(2, list(angles), raw.outcomes, povm)
-
-
-coeffs = {(xs, tuple("D1" if o == "+" else "D2" for o in outs)): c
-          for (xs, outs), c in chsh_coefficients().items()}
-noisy = BellScenario([analyser_at(angles_a), analyser_at(angles_b)], singlet_state(), coeffs)
+analysers = [single_photon_analyser(0.8, delta, [0.0, np.pi / 4.0]),
+             single_photon_analyser(0.8, delta, [-3.0 * np.pi / 8.0, 3.0 * np.pi / 8.0])]
+noisy = BellScenario(analysers, singlet_state(), chsh_coefficients(analysers))
 
 analysis = ScenarioAnalysis(noisy, [np.eye(2), np.eye(2)])
 eps, eps_tot = analysis.epsilons, analysis.epsilon_total

@@ -21,8 +21,8 @@ import numpy as np
 
 from .analysis import Reference, _checked_state, _filter, _weak_reference, approximate_epsilon
 from .analysis import ideal_device_from, reference
-from .device import NOCLICK, LossyDevice, ZeroAcceptanceError
-from .linalg import COMPLETENESS_TOL, ZERO_ACCEPTANCE, assert_density, read_probability, tensor
+from .device import NOCLICK, LossyDevice, ZeroAcceptanceError, projective_qubit_device
+from .linalg import COMPLETENESS_TOL, ZERO_ACCEPTANCE, assert_density, projector, read_probability, tensor
 
 #: Bell coefficients: (settings tuple, outcomes tuple) -> real weight.
 BellCoeffs = Mapping[tuple[tuple[str, ...], tuple[str, ...]], float]
@@ -394,6 +394,42 @@ def postselected_bell_value(sc: BellScenario) -> float:
     functional = sc._compiled()
     validate_coefficients(sc, sc.bell_coeffs)
     return functional.value(sc.tables(functional.tuples).postselected)
+
+
+def chsh_coefficients(devices: Sequence[LossyDevice]) -> dict:
+    """CHSH weights (-1)^(i j) (-1)^(k + l) over two parties' settings i, j and outcomes k, l, by position.
+
+    Every label is read from ``devices``, the pair the weights are compiled
+    against: keys run over settings, then outcomes, each party's in label
+    order.  Other than two devices, or a party without two settings and two
+    outcomes, raises ``ValueError``; the party is named.
+    """
+    if len(devices) != 2:
+        raise ValueError(f"CHSH needs two parties, got {len(devices)}")
+    for k, dev in enumerate(devices):
+        shape = (len(dev.settings), len(dev.outcomes))
+        if shape != (2, 2):
+            raise ValueError(f"party {k} has {shape[0]} settings and {shape[1]} outcomes; CHSH needs 2 of each")
+    a, b = devices
+    return {
+        ((x, y), (oa, ob)): (-1.0) ** (i * j + k + l)
+        for (i, x), (j, y) in itertools.product(enumerate(a.settings), enumerate(b.settings))
+        for (k, oa), (l, ob) in itertools.product(enumerate(a.outcomes), enumerate(b.outcomes))
+    }
+
+
+def singlet_state() -> np.ndarray:
+    """The two-qubit singlet (|01> - |10>) / sqrt(2) as a density matrix."""
+    return projector(np.array([0.0, 1.0, -1.0, 0.0], dtype=complex) / np.sqrt(2.0))
+
+
+def chsh_singlet_scenario(efficiency: float = 0.25) -> BellScenario:
+    """Singlet measured by flat-efficiency analysers at the Tsirelson angles, with the CHSH functional."""
+    devices = [
+        projective_qubit_device({"0": 0.0, "1": np.pi / 2.0}, efficiency),
+        projective_qubit_device({"0": -3.0 * np.pi / 4.0, "1": 3.0 * np.pi / 4.0}, efficiency),
+    ]
+    return BellScenario(devices, singlet_state(), chsh_coefficients(devices))
 
 
 @dataclass(frozen=True)

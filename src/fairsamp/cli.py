@@ -28,10 +28,11 @@ from .analysis import (
     check_tolerance,
     tv_bound,
 )
-from .bell import LABEL_SEP, BellScenario, ScenarioAnalysis, ideal_scenario, postselected_vs_ideal_deviation
-from .device import ZeroAcceptanceError, projective_qubit_device
+from .bell import LABEL_SEP, BellScenario, ScenarioAnalysis, chsh_singlet_scenario, ideal_scenario
+from .bell import postselected_vs_ideal_deviation
+from .device import ZeroAcceptanceError
 from .filters import canonical_decomposition, verify_recomposition
-from .linalg import VERDICT_TOL, projector
+from .linalg import VERDICT_TOL
 from .optics import AnalyserSpec, analyser_device, analyser_epsilon_closed_form, analyser_mq
 from .sampling import random_density, random_fair_sampling_device
 
@@ -180,35 +181,6 @@ def cmd_bound(args) -> int:
             report["certified_margin"] = serialize.sig15(analysis.certified_margin)
     _emit(report, args.output)
     return 0
-
-
-def chsh_coefficients() -> dict:
-    """CHSH weights (-1)^(xy) * a * b over settings {0,1} and outcomes {+,-}."""
-    coeffs = {}
-    for x in "01":
-        for y in "01":
-            for a in "+-":
-                for b in "+-":
-                    sign = (-1.0) ** (int(x) * int(y))
-                    val = (1.0 if a == "+" else -1.0) * (1.0 if b == "+" else -1.0)
-                    coeffs[((x, y), (a, b))] = sign * val
-    return coeffs
-
-
-def singlet_state() -> np.ndarray:
-    v = np.zeros(4, dtype=complex)
-    v[1] = 1.0 / np.sqrt(2.0)
-    v[2] = -1.0 / np.sqrt(2.0)
-    return projector(v)
-
-
-def chsh_singlet_scenario(efficiency: float = 0.25) -> BellScenario:
-    """Singlet measured by quarter-efficiency analysers at the Tsirelson angles."""
-    dev_a = projective_qubit_device({"0": 0.0, "1": np.pi / 2.0}, efficiency)
-    dev_b = projective_qubit_device(
-        {"0": -3.0 * np.pi / 4.0, "1": 3.0 * np.pi / 4.0}, efficiency
-    )
-    return BellScenario([dev_a, dev_b], singlet_state(), chsh_coefficients())
 
 
 def _demo_makarov(args) -> dict:

@@ -25,13 +25,13 @@ from fairsamp.bell import (
     BellScenario,
     bell_value,
     beta_max,
+    chsh_singlet_scenario,
     deviation_bound,
     epsilon_total,
     ideal_scenario,
     postselected_bell_value,
     verify_postselection_equivalence,
 )
-from fairsamp.cli import chsh_singlet_scenario
 from fairsamp.device import LossyDevice, total_variation
 from fairsamp.filters import canonical_decomposition, verify_recomposition
 from fairsamp.linalg import expect

@@ -9,12 +9,14 @@ import helpers
 from fairsamp.adversary import (
     FakingSource,
     HiddenVariableDevice,
+    _CHSH_SIGNS,
     _click_table,
     makarov_branches,
     makarov_traced,
     run_faked_chsh,
 )
 from fairsamp.analysis import check_exact
+from fairsamp.bell import chsh_coefficients
 from fairsamp.device import NOCLICK, LossyDevice
 from fairsamp.sampling import random_density, random_povm
 
@@ -90,6 +92,12 @@ class TestFakedChsh:
         assert result.sampled_chsh is not None
         margin = 3.0 * result.sampled_std_error + 1e-9
         assert abs(result.sampled_chsh - result.chsh) <= margin
+
+    def test_the_attack_fakes_the_functional_the_library_evaluates(self):
+        """Each correlator's sign is the (+, +) weight of CHSH on the devices the attack imitates."""
+        coeffs = chsh_coefficients([makarov_traced()] * 2)
+        assert _CHSH_SIGNS == {xy: coeffs[(xy, ("+", "+"))] for xy in _CHSH_SIGNS}
+        assert list(_CHSH_SIGNS) == list(dict.fromkeys(xy for xy, _ in coeffs))
 
     def test_noise_domain(self):
         with pytest.raises(ValueError):

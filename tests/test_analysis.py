@@ -21,8 +21,7 @@ from fairsamp.analysis import (
     state_dependent_check,
     tv_bound,
 )
-from fairsamp.bell import BellScenario, ideal_scenario
-from fairsamp.cli import singlet_state
+from fairsamp.bell import BellScenario, ideal_scenario, singlet_state
 from fairsamp.device import LossyDevice, ZeroAcceptanceError, projective_qubit_device, total_variation
 from fairsamp.filters import canonical_decomposition
 from fairsamp.linalg import SCREEN_FROM_DIM, expect, operator_norm, operator_norms, projector

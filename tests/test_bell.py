@@ -18,6 +18,8 @@ from fairsamp.bell import (
     ScenarioAnalysis,
     bell_value,
     beta_max,
+    chsh_coefficients,
+    chsh_singlet_scenario,
     deviation_bound,
     epsilon_total,
     filtered_global_state,
@@ -25,10 +27,10 @@ from fairsamp.bell import (
     joint_device,
     postselected_bell_value,
     postselected_vs_ideal_deviation,
+    singlet_state,
     validate_coefficients,
     verify_postselection_equivalence,
 )
-from fairsamp.cli import chsh_coefficients, chsh_singlet_scenario, singlet_state
 from fairsamp.device import NOCLICK, LossyDevice, ZeroAcceptanceError, projective_qubit_device
 from fairsamp.linalg import COMPLETENESS_TOL, NotPositiveError, sqrt_pinv_sqrt, tensor
 from fairsamp.sampling import random_density, random_fair_sampling_device
@@ -388,22 +390,22 @@ class TestEpsilonComposition:
 class TestBellFunctional:
     def test_chsh_value_and_beta(self):
         sc = chsh_singlet_scenario()
-        assert beta_max(chsh_coefficients()) == pytest.approx(4.0, abs=1e-12)
+        assert beta_max(chsh_coefficients(sc.devices)) == pytest.approx(4.0, abs=1e-12)
         assert postselected_bell_value(sc) == pytest.approx(2.0 * np.sqrt(2.0), abs=1e-9)
 
     def test_missing_distribution(self):
         with pytest.raises(KeyError):
-            bell_value({}, chsh_coefficients())
+            bell_value({}, chsh_singlet_scenario().bell_coeffs)
 
     def test_incomplete_coefficients_rejected(self):
         from fairsamp.bell import validate_coefficients
 
         sc = chsh_singlet_scenario()
-        coeffs = dict(chsh_coefficients())
+        coeffs = chsh_coefficients(sc.devices)
         coeffs.pop((("0", "0"), ("+", "+")))
         with pytest.raises(ValueError, match="missing coefficient"):
             validate_coefficients(sc, coeffs)
-        validate_coefficients(sc, chsh_coefficients())
+        validate_coefficients(sc, chsh_coefficients(sc.devices))
 
     def test_validating_no_coefficients_raises_value_error(self):
         for sc in (chsh_singlet_scenario(), lossless_z_pair()):
@@ -422,7 +424,7 @@ class TestBellFunctional:
     )
     def test_foreign_coefficients_raise_what_building_the_scenario_raises(self, key):
         sc = chsh_singlet_scenario()
-        coeffs = {**chsh_coefficients(), key: 1.0}  # complete, plus one key that does not fit
+        coeffs = {**chsh_coefficients(sc.devices), key: 1.0}  # complete, plus one key that does not fit
         with pytest.raises(ValueError) as built:
             BellScenario(sc.devices, sc.psi, coeffs)
         with pytest.raises(ValueError) as validated:
@@ -433,7 +435,7 @@ class TestBellFunctional:
         import fairsamp.bell as bell
 
         sc = chsh_singlet_scenario()
-        coeffs = dict(chsh_coefficients())
+        coeffs = chsh_coefficients(sc.devices)
         coeffs.pop((("1", "0"), ("-", "+")))
         partial = BellScenario(sc.devices, sc.psi, coeffs)
 
@@ -460,7 +462,7 @@ class TestBellFunctional:
     )
     def test_coefficient_keys_checked_when_built(self, key, message):
         sc = chsh_singlet_scenario()
-        coeffs = {**chsh_coefficients(), key: 5.0, (("1", "1"), ("+", "zzz")): 1.0}
+        coeffs = {**chsh_coefficients(sc.devices), key: 5.0, (("1", "1"), ("+", "zzz")): 1.0}
         named = r"^Bell coefficient for settings " + re.escape(repr(key[0])) + ".*: " + message
         with pytest.raises(ValueError, match=named):
             BellScenario(sc.devices, sc.psi, coeffs)
@@ -469,7 +471,7 @@ class TestBellFunctional:
     @pytest.mark.parametrize("position", [0, 5], ids=["first-key", "later-key"])
     def test_non_finite_weight_named_when_built_and_by_beta_max(self, position, bad):
         sc = chsh_singlet_scenario()
-        coeffs = dict(chsh_coefficients())
+        coeffs = chsh_coefficients(sc.devices)
         xs, outs = key = list(coeffs)[position]
         coeffs[key] = bad
         message = f"Bell coefficient for settings {xs!r}, outcomes {outs!r}: weight {float(bad)!r} is not finite"
@@ -483,7 +485,7 @@ class TestBellFunctional:
 
     def test_non_finite_weight_named_after_bad_labels(self):
         sc = chsh_singlet_scenario()
-        coeffs = {**chsh_coefficients(), (("0", "0"), ("+", "+")): np.nan, (("1", "1"), ("+", "zzz")): 1.0}
+        coeffs = {**chsh_coefficients(sc.devices), (("0", "0"), ("+", "+")): np.nan, (("1", "1"), ("+", "zzz")): 1.0}
         with pytest.raises(ValueError, match=r"party 1 has no good outcome 'zzz'$"):
             BellScenario(sc.devices, sc.psi, coeffs)
 
@@ -491,49 +493,30 @@ class TestBellFunctional:
         sc = chsh_singlet_scenario()
         verdicts = [check_exact(dev) for dev in sc.devices]
         eps_tot = epsilon_total([v.epsilon for v in verdicts])
-        assert deviation_bound(eps_tot, beta_max(chsh_coefficients())) == 0.0
+        assert deviation_bound(eps_tot, beta_max(chsh_coefficients(sc.devices))) == 0.0
         ideal = ideal_scenario(sc, [v.quantum_elem for v in verdicts])
         assert postselected_vs_ideal_deviation(sc, ideal) <= 1e-9
 
     def test_bell_deviation_within_bound_for_perturbed(self, rng):
         from fairsamp.optics import single_photon_analyser
 
-        coeffs = chsh_coefficients()
-        beta = beta_max(coeffs)
-        # polarization angles: half the Bloch angles of the Tsirelson configuration
-        angles_a = {"0": 0.0, "1": np.pi / 4.0}
-        angles_b = {"0": -3.0 * np.pi / 8.0, "1": 3.0 * np.pi / 8.0}
         for delta in (0.02, 0.1):
-            dev_a = single_photon_analyser(0.8, delta, list(angles_a.values()))
-            dev_b = single_photon_analyser(0.8, delta, list(angles_b.values()))
-            # relabel analyser settings to the CHSH labels
-            ra = {s: l for s, l in zip(dev_a.settings, angles_a)}
-            rb = {s: l for s, l in zip(dev_b.settings, angles_b)}
-            povm_a = {ra[s]: {a: dev_a.element(s, a) for a in dev_a.outcomes} for s in dev_a.settings}
-            povm_b = {rb[s]: {a: dev_b.element(s, a) for a in dev_b.outcomes} for s in dev_b.settings}
-            from fairsamp.device import LossyDevice
-
-            coeffs_d = {
-                (xs, tuple("D1" if o == "+" else "D2" for o in outs)): c
-                for (xs, outs), c in coeffs.items()
-            }
-            sc = BellScenario(
-                [
-                    LossyDevice(2, list(angles_a), dev_a.outcomes, povm_a),
-                    LossyDevice(2, list(angles_b), dev_b.outcomes, povm_b),
-                ],
-                singlet_state(),
-                coeffs_d,
-            )
+            # polarization angles: half the Bloch angles of the Tsirelson configuration
+            devices = [
+                single_photon_analyser(0.8, delta, [0.0, np.pi / 4.0]),
+                single_photon_analyser(0.8, delta, [-3.0 * np.pi / 8.0, 3.0 * np.pi / 8.0]),
+            ]
+            coeffs = chsh_coefficients(devices)
+            sc = BellScenario(devices, singlet_state(), coeffs)
             mqs = [np.eye(2), np.eye(2)]
             eps = [approximate_epsilon(d, mq) for d, mq in zip(sc.devices, mqs)]
             eps_tot = epsilon_total(eps)
             ideal = ideal_scenario(sc, mqs)
-            needed = {xs for (xs, _) in coeffs_d}
+            needed = {xs for (xs, _) in coeffs}
             ps = {xs: sc.joint_postselected(xs) for xs in needed}
             ideal_dists = {xs: ideal.joint_raw(xs) for xs in needed}
-            measured = abs(bell_value(ps, coeffs_d) - bell_value(ideal_dists, coeffs_d))
-            assert measured <= deviation_bound(eps_tot, beta) + 1e-9
+            measured = abs(bell_value(ps, coeffs) - bell_value(ideal_dists, coeffs))
+            assert measured <= deviation_bound(eps_tot, beta_max(coeffs)) + 1e-9
 
 
 @settings(max_examples=25, deadline=None)
@@ -630,7 +613,7 @@ def test_scenario_fields_cannot_be_reassigned(name):
 def test_scenario_keeps_a_read_only_copy_of_its_coefficients():
     """Mutating the dict a scenario was built from changes none of what the scenario reports."""
     chsh = chsh_singlet_scenario()
-    coeffs = chsh_coefficients()
+    coeffs = chsh_coefficients(chsh.devices)
     sc = BellScenario(chsh.devices, chsh.psi, coeffs)
 
     def reported():
@@ -1060,16 +1043,6 @@ def test_local_bound_is_the_brute_force_over_product_strategies(labelled, integr
         assert sc._functional.local_bound() == pytest.approx(expected, rel=1e-12, abs=1e-12)
 
 
-def chsh_over(devices, minus=(1, 1)):
-    """CHSH weights +-(-1)^(k + l) over two parties' settings i, j and outcomes k, l in label order; - at (i, j) = minus."""
-    a, b = devices
-    return {
-        ((x, y), (oa, ob)): (-1.0 if (i, j) == minus else 1.0) * (-1.0) ** (k + l)
-        for (i, x), (j, y) in itertools.product(enumerate(a.settings), enumerate(b.settings))
-        for (k, oa), (l, ob) in itertools.product(enumerate(a.outcomes), enumerate(b.outcomes))
-    }
-
-
 @settings(max_examples=60, deadline=None)
 @given(seed=st.integers(0, 2**32 - 1), dims=st.lists(st.sampled_from([0, 1, 2, 3, 4]), min_size=2, max_size=2))
 def test_strong_fair_sampling_keeps_chsh_within_tsirelson(seed, dims):
@@ -1085,7 +1058,8 @@ def test_strong_fair_sampling_keeps_chsh_within_tsirelson(seed, dims):
         else random_fair_sampling_device(d, 2, 2, rng, mq=np.eye(d))
         for d in dims
     ]
-    sc = BellScenario(devices, random_density(int(np.prod([dev.dim for dev in devices])), rng), chsh_over(devices))
+    psi = random_density(int(np.prod([dev.dim for dev in devices])), rng)
+    sc = BellScenario(devices, psi, chsh_coefficients(devices))
     assert abs(ScenarioAnalysis(sc).bell_value_postselected) <= 2.0 * np.sqrt(2.0) + COMPLETENESS_TOL
 
 
@@ -1095,17 +1069,76 @@ def test_singlet_at_the_tsirelson_angles_reaches_tsirelson(efficiency):
     assert abs(value) == pytest.approx(2.0 * np.sqrt(2.0), abs=1e-12)
 
 
+#: The CLI's CHSH table: weights in ``itertools.product("01", "01", "+-", "+-")`` key order.
+CLI_CHSH_WEIGHTS = [1.0, -1.0, -1.0, 1.0] * 3 + [-1.0, 1.0, 1.0, -1.0]
+
+
+def test_chsh_coefficients_of_the_singlet_scenario_are_the_cli_table():
+    sc = chsh_singlet_scenario()
+    coeffs = chsh_coefficients(sc.devices)
+    assert list(coeffs) == [((x, y), (a, b)) for x, y, a, b in itertools.product("01", "01", "+-", "+-")]
+    assert list(coeffs.values()) == CLI_CHSH_WEIGHTS
+    assert list(sc.bell_coeffs.items()) == list(coeffs.items())
+
+
+def uniform_device(settings, outcomes):
+    """A dimension-1 device with these labels; every outcome has the same probability."""
+    return LossyDevice(1, settings, outcomes, np.full((len(settings), len(outcomes), 1, 1), 1.0 / len(outcomes)))
+
+
+#: Any label a device takes that holds no joint-label separator.
+ANY_LABEL = st.text(max_size=4).filter(lambda label: "," not in label and label != NOCLICK)
+
+
+@settings(max_examples=60, deadline=None)
+@given(labels=st.lists(st.lists(ANY_LABEL, min_size=2, max_size=2, unique=True), min_size=4, max_size=4))
+def test_chsh_coefficients_are_the_cli_table_under_the_devices_labels(labels):
+    """The labels, read in device order, replace "0"/"1" and "+"/"-" position by position."""
+    settings_a, settings_b, outcomes_a, outcomes_b = labels
+    devices = [uniform_device(settings_a, outcomes_a), uniform_device(settings_b, outcomes_b)]
+    coeffs = chsh_coefficients(devices)
+    cli = chsh_coefficients(chsh_singlet_scenario().devices)
+    x_a, x_b = dict(zip("01", settings_a)), dict(zip("01", settings_b))
+    o_a, o_b = dict(zip("+-", outcomes_a)), dict(zip("+-", outcomes_b))
+    image = [(((x_a[x], x_b[y]), (o_a[a], o_b[b])), c) for ((x, y), (a, b)), c in cli.items()]
+    assert list(coeffs.items()) == image
+    analysis = ScenarioAnalysis(BellScenario(devices, np.eye(1), coeffs))
+    assert (analysis.beta_max, analysis.local_bound) == (4.0, 2.0)
+
+
+@pytest.mark.parametrize(
+    "party, settings_, outcomes, message",
+    [
+        (0, ["0"], ["+", "-"], "party 0 has 1 settings and 2 outcomes"),
+        (1, ["0", "1", "2"], ["+", "-"], "party 1 has 3 settings and 2 outcomes"),
+        (1, ["0", "1"], ["+", "-", "?"], "party 1 has 2 settings and 3 outcomes"),
+    ],
+)
+def test_chsh_coefficients_name_a_party_without_two_settings_and_two_outcomes(party, settings_, outcomes, message):
+    devices = [uniform_device(["0", "1"], ["+", "-"])] * 2
+    devices[party] = uniform_device(settings_, outcomes)
+    with pytest.raises(ValueError, match=f"^{message}; CHSH needs 2 of each$"):
+        chsh_coefficients(devices)
+
+
+@pytest.mark.parametrize("parties", [1, 3])
+def test_chsh_coefficients_need_two_parties(parties):
+    with pytest.raises(ValueError, match=f"^CHSH needs two parties, got {parties}$"):
+        chsh_coefficients([uniform_device(["0", "1"], ["+", "-"])] * parties)
+
+
 def analyser_chsh_analysis(eta, delta, jitter=(0.0, 0.0, 0.0, 0.0), noise=0.0):
     """``bound``'s analysis of a singlet mixed with ``noise`` of white noise, seen by single-photon analysers.
 
-    The angles are (0, pi/4) and (pi/8, 3 pi/8) plus ``jitter``; the references are the verdicts' own.
+    The angles are (pi/4, 0) and (pi/8, 3 pi/8) plus ``jitter``, so CHSH's minus sign falls on (0, 3 pi/8);
+    the references are the verdicts' own.
     """
     from fairsamp.optics import single_photon_analyser
 
-    angles = np.array([0.0, np.pi / 4.0, np.pi / 8.0, 3.0 * np.pi / 8.0]) + jitter
+    angles = np.array([np.pi / 4.0, 0.0, np.pi / 8.0, 3.0 * np.pi / 8.0]) + jitter
     devices = [single_photon_analyser(eta, delta, angles[:2]), single_photon_analyser(eta, delta, angles[2:])]
     psi = (1.0 - noise) * singlet_state() + noise * np.eye(4) / 4.0
-    sc = BellScenario(devices, psi, chsh_over(devices, minus=(0, 1)))  # with - at (1, 1), S is 0 at these angles
+    sc = BellScenario(devices, psi, chsh_coefficients(devices))
     return ScenarioAnalysis(sc, [check_exact(dev).reference for dev in devices])
 
 

@@ -15,7 +15,8 @@ import pytest
 import helpers
 from fairsamp import serialize
 from fairsamp.adversary import makarov_traced
-from fairsamp.cli import chsh_singlet_scenario, main
+from fairsamp.bell import chsh_coefficients, chsh_singlet_scenario, singlet_state
+from fairsamp.cli import main
 from fairsamp.optics import AnalyserSpec, analyser_device, analyser_mq
 from fairsamp.sampling import random_fair_sampling_device
 
@@ -38,7 +39,7 @@ def unequal_file(tmp_path):
 
 
 @pytest.fixture
-def chsh_file(tmp_path):
+def singlet_file(tmp_path):
     path = tmp_path / "chsh.json"
     serialize.dump_json(serialize.scenario_to_json(chsh_singlet_scenario()), path)
     return path
@@ -47,7 +48,6 @@ def chsh_file(tmp_path):
 def dead_scenario_file(tmp_path, bell_coeffs=None):
     """Singlet measured by the silent device and a lossless Z measurement."""
     from fairsamp.bell import BellScenario
-    from fairsamp.cli import singlet_state
     from fairsamp.device import projective_qubit_device
 
     sc = BellScenario([helpers.silent_device(), projective_qubit_device({"0": 0.0})], singlet_state(), bell_coeffs)
@@ -205,8 +205,8 @@ class TestUnwritableOutput:
 
 
 class TestSimulate:
-    def test_chsh_singlet_report(self, chsh_file, capsys):
-        assert main(["simulate", str(chsh_file), "--postselect"]) == 0
+    def test_chsh_singlet_report(self, singlet_file, capsys):
+        assert main(["simulate", str(singlet_file), "--postselect"]) == 0
         report = json.loads(capsys.readouterr().out)
         assert report["bell_value_postselected"] == pytest.approx(2.0 * np.sqrt(2.0), abs=1e-9)
         assert report["ideal_deviation"] <= 1e-9
@@ -245,19 +245,20 @@ class TestSimulate:
         assert expected["raw"]["z,z"]["+,+"] == 0.5 and expected["postselected"]["z,z"]["+,+"] == 1.0
         assert '"-,-": 0.0' in out and '"+,+": 1.0' in out
 
-    def test_raw_only_without_flag(self, chsh_file, capsys):
-        assert main(["simulate", str(chsh_file)]) == 0
+    def test_raw_only_without_flag(self, singlet_file, capsys):
+        assert main(["simulate", str(singlet_file)]) == 0
         report = json.loads(capsys.readouterr().out)
         assert "postselected" not in report
 
     def test_lossless_scenario_postselection_changes_nothing(self, tmp_path, capsys):
         from fairsamp.bell import BellScenario
-        from fairsamp.cli import chsh_coefficients, singlet_state
         from fairsamp.device import projective_qubit_device
 
-        dev_a = projective_qubit_device({"0": 0.0, "1": np.pi / 2.0})
-        dev_b = projective_qubit_device({"0": -3.0 * np.pi / 4.0, "1": 3.0 * np.pi / 4.0})
-        sc = BellScenario([dev_a, dev_b], singlet_state(), chsh_coefficients())
+        devices = [
+            projective_qubit_device({"0": 0.0, "1": np.pi / 2.0}),
+            projective_qubit_device({"0": -3.0 * np.pi / 4.0, "1": 3.0 * np.pi / 4.0}),
+        ]
+        sc = BellScenario(devices, singlet_state(), chsh_coefficients(devices))
         path = tmp_path / "lossless.json"
         serialize.dump_json(serialize.scenario_to_json(sc), path)
         assert main(["simulate", str(path), "--postselect"]) == 0
@@ -269,7 +270,6 @@ class TestSimulate:
 
     def test_dead_setting_tuple_flagged_erased(self, tmp_path, capsys):
         from fairsamp.bell import BellScenario
-        from fairsamp.cli import singlet_state
         from fairsamp.device import LossyDevice, projective_qubit_device
 
         silent = LossyDevice(
@@ -323,7 +323,6 @@ class TestSimulate:
 
     def test_never_clicking_device_omits_ideal_deviation(self, tmp_path, capsys):
         from fairsamp.bell import BellScenario
-        from fairsamp.cli import singlet_state
         from fairsamp.device import LossyDevice, projective_qubit_device
 
         blind = LossyDevice(2, ["0"], ["+", "-"], {"0": {"+": np.zeros((2, 2)), "-": np.zeros((2, 2))}})
@@ -338,7 +337,6 @@ class TestSimulate:
 
     def test_party_failing_the_weak_test_is_noted(self, tmp_path, capsys):
         from fairsamp.bell import BellScenario
-        from fairsamp.cli import singlet_state
         from fairsamp.device import projective_qubit_device
         from fairsamp.optics import single_photon_analyser
 
@@ -352,20 +350,19 @@ class TestSimulate:
         assert set(report) == {"raw", "acceptance", "postselected", "erased"}
         assert err == "note: no ideal experiment, ideal_deviation omitted: party 0 fails the exact fair-sampling check\n"
 
-    def test_other_ideal_errors_exit_one(self, chsh_file, monkeypatch, capsys):
+    def test_other_ideal_errors_exit_one(self, singlet_file, monkeypatch, capsys):
         from fairsamp.linalg import NotPositiveError
 
         def broken(sc, refs):
             raise NotPositiveError("outcomes ('+', '+') at settings ('0', '0') has negative probability")
 
         monkeypatch.setattr("fairsamp.bell.ideal_scenario", broken)
-        assert main(["simulate", str(chsh_file), "--postselect"]) == 1
+        assert main(["simulate", str(singlet_file), "--postselect"]) == 1
         out, err = capsys.readouterr()
         assert out == ""
         assert "error: outcomes ('+', '+') at settings ('0', '0')" in err
 
     def test_separator_in_outcome_label_rejected(self, tmp_path, capsys):
-        from fairsamp.cli import singlet_state
         from fairsamp.device import LossyDevice
 
         def device(outcomes):
@@ -383,8 +380,8 @@ class TestSimulate:
 
 
 class TestBound:
-    def test_exact_scenario_bounds_are_zero(self, chsh_file, capsys):
-        assert main(["bound", str(chsh_file)]) == 0
+    def test_exact_scenario_bounds_are_zero(self, singlet_file, capsys):
+        assert main(["bound", str(singlet_file)]) == 0
         report = json.loads(capsys.readouterr().out)
         assert report["epsilon_total"] == 0.0
         assert report["measured_joint_deviation"] <= 1e-9
@@ -393,30 +390,13 @@ class TestBound:
 
     def test_two_mismatched_analysers(self, tmp_path, capsys):
         from fairsamp.bell import BellScenario
-        from fairsamp.cli import chsh_coefficients, singlet_state
-        from fairsamp.device import LossyDevice
         from fairsamp.optics import single_photon_analyser
 
-        def analyser_at(angles):
-            raw = single_photon_analyser(0.8, 0.05, list(angles.values()))
-            povm = {
-                lab: {a: raw.element(s, a) for a in raw.outcomes}
-                for lab, s in zip(angles, raw.settings)
-            }
-            return LossyDevice(2, list(angles), raw.outcomes, povm)
-
-        coeffs = {
-            (xs, tuple("D1" if o == "+" else "D2" for o in outs)): c
-            for (xs, outs), c in chsh_coefficients().items()
-        }
-        sc = BellScenario(
-            [
-                analyser_at({"0": 0.0, "1": np.pi / 4.0}),
-                analyser_at({"0": -3.0 * np.pi / 8.0, "1": 3.0 * np.pi / 8.0}),
-            ],
-            singlet_state(),
-            coeffs,
-        )
+        devices = [
+            single_photon_analyser(0.8, 0.05, [0.0, np.pi / 4.0]),
+            single_photon_analyser(0.8, 0.05, [-3.0 * np.pi / 8.0, 3.0 * np.pi / 8.0]),
+        ]
+        sc = BellScenario(devices, singlet_state(), chsh_coefficients(devices))
         scenario_path = tmp_path / "analysers.json"
         serialize.dump_json(serialize.scenario_to_json(sc), scenario_path)
         mq_path = tmp_path / "identity.json"
@@ -433,10 +413,10 @@ class TestBound:
         )
 
 
-    def test_reference_of_another_dimension_exits_one(self, chsh_file, tmp_path, capsys):
+    def test_reference_of_another_dimension_exits_one(self, singlet_file, tmp_path, capsys):
         eye3 = tmp_path / "eye3.json"
         serialize.dump_json(serialize.matrix_to_json(np.eye(3)), eye3)
-        assert main(["bound", str(chsh_file), "--mq", str(eye3)]) == 1
+        assert main(["bound", str(singlet_file), "--mq", str(eye3)]) == 1
         assert capsys.readouterr() == ("", "error: reference operator has shape (3, 3), but the device has dimension 2\n")
 
     def test_dead_setting_is_erased(self, dead_file, capsys):
@@ -454,23 +434,17 @@ class TestBound:
 
     @pytest.mark.parametrize("eta,delta,margin", [(0.8, 0.05, 0.6873), (0.8, 0.2, 0.2680), (0.5, 0.1, -0.2821)])
     def test_certified_margin_of_mismatched_analysers(self, tmp_path, capsys, eta, delta, margin):
-        """Singlet, single-photon analysers at (0, pi/4) and (pi/8, 3 pi/8), CHSH with its minus sign on (0, 1)."""
-        import itertools
-
+        """Singlet, analysers at (pi/4, 0) and (pi/8, 3 pi/8): CHSH's minus sign falls on (0, 3 pi/8)."""
         from fairsamp.bell import BellScenario
-        from fairsamp.cli import singlet_state
         from fairsamp.optics import single_photon_analyser
 
-        a = single_photon_analyser(eta, delta, [0.0, np.pi / 4.0])
-        b = single_photon_analyser(eta, delta, [np.pi / 8.0, 3.0 * np.pi / 8.0])
-        sign = {"D1": 1.0, "D2": -1.0}
-        coeffs = {
-            ((x, y), (oa, ob)): (-1.0 if (i, j) == (0, 1) else 1.0) * sign[oa] * sign[ob]
-            for (i, x), (j, y) in itertools.product(enumerate(a.settings), enumerate(b.settings))
-            for oa, ob in itertools.product(a.outcomes, b.outcomes)
-        }
+        devices = [
+            single_photon_analyser(eta, delta, [np.pi / 4.0, 0.0]),
+            single_photon_analyser(eta, delta, [np.pi / 8.0, 3.0 * np.pi / 8.0]),
+        ]
+        sc = BellScenario(devices, singlet_state(), chsh_coefficients(devices))
         path = tmp_path / "analysers.json"
-        serialize.dump_json(serialize.scenario_to_json(BellScenario([a, b], singlet_state(), coeffs)), path)
+        serialize.dump_json(serialize.scenario_to_json(sc), path)
         assert main(["bound", str(path)]) == 0
         out, err = capsys.readouterr()
         report = json.loads(out)
@@ -479,7 +453,6 @@ class TestBound:
 
     def test_too_many_local_strategies_omit_the_local_keys_with_a_note(self, tmp_path, capsys):
         from fairsamp.bell import BellScenario
-        from fairsamp.cli import singlet_state
         from fairsamp.device import projective_qubit_device
 
         many = projective_qubit_device({str(k): k * np.pi / 17.0 for k in range(17)})
@@ -496,7 +469,6 @@ class TestBound:
 
     def test_never_clicking_party_fails_alike_with_and_without_a_reference(self, tmp_path, capsys):
         from fairsamp.bell import BellScenario
-        from fairsamp.cli import singlet_state
         from fairsamp.device import LossyDevice, projective_qubit_device
 
         blind = LossyDevice(2, ["0"], ["+", "-"], {"0": {"+": np.zeros((2, 2)), "-": np.zeros((2, 2))}})
@@ -508,18 +480,18 @@ class TestBound:
             assert main(argv) == 1
             assert capsys.readouterr() == ("", "error: all click elements vanish; the device never accepts\n")
 
-    def test_walks_the_coefficient_mapping_once(self, chsh_file, monkeypatch, capsys):
+    def test_walks_the_coefficient_mapping_once(self, singlet_file, monkeypatch, capsys):
         """When the scenario is compiled; ``beta_max`` and ``local_bound`` read the compiled functional."""
         import fairsamp.bell
 
         walks = []
         original = fairsamp.bell._grouped
         monkeypatch.setattr(fairsamp.bell, "_grouped", lambda coeffs: walks.append(coeffs) or original(coeffs))
-        assert main(["bound", str(chsh_file)]) == 0
+        assert main(["bound", str(singlet_file)]) == 0
         report = json.loads(capsys.readouterr().out)
         assert (len(walks), report["beta_max"], report["local_bound"]) == (1, 4.0, 2.0)
 
-    def test_conjugates_each_party_once(self, chsh_file, monkeypatch, capsys):
+    def test_conjugates_each_party_once(self, singlet_file, monkeypatch, capsys):
         import fairsamp.analysis
 
         calls = []
@@ -530,7 +502,7 @@ class TestBound:
             return original(dev, pi, pinv)
 
         monkeypatch.setattr(fairsamp.analysis, "_conjugated_clicks", counted)
-        assert main(["bound", str(chsh_file)]) == 0
+        assert main(["bound", str(singlet_file)]) == 0
         assert len(calls) == 2
 
 
@@ -577,11 +549,11 @@ STATE, QUBIT = ("eigvalsh", (4, 4)), ("eigh", (2, 2))
     ids=["simulate", "bound", "bound-mq", "check-mq"],
 )
 def test_one_eigh_per_reference_and_state(
-    chsh_file, unequal_file, tmp_path, monkeypatch, capsys, argv, code, expected
+    singlet_file, unequal_file, tmp_path, monkeypatch, capsys, argv, code, expected
 ):
     eye2 = tmp_path / "eye2.json"
     serialize.dump_json(serialize.matrix_to_json(np.eye(2)), eye2)
-    names = {"CHSH": chsh_file, "UNEQUAL": unequal_file[0], "MQ": unequal_file[1], "EYE2": eye2}
+    names = {"CHSH": singlet_file, "UNEQUAL": unequal_file[0], "MQ": unequal_file[1], "EYE2": eye2}
     calls = helpers.record_spectral_calls(monkeypatch)
     assert main([str(names.get(a, a)) for a in argv]) == code
     assert calls == expected
@@ -626,7 +598,7 @@ def test_cli_uses_only_the_public_api():
     assert private == []
 
 
-def test_scenario_commands_never_build_dict_tables(chsh_file, monkeypatch, capsys):
+def test_scenario_commands_never_build_dict_tables(singlet_file, monkeypatch, capsys):
     """``simulate``, ``bound`` and the CHSH demo read the joint table arrays, not their dict views."""
     from fairsamp.bell import BellScenario
 
@@ -636,16 +608,16 @@ def test_scenario_commands_never_build_dict_tables(chsh_file, monkeypatch, capsy
             raise AssertionError(f"the dict view {name} was called")
 
         monkeypatch.setattr(BellScenario, name, forbidden)
-    for argv in (["simulate", "--postselect", str(chsh_file)], ["bound", str(chsh_file)], ["demo", "chsh-singlet"]):
+    for argv in (["simulate", "--postselect", str(singlet_file)], ["bound", str(singlet_file)], ["demo", "chsh-singlet"]):
         assert main(argv) == 0
 
 
-def test_parser_is_built_once_and_runs_the_current_commands(chsh_file, monkeypatch, capsys):
+def test_parser_is_built_once_and_runs_the_current_commands(singlet_file, monkeypatch, capsys):
     from fairsamp import cli
 
     assert cli.build_parser() is cli.build_parser()
     monkeypatch.setattr(cli, "cmd_bound", lambda args: 7)
-    assert main(["bound", str(chsh_file)]) == 7
+    assert main(["bound", str(singlet_file)]) == 7
 
 
 class TestJointStatisticsReuse:
@@ -671,8 +643,8 @@ class TestJointStatisticsReuse:
         "argv,expected",
         [(["simulate", "--postselect", "CHSH"], 4), (["bound", "CHSH"], 4), (["demo", "chsh-singlet"], 4)],
     )
-    def test_chsh_file(self, chsh_file, contractions, capsys, argv, expected):
-        assert main([str(chsh_file) if a == "CHSH" else a for a in argv]) == 0
+    def test_chsh_file(self, singlet_file, contractions, capsys, argv, expected):
+        assert main([str(singlet_file) if a == "CHSH" else a for a in argv]) == 0
         assert len(contractions) == expected
         assert contractions == [0, 1] * 2  # party of each step, in walk order
 
@@ -812,10 +784,10 @@ class TestDeepNesting:
 
     @pytest.mark.parametrize("depth", [1000, 5000])
     @pytest.mark.parametrize("command", ["check", "bound"])
-    def test_mq_file(self, traced_file, chsh_file, tmp_path, capsys, command, depth):
+    def test_mq_file(self, traced_file, singlet_file, tmp_path, capsys, command, depth):
         mq = tmp_path / "deep_mq.json"
         mq.write_bytes(b"[" * depth + b"]" * depth)
-        assert main([command, str(traced_file if command == "check" else chsh_file), "--mq", str(mq)]) == 1
+        assert main([command, str(traced_file if command == "check" else singlet_file), "--mq", str(mq)]) == 1
         out, err = capsys.readouterr()
         assert out == ""
         if depth == 1000:
@@ -837,19 +809,19 @@ TOL_ARGV = {
 class TestTolerance:
     @pytest.mark.parametrize("value", ["nan", "inf", "-inf", "-1", "-1e-300"])
     @pytest.mark.parametrize("argv", TOL_ARGV.values(), ids=TOL_ARGV.keys())
-    def test_rejected_before_any_work(self, traced_file, chsh_file, monkeypatch, capsys, argv, value):
+    def test_rejected_before_any_work(self, traced_file, singlet_file, monkeypatch, capsys, argv, value):
         def no_work(*args, **kwargs):
             raise AssertionError("worked before checking --tol")
 
         monkeypatch.setattr(serialize, "load_json", no_work)
         monkeypatch.setattr("fairsamp.cli.check_exact", no_work)
-        files = {"DEVICE": str(traced_file), "SCENARIO": str(chsh_file)}
+        files = {"DEVICE": str(traced_file), "SCENARIO": str(singlet_file)}
         assert main([files.get(arg, arg) for arg in argv] + [f"--tol={value}"]) == 1
         assert capsys.readouterr() == ("", f"error: --tol must be a finite non-negative number, got {float(value)!r}\n")
 
     @pytest.mark.parametrize("argv", TOL_ARGV.values(), ids=TOL_ARGV.keys())
-    def test_zero_accepted(self, traced_file, chsh_file, capsys, argv):
-        files = {"DEVICE": str(traced_file), "SCENARIO": str(chsh_file)}
+    def test_zero_accepted(self, traced_file, singlet_file, capsys, argv):
+        files = {"DEVICE": str(traced_file), "SCENARIO": str(singlet_file)}
         assert main([files.get(arg, arg) for arg in argv] + ["--tol", "0"]) == 0
         assert capsys.readouterr().err == ""
 
@@ -1007,8 +979,8 @@ class TestOutputIsJsonDumpsText:
             ["demo", "prop2-random", "--count", "3", "--seed", "5"],
         ],
     )
-    def test_stdout_and_output_file(self, traced_file, unequal_file, chsh_file, tmp_path, capsys, argv):
-        names = {"TRACED": traced_file, "UNEQUAL": unequal_file[0], "MQ": unequal_file[1], "CHSH": chsh_file}
+    def test_stdout_and_output_file(self, traced_file, unequal_file, singlet_file, tmp_path, capsys, argv):
+        names = {"TRACED": traced_file, "UNEQUAL": unequal_file[0], "MQ": unequal_file[1], "CHSH": singlet_file}
         argv = [str(names.get(a, a)) for a in argv]
         code = main(argv)
         assert code in (0, 2)

@@ -35,3 +35,15 @@ def test_third_party_imports_are_declared():
     third_party = imported - set(sys.stdlib_module_names) - {"fairsamp"}
     assert {"numpy", "orjson"} <= third_party  # the scan sees the package's imports
     assert third_party <= declared_dependencies()
+
+
+def test_every_python_file_parses_as_the_oldest_supported_python():
+    """No file uses syntax newer than the oldest Python that ``requires-python`` admits."""
+    with open(ROOT / "pyproject.toml", "rb") as fh:
+        oldest = re.fullmatch(r">=(\d+)\.(\d+)", tomllib.load(fh)["project"]["requires-python"])
+    version = tuple(map(int, oldest.groups()))
+    tops = ("src", "tests", "tools", "demos", "perfbench")
+    sources = sorted(p for top in tops for p in (ROOT / top).rglob("*.py"))
+    assert {p.relative_to(ROOT).parts[0] for p in sources} == set(tops)  # the scan sees every tree
+    for path in sources:
+        ast.parse(path.read_text(encoding="utf-8"), filename=str(path), feature_version=version)

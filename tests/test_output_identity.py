@@ -12,7 +12,7 @@ import pytest
 import fairsamp
 from fairsamp import serialize
 from fairsamp.adversary import makarov_traced
-from fairsamp.cli import chsh_singlet_scenario
+from fairsamp.bell import chsh_singlet_scenario
 
 ROOT = Path(__file__).resolve().parent.parent
 SRC = Path(fairsamp.__file__).resolve().parent.parent
@@ -51,6 +51,39 @@ def test_an_edited_line_is_reported(tool, runs, tmp_path):
         f"decompose {device} --trials 2: file traced.decomposition/verification.json differs, "
         """line 3: parent b'  "seed": 0,', change b'  "seed": 1,'"""
     )
+
+
+def tree_copy(tmp_path: Path) -> Path:
+    """A copy of this tree's ``src`` and ``demos`` under ``tmp_path / "tree"``; returns the copy's ``src``."""
+    tree = tmp_path / "tree"
+    shutil.copytree(SRC / "fairsamp", tree / "src" / "fairsamp", ignore=shutil.ignore_patterns("__pycache__"))
+    shutil.copytree(ROOT / "demos", tree / "demos")
+    return tree / "src"
+
+
+def test_each_tree_runs_its_own_demos_and_an_edited_line_is_reported(tool, tmp_path):
+    src = tree_copy(tmp_path)
+    demo = src.parent / "demos" / "01_lossy_devices_and_filters.py"
+    text = demo.read_text()
+    assert text.count('print("settings:",') == 1
+    demo.write_text(text.replace('print("settings:",', 'print("setting labels:",'))
+    runs = tool.demo_runs(SRC, src)
+    assert [run.name for run in runs] == [f"demos/{path.name}" for path in sorted((ROOT / "demos").glob("*.py"))]
+    line = b"('z', 'x') | outcomes: ('+', '-') + noclick"
+    assert tool.compare(SRC, src, runs, tmp_path / "work") == [
+        "demos/01_lossy_devices_and_filters.py: stdout differs, "
+        f"line 1: parent {b'settings: ' + line!r}, change {b'setting labels: ' + line!r}"
+    ]
+
+
+def test_a_demo_in_one_tree_only_is_reported_as_only_in_it(tool, tmp_path):
+    src = tree_copy(tmp_path)
+    (src.parent / "demos" / "01_lossy_devices_and_filters.py").rename(src.parent / "demos" / "00_renamed.py")
+    runs = [run for run in tool.demo_runs(SRC, src) if run.name.startswith(("demos/00", "demos/01"))]
+    assert tool.compare(SRC, src, runs, tmp_path / "work") == [
+        "demos/00_renamed.py: only in change",
+        "demos/01_lossy_devices_and_filters.py: only in parent",
+    ]
 
 
 def test_incomplete_copy_lacks_the_middle_coefficient_and_bound_names_it(tool, tmp_path):

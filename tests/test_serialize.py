@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 
 from fairsamp.adversary import makarov_traced
 from fairsamp.analysis import check_exact
-from fairsamp.cli import chsh_singlet_scenario
+from fairsamp.bell import chsh_singlet_scenario
 from fairsamp.device import NOCLICK
 from fairsamp.filters import canonical_decomposition
 from fairsamp.sampling import random_density, random_fair_sampling_device

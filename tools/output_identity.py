@@ -9,7 +9,10 @@ set-ups in ``perfbench/workloads.py``: the bell-large scenario files and the
 device-verdict device files of each seed.  On those files it runs
 ``simulate``, ``simulate --postselect`` and ``bound`` (scenarios) or
 ``check`` and ``decompose --trials 10`` (devices), then seven ``demo``
-invocations and the scripts in ``demos/``.  Each scenario file's parties
+invocations and the scripts in ``demos/``: each tree runs its own, from the
+``demos`` directory beside its ``src`` (``<--parent>/../demos`` and
+``<--change>/../demos``), and a script in only one tree is reported as
+``only in`` that tree.  Each scenario file's parties
 share one dimension d; ``eye<d>.json``, the identity of that dimension, is
 written beside it, and ``bound --mq eye<d>.json`` runs on it too.  Each
 scenario file also gets two copies, on which ``simulate --postselect`` and
@@ -71,14 +74,29 @@ TIMEOUT_S = 600
 
 @dataclass(frozen=True)
 class Run:
-    """One command: its name in the report and the interpreter's arguments."""
+    """One command: its name in the report and the interpreter's arguments.
+
+    A ``script`` names a file of ``demos/``; each tree runs its own copy, and ``args`` is empty.
+    """
 
     name: str
     args: tuple[str, ...]
+    script: str | None = None
 
 
 def cli_run(*argv: str) -> Run:
     return Run(" ".join(argv), ("-c", CLI, *argv))
+
+
+def demos(src: Path) -> Path:
+    """The ``demos`` directory of the tree whose ``src`` directory is ``src``."""
+    return src.resolve().parent / "demos"
+
+
+def demo_runs(*trees: Path) -> list[Run]:
+    """One run per script in the ``demos`` directory of any of the trees, by name."""
+    names = sorted({script.name for src in trees for script in demos(src).glob("*.py")})
+    return [Run(f"demos/{name}", (), name) for name in names]
 
 
 def environment(src: Path) -> dict[str, str]:
@@ -154,15 +172,23 @@ def build_inputs(parent: Path, seeds: list[int], inputs: Path) -> list[Run]:
                     for copy in (without_one_coefficient(path), with_dead_setting(path)):
                         runs.extend(cli_run(command[0], str(copy), *command[1:]) for command in COPY_COMMANDS)
     runs.extend(cli_run("demo", *argv) for argv in DEMOS)
-    runs.extend(Run(f"demos/{script.name}", (str(script),)) for script in sorted((ROOT / "demos").glob("*.py")))
     return runs
 
 
-def observe(src: Path, run: Run, cwd: Path) -> dict[str, bytes]:
-    """What ``run`` leaves under ``src``: stdout, stderr and exit code, then each file it wrote in ``cwd``."""
+def observe(src: Path, run: Run, cwd: Path) -> dict[str, bytes] | None:
+    """What ``run`` leaves under ``src``: stdout, stderr and exit code, then each file it wrote in ``cwd``.
+
+    None when ``run`` is a script that the tree's ``demos`` directory lacks.
+    """
+    args = run.args
+    if run.script is not None:
+        script = demos(src) / run.script
+        if not script.is_file():
+            return None
+        args = (str(script),)
     cwd.mkdir(parents=True)
     done = subprocess.run(
-        [sys.executable, *run.args], cwd=cwd, env=environment(src), capture_output=True, timeout=TIMEOUT_S
+        [sys.executable, *args], cwd=cwd, env=environment(src), capture_output=True, timeout=TIMEOUT_S
     )
     here = str(cwd).encode()
     seen = {
@@ -188,6 +214,10 @@ def compare(parent: Path, change: Path, runs: list[Run], work: Path) -> list[str
     differences = []
     for i, run in enumerate(runs):
         seen = {side: observe(src, run, work / side / str(i)) for side, src in (("parent", parent), ("change", change))}
+        lacking = [side for side, observed in seen.items() if observed is None]
+        if lacking:
+            differences.append(f"{run.name}: only in {'change' if lacking == ['parent'] else 'parent'}")
+            continue
         for key in sorted(seen["parent"].keys() | seen["change"].keys()):
             a, b = (seen[side].get(key) for side in ("parent", "change"))
             if a is None or b is None:
@@ -205,7 +235,7 @@ def main(argv: list[str] | None = None) -> int:
     args = p.parse_args(argv)
     with tempfile.TemporaryDirectory(prefix="output-identity-") as tmp:
         inputs = Path(tmp) / "inputs"
-        runs = build_inputs(args.parent, args.seeds, inputs)
+        runs = build_inputs(args.parent, args.seeds, inputs) + demo_runs(args.parent, args.change)
         differences = [line.replace(str(inputs), "<in>") for line in compare(args.parent, args.change, runs, Path(tmp))]
     for line in differences:
         print(line)
