@@ -260,13 +260,7 @@ def _demo_prop2_random(args) -> dict:
 
 
 def cmd_demo(args) -> int:
-    demos = {
-        "makarov": _demo_makarov,
-        "analyser": _demo_analyser,
-        "chsh-singlet": _demo_chsh_singlet,
-        "prop2-random": _demo_prop2_random,
-    }
-    _emit(demos[args.name](args), args.output)
+    _emit(args.demo(args), args.output)
     return 0
 
 
@@ -275,6 +269,8 @@ def build_parser() -> argparse.ArgumentParser:
     """The command-line parser, built once per process and reused by every ``main`` call.
 
     Each command and each demo takes only the options it reads, and ``-o``.
+    Each demo's subparser binds its function as ``args.demo``, which
+    ``cmd_demo`` runs; adding a demo touches only its own subparser.
     """
     parser = argparse.ArgumentParser(
         prog="fairsamp",
@@ -310,15 +306,19 @@ def build_parser() -> argparse.ArgumentParser:
         dest="name", required=True
     )
     p = command(demos, "makarov", "faked CHSH violation by a detector-blinding adversary", "--tol")
+    p.set_defaults(demo=_demo_makarov)
     p.add_argument("--noise", type=float, default=0.0, help="outcome noise")
     p = command(demos, "analyser", "numeric against closed-form epsilon of mismatched analysers")
+    p.set_defaults(demo=_demo_analyser)
     p.add_argument("--nmax", type=int, default=4, help="photon-number truncation")
     p.add_argument("--eta2", type=float, default=None, help="second detector efficiency")
     pair = p.add_mutually_exclusive_group()
     pair.add_argument("--eta1", type=float, default=None, help="first detector efficiency")
     pair.add_argument("--delta", type=float, default=None, help="relative miss-probability excess")
-    command(demos, "chsh-singlet", "post-selected CHSH of a singlet at quarter efficiency", "--tol")
+    p = command(demos, "chsh-singlet", "post-selected CHSH of a singlet at quarter efficiency", "--tol")
+    p.set_defaults(demo=_demo_chsh_singlet)
     p = command(demos, "prop2-random", "ideal-experiment deviations of random fair scenarios", "--seed")
+    p.set_defaults(demo=_demo_prop2_random)
     p.add_argument("--count", type=int, default=20, help="scenario count")
     return parser
 

@@ -19,7 +19,7 @@ from fairsamp.device import (
     total_variation,
 )
 from fairsamp.filters import canonical_decomposition
-from fairsamp.linalg import MAX_DIM, SCREEN_FROM_DIM, NotPositiveError, operator_norms, projector
+from fairsamp.linalg import COMPLETENESS_TOL, MAX_DIM, SCREEN_FROM_DIM, NotPositiveError, operator_norms, projector
 from fairsamp.optics import single_photon_analyser
 from fairsamp.sampling import random_density, random_povm
 
@@ -262,6 +262,49 @@ def test_screened_validation_raises_what_eigvalsh_raises(seed, lossless, dim, n_
     assert outcome() == expected
 
 
+#: Planted eigenvalues: those of ``helpers.PLANTED_LOWEST`` keep each outcome sum a projector within
+#: COMPLETENESS_TOL; 0.5 and 1.5 break it, on the support (``1 - sum`` goes negative) or off it.
+LOSSLESS_PLANTS = (*helpers.PLANTED_LOWEST, 0.5, 1.5)
+
+
+@settings(max_examples=80, deadline=None)
+@example(seed=1, dim=2, n_settings=2, n_outcomes=1, plants=[(1, 0, 0.5), (0, 0, helpers.PLANTED_LOWEST[0])])
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    dim=st.sampled_from([2, 3, SCREEN_FROM_DIM]),
+    n_settings=st.integers(1, 3),
+    n_outcomes=st.integers(1, 3),
+    plants=st.lists(
+        st.tuples(st.integers(0, 2), st.integers(0, 2), st.sampled_from(LOSSLESS_PLANTS)), max_size=3
+    ),
+)
+def test_a_lossless_device_is_checked_as_a_lossy_device_plus_the_projector_rule(
+    seed, dim, n_settings, n_outcomes, plants
+):
+    """What ``LossyDevice`` raises, or the projector error; with every sum a projector, what it raises or builds."""
+    rng = np.random.default_rng(seed)
+    plants = [(i % n_settings, j % n_outcomes, t) for i, j, t in plants]
+    stack = _planted_lossless(rng, dim, n_settings, n_outcomes, plants)
+    xs, outs = [f"x{i}" for i in range(n_settings)], [f"a{j}" for j in range(n_outcomes)]
+
+    def build(cls):
+        try:
+            return cls(dim, xs, outs, stack)
+        except ValueError as exc:
+            return type(exc), str(exc)
+
+    lossy, lossless = build(LossyDevice), build(LosslessDevice)
+    sums = stack.sum(axis=1)
+    if all(np.max(np.abs(m @ m - m)) <= COMPLETENESS_TOL for m in sums):
+        if isinstance(lossy, tuple):
+            assert lossless == lossy
+        else:
+            assert lossless.stack.tobytes() == lossy.stack.tobytes()
+    elif lossless != lossy:
+        assert isinstance(lossless, tuple) and lossless[0] is ValueError
+        assert re.fullmatch(r"outcome sum for setting 'x\d' is not a projector \(residual .*\)", lossless[1])
+
+
 @settings(max_examples=60, deadline=None)
 @given(
     seed=st.integers(0, 2**32 - 1),
@@ -337,11 +380,48 @@ class TestFaultOrder:
             LossyDevice(2, ["x", "y"], ["a"], povm)
 
 
+class TestLosslessFaultOrder:
+    """A lossless setting is checked as a lossy one, then by the projector rule; settings in label order."""
+
+    HALF = {"a": 0.25 * np.eye(2), "b": 0.25 * np.eye(2)}  # sums to 0.5 I, not a projector
+    NEGATIVE = {"a": np.diag([1.0, -0.2]), "b": np.diag([0.0, 1.2])}  # sums to the identity
+
+    def test_a_half_identity_sum_names_the_projector_rule(self):
+        message = "outcome sum for setting 'x' is not a projector (residual 2.500e-01)"
+        with pytest.raises(ValueError, match=re.escape(message)):
+            LosslessDevice(2, ["x"], ["a"], {"x": {"a": 0.5 * np.eye(2)}})
+
+    def test_a_sum_above_the_identity_names_its_noclick_eigenvalue(self):
+        message = "POVM element ('x', noclick) has negative eigenvalue -1.000e+00"
+        with pytest.raises(NotPositiveError, match=re.escape(message)):
+            LosslessDevice(2, ["x"], ["a"], {"x": {"a": 2.0 * np.eye(2)}})
+
+    def test_projector_fault_before_a_later_negative_element(self):
+        with pytest.raises(ValueError, match=r"^outcome sum for setting 'x' is not a projector"):
+            LosslessDevice(2, ["x", "y"], ["a", "b"], {"x": self.HALF, "y": self.NEGATIVE})
+
+    def test_negative_element_before_a_later_projector_fault(self):
+        with pytest.raises(NotPositiveError, match=r"^POVM element \('x', 'a'\) has negative eigenvalue"):
+            LosslessDevice(2, ["x", "y"], ["a", "b"], {"x": self.NEGATIVE, "y": self.HALF})
+
+    def test_a_given_noclick_element_within_tolerance_is_kept(self):
+        noclick = np.diag([0.0, 1.0]) + COMPLETENESS_TOL / 2 * np.eye(2)
+        povm = {"x": {"a": np.diag([1.0, 0.0]), NOCLICK: noclick}}
+        lossless = LosslessDevice(2, ["x"], ["a"], povm)
+        assert lossless.stack.tobytes() == LossyDevice(2, ["x"], ["a"], povm).stack.tobytes()
+        assert np.array_equal(lossless.noclick_element("x"), noclick)  # not overwritten by 1 - sum
+
+    def test_a_given_noclick_element_outside_tolerance_violates_completeness(self):
+        povm = {"x": {"a": np.diag([1.0, 0.0]), NOCLICK: np.diag([0.0, 1.0]) + 1e-6 * np.eye(2)}}
+        with pytest.raises(ValueError, match=re.escape("setting 'x' violates completeness by 1.000e-06")):
+            LosslessDevice(2, ["x"], ["a"], povm)
+
+
 @pytest.mark.filterwarnings("error")
 class TestNonFiniteElements:
     """A NaN or infinite entry is a fault of its element, reported in label order; LAPACK never sees it."""
 
-    PREFIX = {LossyDevice: "POVM element", LosslessDevice: "element"}
+    PREFIX = "POVM element"  # both classes: a lossless device is checked as a lossy one
 
     @staticmethod
     def element(dim, value, at):
@@ -368,7 +448,7 @@ class TestNonFiniteElements:
     def test_names_the_element(self, finite_lapack, cls, dim, value, at):
         with pytest.raises(ValueError) as raised:
             cls(dim, ["x"], ["a"], {"x": {"a": self.element(dim, value, at)}})
-        assert str(raised.value) == f"{self.PREFIX[cls]} ('x', 'a') has a non-finite entry"
+        assert str(raised.value) == f"{self.PREFIX} ('x', 'a') has a non-finite entry"
 
     @pytest.mark.parametrize("dim", [2, SCREEN_FROM_DIM + 1])
     def test_given_noclick_element(self, finite_lapack, dim):
