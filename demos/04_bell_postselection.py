@@ -19,12 +19,12 @@ from fairsamp import (
     single_photon_analyser,
     tv_bound,
 )
-from fairsamp.bell import chsh_coefficients, chsh_singlet_scenario, singlet_state
+from fairsamp.bell import LABEL_SEP, chsh_coefficients, chsh_singlet_scenario, singlet_state
 
 sc = chsh_singlet_scenario()
 tables = sc.tables()
 print("acceptance probability per setting pair:",
-      {",".join(xs): round(acc, 6) for xs, acc in tables.acceptance.items()})
+      {LABEL_SEP.join(xs): round(acc, 6) for xs, acc in tables.acceptance.items()})
 value = sc.bell_value(tables.postselected)
 print(f"post-selected CHSH: {value:.12f}  (2*sqrt(2) = {2*np.sqrt(2):.12f})")
 

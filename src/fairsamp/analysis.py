@@ -25,7 +25,6 @@ from .linalg import (
     as_operator,
     assert_density,
     dagger,
-    expect,
     norms_exceed,
     operator_norms,
     sqrt_pinv_sqrt,
@@ -328,38 +327,33 @@ def imperfect_state_bound(
     columns spanning the calibrated space.  The report contains the weight
     on the orthogonal block, the trace norm of the coherence block, the
     resulting bound and the actually measured total-variation distance
-    between the two post-selected distributions.  A ``rho_hat`` that is not
-    a density matrix raises ``ValueError``.
+    between the two post-selected distributions, read as the device reads
+    them.  A ``rho_hat`` that is not a density matrix, or not of the device's
+    dimension, raises ``ValueError``; a vanishing acceptance of setting ``x``
+    on either state raises ``ZeroAcceptanceError`` naming it.
     """
     rho_hat = assert_density(rho_hat)
     d = rho_hat.shape[0]
     g = int(good_dim)
     if not 0 < g < d:
         raise ValueError(f"good_dim must lie strictly between 0 and {d}")
-    if dev_hat.dim != d:
-        raise ValueError("device and state dimensions differ")
 
     eps_prime = float(np.trace(rho_hat[g:, g:]).real)
-    coherence = rho_hat[:g, g:]
-    c_norm = trace_norm(coherence) if coherence.size else 0.0
-    if eps_prime >= 1.0:
+    c_norm = trace_norm(rho_hat[:g, g:])
+    weight = float(np.trace(rho_hat[:g, :g]).real)
+    if weight <= 0.0:
         raise ValueError("the state has no weight on the calibrated block")
 
-    # Normalized good-block state, embedded in the full space: zero outside the block, so no operator needs projecting.
+    # The good block over its own trace, so of unit trace whatever rho_hat's drift, embedded in the full space.
     rho_good = np.zeros_like(rho_hat)
-    rho_good[:g, :g] = rho_hat[:g, :g] / (1.0 - eps_prime)
+    rho_good[:g, :g] = rho_hat[:g, :g] / weight
 
-    click = dev_hat.click_element(x)
-    f_acc = expect(click, rho_hat)
-    g_acc = expect(click, rho_good)
-    if min(f_acc, g_acc) <= ZERO_ACCEPTANCE:
-        raise ZeroAcceptanceError("one of the post-selected distributions is undefined")
-    bound = 2.0 * (c_norm + eps_prime) / max(f_acc, g_acc)
-    p_hat = {a: expect(dev_hat.element(x, a), rho_hat) / f_acc for a in dev_hat.outcomes}
-    p_good = {a: expect(dev_hat.element(x, a), rho_good) / g_acc for a in dev_hat.outcomes}
-    measured = total_variation(p_hat, p_good)
+    # Post-selected first: a vanishing acceptance raises ZeroAcceptanceError naming ``x`` before any bound is formed.
+    p_hat = dev_hat.postselected_distribution(x, rho_hat)
+    p_good = dev_hat.postselected_distribution(x, rho_good)
+    bound = 2.0 * (c_norm + eps_prime) / max(dev_hat.efficiency(x, rho_hat), dev_hat.efficiency(x, rho_good))
     return ImperfectStateReport(
-        eps_prime=eps_prime, coherence_trace_norm=c_norm, tv_bound=bound, tv_measured=measured
+        eps_prime=eps_prime, coherence_trace_norm=c_norm, tv_bound=bound, tv_measured=total_variation(p_hat, p_good)
     )
 
 

@@ -193,7 +193,7 @@ def _demo_makarov(args) -> dict:
         "adversary_verdict": serialize.verdict_to_json(full),
         "chsh": serialize.sig15(result.chsh),
         "detection_rate": serialize.sig15(result.detection_rate),
-        "correlators": {f"{x},{y}": serialize.sig15(v) for (x, y), v in result.correlators.items()},
+        "correlators": {LABEL_SEP.join(xy): serialize.sig15(v) for xy, v in result.correlators.items()},
     }
 
 

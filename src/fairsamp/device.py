@@ -20,7 +20,6 @@ from .linalg import (
     as_operator,
     assert_density,
     operator_norms,
-    probability,
     projector,
     psd_faults,
     raise_psd_fault,
@@ -153,11 +152,9 @@ class LossyDevice:
         return self.element(x, NOCLICK)
 
     def efficiency(self, x: str, rho: np.ndarray) -> float:
-        """Probability of any good outcome for setting x on state rho."""
-        rho = assert_density(rho)
-        if rho.shape[0] != self.dim:
-            raise ValueError(f"state dimension {rho.shape[0]} does not match device dimension {self.dim}")
-        return min(1.0, probability(self.click_element(x), rho, f"click at setting {x!r}"))
+        """Good-outcome mass of ``outcome_distribution``, not capped: what ``postselected_distribution`` divides by."""
+        raw = self.outcome_distribution(x, rho)
+        return sum(raw[a] for a in self.outcomes)
 
     def outcome_distribution(self, x: str, rho: np.ndarray) -> dict[str, float]:
         """Raw distribution over good outcomes plus noclick, read with one contraction of the setting's elements."""
@@ -177,7 +174,7 @@ class LossyDevice:
     def postselected_distribution(self, x: str, rho: np.ndarray) -> dict[str, float]:
         """Distribution over good outcomes conditioned on a click."""
         raw = self.outcome_distribution(x, rho)
-        acc = sum(raw[a] for a in self.outcomes)
+        acc = sum(raw[a] for a in self.outcomes)  # efficiency(x, rho), from the same read-out
         if acc <= ZERO_ACCEPTANCE:
             raise ZeroAcceptanceError(
                 f"setting {x!r} has acceptance {acc:.3e}; erase it from the allowed settings"

@@ -349,8 +349,3 @@ def read_probability(p: float, name: str) -> float:
     if p < -COMPLETENESS_TOL:
         raise NotPositiveError(f"{name} has negative probability {p:.3e} (tol {COMPLETENESS_TOL:.1e})")
     return max(0.0, p)
-
-
-def probability(op: np.ndarray, rho: np.ndarray, name: str) -> float:
-    """Tr(op rho) as the probability of ``name``: drift down to -COMPLETENESS_TOL reads as 0."""
-    return read_probability(expect(op, rho), name)

@@ -600,7 +600,9 @@ def dump_json(obj, path: str | Path | None = None) -> str:
     stands for and each ``MatrixBlock`` as the nested list; the file gets
     the text plus a newline.  A ``path`` that names a directory raises
     ``IsADirectoryError`` before anything is written.  A failed write leaves
-    no temporary file and raises its ``OSError`` naming ``path``.
+    no temporary file and raises its ``OSError`` naming ``path``.  The file
+    gets the permission bits ``open`` would give it: an overwritten file
+    keeps its own, a new one gets ``0o666`` less the umask.
     """
     out: list[str] = []
     _write(obj, 0, out, set())
@@ -614,6 +616,7 @@ def dump_json(obj, path: str | Path | None = None) -> str:
         try:
             fd, tmp = tempfile.mkstemp(dir=path.parent, suffix=".tmp")
             with os.fdopen(fd, "w", encoding="utf-8") as fh:
+                os.chmod(tmp, _permissions(path))  # mkstemp created it 0o600
                 fh.write(text)  # two writes: ``text + "\n"`` would copy a many-MB text
                 fh.write("\n")
             os.replace(tmp, path)
@@ -625,6 +628,16 @@ def dump_json(obj, path: str | Path | None = None) -> str:
                 raise type(exc)(exc.errno, exc.strerror, str(path)) from None
             raise
     return text
+
+
+def _permissions(path: Path) -> int:
+    """Permission bits of the file at ``path``, or, if there is none, ``0o666`` less the umask (read by setting it)."""
+    try:
+        return os.stat(path).st_mode & 0o777
+    except FileNotFoundError:
+        umask = os.umask(0)
+        os.umask(umask)
+        return 0o666 & ~umask
 
 
 #: Texts nested deeper than this are read by ``json`` alone.  orjson 3.8 builds nested

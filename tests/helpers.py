@@ -34,7 +34,6 @@ from fairsamp.linalg import (
     expect,
     operator_norm,
     operator_norms,
-    probability,
     projector,
     read_probability,
     sqrt_pinv_sqrt,
@@ -119,9 +118,8 @@ def random_lossy_device(dim, rng, n_outcomes=3, damping=0.85, label="x"):
 def kron_table(sc, xs, alphabets):
     """Reference joint table: one Kronecker product and trace per outcome tuple."""
     return {
-        outs: probability(
-            tensor([dev.element(x, a) for dev, x, a in zip(sc.devices, xs, outs)]),
-            sc.psi,
+        outs: read_probability(
+            expect(tensor([dev.element(x, a) for dev, x, a in zip(sc.devices, xs, outs)]), sc.psi),
             f"outcomes {outs!r} at settings {xs!r}",
         )
         for outs in itertools.product(*alphabets)
@@ -134,7 +132,7 @@ def kron_joint_raw(sc, xs):
 
 def kron_all_click_probability(sc, xs):
     op = tensor([dev.click_element(x) for dev, x in zip(sc.devices, xs)])
-    return probability(op, sc.psi, f"all-click at settings {xs!r}")
+    return read_probability(expect(op, sc.psi), f"all-click at settings {xs!r}")
 
 
 def kron_joint_postselected(sc, xs):
@@ -548,10 +546,10 @@ def oracle_analyser_device(spec):
 
 
 def oracle_outcome_distribution(dev, x, rho):
-    """``LossyDevice.outcome_distribution`` with one ``probability`` call per outcome."""
+    """``LossyDevice.outcome_distribution`` with one ``expect`` call per outcome."""
     rho = assert_density(rho)
     labels = (*dev.outcomes, NOCLICK)
-    probs = {a: probability(dev.element(x, a), rho, f"outcome {a!r} at setting {x!r}") for a in labels}
+    probs = {a: read_probability(expect(dev.element(x, a), rho), f"outcome {a!r} at setting {x!r}") for a in labels}
     total = sum(probs.values())
     if abs(total - 1.0) > COMPLETENESS_TOL:
         raise ValueError(f"distribution for setting {x!r} sums to {total!r}")

@@ -344,6 +344,29 @@ class TestImperfectState:
                 )
                 assert report.tv_measured <= report.tv_bound + 1e-12
 
+    def test_reads_the_device_read_out(self, rng):
+        dev = helpers.random_lossy_device(4, rng)
+        rho_hat = helpers.block_structured_state(rng, 2, 2, eps_prime=0.05)
+        report = imperfect_state_bound(dev, rho_hat, good_dim=2, x="x")
+        rho_good = np.zeros_like(rho_hat)
+        rho_good[:2, :2] = rho_hat[:2, :2] / np.trace(rho_hat[:2, :2]).real
+        p_hat, p_good = dev.postselected_distribution("x", rho_hat), dev.postselected_distribution("x", rho_good)
+        assert report.tv_measured == total_variation(p_hat, p_good)
+        acceptance = max(dev.efficiency("x", rho_hat), dev.efficiency("x", rho_good))
+        assert report.tv_bound == 2.0 * (report.coherence_trace_norm + report.eps_prime) / acceptance
+
+    def test_vanishing_acceptance_names_the_setting(self, rng):
+        # The device clicks only on the orthogonal block, so the good-block state is never accepted.
+        dev = LossyDevice(4, ["x"], ["a"], {"x": {"a": np.diag([0.0, 0.0, 0.5, 0.5])}})
+        rho_hat = helpers.block_structured_state(rng, 2, 2, eps_prime=0.05)
+        with pytest.raises(ZeroAcceptanceError, match=r"^setting 'x' has acceptance 0\.000e\+00; erase it"):
+            imperfect_state_bound(dev, rho_hat, good_dim=2, x="x")
+
+    def test_state_of_another_dimension_raises(self, rng):
+        rho_hat = helpers.block_structured_state(rng, 2, 2, eps_prime=0.05)
+        with pytest.raises(ValueError, match=r"^state dimension 4 does not match device dimension 3$"):
+            imperfect_state_bound(helpers.random_lossy_device(3, rng), rho_hat, good_dim=2, x="x")
+
 
 class TestNecessaryConditions:
     def test_rank_one_table(self):

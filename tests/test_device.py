@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 import helpers
 
 from fairsamp.analysis import check_exact, ideal_device_from
+from fairsamp.bell import BellScenario
 from fairsamp.device import (
     NOCLICK,
     LossyDevice,
@@ -19,7 +20,15 @@ from fairsamp.device import (
     total_variation,
 )
 from fairsamp.filters import canonical_decomposition
-from fairsamp.linalg import COMPLETENESS_TOL, MAX_DIM, SCREEN_FROM_DIM, NotPositiveError, operator_norms, projector
+from fairsamp.linalg import (
+    COMPLETENESS_TOL,
+    MAX_DIM,
+    SCREEN_FROM_DIM,
+    ZERO_ACCEPTANCE,
+    NotPositiveError,
+    operator_norms,
+    projector,
+)
 from fairsamp.optics import single_photon_analyser
 from fairsamp.sampling import random_density, random_povm
 
@@ -595,6 +604,18 @@ class TestEfficiency:
             combo = p * traced.efficiency(x, r1) + (1.0 - p) * traced.efficiency(x, r2)
             assert direct == pytest.approx(combo, abs=1e-10)
 
+    def test_click_mass_above_one_is_not_capped(self):
+        # Each good element is (1 + 5e-11) times a projector: the no-click element, -5e-11 times
+        # the identity, passes the PSD check, and so does a click mass 5e-11 above 1.
+        scale = 1.0 + 5e-11
+        dev = LossyDevice(2, ["x"], ["a", "b"], scale * np.array([[np.diag([1.0, 0.0]), np.diag([0.0, 1.0])]]))
+        rho = np.eye(2) / 2.0
+        assert dev.outcome_distribution("x", rho)[NOCLICK] == 0.0
+        acceptance = dev.efficiency("x", rho)
+        assert acceptance == pytest.approx(scale, abs=1e-15) and acceptance > 1.0
+        ps = dev.postselected_distribution("x", rho)
+        assert ps == {a: p / acceptance for a, p in dev.outcome_distribution("x", rho).items() if a != NOCLICK}
+
 
 class TestDistributions:
     def test_lossless_z_on_zero(self, lossless_z):
@@ -740,10 +761,41 @@ def test_total_variation():
     n_outcomes=st.integers(1, 3),
 )
 def test_outcome_distribution_equals_one_probability_per_outcome(seed, kind, dim, n_settings, n_outcomes):
-    """One contraction of a setting's elements reads the bits of one ``probability`` per outcome."""
+    """One contraction of a setting's elements reads the bits of one ``expect`` per outcome."""
     rng = np.random.default_rng(seed)
     dev = helpers.pass_device(kind, rng, dim, n_settings, n_outcomes)
     rho = random_density(dim, rng)
     for x in dev.settings:
         stacked = dev.outcome_distribution(x, rho)
         assert list(stacked.items()) == list(helpers.oracle_outcome_distribution(dev, x, rho).items())
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    kind=st.sampled_from(helpers.PASS_KINDS),
+    dim=st.integers(1, 5),
+    n_settings=st.integers(1, 3),
+    n_outcomes=st.integers(1, 3),
+)
+def test_one_party_tables_and_efficiency_read_outcome_distribution(seed, kind, dim, n_settings, n_outcomes):
+    """A one-party ``BellScenario``'s tables and ``efficiency`` agree with ``outcome_distribution``.
+
+    ``efficiency`` is the acceptance that ``postselected_distribution`` divides by, and an erased
+    setting, whose acceptance is at most ZERO_ACCEPTANCE, has no post-selected distribution.
+    """
+    rng = np.random.default_rng(seed)
+    dev = helpers.pass_device(kind, rng, dim, n_settings, n_outcomes)
+    rho = random_density(dim, rng)
+    tables = BellScenario([dev], rho).tables()
+    for x in dev.settings:
+        raw = dev.outcome_distribution(x, rho)
+        np.testing.assert_allclose(tables.raw[(x,)], list(raw.values()), rtol=0, atol=1e-12)
+        acceptance = dev.efficiency(x, rho)
+        assert acceptance == pytest.approx(tables.acceptance[(x,)], abs=1e-12)
+        if acceptance <= ZERO_ACCEPTANCE:
+            with pytest.raises(ZeroAcceptanceError):
+                dev.postselected_distribution(x, rho)
+        else:
+            ps = dev.postselected_distribution(x, rho)
+            assert ps == {a: raw[a] / acceptance for a in dev.outcomes}

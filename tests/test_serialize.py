@@ -1,6 +1,8 @@
 """JSON round trips for matrices, devices, scenarios and verdicts."""
 
 import json
+import os
+import stat
 
 import numpy as np
 import orjson
@@ -323,6 +325,27 @@ def test_dump_json_is_deterministic(tmp_path):
     serialize.dump_json(payload, p2)
     assert p1.read_bytes() == p2.read_bytes()
     assert json.loads(p1.read_text()) == payload
+
+
+@pytest.mark.parametrize("umask", [0o022, 0o077, 0o002])
+def test_dump_json_gives_a_new_file_the_umask_mode(tmp_path, umask):
+    old = os.umask(umask)
+    try:
+        serialize.dump_json({"a": 1}, tmp_path / "new.json")
+    finally:
+        os.umask(old)
+    assert stat.S_IMODE(os.stat(tmp_path / "new.json").st_mode) == 0o666 & ~umask
+    assert not list(tmp_path.glob("*.tmp"))
+
+
+@pytest.mark.parametrize("mode", [0o644, 0o600, 0o640, 0o666])
+def test_dump_json_keeps_an_overwritten_file_mode(tmp_path, mode):
+    path = tmp_path / "old.json"
+    path.write_text("{}")
+    os.chmod(path, mode)
+    serialize.dump_json({"a": 1}, path)
+    assert stat.S_IMODE(os.stat(path).st_mode) == mode
+    assert json.loads(path.read_text()) == {"a": 1}
 
 
 # --- the writer against its oracle, json.dumps(obj, indent=2, sort_keys=True)
