@@ -55,38 +55,28 @@ class QuantumFilter:
 
 @dataclass(frozen=True)
 class ClassicalFilter:
-    """Stochastic filter on the setting register.
+    """Stochastic filter on the setting register: its transition table.
 
     ``transition`` maps a requested setting to a sub-normalized distribution
-    over actually-used settings; ``accept_prob`` gives the total acceptance
-    per setting.  Both are probabilities up to ``COMPLETENESS_TOL`` of drift.
-    A diagonal filter has transition None; any other has one row for each
-    setting of ``accept_prob`` and no more, and finite entries.
+    over actually-used settings, of finite entries that are probabilities up
+    to ``COMPLETENESS_TOL`` of drift.  A diagonal filter is the table whose
+    rows name only their own setting, ``{x: {x: p}}``.
     """
 
-    accept_prob: Mapping[str, float]
-    transition: Mapping[str, Mapping[str, float]] | None = None
+    transition: Mapping[str, Mapping[str, float]]
 
     def __post_init__(self):
-        for x, p in self.accept_prob.items():
-            if not -COMPLETENESS_TOL <= p <= 1.0 + COMPLETENESS_TOL:
-                raise ValueError(f"accept_prob[{x!r}] = {p!r} outside [0, 1]")
-        if self.transition is not None:
-            for x in self.transition:
-                if x not in self.accept_prob:
-                    raise ValueError(f"transition row {x!r} names a setting absent from accept_prob")
-            for x in self.accept_prob:
-                if x not in self.transition:
-                    raise ValueError(f"accept_prob setting {x!r} has no transition row")
-            for x, row in self.transition.items():
-                for y, p in row.items():
-                    if not math.isfinite(p):
-                        raise ValueError(f"transition row {x!r} has entry {float(p)!r} at setting {y!r}, not finite")
-                total = sum(row.values())
-                if total > 1.0 + COMPLETENESS_TOL or any(p < -COMPLETENESS_TOL for p in row.values()):
-                    raise ValueError(f"transition row {x!r} is not sub-normalized")
-                if abs(total - self.accept_prob[x]) > COMPLETENESS_TOL:
-                    raise ValueError(f"accept_prob[{x!r}] inconsistent with transition row sum")
+        for x, row in self.transition.items():
+            for y, p in row.items():
+                if not math.isfinite(p):
+                    raise ValueError(f"transition row {x!r} has entry {float(p)!r} at setting {y!r}, not finite")
+            if sum(row.values()) > 1.0 + COMPLETENESS_TOL or any(p < -COMPLETENESS_TOL for p in row.values()):
+                raise ValueError(f"transition row {x!r} is not sub-normalized")
+
+    @property
+    def accept_prob(self) -> dict[str, float]:
+        """Total acceptance per requested setting: the row sums."""
+        return {x: sum(row.values()) for x, row in self.transition.items()}
 
 
 @dataclass(frozen=True)
@@ -136,7 +126,7 @@ def verify_recomposition(
     if trials < 1:
         raise ValueError(f"trials must be at least 1, got {trials}")
     rng = np.random.default_rng(seed)
-    kraus = np.array([decomp.filters[x].kraus_click for x in dev.settings])
+    kraus = np.array([_row(decomp.filters, x).kraus_click for x in dev.settings])
     kraus_dagger = np.conj(kraus).swapaxes(1, 2)
     lossless = [np.array([decomp.lossless.element(x, a) for a in dev.outcomes]) for x in dev.settings]
     worst = 0.0
@@ -158,37 +148,34 @@ def classical_normal_form(
     Returns a diagonal filter that only damps each setting by its total
     acceptance, together with a reweighted device mixing the original POVMs
     by the transition probabilities.  The composed statistics are unchanged.
+    Every filter, diagonal or not, takes this one path: a setting whose
+    acceptance is at most ``ZERO_ACCEPTANCE`` is erased with a warning, every
+    entry of a kept row is read from ``lossless`` (a setting it lacks raises
+    ``KeyError``), and erasing every setting raises ``ZeroAcceptanceError``.
     """
-    if fc.transition is None:
-        return fc, lossless
-
     accept: dict[str, float] = {}
     povm: dict[str, dict[str, np.ndarray]] = {}
-    kept: list[str] = []
     for x, row in fc.transition.items():
         acc = sum(row.values())
         if acc <= ZERO_ACCEPTANCE:
             warnings.warn(f"setting {x!r} has zero acceptance and is erased", stacklevel=2)
             continue
-        kept.append(x)
         accept[x] = acc
         povm[x] = {
             a: sum((p / acc) * lossless.element(xp, a) for xp, p in row.items())
             for a in lossless.outcomes
         }
-    if not kept:
+    if not accept:
         raise ZeroAcceptanceError("all settings have zero acceptance")
-    device = LosslessDevice(lossless.dim, kept, lossless.outcomes, povm)
-    return ClassicalFilter(accept_prob=accept), device
+    device = LosslessDevice(lossless.dim, list(accept), lossless.outcomes, povm)
+    return ClassicalFilter({x: {x: acc} for x, acc in accept.items()}), device
 
 
 def composed_probability(
     fc: ClassicalFilter, lossless: LosslessDevice, x: str, a: str, rho: np.ndarray
 ) -> float:
     """Unnormalized Pr(a, accept | x) of a classical filter followed by a device."""
-    if fc.transition is None:
-        return _row(fc.accept_prob, x) * expect(lossless.element(x, a), rho)
-    return sum(p * expect(lossless.element(xp, a), rho) for xp, p in _row(fc.transition, x).items())
+    return sum((p * expect(lossless.element(xp, a), rho) for xp, p in _row(fc.transition, x).items()), 0.0)
 
 
 def _row(rows: Mapping, x: str):

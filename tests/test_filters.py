@@ -1,5 +1,7 @@
 """Canonical filter/lossless decomposition and the classical normal form."""
 
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -8,7 +10,7 @@ from hypothesis import strategies as st
 import helpers
 
 from fairsamp.adversary import makarov_branches, makarov_traced
-from fairsamp.device import NOCLICK, LossyDevice, LosslessDevice, projective_qubit_device
+from fairsamp.device import NOCLICK, LossyDevice, LosslessDevice, ZeroAcceptanceError, projective_qubit_device
 from fairsamp.filters import (
     ClassicalFilter,
     FilterDecomposition,
@@ -19,7 +21,7 @@ from fairsamp.filters import (
     verify_recomposition,
 )
 from fairsamp.linalg import dagger, operator_norm, support_projector
-from fairsamp.sampling import random_density, random_fair_sampling_device, verification_states
+from fairsamp.sampling import random_density, random_fair_sampling_device, random_povm, verification_states
 
 
 class TestQuantumFilter:
@@ -92,8 +94,6 @@ class TestRecomposition:
             assert verify_recomposition(dev, dc, trials=60, seed=11) <= 1e-9
 
     def test_generic_devices_without_fair_structure(self, rng):
-        from fairsamp.sampling import random_povm
-
         for trial in range(20):
             dim = int(rng.integers(2, 6))
             n_out = int(rng.integers(1, 4))
@@ -108,8 +108,6 @@ class TestRecomposition:
             assert verify_recomposition(dev, dc, trials=24, seed=trial) <= 1e-9
 
     def test_devices_supported_on_a_subspace(self, rng):
-        from fairsamp.sampling import random_povm
-
         for trial in range(10):
             dim, rank = 4, int(rng.integers(1, 4))
             basis = np.linalg.qr(rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim)))[0][:, :rank]
@@ -150,18 +148,15 @@ class TestClassicalNormalForm:
 
     def test_diagonal_is_unchanged(self):
         lossless = self.lossless_pair()
-        fc = ClassicalFilter(accept_prob={"0": 0.4, "1": 0.9})
+        fc = ClassicalFilter({"0": {"0": 0.4}, "1": {"1": 0.9}})
         diag, w = classical_normal_form(fc, lossless)
-        assert diag is fc and w is lossless
+        assert diag == fc and w.settings == lossless.settings
+        assert np.array_equal(w.stack, lossless.stack)
 
     def test_uniform_damping(self):
         lossless = self.lossless_pair()
-        fc = ClassicalFilter(
-            accept_prob={"0": 0.5, "1": 0.5},
-            transition={"0": {"0": 0.5}, "1": {"1": 0.5}},
-        )
+        fc = ClassicalFilter({"0": {"0": 0.5}, "1": {"1": 0.5}})
         diag, w = classical_normal_form(fc, lossless)
-        assert diag.transition is None
         assert diag.accept_prob == pytest.approx({"0": 0.5, "1": 0.5})
         for x in lossless.settings:
             for a in lossless.outcomes:
@@ -169,21 +164,16 @@ class TestClassicalNormalForm:
 
     def test_mixing_row(self):
         lossless = self.lossless_pair()
-        fc = ClassicalFilter(
-            accept_prob={"0": 0.4, "1": 0.5},
-            transition={"0": {"0": 0.3, "1": 0.1}, "1": {"1": 0.5}},
-        )
+        fc = ClassicalFilter({"0": {"0": 0.3, "1": 0.1}, "1": {"1": 0.5}})
         diag, w = classical_normal_form(fc, lossless)
+        assert diag.transition == {"0": {"0": fc.accept_prob["0"]}, "1": {"1": 0.5}}
         assert diag.accept_prob["0"] == pytest.approx(0.4, abs=1e-12)
         expected = (0.3 * lossless.element("0", "+") + 0.1 * lossless.element("1", "+")) / 0.4
         np.testing.assert_allclose(w.element("0", "+"), expected, atol=1e-12)
 
     def test_composed_statistics_unchanged(self, rng):
         lossless = self.lossless_pair()
-        fc = ClassicalFilter(
-            accept_prob={"0": 0.4, "1": 0.5},
-            transition={"0": {"0": 0.3, "1": 0.1}, "1": {"0": 0.2, "1": 0.3}},
-        )
+        fc = ClassicalFilter({"0": {"0": 0.3, "1": 0.1}, "1": {"0": 0.2, "1": 0.3}})
         diag, w = classical_normal_form(fc, lossless)
         for rho in verification_states(2, 12, rng):
             for x in lossless.settings:
@@ -194,96 +184,113 @@ class TestClassicalNormalForm:
 
     def test_unit_efficiency_of_normal_form(self):
         lossless = self.lossless_pair()
-        fc = ClassicalFilter(
-            accept_prob={"0": 0.4, "1": 0.5},
-            transition={"0": {"0": 0.3, "1": 0.1}, "1": {"0": 0.2, "1": 0.3}},
-        )
+        fc = ClassicalFilter({"0": {"0": 0.3, "1": 0.1}, "1": {"0": 0.2, "1": 0.3}})
         _, w = classical_normal_form(fc, lossless)
         for x in w.settings:
             np.testing.assert_allclose(w.click_element(x), np.eye(2), atol=1e-9)
-
-    @pytest.mark.parametrize(
-        "accept,transition,message",
-        [
-            ({"0": 0.5}, {"0": {"0": 0.5}, "1": {"1": 0.5}}, "transition row '1' names a setting absent from accept_prob"),
-            ({"0": 0.5, "1": 0.5}, {"0": {"0": 0.5}}, "accept_prob setting '1' has no transition row"),
-        ],
-        ids=["row-without-acceptance", "acceptance-without-row"],
-    )
-    def test_settings_must_match(self, accept, transition, message):
-        with pytest.raises(ValueError, match=f"^{message}$"):
-            ClassicalFilter(accept_prob=accept, transition=transition)
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     def test_non_finite_transition_entry_names_row_and_setting(self, bad):
         transition = {"x": {"x": 0.25, "y": 0.25}, "z": {"x": 0.1, "y": bad}}
         message = rf"^transition row 'z' has entry {bad!r} at setting 'y', not finite$"
         with pytest.raises(ValueError, match=message):
-            ClassicalFilter({"x": 0.5, "z": 0.1}, transition)
+            ClassicalFilter(transition)
         with pytest.raises(ValueError, match=r"^transition row 'x' has entry nan at setting 'y', not finite$"):
-            ClassicalFilter({"x": 0.5}, {"x": {"y": float("nan")}})
+            ClassicalFilter({"x": {"y": float("nan")}})
 
     @pytest.mark.parametrize(
-        "accept,transition",
+        "transition",
         [
-            ({"x": 1 + 5e-10}, None),
-            ({"x": 1 + 5e-10}, {"x": {"x": 1 + 5e-10}}),
-            ({"x": -5e-10}, None),
-            ({"x": 0.5 - 5e-10}, {"x": {"x": 0.5, "y": -5e-10}}),
+            {"x": {"x": 1 + 5e-10}},
+            {"x": {"x": 0.5, "y": 0.5 + 5e-10}},
+            {"x": {"x": -5e-10}},
+            {"x": {"x": 0.5, "y": -5e-10}},
         ],
         ids=["acceptance-above-one", "acceptance-and-row-above-one", "acceptance-below-zero", "entry-below-zero"],
     )
-    def test_drift_within_the_probability_tolerance_builds(self, accept, transition):
-        assert ClassicalFilter(accept, transition).accept_prob == accept
+    def test_drift_within_the_probability_tolerance_builds(self, transition):
+        fc = ClassicalFilter(transition)
+        assert fc.transition == transition
+        assert fc.accept_prob == {x: sum(row.values()) for x, row in transition.items()}
 
     @pytest.mark.parametrize(
-        "accept,transition,message",
-        [
-            ({"x": 1 + 2e-9}, None, "accept_prob['x'] = 1.000000002 outside [0, 1]"),
-            ({"x": -2e-9}, None, "accept_prob['x'] = -2e-09 outside [0, 1]"),
-            ({"x": 0.5 - 2e-9}, {"x": {"x": 0.5, "y": -2e-9}}, "transition row 'x' is not sub-normalized"),
-        ],
+        "transition",
+        [{"x": {"x": 1 + 2e-9}}, {"x": {"x": -2e-9}}, {"x": {"x": 0.5, "y": -2e-9}}],
         ids=["acceptance-above-one", "acceptance-below-zero", "entry-below-zero"],
     )
-    def test_drift_beyond_the_probability_tolerance_raises(self, accept, transition, message):
+    def test_drift_beyond_the_probability_tolerance_raises(self, transition):
         with pytest.raises(ValueError) as raised:
-            ClassicalFilter(accept, transition)
-        assert raised.value.args == (message,)
+            ClassicalFilter(transition)
+        assert raised.value.args == ("transition row 'x' is not sub-normalized",)
 
-    def test_zero_acceptance_setting_erased(self):
+    def test_zero_acceptance_setting_erased(self, rng):
+        """A dead diagonal setting is erased as an empty row is, and composes to the float 0.0."""
         lossless = self.lossless_pair()
-        fc = ClassicalFilter(
-            accept_prob={"0": 0.0, "1": 0.5},
-            transition={"0": {}, "1": {"1": 0.5}},
-        )
-        with pytest.warns(UserWarning, match="erased"):
-            diag, w = classical_normal_form(fc, lossless)
-        assert list(diag.accept_prob) == ["1"]
-        assert w.settings == ("1",)
+        forms = []
+        for fc in (ClassicalFilter({"0": {"0": 0.0}, "1": {"1": 0.5}}), ClassicalFilter({"0": {}, "1": {"1": 0.5}})):
+            with pytest.warns(UserWarning, match="^setting '0' has zero acceptance and is erased$"):
+                forms.append(classical_normal_form(fc, lossless))
+            for a in lossless.outcomes:
+                value = composed_probability(fc, lossless, "0", a, random_density(2, rng))
+                assert type(value) is float and value == 0.0
+        (diag, w), (diag_empty, w_empty) = forms
+        assert diag == diag_empty == ClassicalFilter({"1": {"1": 0.5}})
+        assert w.settings == w_empty.settings == ("1",)
+        assert np.array_equal(w.stack, w_empty.stack)
 
-    def test_random_transition_maps(self, rng):
-        from fairsamp.sampling import random_povm
+    def test_diagonal_row_naming_an_unknown_setting_raises(self):
+        with pytest.raises(KeyError) as raised:
+            classical_normal_form(ClassicalFilter({"0": {"0": 0.5}, "zz": {"zz": 0.5}}), self.lossless_pair())
+        assert raised.value.args == ("unknown setting 'zz'",)
 
-        for _ in range(10):
-            dim = int(rng.integers(2, 4))
-            settings = [f"x{i}" for i in range(int(rng.integers(2, 5)))]
-            povm = {x: dict(zip("ab", random_povm(dim, 2, rng))) for x in settings}
-            lossless = LosslessDevice(dim, settings, ["a", "b"], povm)
-            transition = {}
-            for x in settings:
-                weights = rng.dirichlet(np.ones(len(settings))) * rng.uniform(0.1, 1.0)
-                transition[x] = {xp: float(w) for xp, w in zip(settings, weights)}
-            fc = ClassicalFilter(
-                accept_prob={x: sum(row.values()) for x, row in transition.items()},
-                transition=transition,
-            )
+    def test_empty_filter_raises(self):
+        with pytest.raises(ZeroAcceptanceError, match="^all settings have zero acceptance$"):
+            classical_normal_form(ClassicalFilter({}), self.lossless_pair())
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    dim=st.integers(1, 3),
+    kinds=st.lists(st.sampled_from(["diagonal", "zero", "scrambling"]), min_size=1, max_size=4),
+)
+def test_classical_normal_form_of_random_tables(seed, dim, kinds):
+    """Diagonal, zero and scrambling rows: statistics kept, zero rows erased, and the normal form is its own."""
+    rng = np.random.default_rng(seed)
+    names = [f"x{i}" for i in range(len(kinds))]
+    lossless = LosslessDevice(dim, names, ["a", "b"], {x: dict(zip("ab", random_povm(dim, 2, rng))) for x in names})
+    transition = {}
+    for x, kind in zip(names, kinds):
+        if kind == "diagonal":
+            transition[x] = {x: float(rng.uniform(0.1, 1.0))}
+        elif kind == "zero":
+            transition[x] = {xp: 0.0 for xp in names if rng.random() < 0.5}
+        else:
+            weights = rng.dirichlet(np.ones(len(names))) * rng.uniform(0.1, 1.0)
+            transition[x] = {xp: float(p) for xp, p in zip(names, weights)}
+    fc = ClassicalFilter(transition)
+    kept = [x for x, kind in zip(names, kinds) if kind != "zero"]
+    erased = [f"setting {x!r} has zero acceptance and is erased" for x, kind in zip(names, kinds) if kind == "zero"]
+    with warnings.catch_warnings(record=True) as warned:
+        warnings.simplefilter("always")
+        if not kept:
+            with pytest.raises(ZeroAcceptanceError, match="^all settings have zero acceptance$"):
+                classical_normal_form(fc, lossless)
+        else:
             diag, w = classical_normal_form(fc, lossless)
-            for rho in verification_states(dim, 6, rng):
-                for x in settings:
-                    for a in "ab":
-                        before = composed_probability(fc, lossless, x, a, rho)
-                        after = composed_probability(diag, w, x, a, rho)
-                        assert before == pytest.approx(after, abs=1e-10)
+    assert [str(warning.message) for warning in warned] == erased
+    if not kept:
+        return
+    assert list(diag.transition) == kept and w.settings == tuple(kept)
+    assert all(list(row) == [x] for x, row in diag.transition.items())
+    for rho in verification_states(dim, 3, rng):
+        for x in kept:
+            for a in "ab":
+                before = composed_probability(fc, lossless, x, a, rho)
+                assert abs(before - composed_probability(diag, w, x, a, rho)) <= 1e-10
+    again, w_again = classical_normal_form(diag, w)
+    assert again.accept_prob == diag.accept_prob
+    assert np.array_equal(w_again.stack, w.stack)
 
 
 @pytest.mark.parametrize(
@@ -291,12 +298,17 @@ class TestClassicalNormalForm:
     [
         lambda dev, lossless, rho: dev.element("z", "+"),
         lambda dev, lossless, rho: canonical_decomposition(dev).probability("z", "+", rho),
-        lambda dev, lossless, rho: composed_probability(ClassicalFilter({"0": 0.5, "1": 0.5}), lossless, "z", "+", rho),
         lambda dev, lossless, rho: composed_probability(
-            ClassicalFilter({"0": 0.5, "1": 0.5}, {"0": {"0": 0.5}, "1": {"1": 0.5}}), lossless, "z", "+", rho
+            ClassicalFilter({"0": {"0": 0.5}, "1": {"1": 0.5}}), lossless, "z", "+", rho
+        ),
+        lambda dev, lossless, rho: composed_probability(
+            ClassicalFilter({"0": {"0": 0.3, "1": 0.2}, "1": {"1": 0.5}}), lossless, "z", "+", rho
+        ),
+        lambda dev, lossless, rho: verify_recomposition(
+            projective_qubit_device({"0": 0.0, "z": np.pi / 2.0}), canonical_decomposition(dev), trials=1
         ),
     ],
-    ids=["device", "decomposition", "diagonal-filter", "transition-filter"],
+    ids=["device", "decomposition", "diagonal-filter", "transition-filter", "recomposition"],
 )
 def test_unknown_setting_is_named_as_the_device_names_it(read):
     dev = projective_qubit_device({"0": 0.0, "1": np.pi / 2.0})

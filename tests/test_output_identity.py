@@ -2,6 +2,7 @@
 
 import importlib.util
 import json
+import os
 import shutil
 import sys
 from pathlib import Path
@@ -51,6 +52,26 @@ def test_an_edited_line_is_reported(tool, runs, tmp_path):
         f"decompose {device} --trials 2: file traced.decomposition/verification.json differs, "
         """line 3: parent b'  "seed": 0,', change b'  "seed": 1,'"""
     )
+
+
+def test_a_file_written_with_other_permission_bits_is_reported(tool, runs, tmp_path):
+    edited = tmp_path / "edited"
+    shutil.copytree(SRC / "fairsamp", edited / "fairsamp", ignore=shutil.ignore_patterns("__pycache__"))
+    module = edited / "fairsamp" / "serialize.py"
+    text = module.read_text()
+    assert text.count("os.chmod(tmp, _permissions(path))") == 1
+    module.write_text(text.replace("os.chmod(tmp, _permissions(path))", "os.chmod(tmp, 0o600)"))
+    previous = os.umask(0o022)
+    try:
+        differences = tool.compare(SRC, edited, runs, tmp_path / "work")
+    finally:
+        os.umask(previous)
+    device = tmp_path / "traced.json"
+    assert differences == [
+        f"decompose {device} --trials 2: mode traced.decomposition/{name}.json differs, "
+        "line 1: parent b'0o644', change b'0o600'"
+        for name in ("filter", "lossless", "verification")
+    ]
 
 
 def tree_copy(tmp_path: Path) -> Path:

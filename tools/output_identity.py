@@ -30,10 +30,10 @@ scenario file also gets two copies, on which ``simulate --postselect`` and
 Each command runs in a fresh
 interpreter under each tree's ``PYTHONPATH``, with one BLAS thread, in an
 empty working directory of its own.  Its stdout, stderr, exit code and every
-file it writes there are compared; the working directory's path is replaced
-by ``<out>`` in stdout and stderr first, since ``decompose`` prints the
-directory it wrote.  Every difference is printed on one line, and the exit
-code is 1 when there is one, 0 otherwise.
+file it writes there, bytes and permission bits, are compared; the working
+directory's path is replaced by ``<out>`` in stdout and stderr first, since
+``decompose`` prints the directory it wrote.  Every difference is printed on
+one line, and the exit code is 1 when there is one, 0 otherwise.
 """
 
 from __future__ import annotations
@@ -178,6 +178,9 @@ def build_inputs(parent: Path, seeds: list[int], inputs: Path) -> list[Run]:
 def observe(src: Path, run: Run, cwd: Path) -> dict[str, bytes] | None:
     """What ``run`` leaves under ``src``: stdout, stderr and exit code, then each file it wrote in ``cwd``.
 
+    Each written file is seen twice: ``file <name>``, its bytes, and
+    ``mode <name>``, its permission bits as ``oct(st_mode & 0o777)``.
+
     None when ``run`` is a script that the tree's ``demos`` directory lacks.
     """
     args = run.args
@@ -197,7 +200,9 @@ def observe(src: Path, run: Run, cwd: Path) -> dict[str, bytes] | None:
         "exit code": str(done.returncode).encode(),
     }
     for path in sorted(p for p in cwd.rglob("*") if p.is_file()):
-        seen[f"file {path.relative_to(cwd)}"] = path.read_bytes()
+        name = path.relative_to(cwd)
+        seen[f"file {name}"] = path.read_bytes()
+        seen[f"mode {name}"] = oct(path.stat().st_mode & 0o777).encode()
     return seen
 
 
